@@ -34,6 +34,7 @@ from .geo import (
 )
 from .postprocess import (
     BoundaryFilterConfig,
+    DetectionSet,
     GlobalDetection,
     NmsConfig,
     globalize,

@@ -23,7 +23,15 @@ import numpy as np
 from .detector import Detection
 from .errors import EvalError
 from .geo import GeoTransform
-from .postprocess import BoundaryFilterConfig, GlobalDetection, NmsConfig, run_pipeline
+from .postprocess import (
+    BoundaryFilterConfig,
+    DetectionSet,
+    GlobalDetection,
+    NmsConfig,
+    _select,
+    overlap_pairs,
+    run_pipeline,
+)
 
 __all__ = [
     "EvalConfig",
@@ -140,7 +148,11 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IOU between (N, 4) and (M, 4) box arrays."""
+    """Pairwise IOU between (N, 4) and (M, 4) box arrays.
+
+    Dense, so memory grows with N x M. The pipeline scores with
+    postprocess.overlap_pairs, which reproduces this matrix bit for bit.
+    """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
     if a.size == 0 or b.size == 0:
@@ -151,12 +163,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     return inter / (area_a[:, None] + area_b[None, :] - inter)
-
-
-def _boxes_of(dets: Sequence[GlobalDetection] | np.ndarray) -> np.ndarray:
-    if isinstance(dets, np.ndarray):
-        return dets.reshape(-1, 4)
-    return np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
 
 
 def metrics_from_counts(
@@ -187,12 +193,12 @@ def metrics_from_counts(
 
 
 def _max_ious(dets: Sequence[GlobalDetection] | np.ndarray, truth_boxes: np.ndarray) -> np.ndarray:
-    det_boxes = _boxes_of(dets)
-    if det_boxes.shape[0] == 0:
-        return np.zeros(0)
-    if truth_boxes.size == 0:
-        return np.zeros(det_boxes.shape[0])
-    return iou_matrix(det_boxes, truth_boxes).max(axis=1)
+    """Each detection's best IOU against the truth boxes; 0 where none overlaps."""
+    det_boxes = dets.reshape(-1, 4) if isinstance(dets, np.ndarray) else DetectionSet.of(dets).boxes
+    best = np.zeros(det_boxes.shape[0])
+    i, _, v = overlap_pairs(det_boxes, truth_boxes)
+    np.maximum.at(best, i, v)
+    return best
 
 
 def match_and_count(
@@ -210,26 +216,21 @@ def match_and_count(
     return metrics_from_counts(tp, fp, max(0, fn_raw), cfg.u, n, m, fn_raw=fn_raw)
 
 
-def size_gate(
-    dets: Sequence[GlobalDetection], cfg: EvalConfig
-) -> list[GlobalDetection]:
+def size_gate(dets: Sequence[GlobalDetection], cfg: EvalConfig) -> Sequence[GlobalDetection]:
     """Drop detections outside [size_floor_km, size_ceiling_km).
 
     The equivalent diameter of a box is the mean of its width and height in
-    kilometers. With no bounds configured this is the identity.
+    kilometers. With no bounds configured every detection is kept. A
+    DetectionSet gives a DetectionSet, any other sequence a list.
     """
-    if cfg.size_floor_km is None and cfg.size_ceiling_km is None:
-        return list(dets)
-    kept = []
-    for d in dets:
-        x1, y1, x2, y2 = d.box
-        diam_km = ((x2 - x1) + (y2 - y1)) / 2.0 / 1000.0
-        if cfg.size_floor_km is not None and diam_km < cfg.size_floor_km:
-            continue
-        if cfg.size_ceiling_km is not None and diam_km >= cfg.size_ceiling_km:
-            continue
-        kept.append(d)
-    return kept
+    boxes = DetectionSet.of(dets).boxes
+    diam_km = ((boxes[:, 2] - boxes[:, 0]) + (boxes[:, 3] - boxes[:, 1])) / 2.0 / 1000.0
+    keep = np.ones(diam_km.shape[0], dtype=bool)
+    if cfg.size_floor_km is not None:
+        keep &= diam_km >= cfg.size_floor_km
+    if cfg.size_ceiling_km is not None:
+        keep &= diam_km < cfg.size_ceiling_km
+    return _select(dets, np.flatnonzero(keep))
 
 
 def localization_stats(
@@ -301,18 +302,12 @@ def cross_verify(
     unverified (in neither), matching at IOU >= u."""
     best_a = _max_ious(dets, np.asarray(catalog_a_boxes, dtype=np.float64).reshape(-1, 4))
     best_b = _max_ious(dets, np.asarray(catalog_b_boxes, dtype=np.float64).reshape(-1, 4))
-    known, confirmed, unverified = [], [], []
-    for i in range(best_a.shape[0]):
-        if best_a[i] >= cfg.u:
-            known.append(i)
-        elif best_b[i] >= cfg.u:
-            confirmed.append(i)
-        else:
-            unverified.append(i)
+    known = best_a >= cfg.u
+    confirmed = ~known & (best_b >= cfg.u)
     return CrossVerifyReport(
-        known=tuple(known),
-        confirmed_new=tuple(confirmed),
-        unverified=tuple(unverified),
+        known=tuple(np.flatnonzero(known).tolist()),
+        confirmed_new=tuple(np.flatnonzero(confirmed).tolist()),
+        unverified=tuple(np.flatnonzero(~known & ~confirmed).tolist()),
         u=cfg.u,
     )
 

@@ -1,4 +1,5 @@
-"""Detection post-processing: boundary filter, globalization, NMS.
+"""Detection post-processing: boundary filter, globalization, NMS, and the
+box-overlap primitive that NMS and evaluation share.
 
 Overlapping tiling means one crater can be detected in several patches and
 partially at patch edges. The fix happens in a fixed order: drop boxes
@@ -12,20 +13,22 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from .detector import Detection
 from .errors import DetectionError, PipelineError
-from .geo import GeoTransform, meter_to_lonlat, pixel_to_meter_xy
+from .geo import GeoTransform, meter_to_lonlat
 
 __all__ = [
     "BoundaryFilterConfig",
     "NmsConfig",
     "GlobalDetection",
+    "DetectionSet",
+    "overlap_pairs",
     "remove_boundary",
     "globalize",
     "nms",
@@ -77,6 +80,222 @@ class GlobalDetection:
             raise PipelineError(f"degenerate global box {self.box}")
 
 
+class DetectionSet(Sequence):
+    """Global detections held as columns: what the pipeline passes between
+    stages.
+
+    boxes and pixel_boxes are (N, 4) float64 arrays, scores an (N,) float64
+    array and patch_ids an (N,) object array of str. Indexing with an int
+    builds one GlobalDetection, and take() selects rows and stays columnar,
+    so per-box objects exist only where a caller reads them.
+    """
+
+    def __init__(self, boxes, scores, patch_ids, pixel_boxes) -> None:
+        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        self.scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+        self.patch_ids = np.asarray(patch_ids, dtype=object).reshape(-1)
+        self.pixel_boxes = np.asarray(pixel_boxes, dtype=np.float64).reshape(-1, 4)
+
+    @classmethod
+    def of(cls, dets: Iterable[GlobalDetection]) -> DetectionSet:
+        """The columns of dets; a DetectionSet is returned as it is."""
+        if isinstance(dets, cls):
+            return dets
+        dets = list(dets)
+        return cls(
+            [d.box for d in dets],
+            [d.score for d in dets],
+            [d.patch_id for d in dets],
+            [d.pixel_box for d in dets],
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence[DetectionSet]) -> DetectionSet:
+        """The rows of a non-empty list of sets, in order."""
+        return cls(
+            np.concatenate([p.boxes for p in parts]),
+            np.concatenate([p.scores for p in parts]),
+            np.concatenate([p.patch_ids for p in parts]),
+            np.concatenate([p.pixel_boxes for p in parts]),
+        )
+
+    def take(self, idx) -> DetectionSet:
+        """Rows idx, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return DetectionSet(self.boxes[idx], self.scores[idx], self.patch_ids[idx], self.pixel_boxes[idx])
+
+    def rows(self) -> Iterator[tuple[list[float], float, str, list[float]]]:
+        """(box, score, patch_id, pixel_box) per detection, as Python floats."""
+        return zip(self.boxes.tolist(), self.scores.tolist(), self.patch_ids.tolist(), self.pixel_boxes.tolist())
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+    def __getitem__(self, i: int) -> GlobalDetection:
+        return GlobalDetection(
+            tuple(self.boxes[i].tolist()), self.scores[i], self.patch_ids[i], tuple(self.pixel_boxes[i].tolist())
+        )
+
+    def __iter__(self) -> Iterator[GlobalDetection]:
+        for box, score, patch_id, pixel_box in self.rows():
+            yield GlobalDetection(tuple(box), score, patch_id, tuple(pixel_box))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (DetectionSet, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+def _select(dets: Sequence, idx: np.ndarray) -> Sequence:
+    """Rows idx of dets: a DetectionSet stays columnar, any other sequence
+    gives a list of its own objects."""
+    if isinstance(dets, DetectionSet):
+        return dets.take(idx)
+    return [dets[i] for i in idx.tolist()]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[q], starts[q] + 1, ..., starts[q] + counts[q] - 1 for every q, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
+
+
+def _candidates(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) that include every pair of a- and b-boxes that
+    intersect with positive area, plus some that do not."""
+    # b is split into size classes: every side of a class-k box is below
+    # C = 2**k, which is also the class's band height. k stays at most 52
+    # below the exponent of the largest coordinate, so y / C stays finite
+    # and bands are never finer than the coordinates can resolve.
+    k_floor = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]) - 52
+    side = np.maximum(b[:, 2] - b[:, 0], b[:, 3] - b[:, 1])
+    k = np.maximum(np.frexp(side)[1], k_floor)
+    rows_a = np.arange(a.shape[0])
+    out_i, out_j = [], []
+    for kc in np.unique(k).tolist():
+        c = np.ldexp(1.0, kc)
+        members = np.flatnonzero(k == kc)
+        # Bucket the class into y-bands of height C by y1, sorted by x1
+        # within a band. key orders (band, x1) as one integer: the band's
+        # number times a stride, plus the count of class boxes with a smaller x1.
+        band = np.floor(b[members, 1] / c)
+        x1 = b[members, 0]
+        order = np.lexsort((x1, band))
+        members, band, x1 = members[order], band[order], x1[order]
+        bands, band_no = np.unique(band, return_inverse=True)
+        xs = np.sort(x1)
+        stride = members.size + 1
+        key = band_no * stride + np.searchsorted(xs, x1)
+        # A class box meeting a[i] has y1 in (a_y1 - C, a_y2) and x1 in
+        # (a_x1 - C, a_x2). The lower ends are rounded down so that no such
+        # box falls outside the window.
+        y_lo = np.floor(np.nextafter(a[:, 1] - c, -np.inf) / c)
+        band_lo = np.searchsorted(bands, y_lo)
+        n_bands = np.maximum(np.searchsorted(bands, np.floor(a[:, 3] / c), side="right") - band_lo, 0)
+        q_a = np.repeat(rows_a, n_bands)
+        q_band = _ranges(band_lo, n_bands)
+        x_lo = np.searchsorted(xs, np.nextafter(a[:, 0] - c, -np.inf))[q_a]
+        x_hi = np.searchsorted(xs, a[:, 2])[q_a]
+        start = np.searchsorted(key, q_band * stride + x_lo)
+        count = np.maximum(np.searchsorted(key, q_band * stride + x_hi) - start, 0)
+        out_i.append(np.repeat(q_a, count))
+        out_j.append(members[_ranges(start, count)])
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def overlap_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs of boxes a[i], b[j] that intersect with positive area, and their IOU.
+
+    a is (N, 4) and b (M, 4), rows (x1, y1, x2, y2). Returns index arrays i
+    and j and the float64 IOU of each pair, in no particular order. IOU is
+    inter / (area_a + area_b - inter) with the operations of the dense
+    evaluate.iou_matrix, so scattering the pairs into a zero N x M array
+    reproduces that matrix bit for bit. Boxes that only touch share no area
+    and form no pair.
+
+    Sort and sweep: b is split by size class and bucketed into y-bands, and
+    each box of a searches the bands it can reach with searchsorted windows
+    on x1. Time and memory grow with N + M and the pairs found, not N x M.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    i, j = _candidates(a, b)
+    iw = np.minimum(a[i, 2], b[j, 2]) - np.maximum(a[i, 0], b[j, 0])
+    ih = np.minimum(a[i, 3], b[j, 3]) - np.maximum(a[i, 1], b[j, 1])
+    hit = (iw > 0.0) & (ih > 0.0)
+    i, j, inter = i[hit], j[hit], iw[hit] * ih[hit]
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return i, j, inter / (area_a[i] + area_b[j] - inter)
+
+
+def _pixel_boxes(dets: Sequence[Detection]) -> np.ndarray:
+    return np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
+
+
+def _inside(pixel_boxes: np.ndarray, ps_r: int, m: int) -> np.ndarray:
+    x1, y1, x2, y2 = pixel_boxes.T
+    return np.minimum(np.minimum(x1, y1), np.minimum(ps_r - x2, ps_r - y2)) > m
+
+
+def _globalize(
+    dets: Sequence[Detection],
+    pixel_boxes: np.ndarray,
+    patch_index: Mapping[str, tuple[int, int, float]],
+    gt: GeoTransform,
+) -> DetectionSet:
+    """Columns of the detections mapped to mosaic meters (see globalize)."""
+    patch_ids = [d.patch_id for d in dets]
+    try:
+        offsets = np.array([patch_index[p] for p in patch_ids], dtype=np.float64).reshape(-1, 3)
+    except KeyError as exc:
+        raise DetectionError(f"unknown patch id {exc.args[0]!r} in detections") from None
+    row0, col0, delta_f = offsets.T
+    px1, py1, px2, py2 = pixel_boxes.T
+    # the operations of geo.pixel_to_meter_xy, one column at a time
+    s = gt.resolution
+    x1 = gt.x_min + (col0 + px1 * delta_f) * s
+    x2 = gt.x_min + (col0 + px2 * delta_f) * s
+    y_top = gt.y_max - (row0 + py1 * delta_f) * s
+    y_bot = gt.y_max - (row0 + py2 * delta_f) * s
+    boxes = np.stack([x1, np.minimum(y_top, y_bot), x2, np.maximum(y_top, y_bot)], axis=1)
+    bad = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
+    if bad.any():
+        raise PipelineError(f"degenerate global box {tuple(boxes[bad.argmax()].tolist())}")
+    return DetectionSet(boxes, [d.score for d in dets], patch_ids, pixel_boxes)
+
+
+def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray:
+    """Indices greedy NMS keeps, in selection order (see nms)."""
+    n = scores.shape[0]
+    order = np.lexsort((np.arange(n), boxes[:, 1], boxes[:, 0], -scores))
+    if delta <= 0.0:
+        # IOU >= 0 holds for every pair, disjoint ones included
+        return order[:1]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    i, j, v = overlap_pairs(boxes, boxes)
+    ri, rj = rank[i], rank[j]
+    edge = (rj > ri) & (v >= delta)
+    ri, rj = ri[edge], rj[edge]
+    by_head = np.argsort(ri, kind="stable")
+    ri, rj = ri[by_head], rj[by_head]
+    heads, starts = np.unique(ri, return_index=True)
+    ends = np.append(starts[1:], ri.size)
+    # Each box still standing suppresses its later-ranked neighbours, in rank
+    # order; a box without later neighbours suppresses nothing.
+    suppressed = np.zeros(n, dtype=bool)
+    for head, lo, hi in zip(heads.tolist(), starts.tolist(), ends.tolist()):
+        if not suppressed[head]:
+            suppressed[rj[lo:hi]] = True
+    return order[~suppressed]
+
+
 def remove_boundary(
     dets: Iterable[Detection], ps_r: int, cfg: BoundaryFilterConfig
 ) -> list[Detection]:
@@ -86,12 +305,8 @@ def remove_boundary(
     still removes boxes that touch the edge (those are clipped partials by
     construction).
     """
-    kept = []
-    for d in dets:
-        x1, y1, x2, y2 = d.box
-        if min(x1, y1, ps_r - x2, ps_r - y2) > cfg.m:
-            kept.append(d)
-    return kept
+    dets = list(dets)
+    return _select(dets, np.flatnonzero(_inside(_pixel_boxes(dets), ps_r, cfg.m)))
 
 
 def globalize(
@@ -105,63 +320,23 @@ def globalize(
     with pixel row, so y corners swap; output boxes are re-normalized to
     x1 < x2, y1 < y2. Count and scores are preserved.
     """
-    out = []
-    for d in dets:
-        if d.patch_id not in patch_index:
-            raise DetectionError(f"unknown patch id {d.patch_id!r} in detections")
-        row0, col0, delta_f = patch_index[d.patch_id]
-        px1, py1, px2, py2 = d.box
-        x1, y_top = pixel_to_meter_xy(px1, py1, gt, row0, col0, delta_f)
-        x2, y_bot = pixel_to_meter_xy(px2, py2, gt, row0, col0, delta_f)
-        out.append(
-            GlobalDetection(
-                box=(x1, min(y_top, y_bot), x2, max(y_top, y_bot)),
-                score=d.score,
-                patch_id=d.patch_id,
-                pixel_box=d.box,
-            )
-        )
-    return out
+    dets = list(dets)
+    return list(_globalize(dets, _pixel_boxes(dets), patch_index, gt))
 
 
-def nms(dets: list[GlobalDetection], cfg: NmsConfig) -> list[GlobalDetection]:
+def nms(dets: Sequence[GlobalDetection], cfg: NmsConfig) -> Sequence[GlobalDetection]:
     """Greedy highest-score-first suppression at IOU >= delta.
 
     Score ties break deterministically by smaller x1, then smaller y1, then
     input order, so results do not depend on how the input was assembled.
-    Survivors are returned in selection (score-descending) order. Disabled
-    NMS returns the input unchanged.
+    Survivors are returned in selection (score-descending) order: a
+    DetectionSet for a DetectionSet, otherwise a list of the input's own
+    objects. Disabled NMS returns the input unchanged.
     """
     if not cfg.enabled:
-        return list(dets)
-    if not dets:
-        return []
-
-    boxes = np.array([d.box for d in dets], dtype=np.float64)
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    x1, y1, x2, y2 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-    areas = (x2 - x1) * (y2 - y1)
-    idx = np.arange(len(dets))
-    order = np.lexsort((idx, y1, x1, -scores))
-
-    suppressed = np.zeros(len(dets), dtype=bool)
-    keep: list[int] = []
-    for pos, i in enumerate(order):
-        if suppressed[i]:
-            continue
-        keep.append(i)
-        rest = order[pos + 1 :]
-        rest = rest[~suppressed[rest]]
-        if rest.size == 0:
-            continue
-        ix1 = np.maximum(x1[i], x1[rest])
-        iy1 = np.maximum(y1[i], y1[rest])
-        ix2 = np.minimum(x2[i], x2[rest])
-        iy2 = np.minimum(y2[i], y2[rest])
-        inter = np.maximum(0.0, ix2 - ix1) * np.maximum(0.0, iy2 - iy1)
-        iou = inter / (areas[i] + areas[rest] - inter)
-        suppressed[rest[iou >= cfg.delta]] = True
-    return [dets[i] for i in keep]
+        return dets if isinstance(dets, DetectionSet) else list(dets)
+    columns = DetectionSet.of(dets)
+    return _select(dets, _nms_keep(columns.boxes, columns.scores, cfg.delta))
 
 
 def run_pipeline(
@@ -171,16 +346,16 @@ def run_pipeline(
     ps_r: int,
     bcfg: BoundaryFilterConfig,
     ncfg: NmsConfig,
-) -> list[GlobalDetection]:
+) -> DetectionSet:
     """Boundary filter per patch, then globalize, then NMS, in that order.
 
-    Patches are visited in sorted id order so the merged list (and therefore
+    Patches are visited in sorted id order so the merged set (and therefore
     NMS tie-breaking) never depends on mapping order.
     """
-    merged: list[GlobalDetection] = []
-    for patch_id in sorted(per_patch):
-        kept = remove_boundary(per_patch[patch_id], ps_r, bcfg)
-        merged.extend(globalize(kept, patch_index, gt))
+    raw = [d for patch_id in sorted(per_patch) for d in per_patch[patch_id]]
+    pixel_boxes = _pixel_boxes(raw)
+    keep = np.flatnonzero(_inside(pixel_boxes, ps_r, bcfg.m))
+    merged = _globalize(_select(raw, keep), pixel_boxes[keep], patch_index, gt)
     return nms(merged, ncfg)
 
 
@@ -188,19 +363,15 @@ def run_pipeline(
 # output formats
 
 
-def write_global_detections(dets: list[GlobalDetection], path: str | Path) -> None:
+def write_global_detections(dets: Sequence[GlobalDetection], path: str | Path) -> None:
     """CSV of globalized boxes: meters, score, then provenance columns."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1_m", "y1_m", "x2_m", "y2_m", "score", "patch_id", "px1", "py1", "px2", "py2"])
-        for d in dets:
-            writer.writerow(
-                [repr(v) for v in d.box]
-                + [repr(d.score), d.patch_id]
-                + [repr(v) for v in d.pixel_box]
-            )
+        for box, score, patch_id, pixel_box in DetectionSet.of(dets).rows():
+            writer.writerow([repr(v) for v in box] + [repr(score), patch_id] + [repr(v) for v in pixel_box])
 
 
 def load_global_detections(path: str | Path) -> list[GlobalDetection]:
@@ -235,7 +406,7 @@ def load_global_detections(path: str | Path) -> list[GlobalDetection]:
 
 
 def write_catalog_export(
-    dets: list[GlobalDetection], gt: GeoTransform, path: str | Path, provenance: dict | None = None
+    dets: Sequence[GlobalDetection], gt: GeoTransform, path: str | Path, provenance: dict | None = None
 ) -> None:
     """Export detections in catalog form (lon, lat, diam_km).
 
@@ -247,8 +418,7 @@ def write_catalog_export(
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "lon", "lat", "diam_km"])
-        for i, d in enumerate(dets):
-            x1, y1, x2, y2 = d.box
+        for i, (x1, y1, x2, y2) in enumerate(DetectionSet.of(dets).boxes.tolist()):
             lon, lat = meter_to_lonlat((x1 + x2) / 2.0, (y1 + y2) / 2.0, gt)
             diam_km = ((x2 - x1) + (y2 - y1)) / 2.0 / 1000.0
             writer.writerow([f"det#{i}", repr(lon), repr(lat), repr(diam_km)])

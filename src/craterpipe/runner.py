@@ -36,7 +36,7 @@ from .evaluate import (
 )
 from .geo import GeoTransform
 from .postprocess import (
-    GlobalDetection,
+    DetectionSet,
     load_global_detections,
     run_pipeline,
     write_catalog_export,
@@ -68,7 +68,7 @@ __all__ = [
 
 @dataclass
 class RunResult:
-    detections: list[GlobalDetection]
+    detections: DetectionSet
     metrics: MetricsReport
     localization: LocalizationReport
     gt: GeoTransform
@@ -159,12 +159,12 @@ def _band_detector(cfg: PipelineConfig, band, truth: catalog_mod.Catalog, gt: Ge
     return SyntheticDetector(band_truth, gt, cfg.detector.noise)
 
 
-def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[list[GlobalDetection], dict]:
+def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[DetectionSet, dict]:
     """Tile, detect and post-process every band; return the union plus
     per-band context for reporting."""
     if cfg.detector.kind == "external" and len(cfg.bands) != 1:
         raise ConfigError("an external detections file maps onto exactly one band's patch grid")
-    all_survivors: list[GlobalDetection] = []
+    all_survivors: list[DetectionSet] = []
     info: dict[str, dict] = {}
     for band in cfg.bands:
         patches = _band_patches(cfg, band, stack)
@@ -183,13 +183,13 @@ def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[list[Gl
             det = _band_detector(cfg, band, truth, gt)
             per_patch = detect_patches(patches, det, cfg.workers)
         survivors = run_pipeline(per_patch, patch_index, gt, ps_r, cfg.boundary_cfg(), cfg.nms_cfg())
-        all_survivors.extend(survivors)
+        all_survivors.append(survivors)
         info[band.name] = {
             "n_patches": len(patches),
             "n_raw": sum(len(v) for v in per_patch.values()),
             "n_survivors": len(survivors),
         }
-    return all_survivors, info
+    return DetectionSet.concat(all_survivors), info
 
 
 def run_full(cfg: PipelineConfig) -> RunResult:

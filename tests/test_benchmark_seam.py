@@ -1,0 +1,74 @@
+"""The names and call shapes the benchmark in perfbench/ traces.
+
+perfbench/tracing.py wraps module attributes of craterpipe and counts the
+detection sets passed through them. These tests read that file and never
+modify it: they fail when a traced name disappears, when grid search stops
+calling run_pipeline once per cell, or when a traced counter can no longer
+take the length of what it is given.
+"""
+
+import importlib.util
+import json
+from collections import Counter
+from pathlib import Path
+
+from craterpipe import evaluate
+from craterpipe.cli import main
+
+from scene import plant_craters, write_scene
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    for module, attr, _, _ in _tracing().targets():
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def _count_calls(monkeypatch, counts):
+    """Wrap every traced name so its counter runs after each call, as in a
+    traced benchmark operation."""
+
+    def wrap(fn, count):
+        def traced(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if count is not None:
+                count(counts, args, kwargs, result)
+            return result
+
+        return traced
+
+    for module, attr, _, count in _tracing().targets():
+        monkeypatch.setattr(module, attr, wrap(getattr(module, attr), count))
+
+
+def test_grid_search_runs_the_pipeline_once_per_cell(tmp_path, monkeypatch):
+    config = write_scene(tmp_path, plant_craters(6))  # 4 m values x (5 deltas + no NMS)
+    calls = []
+    real = evaluate.run_pipeline
+    monkeypatch.setattr(evaluate, "run_pipeline", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert main(["gridsearch", "--config", str(config)]) == 0
+    assert len(calls) == 24
+
+
+def test_traced_counters_take_the_length_of_detection_sets(tmp_path, monkeypatch):
+    counts = Counter()
+    _count_calls(monkeypatch, counts)
+    config = write_scene(tmp_path, plant_craters(6))
+    cfg = json.loads(config.read_text())
+    cfg["verify_catalog"] = {"path": "truth.csv", "schema": "generic"}
+    config.write_text(json.dumps(cfg))
+    for command in ("run", "gridsearch", "crossmatch"):
+        assert main([command, "--config", str(config)]) == 0, command
+    assert counts["postprocess.calls"] == 1 + 24
+    assert counts["evaluate.match_calls"] == 1 + 24
+    assert 0 < counts["postprocess.after_nms"] <= counts["postprocess.after_boundary"] <= counts["postprocess.in"]
+    # match, localization and cross-verification each count detections x truth
+    assert counts["evaluate.iou_cells"] > 0

@@ -152,6 +152,19 @@ def test_fn_clamped_and_raw_kept():
     assert r.recall <= 1.0
 
 
+def test_u_zero_counts_every_detection_as_tp():
+    dets = [gdet((0.0, 0.0, 10.0, 10.0)), gdet((500.0, 500.0, 510.0, 510.0))]
+    truth = np.array([[0.0, 0.0, 10.0, 10.0]])
+    r = match_and_count(dets, truth, EvalConfig(u=0.0))
+    assert (r.tp, r.fp, r.fn, r.fn_raw) == (2, 0, 0, -1)
+    empty = match_and_count(dets, np.zeros((0, 4)), EvalConfig(u=0.0))
+    assert (empty.tp, empty.fp, empty.fn, empty.fn_raw) == (2, 0, 0, -2)
+    rep = cross_verify(dets, np.zeros((0, 4)), np.zeros((0, 4)), EvalConfig(u=0.0))
+    assert rep.counts == (2, 0, 0)
+    loc = localization_stats(dets, truth, EvalConfig(u=0.0))
+    assert loc.n_matched == 2 and loc.mean_iou_pct == 50.0
+
+
 # ---------------------------------------------------------------------------
 # size gate
 

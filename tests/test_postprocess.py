@@ -208,6 +208,23 @@ def test_nms_matches_quadratic_reference_sample():
         assert [id(d) for d in fast] == [id(d) for d in slow]
 
 
+def test_nms_delta_zero_keeps_only_top_ranked():
+    # IOU >= 0 also holds for disjoint pairs, so the first box suppresses all
+    a = gdet((0.0, 0.0, 10.0, 10.0), score=0.5)
+    b = gdet((100.0, 100.0, 110.0, 110.0), score=0.9)
+    c = gdet((-50.0, 0.0, -40.0, 10.0), score=0.9)
+    assert nms([a, b, c], NmsConfig(delta=0.0)) == [c]  # tie on score: smaller x1 wins
+
+
+def test_nms_delta_one_drops_only_exact_duplicates():
+    a = gdet((0.0, 0.0, 10.0, 10.0), score=0.9)
+    dup = gdet((0.0, 0.0, 10.0, 10.0), score=0.8)
+    near = gdet((0.0, 0.0, 10.0, 10.5), score=0.7)
+    far = gdet((50.0, 50.0, 60.0, 60.0), score=0.6)
+    out = nms([far, near, dup, a], NmsConfig(delta=1.0))
+    assert [id(d) for d in out] == [id(a), id(near), id(far)]
+
+
 # ---------------------------------------------------------------------------
 # pipeline composition
 
@@ -247,3 +264,4 @@ def test_global_detection_file_round_trip(tmp_path):
     write_global_detections(dets, path)
     loaded = load_global_detections(path)
     assert loaded == dets
+
