@@ -22,16 +22,7 @@ from .evaluate import (
     match_and_count,
     size_gate,
 )
-from .geo import (
-    GeoTransform,
-    MapCrater,
-    PixelCrater,
-    lonlat_to_meter,
-    meter_to_lonlat,
-    meter_to_pixel,
-    pixel_to_meter,
-    resize_factor,
-)
+from .geo import GeoTransform, lonlat_to_meter, meter_to_lonlat, meter_to_pixel_xy, pixel_to_meter_xy
 from .postprocess import (
     BoundaryFilterConfig,
     DetectionSet,

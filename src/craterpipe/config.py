@@ -140,6 +140,12 @@ def _noise_from(d: dict, seed: int) -> NoiseConfig:
     )
 
 
+def _opt_float(d: dict, key: str) -> float | None:
+    """The float under key; None when the key is absent or null."""
+    v = d.get(key)
+    return None if v is None else float(v)
+
+
 def _catalog_from(d: dict | None) -> CatalogConfig | None:
     if d is None:
         return None
@@ -150,8 +156,8 @@ def _catalog_from(d: dict | None) -> CatalogConfig | None:
         path=d["path"],
         schema=d.get("schema", "generic"),
         region=tuple(float(v) for v in region) if region else None,
-        dmin_km=None if d.get("dmin_km") is None else float(d["dmin_km"]),
-        dmax_km=None if d.get("dmax_km") is None else float(d["dmax_km"]),
+        dmin_km=_opt_float(d, "dmin_km"),
+        dmax_km=_opt_float(d, "dmax_km"),
     )
 
 
@@ -173,7 +179,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         kind=det_raw.get("kind", "synthetic"),
         noise=_noise_from(det_raw.get("noise", {}), seed),
         path=det_raw.get("path"),
-        score_floor=None if det_raw.get("score_floor") is None else float(det_raw["score_floor"]),
+        score_floor=_opt_float(det_raw, "score_floor"),
     )
 
     bands = tuple(
@@ -183,7 +189,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             ps_r=int(b["ps_r"]),
             overlap=float(b.get("overlap", 0.5)),
             dmin_km=float(b.get("dmin_km", 0.0)),
-            dmax_km=None if b.get("dmax_km") is None else float(b["dmax_km"]),
+            dmax_km=_opt_float(b, "dmax_km"),
         )
         for i, b in enumerate(raw.get("bands", []))
     )
@@ -223,8 +229,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         nms_enabled=bool(nms_raw.get("enabled", True)),
         eval=EvalConfig(
             u=float(eval_raw.get("u", 0.3)),
-            size_floor_km=None if eval_raw.get("size_floor_km") is None else float(eval_raw["size_floor_km"]),
-            size_ceiling_km=None if eval_raw.get("size_ceiling_km") is None else float(eval_raw["size_ceiling_km"]),
+            size_floor_km=_opt_float(eval_raw, "size_floor_km"),
+            size_ceiling_km=_opt_float(eval_raw, "size_ceiling_km"),
         ),
         grid=GridConfig(
             m_set=tuple(int(v) for v in grid_raw.get("m_set", (0, 1, 5, 10))),

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from .errors import DetectionError
-from .geo import GeoTransform
+from .geo import GeoTransform, meter_to_pixel_xy, pixel_to_meter_xy
 from .raster import FusedPatch
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "NoiseConfig",
     "DetectorInterface",
     "SyntheticDetector",
-    "synthetic_detect",
     "load_detections",
     "save_detections",
 ]
@@ -142,16 +141,13 @@ class SyntheticDetector(DetectorInterface):
     def detect(self, patch: FusedPatch) -> list[Detection]:
         self.check_channels(patch)
         rng = _patch_rng(self.noise.seed, patch.patch_id)
-        gt = self.gt
-        s = gt.resolution
+        gt, row0, col0, df = self.gt, patch.row0, patch.col0, patch.delta_f
         ps_a = patch.spec.ps_a
         ps_r = patch.spec.ps_r
-        df = patch.delta_f
 
-        x_lo = gt.x_min + patch.col0 * s
-        x_hi = gt.x_min + (patch.col0 + ps_a) * s
-        y_hi = gt.y_max - patch.row0 * s
-        y_lo = gt.y_max - (patch.row0 + ps_a) * s
+        # the window in meters: its corners at resize factor 1
+        x_lo, y_hi = pixel_to_meter_xy(0, 0, gt, row0, col0, 1.0)
+        x_hi, y_lo = pixel_to_meter_xy(ps_a, ps_a, gt, row0, col0, 1.0)
 
         detections: list[Detection] = []
         for bx1, by1, bx2, by2 in self.truth_boxes:
@@ -166,10 +162,8 @@ class SyntheticDetector(DetectorInterface):
             if missed:
                 continue
 
-            px1 = ((bx1 - gt.x_min) / s - patch.col0) / df
-            px2 = ((bx2 - gt.x_min) / s - patch.col0) / df
-            py1 = ((gt.y_max - by2) / s - patch.row0) / df
-            py2 = ((gt.y_max - by1) / s - patch.row0) / df
+            px1, py1 = meter_to_pixel_xy(bx1, by2, gt, row0, col0, df)
+            px2, py2 = meter_to_pixel_xy(bx2, by1, gt, row0, col0, df)
             cx = (px1 + px2) / 2.0 + jx
             cy = (py1 + py2) / 2.0 + jy
             half = max((px2 - px1) / 2.0 * (1.0 + jr), 0.25)
@@ -198,16 +192,6 @@ class SyntheticDetector(DetectorInterface):
         if x1 >= x2 or y1 >= y2:
             return None
         return Detection(patch_id=patch_id, box=(x1, y1, x2, y2), score=score)
-
-
-def synthetic_detect(
-    patch: FusedPatch,
-    truth: catalog_mod.Catalog,
-    gt: GeoTransform,
-    noise: NoiseConfig,
-) -> list[Detection]:
-    """One-shot form of SyntheticDetector.detect."""
-    return SyntheticDetector(truth, gt, noise).detect(patch)
 
 
 def load_detections(

@@ -7,6 +7,9 @@ placed on the mosaic through a simple-cylindrical (equirectangular)
 projection with a configurable sphere radius, so lunar and martian data both
 work without code changes.
 
+This module is the only place that knows the projection: the rest of the
+package converts coordinates through the functions below. The pixel/meter
+pair works element by element, so it takes floats or NumPy arrays alike.
 All functions here are pure and safe to call from any number of threads.
 """
 
@@ -19,11 +22,6 @@ from .errors import GeoError
 
 __all__ = [
     "GeoTransform",
-    "PixelCrater",
-    "MapCrater",
-    "resize_factor",
-    "pixel_to_meter",
-    "meter_to_pixel",
     "pixel_to_meter_xy",
     "meter_to_pixel_xy",
     "lonlat_to_meter",
@@ -52,46 +50,6 @@ class GeoTransform:
             raise GeoError(f"body_radius must be positive, got {self.body_radius}")
 
 
-@dataclass(frozen=True)
-class PixelCrater:
-    """Crater center and radius in resized-patch pixel coordinates."""
-
-    x_pxl: float
-    y_pxl: float
-    r_pxl: float
-
-    def __post_init__(self) -> None:
-        if self.r_pxl <= 0:
-            raise GeoError(f"r_pxl must be positive, got {self.r_pxl}")
-
-
-@dataclass(frozen=True)
-class MapCrater:
-    """Crater center and radius in projected meters, optionally scored."""
-
-    x_meter: float
-    y_meter: float
-    r_meter: float
-    score: float | None = None
-    lon: float | None = None
-    lat: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.r_meter <= 0:
-            raise GeoError(f"r_meter must be positive, got {self.r_meter}")
-        if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise GeoError(f"score must be in [0, 1], got {self.score}")
-
-
-def resize_factor(ps_a: int, ps_r: int) -> float:
-    """Ratio of actual to resized patch side, used to undo the downsampling."""
-    if ps_r <= 0 or ps_a <= 0:
-        raise GeoError(f"patch sides must be positive, got ps_a={ps_a} ps_r={ps_r}")
-    if ps_a < ps_r:
-        raise GeoError(f"ps_a must be >= ps_r, got ps_a={ps_a} ps_r={ps_r}")
-    return ps_a / ps_r
-
-
 def pixel_to_meter_xy(
     x_pxl: float,
     y_pxl: float,
@@ -104,7 +62,7 @@ def pixel_to_meter_xy(
 
     The patch offset (patch_row0, patch_col0) is expressed in mosaic pixels;
     it is what globalizes a per-patch coordinate. Northing decreases as the
-    pixel row increases.
+    pixel row increases. Every argument but gt may be a NumPy array.
     """
     s = gt.resolution
     x_meter = gt.x_min + (patch_col0 + x_pxl * delta_f) * s
@@ -125,30 +83,6 @@ def meter_to_pixel_xy(
     x_pxl = ((x_meter - gt.x_min) / s - patch_col0) / delta_f
     y_pxl = ((gt.y_max - y_meter) / s - patch_row0) / delta_f
     return x_pxl, y_pxl
-
-
-def pixel_to_meter(
-    c: PixelCrater,
-    gt: GeoTransform,
-    patch_row0: float,
-    patch_col0: float,
-    delta_f: float,
-) -> MapCrater:
-    """Globalize a patch-frame crater to mosaic meters."""
-    x_meter, y_meter = pixel_to_meter_xy(c.x_pxl, c.y_pxl, gt, patch_row0, patch_col0, delta_f)
-    return MapCrater(x_meter, y_meter, c.r_pxl * gt.resolution * delta_f)
-
-
-def meter_to_pixel(
-    c: MapCrater,
-    gt: GeoTransform,
-    patch_row0: float,
-    patch_col0: float,
-    delta_f: float,
-) -> PixelCrater:
-    """Inverse of pixel_to_meter for a given patch placement."""
-    x_pxl, y_pxl = meter_to_pixel_xy(c.x_meter, c.y_meter, gt, patch_row0, patch_col0, delta_f)
-    return PixelCrater(x_pxl, y_pxl, c.r_meter / (gt.resolution * delta_f))
 
 
 def lonlat_to_meter(lon: float, lat: float, gt: GeoTransform) -> tuple[float, float]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .detector import Detection
 from .errors import DetectionError, PipelineError
-from .geo import GeoTransform, meter_to_lonlat
+from .geo import GeoTransform, meter_to_lonlat, pixel_to_meter_xy
 
 __all__ = [
     "BoundaryFilterConfig",
@@ -257,12 +257,8 @@ def _globalize(
         raise DetectionError(f"unknown patch id {exc.args[0]!r} in detections") from None
     row0, col0, delta_f = offsets.T
     px1, py1, px2, py2 = pixel_boxes.T
-    # the operations of geo.pixel_to_meter_xy, one column at a time
-    s = gt.resolution
-    x1 = gt.x_min + (col0 + px1 * delta_f) * s
-    x2 = gt.x_min + (col0 + px2 * delta_f) * s
-    y_top = gt.y_max - (row0 + py1 * delta_f) * s
-    y_bot = gt.y_max - (row0 + py2 * delta_f) * s
+    x1, y_top = pixel_to_meter_xy(px1, py1, gt, row0, col0, delta_f)
+    x2, y_bot = pixel_to_meter_xy(px2, py2, gt, row0, col0, delta_f)
     boxes = np.stack([x1, np.minimum(y_top, y_bot), x2, np.maximum(y_top, y_bot)], axis=1)
     bad = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
     if bad.any():
@@ -394,14 +390,17 @@ def load_global_detections(path: str | Path) -> list[GlobalDetection]:
                 pix = tuple(float(v) for v in row[6:])
             except ValueError as exc:
                 raise DetectionError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-            out.append(
-                GlobalDetection(
-                    box=(vals[0], vals[1], vals[2], vals[3]),
-                    score=vals[4],
-                    patch_id=row[5],
-                    pixel_box=pix,
+            try:
+                out.append(
+                    GlobalDetection(
+                        box=(vals[0], vals[1], vals[2], vals[3]),
+                        score=vals[4],
+                        patch_id=row[5],
+                        pixel_box=pix,
+                    )
                 )
-            )
+            except PipelineError as exc:
+                raise DetectionError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

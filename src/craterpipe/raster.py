@@ -56,7 +56,8 @@ class RasterGrid:
     """A single-band georeferenced grid.
 
     values is a (height, width) array; elevation is meters, slope degrees,
-    intensity unitless. Cells equal to the nodata sentinel are invalid.
+    intensity unitless. Cells equal to the nodata sentinel are invalid (NaN
+    cells when the sentinel is NaN).
     """
 
     width: int
@@ -84,6 +85,8 @@ class RasterGrid:
     def valid_mask(self) -> np.ndarray:
         if self.nodata is None:
             return np.ones(self.values.shape, dtype=bool)
+        if math.isnan(self.nodata):
+            return ~np.isnan(self.values)
         return self.values != self.nodata
 
 

@@ -154,38 +154,46 @@ def _load_truth(cfg: PipelineConfig, cat_cfg: CatalogConfig) -> catalog_mod.Cata
     return cat
 
 
-def _band_detector(cfg: PipelineConfig, band, truth: catalog_mod.Catalog, gt: GeoTransform) -> SyntheticDetector:
-    band_truth = catalog_mod.filter_by_size(truth, band.dmin_km, band.dmax_km)
-    return SyntheticDetector(band_truth, gt, cfg.detector.noise)
+def _band_detections(
+    cfg: PipelineConfig, band, stack, truth: catalog_mod.Catalog, gt: GeoTransform
+) -> tuple[int, dict[str, tuple[int, int, float]], dict[str, list[Detection]]]:
+    """Tile one band and produce its raw detections.
+
+    Returns the patch count, the patch index (patch id -> row0, col0,
+    delta_f) and the detections keyed by patch id. An external file maps
+    onto exactly one band's grid and may name no patch outside it; the
+    synthetic oracle sees the truth craters inside the band's size range.
+    """
+    external = cfg.detector.kind == "external"
+    if external and len(cfg.bands) != 1:
+        raise ConfigError("an external detections file maps onto exactly one band's patch grid")
+    patches = _band_patches(cfg, band, stack)
+    patch_index = {p.patch_id: (p.row0, p.col0, p.delta_f) for p in patches}
+    if external:
+        per_patch = load_detections(
+            cfg.resolve(cfg.detector.path), score_floor=cfg.detector.score_floor, ps_r=band.ps_r
+        )
+        unknown = set(per_patch) - set(patch_index)
+        if unknown:
+            raise ConfigError(f"external detections reference unknown patch ids: {sorted(unknown)[:5]}")
+    else:
+        band_truth = catalog_mod.filter_by_size(truth, band.dmin_km, band.dmax_km)
+        detector = SyntheticDetector(band_truth, gt, cfg.detector.noise)
+        per_patch = detect_patches(patches, detector, cfg.workers)
+    return len(patches), patch_index, per_patch
 
 
 def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[DetectionSet, dict]:
-    """Tile, detect and post-process every band; return the union plus
-    per-band context for reporting."""
-    if cfg.detector.kind == "external" and len(cfg.bands) != 1:
-        raise ConfigError("an external detections file maps onto exactly one band's patch grid")
+    """Detect and post-process every band; return the union plus per-band
+    context for reporting."""
     all_survivors: list[DetectionSet] = []
     info: dict[str, dict] = {}
     for band in cfg.bands:
-        patches = _band_patches(cfg, band, stack)
-        patch_index = {p.patch_id: (p.row0, p.col0, p.delta_f) for p in patches}
-        ps_r = band.ps_r
-        if cfg.detector.kind == "external":
-            per_patch = load_detections(
-                cfg.resolve(cfg.detector.path), score_floor=cfg.detector.score_floor, ps_r=ps_r
-            )
-            unknown = set(per_patch) - set(patch_index)
-            if unknown:
-                raise ConfigError(
-                    f"external detections reference unknown patch ids: {sorted(unknown)[:5]}"
-                )
-        else:
-            det = _band_detector(cfg, band, truth, gt)
-            per_patch = detect_patches(patches, det, cfg.workers)
-        survivors = run_pipeline(per_patch, patch_index, gt, ps_r, cfg.boundary_cfg(), cfg.nms_cfg())
+        n_patches, patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
+        survivors = run_pipeline(per_patch, patch_index, gt, band.ps_r, cfg.boundary_cfg(), cfg.nms_cfg())
         all_survivors.append(survivors)
         info[band.name] = {
-            "n_patches": len(patches),
+            "n_patches": n_patches,
             "n_raw": sum(len(v) for v in per_patch.values()),
             "n_survivors": len(survivors),
         }
@@ -312,9 +320,7 @@ def run_detect_dump(cfg: PipelineConfig) -> list[Path]:
     truth = _load_truth(cfg, cfg.truth_catalog)
     paths = []
     for band in cfg.bands:
-        patches = _band_patches(cfg, band, stack)
-        det = _band_detector(cfg, band, truth, gt)
-        per_patch = detect_patches(patches, det, cfg.workers)
+        _, _, per_patch = _band_detections(cfg, band, stack, truth, gt)
         name = "detections_patch.csv" if len(cfg.bands) == 1 else f"detections_patch_{band.name}.csv"
         path = out_dir / name
         save_detections(per_patch, path)
@@ -336,15 +342,7 @@ def run_gridsearch(cfg: PipelineConfig) -> tuple[GridSearchResult, Path]:
     if len(cfg.bands) != 1:
         raise ConfigError("gridsearch expects exactly one size band")
     band = cfg.bands[0]
-    patches = _band_patches(cfg, band, stack)
-    patch_index = {p.patch_id: (p.row0, p.col0, p.delta_f) for p in patches}
-    if cfg.detector.kind == "external":
-        per_patch = load_detections(
-            cfg.resolve(cfg.detector.path), score_floor=cfg.detector.score_floor, ps_r=band.ps_r
-        )
-    else:
-        det = _band_detector(cfg, band, truth, gt)
-        per_patch = detect_patches(patches, det, cfg.workers)
+    _, patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
 
     result = grid_search(
         per_patch,

@@ -22,7 +22,7 @@ from craterpipe.evaluate import (
     match_and_count,
     metrics_from_counts,
 )
-from craterpipe.geo import GeoTransform, PixelCrater, meter_to_lonlat, meter_to_pixel, pixel_to_meter
+from craterpipe.geo import GeoTransform, meter_to_lonlat, meter_to_pixel_xy, pixel_to_meter_xy
 from craterpipe.postprocess import BoundaryFilterConfig, GlobalDetection, NmsConfig, nms, run_pipeline
 from craterpipe.raster import PatchSpec, RasterGrid, compute_slope, tile
 from craterpipe.runner import detect_patches
@@ -171,22 +171,18 @@ def test_acceptance_04_round_trip_precision():
     worst = 0.0
     for delta_f in (1.0, 2.0, 8.0):
         for _ in range(3334):
-            c = PixelCrater(
-                x_pxl=float(rng.uniform(0, 512)),
-                y_pxl=float(rng.uniform(0, 512)),
-                r_pxl=float(rng.uniform(0.01, 256)),
-            )
+            x = float(rng.uniform(0, 512))
+            y = float(rng.uniform(0, 512))
+            r = float(rng.uniform(0.01, 256))
             row0 = int(rng.integers(0, 72000))
             col0 = int(rng.integers(0, 72000))
-            back = meter_to_pixel(pixel_to_meter(c, gt, row0, col0, delta_f), gt, row0, col0, delta_f)
-            worst = max(
-                worst,
-                abs(back.x_pxl - c.x_pxl),
-                abs(back.y_pxl - c.y_pxl),
-                abs(back.r_pxl - c.r_pxl),
-            )
+            # both box corners, (x - r, y - r) and (x + r, y + r)
+            xs, ys = np.array([x - r, x + r]), np.array([y - r, y + r])
+            x_m, y_m = pixel_to_meter_xy(xs, ys, gt, row0, col0, delta_f)
+            back_x, back_y = meter_to_pixel_xy(x_m, y_m, gt, row0, col0, delta_f)
+            worst = max(worst, float(np.abs(back_x - xs).max()), float(np.abs(back_y - ys).max()))
     assert worst < 1e-6, f"worst round-trip error {worst:.2e} px"
-    _report(4, f"pixel/meter round trip, worst error {worst:.2e} px over 10^4 samples")
+    _report(4, f"pixel/meter box-corner round trip, worst error {worst:.2e} px over 10^4 samples")
 
 
 # ---------------------------------------------------------------------------

@@ -355,3 +355,40 @@ def test_cmd_crossmatch_without_rasters_uses_config_geotransform(tmp_path):
     assert main(["crossmatch", "--config", str(config)]) == 0
     summary = (tmp_path / "out" / "crossmatch_summary.txt").read_text()
     assert "known (in primary catalog):        4" in summary
+
+
+# ---------------------------------------------------------------------------
+# errors name their source
+
+
+def test_unknown_patch_ids_rejected_by_run_and_gridsearch(tmp_path, capsys):
+    config = write_scene(tmp_path, plant_craters(4))
+    # an edge-hugging box, which the boundary filter would drop unseen
+    (tmp_path / "external.csv").write_text("not_a_patch,0,0,20,20,0.9\n")
+    cfg = json.loads(config.read_text())
+    cfg["detector"] = {"kind": "external", "path": "external.csv"}
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    for command in ("run", "gridsearch"):
+        assert main([command, "--config", str(config)]) == 2, command
+        err = capsys.readouterr().err
+        assert "external detections reference unknown patch ids" in err, (command, err)
+        assert "not_a_patch" in err, (command, err)
+
+
+def test_cmd_crossmatch_degenerate_global_box_names_file_and_line(tmp_path, capsys):
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    cfg["verify_catalog"] = {"path": "truth.csv", "schema": "generic"}
+    config.write_text(json.dumps(cfg))
+    dets = tmp_path / "dets.csv"
+    dets.write_text(
+        "x1_m,y1_m,x2_m,y2_m,score,patch_id,px1,py1,px2,py2\n"
+        "0.0,0.0,1.0,1.0,0.9,p,0.0,0.0,1.0,1.0\n"
+        "5.0,0.0,1.0,1.0,0.9,p,0.0,0.0,1.0,1.0\n"
+    )
+    capsys.readouterr()
+    assert main(["crossmatch", "--config", str(config), "--detections", str(dets)]) == 2
+    err = capsys.readouterr().err
+    assert f"{dets}:3:" in err, err
+    assert "degenerate global box" in err, err

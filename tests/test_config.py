@@ -22,6 +22,20 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.resolve(cfg.truth_catalog.path) == tmp_path / "truth.csv"
 
 
+def test_explicit_null_optional_floats_parse_as_none(tmp_path):
+    path = write_scene(tmp_path, plant_craters(2))
+    raw = json.loads(path.read_text())
+    raw["detector"]["score_floor"] = None
+    raw["truth_catalog"].update(dmin_km=None, dmax_km=None)
+    raw["eval"].update(size_floor_km=None, size_ceiling_km="7.5")
+    path.write_text(json.dumps(raw))
+    cfg = load_config(path)
+    assert raw["bands"][0]["dmax_km"] is None and cfg.bands[0].dmax_km is None
+    assert cfg.detector.score_floor is None
+    assert (cfg.truth_catalog.dmin_km, cfg.truth_catalog.dmax_km) == (None, None)
+    assert (cfg.eval.size_floor_km, cfg.eval.size_ceiling_km) == (None, 7.5)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "no.json")

@@ -11,7 +11,6 @@ from craterpipe.detector import (
     SyntheticDetector,
     load_detections,
     save_detections,
-    synthetic_detect,
 )
 from craterpipe.errors import DetectionError
 from craterpipe.geo import GeoTransform, meter_to_lonlat
@@ -46,7 +45,7 @@ def test_no_truth_no_noise_gives_empty():
 def test_zero_noise_exact_projection():
     # crater of radius 5 km centered 25.6 km into the patch
     truth = catalog_at_meters([(25_600.0, -25_600.0, 5_000.0)])
-    out = synthetic_detect(blank_patch(), truth, GT, NoiseConfig())
+    out = SyntheticDetector(truth, GT, NoiseConfig()).detect(blank_patch())
     assert len(out) == 1
     x1, y1, x2, y2 = out[0].box
     # center at pixel 128, radius 25 resized pixels
@@ -57,13 +56,13 @@ def test_zero_noise_exact_projection():
 
 def test_miss_rate_one_gives_empty():
     truth = catalog_at_meters([(25_600.0, -25_600.0, 5_000.0)])
-    out = synthetic_detect(blank_patch(), truth, GT, NoiseConfig(miss_rate=1.0))
+    out = SyntheticDetector(truth, GT, NoiseConfig(miss_rate=1.0)).detect(blank_patch())
     assert out == []
 
 
 def test_crater_on_patch_edge_is_clipped_to_distance_zero():
     truth = catalog_at_meters([(0.0, -25_600.0, 5_000.0)])  # centered on the left edge
-    out = synthetic_detect(blank_patch(), truth, GT, NoiseConfig())
+    out = SyntheticDetector(truth, GT, NoiseConfig()).detect(blank_patch())
     assert len(out) == 1
     assert out[0].box[0] == 0.0  # touches the boundary
 
@@ -110,7 +109,7 @@ def test_clipping_never_exceeds_patch():
     )
     noise = NoiseConfig(center_jitter_px=30.0, radius_jitter_frac=0.5,
                         false_positive_rate=3.0, seed=7)
-    out = synthetic_detect(blank_patch(), truth, GT, noise)
+    out = SyntheticDetector(truth, GT, noise).detect(blank_patch())
     for d in out:
         x1, y1, x2, y2 = d.box
         assert 0.0 <= x1 < x2 <= 512.0

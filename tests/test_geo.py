@@ -6,34 +6,33 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from craterpipe.errors import GeoError
+from craterpipe.errors import GeoError, RasterError
 from craterpipe.geo import (
     GeoTransform,
-    MapCrater,
-    PixelCrater,
     lonlat_to_meter,
     meter_to_lonlat,
-    meter_to_pixel,
-    pixel_to_meter,
-    resize_factor,
+    meter_to_pixel_xy,
+    pixel_to_meter_xy,
 )
+from craterpipe.raster import PatchSpec
 
 R = 1_737_400.0
 
 
+# The resize factor delta_f = ps_a / ps_r that undoes the patch downsampling
+# is owned by PatchSpec, which also validates the two sides.
 def test_resize_factor_values():
-    assert resize_factor(1024, 512) == 2.0
-    assert resize_factor(4096, 512) == 8.0
-    assert resize_factor(512, 512) == 1.0
+    assert PatchSpec(1024, 512, 0.5).delta_f == 2.0
+    assert PatchSpec(4096, 512, 0.5).delta_f == 8.0
+    assert PatchSpec(512, 512, 0.5).delta_f == 1.0
 
 
 def test_resize_factor_rejects_bad_sides():
-    with pytest.raises(GeoError):
-        resize_factor(0, 512)
-    with pytest.raises(GeoError):
-        resize_factor(512, -1)
-    with pytest.raises(GeoError):
-        resize_factor(256, 512)
+    for ps_a, ps_r in ((0, 512), (512, -1), (512, 0), (-4, -2)):
+        with pytest.raises(RasterError, match="positive"):
+            PatchSpec(ps_a=ps_a, ps_r=ps_r, overlap_fraction=0.5)
+    with pytest.raises(RasterError):
+        PatchSpec(ps_a=256, ps_r=512, overlap_fraction=0.5)
 
 
 def test_geotransform_validation():
@@ -45,36 +44,39 @@ def test_geotransform_validation():
 
 def test_pixel_to_meter_direct_substitution():
     gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=R)
-    c = pixel_to_meter(PixelCrater(10.0, 20.0, 5.0), gt, 0, 0, 2.0)
-    assert c.x_meter == 2000.0
-    assert c.y_meter == -4000.0
-    assert c.r_meter == 1000.0
+    assert pixel_to_meter_xy(10.0, 20.0, gt, 0, 0, 2.0) == (2000.0, -4000.0)
+    # a 5 px radius spans 2 * 1000 m
+    x1, y1 = pixel_to_meter_xy(5.0, 15.0, gt, 0, 0, 2.0)
+    x2, y2 = pixel_to_meter_xy(15.0, 25.0, gt, 0, 0, 2.0)
+    assert (x2 - x1, y1 - y2) == (2000.0, 2000.0)
 
 
 def test_pixel_to_meter_origin_case():
     gt = GeoTransform(x_min=-500.0, y_max=750.0, resolution=1.0, body_radius=R)
-    c = pixel_to_meter(PixelCrater(0.0, 0.0, 1.0), gt, 0, 0, 1.0)
-    assert (c.x_meter, c.y_meter, c.r_meter) == (-500.0, 750.0, 1.0)
+    assert pixel_to_meter_xy(0.0, 0.0, gt, 0, 0, 1.0) == (-500.0, 750.0)
+    assert pixel_to_meter_xy(2.0, 2.0, gt, 0, 0, 1.0) == (-498.0, 748.0)  # 1 px radius, 2 m box
 
 
 def test_pixel_to_meter_with_patch_offset():
     gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=R)
-    c = pixel_to_meter(PixelCrater(0.0, 0.0, 5.0), gt, 512, 512, 2.0)
-    assert c.x_meter == 51200.0
-    assert c.y_meter == -51200.0
-    assert c.r_meter == 1000.0
+    assert pixel_to_meter_xy(0.0, 0.0, gt, 512, 512, 2.0) == (51200.0, -51200.0)
+    x1, y1 = pixel_to_meter_xy(-5.0, -5.0, gt, 512, 512, 2.0)
+    x2, y2 = pixel_to_meter_xy(5.0, 5.0, gt, 512, 512, 2.0)
+    assert (x2 - x1, y1 - y2) == (2000.0, 2000.0)
 
 
 def test_meter_to_pixel_inverts_the_example():
     gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=R)
-    p = meter_to_pixel(MapCrater(2000.0, -4000.0, 1000.0), gt, 0, 0, 2.0)
-    assert (p.x_pxl, p.y_pxl, p.r_pxl) == (10.0, 20.0, 5.0)
+    assert meter_to_pixel_xy(2000.0, -4000.0, gt, 0, 0, 2.0) == (10.0, 20.0)
+    # the 1000 m radius box comes back 2 * 5 px wide
+    assert meter_to_pixel_xy(1000.0, -3000.0, gt, 0, 0, 2.0) == (5.0, 15.0)
+    assert meter_to_pixel_xy(3000.0, -5000.0, gt, 0, 0, 2.0) == (15.0, 25.0)
 
 
 def test_meter_to_pixel_at_left_edge():
     gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=R)
-    p = meter_to_pixel(MapCrater(0.0, -100.0, 1.0), gt, 0, 6, 2.0)
-    assert p.x_pxl == -6 / 2.0
+    x_pxl, _ = meter_to_pixel_xy(0.0, -100.0, gt, 0, 6, 2.0)
+    assert x_pxl == -6 / 2.0
 
 
 def test_round_trip_many_samples():
@@ -82,24 +84,23 @@ def test_round_trip_many_samples():
     gt = GeoTransform(x_min=-5.46e6, y_max=1.82e6, resolution=100.0, body_radius=R)
     for delta_f in (1.0, 2.0, 8.0):
         for _ in range(300):
-            c = PixelCrater(
-                x_pxl=rng.uniform(0, 512),
-                y_pxl=rng.uniform(0, 512),
-                r_pxl=rng.uniform(0.1, 100),
-            )
+            x, y, r = rng.uniform(0, 512), rng.uniform(0, 512), rng.uniform(0.1, 100)
             row0 = int(rng.integers(0, 40000))
             col0 = int(rng.integers(0, 40000))
-            back = meter_to_pixel(pixel_to_meter(c, gt, row0, col0, delta_f), gt, row0, col0, delta_f)
-            assert abs(back.x_pxl - c.x_pxl) < 1e-6
-            assert abs(back.y_pxl - c.y_pxl) < 1e-6
-            assert abs(back.r_pxl - c.r_pxl) < 1e-6
+            # box corners (x - r, y - r) and (x + r, y + r) to meters and back
+            xs, ys = np.array([x - r, x + r]), np.array([y - r, y + r])
+            x_m, y_m = pixel_to_meter_xy(xs, ys, gt, row0, col0, delta_f)
+            bx, by = meter_to_pixel_xy(x_m, y_m, gt, row0, col0, delta_f)
+            assert np.all(np.abs(bx - xs) < 1e-6)
+            assert np.all(np.abs(by - ys) < 1e-6)
+            assert abs((bx[1] - bx[0]) / 2.0 - r) < 1e-6
 
 
 def test_monotone_axes():
     gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=50.0, body_radius=R)
-    xs = [pixel_to_meter(PixelCrater(x, 10.0, 1.0), gt, 0, 0, 2.0).x_meter for x in (1.0, 2.0, 5.0)]
+    xs = [pixel_to_meter_xy(x, 10.0, gt, 0, 0, 2.0)[0] for x in (1.0, 2.0, 5.0)]
     assert xs[0] < xs[1] < xs[2]
-    ys = [pixel_to_meter(PixelCrater(10.0, y, 1.0), gt, 0, 0, 2.0).y_meter for y in (1.0, 2.0, 5.0)]
+    ys = [pixel_to_meter_xy(10.0, y, gt, 0, 0, 2.0)[1] for y in (1.0, 2.0, 5.0)]
     assert ys[0] > ys[1] > ys[2]
 
 
@@ -108,10 +109,12 @@ def test_monotone_axes():
     delta_f=st.sampled_from([1.0, 2.0, 8.0]),
     s=st.floats(min_value=1.0, max_value=500.0),
 )
-def test_radius_scaling_is_exact(r_pxl, delta_f, s):
+def test_box_width_scaling_is_exact(r_pxl, delta_f, s):
     gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=s, body_radius=R)
-    c = pixel_to_meter(PixelCrater(1.0, 1.0, r_pxl), gt, 0, 0, delta_f)
-    assert c.r_meter == r_pxl * s * delta_f
+    x1, y1 = pixel_to_meter_xy(-r_pxl, -r_pxl, gt, 0, 0, delta_f)
+    x2, y2 = pixel_to_meter_xy(r_pxl, r_pxl, gt, 0, 0, delta_f)
+    assert (x2 - x1) / 2.0 == r_pxl * s * delta_f
+    assert (y1 - y2) / 2.0 == r_pxl * s * delta_f
 
 
 def test_lonlat_projection_cases():

@@ -1,6 +1,7 @@
 """Raster IO, resampling, slope, byte scaling and tiling tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,57 @@ def test_nodata_sentinel_passthrough(tmp_path):
     loaded = load_raster(path)
     assert loaded.nodata == -9999.0
     assert loaded.valid_mask().tolist() == [[True, False], [True, True]]
+
+
+def _dem_with_nan_hole(n=64):
+    yy, xx = np.mgrid[0:n, 0:n].astype(float)
+    vals = 3.0 * xx + 5.0 * yy
+    vals[20:30, 20:30] = np.nan
+    return make_grid(vals, nodata=float("nan"))
+
+
+def test_nan_nodata_round_trips_and_masks_the_hole(tmp_path):
+    path = write_raster(tmp_path, "dem.bin", _dem_with_nan_hole(), dtype="float32")
+    loaded = load_raster(path)
+    assert math.isnan(loaded.nodata)
+    valid = loaded.valid_mask()
+    assert valid.sum() == 3996
+    assert np.array_equal(valid, ~np.isnan(loaded.values))
+
+
+def test_nan_nodata_slope_flags_the_poisoned_window():
+    out = compute_slope(_dem_with_nan_hole())
+    poisoned = np.zeros((64, 64), dtype=bool)
+    poisoned[19:31, 19:31] = True
+    assert np.array_equal(np.isnan(out.values), poisoned)
+    assert np.array_equal(out.valid_mask(), ~poisoned)
+
+
+def test_nan_nodata_tiles_to_byte_zero_without_warnings():
+    dem = _dem_with_nan_hole()
+    intensity = make_grid(np.arange(64 * 64, dtype=float).reshape(64, 64) % 97, band_kind="intensity")
+    slope = compute_slope(dem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (patch,) = tile(intensity, dem, slope, PatchSpec(64, 64, 0.5))
+    for k, grid in ((1, dem), (2, slope)):
+        invalid = np.isnan(grid.values)
+        v = grid.values[~invalid]
+        expected = np.zeros((64, 64), dtype=np.uint8)
+        expected[~invalid] = np.rint(255.0 * (v - v.min()) / (v.max() - v.min())).astype(np.uint8)
+        assert np.array_equal(patch.channels[k], expected)
+
+
+@given(n=st.integers(min_value=1, max_value=24), data=st.data())
+def test_nan_hole_is_exactly_the_invalid_set(n, data):
+    r0 = data.draw(st.integers(min_value=0, max_value=n - 1))
+    r1 = data.draw(st.integers(min_value=r0 + 1, max_value=n))
+    c0 = data.draw(st.integers(min_value=0, max_value=n - 1))
+    c1 = data.draw(st.integers(min_value=c0 + 1, max_value=n))
+    vals = np.arange(n * n, dtype=float).reshape(n, n)
+    vals[r0:r1, c0:c1] = np.nan
+    grid = make_grid(vals, nodata=float("nan"))
+    assert np.array_equal(grid.valid_mask(), ~np.isnan(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +442,8 @@ def test_mosaic_scale_mode_uses_global_range():
 def test_patch_spec_validation():
     with pytest.raises(RasterError):
         PatchSpec(ps_a=512, ps_r=1024, overlap_fraction=0.5)
+    with pytest.raises(RasterError):
+        PatchSpec(ps_a=256, ps_r=512, overlap_fraction=0.5)
     with pytest.raises(RasterError):
         PatchSpec(ps_a=1024, ps_r=512, overlap_fraction=1.0)
     with pytest.raises(RasterError):
