@@ -5,7 +5,9 @@ boxes can drive the pipeline. Two implementations live here. The synthetic
 oracle detector projects a truth catalog into each patch and emits
 configurable noisy detections; it exists so the post-processing and
 evaluation stages can be exercised and accepted without a trained model.
-The external path ingests detection records produced by a real model.
+It reads only a patch's placement (id, offset, spec, resize factor), so it
+takes a PatchPlacement or a FusedPatch alike. The external path ingests
+detection records produced by a real model.
 
 Detection record wire format, one record per line, comma separated, no
 header (blank lines and lines starting with ``#`` are ignored):
@@ -27,7 +29,7 @@ import numpy as np
 from . import catalog as catalog_mod
 from .errors import DetectionError
 from .geo import GeoTransform, meter_to_pixel_xy, pixel_to_meter_xy
-from .raster import FusedPatch
+from .raster import FusedPatch, PatchPlacement
 
 __all__ = [
     "Detection",
@@ -95,7 +97,9 @@ class DetectorInterface(ABC):
     detect must be deterministic given (patch, seed) and safe to call
     concurrently on distinct patches. channel_layout declares what the
     implementation accepts: "any", or "distinct" for detectors that need
-    three genuinely different channels.
+    three genuinely different channels. A detector that reads pixels takes
+    FusedPatches and calls check_channels; one that reads only placements
+    may also take PatchPlacements.
     """
 
     channel_layout: str = "any"
@@ -110,7 +114,7 @@ class DetectorInterface(ABC):
                 )
 
     @abstractmethod
-    def detect(self, patch: FusedPatch) -> list[Detection]:
+    def detect(self, patch: FusedPatch | PatchPlacement) -> list[Detection]:
         """Return detections satisfying the Detection invariants; boxes may
         be clipped to the patch boundary."""
 
@@ -130,16 +134,17 @@ class SyntheticDetector(DetectorInterface):
     the patch. Poisson-many spurious boxes are added uniformly over the
     patch. True detections score in [0.7, 1.0), spurious in [0.3, 0.9); the
     exact ranges are arbitrary but fixed, since only the ordering matters
-    downstream.
+    downstream. It never reads channels.
     """
+
+    channel_layout = "any"
 
     def __init__(self, truth: catalog_mod.Catalog, gt: GeoTransform, noise: NoiseConfig):
         self.gt = gt
         self.noise = noise
         self.truth_boxes = catalog_mod.to_boxes(truth, gt)
 
-    def detect(self, patch: FusedPatch) -> list[Detection]:
-        self.check_channels(patch)
+    def detect(self, patch: FusedPatch | PatchPlacement) -> list[Detection]:
         rng = _patch_rng(self.noise.seed, patch.patch_id)
         gt, row0, col0, df = self.gt, patch.row0, patch.col0, patch.delta_f
         ps_a = patch.spec.ps_a
@@ -149,10 +154,11 @@ class SyntheticDetector(DetectorInterface):
         x_lo, y_hi = pixel_to_meter_xy(0, 0, gt, row0, col0, 1.0)
         x_hi, y_lo = pixel_to_meter_xy(ps_a, ps_a, gt, row0, col0, 1.0)
 
+        b = self.truth_boxes
+        hit = ~((b[:, 0] >= x_hi) | (b[:, 2] <= x_lo) | (b[:, 1] >= y_hi) | (b[:, 3] <= y_lo))
+
         detections: list[Detection] = []
-        for bx1, by1, bx2, by2 in self.truth_boxes:
-            if bx1 >= x_hi or bx2 <= x_lo or by1 >= y_hi or by2 <= y_lo:
-                continue
+        for bx1, by1, bx2, by2 in b[hit]:
             # One draw per candidate keeps the stream stable across configs.
             missed = rng.random() < self.noise.miss_rate
             jx = rng.normal(0.0, self.noise.center_jitter_px)

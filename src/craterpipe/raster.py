@@ -10,6 +10,14 @@ linearly to bytes, box-downsamples it to the detector input size and stamps
 it with the resize factor needed to map detections back to mosaic pixels.
 All grid types are immutable after construction; tiling emits independent
 patches and is safe to parallelize per patch.
+
+Geometry and pixels are separate. A GridExtent is a grid's band, size and
+geotransform without values; resampled_extent and slope_extent give the
+extent that resample and compute_slope would return, with the same checks
+and errors, and check_co_registered is the check tile makes on its grids.
+patch_placements gives patch_grid's windows as PatchPlacements, a
+FusedPatch's geometry without its channels, so consumers that never read
+pixels can work from placements alone.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,17 +35,23 @@ from .geo import GeoTransform
 __all__ = [
     "BAND_KINDS",
     "RasterGrid",
+    "GridExtent",
     "PatchSpec",
+    "PatchPlacement",
     "FusedPatch",
     "read_header",
     "load_raster",
     "save_raster",
     "resample",
+    "resampled_extent",
     "compute_slope",
+    "slope_extent",
+    "check_co_registered",
     "rescale_to_byte",
     "tile",
     "replicate_single_band",
     "patch_grid",
+    "patch_placements",
     "write_patch_image",
 ]
 
@@ -49,6 +64,15 @@ _DTYPES = {
     "float32": "<f4",
     "float64": "<f8",
 }
+
+
+class GridExtent(NamedTuple):
+    """A grid's band kind, size and placement, without its values."""
+
+    band_kind: str
+    width: int
+    height: int
+    geotransform: GeoTransform
 
 
 @dataclass(frozen=True)
@@ -79,7 +103,8 @@ class RasterGrid:
             valid = self.valid_mask()
             if valid.any():
                 v = self.values[valid]
-                if v.min() < 0.0 or v.max() > 90.0:
+                # min and max propagate NaN, and NaN fails both tests
+                if not (v.min() >= 0.0 and v.max() <= 90.0):
                     raise RasterError("slope values must lie in [0, 90] degrees")
 
     def valid_mask(self) -> np.ndarray:
@@ -118,6 +143,18 @@ class PatchSpec:
     @property
     def delta_f(self) -> float:
         return self.ps_a / self.ps_r
+
+
+@dataclass(frozen=True)
+class PatchPlacement:
+    """Where one patch window sits in the mosaic: the geometry of a
+    FusedPatch without its channels. delta_f is ps_a / ps_r."""
+
+    patch_id: str
+    row0: int
+    col0: int
+    spec: PatchSpec
+    delta_f: float
 
 
 @dataclass(frozen=True)
@@ -214,14 +251,17 @@ def load_raster(path: str | Path, header: dict | None = None) -> RasterGrid:
             f"header declares {hdr['width'] * hdr['height']}"
         )
     values = np.frombuffer(raw, dtype=dtype).reshape(hdr["height"], hdr["width"])
-    return RasterGrid(
-        width=hdr["width"],
-        height=hdr["height"],
-        band_kind=hdr["band"],
-        values=values,
-        geotransform=hdr["geotransform"],
-        nodata=hdr["nodata"],
-    )
+    try:
+        return RasterGrid(
+            width=hdr["width"],
+            height=hdr["height"],
+            band_kind=hdr["band"],
+            values=values,
+            geotransform=hdr["geotransform"],
+            nodata=hdr["nodata"],
+        )
+    except RasterError as exc:
+        raise RasterError(f"{path}: {exc}") from exc
 
 
 def save_raster(grid: RasterGrid, path: str | Path, dtype: str = "float32") -> None:
@@ -251,6 +291,22 @@ def save_raster(grid: RasterGrid, path: str | Path, dtype: str = "float32") -> N
 # grid operations
 
 
+def resampled_extent(grid: RasterGrid, target_resolution: float) -> GridExtent:
+    """The extent resample(grid, target_resolution) returns, with its checks,
+    without building values. Sizes round up so the output covers the input."""
+    if target_resolution <= 0:
+        raise RasterError(f"target resolution must be positive, got {target_resolution}")
+    if not grid.valid_mask().any():
+        raise RasterError("cannot resample an all-nodata grid")
+    gt = grid.geotransform
+    return GridExtent(
+        band_kind=grid.band_kind,
+        width=math.ceil(grid.width * gt.resolution / target_resolution),
+        height=math.ceil(grid.height * gt.resolution / target_resolution),
+        geotransform=GeoTransform(gt.x_min, gt.y_max, target_resolution, gt.body_radius),
+    )
+
+
 def resample(grid: RasterGrid, target_resolution: float) -> RasterGrid:
     """Bilinearly resample a grid to a new resolution.
 
@@ -259,16 +315,10 @@ def resample(grid: RasterGrid, target_resolution: float) -> RasterGrid:
     a sample falls outside the input cell-center lattice. A cell is nodata
     when any input cell contributing weight to it is nodata.
     """
-    if target_resolution <= 0:
-        raise RasterError(f"target resolution must be positive, got {target_resolution}")
+    out_kind, out_w, out_h, out_gt = resampled_extent(grid, target_resolution)
     valid = grid.valid_mask()
-    if not valid.any():
-        raise RasterError("cannot resample an all-nodata grid")
-
     s_in = grid.geotransform.resolution
     s_out = target_resolution
-    out_w = math.ceil(grid.width * s_in / s_out)
-    out_h = math.ceil(grid.height * s_in / s_out)
 
     def axis_samples(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pos = (np.arange(n_out) + 0.5) * s_out / s_in - 0.5
@@ -310,15 +360,19 @@ def resample(grid: RasterGrid, target_resolution: float) -> RasterGrid:
         )
         out[poisoned] = nodata
 
-    gt = grid.geotransform
     return RasterGrid(
-        width=out_w,
-        height=out_h,
-        band_kind=grid.band_kind,
-        values=out,
-        geotransform=GeoTransform(gt.x_min, gt.y_max, s_out, gt.body_radius),
-        nodata=nodata,
+        width=out_w, height=out_h, band_kind=out_kind, values=out, geotransform=out_gt, nodata=nodata
     )
+
+
+def slope_extent(dem: RasterGrid | GridExtent) -> GridExtent:
+    """The extent compute_slope(dem) returns, with its checks, from the
+    DEM's band kind and size alone."""
+    if dem.band_kind != "elevation":
+        raise RasterError(f"slope needs an elevation grid, got {dem.band_kind!r}")
+    if dem.width < 3 or dem.height < 3:
+        raise RasterError(f"grid too small for slope: {dem.width}x{dem.height}")
+    return GridExtent("slope", dem.width, dem.height, dem.geotransform)
 
 
 def compute_slope(dem: RasterGrid) -> RasterGrid:
@@ -329,11 +383,7 @@ def compute_slope(dem: RasterGrid) -> RasterGrid:
     arctan(sqrt(gx^2 + gy^2)). Border cells see edge-replicated neighbors.
     A cell is nodata when any cell of its 3x3 window is nodata.
     """
-    if dem.band_kind != "elevation":
-        raise RasterError(f"slope needs an elevation grid, got {dem.band_kind!r}")
-    if dem.width < 3 or dem.height < 3:
-        raise RasterError(f"grid too small for slope: {dem.width}x{dem.height}")
-
+    slope_extent(dem)
     s = dem.geotransform.resolution
     z = np.pad(np.asarray(dem.values, dtype=np.float64), 1, mode="edge")
 
@@ -431,6 +481,14 @@ def patch_grid(width: int, height: int, spec: PatchSpec) -> list[tuple[str, int,
     ]
 
 
+def patch_placements(width: int, height: int, spec: PatchSpec) -> list[PatchPlacement]:
+    """patch_grid's windows as placements, in the same order."""
+    return [
+        PatchPlacement(patch_id, r0, c0, spec, spec.delta_f)
+        for patch_id, r0, c0 in patch_grid(width, height, spec)
+    ]
+
+
 def _area_average(window: np.ndarray, out_side: int) -> np.ndarray:
     """Box-filter downsample of a square array to out_side x out_side."""
     n = window.shape[0]
@@ -454,12 +512,15 @@ def _box_weights(n: int, out: int) -> np.ndarray:
     return w / f
 
 
-def _grids_compatible(grids: list[RasterGrid]) -> bool:
+def check_co_registered(grids: list[RasterGrid | GridExtent]) -> None:
+    """The check tile makes before cutting: every grid shares the first
+    one's size and geotransform. Band kinds may differ."""
     first = grids[0]
-    return all(
+    if not all(
         g.width == first.width and g.height == first.height and g.geotransform == first.geotransform
         for g in grids[1:]
-    )
+    ):
+        raise RasterError("intensity, elevation and slope grids must share size and geotransform")
 
 
 def _mosaic_range(grid: RasterGrid) -> tuple[float, float] | None:
@@ -486,8 +547,7 @@ def tile(
     byte 0 before downsampling.
     """
     grids = [intensity, elevation, slope]
-    if not _grids_compatible(grids):
-        raise RasterError("intensity, elevation and slope grids must share size and geotransform")
+    check_co_registered(grids)
     if scale_mode not in ("patch", "mosaic"):
         raise RasterError(f"unknown scale_mode {scale_mode!r}")
 

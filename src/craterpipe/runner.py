@@ -1,11 +1,18 @@
 """Orchestration of the pipeline stages behind the CLI commands.
 
-A run goes: load rasters (resampling elevation onto the intensity grid and
-deriving slope when not supplied), tile per size band, detect per patch on a
-thread pool, boundary-filter, globalize, deduplicate, union the bands, gate
-by size, count against the truth catalog, and write reports plus a manifest.
-Merging is always over sorted patch ids, so results are identical for any
-worker count.
+A run goes: load and validate the rasters, place the patch windows per size
+band, detect per patch on a thread pool, boundary-filter, globalize,
+deduplicate, union the bands, gate by size, count against the truth catalog,
+and write reports plus a manifest. Merging is always over sorted patch ids,
+so results are identical for any worker count.
+
+Pixels are built only where something reads them: tile with image export
+resamples elevation onto the intensity grid, derives slope when not supplied
+and cuts fused byte patches. run, detect, gridsearch, crossmatch and tile
+without images read no pixels, since the synthetic oracle and the external
+records need only each patch's placement. They validate the stack with the
+same checks and errors from the headers and the loaded grids, and pass
+PatchPlacements to the detector.
 """
 
 from __future__ import annotations
@@ -44,12 +51,18 @@ from .postprocess import (
 )
 from .raster import (
     FusedPatch,
+    GridExtent,
+    PatchPlacement,
     PatchSpec,
     RasterGrid,
+    check_co_registered,
     compute_slope,
     load_raster,
+    patch_placements,
     replicate_single_band,
     resample,
+    resampled_extent,
+    slope_extent,
     tile,
     write_patch_image,
 )
@@ -93,13 +106,20 @@ def _input_paths(cfg: PipelineConfig) -> list[Path]:
     return [p for p in paths if p.exists()]
 
 
-def load_stack(cfg: PipelineConfig) -> tuple[RasterGrid | None, RasterGrid | None, RasterGrid | None, RasterGrid | None, GeoTransform]:
+_Grid = RasterGrid | GridExtent
+
+
+def load_stack(
+    cfg: PipelineConfig, pixels: bool = True
+) -> tuple[_Grid | None, _Grid | None, _Grid | None, RasterGrid | None, GeoTransform]:
     """Load the raster inputs and return (intensity, elevation, slope,
     single_band, geotransform).
 
     Elevation is resampled onto the intensity resolution when they differ;
     slope is derived from elevation when not supplied. In single-band mode
-    only that raster is loaded.
+    only that raster is loaded. With pixels=False a resampled elevation and
+    a derived slope come back as the GridExtent they would have: the stack
+    passes the same checks in the same order, and no values are built.
     """
     if cfg.single_band_path is not None:
         band = load_raster(cfg.resolve(cfg.single_band_path))
@@ -107,12 +127,13 @@ def load_stack(cfg: PipelineConfig) -> tuple[RasterGrid | None, RasterGrid | Non
 
     intensity = load_raster(cfg.resolve(cfg.intensity_path))
     elevation = load_raster(cfg.resolve(cfg.elevation_path))
-    if elevation.geotransform.resolution != intensity.geotransform.resolution:
-        elevation = resample(elevation, intensity.geotransform.resolution)
+    res = intensity.geotransform.resolution
+    if elevation.geotransform.resolution != res:
+        elevation = resample(elevation, res) if pixels else resampled_extent(elevation, res)
     if cfg.slope_path is not None:
         slope = load_raster(cfg.resolve(cfg.slope_path))
     else:
-        slope = compute_slope(elevation)
+        slope = compute_slope(elevation) if pixels else slope_extent(elevation)
     for name, grid in (("elevation", elevation), ("slope", slope)):
         if grid.width != intensity.width or grid.height != intensity.height:
             raise RasterError(
@@ -122,16 +143,30 @@ def load_stack(cfg: PipelineConfig) -> tuple[RasterGrid | None, RasterGrid | Non
     return intensity, elevation, slope, None, intensity.geotransform
 
 
+def _band_spec(band) -> PatchSpec:
+    return PatchSpec(ps_a=band.ps_a, ps_r=band.ps_r, overlap_fraction=band.overlap)
+
+
 def _band_patches(cfg: PipelineConfig, band, stack) -> list[FusedPatch]:
+    """The band's fused pixel patches, from a stack loaded with pixels."""
     intensity, elevation, slope, single, _ = stack
-    spec = PatchSpec(ps_a=band.ps_a, ps_r=band.ps_r, overlap_fraction=band.overlap)
+    spec = _band_spec(band)
     if single is not None:
         return replicate_single_band(single, spec, scale_mode=cfg.scale_mode)
     return tile(intensity, elevation, slope, spec, scale_mode=cfg.scale_mode)
 
 
+def _band_placements(band, stack) -> list[PatchPlacement]:
+    """The band's patch windows, after the checks tile would make."""
+    intensity, elevation, slope, single, _ = stack
+    spec = _band_spec(band)
+    grids = [single] if single is not None else [intensity, elevation, slope]
+    check_co_registered(grids)
+    return patch_placements(grids[0].width, grids[0].height, spec)
+
+
 def detect_patches(
-    patches: list[FusedPatch], detector: DetectorInterface, workers: int
+    patches: list[PatchPlacement] | list[FusedPatch], detector: DetectorInterface, workers: int
 ) -> dict[str, list[Detection]]:
     """Run the detector over patches on a thread pool.
 
@@ -157,7 +192,7 @@ def _load_truth(cfg: PipelineConfig, cat_cfg: CatalogConfig) -> catalog_mod.Cata
 def _band_detections(
     cfg: PipelineConfig, band, stack, truth: catalog_mod.Catalog, gt: GeoTransform
 ) -> tuple[int, dict[str, tuple[int, int, float]], dict[str, list[Detection]]]:
-    """Tile one band and produce its raw detections.
+    """Place one band's patches and produce its raw detections.
 
     Returns the patch count, the patch index (patch id -> row0, col0,
     delta_f) and the detections keyed by patch id. An external file maps
@@ -167,7 +202,7 @@ def _band_detections(
     external = cfg.detector.kind == "external"
     if external and len(cfg.bands) != 1:
         raise ConfigError("an external detections file maps onto exactly one band's patch grid")
-    patches = _band_patches(cfg, band, stack)
+    patches = _band_placements(band, stack)
     patch_index = {p.patch_id: (p.row0, p.col0, p.delta_f) for p in patches}
     if external:
         per_patch = load_detections(
@@ -210,7 +245,7 @@ def run_full(cfg: PipelineConfig) -> RunResult:
     t_total = time.perf_counter()
 
     t0 = time.perf_counter()
-    stack = load_stack(cfg)
+    stack = load_stack(cfg, pixels=False)
     gt = stack[4]
     truth = _load_truth(cfg, cfg.truth_catalog)
     truth_boxes = catalog_mod.to_boxes(truth, gt)
@@ -285,16 +320,18 @@ def _summary_text(cfg, metrics, loc, band_info) -> str:
 
 
 def run_tile(cfg: PipelineConfig, export_images: bool = True) -> tuple[Path, int]:
-    """Write the patch index (and optionally patch images) for every band."""
+    """Write the patch index (and optionally patch images) for every band.
+
+    Only image export builds pixels."""
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
-    stack = load_stack(cfg)
+    stack = load_stack(cfg, pixels=export_images)
     n_total = 0
     index_path = out_dir / "patch_index.csv"
     with open(index_path, "w", newline="") as fh:
         fh.write("patch_id,row0,col0,delta_f\n")
         for band in cfg.bands:
-            patches = _band_patches(cfg, band, stack)
+            patches = _band_patches(cfg, band, stack) if export_images else _band_placements(band, stack)
             n_total += len(patches)
             for p in patches:
                 fh.write(f"{p.patch_id},{p.row0},{p.col0},{p.delta_f!r}\n")
@@ -315,7 +352,7 @@ def run_detect_dump(cfg: PipelineConfig) -> list[Path]:
         raise ConfigError("detect needs a truth_catalog")
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
-    stack = load_stack(cfg)
+    stack = load_stack(cfg, pixels=False)
     gt = stack[4]
     truth = _load_truth(cfg, cfg.truth_catalog)
     paths = []
@@ -332,15 +369,14 @@ def run_gridsearch(cfg: PipelineConfig) -> tuple[GridSearchResult, Path]:
     """Sweep (m, delta) on the configured inputs and write the cell table."""
     if cfg.truth_catalog is None:
         raise ConfigError("gridsearch needs a truth_catalog")
+    if len(cfg.bands) != 1:
+        raise ConfigError("gridsearch expects exactly one size band")
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
-    stack = load_stack(cfg)
+    stack = load_stack(cfg, pixels=False)
     gt = stack[4]
     truth = _load_truth(cfg, cfg.truth_catalog)
     truth_boxes = catalog_mod.to_boxes(truth, gt)
-
-    if len(cfg.bands) != 1:
-        raise ConfigError("gridsearch expects exactly one size band")
     band = cfg.bands[0]
     _, patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
 
@@ -371,7 +407,7 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
         gt = cfg.geotransform
     else:
         try:
-            gt = load_stack(cfg)[4]
+            gt = load_stack(cfg, pixels=False)[4]
         except (RasterError, ConfigError) as exc:
             raise ConfigError(
                 "crossmatch needs either a geotransform block in the config or loadable rasters"

@@ -5,6 +5,8 @@ These deliberately mirror the documented semantics with different mechanics
 the production code is meaningful.
 """
 
+import zlib
+
 import numpy as np
 
 
@@ -81,3 +83,55 @@ def rasterized_iou(a, b, cells=800):
     inter = np.count_nonzero(ma & mb)
     union = np.count_nonzero(ma | mb)
     return inter / union if union else 0.0
+
+
+def synthetic_detect_scalar(truth_boxes, gt, noise, patch):
+    """The synthetic oracle as a scalar loop over every truth box.
+
+    Tests each box against the patch window one at a time and draws the
+    noise candidate by candidate, in catalog order. Returns
+    (patch_id, box, score) tuples in emission order.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence([noise.seed & 0xFFFFFFFF, zlib.crc32(patch.patch_id.encode("utf-8"))])
+    )
+    s = gt.resolution
+    ps_a, ps_r, df = patch.spec.ps_a, patch.spec.ps_r, patch.delta_f
+    x_lo, x_hi = gt.x_min + patch.col0 * s, gt.x_min + (patch.col0 + ps_a) * s
+    y_hi, y_lo = gt.y_max - patch.row0 * s, gt.y_max - (patch.row0 + ps_a) * s
+
+    def to_pixel(x, y):
+        return ((x - gt.x_min) / s - patch.col0) / df, ((gt.y_max - y) / s - patch.row0) / df
+
+    def clipped(cx, cy, half, score):
+        x1, y1 = max(cx - half, 0.0), max(cy - half, 0.0)
+        x2, y2 = min(cx + half, float(ps_r)), min(cy + half, float(ps_r))
+        if x1 >= x2 or y1 >= y2:
+            return None
+        return patch.patch_id, (float(x1), float(y1), float(x2), float(y2)), float(score)
+
+    out = []
+    for bx1, by1, bx2, by2 in truth_boxes:
+        if bx1 >= x_hi or bx2 <= x_lo or by1 >= y_hi or by2 <= y_lo:
+            continue
+        missed = rng.random() < noise.miss_rate
+        jx = rng.normal(0.0, noise.center_jitter_px)
+        jy = rng.normal(0.0, noise.center_jitter_px)
+        jr = rng.normal(0.0, noise.radius_jitter_frac)
+        score = rng.uniform(0.7, 1.0)
+        if missed:
+            continue
+        px1, py1 = to_pixel(bx1, by2)
+        px2, py2 = to_pixel(bx2, by1)
+        half = max((px2 - px1) / 2.0 * (1.0 + jr), 0.25)
+        det = clipped((px1 + px2) / 2.0 + jx, (py1 + py2) / 2.0 + jy, half, score)
+        if det is not None:
+            out.append(det)
+    for _ in range(rng.poisson(noise.false_positive_rate)):
+        r = rng.uniform(*noise.fp_radius_px)
+        cx = rng.uniform(0.0, ps_r)
+        cy = rng.uniform(0.0, ps_r)
+        det = clipped(cx, cy, r, rng.uniform(0.3, 0.9))
+        if det is not None:
+            out.append(det)
+    return out

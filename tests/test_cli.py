@@ -8,11 +8,15 @@ import numpy as np
 
 from craterpipe.cli import main
 from craterpipe.config import sha256_file
-from craterpipe.raster import load_raster, save_raster
+from craterpipe.geo import GeoTransform
+from craterpipe.raster import RasterGrid, load_raster, save_raster
 
 from conftest import planar_dem
 from reference import brute_force_metrics
 from scene import RESOLUTION, plant_craters, write_scene
+
+
+GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=RESOLUTION, body_radius=1_737_400.0)
 
 
 def read_metrics(out_dir):
@@ -63,6 +67,47 @@ def test_data_error_exits_two(tmp_path, capsys):
     rc = main(["run", "--config", str(config)])
     assert rc == 2
     assert "intensity.bin" in capsys.readouterr().err
+
+
+def test_gridsearch_rejects_two_bands_before_loading_rasters(tmp_path, capsys):
+    two_bands = [
+        {"name": "fine", "ps_a": 128, "ps_r": 64, "overlap": 0.5, "dmin_km": 0.0, "dmax_km": 5.0},
+        {"name": "coarse", "ps_a": 256, "ps_r": 128, "overlap": 0.5, "dmin_km": 5.0, "dmax_km": None},
+    ]
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"bands": two_bands})
+    (tmp_path / "intensity.bin").unlink()
+    capsys.readouterr()
+    assert main(["gridsearch", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "gridsearch expects exactly one size band" in err, err
+    assert "raster payload not found" not in err
+
+
+def test_supplied_slope_holding_nan_without_sentinel_names_the_file(tmp_path, capsys):
+    config = write_scene(tmp_path, plant_craters(2))
+    values = np.full((512, 512), 10.0, dtype=np.float32)
+    values[7, 9] = np.nan
+    save_raster(RasterGrid(512, 512, "intensity", values, GT), tmp_path / "slope.bin", dtype="float32")
+    hdr = tmp_path / "slope.hdr"
+    hdr.write_text(hdr.read_text().replace("band = intensity", "band = slope"))
+    cfg = json.loads(config.read_text())
+    cfg["rasters"]["slope"] = "slope.bin"
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'slope.bin'}: slope values must lie in [0, 90] degrees" in err, err
+
+
+def test_supplied_slope_with_nan_sentinel_is_accepted(tmp_path):
+    config = write_scene(tmp_path, plant_craters(2))
+    values = np.full((512, 512), 10.0, dtype=np.float32)
+    values[7, 9] = np.nan
+    save_raster(RasterGrid(512, 512, "slope", values, GT, nodata=float("nan")), tmp_path / "slope.bin")
+    cfg = json.loads(config.read_text())
+    cfg["rasters"]["slope"] = "slope.bin"
+    config.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(config)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from craterpipe.catalog import Catalog, CatalogCrater
 from craterpipe.detector import (
@@ -14,9 +15,10 @@ from craterpipe.detector import (
 )
 from craterpipe.errors import DetectionError
 from craterpipe.geo import GeoTransform, meter_to_lonlat
-from craterpipe.raster import FusedPatch, PatchSpec
+from craterpipe.raster import FusedPatch, PatchPlacement, PatchSpec, patch_placements, tile
 
-from conftest import LUNAR_RADIUS
+from conftest import LUNAR_RADIUS, make_grid
+from reference import synthetic_detect_scalar
 
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
@@ -127,6 +129,55 @@ def test_channel_capability_mismatch():
     det = PickyDetector()
     with pytest.raises(DetectionError, match="distinct"):
         det.detect(blank_patch())  # all-zero channels are replicated
+
+
+def test_fused_patch_and_placement_give_identical_detections():
+    assert SyntheticDetector.channel_layout == "any"  # it never reads channels
+    n, spec = 96, PatchSpec(32, 16, 0.5)
+    rng = np.random.default_rng(3)
+    grids = [make_grid(rng.normal(size=(n, n)), band_kind=k) for k in ("intensity", "elevation")]
+    grids.append(make_grid(rng.uniform(0.0, 90.0, size=(n, n)), band_kind="slope"))
+    truth = catalog_at_meters([(x * 100.0, -y * 100.0, 600.0) for x in range(4, 96, 9) for y in range(2, 96, 11)])
+    noise = NoiseConfig(center_jitter_px=1.5, radius_jitter_frac=0.1,
+                        false_positive_rate=1.0, miss_rate=0.2, seed=11, fp_radius_px=(2.0, 6.0))
+    det = SyntheticDetector(truth, GT, noise)
+    patches = tile(*grids, spec)
+    placements = patch_placements(n, n, spec)
+    assert [(p.patch_id, p.row0, p.col0, p.spec, p.delta_f) for p in patches] == [
+        (p.patch_id, p.row0, p.col0, p.spec, p.delta_f) for p in placements
+    ]
+    found = [det.detect(p) for p in placements]
+    assert sum(map(len, found)) > len(placements)
+    assert [det.detect(p) for p in patches] == found
+
+
+# A 64 -> 32 patch at mosaic pixel (64, 32): boxes are drawn on the integer
+# pixel lattice around it, so box edges land exactly on the window edges.
+_WINDOW = PatchPlacement("r000064_c000032", 64, 32, PatchSpec(64, 32), 2.0)
+_lattice = st.integers(min_value=-20, max_value=140)
+_box = st.tuples(_lattice, _lattice, st.integers(1, 30), st.integers(1, 30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    boxes=st.lists(_box, max_size=40),
+    miss=st.sampled_from([0.0, 0.3, 1.0]),
+    jitter=st.sampled_from([0.0, 2.5]),
+    radius_jitter=st.sampled_from([0.0, 0.2]),
+    fp_rate=st.sampled_from([0.0, 1.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mask_candidate_search_equals_scalar_loop(boxes, miss, jitter, radius_jitter, fp_rate, seed):
+    s = GT.resolution
+    truth_boxes = np.array(
+        [(c * s, -(r + h) * s, (c + w) * s, -r * s) for c, r, w, h in boxes], dtype=np.float64
+    ).reshape(-1, 4)
+    noise = NoiseConfig(center_jitter_px=jitter, radius_jitter_frac=radius_jitter,
+                        false_positive_rate=fp_rate, miss_rate=miss, seed=seed, fp_radius_px=(1.0, 8.0))
+    det = SyntheticDetector(Catalog("none", ()), GT, noise)
+    det.truth_boxes = truth_boxes
+    got = [(d.patch_id, d.box, d.score) for d in det.detect(_WINDOW)]
+    assert got == synthetic_detect_scalar(truth_boxes, GT, noise, _WINDOW)
 
 
 def test_detection_invariants():

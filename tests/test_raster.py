@@ -1,6 +1,7 @@
 """Raster IO, resampling, slope, byte scaling and tiling tests."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -253,6 +254,25 @@ def test_slope_nodata_poisons_window():
 def test_slope_band_rejects_out_of_range_degrees():
     with pytest.raises(RasterError, match=r"\[0, 90\]"):
         make_grid([[10.0, 95.0]], band_kind="slope")
+
+
+def test_slope_band_rejects_nan_without_nan_sentinel():
+    with pytest.raises(RasterError, match=r"\[0, 90\]"):
+        make_grid(np.array([[120.0, np.nan], [1.0, 2.0]]), band_kind="slope")
+    with pytest.raises(RasterError, match=r"\[0, 90\]"):
+        make_grid(np.array([[10.0, np.nan], [1.0, 2.0]]), band_kind="slope")
+    with pytest.raises(RasterError, match=r"\[0, 90\]"):
+        make_grid(np.array([[10.0, np.nan], [1.0, 2.0]]), band_kind="slope", nodata=-9999.0)
+    ok = make_grid(np.array([[10.0, np.nan], [1.0, 2.0]]), band_kind="slope", nodata=float("nan"))
+    assert ok.valid_mask().sum() == 3
+
+
+def test_load_raster_names_the_file_of_a_bad_slope(tmp_path):
+    path = write_raster(tmp_path, "s.bin", make_grid([[10.0, np.nan]], band_kind="intensity"))
+    hdr = path.with_suffix(".hdr")
+    hdr.write_text(hdr.read_text().replace("band = intensity", "band = slope"))
+    with pytest.raises(RasterError, match=rf"^{re.escape(str(path))}: slope values must lie in \[0, 90\] degrees$"):
+        load_raster(path)
 
 
 def test_slope_bounds_for_random_dems():
