@@ -41,7 +41,6 @@ from .raster import (
     load_raster,
     replicate_single_band,
     resample,
-    rescale_to_byte,
     save_raster,
     tile,
 )

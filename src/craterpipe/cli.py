@@ -14,7 +14,7 @@ import click
 
 from .config import apply_overrides, load_config
 from .errors import PipelineError
-from .raster import compute_slope, load_raster, save_raster
+from .raster import check_nan_marked, compute_slope, load_raster, save_raster
 from . import runner
 
 
@@ -32,7 +32,9 @@ def _load(config_path: str, **overrides):
 @click.argument("out_path", type=str)
 def cmd_slope(dem_path: str, out_path: str) -> None:
     """Derive a slope raster (degrees) from an elevation raster."""
-    grid = compute_slope(load_raster(dem_path))
+    dem = load_raster(dem_path)
+    check_nan_marked(dem, dem_path)
+    grid = compute_slope(dem)
     save_raster(grid, out_path)
     click.echo(f"wrote slope raster {out_path} ({grid.width}x{grid.height})")
 

@@ -9,6 +9,12 @@ It reads only a patch's placement (id, offset, spec, resize factor), so it
 takes a PatchPlacement or a FusedPatch alike. The external path ingests
 detection records produced by a real model.
 
+A detector returns a list of Detection per patch. Past that seam raw
+detections travel as columns: PatchDetections maps each patch id to its
+rows and holds them as arrays, merged once in sorted patch id order. It is
+what load_detections and runner.detect_patches return and what
+postprocess.run_pipeline works on.
+
 Detection record wire format, one record per line, comma separated, no
 header (blank lines and lines starting with ``#`` are ignored):
 
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +40,7 @@ from .raster import FusedPatch, PatchPlacement
 
 __all__ = [
     "Detection",
+    "PatchDetections",
     "NoiseConfig",
     "DetectorInterface",
     "SyntheticDetector",
@@ -60,6 +68,81 @@ class Detection:
             raise DetectionError(f"negative coordinates in box {self.box}")
         if not 0.0 <= self.score <= 1.0:
             raise DetectionError(f"score {self.score} outside [0, 1]")
+
+
+class PatchDetections(Mapping):
+    """Raw per-patch detections held as columns: patch id -> that patch's rows.
+
+    boxes is an (N, 4) float64 array of pixel boxes, scores an (N,) float64
+    array and patch_ids an (N,) object array of str. patches holds the
+    mapping's keys in sorted order, patches without rows included. Rows are
+    grouped in that order, keeping each patch's own row order, and codes
+    gives each row's index into patches. Looking up a patch gives a sequence
+    of its rows whose len() reads no rows; a Detection is built only for a
+    row that a caller reads.
+    """
+
+    def __init__(self, patch_ids, boxes, scores, keys: Iterable[str] = ()) -> None:
+        """Rows in any order, grouped here; keys adds patches without rows."""
+        patch_ids = list(patch_ids)
+        self.patches = tuple(sorted(set(patch_ids).union(keys)))
+        index = {k: i for i, k in enumerate(self.patches)}
+        codes = np.fromiter((index[p] for p in patch_ids), dtype=np.intp, count=len(patch_ids))
+        order = np.argsort(codes, kind="stable")
+        self.codes = codes[order]
+        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[order]
+        self.scores = np.asarray(scores, dtype=np.float64).reshape(-1)[order]
+        self.patch_ids = np.array(self.patches, dtype=object)[self.codes]
+        self._index = index
+        self._bounds = np.searchsorted(self.codes, np.arange(len(self.patches) + 1)).tolist()
+
+    @classmethod
+    def of(cls, per_patch: Mapping[str, Sequence[Detection]]) -> PatchDetections:
+        """The columns of a patch id -> detections mapping; a PatchDetections
+        is returned as it is. Every detection must carry its key as patch id."""
+        if isinstance(per_patch, cls):
+            return per_patch
+        rows = [d for dets in per_patch.values() for d in dets]
+        ids = [key for key, dets in per_patch.items() for _ in dets]
+        for d, key in zip(rows, ids):
+            if d.patch_id != key:
+                raise DetectionError(f"detection of patch {d.patch_id!r} listed under patch {key!r}")
+        return cls(ids, [d.box for d in rows], [d.score for d in rows], keys=per_patch.keys())
+
+    def __getitem__(self, key: str) -> _PatchRows:
+        k = self._index[key]
+        lo, hi = self._bounds[k], self._bounds[k + 1]
+        return _PatchRows(key, self.boxes[lo:hi], self.scores[lo:hi])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.patches)
+
+    def __len__(self) -> int:
+        return len(self.patches)
+
+
+class _PatchRows(Sequence):
+    """One patch's rows of a PatchDetections, as Detections on demand."""
+
+    def __init__(self, patch_id: str, boxes: np.ndarray, scores: np.ndarray) -> None:
+        self.patch_id, self.boxes, self.scores = patch_id, boxes, scores
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+    def __getitem__(self, i: int) -> Detection:
+        return Detection(self.patch_id, tuple(self.boxes[i].tolist()), self.scores[i])
+
+    def __iter__(self) -> Iterator[Detection]:
+        for box, score in zip(self.boxes.tolist(), self.scores.tolist()):
+            yield Detection(self.patch_id, tuple(box), score)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_PatchRows, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -204,49 +287,64 @@ def load_detections(
     path: str | Path,
     score_floor: float | None = None,
     ps_r: int | None = None,
-) -> dict[str, list[Detection]]:
+) -> PatchDetections:
     """Read a detection record file, grouped by patch id.
 
-    Records are invariant-checked; a bad record fails the load with its line
-    number. score_floor optionally drops records scoring below it, for model
-    outputs that were not thresholded upstream. When ps_r is given,
-    coordinates beyond it are rejected too.
+    Records are invariant-checked; the first bad record fails the load with
+    its line number. score_floor optionally drops records scoring below it,
+    for model outputs that were not thresholded upstream. When ps_r is
+    given, coordinates beyond it are rejected too.
     """
     path = Path(path)
     if not path.exists():
         raise DetectionError(f"detections file not found: {path}")
-    grouped: dict[str, list[Detection]] = {}
+    linenos, ids, values = [], [], []
+    parse_error = None
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
         if len(parts) != 6:
-            raise DetectionError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        patch_id = parts[0].strip()
+            parse_error = DetectionError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+            break
         try:
-            x1, y1, x2, y2, score = (float(p) for p in parts[1:])
+            values.append([float(p) for p in parts[1:]])
         except ValueError as exc:
-            raise DetectionError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-        try:
-            det = Detection(patch_id=patch_id, box=(x1, y1, x2, y2), score=score)
-        except DetectionError as exc:
-            raise DetectionError(f"{path}:{lineno}: {exc}") from exc
-        if ps_r is not None and (x2 > ps_r or y2 > ps_r):
-            raise DetectionError(f"{path}:{lineno}: box exceeds patch side {ps_r}")
-        if score_floor is not None and score < score_floor:
-            continue
-        grouped.setdefault(patch_id, []).append(det)
-    return grouped
+            parse_error = DetectionError(f"{path}:{lineno}: non-numeric field ({exc})")
+            break
+        linenos.append(lineno)
+        ids.append(parts[0].strip())
+    rows = np.array(values, dtype=np.float64).reshape(-1, 5)
+    x1, y1, x2, y2, score = rows.T
+    # the Detection invariants and the patch-side bound, record by record;
+    # the first record failing either raises, ahead of a later parse error
+    bad_box = ~((x1 < x2) & (y1 < y2)) | (x1 < 0) | (y1 < 0) | ~((score >= 0.0) & (score <= 1.0))
+    too_big = (x2 > ps_r) | (y2 > ps_r) if ps_r is not None else np.zeros_like(bad_box)
+    bad = np.flatnonzero(bad_box | too_big)
+    if bad.size:
+        r = int(bad[0])
+        if bad_box[r]:
+            try:
+                Detection(patch_id=ids[r], box=tuple(rows[r, :4].tolist()), score=rows[r, 4])
+            except DetectionError as exc:
+                raise DetectionError(f"{path}:{linenos[r]}: {exc}") from exc
+        raise DetectionError(f"{path}:{linenos[r]}: box exceeds patch side {ps_r}")
+    if parse_error is not None:
+        raise parse_error
+    keep = np.flatnonzero(~(score < score_floor)) if score_floor is not None else np.arange(len(ids))
+    return PatchDetections([ids[i] for i in keep.tolist()], rows[keep, :4], score[keep])
 
 
-def save_detections(per_patch: dict[str, list[Detection]], path: str | Path) -> None:
+def save_detections(per_patch: Mapping[str, Sequence[Detection]], path: str | Path) -> None:
     """Write detections in the record wire format, patches in sorted order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for patch_id in sorted(per_patch):
-        for d in per_patch[patch_id]:
-            x1, y1, x2, y2 = d.box
-            lines.append(f"{patch_id},{x1!r},{y1!r},{x2!r},{y2!r},{d.score!r}")
+    cols = PatchDetections.of(per_patch)
+    lines = [
+        f"{patch_id},{x1!r},{y1!r},{x2!r},{y2!r},{score!r}"
+        for patch_id, (x1, y1, x2, y2), score in zip(
+            cols.patch_ids.tolist(), cols.boxes.tolist(), cols.scores.tolist()
+        )
+    ]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))

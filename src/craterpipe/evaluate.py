@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detector import Detection
+from .detector import Detection, PatchDetections
 from .errors import EvalError
 from .geo import GeoTransform
 from .postprocess import (
@@ -251,7 +251,7 @@ def localization_stats(
 
 
 def grid_search(
-    per_patch: Mapping[str, list[Detection]],
+    per_patch: Mapping[str, Sequence[Detection]],
     patch_index: Mapping[str, tuple[int, int, float]],
     gt: GeoTransform,
     truth_boxes: np.ndarray,
@@ -264,10 +264,10 @@ def grid_search(
     """Joint sweep of the boundary threshold and the NMS threshold.
 
     Every (m, delta) cell, plus an NMS-disabled column per m when
-    include_no_nms is set, runs the full post-processing pipeline and is
-    scored against the truth. The best cell maximizes F1; ties prefer larger
-    m, then smaller delta, with the disabled column ranked after any real
-    delta.
+    include_no_nms is set, runs the full post-processing pipeline on the
+    columns of per_patch, made once, and is scored against the truth. The
+    best cell maximizes F1; ties prefer larger m, then smaller delta, with
+    the disabled column ranked after any real delta.
     """
     if not m_set:
         raise EvalError("grid search needs a non-empty m set")
@@ -275,6 +275,7 @@ def grid_search(
         raise EvalError("grid search needs a non-empty delta set")
 
     deltas: list[float | None] = list(delta_set) + ([None] if include_no_nms else [])
+    per_patch = PatchDetections.of(per_patch)
     cells = []
     for m in m_set:
         bcfg = BoundaryFilterConfig(int(m))

@@ -4,9 +4,19 @@ box-overlap primitive that NMS and evaluation share.
 Overlapping tiling means one crater can be detected in several patches and
 partially at patch edges. The fix happens in a fixed order: drop boxes
 hugging their patch boundary, map the rest to mosaic meters, then greedily
-deduplicate by IOU. The boundary filter and globalization are per patch and
-parallelize freely; NMS is a single sequential pass because its greedy
+deduplicate by IOU. NMS is a single sequential pass because its greedy
 order is part of the semantics.
+
+run_pipeline works on columns throughout. Its input is a
+detector.PatchDetections (pixel boxes, scores and patch ids, grouped in
+sorted patch id order); a plain patch id -> list of Detection mapping is
+converted to one first. The boundary filter is one mask over the pixel
+boxes, globalization looks each patch up once and maps whole columns, and
+the result is a DetectionSet.
+
+overlap_pairs(a, b) finds the overlapping pairs of two box sets; NMS uses
+its self-join form overlap_pairs(b), which gives each overlapping pair of
+distinct boxes once, as i < j.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import Detection
+from .detector import Detection, PatchDetections
 from .errors import DetectionError, PipelineError
 from .geo import GeoTransform, meter_to_lonlat, pixel_to_meter_xy
 
@@ -163,9 +173,10 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + counts, counts)
 
 
-def _candidates(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _candidates(a: np.ndarray, b: np.ndarray, one_way: bool) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) that include every pair of a- and b-boxes that
-    intersect with positive area, plus some that do not."""
+    intersect with positive area, plus some that do not. one_way means b is
+    a: then each pair of distinct boxes comes once, as i < j."""
     # b is split into size classes: every side of a class-k box is below
     # C = 2**k, which is also the class's band height. k stays at most 52
     # below the exponent of the largest coordinate, so y / C stays finite
@@ -173,7 +184,6 @@ def _candidates(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k_floor = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]) - 52
     side = np.maximum(b[:, 2] - b[:, 0], b[:, 3] - b[:, 1])
     k = np.maximum(np.frexp(side)[1], k_floor)
-    rows_a = np.arange(a.shape[0])
     out_i, out_j = [], []
     for kc in np.unique(k).tolist():
         c = np.ldexp(1.0, kc)
@@ -189,24 +199,35 @@ def _candidates(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xs = np.sort(x1)
         stride = members.size + 1
         key = band_no * stride + np.searchsorted(xs, x1)
-        # A class box meeting a[i] has y1 in (a_y1 - C, a_y2) and x1 in
-        # (a_x1 - C, a_x2). The lower ends are rounded down so that no such
+        # Every box of a queries the class. In a self-join only boxes of
+        # class >= k do, so a pair from two classes is found once, from its
+        # larger box. The window below holds for a query box of any size.
+        rows_a = np.flatnonzero(k >= kc) if one_way else np.arange(a.shape[0])
+        q = a[rows_a]
+        # A class box meeting q has y1 in (q_y1 - C, q_y2) and x1 in
+        # (q_x1 - C, q_x2). The lower ends are rounded down so that no such
         # box falls outside the window.
-        y_lo = np.floor(np.nextafter(a[:, 1] - c, -np.inf) / c)
+        y_lo = np.floor(np.nextafter(q[:, 1] - c, -np.inf) / c)
         band_lo = np.searchsorted(bands, y_lo)
-        n_bands = np.maximum(np.searchsorted(bands, np.floor(a[:, 3] / c), side="right") - band_lo, 0)
-        q_a = np.repeat(rows_a, n_bands)
+        n_bands = np.maximum(np.searchsorted(bands, np.floor(q[:, 3] / c), side="right") - band_lo, 0)
         q_band = _ranges(band_lo, n_bands)
-        x_lo = np.searchsorted(xs, np.nextafter(a[:, 0] - c, -np.inf))[q_a]
-        x_hi = np.searchsorted(xs, a[:, 2])[q_a]
+        x_lo = np.repeat(np.searchsorted(xs, np.nextafter(q[:, 0] - c, -np.inf)), n_bands)
+        x_hi = np.repeat(np.searchsorted(xs, q[:, 2]), n_bands)
         start = np.searchsorted(key, q_band * stride + x_lo)
         count = np.maximum(np.searchsorted(key, q_band * stride + x_hi) - start, 0)
-        out_i.append(np.repeat(q_a, count))
-        out_j.append(members[_ranges(start, count)])
+        i = np.repeat(np.repeat(rows_a, n_bands), count)
+        j = members[_ranges(start, count)]
+        if one_way:
+            # a pair within the class is found from both ends, and every
+            # box finds itself
+            once = (k[i] > kc) | (i < j)
+            i, j = np.minimum(i[once], j[once]), np.maximum(i[once], j[once])
+        out_i.append(i)
+        out_j.append(j)
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def overlap_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def overlap_pairs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs of boxes a[i], b[j] that intersect with positive area, and their IOU.
 
     a is (N, 4) and b (M, 4), rows (x1, y1, x2, y2). Returns index arrays i
@@ -216,21 +237,27 @@ def overlap_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     reproduces that matrix bit for bit. Boxes that only touch share no area
     and form no pair.
 
+    With b omitted, a is joined with itself: each overlapping pair of
+    distinct boxes comes once, as i < j, and the scatter reproduces the
+    strict upper triangle of iou_matrix(a, a). The IOU of a pair does not
+    depend on its orientation, since +, min and max commute.
+
     Sort and sweep: b is split by size class and bucketed into y-bands, and
     each box of a searches the bands it can reach with searchsorted windows
     on x1. Time and memory grow with N + M and the pairs found, not N x M.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    one_way = b is None
+    b = a if one_way else np.asarray(b, dtype=np.float64).reshape(-1, 4)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    i, j = _candidates(a, b)
+    i, j = _candidates(a, b, one_way)
     iw = np.minimum(a[i, 2], b[j, 2]) - np.maximum(a[i, 0], b[j, 0])
     ih = np.minimum(a[i, 3], b[j, 3]) - np.maximum(a[i, 1], b[j, 1])
     hit = (iw > 0.0) & (ih > 0.0)
     i, j, inter = i[hit], j[hit], iw[hit] * ih[hit]
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    area_b = area_a if one_way else (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     return i, j, inter / (area_a[i] + area_b[j] - inter)
 
 
@@ -244,18 +271,22 @@ def _inside(pixel_boxes: np.ndarray, ps_r: int, m: int) -> np.ndarray:
 
 
 def _globalize(
-    dets: Sequence[Detection],
+    keys: Sequence[str],
+    codes: np.ndarray,
     pixel_boxes: np.ndarray,
+    scores: np.ndarray,
     patch_index: Mapping[str, tuple[int, int, float]],
     gt: GeoTransform,
 ) -> DetectionSet:
-    """Columns of the detections mapped to mosaic meters (see globalize)."""
-    patch_ids = [d.patch_id for d in dets]
-    try:
-        offsets = np.array([patch_index[p] for p in patch_ids], dtype=np.float64).reshape(-1, 3)
-    except KeyError as exc:
-        raise DetectionError(f"unknown patch id {exc.args[0]!r} in detections") from None
-    row0, col0, delta_f = offsets.T
+    """Columns of the detections mapped to mosaic meters (see globalize).
+    Row r lies in patch keys[codes[r]]; each patch is looked up once."""
+    keys = np.asarray(keys, dtype=object).reshape(-1)
+    unknown = np.array([k not in patch_index for k in keys], dtype=bool)[codes]
+    if unknown.any():
+        raise DetectionError(f"unknown patch id {keys[codes[unknown.argmax()]]!r} in detections")
+    # a patch whose rows were all dropped may be missing from the index
+    offsets = np.array([patch_index.get(k, (0, 0, 1.0)) for k in keys], dtype=np.float64).reshape(-1, 3)
+    row0, col0, delta_f = offsets[codes].T
     px1, py1, px2, py2 = pixel_boxes.T
     x1, y_top = pixel_to_meter_xy(px1, py1, gt, row0, col0, delta_f)
     x2, y_bot = pixel_to_meter_xy(px2, py2, gt, row0, col0, delta_f)
@@ -263,7 +294,7 @@ def _globalize(
     bad = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
     if bad.any():
         raise PipelineError(f"degenerate global box {tuple(boxes[bad.argmax()].tolist())}")
-    return DetectionSet(boxes, [d.score for d in dets], patch_ids, pixel_boxes)
+    return DetectionSet(boxes, scores, keys[codes], pixel_boxes)
 
 
 def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray:
@@ -275,20 +306,21 @@ def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray
         return order[:1]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    i, j, v = overlap_pairs(boxes, boxes)
-    ri, rj = rank[i], rank[j]
-    edge = (rj > ri) & (v >= delta)
-    ri, rj = ri[edge], rj[edge]
-    by_head = np.argsort(ri, kind="stable")
-    ri, rj = ri[by_head], rj[by_head]
-    heads, starts = np.unique(ri, return_index=True)
-    ends = np.append(starts[1:], ri.size)
+    i, j, v = overlap_pairs(boxes)
+    edge = v >= delta
+    ri, rj = rank[i[edge]], rank[j[edge]]
+    # Each pair comes once; its edge runs from the earlier-ranked box.
+    head, tail = np.minimum(ri, rj), np.maximum(ri, rj)
+    by_head = np.argsort(head, kind="stable")
+    head, tail = head[by_head], tail[by_head]
+    heads, starts = np.unique(head, return_index=True)
+    ends = np.append(starts[1:], head.size)
     # Each box still standing suppresses its later-ranked neighbours, in rank
     # order; a box without later neighbours suppresses nothing.
     suppressed = np.zeros(n, dtype=bool)
-    for head, lo, hi in zip(heads.tolist(), starts.tolist(), ends.tolist()):
-        if not suppressed[head]:
-            suppressed[rj[lo:hi]] = True
+    for h, lo, hi in zip(heads.tolist(), starts.tolist(), ends.tolist()):
+        if not suppressed[h]:
+            suppressed[tail[lo:hi]] = True
     return order[~suppressed]
 
 
@@ -314,10 +346,12 @@ def globalize(
 
     patch_index maps patch_id -> (row0, col0, delta_f). Northing decreases
     with pixel row, so y corners swap; output boxes are re-normalized to
-    x1 < x2, y1 < y2. Count and scores are preserved.
+    x1 < x2, y1 < y2. Count, order and scores are preserved.
     """
     dets = list(dets)
-    return list(_globalize(dets, _pixel_boxes(dets), patch_index, gt))
+    keys, codes = np.unique(np.array([d.patch_id for d in dets], dtype=object), return_inverse=True)
+    scores = [d.score for d in dets]
+    return list(_globalize(keys, codes, _pixel_boxes(dets), scores, patch_index, gt))
 
 
 def nms(dets: Sequence[GlobalDetection], cfg: NmsConfig) -> Sequence[GlobalDetection]:
@@ -336,7 +370,7 @@ def nms(dets: Sequence[GlobalDetection], cfg: NmsConfig) -> Sequence[GlobalDetec
 
 
 def run_pipeline(
-    per_patch: Mapping[str, list[Detection]],
+    per_patch: Mapping[str, Sequence[Detection]],
     patch_index: Mapping[str, tuple[int, int, float]],
     gt: GeoTransform,
     ps_r: int,
@@ -345,13 +379,14 @@ def run_pipeline(
 ) -> DetectionSet:
     """Boundary filter per patch, then globalize, then NMS, in that order.
 
-    Patches are visited in sorted id order so the merged set (and therefore
-    NMS tie-breaking) never depends on mapping order.
+    per_patch is a PatchDetections, or any patch id -> detections mapping,
+    which is converted to one. Its rows are merged in sorted patch id order,
+    so the merged set (and therefore NMS tie-breaking) never depends on
+    mapping order. Every stage works on the columns.
     """
-    raw = [d for patch_id in sorted(per_patch) for d in per_patch[patch_id]]
-    pixel_boxes = _pixel_boxes(raw)
-    keep = np.flatnonzero(_inside(pixel_boxes, ps_r, bcfg.m))
-    merged = _globalize(_select(raw, keep), pixel_boxes[keep], patch_index, gt)
+    raw = PatchDetections.of(per_patch)
+    keep = np.flatnonzero(_inside(raw.boxes, ps_r, bcfg.m))
+    merged = _globalize(raw.patches, raw.codes[keep], raw.boxes[keep], raw.scores[keep], patch_index, gt)
     return nms(merged, ncfg)
 
 

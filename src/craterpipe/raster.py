@@ -47,7 +47,7 @@ __all__ = [
     "compute_slope",
     "slope_extent",
     "check_co_registered",
-    "rescale_to_byte",
+    "check_nan_marked",
     "tile",
     "replicate_single_band",
     "patch_grid",
@@ -291,6 +291,20 @@ def save_raster(grid: RasterGrid, path: str | Path, dtype: str = "float32") -> N
 # grid operations
 
 
+def check_nan_marked(grid: RasterGrid, path: str | Path) -> None:
+    """Fail, naming path, when grid holds NaN cells that its nodata sentinel
+    does not mark. Such cells turn every value derived from them into NaN."""
+    if not np.issubdtype(grid.values.dtype, np.floating):
+        return
+    stray = int(np.count_nonzero(np.isnan(grid.values) & grid.valid_mask()))
+    if stray:
+        sentinel = "none" if grid.nodata is None else repr(grid.nodata)
+        raise RasterError(
+            f"{path}: {grid.band_kind} holds NaN cells that its nodata sentinel ({sentinel}) does not "
+            f"mark ({stray} of {grid.values.size}); declare nodata = nan in its header"
+        )
+
+
 def resampled_extent(grid: RasterGrid, target_resolution: float) -> GridExtent:
     """The extent resample(grid, target_resolution) returns, with its checks,
     without building values. Sizes round up so the output covers the input."""
@@ -432,25 +446,6 @@ def _byte_scale(
     scaled = np.clip(np.rint(255.0 * (v - vmin) / (vmax - vmin)), 0, 255)
     out[valid] = scaled[valid].astype(np.uint8)
     return out
-
-
-def rescale_to_byte(grid: RasterGrid) -> RasterGrid:
-    """Map a grid linearly onto [0, 255]; nodata cells map to 0.
-
-    A constant grid maps to all zeros: a flat window carries no contrast, and
-    this keeps the operation total. The result is monotone in the input.
-    """
-    valid = grid.valid_mask()
-    if not valid.any():
-        raise RasterError("cannot rescale a grid with no valid cells")
-    return RasterGrid(
-        width=grid.width,
-        height=grid.height,
-        band_kind=grid.band_kind,
-        values=_byte_scale(grid.values, valid),
-        geotransform=grid.geotransform,
-        nodata=None,
-    )
 
 
 def _axis_offsets(size: int, ps_a: int, stride: int) -> list[int]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from .config import CatalogConfig, PipelineConfig, write_manifest
-from .detector import Detection, DetectorInterface, SyntheticDetector, load_detections, save_detections
+from .detector import DetectorInterface, PatchDetections, SyntheticDetector, load_detections, save_detections
 from .errors import ConfigError, RasterError
 from .evaluate import (
     EvalConfig,
@@ -56,6 +56,7 @@ from .raster import (
     PatchSpec,
     RasterGrid,
     check_co_registered,
+    check_nan_marked,
     compute_slope,
     load_raster,
     patch_placements,
@@ -117,9 +118,11 @@ def load_stack(
 
     Elevation is resampled onto the intensity resolution when they differ;
     slope is derived from elevation when not supplied. In single-band mode
-    only that raster is loaded. With pixels=False a resampled elevation and
-    a derived slope come back as the GridExtent they would have: the stack
-    passes the same checks in the same order, and no values are built.
+    only that raster is loaded. With pixels, an elevation holding NaN cells
+    that its nodata sentinel does not mark is rejected. With pixels=False a
+    resampled elevation and a derived slope come back as the GridExtent they
+    would have: the stack passes the same checks in the same order, and no
+    values are built.
     """
     if cfg.single_band_path is not None:
         band = load_raster(cfg.resolve(cfg.single_band_path))
@@ -127,6 +130,8 @@ def load_stack(
 
     intensity = load_raster(cfg.resolve(cfg.intensity_path))
     elevation = load_raster(cfg.resolve(cfg.elevation_path))
+    if pixels:
+        check_nan_marked(elevation, cfg.resolve(cfg.elevation_path))
     res = intensity.geotransform.resolution
     if elevation.geotransform.resolution != res:
         elevation = resample(elevation, res) if pixels else resampled_extent(elevation, res)
@@ -167,17 +172,18 @@ def _band_placements(band, stack) -> list[PatchPlacement]:
 
 def detect_patches(
     patches: list[PatchPlacement] | list[FusedPatch], detector: DetectorInterface, workers: int
-) -> dict[str, list[Detection]]:
+) -> PatchDetections:
     """Run the detector over patches on a thread pool.
 
-    Results are keyed and later merged by patch id, so completion order is
-    irrelevant to the output.
+    Results are keyed and merged by patch id into one set of columns, so
+    completion order is irrelevant to the output.
     """
     if workers <= 1:
-        return {p.patch_id: detector.detect(p) for p in patches}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(detector.detect, patches))
-    return {p.patch_id: dets for p, dets in zip(patches, results)}
+        results = [detector.detect(p) for p in patches]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(detector.detect, patches))
+    return PatchDetections.of({p.patch_id: dets for p, dets in zip(patches, results)})
 
 
 def _load_truth(cfg: PipelineConfig, cat_cfg: CatalogConfig) -> catalog_mod.Catalog:
@@ -191,7 +197,7 @@ def _load_truth(cfg: PipelineConfig, cat_cfg: CatalogConfig) -> catalog_mod.Cata
 
 def _band_detections(
     cfg: PipelineConfig, band, stack, truth: catalog_mod.Catalog, gt: GeoTransform
-) -> tuple[int, dict[str, tuple[int, int, float]], dict[str, list[Detection]]]:
+) -> tuple[int, dict[str, tuple[int, int, float]], PatchDetections]:
     """Place one band's patches and produce its raw detections.
 
     Returns the patch count, the patch index (patch id -> row0, col0,
@@ -229,7 +235,7 @@ def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[Detecti
         all_survivors.append(survivors)
         info[band.name] = {
             "n_patches": n_patches,
-            "n_raw": sum(len(v) for v in per_patch.values()),
+            "n_raw": len(per_patch.scores),
             "n_survivors": len(survivors),
         }
     return DetectionSet.concat(all_survivors), info

@@ -72,3 +72,34 @@ def test_traced_counters_take_the_length_of_detection_sets(tmp_path, monkeypatch
     assert 0 < counts["postprocess.after_nms"] <= counts["postprocess.after_boundary"] <= counts["postprocess.in"]
     # match, localization and cross-verification each count detections x truth
     assert counts["evaluate.iou_cells"] > 0
+
+
+def test_traced_counts_equal_the_raw_detections(tmp_path, monkeypatch):
+    """The counters sum len() over the values of the per-patch mapping that
+    detect_patches and load_detections return and run_pipeline takes; each
+    sum must be the number of raw detections, read here from the files."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts)
+    config = write_scene(tmp_path, plant_craters(6), noise={"false_positive_rate": 3.0, "center_jitter_px": 1.0})
+    assert main(["detect", "--config", str(config)]) == 0
+    records = (tmp_path / "out" / "detections_patch.csv").read_text().splitlines()
+    assert counts["detector.raw_dets"] == len(records) > 0
+
+    counts.clear()
+    assert main(["gridsearch", "--config", str(config)]) == 0
+    assert counts["detector.raw_dets"] == len(records)
+    assert counts["postprocess.in"] == 24 * len(records)
+
+    # the same records read back as an external model's output, a score floor dropping some
+    records_path = tmp_path / "records.csv"
+    records_path.write_text("\n".join(records) + "\n")
+    cfg = json.loads(config.read_text())
+    cfg["detector"] = {"kind": "external", "path": "records.csv", "score_floor": 0.8}
+    config.write_text(json.dumps(cfg))
+    kept = sum(float(r.rsplit(",", 1)[1]) >= 0.8 for r in records)
+    assert 0 < kept < len(records)
+    counts.clear()
+    assert main(["run", "--config", str(config)]) == 0
+    assert counts["detector.records"] == len(records)
+    assert counts["detector.records"] - counts["detector.floor_dropped"] == kept
+    assert counts["postprocess.in"] == kept

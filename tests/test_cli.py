@@ -51,6 +51,37 @@ def test_cmd_slope_missing_input_names_path(tmp_path, capsys):
     assert "ghost.bin" in capsys.readouterr().err
 
 
+def _dem_with_stray_nan(path, n=16):
+    """A DEM with one NaN cell and no nodata sentinel to mark it."""
+    dem = planar_dem(n, gx=0.5)
+    values = dem.values.copy()
+    values[7, 9] = np.nan
+    save_raster(RasterGrid(n, n, "elevation", values, dem.geotransform), path, dtype="float32")
+
+
+def test_cmd_slope_rejects_nan_the_sentinel_does_not_mark(tmp_path, capsys):
+    _dem_with_stray_nan(tmp_path / "dem.bin")
+    capsys.readouterr()
+    assert main(["slope", str(tmp_path / "dem.bin"), str(tmp_path / "s.bin")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'dem.bin'}: elevation holds NaN cells that its nodata sentinel (none) does not mark" in err, err
+    assert not (tmp_path / "s.bin").exists()
+
+
+def test_cmd_tile_rejects_nan_the_sentinel_does_not_mark(tmp_path, capsys):
+    config = write_scene(
+        tmp_path, plant_craters(2), extra_config={"verify_catalog": {"path": "truth.csv", "schema": "generic"}}
+    )
+    _dem_with_stray_nan(tmp_path / "dem.bin", n=512)
+    capsys.readouterr()
+    assert main(["tile", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'dem.bin'}: elevation holds NaN cells that its nodata sentinel (none) does not mark" in err, err
+    # the commands that read no DEM values are unaffected
+    for command in (["run"], ["detect"], ["gridsearch"], ["crossmatch"], ["tile", "--no-export-images"]):
+        assert main(command + ["--config", str(config)]) == 0, command
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

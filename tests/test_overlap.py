@@ -53,11 +53,24 @@ def assert_scatter_equals_dense(a, b):
     assert scattered.tobytes() == dense.tobytes()  # bit for bit
 
 
+def assert_self_join_equals_upper_triangle(b):
+    i, j, v = overlap_pairs(b)
+    assert np.all(i < j)  # each pair once, oriented i < j, no box with itself
+    assert len(set(zip(i.tolist(), j.tolist()))) == i.size
+    assert np.all(v > 0.0)
+    scattered = np.zeros((b.shape[0], b.shape[0]))
+    scattered[i, j] = v
+    dense = iou_matrix(b, b)
+    assert scattered.tobytes() == np.triu(dense, 1).tobytes()  # bit for bit
+
+
 @settings(max_examples=150, deadline=None)
 @given(lattice_boxes(), lattice_boxes())
 def test_overlap_pairs_equal_dense_on_lattice_boxes(a, b):
     assert_scatter_equals_dense(a, b)
     assert_scatter_equals_dense(a, a)
+    assert_self_join_equals_upper_triangle(a)
+    assert_self_join_equals_upper_triangle(np.vstack([a, b, a]))  # every box of a twice
 
 
 @settings(max_examples=150, deadline=None)
@@ -65,6 +78,7 @@ def test_overlap_pairs_equal_dense_on_lattice_boxes(a, b):
 def test_overlap_pairs_equal_dense_on_heavy_tailed_boxes(a, b):
     assert_scatter_equals_dense(a, b)
     assert_scatter_equals_dense(np.vstack([a, b]), b)
+    assert_self_join_equals_upper_triangle(np.vstack([a, b]))
 
 
 def test_overlap_pairs_empty_inputs():
@@ -72,6 +86,23 @@ def test_overlap_pairs_empty_inputs():
     for a, b in ((np.zeros((0, 4)), box), (box, np.zeros((0, 4))), ([], [])):
         i, j, v = overlap_pairs(a, b)
         assert i.size == j.size == v.size == 0
+    for a in (np.zeros((0, 4)), [], box):  # a self-join of no box or of one box
+        i, j, v = overlap_pairs(a)
+        assert i.size == j.size == v.size == 0
+
+
+def test_self_join_identical_nested_and_touching():
+    boxes = np.array(
+        [
+            [0.0, 0.0, 10.0, 10.0],
+            [0.0, 0.0, 10.0, 10.0],  # identical to 0
+            [2.0, 2.0, 4.0, 4.0],  # nested in 0 and 1, a smaller size class
+            [10.0, 0.0, 20.0, 10.0],  # shares an edge with 0 and 1
+            [10.0, 10.0, 20.0, 20.0],  # shares an edge with 3, a corner with 0 and 1
+        ]
+    )
+    i, j, v = overlap_pairs(boxes)
+    assert dict(zip(zip(i.tolist(), j.tolist()), v.tolist())) == {(0, 1): 1.0, (0, 2): 0.04, (1, 2): 0.04}
 
 
 def test_overlap_pairs_identical_nested_and_touching():
@@ -96,6 +127,7 @@ def test_overlap_pairs_huge_box_over_tiny_ones():
     huge = np.array([[-1.0, -1.0, 2e6, 2e6]])
     assert_scatter_equals_dense(huge, tiny)
     assert_scatter_equals_dense(tiny, huge)
+    assert_self_join_equals_upper_triangle(np.vstack([tiny[:5], huge, tiny[5:]]))
 
 
 SCORES = st.sampled_from([0.1, 0.5, 0.5, 0.9])  # forced score ties

@@ -1,0 +1,178 @@
+"""Raw per-patch detections as columns: the mapping detect_patches and
+load_detections return, and the pipeline that runs on it."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from craterpipe import detector as detector_mod
+from craterpipe.detector import Detection, PatchDetections, load_detections, save_detections
+from craterpipe.errors import DetectionError
+from craterpipe.geo import GeoTransform
+from craterpipe.postprocess import (
+    BoundaryFilterConfig,
+    DetectionSet,
+    NmsConfig,
+    globalize,
+    nms,
+    remove_boundary,
+    run_pipeline,
+)
+
+from conftest import LUNAR_RADIUS
+
+GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
+PS_R = 64
+PATCH_IDS = ["r000000_c000000", "r000000_c000064", "r000064_c000000", "r000064_c000064", "r000128_c000000"]
+PATCH_INDEX = {p: (int(p[1:7]), int(p[9:]), 2.0) for p in PATCH_IDS}
+
+# pixel boxes on a coarse lattice so that boxes of neighbouring patches
+# coincide after globalization and score ties are common
+_corner = st.integers(0, 60)
+_side = st.integers(1, 24)
+_score = st.sampled_from([0.25, 0.5, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def per_patch_detections(draw):
+    """A patch id -> detections dict in unsorted insertion order, some
+    patches without rows."""
+    ids = draw(st.permutations(PATCH_IDS))[: draw(st.integers(0, len(PATCH_IDS)))]
+    out = {}
+    for patch_id in ids:
+        rows = draw(st.lists(st.tuples(_corner, _corner, _side, _side, _score), max_size=12))
+        out[patch_id] = [
+            Detection(patch_id, (x, y, min(x + w, PS_R), min(y + h, PS_R)), s) for x, y, w, h, s in rows
+        ]
+    return out
+
+
+def interleaved_columns(per_patch, data):
+    """The same rows built as columns from one flat list whose patches are
+    interleaved at random, each patch's rows kept in their order."""
+    queues = {p: list(dets) for p, dets in per_patch.items()}
+    owners = [p for p, dets in per_patch.items() for _ in dets]
+    flat = [queues[p].pop(0) for p in data.draw(st.permutations(owners))]
+    return PatchDetections(
+        [d.patch_id for d in flat], [d.box for d in flat], [d.score for d in flat], keys=per_patch
+    )
+
+
+def assert_same_set(got: DetectionSet, want: DetectionSet):
+    assert got.boxes.tobytes() == want.boxes.tobytes()
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert got.pixel_boxes.tobytes() == want.pixel_boxes.tobytes()
+    assert got.patch_ids.tolist() == want.patch_ids.tolist()
+
+
+@settings(max_examples=120, deadline=None)
+@given(per_patch_detections(), st.data(), st.sampled_from([0, 1, 5]), st.sampled_from([None, 0.0, 0.3, 1.0]))
+def test_pipeline_on_columns_equals_pipeline_on_lists(per_patch, data, m, delta):
+    columns = interleaved_columns(per_patch, data)
+    assert columns == per_patch
+    assert list(columns) == sorted(per_patch)
+    bcfg = BoundaryFilterConfig(m)
+    ncfg = NmsConfig(delta=delta or 0.0, enabled=delta is not None)
+    got = run_pipeline(columns, PATCH_INDEX, GT, PS_R, bcfg, ncfg)
+    assert_same_set(got, run_pipeline(per_patch, PATCH_INDEX, GT, PS_R, bcfg, ncfg))
+    # the list adapters, stage by stage, over the rows in sorted patch order
+    raw = [d for patch_id in sorted(per_patch) for d in per_patch[patch_id]]
+    staged = nms(DetectionSet.of(globalize(remove_boundary(raw, PS_R, bcfg), PATCH_INDEX, GT)), ncfg)
+    assert_same_set(got, staged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(per_patch_detections(), st.data())
+def test_save_detections_writes_the_same_bytes_from_both_forms(tmp_path_factory, per_patch, data):
+    tmp = tmp_path_factory.mktemp("save")
+    save_detections(per_patch, tmp / "lists.csv")
+    save_detections(interleaved_columns(per_patch, data), tmp / "columns.csv")
+    assert (tmp / "lists.csv").read_bytes() == (tmp / "columns.csv").read_bytes()
+    assert load_detections(tmp / "columns.csv") == {p: d for p, d in per_patch.items() if d}
+
+
+def test_values_have_a_len_that_builds_no_detection(monkeypatch):
+    columns = PatchDetections.of({"b": [Detection("b", (0, 0, 1, 1), 0.5)] * 3, "a": [], "c": []})
+
+    def refuse(self):
+        raise AssertionError("a Detection was built")
+
+    monkeypatch.setattr(detector_mod.Detection, "__post_init__", refuse)
+    assert [len(v) for v in columns.values()] == [0, 3, 0]
+    assert list(columns) == list(columns.keys()) == list(dict(columns)) == ["a", "b", "c"]
+
+
+def test_of_rejects_a_detection_listed_under_another_patch():
+    with pytest.raises(DetectionError, match="detection of patch 'q' listed under patch 'p'"):
+        PatchDetections.of({"p": [Detection("q", (0, 0, 1, 1), 0.5)]})
+
+
+def test_rows_read_back_as_detections():
+    dets = [Detection("p", (1.5, 2.0, 3.0, 4.0), 0.25), Detection("p", (0.0, 0.0, 9.0, 9.0), 1.0)]
+    rows = PatchDetections.of({"p": dets})["p"]
+    assert len(rows) == 2
+    assert rows[1] == dets[1]
+    assert list(rows) == dets and rows == dets
+
+
+# ---------------------------------------------------------------------------
+# load_detections: the first bad record fails the load with its line number
+
+
+GOOD = "pA,1.0,2.0,11.0,12.0,0.9"
+BAD_RECORDS = [
+    ("pA,1.0,2.0,11.0,12.0", "expected 6 fields, got 5"),
+    ("pA,1.0,2.0,11.0,12.0,0.9,7", "expected 6 fields, got 7"),
+    ("pA,1.0,two,11.0,12.0,0.9", "non-numeric field (could not convert string to float: 'two')"),
+    ("pA,9.0,2.0,3.0,12.0,0.9", "degenerate box (9.0, 2.0, 3.0, 12.0) in patch pA"),
+    ("pA,1.0,nan,3.0,12.0,0.9", "degenerate box (1.0, nan, 3.0, 12.0) in patch pA"),
+    ("pA,-1.0,2.0,3.0,12.0,0.9", "negative coordinates in box (-1.0, 2.0, 3.0, 12.0)"),
+    ("pA,1.0,2.0,3.0,12.0,1.5", "score 1.5 outside [0, 1]"),
+    ("pA,1.0,2.0,3.0,12.0,nan", "score nan outside [0, 1]"),
+    ("pA,1.0,2.0,600.0,12.0,0.9", "box exceeds patch side 512"),
+    ("pA,1.0,2.0,3.0,inf,0.9", "box exceeds patch side 512"),
+]
+
+
+@pytest.mark.parametrize("record, message", BAD_RECORDS, ids=[m for _, m in BAD_RECORDS])
+def test_bad_record_names_its_line(tmp_path, record, message):
+    path = tmp_path / "d.csv"
+    path.write_text(f"# model output\n{GOOD}\n\n{record}\n{GOOD}\n")
+    with pytest.raises(DetectionError) as err:
+        load_detections(path, score_floor=0.5, ps_r=512)
+    assert str(err.value) == f"{path}:4: {message}"
+
+
+@pytest.mark.parametrize("first, second", [(0, 3), (3, 0), (6, 8), (8, 6), (2, 4)])
+def test_the_first_bad_record_wins(tmp_path, first, second):
+    (rec_a, msg_a), (rec_b, _) = BAD_RECORDS[first], BAD_RECORDS[second]
+    path = tmp_path / "d.csv"
+    path.write_text(f"{GOOD}\n{rec_a}\n{GOOD}\n{rec_b}\n")
+    with pytest.raises(DetectionError) as err:
+        load_detections(path, ps_r=512)
+    assert str(err.value) == f"{path}:2: {msg_a}"
+
+
+def test_score_floor_drops_after_checking(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("pB,1.0,2.0,11.0,12.0,0.2\npA,1.0,2.0,11.0,12.0,0.9\npB,3.0,4.0,13.0,14.0,0.5\n")
+    loaded = load_detections(path, score_floor=0.5)
+    assert list(loaded) == ["pA", "pB"]
+    assert loaded["pB"] == [Detection("pB", (3.0, 4.0, 13.0, 14.0), 0.5)]
+    assert loaded.scores.tolist() == [0.9, 0.5]
+    path.write_text("pA,1.0,2.0,11.0,12.0,0.9\npB,9.0,2.0,3.0,12.0,0.2\n")  # bad and below the floor
+    with pytest.raises(DetectionError, match=":2: degenerate box"):
+        load_detections(path, score_floor=0.5)
+
+
+def test_unknown_patch_error_names_the_first_row():
+    a, z = Detection("a", (1, 1, 9, 9), 0.5), Detection("z", (1, 1, 9, 9), 0.5)
+    known = Detection(PATCH_IDS[0], (1, 1, 9, 9), 0.5)
+    with pytest.raises(DetectionError, match="unknown patch id 'z'"):
+        globalize([known, z, a], PATCH_INDEX, GT)
+    with pytest.raises(DetectionError, match="unknown patch id 'a'"):  # rows merge in sorted patch order
+        run_pipeline({"z": [z], "a": [a]}, PATCH_INDEX, GT, PS_R, BoundaryFilterConfig(0), NmsConfig(0.3))
+    # a patch whose rows the boundary filter dropped is never looked up
+    edge = Detection("a", (0, 0, 9, 9), 0.5)
+    out = run_pipeline({"a": [edge], PATCH_IDS[0]: [known]}, PATCH_INDEX, GT, PS_R, BoundaryFilterConfig(0), NmsConfig(0.3))
+    assert out.patch_ids.tolist() == [PATCH_IDS[0]]
