@@ -28,9 +28,7 @@ from .postprocess import (
     DetectionSet,
     GlobalDetection,
     NmsConfig,
-    globalize,
     nms,
-    remove_boundary,
     run_pipeline,
 )
 from .raster import (

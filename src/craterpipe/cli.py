@@ -2,7 +2,7 @@
 
 Subcommands wrap the runner stages; a JSON config file is the single source
 of truth and flags override individual fields. Exit codes: 0 success,
-1 usage error, 2 data error.
+1 usage error, 2 data or file error.
 """
 
 from __future__ import annotations
@@ -147,6 +147,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         click.echo(f"error: missing file: {exc}", err=True)
+        return 2
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
         return 2
     return 0
 

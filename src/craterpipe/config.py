@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .detector import NoiseConfig
@@ -170,7 +170,20 @@ def load_config(path: str | Path) -> PipelineConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    try:
+        cfg = _config_from(raw, path.parent)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed value ({exc})") from exc
+    cfg.validate()
+    return cfg
 
+
+def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
+    """The config a parsed JSON object describes; paths stay relative to base_dir."""
     seed = int(raw.get("seed", 0))
     rasters = raw.get("rasters", {})
 
@@ -210,7 +223,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     eval_raw = raw.get("eval", {})
     grid_raw = raw.get("grid", {})
 
-    cfg = PipelineConfig(
+    return PipelineConfig(
         seed=seed,
         workers=int(raw.get("workers", 1)),
         out_dir=raw.get("out_dir", "out"),
@@ -237,10 +250,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             delta_set=tuple(float(v) for v in grid_raw.get("delta_set", (0.1, 0.2, 0.3, 0.4, 0.5))),
             include_no_nms=bool(grid_raw.get("include_no_nms", True)),
         ),
-        base_dir=str(path.parent),
+        base_dir=str(base_dir),
     )
-    cfg.validate()
-    return cfg
 
 
 def apply_overrides(
@@ -255,8 +266,6 @@ def apply_overrides(
     out: str | None = None,
 ) -> PipelineConfig:
     """Return a config with individual fields replaced by CLI flags."""
-    from dataclasses import replace
-
     new = cfg
     if seed is not None:
         new = replace(new, seed=seed)

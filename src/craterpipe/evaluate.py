@@ -8,6 +8,10 @@ assignment is attempted; with NMS applied upstream, multiple detections
 matching one truth box are rare, and the raw (possibly negative) FN is kept
 alongside the clamped value so the effect stays visible.
 
+Detections arrive as a postprocess.DetectionSet (a list of GlobalDetection
+is converted to one), and each detection's best IOU comes from the sparse
+postprocess.overlap_pairs, never from a dense N x M matrix.
+
 Everything here is pure; grid-search cells are independent.
 """
 
@@ -28,7 +32,6 @@ from .postprocess import (
     DetectionSet,
     GlobalDetection,
     NmsConfig,
-    _select,
     overlap_pairs,
     run_pipeline,
 )
@@ -41,7 +44,6 @@ __all__ = [
     "GridSearchResult",
     "CrossVerifyReport",
     "iou",
-    "iou_matrix",
     "metrics_from_counts",
     "match_and_count",
     "size_gate",
@@ -147,24 +149,6 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IOU between (N, 4) and (M, 4) box arrays.
-
-    Dense, so memory grows with N x M. The pipeline scores with
-    postprocess.overlap_pairs, which reproduces this matrix bit for bit.
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    if a.size == 0 or b.size == 0:
-        return np.zeros((a.shape[0], b.shape[0]))
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return inter / (area_a[:, None] + area_b[None, :] - inter)
-
-
 def metrics_from_counts(
     tp: int, fp: int, fn: int, u: float, n_detections: int, n_truth: int, fn_raw: int | None = None
 ) -> MetricsReport:
@@ -192,9 +176,9 @@ def metrics_from_counts(
     )
 
 
-def _max_ious(dets: Sequence[GlobalDetection] | np.ndarray, truth_boxes: np.ndarray) -> np.ndarray:
+def _max_ious(dets: Sequence[GlobalDetection], truth_boxes: np.ndarray) -> np.ndarray:
     """Each detection's best IOU against the truth boxes; 0 where none overlaps."""
-    det_boxes = dets.reshape(-1, 4) if isinstance(dets, np.ndarray) else DetectionSet.of(dets).boxes
+    det_boxes = DetectionSet.of(dets).boxes
     best = np.zeros(det_boxes.shape[0])
     i, _, v = overlap_pairs(det_boxes, truth_boxes)
     np.maximum.at(best, i, v)
@@ -202,35 +186,32 @@ def _max_ious(dets: Sequence[GlobalDetection] | np.ndarray, truth_boxes: np.ndar
 
 
 def match_and_count(
-    dets: Sequence[GlobalDetection] | np.ndarray,
+    dets: Sequence[GlobalDetection],
     truth_boxes: np.ndarray,
     cfg: EvalConfig,
 ) -> MetricsReport:
     """Count TP/FP/FN at threshold cfg.u. Apply size_gate first if needed."""
-    best = _max_ious(dets, np.asarray(truth_boxes, dtype=np.float64).reshape(-1, 4))
-    n = best.shape[0]
-    m = np.asarray(truth_boxes).reshape(-1, 4).shape[0]
+    best = _max_ious(dets, truth_boxes)
+    n, m = best.shape[0], np.asarray(truth_boxes).reshape(-1, 4).shape[0]
     tp = int((best >= cfg.u).sum())
-    fp = n - tp
-    fn_raw = m - tp
-    return metrics_from_counts(tp, fp, max(0, fn_raw), cfg.u, n, m, fn_raw=fn_raw)
+    return metrics_from_counts(tp, n - tp, max(0, m - tp), cfg.u, n, m, fn_raw=m - tp)
 
 
-def size_gate(dets: Sequence[GlobalDetection], cfg: EvalConfig) -> Sequence[GlobalDetection]:
+def size_gate(dets: Sequence[GlobalDetection], cfg: EvalConfig) -> DetectionSet:
     """Drop detections outside [size_floor_km, size_ceiling_km).
 
     The equivalent diameter of a box is the mean of its width and height in
-    kilometers. With no bounds configured every detection is kept. A
-    DetectionSet gives a DetectionSet, any other sequence a list.
+    kilometers. With no bounds configured every detection is kept.
     """
-    boxes = DetectionSet.of(dets).boxes
+    dets = DetectionSet.of(dets)
+    boxes = dets.boxes
     diam_km = ((boxes[:, 2] - boxes[:, 0]) + (boxes[:, 3] - boxes[:, 1])) / 2.0 / 1000.0
     keep = np.ones(diam_km.shape[0], dtype=bool)
     if cfg.size_floor_km is not None:
         keep &= diam_km >= cfg.size_floor_km
     if cfg.size_ceiling_km is not None:
         keep &= diam_km < cfg.size_ceiling_km
-    return _select(dets, np.flatnonzero(keep))
+    return dets.take(np.flatnonzero(keep))
 
 
 def localization_stats(
@@ -239,7 +220,7 @@ def localization_stats(
     cfg: EvalConfig,
 ) -> LocalizationReport:
     """Mean/std percentage IOU over detections counted as true positives."""
-    best = _max_ious(dets, np.asarray(truth_boxes, dtype=np.float64).reshape(-1, 4))
+    best = _max_ious(dets, truth_boxes)
     matched = best[best >= cfg.u] * 100.0
     if matched.size == 0:
         return LocalizationReport(mean_iou_pct=None, std_iou_pct=None, n_matched=0)
@@ -301,8 +282,8 @@ def cross_verify(
 ) -> CrossVerifyReport:
     """Classify detections as known (in A), confirmed new (only in B), or
     unverified (in neither), matching at IOU >= u."""
-    best_a = _max_ious(dets, np.asarray(catalog_a_boxes, dtype=np.float64).reshape(-1, 4))
-    best_b = _max_ious(dets, np.asarray(catalog_b_boxes, dtype=np.float64).reshape(-1, 4))
+    best_a = _max_ious(dets, catalog_a_boxes)
+    best_b = _max_ious(dets, catalog_b_boxes)
     known = best_a >= cfg.u
     confirmed = ~known & (best_b >= cfg.u)
     return CrossVerifyReport(
@@ -353,18 +334,8 @@ def write_gridsearch(result: GridSearchResult, path: str | Path) -> None:
         writer.writerow(["m", "delta", "tp", "fp", "fn", "precision", "recall", "f1"])
         for cell in result.cells:
             r = cell.report
-            writer.writerow(
-                [
-                    cell.m,
-                    "none" if cell.delta is None else repr(cell.delta),
-                    r.tp,
-                    r.fp,
-                    r.fn,
-                    repr(r.precision),
-                    repr(r.recall),
-                    repr(r.f1),
-                ]
-            )
+            delta = "none" if cell.delta is None else repr(cell.delta)
+            writer.writerow([cell.m, delta, r.tp, r.fp, r.fn, repr(r.precision), repr(r.recall), repr(r.f1)])
     best_delta = "none" if result.best_delta is None else repr(result.best_delta)
     Path(str(path) + ".best.txt").write_text(
         f"best_m = {result.best_m}\nbest_delta = {best_delta}\n"

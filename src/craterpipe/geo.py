@@ -44,9 +44,9 @@ class GeoTransform:
     body_radius: float
 
     def __post_init__(self) -> None:
-        if self.resolution <= 0:
+        if not self.resolution > 0:  # NaN fails too
             raise GeoError(f"resolution must be positive, got {self.resolution}")
-        if self.body_radius <= 0:
+        if not self.body_radius > 0:
             raise GeoError(f"body_radius must be positive, got {self.body_radius}")
 
 

@@ -7,12 +7,14 @@ hugging their patch boundary, map the rest to mosaic meters, then greedily
 deduplicate by IOU. NMS is a single sequential pass because its greedy
 order is part of the semantics.
 
-run_pipeline works on columns throughout. Its input is a
+A detection set is held as columns. run_pipeline takes a
 detector.PatchDetections (pixel boxes, scores and patch ids, grouped in
 sorted patch id order); a plain patch id -> list of Detection mapping is
 converted to one first. The boundary filter is one mask over the pixel
 boxes, globalization looks each patch up once and maps whole columns, and
-the result is a DetectionSet.
+the result is a DetectionSet, as is what load_global_detections reads
+back. Only nms also takes a list of GlobalDetection and then returns a
+list of the same objects.
 
 overlap_pairs(a, b) finds the overlapping pairs of two box sets; NMS uses
 its self-join form overlap_pairs(b), which gives each overlapping pair of
@@ -39,8 +41,6 @@ __all__ = [
     "GlobalDetection",
     "DetectionSet",
     "overlap_pairs",
-    "remove_boundary",
-    "globalize",
     "nms",
     "run_pipeline",
     "write_global_detections",
@@ -88,6 +88,9 @@ class GlobalDetection:
         x1, y1, x2, y2 = self.box
         if not (x1 < x2 and y1 < y2):
             raise PipelineError(f"degenerate global box {self.box}")
+
+
+_GLOBAL_HEADER = ["x1_m", "y1_m", "x2_m", "y2_m", "score", "patch_id", "px1", "py1", "px2", "py2"]
 
 
 class DetectionSet(Sequence):
@@ -158,14 +161,6 @@ class DetectionSet(Sequence):
     __hash__ = None
 
 
-def _select(dets: Sequence, idx: np.ndarray) -> Sequence:
-    """Rows idx of dets: a DetectionSet stays columnar, any other sequence
-    gives a list of its own objects."""
-    if isinstance(dets, DetectionSet):
-        return dets.take(idx)
-    return [dets[i] for i in idx.tolist()]
-
-
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """starts[q], starts[q] + 1, ..., starts[q] + counts[q] - 1 for every q, concatenated."""
     ends = np.cumsum(counts)
@@ -233,9 +228,9 @@ def overlap_pairs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a is (N, 4) and b (M, 4), rows (x1, y1, x2, y2). Returns index arrays i
     and j and the float64 IOU of each pair, in no particular order. IOU is
     inter / (area_a + area_b - inter) with the operations of the dense
-    evaluate.iou_matrix, so scattering the pairs into a zero N x M array
-    reproduces that matrix bit for bit. Boxes that only touch share no area
-    and form no pair.
+    reference iou_matrix in tests/reference.py, so scattering the pairs
+    into a zero N x M array reproduces that matrix bit for bit. Boxes that
+    only touch share no area and form no pair.
 
     With b omitted, a is joined with itself: each overlapping pair of
     distinct boxes comes once, as i < j, and the scatter reproduces the
@@ -261,10 +256,6 @@ def overlap_pairs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, inter / (area_a[i] + area_b[j] - inter)
 
 
-def _pixel_boxes(dets: Sequence[Detection]) -> np.ndarray:
-    return np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
-
-
 def _inside(pixel_boxes: np.ndarray, ps_r: int, m: int) -> np.ndarray:
     x1, y1, x2, y2 = pixel_boxes.T
     return np.minimum(np.minimum(x1, y1), np.minimum(ps_r - x2, ps_r - y2)) > m
@@ -278,8 +269,13 @@ def _globalize(
     patch_index: Mapping[str, tuple[int, int, float]],
     gt: GeoTransform,
 ) -> DetectionSet:
-    """Columns of the detections mapped to mosaic meters (see globalize).
-    Row r lies in patch keys[codes[r]]; each patch is looked up once."""
+    """Map per-patch pixel boxes to mosaic meters, as columns.
+
+    Row r lies in patch keys[codes[r]], and patch_index maps patch_id ->
+    (row0, col0, delta_f); each patch is looked up once. Northing decreases
+    with pixel row, so y corners swap; output boxes are re-normalized to
+    x1 < x2, y1 < y2. Count, order and scores are preserved.
+    """
     keys = np.asarray(keys, dtype=object).reshape(-1)
     unknown = np.array([k not in patch_index for k in keys], dtype=bool)[codes]
     if unknown.any():
@@ -324,36 +320,6 @@ def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray
     return order[~suppressed]
 
 
-def remove_boundary(
-    dets: Iterable[Detection], ps_r: int, cfg: BoundaryFilterConfig
-) -> list[Detection]:
-    """Drop detections within m pixels of their patch edge.
-
-    A box is removed iff min(x1, y1, ps_r - x2, ps_r - y2) <= m, so m = 0
-    still removes boxes that touch the edge (those are clipped partials by
-    construction).
-    """
-    dets = list(dets)
-    return _select(dets, np.flatnonzero(_inside(_pixel_boxes(dets), ps_r, cfg.m)))
-
-
-def globalize(
-    dets: Iterable[Detection],
-    patch_index: Mapping[str, tuple[int, int, float]],
-    gt: GeoTransform,
-) -> list[GlobalDetection]:
-    """Map per-patch pixel boxes to mosaic meters.
-
-    patch_index maps patch_id -> (row0, col0, delta_f). Northing decreases
-    with pixel row, so y corners swap; output boxes are re-normalized to
-    x1 < x2, y1 < y2. Count, order and scores are preserved.
-    """
-    dets = list(dets)
-    keys, codes = np.unique(np.array([d.patch_id for d in dets], dtype=object), return_inverse=True)
-    scores = [d.score for d in dets]
-    return list(_globalize(keys, codes, _pixel_boxes(dets), scores, patch_index, gt))
-
-
 def nms(dets: Sequence[GlobalDetection], cfg: NmsConfig) -> Sequence[GlobalDetection]:
     """Greedy highest-score-first suppression at IOU >= delta.
 
@@ -366,7 +332,8 @@ def nms(dets: Sequence[GlobalDetection], cfg: NmsConfig) -> Sequence[GlobalDetec
     if not cfg.enabled:
         return dets if isinstance(dets, DetectionSet) else list(dets)
     columns = DetectionSet.of(dets)
-    return _select(dets, _nms_keep(columns.boxes, columns.scores, cfg.delta))
+    keep = _nms_keep(columns.boxes, columns.scores, cfg.delta)
+    return columns.take(keep) if columns is dets else [dets[i] for i in keep.tolist()]
 
 
 def run_pipeline(
@@ -400,43 +367,40 @@ def write_global_detections(dets: Sequence[GlobalDetection], path: str | Path) -
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x1_m", "y1_m", "x2_m", "y2_m", "score", "patch_id", "px1", "py1", "px2", "py2"])
+        writer.writerow(_GLOBAL_HEADER)
         for box, score, patch_id, pixel_box in DetectionSet.of(dets).rows():
             writer.writerow([repr(v) for v in box] + [repr(score), patch_id] + [repr(v) for v in pixel_box])
 
 
-def load_global_detections(path: str | Path) -> list[GlobalDetection]:
+def load_global_detections(path: str | Path) -> DetectionSet:
+    """Read back what write_global_detections wrote, header row first.
+
+    A file with no lines holds no detections. The first bad row fails the
+    load with its line number: a wrong field count, a non-numeric field or
+    a degenerate box, whichever comes first.
+    """
     path = Path(path)
     if not path.exists():
         raise DetectionError(f"global detections file not found: {path}")
-    out = []
+    ids, values = [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return out
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if lineno == 1 and row != _GLOBAL_HEADER:
+                raise DetectionError(f"{path}:1: expected the header row {','.join(_GLOBAL_HEADER)}")
+            if lineno == 1 or not row:
                 continue
             if len(row) != 10:
                 raise DetectionError(f"{path}:{lineno}: expected 10 fields, got {len(row)}")
             try:
-                vals = [float(v) for v in row[:5]]
-                pix = tuple(float(v) for v in row[6:])
+                vals = [float(v) for v in row[:5] + row[6:]]
             except ValueError as exc:
                 raise DetectionError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-            try:
-                out.append(
-                    GlobalDetection(
-                        box=(vals[0], vals[1], vals[2], vals[3]),
-                        score=vals[4],
-                        patch_id=row[5],
-                        pixel_box=pix,
-                    )
-                )
-            except PipelineError as exc:
-                raise DetectionError(f"{path}:{lineno}: {exc}") from exc
-    return out
+            if not (vals[0] < vals[2] and vals[1] < vals[3]):
+                raise DetectionError(f"{path}:{lineno}: degenerate global box {tuple(vals[:4])}")
+            ids.append(row[5])
+            values.append(vals)
+    rows = np.array(values, dtype=np.float64).reshape(-1, 9)
+    return DetectionSet(rows[:, :4], rows[:, 4], ids, rows[:, 5:])
 
 
 def write_catalog_export(

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RasterError
+from .errors import GeoError, RasterError
 from .geo import GeoTransform
 
 __all__ = [
@@ -220,20 +220,21 @@ def read_header(path: str | Path) -> dict:
     if fields["band"] not in BAND_KINDS:
         raise RasterError(f"{hdr_path}: unknown band kind {fields['band']!r}")
 
-    header = {
-        "width": int(fields["width"]),
-        "height": int(fields["height"]),
-        "dtype": fields["dtype"],
-        "band": fields["band"],
-        "nodata": float(fields["nodata"]) if "nodata" in fields else None,
-        "geotransform": GeoTransform(
-            x_min=float(fields["x_min"]),
-            y_max=float(fields["y_max"]),
-            resolution=float(fields["resolution"]),
-            body_radius=float(fields["body_radius"]),
-        ),
-    }
-    return header
+    def number(key: str, kind: type = float):
+        try:
+            return kind(fields[key])
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise RasterError(f"{hdr_path}: {key} = {fields[key]!r} is not {what}") from None
+
+    width, height = number("width", int), number("height", int)
+    try:
+        gt = GeoTransform(*(number(k) for k in ("x_min", "y_max", "resolution", "body_radius")))
+    except GeoError as exc:
+        raise RasterError(f"{hdr_path}: {exc}") from exc
+    nodata = number("nodata") if "nodata" in fields else None
+    return {"width": width, "height": height, "dtype": fields["dtype"], "band": fields["band"],
+            "nodata": nodata, "geotransform": gt}
 
 
 def load_raster(path: str | Path, header: dict | None = None) -> RasterGrid:

@@ -428,6 +428,7 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
     report = cross_verify(gated, boxes_a, boxes_b, cfg.eval)
 
     path = out_dir / "crossmatch.csv"
+    patch_ids, scores = gated.patch_ids.tolist(), gated.scores.tolist()
     with open(path, "w") as fh:
         fh.write("class,detection_index,patch_id,score\n")
         for cls, indices in (
@@ -436,7 +437,7 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
             ("unverified", report.unverified),
         ):
             for i in indices:
-                fh.write(f"{cls},{i},{gated[i].patch_id},{gated[i].score!r}\n")
+                fh.write(f"{cls},{i},{patch_ids[i]},{scores[i]!r}\n")
     summary = out_dir / "crossmatch_summary.txt"
     k, c, uv = report.counts
     summary.write_text(

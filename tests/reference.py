@@ -6,6 +6,7 @@ the production code is meaningful.
 """
 
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,25 @@ def _iou_scalar(a, b):
     inter = iw * ih
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union
+
+
+def iou_matrix(a, b):
+    """Pairwise IOU between (N, 4) and (M, 4) box arrays, dense.
+
+    Memory grows with N x M. postprocess.overlap_pairs computes each
+    overlapping pair's IOU with the same operations, so scattering its pairs
+    into a zero N x M array reproduces this matrix bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    if a.size == 0 or b.size == 0:
+        return np.zeros((a.shape[0], b.shape[0]))
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
 def quadratic_nms(dets, delta):
@@ -37,6 +57,40 @@ def quadratic_nms(dets, delta):
         if all(_iou_scalar(dets[i].box, dets[j].box) < delta for j in kept):
             kept.append(i)
     return [dets[i] for i in kept]
+
+
+class Row(NamedTuple):
+    """One globalized detection of the scalar reference pipeline."""
+
+    box: tuple
+    score: float
+    patch_id: str
+    pixel_box: tuple
+
+
+def scalar_pipeline(per_patch, patch_index, gt, ps_r, m, delta):
+    """Boundary filter, globalization and NMS, one detection at a time.
+
+    per_patch maps patch id -> detections; rows are taken in sorted patch id
+    order. A box survives the filter iff min(x1, y1, ps_r - x2, ps_r - y2)
+    exceeds m. Globalization uses the operation order of
+    geo.pixel_to_meter_xy (x_min + (col0 + x * delta_f) * resolution, and
+    y_max minus the same in y), swapping the y corners. delta None skips
+    NMS; otherwise quadratic_nms runs at delta.
+    """
+    rows = []
+    for patch_id in sorted(per_patch):
+        row0, col0, delta_f = patch_index[patch_id]
+        for d in per_patch[patch_id]:
+            x1, y1, x2, y2 = (float(v) for v in d.box)
+            if min(x1, y1, ps_r - x2, ps_r - y2) <= m:
+                continue
+            mx1 = gt.x_min + (col0 + x1 * delta_f) * gt.resolution
+            mx2 = gt.x_min + (col0 + x2 * delta_f) * gt.resolution
+            y_top = gt.y_max - (row0 + y1 * delta_f) * gt.resolution
+            y_bot = gt.y_max - (row0 + y2 * delta_f) * gt.resolution
+            rows.append(Row((mx1, min(y_top, y_bot), mx2, max(y_top, y_bot)), d.score, patch_id, (x1, y1, x2, y2)))
+    return rows if delta is None else quadratic_nms(rows, delta)
 
 
 def brute_force_counts(det_boxes, truth_boxes, u):

@@ -5,6 +5,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from craterpipe.cli import main
 from craterpipe.config import sha256_file
@@ -468,3 +469,97 @@ def test_cmd_crossmatch_degenerate_global_box_names_file_and_line(tmp_path, caps
     err = capsys.readouterr().err
     assert f"{dets}:3:" in err, err
     assert "degenerate global box" in err, err
+
+
+def test_headerless_global_detections_are_rejected(tmp_path, capsys):
+    config = write_scene(
+        tmp_path, plant_craters(6), extra_config={"verify_catalog": {"path": "truth.csv", "schema": "generic"}}
+    )
+    assert main(["run", "--config", str(config)]) == 0
+    dets = tmp_path / "out" / "detections_global.csv"
+    records = dets.read_text().splitlines(keepends=True)[1:]
+    assert len(records) == 6
+    dets.write_text("".join(records))
+    capsys.readouterr()
+    assert main(["crossmatch", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{dets}:1: expected the header row x1_m,y1_m,x2_m,y2_m,score,patch_id,px1,py1,px2,py2" in err, err
+
+
+def _edit_header(path, key, value):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines) + "\n")
+
+
+def test_bad_header_value_names_the_header_and_key(tmp_path, capsys):
+    config = write_scene(tmp_path, plant_craters(2))
+    hdr = tmp_path / "intensity.hdr"
+    _edit_header(hdr, "width", "512.5")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{hdr}: width = '512.5' is not an integer" in err, err
+
+
+@pytest.mark.parametrize("value", ["0", "nan"])
+def test_bad_header_geotransform_names_the_header(tmp_path, capsys, value):
+    config = write_scene(tmp_path, plant_craters(2))
+    hdr = tmp_path / "dem.hdr"
+    _edit_header(hdr, "resolution", value)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{hdr}: resolution must be positive, got {float(value)}" in err, err
+
+
+def _config_error(config, capsys, *args):
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), *args]) == 2
+    return capsys.readouterr().err
+
+
+def test_config_band_without_ps_a_exits_two(tmp_path, capsys):
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"bands": [{"name": "b", "ps_r": 128}]})
+    err = _config_error(config, capsys)
+    assert f"{config}: missing key 'ps_a'" in err, err
+
+
+def test_config_json_array_exits_two(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]\n")
+    err = _config_error(config, capsys)
+    assert f"{config}: expected a JSON object, got list" in err, err
+
+
+def test_config_non_numeric_workers_exits_two(tmp_path, capsys):
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"workers": "two"})
+    err = _config_error(config, capsys)
+    assert f"{config}: malformed value (invalid literal for int() with base 10: 'two')" in err, err
+
+
+def test_out_naming_a_regular_file_exits_two(tmp_path, capsys):
+    config = write_scene(tmp_path, plant_craters(2))
+    (tmp_path / "taken").write_text("not a directory\n")
+    err = _config_error(config, capsys, "--out", str(tmp_path / "taken"))
+    assert "error: " in err and "File exists" in err and "taken" in err, err
+
+
+def test_production_commands_build_no_global_detection(tmp_path, monkeypatch):
+    from craterpipe import postprocess
+
+    noise = {"center_jitter_px": 1.5, "radius_jitter_frac": 0.1, "false_positive_rate": 2.0, "miss_rate": 0.1}
+    config = write_scene(
+        tmp_path,
+        plant_craters(12),
+        noise=noise,
+        extra_config={"verify_catalog": {"path": "truth.csv", "schema": "generic"}},
+    )
+
+    def refuse(self):
+        raise AssertionError("a GlobalDetection was built")
+
+    monkeypatch.setattr(postprocess.GlobalDetection, "__post_init__", refuse)
+    for command in ("run", "gridsearch", "crossmatch"):
+        assert main([command, "--config", str(config)]) == 0, command
+    with open(tmp_path / "out" / "crossmatch.csv") as fh:
+        assert len(list(csv.DictReader(fh))) > 12  # the false positives are classified too

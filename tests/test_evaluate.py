@@ -9,7 +9,6 @@ from craterpipe.evaluate import (
     cross_verify,
     grid_search,
     iou,
-    iou_matrix,
     localization_stats,
     match_and_count,
     metrics_from_counts,
@@ -19,7 +18,7 @@ from craterpipe.geo import GeoTransform
 from craterpipe.postprocess import GlobalDetection
 
 from conftest import LUNAR_RADIUS
-from reference import brute_force_metrics, rasterized_iou
+from reference import brute_force_metrics, iou_matrix, rasterized_iou
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
 

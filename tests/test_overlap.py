@@ -7,10 +7,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from craterpipe.evaluate import EvalConfig, iou_matrix, match_and_count
+from craterpipe.evaluate import EvalConfig, match_and_count
 from craterpipe.postprocess import DetectionSet, GlobalDetection, NmsConfig, nms, overlap_pairs
 
-from reference import quadratic_nms
+from reference import iou_matrix, quadratic_nms
 
 ORIGINS = st.sampled_from([0.0, 1e-2, 3.5, 1e3, -5e6, 1e7])
 UNITS = st.sampled_from([1e-2, 0.1, 1.0, 1e3, 1e5])

@@ -1,4 +1,9 @@
-"""Boundary filter, globalization and NMS tests."""
+"""Boundary filter, globalization and NMS tests.
+
+The boundary filter and globalization run inside run_pipeline; the tests
+of either alone disable NMS, so every surviving row reaches the output in
+input order.
+"""
 
 import numpy as np
 import pytest
@@ -8,12 +13,11 @@ from craterpipe.errors import DetectionError
 from craterpipe.geo import GeoTransform
 from craterpipe.postprocess import (
     BoundaryFilterConfig,
+    DetectionSet,
     GlobalDetection,
     NmsConfig,
-    globalize,
     load_global_detections,
     nms,
-    remove_boundary,
     run_pipeline,
     write_global_detections,
 )
@@ -22,6 +26,7 @@ from conftest import LUNAR_RADIUS
 from reference import quadratic_nms
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
+NO_NMS = NmsConfig(0.2, enabled=False)
 
 
 def det(box, score=0.9, patch_id="p"):
@@ -32,27 +37,38 @@ def gdet(box, score=0.9, patch_id="p"):
     return GlobalDetection(box=box, score=score, patch_id=patch_id, pixel_box=(0, 0, 1, 1))
 
 
+def boundary_filter(dets, ps_r, m):
+    """The pixel boxes that pass the boundary filter of run_pipeline, in order."""
+    out = run_pipeline({"p": dets}, {"p": (0, 0, 1.0)}, GT, ps_r, BoundaryFilterConfig(m), NO_NMS)
+    return [tuple(box) for box in out.pixel_boxes.tolist()]
+
+
+def globalize(dets, patch_index, gt=GT):
+    """Globalized rows of dets, which share one patch: boundary filter at
+    m = 0 on a patch side the boxes stay well inside, NMS disabled."""
+    return run_pipeline({dets[0].patch_id: dets}, patch_index, gt, 10_000, BoundaryFilterConfig(0), NO_NMS)
+
+
 # ---------------------------------------------------------------------------
 # boundary filter
 
 
 def test_edge_touching_box_removed():
-    out = remove_boundary([det((0.0, 100.0, 50.0, 150.0))], 512, BoundaryFilterConfig(10))
-    assert out == []
+    assert boundary_filter([det((0.0, 100.0, 50.0, 150.0))], 512, 10) == []
 
 
 def test_box_just_past_threshold_kept():
     d = det((11.0, 11.0, 501.0, 501.0))
-    assert remove_boundary([d], 512, BoundaryFilterConfig(10)) == [d]
+    assert boundary_filter([d], 512, 10) == [d.box]
 
 
 def test_m_zero_keeps_distance_one():
     d = det((1.0, 1.0, 500.0, 500.0))
-    assert remove_boundary([d], 512, BoundaryFilterConfig(0)) == [d]
+    assert boundary_filter([d], 512, 0) == [d.box]
 
 
 def test_m_zero_removes_touching():
-    assert remove_boundary([det((0.0, 1.0, 500.0, 500.0))], 512, BoundaryFilterConfig(0)) == []
+    assert boundary_filter([det((0.0, 1.0, 500.0, 500.0))], 512, 0) == []
 
 
 def test_boundary_filter_monotone_in_m():
@@ -64,7 +80,7 @@ def test_boundary_filter_monotone_in_m():
         dets.append(det((x1, y1, x1 + rng.uniform(1, 100), y1 + rng.uniform(1, 100))))
     prev = None
     for m in (0, 1, 5, 10, 50):
-        kept = {id(d) for d in remove_boundary(dets, 512, BoundaryFilterConfig(m))}
+        kept = set(boundary_filter(dets, 512, m))
         if prev is not None:
             assert kept <= prev
         prev = kept
@@ -83,7 +99,7 @@ def test_boundary_config_validation():
 
 def test_globalize_corner_mapping():
     index = {"p": (0, 0, 2.0)}
-    out = globalize([det((10.0, 10.0, 20.0, 20.0))], index, GT)
+    out = globalize([det((10.0, 10.0, 20.0, 20.0))], index)
     assert len(out) == 1
     assert out[0].box == (2000.0, -4000.0, 4000.0, -2000.0)
     assert out[0].box[1] < out[0].box[3]
@@ -91,8 +107,8 @@ def test_globalize_corner_mapping():
 
 def test_globalize_stride_offset_shifts_x():
     d = det((10.0, 10.0, 20.0, 20.0))
-    a = globalize([d], {"p": (0, 0, 2.0)}, GT)[0]
-    b = globalize([Detection("q", d.box, d.score)], {"q": (0, 512, 2.0)}, GT)[0]
+    a = globalize([d], {"p": (0, 0, 2.0)})[0]
+    b = globalize([Detection("q", d.box, d.score)], {"q": (0, 512, 2.0)})[0]
     assert b.box[0] - a.box[0] == 51200.0
     assert b.box[2] - a.box[2] == 51200.0
     assert b.box[1] == a.box[1]
@@ -106,14 +122,14 @@ def test_globalize_unit_transform_negates_y():
 
 def test_globalize_preserves_count_and_scores():
     dets = [det((i, i, i + 5.0, i + 5.0), score=0.1 * i, patch_id="p") for i in range(1, 9)]
-    out = globalize(dets, {"p": (0, 0, 1.0)}, GT)
+    out = globalize(dets, {"p": (0, 0, 1.0)})
     assert len(out) == len(dets)
     assert [g.score for g in out] == [d.score for d in dets]
 
 
 def test_globalize_unknown_patch_id():
     with pytest.raises(DetectionError, match="unknown patch id"):
-        globalize([det((0, 0, 1, 1), patch_id="mystery")], {"p": (0, 0, 1.0)}, GT)
+        globalize([det((1, 1, 2, 2), patch_id="mystery")], {"p": (0, 0, 1.0)})
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +281,47 @@ def test_global_detection_file_round_trip(tmp_path):
     loaded = load_global_detections(path)
     assert loaded == dets
 
+
+
+HEADER = "x1_m,y1_m,x2_m,y2_m,score,patch_id,px1,py1,px2,py2\n"
+GOOD_ROW = "0.0,0.0,1.0,1.0,0.9,p,0.0,0.0,1.0,1.0\n"
+
+
+def test_global_detections_load_as_columns(tmp_path):
+    path = tmp_path / "g.csv"
+    write_global_detections([gdet((0.0, 0.0, 1.0, 1.0)), gdet((2.0, 0.0, 3.0, 1.0), 0.5, "q")], path)
+    loaded = load_global_detections(path)
+    assert isinstance(loaded, DetectionSet)
+    assert loaded.patch_ids.tolist() == ["p", "q"] and loaded.scores.tolist() == [0.9, 0.5]
+    write_global_detections([], path)
+    assert len(load_global_detections(path)) == 0
+    path.write_text("")
+    assert len(load_global_detections(path)) == 0
+
+
+@pytest.mark.parametrize(
+    "first", [GOOD_ROW, "\n", HEADER.replace("score", "conf")], ids=["record", "blank line", "renamed column"]
+)
+def test_global_detections_need_the_header_row(tmp_path, first):
+    path = tmp_path / "g.csv"
+    path.write_text(first + GOOD_ROW * 3)
+    with pytest.raises(DetectionError) as err:
+        load_global_detections(path)
+    assert str(err.value) == f"{path}:1: expected the header row {HEADER.strip()}"
+
+
+BAD_GLOBAL_ROWS = [
+    ("0.0,0.0,1.0,1.0,0.9,p,0.0,0.0,1.0", "expected 10 fields, got 9"),
+    ("0.0,0.0,1.0,1.0,0.9,p,0.0,zero,1.0,1.0", "non-numeric field (could not convert string to float: 'zero')"),
+    ("5.0,0.0,1.0,1.0,0.9,p,0.0,0.0,1.0,1.0", "degenerate global box (5.0, 0.0, 1.0, 1.0)"),
+]
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (1, 2), (2, 0), (2, 1)])
+def test_the_first_bad_global_row_wins(tmp_path, first, second):
+    (row_a, msg_a), (row_b, _) = BAD_GLOBAL_ROWS[first], BAD_GLOBAL_ROWS[second]
+    path = tmp_path / "g.csv"
+    path.write_text(f"{HEADER}{GOOD_ROW}\n{row_a}\n{GOOD_ROW}{row_b}\n")
+    with pytest.raises(DetectionError) as err:
+        load_global_detections(path)
+    assert str(err.value) == f"{path}:4: {msg_a}"
