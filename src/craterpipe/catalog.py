@@ -7,21 +7,27 @@ violate the crater invariants (non-positive diameter, latitude out of range)
 are rejected and counted; rows that do not parse at all count as malformed
 and abort the load once their fraction exceeds a tolerance.
 
-All operations return new catalogs; nothing here mutates.
+A catalog is held as columns, with CatalogCrater as a row view built only
+where a caller reads rows: the loader converts whole columns (see textcols),
+filters are masks and to_boxes projects them at once. Nothing here mutates.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
+from itertools import combinations, zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CatalogError
 from .geo import GeoTransform, lonlat_to_meter
+from .textcols import chunks, csv_text, float_columns, write_csv
 
 __all__ = [
     "SCHEMAS",
@@ -52,7 +58,7 @@ SCHEMAS: dict[str, dict[str, str]] = {
 
 @dataclass(frozen=True)
 class CatalogCrater:
-    """One catalog entry: position in degrees, diameter in kilometers."""
+    """One catalog entry, a row of a Catalog: position in degrees, diameter in kilometers."""
 
     id: str
     lon: float
@@ -60,20 +66,43 @@ class CatalogCrater:
     diam_km: float
 
 
-@dataclass(frozen=True)
 class Catalog:
-    name: str
-    craters: tuple[CatalogCrater, ...]
-    source: str = ""
-    n_rejected: int = 0
+    """A crater catalog as columns: ids, an (N,) object array of str, and lon,
+    lat (degrees) and diam_km, (N,) float64 arrays. Built from CatalogCraters
+    or, by from_columns, from columns; ids are unique and columns read-only.
+    """
 
-    def __post_init__(self) -> None:
-        ids = [c.id for c in self.craters]
-        if len(set(ids)) != len(ids):
-            raise CatalogError(f"catalog {self.name!r} has duplicate crater ids")
+    def __init__(self, name: str, craters: Iterable[CatalogCrater] = (), source: str = "", n_rejected: int = 0):
+        cols = tuple(zip(*[(c.id, c.lon, c.lat, c.diam_km) for c in craters])) or ((),) * 4
+        self._set(name, *cols, source, n_rejected)
+
+    @classmethod
+    def from_columns(cls, name, ids, lon, lat, diam_km, source: str = "", n_rejected: int = 0) -> Catalog:
+        cat = cls.__new__(cls)
+        cat._set(name, ids, lon, lat, diam_km, source, n_rejected)
+        return cat
+
+    def _set(self, name, ids, lon, lat, diam_km, source, n_rejected) -> None:
+        self.name, self.source, self.n_rejected = name, source, n_rejected
+        self.ids = np.array(ids, dtype=object).reshape(-1)
+        self.lon, self.lat, self.diam_km = (np.array(v, dtype=np.float64).reshape(-1) for v in (lon, lat, diam_km))
+        for col in (self.ids, self.lon, self.lat, self.diam_km):
+            col.flags.writeable = False
+        if len(set(self.ids.tolist())) != self.ids.size:
+            raise CatalogError(f"catalog {name!r} has duplicate crater ids")
+
+    @property
+    def craters(self) -> tuple[CatalogCrater, ...]:
+        """The rows as CatalogCraters, built on each read."""
+        return tuple(map(CatalogCrater, self.ids.tolist(), self.lon.tolist(), self.lat.tolist(), self.diam_km.tolist()))
 
     def __len__(self) -> int:
-        return len(self.craters)
+        return self.ids.size
+
+    def _select(self, keep: np.ndarray, source: str) -> Catalog:
+        return Catalog.from_columns(
+            self.name, self.ids[keep], self.lon[keep], self.lat[keep], self.diam_km[keep], source, self.n_rejected
+        )
 
 
 def _resolve_schema(schema: str | dict[str, str]) -> dict[str, str]:
@@ -87,22 +116,20 @@ def _resolve_schema(schema: str | dict[str, str]) -> dict[str, str]:
     return schema
 
 
-def _row_ok(lon: float, lat: float, diam_km: float) -> bool:
-    return diam_km > 0 and -90.0 <= lat <= 90.0
-
-
 def load_catalog(
     path: str | Path,
     schema: str | dict[str, str] = "generic",
     name: str | None = None,
     max_malformed_fraction: float = 0.0,
 ) -> Catalog:
-    """Read a delimited-text catalog.
+    """Read a delimited-text catalog, chunks of rows as columns.
 
     Rows failing the crater invariants are dropped and counted in
-    n_rejected. Malformed rows (wrong field count, non-numeric values) are
+    n_rejected. Malformed rows (a mapped field missing or non-numeric) are
     also dropped, but if their fraction of all data rows exceeds
-    max_malformed_fraction the load fails.
+    max_malformed_fraction the load fails. Fields read as with csv.DictReader:
+    blank rows are skipped, also when numbering rows for synthesized ids, a
+    missing field reads None and a repeated column name its last column.
     """
     path = Path(path)
     if not path.exists():
@@ -111,54 +138,45 @@ def load_catalog(
     cat_name = name if name is not None else path.stem
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return Catalog(name=cat_name, craters=(), source=str(path))
-        missing = [col for col in (mapping["lon"], mapping["lat"], mapping["diam_km"])
-                   if col not in reader.fieldnames]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return Catalog(cat_name, source=str(path))
+        index = {col: i for i, col in enumerate(header)}
+        missing = [mapping[k] for k in ("lon", "lat", "diam_km") if mapping[k] not in index]
         if missing:
             raise CatalogError(f"{path}: missing columns: {', '.join(missing)}")
-        id_col = mapping.get("id")
-        if id_col is not None and id_col not in reader.fieldnames:
-            id_col = None
-
-        craters: list[CatalogCrater] = []
-        n_rows = 0
-        n_malformed = 0
-        n_rejected = 0
-        for rownum, row in enumerate(reader, start=1):
-            n_rows += 1
-            try:
-                lon = float(row[mapping["lon"]])
-                lat = float(row[mapping["lat"]])
-                diam = float(row[mapping["diam_km"]])
-            except (TypeError, ValueError, KeyError):
-                n_malformed += 1
-                n_rejected += 1
-                continue
-            if not _row_ok(lon, lat, diam):
-                n_rejected += 1
-                continue
-            cid = row[id_col] if id_col is not None else f"{cat_name}#{rownum}"
-            craters.append(CatalogCrater(id=cid, lon=lon, lat=lat, diam_km=diam))
+        numeric = [index[mapping[k]] for k in ("lon", "lat", "diam_km")]
+        id_at = index.get(mapping.get("id"))
+        ids, values, n_rows, n_malformed = [], [np.empty((0, 3))], 0, 0
+        for rows in chunks(filter(None, reader)):
+            # the header leads every column, so a column reaches the header's width
+            cols = list(zip_longest(header, *rows))
+            vals, malformed = float_columns([cols[i][1:] for i in numeric], len(rows))
+            _, lat, diam = vals.T
+            keep = np.flatnonzero(~malformed & (diam > 0) & (lat >= -90.0) & (lat <= 90.0))
+            if id_at is None:
+                ids += [f"{cat_name}#{k}" for k in (keep + n_rows + 1).tolist()]
+            else:
+                ids += [cols[id_at][k] for k in (keep + 1).tolist()]
+            values.append(vals[keep])
+            n_rows += len(rows)
+            n_malformed += int(malformed.sum())
 
     if n_rows > 0 and n_malformed / n_rows > max_malformed_fraction:
         raise CatalogError(
             f"{path}: {n_malformed} of {n_rows} rows are malformed "
             f"(tolerance {max_malformed_fraction})"
         )
-    return Catalog(name=cat_name, craters=tuple(craters), source=str(path), n_rejected=n_rejected)
+    lon, lat, diam = np.concatenate(values).T
+    return Catalog.from_columns(cat_name, ids, lon, lat, diam, str(path), n_rows - len(ids))
 
 
 def save_catalog(cat: Catalog, path: str | Path, provenance: dict | None = None) -> None:
     """Write a catalog as generic-schema CSV plus a provenance sidecar."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lon", "lat", "diam_km"])
-        for c in cat.craters:
-            writer.writerow([c.id, repr(c.lon), repr(c.lat), repr(c.diam_km)])
+    write_csv(path, ["id", "lon", "lat", "diam_km"], [csv_text(cat.ids.tolist()), cat.lon, cat.lat, cat.diam_km])
     side = {"name": cat.name, "source": cat.source, "n_craters": len(cat)}
     if provenance:
         side.update(provenance)
@@ -173,37 +191,21 @@ def filter_by_size(cat: Catalog, dmin_km: float, dmax_km: float | None = None) -
     """
     if dmax_km is not None and not dmin_km < dmax_km:
         raise CatalogError(f"need dmin < dmax, got [{dmin_km}, {dmax_km})")
-    kept = tuple(
-        c for c in cat.craters
-        if c.diam_km >= dmin_km and (dmax_km is None or c.diam_km < dmax_km)
-    )
+    keep = cat.diam_km >= dmin_km
+    if dmax_km is not None:
+        keep &= cat.diam_km < dmax_km
     hi = "inf" if dmax_km is None else repr(dmax_km)
-    return Catalog(
-        name=cat.name,
-        craters=kept,
-        source=f"{cat.source} | size [{dmin_km!r}, {hi}) km",
-        n_rejected=cat.n_rejected,
-    )
+    return cat._select(keep, f"{cat.source} | size [{dmin_km!r}, {hi}) km")
 
 
-def filter_by_region(
-    cat: Catalog, lon_min: float, lon_max: float, lat_min: float, lat_max: float
-) -> Catalog:
+def filter_by_region(cat: Catalog, lon_min: float, lon_max: float, lat_min: float, lat_max: float) -> Catalog:
     """Craters with lon in [lon_min, lon_max) and lat in [lat_min, lat_max)."""
     if lon_min >= lon_max or lat_min >= lat_max:
         raise CatalogError(
             f"empty or inverted region bounds: lon [{lon_min}, {lon_max}), lat [{lat_min}, {lat_max})"
         )
-    kept = tuple(
-        c for c in cat.craters
-        if lon_min <= c.lon < lon_max and lat_min <= c.lat < lat_max
-    )
-    return Catalog(
-        name=cat.name,
-        craters=kept,
-        source=f"{cat.source} | region lon[{lon_min},{lon_max}) lat[{lat_min},{lat_max})",
-        n_rejected=cat.n_rejected,
-    )
+    keep = (lon_min <= cat.lon) & (cat.lon < lon_max) & (lat_min <= cat.lat) & (cat.lat < lat_max)
+    return cat._select(keep, f"{cat.source} | region lon[{lon_min},{lon_max}) lat[{lat_min},{lat_max})")
 
 
 def combine(parts: list[tuple[Catalog, float, float | None]]) -> Catalog:
@@ -215,28 +217,15 @@ def combine(parts: list[tuple[Catalog, float, float | None]]) -> Catalog:
     if not parts:
         raise CatalogError("combine needs at least one part")
 
-    ranges = [(dmin, dmax) for _, dmin, dmax in parts]
-    for i in range(len(ranges)):
-        for j in range(i + 1, len(ranges)):
-            lo_i, hi_i = ranges[i][0], ranges[i][1]
-            lo_j, hi_j = ranges[j][0], ranges[j][1]
-            hi_i_v = float("inf") if hi_i is None else hi_i
-            hi_j_v = float("inf") if hi_j is None else hi_j
-            if max(lo_i, lo_j) < min(hi_i_v, hi_j_v):
-                warnings.warn(
-                    f"combine: size ranges [{lo_i}, {hi_i}) and [{lo_j}, {hi_j}) overlap",
-                    stacklevel=2,
-                )
+    for (lo_i, hi_i), (lo_j, hi_j) in combinations([(dmin, dmax) for _, dmin, dmax in parts], 2):
+        if max(lo_i, lo_j) < min(math.inf if hi_i is None else hi_i, math.inf if hi_j is None else hi_j):
+            warnings.warn(f"combine: size ranges [{lo_i}, {hi_i}) and [{lo_j}, {hi_j}) overlap", stacklevel=2)
 
-    craters: list[CatalogCrater] = []
-    names = []
-    for cat, dmin, dmax in parts:
-        names.append(cat.name)
-        for c in filter_by_size(cat, dmin, dmax).craters:
-            craters.append(CatalogCrater(f"{cat.name}:{c.id}", c.lon, c.lat, c.diam_km))
-    return Catalog(
-        name="+".join(names),
-        craters=tuple(craters),
+    kept = [filter_by_size(cat, dmin, dmax) for cat, dmin, dmax in parts]
+    return Catalog.from_columns(
+        "+".join(cat.name for cat, _, _ in parts),
+        [f"{cat.name}:{i}" for cat in kept for i in cat.ids.tolist()],
+        *(np.concatenate([getattr(cat, col) for cat in kept]) for col in ("lon", "lat", "diam_km")),
         source="; ".join(f"{cat.name}[{dmin},{dmax})" for cat, dmin, dmax in parts),
     )
 
@@ -247,9 +236,6 @@ def to_boxes(cat: Catalog, gt: GeoTransform) -> np.ndarray:
     Each crater becomes the tight axis-aligned square around its rim circle:
     [x - r, y - r, x + r, y + r] with r = diam_km * 500. Order is preserved.
     """
-    boxes = np.empty((len(cat.craters), 4), dtype=np.float64)
-    for i, c in enumerate(cat.craters):
-        x, y = lonlat_to_meter(c.lon, c.lat, gt)
-        r = c.diam_km * 500.0
-        boxes[i] = (x - r, y - r, x + r, y + r)
-    return boxes
+    x, y = lonlat_to_meter(cat.lon, cat.lat, gt)
+    r = cat.diam_km * 500.0
+    return np.stack([x - r, y - r, x + r, y + r], axis=1)

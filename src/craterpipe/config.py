@@ -146,6 +146,13 @@ def _opt_float(d: dict, key: str) -> float | None:
     return None if v is None else float(v)
 
 
+def _int(value, key: str) -> int:
+    """value as an int; a number with a fractional part is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _catalog_from(d: dict | None) -> CatalogConfig | None:
     if d is None:
         return None
@@ -184,7 +191,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
     """The config a parsed JSON object describes; paths stay relative to base_dir."""
-    seed = int(raw.get("seed", 0))
+    seed = _int(raw.get("seed", 0), "seed")
     rasters = raw.get("rasters", {})
 
     det_raw = raw.get("detector", {"kind": "synthetic"})
@@ -198,8 +205,8 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
     bands = tuple(
         BandConfig(
             name=b.get("name", f"band{i}"),
-            ps_a=int(b["ps_a"]),
-            ps_r=int(b["ps_r"]),
+            ps_a=_int(b["ps_a"], "ps_a"),
+            ps_r=_int(b["ps_r"], "ps_r"),
             overlap=float(b.get("overlap", 0.5)),
             dmin_km=float(b.get("dmin_km", 0.0)),
             dmax_km=_opt_float(b, "dmax_km"),
@@ -225,7 +232,7 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
 
     return PipelineConfig(
         seed=seed,
-        workers=int(raw.get("workers", 1)),
+        workers=_int(raw.get("workers", 1), "workers"),
         out_dir=raw.get("out_dir", "out"),
         scale_mode=raw.get("scale_mode", "patch"),
         intensity_path=rasters.get("intensity"),
@@ -237,7 +244,7 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
         truth_catalog=_catalog_from(raw.get("truth_catalog")),
         verify_catalog=_catalog_from(raw.get("verify_catalog")),
         geotransform=geotransform,
-        boundary_m=int(raw.get("boundary_m", 10)),
+        boundary_m=_int(raw.get("boundary_m", 10), "boundary_m"),
         nms_delta=float(nms_raw.get("delta", 0.2)),
         nms_enabled=bool(nms_raw.get("enabled", True)),
         eval=EvalConfig(
@@ -246,7 +253,7 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
             size_ceiling_km=_opt_float(eval_raw, "size_ceiling_km"),
         ),
         grid=GridConfig(
-            m_set=tuple(int(v) for v in grid_raw.get("m_set", (0, 1, 5, 10))),
+            m_set=tuple(_int(v, "grid.m_set") for v in grid_raw.get("m_set", (0, 1, 5, 10))),
             delta_set=tuple(float(v) for v in grid_raw.get("delta_set", (0.1, 0.2, 0.3, 0.4, 0.5))),
             include_no_nms=bool(grid_raw.get("include_no_nms", True)),
         ),

@@ -10,10 +10,10 @@ takes a PatchPlacement or a FusedPatch alike. The external path ingests
 detection records produced by a real model.
 
 A detector returns a list of Detection per patch. Past that seam raw
-detections travel as columns: PatchDetections maps each patch id to its
-rows and holds them as arrays, merged once in sorted patch id order. It is
-what load_detections and runner.detect_patches return and what
-postprocess.run_pipeline works on.
+detections are columns: PatchDetections maps patch ids to rows held as
+arrays, in sorted patch id order, for postprocess.run_pipeline. It is what
+runner.detect_patches returns, and what load_detections builds from the
+record lines, split once, each numeric field converted as one column.
 
 Detection record wire format, one record per line, comma separated, no
 header (blank lines and lines starting with ``#`` are ignored):
@@ -37,6 +37,7 @@ from . import catalog as catalog_mod
 from .errors import DetectionError
 from .geo import GeoTransform, meter_to_pixel_xy, pixel_to_meter_xy
 from .raster import FusedPatch, PatchPlacement
+from .textcols import parse_records, raise_first, write_csv
 
 __all__ = [
     "Detection",
@@ -68,6 +69,12 @@ class Detection:
             raise DetectionError(f"negative coordinates in box {self.box}")
         if not 0.0 <= self.score <= 1.0:
             raise DetectionError(f"score {self.score} outside [0, 1]")
+
+    @staticmethod
+    def invalid(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """The mask of rows, (N, 4) boxes and (N,) scores, that __post_init__ rejects."""
+        x1, y1, x2, y2 = boxes.T
+        return ~((x1 < x2) & (y1 < y2)) | (x1 < 0) | (y1 < 0) | ~((scores >= 0.0) & (scores <= 1.0))
 
 
 class PatchDetections(Mapping):
@@ -283,57 +290,30 @@ class SyntheticDetector(DetectorInterface):
         return Detection(patch_id=patch_id, box=(x1, y1, x2, y2), score=score)
 
 
-def load_detections(
-    path: str | Path,
-    score_floor: float | None = None,
-    ps_r: int | None = None,
-) -> PatchDetections:
+def load_detections(path: str | Path, score_floor: float | None = None, ps_r: int | None = None) -> PatchDetections:
     """Read a detection record file, grouped by patch id.
 
     Records are invariant-checked; the first bad record fails the load with
-    its line number. score_floor optionally drops records scoring below it,
-    for model outputs that were not thresholded upstream. When ps_r is
-    given, coordinates beyond it are rejected too.
+    its line number, whether it breaks an invariant or does not parse.
+    score_floor optionally drops records scoring below it, for model outputs
+    that were not thresholded upstream. When ps_r is given, coordinates
+    beyond it are rejected too.
     """
     path = Path(path)
     if not path.exists():
         raise DetectionError(f"detections file not found: {path}")
-    linenos, ids, values = [], [], []
-    parse_error = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            parse_error = DetectionError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            break
-        try:
-            values.append([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            parse_error = DetectionError(f"{path}:{lineno}: non-numeric field ({exc})")
-            break
-        linenos.append(lineno)
-        ids.append(parts[0].strip())
-    rows = np.array(values, dtype=np.float64).reshape(-1, 5)
-    x1, y1, x2, y2, score = rows.T
-    # the Detection invariants and the patch-side bound, record by record;
-    # the first record failing either raises, ahead of a later parse error
-    bad_box = ~((x1 < x2) & (y1 < y2)) | (x1 < 0) | (y1 < 0) | ~((score >= 0.0) & (score <= 1.0))
-    too_big = (x2 > ps_r) | (y2 > ps_r) if ps_r is not None else np.zeros_like(bad_box)
-    bad = np.flatnonzero(bad_box | too_big)
-    if bad.size:
-        r = int(bad[0])
-        if bad_box[r]:
-            try:
-                Detection(patch_id=ids[r], box=tuple(rows[r, :4].tolist()), score=rows[r, 4])
-            except DetectionError as exc:
-                raise DetectionError(f"{path}:{linenos[r]}: {exc}") from exc
-        raise DetectionError(f"{path}:{linenos[r]}: box exceeds patch side {ps_r}")
-    if parse_error is not None:
-        raise parse_error
+    lines = enumerate(map(str.strip, path.read_text().splitlines()), start=1)
+    numbered = ((n, s.split(",")) for n, s in lines if s and s[0] != "#")
+    linenos, ids, rows, parse_error = parse_records(numbered, 6, 0, path)
+    ids = list(map(str.strip, ids))
+    boxes, score = rows[:, :4], rows[:, 4]
+    too_big = (boxes[:, 2] > ps_r) | (boxes[:, 3] > ps_r) if ps_r is not None else np.zeros(len(ids), dtype=bool)
+    raise_first(path, linenos, [
+        (Detection.invalid(boxes, score), lambda r: Detection(ids[r], tuple(boxes[r].tolist()), score[r])),
+        (too_big, lambda r: f"box exceeds patch side {ps_r}"),
+    ], parse_error)
     keep = np.flatnonzero(~(score < score_floor)) if score_floor is not None else np.arange(len(ids))
-    return PatchDetections([ids[i] for i in keep.tolist()], rows[keep, :4], score[keep])
+    return PatchDetections([ids[i] for i in keep.tolist()], boxes[keep], score[keep])
 
 
 def save_detections(per_patch: Mapping[str, Sequence[Detection]], path: str | Path) -> None:
@@ -341,10 +321,4 @@ def save_detections(per_patch: Mapping[str, Sequence[Detection]], path: str | Pa
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     cols = PatchDetections.of(per_patch)
-    lines = [
-        f"{patch_id},{x1!r},{y1!r},{x2!r},{y2!r},{score!r}"
-        for patch_id, (x1, y1, x2, y2), score in zip(
-            cols.patch_ids.tolist(), cols.boxes.tolist(), cols.scores.tolist()
-        )
-    ]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_csv(path, [], [cols.patch_ids, *cols.boxes.T, cols.scores], eol="\n")

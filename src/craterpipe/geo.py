@@ -9,7 +9,8 @@ work without code changes.
 
 This module is the only place that knows the projection: the rest of the
 package converts coordinates through the functions below. The pixel/meter
-pair works element by element, so it takes floats or NumPy arrays alike.
+and lon/lat/meter pairs work element by element on floats or NumPy arrays;
+the latter multiply by the constants math.radians and math.degrees use.
 All functions here are pure and safe to call from any number of threads.
 """
 
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import GeoError
 
@@ -87,13 +90,14 @@ def meter_to_pixel_xy(
 
 def lonlat_to_meter(lon: float, lat: float, gt: GeoTransform) -> tuple[float, float]:
     """Project lon/lat degrees onto the mosaic plane (simple cylindrical)."""
-    if not -90.0 <= lat <= 90.0:
-        raise GeoError(f"latitude out of range [-90, 90]: {lat}")
+    bad = ~((np.asarray(lat) >= -90.0) & (np.asarray(lat) <= 90.0))
+    if bad.any():
+        raise GeoError(f"latitude out of range [-90, 90]: {np.asarray(lat)[bad].flat[0]}")
     r = gt.body_radius
-    return r * math.radians(lon), r * math.radians(lat)
+    return r * (lon * (math.pi / 180.0)), r * (lat * (math.pi / 180.0))
 
 
 def meter_to_lonlat(x: float, y: float, gt: GeoTransform) -> tuple[float, float]:
     """Inverse of lonlat_to_meter."""
     r = gt.body_radius
-    return math.degrees(x / r), math.degrees(y / r)
+    return x / r * (180.0 / math.pi), y / r * (180.0 / math.pi)

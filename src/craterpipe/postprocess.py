@@ -34,6 +34,7 @@ import numpy as np
 from .detector import Detection, PatchDetections
 from .errors import DetectionError, PipelineError
 from .geo import GeoTransform, meter_to_lonlat, pixel_to_meter_xy
+from .textcols import csv_text, parse_records, raise_first, write_csv
 
 __all__ = [
     "BoundaryFilterConfig",
@@ -137,10 +138,6 @@ class DetectionSet(Sequence):
         idx = np.asarray(idx, dtype=np.intp)
         return DetectionSet(self.boxes[idx], self.scores[idx], self.patch_ids[idx], self.pixel_boxes[idx])
 
-    def rows(self) -> Iterator[tuple[list[float], float, str, list[float]]]:
-        """(box, score, patch_id, pixel_box) per detection, as Python floats."""
-        return zip(self.boxes.tolist(), self.scores.tolist(), self.patch_ids.tolist(), self.pixel_boxes.tolist())
-
     def __len__(self) -> int:
         return self.scores.shape[0]
 
@@ -150,7 +147,8 @@ class DetectionSet(Sequence):
         )
 
     def __iter__(self) -> Iterator[GlobalDetection]:
-        for box, score, patch_id, pixel_box in self.rows():
+        columns = self.boxes.tolist(), self.scores.tolist(), self.patch_ids.tolist(), self.pixel_boxes.tolist()
+        for box, score, patch_id, pixel_box in zip(*columns):
             yield GlobalDetection(tuple(box), score, patch_id, tuple(pixel_box))
 
     def __eq__(self, other) -> bool:
@@ -365,42 +363,37 @@ def write_global_detections(dets: Sequence[GlobalDetection], path: str | Path) -
     """CSV of globalized boxes: meters, score, then provenance columns."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_GLOBAL_HEADER)
-        for box, score, patch_id, pixel_box in DetectionSet.of(dets).rows():
-            writer.writerow([repr(v) for v in box] + [repr(score), patch_id] + [repr(v) for v in pixel_box])
+    cols = DetectionSet.of(dets)
+    columns = [*cols.boxes.T, cols.scores, csv_text(cols.patch_ids.tolist()), *cols.pixel_boxes.T]
+    write_csv(path, _GLOBAL_HEADER, columns)
 
 
 def load_global_detections(path: str | Path) -> DetectionSet:
     """Read back what write_global_detections wrote, header row first.
 
     A file with no lines holds no detections. The first bad row fails the
-    load with its line number: a wrong field count, a non-numeric field or
-    a degenerate box, whichever comes first.
+    load with its line number: a wrong field count, a non-numeric field, a
+    degenerate box, a pixel box and score the Detection invariants reject,
+    or an empty patch id, whichever comes first.
     """
     path = Path(path)
     if not path.exists():
         raise DetectionError(f"global detections file not found: {path}")
-    ids, values = [], []
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if lineno == 1 and row != _GLOBAL_HEADER:
-                raise DetectionError(f"{path}:1: expected the header row {','.join(_GLOBAL_HEADER)}")
-            if lineno == 1 or not row:
-                continue
-            if len(row) != 10:
-                raise DetectionError(f"{path}:{lineno}: expected 10 fields, got {len(row)}")
-            try:
-                vals = [float(v) for v in row[:5] + row[6:]]
-            except ValueError as exc:
-                raise DetectionError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-            if not (vals[0] < vals[2] and vals[1] < vals[3]):
-                raise DetectionError(f"{path}:{lineno}: degenerate global box {tuple(vals[:4])}")
-            ids.append(row[5])
-            values.append(vals)
-    rows = np.array(values, dtype=np.float64).reshape(-1, 9)
-    return DetectionSet(rows[:, :4], rows[:, 4], ids, rows[:, 5:])
+        reader = csv.reader(fh)
+        header = next(reader, _GLOBAL_HEADER)
+        if header != _GLOBAL_HEADER:
+            raise DetectionError(f"{path}:1: expected the header row {','.join(_GLOBAL_HEADER)}")
+        numbered = ((n, row) for n, row in enumerate(reader, start=2) if row)
+        linenos, ids, rows, parse_error = parse_records(numbered, 10, 5, path)
+    boxes, scores, pixel_boxes = rows[:, :4], rows[:, 4], rows[:, 5:]
+    raise_first(path, linenos, [
+        (~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])),
+         lambda r: f"degenerate global box {tuple(boxes[r].tolist())}"),
+        (Detection.invalid(pixel_boxes, scores), lambda r: Detection(ids[r], tuple(pixel_boxes[r].tolist()), scores[r])),
+        (np.array(ids, dtype=object) == "", lambda r: "empty patch id"),
+    ], parse_error)
+    return DetectionSet(boxes, scores, ids, pixel_boxes)
 
 
 def write_catalog_export(
@@ -413,13 +406,11 @@ def write_catalog_export(
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lon", "lat", "diam_km"])
-        for i, (x1, y1, x2, y2) in enumerate(DetectionSet.of(dets).boxes.tolist()):
-            lon, lat = meter_to_lonlat((x1 + x2) / 2.0, (y1 + y2) / 2.0, gt)
-            diam_km = ((x2 - x1) + (y2 - y1)) / 2.0 / 1000.0
-            writer.writerow([f"det#{i}", repr(lon), repr(lat), repr(diam_km)])
+    x1, y1, x2, y2 = DetectionSet.of(dets).boxes.T
+    lon, lat = meter_to_lonlat((x1 + x2) / 2.0, (y1 + y2) / 2.0, gt)
+    diam_km = ((x2 - x1) + (y2 - y1)) / 2.0 / 1000.0
+    ids = [f"det#{i}" for i in range(len(diam_km))]
+    write_csv(path, ["id", "lon", "lat", "diam_km"], [ids, lon, lat, diam_km])
     side = {"n_detections": len(dets)}
     if provenance:
         side.update(provenance)

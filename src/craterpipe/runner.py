@@ -67,6 +67,7 @@ from .raster import (
     tile,
     write_patch_image,
 )
+from .textcols import write_csv
 
 __all__ = [
     "RunResult",
@@ -428,16 +429,11 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
     report = cross_verify(gated, boxes_a, boxes_b, cfg.eval)
 
     path = out_dir / "crossmatch.csv"
-    patch_ids, scores = gated.patch_ids.tolist(), gated.scores.tolist()
-    with open(path, "w") as fh:
-        fh.write("class,detection_index,patch_id,score\n")
-        for cls, indices in (
-            ("known", report.known),
-            ("confirmed_new", report.confirmed_new),
-            ("unverified", report.unverified),
-        ):
-            for i in indices:
-                fh.write(f"{cls},{i},{patch_ids[i]},{scores[i]!r}\n")
+    classes = {"known": report.known, "confirmed_new": report.confirmed_new, "unverified": report.unverified}
+    order = [i for indices in classes.values() for i in indices]
+    labels = [cls for cls, indices in classes.items() for _ in indices]
+    columns = [labels, list(map(str, order)), gated.patch_ids[order], gated.scores[order]]
+    write_csv(path, ["class", "detection_index", "patch_id", "score"], columns, eol="\n")
     summary = out_dir / "crossmatch_summary.txt"
     k, c, uv = report.counts
     summary.write_text(

@@ -189,3 +189,95 @@ def synthetic_detect_scalar(truth_boxes, gt, noise, patch):
         if det is not None:
             out.append(det)
     return out
+
+
+def load_catalog_rows(path, mapping, cat_name, max_malformed_fraction=0.0):
+    """The row-by-row catalog loader: one csv.DictReader row at a time.
+
+    Returns ([(id, lon, lat, diam_km), ...], n_rejected), or None for a file
+    without a header row, and raises CatalogError as catalog.load_catalog
+    does, duplicate ids included.
+    """
+    import csv
+
+    from craterpipe.errors import CatalogError
+
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            return None
+        missing = [col for col in (mapping["lon"], mapping["lat"], mapping["diam_km"])
+                   if col not in reader.fieldnames]
+        if missing:
+            raise CatalogError(f"{path}: missing columns: {', '.join(missing)}")
+        id_col = mapping.get("id")
+        if id_col is not None and id_col not in reader.fieldnames:
+            id_col = None
+        rows, n_rows, n_malformed, n_rejected = [], 0, 0, 0
+        for rownum, row in enumerate(reader, start=1):
+            n_rows += 1
+            try:
+                lon = float(row[mapping["lon"]])
+                lat = float(row[mapping["lat"]])
+                diam = float(row[mapping["diam_km"]])
+            except (TypeError, ValueError, KeyError):
+                n_malformed += 1
+                n_rejected += 1
+                continue
+            if not (diam > 0 and -90.0 <= lat <= 90.0):
+                n_rejected += 1
+                continue
+            cid = row[id_col] if id_col is not None else f"{cat_name}#{rownum}"
+            rows.append((cid, lon, lat, diam))
+    if n_rows > 0 and n_malformed / n_rows > max_malformed_fraction:
+        raise CatalogError(
+            f"{path}: {n_malformed} of {n_rows} rows are malformed "
+            f"(tolerance {max_malformed_fraction})"
+        )
+    if len({r[0] for r in rows}) != len(rows):
+        raise CatalogError(f"catalog {cat_name!r} has duplicate crater ids")
+    return rows, n_rejected
+
+
+def load_detection_rows(path, score_floor=None, ps_r=None):
+    """The row-by-row detection record loader.
+
+    Parses line by line up to the first line with a wrong field count or a
+    non-numeric value, then checks the parsed records in order; the first
+    record failing the Detection invariants or the ps_r bound is reported
+    ahead of the parse error. Returns [(patch_id, box, score), ...] in file
+    order, records scoring below score_floor dropped.
+    """
+    from craterpipe.detector import Detection
+    from craterpipe.errors import DetectionError
+
+    parsed, parse_error = [], None
+    with open(path) as fh:
+        text = fh.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 6:
+            parse_error = DetectionError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+            break
+        try:
+            values = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            parse_error = DetectionError(f"{path}:{lineno}: non-numeric field ({exc})")
+            break
+        parsed.append((lineno, parts[0].strip(), tuple(values[:4]), values[4]))
+    out = []
+    for lineno, patch_id, box, score in parsed:
+        try:
+            Detection(patch_id=patch_id, box=box, score=score)
+        except DetectionError as exc:
+            raise DetectionError(f"{path}:{lineno}: {exc}") from exc
+        if ps_r is not None and (box[2] > ps_r or box[3] > ps_r):
+            raise DetectionError(f"{path}:{lineno}: box exceeds patch side {ps_r}")
+        if score_floor is None or not score < score_floor:
+            out.append((patch_id, box, score))
+    if parse_error is not None:
+        raise parse_error
+    return out

@@ -471,6 +471,51 @@ def test_cmd_crossmatch_degenerate_global_box_names_file_and_line(tmp_path, caps
     assert "degenerate global box" in err, err
 
 
+def _crossmatch_error(tmp_path, capsys, *records):
+    """crossmatch's stderr on a detections file holding a good row, then records."""
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    cfg["verify_catalog"] = {"path": "truth.csv", "schema": "generic"}
+    config.write_text(json.dumps(cfg))
+    dets = tmp_path / "dets.csv"
+    dets.write_text(
+        "x1_m,y1_m,x2_m,y2_m,score,patch_id,px1,py1,px2,py2\n"
+        "0.0,0.0,1.0,1.0,0.9,p,0.0,0.0,1.0,1.0\n" + "".join(r + "\n" for r in records)
+    )
+    capsys.readouterr()
+    assert main(["crossmatch", "--config", str(config), "--detections", str(dets)]) == 2
+    return dets, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("0.0,0.0,1.0,1.0,nan,p,0.0,0.0,1.0,1.0", "score nan outside [0, 1]"),
+        ("0.0,0.0,1.0,1.0,7.5,p,0.0,0.0,1.0,1.0", "score 7.5 outside [0, 1]"),
+        ("0.0,0.0,1.0,1.0,0.9,,0.0,0.0,1.0,1.0", "empty patch id"),
+        ("0.0,0.0,1.0,1.0,0.9,p,9,9,1,1", "degenerate box (9.0, 9.0, 1.0, 1.0) in patch p"),
+    ],
+    ids=["nan-score", "score-above-one", "empty-patch-id", "degenerate-pixel-box"],
+)
+def test_crossmatch_rejects_what_load_detections_rejects(tmp_path, capsys, record, message):
+    dets, err = _crossmatch_error(tmp_path, capsys, record)
+    assert f"{dets}:3: {message}" in err, err
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (["0.0,0.0,1.0,1.0,0.9,,0.0,0.0,1.0,1.0", "1.0,2.0"], "empty patch id"),
+        (["1.0,2.0", "0.0,0.0,1.0,1.0,nan,p,0.0,0.0,1.0,1.0"], "expected 10 fields, got 2"),
+        (["0.0,0.0,1.0,1.0,x,p,0.0,0.0,1.0,1.0", "5.0,0.0,1.0,1.0,0.9,p,0.0,0.0,1.0,1.0"], "non-numeric field"),
+    ],
+    ids=["fault-before-bad-count", "bad-count-before-fault", "bad-number-before-fault"],
+)
+def test_crossmatch_reports_the_first_failing_row(tmp_path, capsys, records, message):
+    dets, err = _crossmatch_error(tmp_path, capsys, *records)
+    assert f"{dets}:3: {message}" in err, err
+
+
 def test_headerless_global_detections_are_rejected(tmp_path, capsys):
     config = write_scene(
         tmp_path, plant_craters(6), extra_config={"verify_catalog": {"path": "truth.csv", "schema": "generic"}}
@@ -563,3 +608,25 @@ def test_production_commands_build_no_global_detection(tmp_path, monkeypatch):
         assert main([command, "--config", str(config)]) == 0, command
     with open(tmp_path / "out" / "crossmatch.csv") as fh:
         assert len(list(csv.DictReader(fh))) > 12  # the false positives are classified too
+
+
+def _set_config_number(cfg, key, value):
+    if key in ("ps_a", "ps_r"):
+        cfg["bands"][0][key] = value
+    elif key == "grid.m_set":
+        cfg["grid"]["m_set"] = [0, value]
+    else:
+        cfg[key] = value
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 9.5), ("workers", 2.7), ("boundary_m", 10.9), ("ps_a", 256.5), ("ps_r", 128.25), ("grid.m_set", 2.7)],
+)
+def test_config_non_integral_number_names_file_and_key(tmp_path, capsys, key, value):
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    _set_config_number(cfg, key, value)
+    config.write_text(json.dumps(cfg))
+    err = _config_error(config, capsys)
+    assert f"{config}: malformed value ({key} must be an integer, got {value!r})" in err, err

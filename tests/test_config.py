@@ -125,3 +125,16 @@ def test_manifest_lists_all_outputs_with_matching_digests(tmp_path):
         assert digest == sha256_file(out_dir / rel)
     assert manifest["inputs"][str(tmp_path / "truth.csv")] == sha256_file(tmp_path / "truth.csv")
     assert manifest["config"]["seed"] == 9
+
+
+def test_integral_floats_load_as_the_integers(tmp_path):
+    path = write_scene(tmp_path, plant_craters(2))
+    as_ints = load_config(path)
+    raw = json.loads(path.read_text())
+    raw.update(seed=9.0, workers=1.0, boundary_m=10.0)
+    raw["bands"][0].update(ps_a=256.0, ps_r=128.0)
+    raw["grid"]["m_set"] = [0.0, 1.0, 5.0, 10.0]
+    path.write_text(json.dumps(raw))
+    cfg = load_config(path)
+    assert cfg == as_ints
+    assert all(type(v) is int for v in (cfg.seed, cfg.workers, cfg.boundary_m, cfg.bands[0].ps_a, *cfg.grid.m_set))
