@@ -9,11 +9,13 @@ It reads only a patch's placement (id, offset, spec, resize factor), so it
 takes a PatchPlacement or a FusedPatch alike. The external path ingests
 detection records produced by a real model.
 
-A detector returns a list of Detection per patch. Past that seam raw
-detections are columns: PatchDetections maps patch ids to rows held as
-arrays, in sorted patch id order, for postprocess.run_pipeline. It is what
-runner.detect_patches returns, and what load_detections builds from the
-record lines, split once, each numeric field converted as one column.
+A detector returns a sequence of Detection per patch: a list, or, from the
+oracle, the column-backed rows a PatchDetections lookup gives, so the oracle
+builds no Detection. Past that seam raw detections are columns:
+PatchDetections maps patch ids to rows held as arrays, in sorted patch id
+order, for postprocess.run_pipeline. It is what runner.detect_patches
+returns, and what load_detections builds from the record lines, split once,
+each numeric field converted as one column.
 
 Detection record wire format, one record per line, comma separated, no
 header (blank lines and lines starting with ``#`` are ignored):
@@ -109,12 +111,10 @@ class PatchDetections(Mapping):
         is returned as it is. Every detection must carry its key as patch id."""
         if isinstance(per_patch, cls):
             return per_patch
-        rows = [d for dets in per_patch.values() for d in dets]
-        ids = [key for key, dets in per_patch.items() for _ in dets]
-        for d, key in zip(rows, ids):
-            if d.patch_id != key:
-                raise DetectionError(f"detection of patch {d.patch_id!r} listed under patch {key!r}")
-        return cls(ids, [d.box for d in rows], [d.score for d in rows], keys=per_patch.keys())
+        parts = [_PatchRows.of(key, dets) for key, dets in per_patch.items()]
+        ids = np.repeat(np.array(list(per_patch), dtype=object), [len(p) for p in parts])
+        boxes = np.concatenate([np.empty((0, 4))] + [p.boxes for p in parts])
+        return cls(ids, boxes, np.concatenate([np.empty(0)] + [p.scores for p in parts]), keys=per_patch.keys())
 
     def __getitem__(self, key: str) -> _PatchRows:
         k = self._index[key]
@@ -129,10 +129,23 @@ class PatchDetections(Mapping):
 
 
 class _PatchRows(Sequence):
-    """One patch's rows of a PatchDetections, as Detections on demand."""
+    """One patch's rows as columns, and as Detections on demand: what a
+    PatchDetections lookup and SyntheticDetector.detect return."""
 
     def __init__(self, patch_id: str, boxes: np.ndarray, scores: np.ndarray) -> None:
         self.patch_id, self.boxes, self.scores = patch_id, boxes, scores
+
+    @classmethod
+    def of(cls, patch_id: str, dets: Sequence[Detection]) -> _PatchRows:
+        """dets as the rows of patch_id, each carrying it; rows of that patch
+        are returned as they are."""
+        if isinstance(dets, cls) and dets.patch_id == patch_id:
+            return dets
+        for d in dets:
+            if d.patch_id != patch_id:
+                raise DetectionError(f"detection of patch {d.patch_id!r} listed under patch {patch_id!r}")
+        boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
+        return cls(patch_id, boxes, np.array([d.score for d in dets], dtype=np.float64))
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -204,9 +217,9 @@ class DetectorInterface(ABC):
                 )
 
     @abstractmethod
-    def detect(self, patch: FusedPatch | PatchPlacement) -> list[Detection]:
-        """Return detections satisfying the Detection invariants; boxes may
-        be clipped to the patch boundary."""
+    def detect(self, patch: FusedPatch | PatchPlacement) -> Sequence[Detection]:
+        """Return detections satisfying the Detection invariants, as a list
+        or any sequence; boxes may be clipped to the patch boundary."""
 
 
 def _patch_rng(seed: int, patch_id: str) -> np.random.Generator:
@@ -234,11 +247,10 @@ class SyntheticDetector(DetectorInterface):
         self.noise = noise
         self.truth_boxes = catalog_mod.to_boxes(truth, gt)
 
-    def detect(self, patch: FusedPatch | PatchPlacement) -> list[Detection]:
-        rng = _patch_rng(self.noise.seed, patch.patch_id)
-        gt, row0, col0, df = self.gt, patch.row0, patch.col0, patch.delta_f
-        ps_a = patch.spec.ps_a
-        ps_r = patch.spec.ps_r
+    def detect(self, patch: FusedPatch | PatchPlacement) -> _PatchRows:
+        gt, noise, row0, col0, df = self.gt, self.noise, patch.row0, patch.col0, patch.delta_f
+        ps_a, ps_r = patch.spec.ps_a, patch.spec.ps_r
+        rng = _patch_rng(noise.seed, patch.patch_id)
 
         # the window in meters: its corners at resize factor 1
         x_lo, y_hi = pixel_to_meter_xy(0, 0, gt, row0, col0, 1.0)
@@ -246,48 +258,35 @@ class SyntheticDetector(DetectorInterface):
 
         b = self.truth_boxes
         hit = ~((b[:, 0] >= x_hi) | (b[:, 2] <= x_lo) | (b[:, 1] >= y_hi) | (b[:, 3] <= y_lo))
+        bx1, by1, bx2, by2 = b[hit].T
 
-        detections: list[Detection] = []
-        for bx1, by1, bx2, by2 in b[hit]:
-            # One draw per candidate keeps the stream stable across configs.
-            missed = rng.random() < self.noise.miss_rate
-            jx = rng.normal(0.0, self.noise.center_jitter_px)
-            jy = rng.normal(0.0, self.noise.center_jitter_px)
-            jr = rng.normal(0.0, self.noise.radius_jitter_frac)
-            score = rng.uniform(0.7, 1.0)
-            if missed:
-                continue
+        # One draw per candidate keeps the stream stable across configs: the
+        # miss test, three standard normals, the score. NumPy's normal(0, s)
+        # is 0 + s * z and its uniform(lo, hi) is lo + (hi - lo) * u, so the
+        # columns below equal the scalar draws bit for bit.
+        random, normal = rng.random, rng.standard_normal
+        draws = np.array([(random(), normal(), normal(), normal(), random()) for _ in range(bx1.size)])
+        u_miss, zx, zy, zr, u_score = draws.reshape(-1, 5).T
+        px1, py1 = meter_to_pixel_xy(bx1, by2, gt, row0, col0, df)
+        px2, py2 = meter_to_pixel_xy(bx2, by1, gt, row0, col0, df)
+        cx = (px1 + px2) / 2.0 + (0.0 + noise.center_jitter_px * zx)
+        cy = (py1 + py2) / 2.0 + (0.0 + noise.center_jitter_px * zy)
+        half = np.maximum((px2 - px1) / 2.0 * (1.0 + (0.0 + noise.radius_jitter_frac * zr)), 0.25)
+        score = 0.7 + (1.0 - 0.7) * u_score
+        found = u_miss >= noise.miss_rate
 
-            px1, py1 = meter_to_pixel_xy(bx1, by2, gt, row0, col0, df)
-            px2, py2 = meter_to_pixel_xy(bx2, by1, gt, row0, col0, df)
-            cx = (px1 + px2) / 2.0 + jx
-            cy = (py1 + py2) / 2.0 + jy
-            half = max((px2 - px1) / 2.0 * (1.0 + jr), 0.25)
-            det = self._clipped(patch.patch_id, cx, cy, half, ps_r, score)
-            if det is not None:
-                detections.append(det)
+        # Poisson-many spurious boxes: radius, center x, center y, score
+        u = rng.random((rng.poisson(noise.false_positive_rate), 4))
+        lo, hi = noise.fp_radius_px
+        cx = np.concatenate([cx[found], ps_r * u[:, 1]])  # uniform(0, ps_r)
+        cy = np.concatenate([cy[found], ps_r * u[:, 2]])
+        half = np.concatenate([half[found], lo + (hi - lo) * u[:, 0]])
+        score = np.concatenate([score[found], 0.3 + (0.9 - 0.3) * u[:, 3]])
 
-        for _ in range(rng.poisson(self.noise.false_positive_rate)):
-            r = rng.uniform(*self.noise.fp_radius_px)
-            cx = rng.uniform(0.0, ps_r)
-            cy = rng.uniform(0.0, ps_r)
-            score = rng.uniform(0.3, 0.9)
-            det = self._clipped(patch.patch_id, cx, cy, r, ps_r, score)
-            if det is not None:
-                detections.append(det)
-        return detections
-
-    @staticmethod
-    def _clipped(
-        patch_id: str, cx: float, cy: float, half: float, ps_r: int, score: float
-    ) -> Detection | None:
-        x1 = max(cx - half, 0.0)
-        y1 = max(cy - half, 0.0)
-        x2 = min(cx + half, float(ps_r))
-        y2 = min(cy + half, float(ps_r))
-        if x1 >= x2 or y1 >= y2:
-            return None
-        return Detection(patch_id=patch_id, box=(x1, y1, x2, y2), score=score)
+        boxes = np.stack([np.maximum(cx - half, 0.0), np.maximum(cy - half, 0.0),
+                          np.minimum(cx + half, float(ps_r)), np.minimum(cy + half, float(ps_r))], axis=1)
+        kept = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
+        return _PatchRows(patch.patch_id, boxes[kept], score[kept])
 
 
 def load_detections(path: str | Path, score_floor: float | None = None, ps_r: int | None = None) -> PatchDetections:

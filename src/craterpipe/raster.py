@@ -3,7 +3,9 @@
 The on-disk format is deliberately plain: a raw little-endian scalar payload
 (row-major) plus a text header sidecar next to it (same stem, ``.hdr``
 extension) declaring dimensions, scalar type, band kind, nodata sentinel and
-the geotransform. See read_header for the exact keys.
+the geotransform. See read_header for the exact keys. load_raster maps the
+payload read-only and reads no value: pages are read when something reads
+them, so inputs must not change while a grid is in use.
 
 Tiling cuts a mosaic into overlapping square windows, scales each window
 linearly to bytes, box-downsamples it to the detector input size and stamps
@@ -238,20 +240,19 @@ def read_header(path: str | Path) -> dict:
 
 
 def load_raster(path: str | Path, header: dict | None = None) -> RasterGrid:
-    """Read a raw payload plus its header sidecar into a RasterGrid."""
+    """Map a raw payload read-only, plus its header sidecar, into a RasterGrid."""
     path = Path(path)
     if not path.exists():
         raise RasterError(f"raster payload not found: {path}")
     hdr = header if header is not None else read_header(path)
-    dtype = np.dtype(_DTYPES[hdr["dtype"]])
-    raw = path.read_bytes()
-    expected = hdr["width"] * hdr["height"] * dtype.itemsize
-    if len(raw) != expected:
-        raise RasterError(
-            f"{path}: payload holds {len(raw) // dtype.itemsize} values, "
-            f"header declares {hdr['width'] * hdr['height']}"
-        )
-    values = np.frombuffer(raw, dtype=dtype).reshape(hdr["height"], hdr["width"])
+    if not path.is_file():
+        raise RasterError(f"{path}: raster payload is not a regular file")
+    dtype, shape = np.dtype(_DTYPES[hdr["dtype"]]), (hdr["height"], hdr["width"])
+    if (size := path.stat().st_size) != shape[0] * shape[1] * dtype.itemsize:
+        raise RasterError(f"{path}: payload holds {size // dtype.itemsize} values, "
+                          f"header declares {shape[0] * shape[1]}")
+    # an empty file cannot be mapped
+    values = np.memmap(path, dtype, mode="r", shape=shape) if size else np.frombuffer(b"", dtype).reshape(shape)
     try:
         return RasterGrid(
             width=hdr["width"],

@@ -67,7 +67,7 @@ from .raster import (
     tile,
     write_patch_image,
 )
-from .textcols import write_csv
+from .textcols import csv_text, write_csv
 
 __all__ = [
     "RunResult",
@@ -432,7 +432,7 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
     classes = {"known": report.known, "confirmed_new": report.confirmed_new, "unverified": report.unverified}
     order = [i for indices in classes.values() for i in indices]
     labels = [cls for cls, indices in classes.items() for _ in indices]
-    columns = [labels, list(map(str, order)), gated.patch_ids[order], gated.scores[order]]
+    columns = [labels, list(map(str, order)), csv_text(gated.patch_ids[order].tolist()), gated.scores[order]]
     write_csv(path, ["class", "detection_index", "patch_id", "score"], columns, eol="\n")
     summary = out_dir / "crossmatch_summary.txt"
     k, c, uv = report.counts

@@ -103,3 +103,17 @@ def test_traced_counts_equal_the_raw_detections(tmp_path, monkeypatch):
     assert counts["detector.records"] == len(records)
     assert counts["detector.records"] - counts["detector.floor_dropped"] == kept
     assert counts["postprocess.in"] == kept
+
+
+def test_synthetic_detector_keeps_what_the_tracer_reads(tmp_path, monkeypatch):
+    """_count_detect reads the oracle's truth_boxes and gt, and counts 0
+    candidate tests without a word if they are gone, so the count is checked
+    here; raster.mpix_in takes the size of every loaded grid, mapped or read."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts)
+    config = write_scene(tmp_path, plant_craters(6), noise={"false_positive_rate": 3.0, "center_jitter_px": 1.0})
+    assert main(["detect", "--config", str(config)]) == 0
+    # 3 x 3 windows of 256 px at a 128 px stride, each testing all 6 truth boxes
+    assert counts["detector.candidate_tests"] == 9 * 6
+    assert 0 < counts["detector.candidate_hits"] < 9 * 6
+    assert counts["raster.mpix_in"] == 2 * 512 * 512 / 1e6  # intensity and DEM

@@ -52,6 +52,25 @@ def test_cmd_slope_missing_input_names_path(tmp_path, capsys):
     assert "ghost.bin" in capsys.readouterr().err
 
 
+def test_cmd_slope_overwrites_its_own_dem(tmp_path):
+    dem = planar_dem(16, gx=0.5)
+    path = tmp_path / "dem.bin"
+    save_raster(dem, path, dtype="float32")
+    assert main(["slope", str(path), str(path)]) == 0
+    out = load_raster(path)
+    assert out.band_kind == "slope"
+    assert abs(out.values[5, 5] - math.degrees(math.atan(0.5))) < 0.01
+
+
+def test_raster_payload_that_is_a_directory_exits_two(tmp_path, capsys):
+    save_raster(planar_dem(8), tmp_path / "dem.bin")
+    (tmp_path / "dem.bin").unlink()
+    (tmp_path / "dem.bin").mkdir()
+    assert main(["slope", str(tmp_path / "dem.bin"), str(tmp_path / "s.bin")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'dem.bin'}: raster payload is not a regular file" in err, err
+
+
 def _dem_with_stray_nan(path, n=16):
     """A DEM with one NaN cell and no nodata sentinel to mark it."""
     dem = planar_dem(n, gx=0.5)
@@ -419,6 +438,25 @@ def test_cmd_crossmatch_classifies(tmp_path):
     assert len(rows) == 6
 
 
+def test_cmd_crossmatch_quotes_patch_ids(tmp_path):
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    cfg["verify_catalog"] = {"path": "truth.csv", "schema": "generic"}
+    config.write_text(json.dumps(cfg))
+    dets = tmp_path / "dets.csv"
+    with open(dets, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1_m", "y1_m", "x2_m", "y2_m", "score", "patch_id", "px1", "py1", "px2", "py2"])
+        writer.writerow([0.0, -900.0, 900.0, 0.0, 0.98, "a,b", 0.0, 0.0, 9.0, 9.0])
+        writer.writerow([0.0, -900.0, 900.0, 0.0, 0.5, 'say "c"', 0.0, 0.0, 9.0, 9.0])
+    assert main(["crossmatch", "--config", str(config), "--detections", str(dets)]) == 0
+    with open(tmp_path / "out" / "crossmatch.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["class", "detection_index", "patch_id", "score"]
+    assert [len(r) for r in rows] == [4, 4, 4]
+    assert [r[2] for r in rows[1:]] == ["a,b", 'say "c"']
+
+
 def test_cmd_crossmatch_without_rasters_uses_config_geotransform(tmp_path):
     craters = plant_craters(4)
     config = write_scene(tmp_path, craters)
@@ -608,6 +646,20 @@ def test_production_commands_build_no_global_detection(tmp_path, monkeypatch):
         assert main([command, "--config", str(config)]) == 0, command
     with open(tmp_path / "out" / "crossmatch.csv") as fh:
         assert len(list(csv.DictReader(fh))) > 12  # the false positives are classified too
+
+
+def test_oracle_commands_build_no_detection(tmp_path, monkeypatch):
+    from craterpipe import detector
+
+    noise = {"center_jitter_px": 1.5, "radius_jitter_frac": 0.1, "false_positive_rate": 2.0, "miss_rate": 0.1}
+    config = write_scene(tmp_path, plant_craters(12), noise=noise)
+    built = []
+    real = detector.Detection.__post_init__
+    monkeypatch.setattr(detector.Detection, "__post_init__", lambda self: built.append(self) or real(self))
+    for command in ("run", "gridsearch"):
+        assert main([command, "--config", str(config)]) == 0, command
+    assert built == []
+    assert len((tmp_path / "out" / "detections_global.csv").read_text().splitlines()) > 12
 
 
 def _set_config_number(cfg, key, value):

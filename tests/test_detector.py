@@ -16,6 +16,7 @@ from craterpipe.detector import (
 from craterpipe.errors import DetectionError
 from craterpipe.geo import GeoTransform, meter_to_lonlat
 from craterpipe.raster import FusedPatch, PatchPlacement, PatchSpec, patch_placements, tile
+from craterpipe.runner import detect_patches
 
 from conftest import LUNAR_RADIUS, make_grid
 from reference import synthetic_detect_scalar
@@ -178,6 +179,55 @@ def test_mask_candidate_search_equals_scalar_loop(boxes, miss, jitter, radius_ji
     det.truth_boxes = truth_boxes
     got = [(d.patch_id, d.box, d.score) for d in det.detect(_WINDOW)]
     assert got == synthetic_detect_scalar(truth_boxes, GT, noise, _WINDOW)
+
+
+# SyntheticDetector.detect draws each candidate with rng.random() and
+# rng.standard_normal() and applies NumPy's own formulas to whole columns.
+# These pin the identities it relies on, values and generator state alike.
+
+
+@pytest.mark.parametrize("lo, hi", [(0.7, 1.0), (0.3, 0.9), (12.5, 50.0), (1.0, 8.0), (0.0, 512.0)])
+def test_uniform_is_lo_plus_range_times_random(lo, hi):
+    scalar, rewritten = np.random.default_rng(2024), np.random.default_rng(2024)
+    want = np.array([scalar.uniform(lo, hi) for _ in range(20_000)])
+    one_by_one = np.array([rewritten.random() for _ in range(10_000)])
+    got = lo + (hi - lo) * np.concatenate([one_by_one, rewritten.random(10_000)])
+    assert got.tobytes() == want.tobytes()
+    assert rewritten.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("s", [0.0, 0.1, 1.0, 1.5, 2.5, 30.0])
+def test_normal_is_zero_plus_scale_times_standard_normal(s):
+    scalar, rewritten = np.random.default_rng(2024), np.random.default_rng(2024)
+    want = np.array([scalar.normal(0.0, s) for _ in range(20_000)])
+    got = 0.0 + s * np.array([rewritten.standard_normal() for _ in range(20_000)])
+    assert got.tobytes() == want.tobytes()
+    assert rewritten.bit_generator.state == scalar.bit_generator.state
+
+
+def test_detect_patches_gives_equal_columns_for_any_worker_count():
+    truth = catalog_at_meters([(x * 100.0, -y * 100.0, 900.0) for x in range(5, 400, 17) for y in range(3, 400, 13)])
+    noise = NoiseConfig(center_jitter_px=1.5, radius_jitter_frac=0.1,
+                        false_positive_rate=2.0, miss_rate=0.1, seed=5, fp_radius_px=(2.0, 9.0))
+    det = SyntheticDetector(truth, GT, noise)
+    patches = patch_placements(400, 400, PatchSpec(64, 32, 0.5))
+    one, two = (detect_patches(patches, det, workers) for workers in (1, 2))
+    assert one.patches == two.patches == tuple(sorted(p.patch_id for p in patches))
+    assert len(one.scores) > len(patches)
+    assert one.patch_ids.tolist() == two.patch_ids.tolist()
+    assert one.boxes.tobytes() == two.boxes.tobytes()
+    assert one.scores.tobytes() == two.scores.tobytes()
+
+
+def test_a_detector_returning_a_list_still_drives_the_pipeline():
+    class ListDetector(DetectorInterface):
+        def detect(self, patch):
+            return [Detection(patch.patch_id, (1.0, 2.0, 3.0, 4.0), 0.5)] if patch.col0 == 0 else []
+
+    patches = patch_placements(128, 64, PatchSpec(64, 32, 0.5))
+    cols = detect_patches(patches, ListDetector(), 2)
+    assert list(cols) == sorted(p.patch_id for p in patches)
+    assert cols.boxes.tolist() == [[1.0, 2.0, 3.0, 4.0]] and cols.scores.tolist() == [0.5]
 
 
 def test_detection_invariants():

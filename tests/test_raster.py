@@ -54,6 +54,30 @@ def test_load_dimension_mismatch(tmp_path):
         load_raster(path)
 
 
+def test_load_maps_the_payload_read_only(tmp_path):
+    grid = make_grid([[0.0, 1.0], [2.0, 3.0]])
+    loaded = load_raster(write_raster(tmp_path, "g.bin", grid))
+    assert not loaded.values.flags.writeable
+    with pytest.raises(ValueError):
+        loaded.values[0, 0] = 7.0
+
+
+def test_load_zero_value_payload(tmp_path):
+    path = write_raster(tmp_path, "g.bin", make_grid(np.zeros((3, 0))))
+    assert path.stat().st_size == 0
+    loaded = load_raster(path)
+    assert loaded.values.shape == (3, 0) and loaded.width == 0
+    assert not loaded.values.flags.writeable
+
+
+def test_load_payload_that_is_not_a_regular_file(tmp_path):
+    path = write_raster(tmp_path, "g.bin", make_grid([[0.0, 1.0], [2.0, 3.0]]))
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(RasterError, match=f"^{re.escape(str(path))}: raster payload is not a regular file$"):
+        load_raster(path)
+
+
 def test_load_unknown_band(tmp_path):
     grid = make_grid([[0.0, 1.0], [2.0, 3.0]])
     path = write_raster(tmp_path, "g.bin", grid)
