@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -30,6 +31,7 @@ __all__ = [
     "apply_overrides",
     "write_manifest",
     "sha256_file",
+    "file_digests",
 ]
 
 
@@ -305,25 +307,40 @@ def apply_overrides(
 # run manifest
 
 
+# Hashing reads through one reused buffer: a fresh bytes object per chunk
+# costs an allocation, and larger chunks mean fewer interpreter-lock handoffs
+# while sha256 runs on a background thread (hashlib releases the lock).
+_HASH_CHUNK = 1 << 20
+
+
 def sha256_file(path: str | Path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
+
+
+def file_digests(paths: Iterable[str | Path]) -> dict[str, str]:
+    """The SHA-256 of each file, keyed by its path as given, in order."""
+    return {str(p): sha256_file(p) for p in paths}
 
 
 def write_manifest(
     out_dir: str | Path,
     cfg: PipelineConfig,
     timings_s: dict[str, float],
-    inputs: list[str | Path],
+    inputs: list[str | Path] | Mapping[str, str],
     outputs: list[str | Path],
 ) -> Path:
     """Record the config snapshot, stage timings and file digests.
 
     Inputs and outputs are digested so identical re-runs are verifiable.
-    The manifest lists every output file except itself.
+    inputs is either the input paths, hashed here, or their digests already
+    taken (path -> hex digest, as file_digests returns). The manifest lists
+    every output file except itself.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -331,7 +348,7 @@ def write_manifest(
     manifest = {
         "config": snapshot,
         "timings_s": {k: round(v, 6) for k, v in timings_s.items()},
-        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "inputs": dict(inputs) if isinstance(inputs, Mapping) else file_digests(inputs),
         "outputs": {str(Path(p).relative_to(out_dir)): sha256_file(p) for p in outputs},
     }
     path = out_dir / "manifest.json"

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,6 +67,9 @@ _DTYPES = {
     "float64": "<f8",
 }
 
+# Bytes of values per window of a whole-grid check (RasterGrid._row_windows).
+_WINDOW_BYTES = 1 << 22
+
 
 class GridExtent(NamedTuple):
     """A grid's band kind, size and placement, without its values."""
@@ -102,19 +105,28 @@ class RasterGrid:
                 f"declared {self.height}x{self.width} grid"
             )
         if self.band_kind == "slope" and np.issubdtype(self.values.dtype, np.floating):
-            valid = self.valid_mask()
-            if valid.any():
-                v = self.values[valid]
-                # min and max propagate NaN, and NaN fails both tests
-                if not (v.min() >= 0.0 and v.max() <= 90.0):
+            for rows in self._row_windows():
+                v = self.values[rows]
+                # NaN fails both tests, so a valid NaN cell is out of range
+                if (~((v >= 0.0) & (v <= 90.0)) & self.valid_mask(rows)).any():
                     raise RasterError("slope values must lie in [0, 90] degrees")
 
-    def valid_mask(self) -> np.ndarray:
+    def valid_mask(self, rows: slice = slice(None)) -> np.ndarray:
+        """Which cells of the given rows (all rows by default) are valid."""
+        values = self.values[rows]
         if self.nodata is None:
-            return np.ones(self.values.shape, dtype=bool)
+            return np.ones(values.shape, dtype=bool)
         if math.isnan(self.nodata):
-            return ~np.isnan(self.values)
-        return self.values != self.nodata
+            return ~np.isnan(values)
+        return values != self.nodata
+
+    def _row_windows(self) -> Iterator[slice]:
+        """Row slices that cover the grid in order, each holding at most
+        _WINDOW_BYTES of values (one row at least). A check that reduces
+        over these windows pages a mapped payload in once and holds
+        temporaries the size of one window, not of the grid."""
+        step = max(1, _WINDOW_BYTES // max(1, self.width * self.values.itemsize))
+        return (slice(r, r + step) for r in range(0, self.height, step))
 
 
 @dataclass(frozen=True)
@@ -230,6 +242,8 @@ def read_header(path: str | Path) -> dict:
             raise RasterError(f"{hdr_path}: {key} = {fields[key]!r} is not {what}") from None
 
     width, height = number("width", int), number("height", int)
+    if width < 0 or height < 0:
+        raise RasterError(f"{hdr_path}: width and height must not be negative, got {width}x{height}")
     try:
         gt = GeoTransform(*(number(k) for k in ("x_min", "y_max", "resolution", "body_radius")))
     except GeoError as exc:
@@ -312,7 +326,7 @@ def resampled_extent(grid: RasterGrid, target_resolution: float) -> GridExtent:
     without building values. Sizes round up so the output covers the input."""
     if target_resolution <= 0:
         raise RasterError(f"target resolution must be positive, got {target_resolution}")
-    if not grid.valid_mask().any():
+    if not any(grid.valid_mask(rows).any() for rows in grid._row_windows()):
         raise RasterError("cannot resample an all-nodata grid")
     gt = grid.geotransform
     return GridExtent(

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as catalog_mod
-from .config import CatalogConfig, PipelineConfig, write_manifest
+from .config import CatalogConfig, PipelineConfig, file_digests, write_manifest
 from .detector import DetectorInterface, PatchDetections, SyntheticDetector, load_detections, save_detections
 from .errors import ConfigError, RasterError
 from .evaluate import (
@@ -243,14 +243,33 @@ def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[Detecti
 
 
 def run_full(cfg: PipelineConfig) -> RunResult:
-    """The complete run: detection through metrics, with files written."""
+    """The complete run: detection through metrics, with files written.
+
+    The input digests for the manifest are taken on one background thread
+    from the start: hashing the rasters is the longest read of a run, and
+    sha256 releases the interpreter lock, so it overlaps the pipeline. An
+    error of the pipeline takes precedence over one of the hashing.
+    """
     if cfg.truth_catalog is None:
         raise ConfigError("run needs a truth_catalog")
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     t_total = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=1) as hasher:
+        digests = hasher.submit(file_digests, _input_paths(cfg))
+        result = _run_stages(cfg, out_dir, timings)
+        t0 = time.perf_counter()
+        inputs = digests.result()
+        timings["inputs_digest_wait"] = time.perf_counter() - t0
+    timings["total"] = time.perf_counter() - t_total
+    write_manifest(out_dir, cfg, timings, inputs, result.written)
+    return result
 
+
+def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -> RunResult:
+    """Load, detect, post-process, evaluate and write every output of run
+    but the manifest, recording stage times in timings."""
     t0 = time.perf_counter()
     stack = load_stack(cfg, pixels=False)
     gt = stack[4]
@@ -294,9 +313,6 @@ def run_full(cfg: PipelineConfig) -> RunResult:
     summary_path = out_dir / "summary.txt"
     summary_path.write_text(_summary_text(cfg, metrics, loc, band_info))
     written.append(summary_path)
-
-    timings["total"] = time.perf_counter() - t_total
-    write_manifest(out_dir, cfg, timings, _input_paths(cfg), written)
     return RunResult(
         detections=survivors, metrics=metrics, localization=loc, gt=gt, out_dir=out_dir, written=written
     )

@@ -281,3 +281,20 @@ def load_detection_rows(path, score_floor=None, ps_r=None):
     if parse_error is not None:
         raise parse_error
     return out
+
+
+def slope_in_range(values, nodata):
+    """The whole-grid slope range check: every valid value lies in [0, 90].
+
+    Valid follows RasterGrid.valid_mask; min and max propagate NaN, and NaN
+    fails both tests.
+    """
+    values = np.asarray(values)
+    if nodata is None:
+        valid = np.ones(values.shape, dtype=bool)
+    elif np.isnan(nodata):
+        valid = ~np.isnan(values)
+    else:
+        valid = values != nodata
+    v = values[valid]
+    return v.size == 0 or bool(v.min() >= 0.0 and v.max() <= 90.0)

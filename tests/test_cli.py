@@ -3,14 +3,17 @@
 import csv
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from craterpipe import config as config_mod
 from craterpipe.cli import main
-from craterpipe.config import sha256_file
+from craterpipe.config import load_config, sha256_file
 from craterpipe.geo import GeoTransform
 from craterpipe.raster import RasterGrid, load_raster, save_raster
+from craterpipe.runner import _input_paths
 
 from conftest import planar_dem
 from reference import brute_force_metrics
@@ -212,6 +215,49 @@ def test_cmd_run_manifest_complete(tmp_path):
     again = json.loads((out_dir / "manifest.json").read_text())
     assert again["inputs"] == manifest["inputs"]
     assert (out_dir / "detections_global.csv").read_bytes() == first
+
+
+def test_cmd_run_manifest_inputs_in_input_order(tmp_path):
+    config = write_scene(tmp_path, plant_craters(4))
+    assert main(["run", "--config", str(config)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    paths = _input_paths(load_config(config))
+    assert len(paths) == 5  # two payloads, their headers and the truth catalog
+    assert list(manifest["inputs"].items()) == [(str(p), sha256_file(p)) for p in paths]
+    assert 0.0 <= manifest["timings_s"]["inputs_digest_wait"] <= manifest["timings_s"]["total"]
+
+
+def _unreadable(path):
+    raise OSError(f"cannot read {path}")
+
+
+def test_pipeline_error_takes_precedence_over_a_hashing_error(tmp_path, capsys, monkeypatch):
+    config = write_scene(tmp_path, plant_craters(4))
+    truth = tmp_path / "truth.csv"
+    truth.write_text("\n".join(line.rsplit(",", 1)[0] for line in truth.read_text().splitlines()) + "\n")
+    monkeypatch.setattr(config_mod, "sha256_file", _unreadable)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "missing columns" in err and "cannot read" not in err, err
+
+
+def test_hashing_error_exits_two_with_its_message(tmp_path, capsys, monkeypatch):
+    config = write_scene(tmp_path, plant_craters(4))
+    monkeypatch.setattr(config_mod, "sha256_file", _unreadable)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    first = _input_paths(load_config(config))[0]
+    assert capsys.readouterr().err == f"error: cannot read {first}\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_leaves_no_thread_behind(tmp_path, workers):
+    config = write_scene(tmp_path, plant_craters(4))
+    before = threading.active_count()
+    assert main(["run", "--config", str(config), "--workers", str(workers)]) == 0
+    assert threading.active_count() == before
 
 
 def test_cmd_run_size_floor_flag(tmp_path):
@@ -582,6 +628,17 @@ def test_bad_header_value_names_the_header_and_key(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert f"{hdr}: width = '512.5' is not an integer" in err, err
+
+
+def test_negative_header_dimensions_name_the_header(tmp_path, capsys):
+    config = write_scene(tmp_path, plant_craters(2))
+    hdr = tmp_path / "intensity.hdr"
+    _edit_header(hdr, "width", "-512")
+    _edit_header(hdr, "height", "-512")  # the product still matches the payload
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{hdr}: width and height must not be negative, got -512x-512" in err, err
 
 
 @pytest.mark.parametrize("value", ["0", "nan"])

@@ -1,9 +1,12 @@
 """Config parsing, overrides and manifest digests."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from craterpipe import config as config_mod
 from craterpipe.config import apply_overrides, load_config, sha256_file, write_manifest
 from craterpipe.errors import ConfigError
 
@@ -125,6 +128,28 @@ def test_manifest_lists_all_outputs_with_matching_digests(tmp_path):
         assert digest == sha256_file(out_dir / rel)
     assert manifest["inputs"][str(tmp_path / "truth.csv")] == sha256_file(tmp_path / "truth.csv")
     assert manifest["config"]["seed"] == 9
+
+
+def test_manifest_takes_input_digests_already_computed(tmp_path):
+    cfg = load_config(write_scene(tmp_path, plant_craters(2)))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    inputs = [tmp_path / "truth.csv", tmp_path / "config.json"]
+    write_manifest(out_dir, cfg, {}, inputs, [])
+    from_paths = (out_dir / "manifest.json").read_text()
+    write_manifest(out_dir, cfg, {}, config_mod.file_digests(inputs), [])
+    assert (out_dir / "manifest.json").read_text() == from_paths
+
+
+CHUNK = config_mod._HASH_CHUNK
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_sha256_file_equals_hashlib_at_chunk_edges(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_integral_floats_load_as_the_integers(tmp_path):

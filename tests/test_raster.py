@@ -1,13 +1,19 @@
 """Raster IO, resampling, slope, byte scaling and tiling tests."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import craterpipe
+from craterpipe import raster
 from craterpipe.errors import RasterError
 from craterpipe.raster import (
     FusedPatch,
@@ -18,12 +24,14 @@ from craterpipe.raster import (
     patch_grid,
     replicate_single_band,
     resample,
+    resampled_extent,
     save_raster,
     tile,
     write_patch_image,
 )
 
 from conftest import make_grid, planar_dem, write_raster
+from reference import slope_in_range
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +305,59 @@ def test_load_raster_names_the_file_of_a_bad_slope(tmp_path):
     hdr.write_text(hdr.read_text().replace("band = intensity", "band = slope"))
     with pytest.raises(RasterError, match=rf"^{re.escape(str(path))}: slope values must lie in \[0, 90\] degrees$"):
         load_raster(path)
+
+
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 4),
+    cells=st.data(),
+    nodata=st.sampled_from([None, -9999.0, float("nan")]),
+    window_rows=st.sampled_from([1, 2, 5, None]),
+)
+def test_windowed_grid_checks_equal_the_whole_grid_checks(rows, cols, cells, nodata, window_rows):
+    """The slope range check and the all-nodata check reduce over row
+    windows; each must decide as a check over the whole grid does."""
+    pick = st.sampled_from([0.0, 45.0, 90.0, -0.5, 90.5, float("nan"), -9999.0])
+    values = np.array(cells.draw(st.lists(pick, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    with pytest.MonkeyPatch.context() as mp:
+        if window_rows is not None:
+            mp.setattr(raster, "_WINDOW_BYTES", window_rows * cols * values.itemsize)
+        try:
+            grid = make_grid(values, band_kind="slope", nodata=nodata)
+        except RasterError as exc:
+            assert str(exc) == "slope values must lie in [0, 90] degrees"
+            assert not slope_in_range(values, nodata)
+            return
+        assert slope_in_range(values, nodata)
+        has_valid = grid.valid_mask().any()
+        try:
+            resampled_extent(grid, 50.0)
+        except RasterError as exc:
+            assert str(exc) == "cannot resample an all-nodata grid"
+            assert not has_valid
+        else:
+            assert has_valid
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("nodata", [None, -1.0])
+def test_loading_a_slope_holds_one_window_beyond_its_payload(tmp_path, nodata):
+    """The range check of a mapped slope pages the payload in once; its
+    temporaries stay within one window. Measured in a fresh process."""
+    n = 2048
+    values = np.random.default_rng(3).random((n, n), dtype=np.float32) * np.float32(80.0)
+    path = write_raster(tmp_path, "slope.bin", make_grid(values, band_kind="slope", nodata=nodata), dtype="float32")
+    script = (
+        "import resource, sys\n"
+        "from craterpipe.raster import load_raster\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "load_raster(sys.argv[1])\n"
+        "print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))\n"
+    )
+    src = str(Path(craterpipe.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout) <= path.stat().st_size + raster._WINDOW_BYTES
 
 
 def test_slope_bounds_for_random_dems():
