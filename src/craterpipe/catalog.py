@@ -3,9 +3,10 @@
 Catalogs are comma-separated text with a header row. Column names differ
 between the common catalog families, so the loader takes a schema: either a
 preset name from SCHEMAS or an explicit column mapping. Rows that parse but
-violate the crater invariants (non-positive diameter, latitude out of range)
-are rejected and counted; rows that do not parse at all count as malformed
-and abort the load once their fraction exceeds a tolerance.
+violate the crater invariants (a value that is not finite, non-positive
+diameter, latitude out of range) are rejected and counted; rows that do not
+parse at all count as malformed and abort the load once their fraction
+exceeds a tolerance.
 
 A catalog is held as columns, with CatalogCrater as a row view built only
 where a caller reads rows: the loader converts whole columns (see textcols),
@@ -124,7 +125,8 @@ def load_catalog(
 ) -> Catalog:
     """Read a delimited-text catalog, chunks of rows as columns.
 
-    Rows failing the crater invariants are dropped and counted in
+    Rows failing the crater invariants (a value that is not finite, a
+    diameter <= 0, a latitude outside [-90, 90]) are dropped and counted in
     n_rejected. Malformed rows (a mapped field missing or non-numeric) are
     also dropped, but if their fraction of all data rows exceeds
     max_malformed_fraction the load fails. Fields read as with csv.DictReader:
@@ -154,7 +156,8 @@ def load_catalog(
             cols = list(zip_longest(header, *rows))
             vals, malformed = float_columns([cols[i][1:] for i in numeric], len(rows))
             _, lat, diam = vals.T
-            keep = np.flatnonzero(~malformed & (diam > 0) & (lat >= -90.0) & (lat <= 90.0))
+            # a malformed value reads NaN
+            keep = np.flatnonzero(np.isfinite(vals).all(axis=1) & (diam > 0) & (lat >= -90.0) & (lat <= 90.0))
             if id_at is None:
                 ids += [f"{cat_name}#{k}" for k in (keep + n_rows + 1).tolist()]
             else:

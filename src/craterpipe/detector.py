@@ -27,6 +27,7 @@ Coordinates are resized-patch pixels as decimal text, score in [0, 1].
 
 from __future__ import annotations
 
+import math
 import zlib
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -71,12 +72,15 @@ class Detection:
             raise DetectionError(f"negative coordinates in box {self.box}")
         if not 0.0 <= self.score <= 1.0:
             raise DetectionError(f"score {self.score} outside [0, 1]")
+        if not all(map(math.isfinite, self.box)):
+            raise DetectionError(f"non-finite coordinates in box {self.box}")
 
     @staticmethod
     def invalid(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """The mask of rows, (N, 4) boxes and (N,) scores, that __post_init__ rejects."""
         x1, y1, x2, y2 = boxes.T
-        return ~((x1 < x2) & (y1 < y2)) | (x1 < 0) | (y1 < 0) | ~((scores >= 0.0) & (scores <= 1.0))
+        bad = ~((x1 < x2) & (y1 < y2)) | (x1 < 0) | (y1 < 0) | ~((scores >= 0.0) & (scores <= 1.0))
+        return bad | ~np.isfinite(boxes).all(axis=1)
 
 
 class PatchDetections(Mapping):

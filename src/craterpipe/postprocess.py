@@ -16,9 +16,9 @@ the result is a DetectionSet, as is what load_global_detections reads
 back. Only nms also takes a list of GlobalDetection and then returns a
 list of the same objects.
 
-overlap_pairs(a, b) finds the overlapping pairs of two box sets; NMS uses
-its self-join form overlap_pairs(b), which gives each overlapping pair of
-distinct boxes once, as i < j.
+overlap_pairs(a, b) finds the overlapping pairs of two box sets by a strip
+sweep; NMS uses its self-join form overlap_pairs(b), which gives each
+overlapping pair of distinct boxes once, as i < j.
 """
 
 from __future__ import annotations
@@ -166,58 +166,76 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + counts, counts)
 
 
-def _candidates(a: np.ndarray, b: np.ndarray, one_way: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) that include every pair of a- and b-boxes that
-    intersect with positive area, plus some that do not. one_way means b is
-    a: then each pair of distinct boxes comes once, as i < j."""
-    # b is split into size classes: every side of a class-k box is below
-    # C = 2**k, which is also the class's band height. k stays at most 52
-    # below the exponent of the largest coordinate, so y / C stays finite
-    # and bands are never finer than the coordinates can resolve.
-    k_floor = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]) - 52
-    side = np.maximum(b[:, 2] - b[:, 0], b[:, 3] - b[:, 1])
-    k = np.maximum(np.frexp(side)[1], k_floor)
-    out_i, out_j = [], []
-    for kc in np.unique(k).tolist():
-        c = np.ldexp(1.0, kc)
-        members = np.flatnonzero(k == kc)
-        # Bucket the class into y-bands of height C by y1, sorted by x1
-        # within a band. key orders (band, x1) as one integer: the band's
-        # number times a stride, plus the count of class boxes with a smaller x1.
-        band = np.floor(b[members, 1] / c)
-        x1 = b[members, 0]
-        order = np.lexsort((x1, band))
-        members, band, x1 = members[order], band[order], x1[order]
-        bands, band_no = np.unique(band, return_inverse=True)
-        xs = np.sort(x1)
-        stride = members.size + 1
-        key = band_no * stride + np.searchsorted(xs, x1)
-        # Every box of a queries the class. In a self-join only boxes of
-        # class >= k do, so a pair from two classes is found once, from its
-        # larger box. The window below holds for a query box of any size.
-        rows_a = np.flatnonzero(k >= kc) if one_way else np.arange(a.shape[0])
-        q = a[rows_a]
-        # A class box meeting q has y1 in (q_y1 - C, q_y2) and x1 in
-        # (q_x1 - C, q_x2). The lower ends are rounded down so that no such
-        # box falls outside the window.
-        y_lo = np.floor(np.nextafter(q[:, 1] - c, -np.inf) / c)
-        band_lo = np.searchsorted(bands, y_lo)
-        n_bands = np.maximum(np.searchsorted(bands, np.floor(q[:, 3] / c), side="right") - band_lo, 0)
-        q_band = _ranges(band_lo, n_bands)
-        x_lo = np.repeat(np.searchsorted(xs, np.nextafter(q[:, 0] - c, -np.inf)), n_bands)
-        x_hi = np.repeat(np.searchsorted(xs, q[:, 2]), n_bands)
-        start = np.searchsorted(key, q_band * stride + x_lo)
-        count = np.maximum(np.searchsorted(key, q_band * stride + x_hi) - start, 0)
-        i = np.repeat(np.repeat(rows_a, n_bands), count)
-        j = members[_ranges(start, count)]
-        if one_way:
-            # a pair within the class is found from both ends, and every
-            # box finds itself
-            once = (k[i] > kc) | (i < j)
-            i, j = np.minimum(i[once], j[once]), np.maximum(i[once], j[once])
-        out_i.append(i)
-        out_j.append(j)
-    return np.concatenate(out_i), np.concatenate(out_j)
+def _candidates(boxes: np.ndarray, n_a: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (i, j) that include every pair of boxes intersecting with
+    positive area, plus some that do not, each pair once. Rows below n_a are
+    a's and the rest b's, and i is an a-row and j a b-row; n_a None joins
+    every row with every other."""
+    n, y1, y2 = boxes.shape[0], boxes[:, 1], boxes[:, 3]
+    e_max = int(np.frexp(np.abs(boxes[:, 1::2]).max())[1])
+
+    def strips(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each box's first strip and count of further strips, for strips of
+        height 2**k but never below 2**-52 of the largest y, so y / h stays
+        finite and exact in its floor. Only first strips are numbered: a
+        pair is found only in the strip of its intersection's lower edge,
+        max(y1_i, y1_j), one box's first strip, so two further strips never
+        meet."""
+        h = np.ldexp(1.0, min(max(k, e_max - 52), e_max + 1))
+        y1_strips, first = np.unique(np.floor(y1 / h), return_inverse=True)
+        return first, np.maximum(np.searchsorted(y1_strips, np.floor(y2 / h), side="right") - first - 1, 0)
+
+    # At a power of two above the mean box height (summed as quarter heights,
+    # which cannot overflow) a box meets at most 3 strips on average. Heights
+    # are first capped at 64 times the median, so that a few boxes far taller
+    # than the rest are put in more strips rather than make every strip tall;
+    # if that gives over 3 strips a box, k is bisected up towards k_hi.
+    quarter = np.maximum(y2 * 0.25 - y1 * 0.25, 0.0)
+    k_hi = int(np.frexp(quarter.mean())[1]) + 2
+    median = np.partition(quarter, n // 2)[n // 2]
+    k_lo = min(int(np.frexp(np.minimum(quarter, 64.0 * median).mean())[1]) + 2, k_hi)
+    first_strip, n_further = strips(k_lo)
+    if n_further.sum() > 2 * n:
+        while k_hi - k_lo > 1:
+            k = (k_lo + k_hi) // 2
+            k_lo, k_hi = (k, k_hi) if strips(k)[1].sum() > 2 * n else (k_lo, k)
+        first_strip, n_further = strips(k_hi)
+    # key orders replicas by (strip, x1 rank); key + span bounds the keys of its strip with x1 below its x2
+    xs, x1_rank = np.unique(boxes[:, 0], return_inverse=True)
+    span, stride = np.searchsorted(xs, boxes[:, 2]) - x1_rank, xs.size + 1
+
+    def replicas(lo: int, hi: int, further: bool) -> tuple[np.ndarray, np.ndarray]:
+        box, strip = np.arange(lo, hi), first_strip[lo:hi]
+        if further:
+            box, strip = np.repeat(box, n_further[lo:hi]), _ranges(strip + 1, n_further[lo:hi])
+        key = strip * stride + x1_rank[box]
+        order = np.argsort(key)
+        return box[order], key[order]
+
+    parts = [(0, n)] if n_a is None else [(0, n_a), (n_a, n)]
+    sides = [(replicas(lo, hi, False), replicas(lo, hi, True)) for lo, hi in parts]
+    del xs, x1_rank, first_strip, n_further  # only the replicas and span reach the joins
+
+    def join(p, q, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each p replica with the q replicas from start on in its strip whose x1 is below its x2."""
+        (p_box, p_key), (q_box, q_key) = p, q
+        count = np.maximum(np.searchsorted(q_key, p_key + span[p_box]) - start, 0)
+        return np.repeat(p_box, count), q_box[_ranges(start, count)]
+
+    def cross(p, q) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The p, q pairs in one strip that overlap in x: q.x1 in [p.x1, p.x2),
+        searched from each p, and p.x1 in (q.x1, q.x2), from each q."""
+        j, i = join(q, p, np.searchsorted(p[1], q[1], side="right"))
+        return [join(p, q, np.searchsorted(q[1], p[1])), (i, j)]
+
+    if n_a is None:
+        [(first, further)] = sides
+        # a forward sweep: each box meets the later boxes of its first strip
+        pairs = [join(first, first, np.arange(1, n + 1))] + cross(first, further)
+    else:
+        (a_first, a_further), (b_first, b_further) = sides
+        pairs = cross(a_first, b_first) + cross(a_first, b_further) + cross(a_further, b_first)
+    return np.concatenate([i for i, _ in pairs]), np.concatenate([j for _, j in pairs])
 
 
 def overlap_pairs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,23 +253,40 @@ def overlap_pairs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     strict upper triangle of iou_matrix(a, a). The IOU of a pair does not
     depend on its orientation, since +, min and max commute.
 
-    Sort and sweep: b is split by size class and bucketed into y-bands, and
-    each box of a searches the bands it can reach with searchsorted windows
-    on x1. Time and memory grow with N + M and the pairs found, not N x M.
+    A row holding a NaN or an infinite coordinate forms no pair.
+
+    Strip sweep: each box is put in the horizontal strips it meets, and a
+    pair is looked for only in the strip holding the lower edge of its
+    intersection, by binary search on x1. Strips are as tall as the mean box
+    with heights capped at 64 times the median, or taller where that would
+    put more than 3 (N + M) boxes in strips. Time and memory grow with N + M
+    and the candidates: the pairs, plus the boxes of one strip that overlap
+    in x but not in y, which are few while strips are about as tall as most
+    boxes.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    one_way = b is None
-    b = a if one_way else np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    if a.shape[0] == 0 or b.shape[0] == 0:
+    boxes = a if b is None else np.concatenate([a, np.asarray(b, dtype=np.float64).reshape(-1, 4)])
+    finite = np.isfinite(boxes).all(axis=1)
+    n, n_a = int(finite.sum()), None if b is None else int(finite[:a.shape[0]].sum())
+    if n < finite.size:
+        boxes = boxes[finite]
+    if n < 2 or n_a in (0, n):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    i, j = _candidates(a, b, one_way)
-    iw = np.minimum(a[i, 2], b[j, 2]) - np.maximum(a[i, 0], b[j, 0])
-    ih = np.minimum(a[i, 3], b[j, 3]) - np.maximum(a[i, 1], b[j, 1])
+    i, j = _candidates(boxes, n_a)
+    iw = np.minimum(boxes[i, 2], boxes[j, 2]) - np.maximum(boxes[i, 0], boxes[j, 0])
+    ih = np.minimum(boxes[i, 3], boxes[j, 3]) - np.maximum(boxes[i, 1], boxes[j, 1])
     hit = (iw > 0.0) & (ih > 0.0)
-    i, j, inter = i[hit], j[hit], iw[hit] * ih[hit]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = area_a if one_way else (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return i, j, inter / (area_a[i] + area_b[j] - inter)
+    inter = iw[hit] * ih[hit]
+    del iw, ih  # before i and j are filtered, so fewer candidate-length arrays live at once
+    i, j = i[hit], j[hit]
+    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    iou = inter / (area[i] + area[j] - inter)
+    if n_a is None:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    if n < finite.size:
+        rows = np.flatnonzero(finite)
+        i, j = rows[i], rows[j]
+    return (i, j, iou) if n_a is None else (i, j - a.shape[0], iou)
 
 
 def _inside(pixel_boxes: np.ndarray, ps_r: int, m: int) -> np.ndarray:
@@ -373,8 +408,8 @@ def load_global_detections(path: str | Path) -> DetectionSet:
 
     A file with no lines holds no detections. The first bad row fails the
     load with its line number: a wrong field count, a non-numeric field, a
-    degenerate box, a pixel box and score the Detection invariants reject,
-    or an empty patch id, whichever comes first.
+    degenerate or non-finite box, a pixel box and score the Detection
+    invariants reject, or an empty patch id, whichever comes first.
     """
     path = Path(path)
     if not path.exists():
@@ -390,6 +425,7 @@ def load_global_detections(path: str | Path) -> DetectionSet:
     raise_first(path, linenos, [
         (~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])),
          lambda r: f"degenerate global box {tuple(boxes[r].tolist())}"),
+        (~np.isfinite(boxes).all(axis=1), lambda r: f"non-finite global box {tuple(boxes[r].tolist())}"),
         (Detection.invalid(pixel_boxes, scores), lambda r: Detection(ids[r], tuple(pixel_boxes[r].tolist()), scores[r])),
         (np.array(ids, dtype=object) == "", lambda r: "empty patch id"),
     ], parse_error)

@@ -5,6 +5,7 @@ These deliberately mirror the documented semantics with different mechanics
 the production code is meaningful.
 """
 
+import math
 import zlib
 from typing import NamedTuple
 
@@ -224,7 +225,7 @@ def load_catalog_rows(path, mapping, cat_name, max_malformed_fraction=0.0):
                 n_malformed += 1
                 n_rejected += 1
                 continue
-            if not (diam > 0 and -90.0 <= lat <= 90.0):
+            if not (diam > 0 and -90.0 <= lat <= 90.0 and math.isfinite(lon) and math.isfinite(diam)):
                 n_rejected += 1
                 continue
             cid = row[id_col] if id_col is not None else f"{cat_name}#{rownum}"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from craterpipe import config as config_mod
+from craterpipe.catalog import load_catalog
 from craterpipe.cli import main
 from craterpipe.config import load_config, sha256_file
 from craterpipe.geo import GeoTransform
@@ -598,6 +599,44 @@ def test_crossmatch_rejects_what_load_detections_rejects(tmp_path, capsys, recor
 def test_crossmatch_reports_the_first_failing_row(tmp_path, capsys, records, message):
     dets, err = _crossmatch_error(tmp_path, capsys, *records)
     assert f"{dets}:3: {message}" in err, err
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("0.0,0.0,inf,1.0,0.9,p,0.0,0.0,1.0,1.0", "non-finite global box (0.0, 0.0, inf, 1.0)"),
+        ("0.0,0.0,1.0,1.0,0.9,p,0.0,0.0,inf,1.0", "non-finite coordinates in box (0.0, 0.0, inf, 1.0)"),
+    ],
+    ids=["global-box", "pixel-box"],
+)
+def test_crossmatch_rejects_an_infinite_corner(tmp_path, capsys, record, message):
+    dets, err = _crossmatch_error(tmp_path, capsys, record)
+    assert f"{dets}:3: {message}" in err, err
+
+
+def test_run_rejects_a_record_with_an_infinite_corner(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("p,1.0,2.0,11.0,12.0,0.9\np,1.0,2.0,3.0,inf,0.9\n")
+    detector = {"kind": "external", "path": str(records)}
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"detector": detector})
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{records}:2: non-finite coordinates in box (1.0, 2.0, 3.0, inf)" in err, err
+
+
+@pytest.mark.parametrize("row", ["bad,nan,-0.1,4.0", "bad,inf,-0.1,4.0", "bad,0.1,-0.1,inf"])
+def test_run_rejects_truth_rows_that_are_not_finite(tmp_path, row):
+    """A truth row with a NaN or infinite longitude or an infinite diameter
+    is rejected like one with a diameter <= 0: it is no truth box, so
+    it neither counts as a false negative nor matches every detection."""
+    config = write_scene(tmp_path, plant_craters(6))
+    assert main(["run", "--config", str(config), "--out", "clean"]) == 0
+    with open(tmp_path / "truth.csv", "a") as fh:
+        fh.write(row + "\n")
+    assert load_catalog(tmp_path / "truth.csv").n_rejected == 1
+    assert main(["run", "--config", str(config), "--out", "dirty"]) == 0
+    assert read_metrics(tmp_path / "dirty") == read_metrics(tmp_path / "clean")
 
 
 def test_headerless_global_detections_are_rejected(tmp_path, capsys):

@@ -130,6 +130,53 @@ def test_overlap_pairs_huge_box_over_tiny_ones():
     assert_self_join_equals_upper_triangle(np.vstack([tiny[:5], huge, tiny[5:]]))
 
 
+def test_box_edges_on_strip_boundaries():
+    """Every box is one unit tall with y1 on a multiple of the unit, so the
+    strips (a power of two above the mean box height: two units here) have
+    box edges on every boundary, and stacked boxes touch there."""
+    rng = np.random.default_rng(7)
+    for unit in (2.0**-20, 1.0, 8.0, 2.0**30):
+        (x1, y1), w = rng.integers(0, 40, (2, 300)) * unit, rng.integers(1, 5, 300) * unit
+        boxes = np.stack([x1, y1, x1 + w, y1 + unit], axis=1)
+        assert_scatter_equals_dense(boxes[:150], boxes[150:])
+        assert_scatter_equals_dense(boxes[150:], boxes[:150])
+        assert_self_join_equals_upper_triangle(boxes)
+
+
+@st.composite
+def with_non_finite(draw, boxes):
+    """boxes with NaN or an infinity drawn into a few of their coordinates."""
+    boxes = draw(boxes).copy()
+    for _ in range(draw(st.integers(0, 4)) if boxes.shape[0] else 0):
+        row, col = draw(st.integers(0, boxes.shape[0] - 1)), draw(st.integers(0, 3))
+        boxes[row, col] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return boxes
+
+
+ANY_BOXES = st.one_of(lattice_boxes(), heavy_tailed_boxes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_non_finite(ANY_BOXES), with_non_finite(ANY_BOXES))
+def test_rows_with_a_non_finite_coordinate_form_no_pair(a, b):
+    """Such a row pairs with nothing and hides no pair: the pairs are the
+    dense scatter over the finite rows alone."""
+    fa, fb = np.isfinite(a).all(axis=1), np.isfinite(b).all(axis=1)
+    i, j, v = overlap_pairs(a, b)
+    assert fa[i].all() and fb[j].all() and np.all(v > 0.0)
+    scattered, dense = np.zeros((2, a.shape[0], b.shape[0]))
+    scattered[i, j] = v
+    dense[np.ix_(fa, fb)] = iou_matrix(a[fa], b[fb])
+    assert scattered.tobytes() == dense.tobytes()
+
+    i, j, v = overlap_pairs(a)
+    assert fa[i].all() and fa[j].all() and np.all(i < j) and np.all(v > 0.0)
+    scattered, dense = np.zeros((2, a.shape[0], a.shape[0]))
+    scattered[i, j] = v
+    dense[np.ix_(fa, fa)] = np.triu(iou_matrix(a[fa], a[fa]), 1)
+    assert scattered.tobytes() == dense.tobytes()
+
+
 SCORES = st.sampled_from([0.1, 0.5, 0.5, 0.9])  # forced score ties
 DELTAS = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0))
 
@@ -182,3 +229,75 @@ def test_scoring_and_nms_memory_bounded_on_50k_by_20k():
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 1e6, (peak, bound_mb)
+
+
+def _peak_mb(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_tall_box_among_short_ones_stays_linear():
+    """A box 1e6 tall and wide among 10,000 boxes 1 tall: it meets every
+    short box, and the strips follow the short boxes' height, so it is put
+    in about one strip per short box. Measured peaks were 1.1-1.5 MB; the
+    bound allows about 2x that."""
+    rng = np.random.default_rng(6)
+    xy = rng.uniform(0, 1e6, (10_000, 2))
+    short, tall = np.hstack([xy, xy + 1.0]), np.array([[0.0, 0.0, 1e6, 1e6]])
+    for args in ((np.vstack([short[:5000], tall, short[5000:]]),), (tall, short), (short, tall)):
+        assert overlap_pairs(*args)[0].size == 10_000
+        assert _peak_mb(lambda: overlap_pairs(*args)) < 3.0
+
+
+def test_one_box_far_taller_than_the_rest_does_not_set_the_strips():
+    """20,000 unit boxes at density 0.1 plus one box 1e12 tall. With strips
+    as tall as the mean height every short box would share one strip, and
+    every pair overlapping in x would be a candidate: about 2e7 of them and
+    ~100 MB. Capping heights at 64 times the median keeps the strips short.
+    Measured peaks were 85-145 bytes per box or pair."""
+    rng = np.random.default_rng(12)
+    xy = rng.uniform(0, 450, (20_000, 2))
+    short, tall = np.hstack([xy, xy + 1.0]), np.array([[200.0, -5e11, 201.0, 5e11]])
+    for args in ((np.vstack([short[:10_000], tall, short[10_000:]]),), (tall, short), (short, tall),
+                 (short[:10_000], np.vstack([short[10_000:], tall]))):
+        n_pairs = overlap_pairs(*args)[0].size
+        assert _peak_mb(lambda: overlap_pairs(*args)) < 300 * (20_001 + n_pairs) / 1e6
+
+
+def test_many_tall_boxes_over_sparse_rows():
+    """Three boxes spanning everything over 2,000 unit boxes spread far
+    apart in y: with the capped heights each tall box would meet about
+    2,000 strips, more than 3 strips a box in all, so a coarser strip height
+    is searched for. The pairs still equal the dense reference."""
+    rng = np.random.default_rng(13)
+    xy = rng.uniform(0, 1, (2000, 2)) * [100.0, 1e6]
+    short = np.hstack([xy, xy + 1.0])
+    tall = np.array([[10.0 * k, -1e12, 10.0 * k + 50.0, 1e12] for k in range(3)])
+    boxes = np.vstack([short[:1000], tall, short[1000:]])
+    assert_self_join_equals_upper_triangle(boxes)
+    assert_scatter_equals_dense(tall, short)
+    assert_scatter_equals_dense(short[:1000], np.vstack([tall, short[1000:]]))
+
+
+def _power_law_boxes(rng, n, lo_km=1.0, hi_km=2500.0, extent_m=1.0e7):
+    """Crater boxes with diameters from lo_km to hi_km, the number above D
+    falling as D**-2, as in global lunar catalogs."""
+    u = rng.uniform(0, 1, n)
+    diam = lo_km * (1 - u * (1 - (lo_km / hi_km) ** 2)) ** -0.5 * 1e3
+    cx, cy = rng.uniform(0, extent_m, (2, n))
+    return np.stack([cx - diam / 2, cy - diam / 2, cx + diam / 2, cy + diam / 2], axis=1)
+
+
+def test_power_law_catalog_memory_bounded():
+    """50,000 against 50,000 crater boxes of 1-2,500 km on a 10,000 km
+    square. The self-join peaked at 5.7 MB and the join of the two sets at
+    12.5 MB; the size-class search this sweep replaced peaked at 15.7 and
+    14.2 MB, which bound them here."""
+    rng = np.random.default_rng(2500)
+    a, b = _power_law_boxes(rng, 50_000), _power_law_boxes(rng, 50_000)
+    assert _peak_mb(lambda: overlap_pairs(a)) < 15.7
+    assert _peak_mb(lambda: overlap_pairs(a, b)) < 14.2

@@ -129,7 +129,7 @@ BAD_RECORDS = [
     ("pA,1.0,2.0,3.0,12.0,1.5", "score 1.5 outside [0, 1]"),
     ("pA,1.0,2.0,3.0,12.0,nan", "score nan outside [0, 1]"),
     ("pA,1.0,2.0,600.0,12.0,0.9", "box exceeds patch side 512"),
-    ("pA,1.0,2.0,3.0,inf,0.9", "box exceeds patch side 512"),
+    ("pA,1.0,2.0,3.0,inf,0.9", "non-finite coordinates in box (1.0, 2.0, 3.0, inf)"),
 ]
 
 
