@@ -6,8 +6,8 @@ detections are boundary-filtered, globalized to map coordinates and
 deduplicated, and the result is scored against ground-truth catalogs.
 """
 
-from .catalog import Catalog, CatalogCrater, combine, filter_by_region, filter_by_size, load_catalog, to_boxes
-from .detector import Detection, DetectorInterface, NoiseConfig, SyntheticDetector, load_detections
+from .catalog import Catalog, combine, filter_by_region, filter_by_size, load_catalog, to_boxes
+from .detector import DetectorInterface, NoiseConfig, PatchDetections, SyntheticDetector, load_detections
 from .errors import PipelineError
 from .evaluate import (
     CrossVerifyReport,
@@ -26,7 +26,6 @@ from .geo import GeoTransform, lonlat_to_meter, meter_to_lonlat, meter_to_pixel_
 from .postprocess import (
     BoundaryFilterConfig,
     DetectionSet,
-    GlobalDetection,
     NmsConfig,
     nms,
     run_pipeline,

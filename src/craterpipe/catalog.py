@@ -3,24 +3,21 @@
 Catalogs are comma-separated text with a header row. Column names differ
 between the common catalog families, so the loader takes a schema: either a
 preset name from SCHEMAS or an explicit column mapping. Rows that parse but
-violate the crater invariants (a value that is not finite, non-positive
-diameter, latitude out of range) are rejected and counted; rows that do not
-parse at all count as malformed and abort the load once their fraction
-exceeds a tolerance.
+violate the crater invariants (a value that is not finite, a radius in
+meters that is not finite, non-positive diameter, latitude out of range)
+are rejected and counted; rows that do not parse at all count as malformed
+and abort the load once their fraction exceeds a tolerance.
 
-A catalog is held as columns, with CatalogCrater as a row view built only
-where a caller reads rows: the loader converts whole columns (see textcols),
-filters are masks and to_boxes projects them at once. Nothing here mutates.
+A catalog is held as columns, and only as columns: the loader converts whole
+columns (see textcols), filters are masks and to_boxes projects them at
+once. Nothing here mutates.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
-from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import combinations, zip_longest
 from pathlib import Path
 
@@ -28,14 +25,12 @@ import numpy as np
 
 from .errors import CatalogError
 from .geo import GeoTransform, lonlat_to_meter
-from .textcols import chunks, csv_text, float_columns, write_csv
+from .textcols import chunks, float_columns
 
 __all__ = [
     "SCHEMAS",
-    "CatalogCrater",
     "Catalog",
     "load_catalog",
-    "save_catalog",
     "combine",
     "filter_by_size",
     "filter_by_region",
@@ -57,33 +52,13 @@ SCHEMAS: dict[str, dict[str, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogCrater:
-    """One catalog entry, a row of a Catalog: position in degrees, diameter in kilometers."""
-
-    id: str
-    lon: float
-    lat: float
-    diam_km: float
-
-
 class Catalog:
     """A crater catalog as columns: ids, an (N,) object array of str, and lon,
-    lat (degrees) and diam_km, (N,) float64 arrays. Built from CatalogCraters
-    or, by from_columns, from columns; ids are unique and columns read-only.
+    lat (degrees) and diam_km, (N,) float64 arrays. Ids are unique and
+    columns read-only.
     """
 
-    def __init__(self, name: str, craters: Iterable[CatalogCrater] = (), source: str = "", n_rejected: int = 0):
-        cols = tuple(zip(*[(c.id, c.lon, c.lat, c.diam_km) for c in craters])) or ((),) * 4
-        self._set(name, *cols, source, n_rejected)
-
-    @classmethod
-    def from_columns(cls, name, ids, lon, lat, diam_km, source: str = "", n_rejected: int = 0) -> Catalog:
-        cat = cls.__new__(cls)
-        cat._set(name, ids, lon, lat, diam_km, source, n_rejected)
-        return cat
-
-    def _set(self, name, ids, lon, lat, diam_km, source, n_rejected) -> None:
+    def __init__(self, name: str, ids, lon, lat, diam_km, source: str = "", n_rejected: int = 0) -> None:
         self.name, self.source, self.n_rejected = name, source, n_rejected
         self.ids = np.array(ids, dtype=object).reshape(-1)
         self.lon, self.lat, self.diam_km = (np.array(v, dtype=np.float64).reshape(-1) for v in (lon, lat, diam_km))
@@ -92,16 +67,11 @@ class Catalog:
         if len(set(self.ids.tolist())) != self.ids.size:
             raise CatalogError(f"catalog {name!r} has duplicate crater ids")
 
-    @property
-    def craters(self) -> tuple[CatalogCrater, ...]:
-        """The rows as CatalogCraters, built on each read."""
-        return tuple(map(CatalogCrater, self.ids.tolist(), self.lon.tolist(), self.lat.tolist(), self.diam_km.tolist()))
-
     def __len__(self) -> int:
         return self.ids.size
 
     def _select(self, keep: np.ndarray, source: str) -> Catalog:
-        return Catalog.from_columns(
+        return Catalog(
             self.name, self.ids[keep], self.lon[keep], self.lat[keep], self.diam_km[keep], source, self.n_rejected
         )
 
@@ -126,7 +96,8 @@ def load_catalog(
     """Read a delimited-text catalog, chunks of rows as columns.
 
     Rows failing the crater invariants (a value that is not finite, a
-    diameter <= 0, a latitude outside [-90, 90]) are dropped and counted in
+    diameter <= 0 or so large that its radius in meters, diam_km * 500, is
+    not finite, a latitude outside [-90, 90]) are dropped and counted in
     n_rejected. Malformed rows (a mapped field missing or non-numeric) are
     also dropped, but if their fraction of all data rows exceeds
     max_malformed_fraction the load fails. Fields read as with csv.DictReader:
@@ -143,7 +114,7 @@ def load_catalog(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            return Catalog(cat_name, source=str(path))
+            return Catalog(cat_name, (), (), (), (), str(path))
         index = {col: i for i, col in enumerate(header)}
         missing = [mapping[k] for k in ("lon", "lat", "diam_km") if mapping[k] not in index]
         if missing:
@@ -156,8 +127,10 @@ def load_catalog(
             cols = list(zip_longest(header, *rows))
             vals, malformed = float_columns([cols[i][1:] for i in numeric], len(rows))
             _, lat, diam = vals.T
-            # a malformed value reads NaN
-            keep = np.flatnonzero(np.isfinite(vals).all(axis=1) & (diam > 0) & (lat >= -90.0) & (lat <= 90.0))
+            # a malformed value reads NaN, and a radius that overflows reads inf
+            with np.errstate(over="ignore"):
+                valid = np.isfinite(vals).all(axis=1) & np.isfinite(diam * 500.0)
+            keep = np.flatnonzero(valid & (diam > 0) & (lat >= -90.0) & (lat <= 90.0))
             if id_at is None:
                 ids += [f"{cat_name}#{k}" for k in (keep + n_rows + 1).tolist()]
             else:
@@ -172,18 +145,7 @@ def load_catalog(
             f"(tolerance {max_malformed_fraction})"
         )
     lon, lat, diam = np.concatenate(values).T
-    return Catalog.from_columns(cat_name, ids, lon, lat, diam, str(path), n_rows - len(ids))
-
-
-def save_catalog(cat: Catalog, path: str | Path, provenance: dict | None = None) -> None:
-    """Write a catalog as generic-schema CSV plus a provenance sidecar."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(path, ["id", "lon", "lat", "diam_km"], [csv_text(cat.ids.tolist()), cat.lon, cat.lat, cat.diam_km])
-    side = {"name": cat.name, "source": cat.source, "n_craters": len(cat)}
-    if provenance:
-        side.update(provenance)
-    Path(str(path) + ".provenance.json").write_text(json.dumps(side, indent=2) + "\n")
+    return Catalog(cat_name, ids, lon, lat, diam, str(path), n_rows - len(ids))
 
 
 def filter_by_size(cat: Catalog, dmin_km: float, dmax_km: float | None = None) -> Catalog:
@@ -225,7 +187,7 @@ def combine(parts: list[tuple[Catalog, float, float | None]]) -> Catalog:
             warnings.warn(f"combine: size ranges [{lo_i}, {hi_i}) and [{lo_j}, {hi_j}) overlap", stacklevel=2)
 
     kept = [filter_by_size(cat, dmin, dmax) for cat, dmin, dmax in parts]
-    return Catalog.from_columns(
+    return Catalog(
         "+".join(cat.name for cat, _, _ in parts),
         [f"{cat.name}:{i}" for cat in kept for i in cat.ids.tolist()],
         *(np.concatenate([getattr(cat, col) for cat in kept]) for col in ("lon", "lat", "diam_km")),

@@ -332,15 +332,15 @@ def write_manifest(
     out_dir: str | Path,
     cfg: PipelineConfig,
     timings_s: dict[str, float],
-    inputs: list[str | Path] | Mapping[str, str],
+    inputs: Mapping[str, str],
     outputs: list[str | Path],
 ) -> Path:
     """Record the config snapshot, stage timings and file digests.
 
     Inputs and outputs are digested so identical re-runs are verifiable.
-    inputs is either the input paths, hashed here, or their digests already
-    taken (path -> hex digest, as file_digests returns). The manifest lists
-    every output file except itself.
+    inputs holds the input digests already taken (path -> hex digest, as
+    file_digests returns). The manifest lists every output file except
+    itself.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -348,7 +348,7 @@ def write_manifest(
     manifest = {
         "config": snapshot,
         "timings_s": {k: round(v, 6) for k, v in timings_s.items()},
-        "inputs": dict(inputs) if isinstance(inputs, Mapping) else file_digests(inputs),
+        "inputs": dict(inputs),
         "outputs": {str(Path(p).relative_to(out_dir)): sha256_file(p) for p in outputs},
     }
     path = out_dir / "manifest.json"

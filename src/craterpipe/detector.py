@@ -1,21 +1,22 @@
 """Detection interface plus the two shipped implementations.
 
-The neural detector is a seam: anything that maps a fused patch to scored
-boxes can drive the pipeline. Two implementations live here. The synthetic
-oracle detector projects a truth catalog into each patch and emits
-configurable noisy detections; it exists so the post-processing and
-evaluation stages can be exercised and accepted without a trained model.
-It reads only a patch's placement (id, offset, spec, resize factor), so it
-takes a PatchPlacement or a FusedPatch alike. The external path ingests
-detection records produced by a real model.
+The neural detector is a seam: anything that maps a patch to scored boxes
+can drive the pipeline. A detector's detect(patch) returns two arrays, the
+(N, 4) pixel boxes of that patch and their (N,) scores, as Mask R-CNN gives
+them per image. Two implementations live here. The synthetic oracle
+detector projects a truth catalog into each patch and emits configurable
+noisy detections; it exists so the post-processing and evaluation stages
+can be exercised and accepted without a trained model. It reads only a
+patch's placement (id, offset, spec), so it takes a PatchPlacement or a
+FusedPatch alike. The external path ingests detection records produced by
+a real model.
 
-A detector returns a sequence of Detection per patch: a list, or, from the
-oracle, the column-backed rows a PatchDetections lookup gives, so the oracle
-builds no Detection. Past that seam raw detections are columns:
-PatchDetections maps patch ids to rows held as arrays, in sorted patch id
-order, for postprocess.run_pipeline. It is what runner.detect_patches
-returns, and what load_detections builds from the record lines, split once,
-each numeric field converted as one column.
+Past that seam raw detections are columns: PatchDetections holds every
+patch's rows in sorted patch id order, for postprocess.run_pipeline. It is
+what runner.detect_patches builds from the detector's arrays, and what
+load_detections builds from the record lines, split once, each numeric
+field converted as one column. Both check every row against the same
+invariants (invalid) and name the first bad row with row_error.
 
 Detection record wire format, one record per line, comma separated, no
 header (blank lines and lines starting with ``#`` are ignored):
@@ -27,10 +28,9 @@ Coordinates are resized-patch pixels as decimal text, score in [0, 1].
 
 from __future__ import annotations
 
-import math
 import zlib
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +43,8 @@ from .raster import FusedPatch, PatchPlacement
 from .textcols import parse_records, raise_first, write_csv
 
 __all__ = [
-    "Detection",
+    "invalid",
+    "row_error",
     "PatchDetections",
     "NoiseConfig",
     "DetectorInterface",
@@ -53,34 +54,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Detection:
-    """A scored box in the pixel frame of one resized patch."""
+def invalid(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The mask of rows, (N, 4) pixel boxes and (N,) scores, that break the
+    detection invariants: x1 < x2, y1 < y2, x1, y1 >= 0, a score in [0, 1]
+    and finite corners."""
+    x1, y1, x2, y2 = boxes.T
+    bad = ~((x1 < x2) & (y1 < y2)) | (x1 < 0) | (y1 < 0) | ~((scores >= 0.0) & (scores <= 1.0))
+    return bad | ~np.isfinite(boxes).all(axis=1)
 
-    patch_id: str
-    box: tuple[float, float, float, float]
-    score: float
 
-    def __post_init__(self) -> None:
-        # normalize numpy scalars so equality and repr behave like floats
-        object.__setattr__(self, "box", tuple(float(v) for v in self.box))
-        object.__setattr__(self, "score", float(self.score))
-        x1, y1, x2, y2 = self.box
-        if not (x1 < x2 and y1 < y2):
-            raise DetectionError(f"degenerate box {self.box} in patch {self.patch_id}")
-        if x1 < 0 or y1 < 0:
-            raise DetectionError(f"negative coordinates in box {self.box}")
-        if not 0.0 <= self.score <= 1.0:
-            raise DetectionError(f"score {self.score} outside [0, 1]")
-        if not all(map(math.isfinite, self.box)):
-            raise DetectionError(f"non-finite coordinates in box {self.box}")
-
-    @staticmethod
-    def invalid(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        """The mask of rows, (N, 4) boxes and (N,) scores, that __post_init__ rejects."""
-        x1, y1, x2, y2 = boxes.T
-        bad = ~((x1 < x2) & (y1 < y2)) | (x1 < 0) | (y1 < 0) | ~((scores >= 0.0) & (scores <= 1.0))
-        return bad | ~np.isfinite(boxes).all(axis=1)
+def row_error(patch_id: str, box, score) -> str:
+    """What the first invariant a row of patch_id breaks reads as, checked in
+    the order degenerate, negative, score, non-finite."""
+    box, score = tuple(map(float, box)), float(score)
+    x1, y1, x2, y2 = box
+    if not (x1 < x2 and y1 < y2):
+        return f"degenerate box {box} in patch {patch_id}"
+    if x1 < 0 or y1 < 0:
+        return f"negative coordinates in box {box}"
+    if not 0.0 <= score <= 1.0:
+        return f"score {score} outside [0, 1]"
+    return f"non-finite coordinates in box {box}"
 
 
 class PatchDetections(Mapping):
@@ -90,9 +84,8 @@ class PatchDetections(Mapping):
     array and patch_ids an (N,) object array of str. patches holds the
     mapping's keys in sorted order, patches without rows included. Rows are
     grouped in that order, keeping each patch's own row order, and codes
-    gives each row's index into patches. Looking up a patch gives a sequence
-    of its rows whose len() reads no rows; a Detection is built only for a
-    row that a caller reads.
+    gives each row's index into patches. Looking up a patch gives the range
+    of its row indices into the columns.
     """
 
     def __init__(self, patch_ids, boxes, scores, keys: Iterable[str] = ()) -> None:
@@ -109,64 +102,15 @@ class PatchDetections(Mapping):
         self._index = index
         self._bounds = np.searchsorted(self.codes, np.arange(len(self.patches) + 1)).tolist()
 
-    @classmethod
-    def of(cls, per_patch: Mapping[str, Sequence[Detection]]) -> PatchDetections:
-        """The columns of a patch id -> detections mapping; a PatchDetections
-        is returned as it is. Every detection must carry its key as patch id."""
-        if isinstance(per_patch, cls):
-            return per_patch
-        parts = [_PatchRows.of(key, dets) for key, dets in per_patch.items()]
-        ids = np.repeat(np.array(list(per_patch), dtype=object), [len(p) for p in parts])
-        boxes = np.concatenate([np.empty((0, 4))] + [p.boxes for p in parts])
-        return cls(ids, boxes, np.concatenate([np.empty(0)] + [p.scores for p in parts]), keys=per_patch.keys())
-
-    def __getitem__(self, key: str) -> _PatchRows:
+    def __getitem__(self, key: str) -> range:
         k = self._index[key]
-        lo, hi = self._bounds[k], self._bounds[k + 1]
-        return _PatchRows(key, self.boxes[lo:hi], self.scores[lo:hi])
+        return range(self._bounds[k], self._bounds[k + 1])
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.patches)
 
     def __len__(self) -> int:
         return len(self.patches)
-
-
-class _PatchRows(Sequence):
-    """One patch's rows as columns, and as Detections on demand: what a
-    PatchDetections lookup and SyntheticDetector.detect return."""
-
-    def __init__(self, patch_id: str, boxes: np.ndarray, scores: np.ndarray) -> None:
-        self.patch_id, self.boxes, self.scores = patch_id, boxes, scores
-
-    @classmethod
-    def of(cls, patch_id: str, dets: Sequence[Detection]) -> _PatchRows:
-        """dets as the rows of patch_id, each carrying it; rows of that patch
-        are returned as they are."""
-        if isinstance(dets, cls) and dets.patch_id == patch_id:
-            return dets
-        for d in dets:
-            if d.patch_id != patch_id:
-                raise DetectionError(f"detection of patch {d.patch_id!r} listed under patch {patch_id!r}")
-        boxes = np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
-        return cls(patch_id, boxes, np.array([d.score for d in dets], dtype=np.float64))
-
-    def __len__(self) -> int:
-        return self.scores.shape[0]
-
-    def __getitem__(self, i: int) -> Detection:
-        return Detection(self.patch_id, tuple(self.boxes[i].tolist()), self.scores[i])
-
-    def __iter__(self) -> Iterator[Detection]:
-        for box, score in zip(self.boxes.tolist(), self.scores.tolist()):
-            yield Detection(self.patch_id, tuple(box), score)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (_PatchRows, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -221,9 +165,10 @@ class DetectorInterface(ABC):
                 )
 
     @abstractmethod
-    def detect(self, patch: FusedPatch | PatchPlacement) -> Sequence[Detection]:
-        """Return detections satisfying the Detection invariants, as a list
-        or any sequence; boxes may be clipped to the patch boundary."""
+    def detect(self, patch: PatchPlacement) -> tuple[np.ndarray, np.ndarray]:
+        """Return the patch's (N, 4) pixel boxes and (N,) scores, each row
+        within the invariants of invalid; boxes may be clipped to the patch
+        boundary."""
 
 
 def _patch_rng(seed: int, patch_id: str) -> np.random.Generator:
@@ -251,7 +196,7 @@ class SyntheticDetector(DetectorInterface):
         self.noise = noise
         self.truth_boxes = catalog_mod.to_boxes(truth, gt)
 
-    def detect(self, patch: FusedPatch | PatchPlacement) -> _PatchRows:
+    def detect(self, patch: PatchPlacement) -> tuple[np.ndarray, np.ndarray]:
         gt, noise, row0, col0, df = self.gt, self.noise, patch.row0, patch.col0, patch.delta_f
         ps_a, ps_r = patch.spec.ps_a, patch.spec.ps_r
         rng = _patch_rng(noise.seed, patch.patch_id)
@@ -290,7 +235,7 @@ class SyntheticDetector(DetectorInterface):
         boxes = np.stack([np.maximum(cx - half, 0.0), np.maximum(cy - half, 0.0),
                           np.minimum(cx + half, float(ps_r)), np.minimum(cy + half, float(ps_r))], axis=1)
         kept = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
-        return _PatchRows(patch.patch_id, boxes[kept], score[kept])
+        return boxes[kept], score[kept]
 
 
 def load_detections(path: str | Path, score_floor: float | None = None, ps_r: int | None = None) -> PatchDetections:
@@ -312,16 +257,15 @@ def load_detections(path: str | Path, score_floor: float | None = None, ps_r: in
     boxes, score = rows[:, :4], rows[:, 4]
     too_big = (boxes[:, 2] > ps_r) | (boxes[:, 3] > ps_r) if ps_r is not None else np.zeros(len(ids), dtype=bool)
     raise_first(path, linenos, [
-        (Detection.invalid(boxes, score), lambda r: Detection(ids[r], tuple(boxes[r].tolist()), score[r])),
+        (invalid(boxes, score), lambda r: row_error(ids[r], boxes[r], score[r])),
         (too_big, lambda r: f"box exceeds patch side {ps_r}"),
     ], parse_error)
     keep = np.flatnonzero(~(score < score_floor)) if score_floor is not None else np.arange(len(ids))
     return PatchDetections([ids[i] for i in keep.tolist()], boxes[keep], score[keep])
 
 
-def save_detections(per_patch: Mapping[str, Sequence[Detection]], path: str | Path) -> None:
+def save_detections(per_patch: PatchDetections, path: str | Path) -> None:
     """Write detections in the record wire format, patches in sorted order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = PatchDetections.of(per_patch)
-    write_csv(path, [], [cols.patch_ids, *cols.boxes.T, cols.scores], eol="\n")
+    write_csv(path, [], [per_patch.patch_ids, *per_patch.boxes.T, per_patch.scores], eol="\n")

@@ -8,8 +8,9 @@ assignment is attempted; with NMS applied upstream, multiple detections
 matching one truth box are rare, and the raw (possibly negative) FN is kept
 alongside the clamped value so the effect stays visible.
 
-Detections arrive as a postprocess.DetectionSet (a list of GlobalDetection
-is converted to one), and each detection's best IOU comes from the sparse
+Detections arrive as a postprocess.DetectionSet, raw per-patch detections
+for grid search as a detector.PatchDetections, and truth as an (M, 4) box
+array. Each detection's best IOU comes from the sparse
 postprocess.overlap_pairs, never from a dense N x M matrix.
 
 Everything here is pure; grid-search cells are independent.
@@ -24,17 +25,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detector import Detection, PatchDetections
+from .detector import PatchDetections
 from .errors import EvalError
 from .geo import GeoTransform
-from .postprocess import (
-    BoundaryFilterConfig,
-    DetectionSet,
-    GlobalDetection,
-    NmsConfig,
-    overlap_pairs,
-    run_pipeline,
-)
+from .postprocess import BoundaryFilterConfig, DetectionSet, NmsConfig, overlap_pairs, run_pipeline
 
 __all__ = [
     "EvalConfig",
@@ -176,17 +170,16 @@ def metrics_from_counts(
     )
 
 
-def _max_ious(dets: Sequence[GlobalDetection], truth_boxes: np.ndarray) -> np.ndarray:
+def _max_ious(dets: DetectionSet, truth_boxes: np.ndarray) -> np.ndarray:
     """Each detection's best IOU against the truth boxes; 0 where none overlaps."""
-    det_boxes = DetectionSet.of(dets).boxes
-    best = np.zeros(det_boxes.shape[0])
-    i, _, v = overlap_pairs(det_boxes, truth_boxes)
+    best = np.zeros(len(dets))
+    i, _, v = overlap_pairs(dets.boxes, truth_boxes)
     np.maximum.at(best, i, v)
     return best
 
 
 def match_and_count(
-    dets: Sequence[GlobalDetection],
+    dets: DetectionSet,
     truth_boxes: np.ndarray,
     cfg: EvalConfig,
 ) -> MetricsReport:
@@ -197,13 +190,12 @@ def match_and_count(
     return metrics_from_counts(tp, n - tp, max(0, m - tp), cfg.u, n, m, fn_raw=m - tp)
 
 
-def size_gate(dets: Sequence[GlobalDetection], cfg: EvalConfig) -> DetectionSet:
+def size_gate(dets: DetectionSet, cfg: EvalConfig) -> DetectionSet:
     """Drop detections outside [size_floor_km, size_ceiling_km).
 
     The equivalent diameter of a box is the mean of its width and height in
     kilometers. With no bounds configured every detection is kept.
     """
-    dets = DetectionSet.of(dets)
     boxes = dets.boxes
     diam_km = ((boxes[:, 2] - boxes[:, 0]) + (boxes[:, 3] - boxes[:, 1])) / 2.0 / 1000.0
     keep = np.ones(diam_km.shape[0], dtype=bool)
@@ -215,7 +207,7 @@ def size_gate(dets: Sequence[GlobalDetection], cfg: EvalConfig) -> DetectionSet:
 
 
 def localization_stats(
-    dets: Sequence[GlobalDetection],
+    dets: DetectionSet,
     truth_boxes: np.ndarray,
     cfg: EvalConfig,
 ) -> LocalizationReport:
@@ -232,7 +224,7 @@ def localization_stats(
 
 
 def grid_search(
-    per_patch: Mapping[str, Sequence[Detection]],
+    per_patch: PatchDetections,
     patch_index: Mapping[str, tuple[int, int, float]],
     gt: GeoTransform,
     truth_boxes: np.ndarray,
@@ -245,8 +237,8 @@ def grid_search(
     """Joint sweep of the boundary threshold and the NMS threshold.
 
     Every (m, delta) cell, plus an NMS-disabled column per m when
-    include_no_nms is set, runs the full post-processing pipeline on the
-    columns of per_patch, made once, and is scored against the truth. The
+    include_no_nms is set, runs the full post-processing pipeline on
+    per_patch and is scored against the truth. The
     best cell maximizes F1; ties prefer larger m, then smaller delta, with
     the disabled column ranked after any real delta.
     """
@@ -256,7 +248,6 @@ def grid_search(
         raise EvalError("grid search needs a non-empty delta set")
 
     deltas: list[float | None] = list(delta_set) + ([None] if include_no_nms else [])
-    per_patch = PatchDetections.of(per_patch)
     cells = []
     for m in m_set:
         bcfg = BoundaryFilterConfig(int(m))
@@ -275,7 +266,7 @@ def grid_search(
 
 
 def cross_verify(
-    dets: Sequence[GlobalDetection],
+    dets: DetectionSet,
     catalog_a_boxes: np.ndarray,
     catalog_b_boxes: np.ndarray,
     cfg: EvalConfig,

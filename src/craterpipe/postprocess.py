@@ -9,12 +9,10 @@ order is part of the semantics.
 
 A detection set is held as columns. run_pipeline takes a
 detector.PatchDetections (pixel boxes, scores and patch ids, grouped in
-sorted patch id order); a plain patch id -> list of Detection mapping is
-converted to one first. The boundary filter is one mask over the pixel
+sorted patch id order). The boundary filter is one mask over the pixel
 boxes, globalization looks each patch up once and maps whole columns, and
-the result is a DetectionSet, as is what load_global_detections reads
-back. Only nms also takes a list of GlobalDetection and then returns a
-list of the same objects.
+the result is a DetectionSet, as is what nms returns and what
+load_global_detections reads back.
 
 overlap_pairs(a, b) finds the overlapping pairs of two box sets by a strip
 sweep; NMS uses its self-join form overlap_pairs(b), which gives each
@@ -25,13 +23,13 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .detector import Detection, PatchDetections
+from .detector import PatchDetections, invalid, row_error
 from .errors import DetectionError, PipelineError
 from .geo import GeoTransform, meter_to_lonlat, pixel_to_meter_xy
 from .textcols import csv_text, parse_records, raise_first, write_csv
@@ -39,7 +37,6 @@ from .textcols import csv_text, parse_records, raise_first, write_csv
 __all__ = [
     "BoundaryFilterConfig",
     "NmsConfig",
-    "GlobalDetection",
     "DetectionSet",
     "overlap_pairs",
     "nms",
@@ -73,35 +70,16 @@ class NmsConfig:
             raise PipelineError(f"delta must be in [0, 1], got {self.delta}")
 
 
-@dataclass(frozen=True)
-class GlobalDetection:
-    """A scored box in mosaic meters with its per-patch provenance."""
-
-    box: tuple[float, float, float, float]
-    score: float
-    patch_id: str
-    pixel_box: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "box", tuple(float(v) for v in self.box))
-        object.__setattr__(self, "pixel_box", tuple(float(v) for v in self.pixel_box))
-        object.__setattr__(self, "score", float(self.score))
-        x1, y1, x2, y2 = self.box
-        if not (x1 < x2 and y1 < y2):
-            raise PipelineError(f"degenerate global box {self.box}")
-
-
 _GLOBAL_HEADER = ["x1_m", "y1_m", "x2_m", "y2_m", "score", "patch_id", "px1", "py1", "px2", "py2"]
 
 
-class DetectionSet(Sequence):
+class DetectionSet:
     """Global detections held as columns: what the pipeline passes between
     stages.
 
     boxes and pixel_boxes are (N, 4) float64 arrays, scores an (N,) float64
-    array and patch_ids an (N,) object array of str. Indexing with an int
-    builds one GlobalDetection, and take() selects rows and stays columnar,
-    so per-box objects exist only where a caller reads them.
+    array and patch_ids an (N,) object array of str. take() selects rows and
+    stays columnar.
     """
 
     def __init__(self, boxes, scores, patch_ids, pixel_boxes) -> None:
@@ -109,19 +87,6 @@ class DetectionSet(Sequence):
         self.scores = np.asarray(scores, dtype=np.float64).reshape(-1)
         self.patch_ids = np.asarray(patch_ids, dtype=object).reshape(-1)
         self.pixel_boxes = np.asarray(pixel_boxes, dtype=np.float64).reshape(-1, 4)
-
-    @classmethod
-    def of(cls, dets: Iterable[GlobalDetection]) -> DetectionSet:
-        """The columns of dets; a DetectionSet is returned as it is."""
-        if isinstance(dets, cls):
-            return dets
-        dets = list(dets)
-        return cls(
-            [d.box for d in dets],
-            [d.score for d in dets],
-            [d.patch_id for d in dets],
-            [d.pixel_box for d in dets],
-        )
 
     @classmethod
     def concat(cls, parts: Sequence[DetectionSet]) -> DetectionSet:
@@ -140,23 +105,6 @@ class DetectionSet(Sequence):
 
     def __len__(self) -> int:
         return self.scores.shape[0]
-
-    def __getitem__(self, i: int) -> GlobalDetection:
-        return GlobalDetection(
-            tuple(self.boxes[i].tolist()), self.scores[i], self.patch_ids[i], tuple(self.pixel_boxes[i].tolist())
-        )
-
-    def __iter__(self) -> Iterator[GlobalDetection]:
-        columns = self.boxes.tolist(), self.scores.tolist(), self.patch_ids.tolist(), self.pixel_boxes.tolist()
-        for box, score, patch_id, pixel_box in zip(*columns):
-            yield GlobalDetection(tuple(box), score, patch_id, tuple(pixel_box))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (DetectionSet, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -353,24 +301,21 @@ def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray
     return order[~suppressed]
 
 
-def nms(dets: Sequence[GlobalDetection], cfg: NmsConfig) -> Sequence[GlobalDetection]:
+def nms(dets: DetectionSet, cfg: NmsConfig) -> DetectionSet:
     """Greedy highest-score-first suppression at IOU >= delta.
 
     Score ties break deterministically by smaller x1, then smaller y1, then
     input order, so results do not depend on how the input was assembled.
-    Survivors are returned in selection (score-descending) order: a
-    DetectionSet for a DetectionSet, otherwise a list of the input's own
-    objects. Disabled NMS returns the input unchanged.
+    Survivors are returned in selection (score-descending) order. Disabled
+    NMS returns the input unchanged.
     """
     if not cfg.enabled:
-        return dets if isinstance(dets, DetectionSet) else list(dets)
-    columns = DetectionSet.of(dets)
-    keep = _nms_keep(columns.boxes, columns.scores, cfg.delta)
-    return columns.take(keep) if columns is dets else [dets[i] for i in keep.tolist()]
+        return dets
+    return dets.take(_nms_keep(dets.boxes, dets.scores, cfg.delta))
 
 
 def run_pipeline(
-    per_patch: Mapping[str, Sequence[Detection]],
+    per_patch: PatchDetections,
     patch_index: Mapping[str, tuple[int, int, float]],
     gt: GeoTransform,
     ps_r: int,
@@ -379,14 +324,14 @@ def run_pipeline(
 ) -> DetectionSet:
     """Boundary filter per patch, then globalize, then NMS, in that order.
 
-    per_patch is a PatchDetections, or any patch id -> detections mapping,
-    which is converted to one. Its rows are merged in sorted patch id order,
-    so the merged set (and therefore NMS tie-breaking) never depends on
-    mapping order. Every stage works on the columns.
+    The rows of per_patch are merged in sorted patch id order, so the merged
+    set (and therefore NMS tie-breaking) never depends on the order the
+    patches were detected in. Every stage works on the columns.
     """
-    raw = PatchDetections.of(per_patch)
-    keep = np.flatnonzero(_inside(raw.boxes, ps_r, bcfg.m))
-    merged = _globalize(raw.patches, raw.codes[keep], raw.boxes[keep], raw.scores[keep], patch_index, gt)
+    keep = np.flatnonzero(_inside(per_patch.boxes, ps_r, bcfg.m))
+    merged = _globalize(
+        per_patch.patches, per_patch.codes[keep], per_patch.boxes[keep], per_patch.scores[keep], patch_index, gt
+    )
     return nms(merged, ncfg)
 
 
@@ -394,12 +339,11 @@ def run_pipeline(
 # output formats
 
 
-def write_global_detections(dets: Sequence[GlobalDetection], path: str | Path) -> None:
+def write_global_detections(dets: DetectionSet, path: str | Path) -> None:
     """CSV of globalized boxes: meters, score, then provenance columns."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cols = DetectionSet.of(dets)
-    columns = [*cols.boxes.T, cols.scores, csv_text(cols.patch_ids.tolist()), *cols.pixel_boxes.T]
+    columns = [*dets.boxes.T, dets.scores, csv_text(dets.patch_ids.tolist()), *dets.pixel_boxes.T]
     write_csv(path, _GLOBAL_HEADER, columns)
 
 
@@ -408,8 +352,8 @@ def load_global_detections(path: str | Path) -> DetectionSet:
 
     A file with no lines holds no detections. The first bad row fails the
     load with its line number: a wrong field count, a non-numeric field, a
-    degenerate or non-finite box, a pixel box and score the Detection
-    invariants reject, or an empty patch id, whichever comes first.
+    degenerate or non-finite box, a pixel box and score that
+    detector.invalid marks, or an empty patch id, whichever comes first.
     """
     path = Path(path)
     if not path.exists():
@@ -426,14 +370,14 @@ def load_global_detections(path: str | Path) -> DetectionSet:
         (~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])),
          lambda r: f"degenerate global box {tuple(boxes[r].tolist())}"),
         (~np.isfinite(boxes).all(axis=1), lambda r: f"non-finite global box {tuple(boxes[r].tolist())}"),
-        (Detection.invalid(pixel_boxes, scores), lambda r: Detection(ids[r], tuple(pixel_boxes[r].tolist()), scores[r])),
+        (invalid(pixel_boxes, scores), lambda r: row_error(ids[r], pixel_boxes[r], scores[r])),
         (np.array(ids, dtype=object) == "", lambda r: "empty patch id"),
     ], parse_error)
     return DetectionSet(boxes, scores, ids, pixel_boxes)
 
 
 def write_catalog_export(
-    dets: Sequence[GlobalDetection], gt: GeoTransform, path: str | Path, provenance: dict | None = None
+    dets: DetectionSet, gt: GeoTransform, path: str | Path, provenance: dict | None = None
 ) -> None:
     """Export detections in catalog form (lon, lat, diam_km).
 
@@ -442,7 +386,7 @@ def write_catalog_export(
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    x1, y1, x2, y2 = DetectionSet.of(dets).boxes.T
+    x1, y1, x2, y2 = dets.boxes.T
     lon, lat = meter_to_lonlat((x1 + x2) / 2.0, (y1 + y2) / 2.0, gt)
     diam_km = ((x2 - x1) + (y2 - y1)) / 2.0 / 1000.0
     ids = [f"det#{i}" for i in range(len(diam_km))]

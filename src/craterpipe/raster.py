@@ -25,7 +25,7 @@ pixels can work from placements alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -161,30 +161,28 @@ class PatchSpec:
 
 @dataclass(frozen=True)
 class PatchPlacement:
-    """Where one patch window sits in the mosaic: the geometry of a
-    FusedPatch without its channels. delta_f is ps_a / ps_r."""
+    """Where one patch window sits in the mosaic: a FusedPatch's geometry."""
 
     patch_id: str
     row0: int
     col0: int
     spec: PatchSpec
-    delta_f: float
+
+    @property
+    def delta_f(self) -> float:
+        """The resize factor ps_a / ps_r."""
+        return self.spec.delta_f
 
 
 @dataclass(frozen=True)
-class FusedPatch:
-    """A resized 3-channel byte patch plus its placement in the mosaic.
+class FusedPatch(PatchPlacement):
+    """A resized 3-channel byte patch at its placement in the mosaic.
 
     channels has shape (3, ps_r, ps_r), uint8, ordered (intensity,
-    elevation, slope). delta_f is ps_a / ps_r.
+    elevation, slope).
     """
 
-    patch_id: str
-    row0: int
-    col0: int
-    spec: PatchSpec
     channels: np.ndarray
-    delta_f: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         if self.channels.shape != (3, self.spec.ps_r, self.spec.ps_r):
@@ -193,8 +191,6 @@ class FusedPatch:
             )
         if self.channels.dtype != np.uint8:
             raise RasterError("patch channels must be uint8")
-        if self.delta_f == 0.0:
-            object.__setattr__(self, "delta_f", self.spec.delta_f)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +491,7 @@ def patch_grid(width: int, height: int, spec: PatchSpec) -> list[tuple[str, int,
 def patch_placements(width: int, height: int, spec: PatchSpec) -> list[PatchPlacement]:
     """patch_grid's windows as placements, in the same order."""
     return [
-        PatchPlacement(patch_id, r0, c0, spec, spec.delta_f)
+        PatchPlacement(patch_id, r0, c0, spec)
         for patch_id, r0, c0 in patch_grid(width, height, spec)
     ]
 
@@ -562,12 +558,12 @@ def tile(
     if scale_mode not in ("patch", "mosaic"):
         raise RasterError(f"unknown scale_mode {scale_mode!r}")
 
-    placements = patch_grid(intensity.width, intensity.height, spec)
     masks = [g.valid_mask() for g in grids]
     mosaic_ranges = [_mosaic_range(g) for g in grids] if scale_mode == "mosaic" else None
 
     patches = []
-    for patch_id, r0, c0 in placements:
+    for p in patch_placements(intensity.width, intensity.height, spec):
+        r0, c0 = p.row0, p.col0
         channels = np.empty((3, spec.ps_r, spec.ps_r), dtype=np.uint8)
         for k, grid in enumerate(grids):
             win = grid.values[r0 : r0 + spec.ps_a, c0 : c0 + spec.ps_a]
@@ -575,9 +571,7 @@ def tile(
             bounds = mosaic_ranges[k] if scale_mode == "mosaic" else None
             byte = _byte_scale(win, ok, bounds=bounds)
             channels[k] = np.rint(_area_average(byte, spec.ps_r)).astype(np.uint8)
-        patches.append(
-            FusedPatch(patch_id=patch_id, row0=r0, col0=c0, spec=spec, channels=channels)
-        )
+        patches.append(FusedPatch(p.patch_id, r0, c0, spec, channels))
     return patches
 
 

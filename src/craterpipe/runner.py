@@ -26,8 +26,16 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from .config import CatalogConfig, PipelineConfig, file_digests, write_manifest
-from .detector import DetectorInterface, PatchDetections, SyntheticDetector, load_detections, save_detections
-from .errors import ConfigError, RasterError
+from .detector import (
+    DetectorInterface,
+    PatchDetections,
+    SyntheticDetector,
+    invalid,
+    load_detections,
+    row_error,
+    save_detections,
+)
+from .errors import ConfigError, DetectionError, RasterError
 from .evaluate import (
     EvalConfig,
     GridSearchResult,
@@ -171,20 +179,33 @@ def _band_placements(band, stack) -> list[PatchPlacement]:
     return patch_placements(grids[0].width, grids[0].height, spec)
 
 
-def detect_patches(
-    patches: list[PatchPlacement] | list[FusedPatch], detector: DetectorInterface, workers: int
-) -> PatchDetections:
+def detect_patches(patches: list[PatchPlacement], detector: DetectorInterface, workers: int) -> PatchDetections:
     """Run the detector over patches on a thread pool.
 
-    Results are keyed and merged by patch id into one set of columns, so
-    completion order is irrelevant to the output.
+    Each patch's (boxes, scores) arrays are merged by patch id into one set
+    of columns, so completion order is irrelevant to the output. The first
+    row, in sorted patch id order, that breaks the detection invariants
+    fails the run with its patch named.
     """
     if workers <= 1:
         results = [detector.detect(p) for p in patches]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(detector.detect, patches))
-    return PatchDetections.of({p.patch_id: dets for p, dets in zip(patches, results)})
+    ids = [p.patch_id for p in patches]
+    boxes = [np.asarray(b, dtype=np.float64).reshape(-1, 4) for b, _ in results]
+    scores = [np.asarray(s, dtype=np.float64).reshape(-1) for _, s in results]
+    for patch_id, b, s in zip(ids, boxes, scores):
+        if len(b) != len(s):
+            raise DetectionError(f"patch {patch_id}: {len(b)} boxes but {len(s)} scores")
+    rows = np.repeat(np.array(ids, dtype=object), list(map(len, scores)))
+    boxes, scores = np.concatenate([np.empty((0, 4)), *boxes]), np.concatenate([np.empty(0), *scores])
+    cols = PatchDetections(rows, boxes, scores, keys=ids)
+    bad = np.flatnonzero(invalid(cols.boxes, cols.scores))
+    if bad.size:
+        r, patch_id = bad[0], cols.patch_ids[bad[0]]
+        raise DetectionError(f"patch {patch_id}: {row_error(patch_id, cols.boxes[r], cols.scores[r])}")
+    return cols
 
 
 def _load_truth(cfg: PipelineConfig, cat_cfg: CatalogConfig) -> catalog_mod.Catalog:

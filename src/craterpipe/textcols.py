@@ -77,15 +77,12 @@ def parse_records(numbered, n_fields: int, text_col: int, path: Path):
 
 
 def raise_first(path: Path, linenos: list[int], checks, parse_error: DetectionError | None) -> None:
-    """Raise for the first row any (mask, describe) check marks, with what the first
-    marking describe(row) returns or raises as a DetectionError; else raise parse_error."""
+    """Raise for the first row any (mask, describe) check marks, with what the
+    first marking describe(row) returns; else raise parse_error."""
     bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
     if bad.size:
         r = int(bad[0])
-        try:
-            message = next(describe(r) for mask, describe in checks if mask[r])
-        except DetectionError as exc:
-            message = exc
+        message = next(describe(r) for mask, describe in checks if mask[r])
         raise DetectionError(f"{path}:{linenos[r]}: {message}")
     if parse_error is not None:
         raise parse_error

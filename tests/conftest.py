@@ -1,9 +1,12 @@
-"""Shared fixtures: small in-memory grids and on-disk raster/catalog files."""
+"""Shared fixtures: small in-memory grids, detection columns and on-disk
+raster/catalog files."""
 
 import numpy as np
 import pytest
 
+from craterpipe.detector import PatchDetections
 from craterpipe.geo import GeoTransform
+from craterpipe.postprocess import DetectionSet
 from craterpipe.raster import RasterGrid, save_raster
 
 LUNAR_RADIUS = 1_737_400.0
@@ -45,3 +48,20 @@ def write_catalog_csv(tmp_path, name, rows, header="id,lon,lat,diam_km"):
     lines = [header] + [",".join(str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def patch_columns(rows_by_patch):
+    """The PatchDetections of a patch id -> [(box, score), ...] dict; every
+    key is a patch, with rows or without."""
+    ids = [p for p, rows in rows_by_patch.items() for _ in rows]
+    flat = [row for rows in rows_by_patch.values() for row in rows]
+    return PatchDetections(ids, [box for box, _ in flat], [score for _, score in flat], keys=rows_by_patch)
+
+
+def global_set(boxes, scores=0.9, patch_ids="p"):
+    """A DetectionSet of meter boxes, each with the pixel box (0, 0, 1, 1);
+    a single score or patch id is given to every row."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    n = boxes.shape[0]
+    ids = np.broadcast_to(np.array(patch_ids, dtype=object), n)
+    return DetectionSet(boxes, np.broadcast_to(scores, n), ids, np.tile([0.0, 0.0, 1.0, 1.0], (n, 1)))

@@ -31,8 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from craterpipe.detector import Detection
+from craterpipe.detector import PatchDetections
 from craterpipe.geo import GeoTransform
+
+from conftest import patch_columns
 
 LUNAR_RADIUS = 1_737_400.0
 
@@ -69,7 +71,8 @@ BOUNDARY_DISTANCES = (0.0, 0.5, 3.0, 8.0)  # resized pixels from the left edge
 
 @dataclass
 class GridFixture:
-    per_patch: dict
+    per_patch: PatchDetections
+    rows: dict  # patch id -> [(pixel box, score), ...], the rows of per_patch
     patch_index: dict
     gt: GeoTransform
     truth_boxes: np.ndarray
@@ -130,7 +133,7 @@ def build_grid_fixture() -> GridFixture:
         for c0 in (0, 512, 1024)
     }
     pid = {v[:2]: k for k, v in patch_index.items()}
-    per_patch: dict[str, list[Detection]] = {k: [] for k in patch_index}
+    rows: dict[str, list[tuple]] = {k: [] for k in patch_index}
 
     # slot centers in mosaic pixels; each slot is inside >= 2 patch windows
     axis = (650.0, 880.0, 1160.0, 1390.0)
@@ -149,9 +152,7 @@ def build_grid_fixture() -> GridFixture:
         for row0, col0 in patches:
             pix = _to_pixel_box(box_m, row0, col0)
             assert min(pix[0], pix[1], PS_R - pix[2], PS_R - pix[3]) > 10.0, (group, pix)
-            per_patch[pid[(row0, col0)]].append(
-                Detection(patch_id=pid[(row0, col0)], box=pix, score=score)
-            )
+            rows[pid[(row0, col0)]].append((pix, score))
             n_boxes += 1
         global_boxes.append((box_m, group))
 
@@ -209,9 +210,7 @@ def build_grid_fixture() -> GridFixture:
             y0 = 100.0 + 100.0 * t
             pix = (dist, y0, dist + fp_size, y0 + fp_size)
             assert min(pix[0], pix[1], PS_R - pix[2], PS_R - pix[3]) == dist
-            per_patch[pid[(row0, col0)]].append(
-                Detection(patch_id=pid[(row0, col0)], box=pix, score=0.5)
-            )
+            rows[pid[(row0, col0)]].append((pix, 0.5))
             n_boxes += 1
             gx1 = (col0 + pix[0] * DELTA_F) * S
             gx2 = (col0 + pix[2] * DELTA_F) * S
@@ -229,7 +228,8 @@ def build_grid_fixture() -> GridFixture:
                 assert _iou(box_a, box_b) == 0.0, (group_a, group_b)
 
     return GridFixture(
-        per_patch=per_patch,
+        per_patch=patch_columns(rows),
+        rows=rows,
         patch_index=patch_index,
         gt=gt,
         truth_boxes=np.array(truth_boxes, dtype=np.float64),

@@ -43,21 +43,20 @@ def iou_matrix(a, b):
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
-def quadratic_nms(dets, delta):
+def quadratic_nms(boxes, scores, delta):
     """Candidate-major greedy NMS: walk candidates in score order, keep one
-    iff its IOU against every already-kept box is below delta.
+    iff its IOU against every already-kept box is below delta. Returns the
+    kept row indices in selection order.
 
     Ties break by smaller x1, then smaller y1, then input order.
     """
-    order = sorted(
-        range(len(dets)),
-        key=lambda i: (-dets[i].score, dets[i].box[0], dets[i].box[1], i),
-    )
+    boxes, scores = [tuple(map(float, b)) for b in boxes], [float(s) for s in scores]
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], boxes[i][0], boxes[i][1], i))
     kept = []
     for i in order:
-        if all(_iou_scalar(dets[i].box, dets[j].box) < delta for j in kept):
+        if all(_iou_scalar(boxes[i], boxes[j]) < delta for j in kept):
             kept.append(i)
-    return [dets[i] for i in kept]
+    return kept
 
 
 class Row(NamedTuple):
@@ -72,9 +71,9 @@ class Row(NamedTuple):
 def scalar_pipeline(per_patch, patch_index, gt, ps_r, m, delta):
     """Boundary filter, globalization and NMS, one detection at a time.
 
-    per_patch maps patch id -> detections; rows are taken in sorted patch id
-    order. A box survives the filter iff min(x1, y1, ps_r - x2, ps_r - y2)
-    exceeds m. Globalization uses the operation order of
+    per_patch maps patch id -> [(box, score), ...]; rows are taken in sorted
+    patch id order. A box survives the filter iff min(x1, y1, ps_r - x2,
+    ps_r - y2) exceeds m. Globalization uses the operation order of
     geo.pixel_to_meter_xy (x_min + (col0 + x * delta_f) * resolution, and
     y_max minus the same in y), swapping the y corners. delta None skips
     NMS; otherwise quadratic_nms runs at delta.
@@ -82,16 +81,47 @@ def scalar_pipeline(per_patch, patch_index, gt, ps_r, m, delta):
     rows = []
     for patch_id in sorted(per_patch):
         row0, col0, delta_f = patch_index[patch_id]
-        for d in per_patch[patch_id]:
-            x1, y1, x2, y2 = (float(v) for v in d.box)
+        for box, score in per_patch[patch_id]:
+            x1, y1, x2, y2 = (float(v) for v in box)
             if min(x1, y1, ps_r - x2, ps_r - y2) <= m:
                 continue
             mx1 = gt.x_min + (col0 + x1 * delta_f) * gt.resolution
             mx2 = gt.x_min + (col0 + x2 * delta_f) * gt.resolution
             y_top = gt.y_max - (row0 + y1 * delta_f) * gt.resolution
             y_bot = gt.y_max - (row0 + y2 * delta_f) * gt.resolution
-            rows.append(Row((mx1, min(y_top, y_bot), mx2, max(y_top, y_bot)), d.score, patch_id, (x1, y1, x2, y2)))
-    return rows if delta is None else quadratic_nms(rows, delta)
+            rows.append(Row((mx1, min(y_top, y_bot), mx2, max(y_top, y_bot)), score, patch_id, (x1, y1, x2, y2)))
+    if delta is None:
+        return rows
+    return [rows[i] for i in quadratic_nms([r.box for r in rows], [r.score for r in rows], delta)]
+
+
+def group_by_patch(patch_ids, outputs):
+    """The rows of per-patch detector outputs, one (boxes, scores) pair per
+    patch id, as (patch_id, box, score) tuples: patches in sorted id order,
+    each patch's rows in its own order."""
+    rows = []
+    for patch_id in sorted(patch_ids):
+        boxes, scores = outputs[patch_ids.index(patch_id)]
+        for box, score in zip(boxes, scores):
+            rows.append((patch_id, tuple(float(v) for v in box), float(score)))
+    return rows
+
+
+def row_invariant_error(patch_id, box, score):
+    """The message of the first detection invariant a pixel box and score
+    break, checked one at a time: degenerate, negative, score, non-finite;
+    None for a valid row."""
+    box, score = tuple(float(v) for v in box), float(score)
+    x1, y1, x2, y2 = box
+    if not (x1 < x2 and y1 < y2):
+        return f"degenerate box {box} in patch {patch_id}"
+    if x1 < 0 or y1 < 0:
+        return f"negative coordinates in box {box}"
+    if not 0.0 <= score <= 1.0:
+        return f"score {score} outside [0, 1]"
+    if not all(map(math.isfinite, box)):
+        return f"non-finite coordinates in box {box}"
+    return None
 
 
 def brute_force_counts(det_boxes, truth_boxes, u):
@@ -225,7 +255,8 @@ def load_catalog_rows(path, mapping, cat_name, max_malformed_fraction=0.0):
                 n_malformed += 1
                 n_rejected += 1
                 continue
-            if not (diam > 0 and -90.0 <= lat <= 90.0 and math.isfinite(lon) and math.isfinite(diam)):
+            radius_finite = math.isfinite(diam * 500.0)
+            if not (diam > 0 and -90.0 <= lat <= 90.0 and math.isfinite(lon) and radius_finite):
                 n_rejected += 1
                 continue
             cid = row[id_col] if id_col is not None else f"{cat_name}#{rownum}"
@@ -245,11 +276,10 @@ def load_detection_rows(path, score_floor=None, ps_r=None):
 
     Parses line by line up to the first line with a wrong field count or a
     non-numeric value, then checks the parsed records in order; the first
-    record failing the Detection invariants or the ps_r bound is reported
+    record failing the detection invariants or the ps_r bound is reported
     ahead of the parse error. Returns [(patch_id, box, score), ...] in file
     order, records scoring below score_floor dropped.
     """
-    from craterpipe.detector import Detection
     from craterpipe.errors import DetectionError
 
     parsed, parse_error = [], None
@@ -271,10 +301,9 @@ def load_detection_rows(path, score_floor=None, ps_r=None):
         parsed.append((lineno, parts[0].strip(), tuple(values[:4]), values[4]))
     out = []
     for lineno, patch_id, box, score in parsed:
-        try:
-            Detection(patch_id=patch_id, box=box, score=score)
-        except DetectionError as exc:
-            raise DetectionError(f"{path}:{lineno}: {exc}") from exc
+        error = row_invariant_error(patch_id, box, score)
+        if error is not None:
+            raise DetectionError(f"{path}:{lineno}: {error}")
         if ps_r is not None and (box[2] > ps_r or box[3] > ps_r):
             raise DetectionError(f"{path}:{lineno}: box exceeds patch side {ps_r}")
         if score_floor is None or not score < score_floor:

@@ -6,12 +6,11 @@ lines. Every tolerance is pinned here; nothing is deferred to calibration.
 
 import math
 import time
-from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from craterpipe.catalog import Catalog, CatalogCrater, to_boxes
+from craterpipe.catalog import Catalog, to_boxes
 from craterpipe.cli import main
 from craterpipe.detector import NoiseConfig, SyntheticDetector
 from craterpipe.evaluate import (
@@ -23,11 +22,11 @@ from craterpipe.evaluate import (
     metrics_from_counts,
 )
 from craterpipe.geo import GeoTransform, meter_to_lonlat, meter_to_pixel_xy, pixel_to_meter_xy
-from craterpipe.postprocess import BoundaryFilterConfig, GlobalDetection, NmsConfig, nms, run_pipeline
+from craterpipe.postprocess import BoundaryFilterConfig, NmsConfig, nms, run_pipeline
 from craterpipe.raster import PatchSpec, RasterGrid, compute_slope, tile
 from craterpipe.runner import detect_patches
 
-from conftest import LUNAR_RADIUS, planar_dem
+from conftest import LUNAR_RADIUS, global_set, planar_dem
 from gridfix import build_grid_fixture
 from reference import brute_force_counts, quadratic_nms, rasterized_iou
 from scene import plant_craters, write_scene
@@ -63,11 +62,9 @@ def test_acceptance_01_end_to_end_oracle():
         cy = (r + 0.5) * cell + rng.uniform(-room, room)
         craters.append((cx * s, -cy * s, diam_km * 500.0))
 
-    truth_craters = []
-    for i, (x, y, radius) in enumerate(craters):
-        lon, lat = meter_to_lonlat(x, y, gt)
-        truth_craters.append(CatalogCrater(f"c{i}", lon, lat, 2.0 * radius / 1000.0))
-    truth = Catalog("planted", tuple(truth_craters))
+    x, y, radius = np.array(craters).T
+    lon, lat = meter_to_lonlat(x, y, gt)
+    truth = Catalog("planted", [f"c{i}" for i in range(len(craters))], lon, lat, 2.0 * radius / 1000.0)
 
     yy, xx = np.meshgrid(np.arange(n, dtype=np.float32), np.arange(n, dtype=np.float32), indexing="ij")
     intensity = RasterGrid(n, n, "intensity", (xx * 3 + yy) % 199.0, gt)
@@ -115,11 +112,8 @@ def _random_global_dets(rng, count=1000):
         w = (bx[2] - bx[0]) * scale
         h = (bx[3] - bx[1]) * scale
         boxes.append((bx[0] + dx, bx[1] + dy, bx[0] + dx + w, bx[1] + dy + h))
-    dets = []
-    for i, b in enumerate(boxes):
-        score = float(rng.uniform(0, 1))
-        dets.append(GlobalDetection(box=b, score=score, patch_id=f"p{i}", pixel_box=(0, 0, 1, 1)))
-    return dets
+    scores = [float(rng.uniform(0, 1)) for _ in boxes]
+    return np.array(boxes), np.array(scores)
 
 
 def test_acceptance_02_nms_matches_quadratic_reference():
@@ -127,15 +121,13 @@ def test_acceptance_02_nms_matches_quadratic_reference():
     mismatches = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        dets = _random_global_dets(rng, 1000)
+        boxes, scores = _random_global_dets(rng, 1000)
         if seed % 2 == 0:  # force score ties on half the seeds
-            dets = [
-                GlobalDetection(d.box, round(d.score, 2), d.patch_id, d.pixel_box) for d in dets
-            ]
+            scores = np.array([round(s, 2) for s in scores.tolist()])
         delta = deltas[seed % 5]
-        fast = nms(dets, NmsConfig(delta=delta))
-        slow = quadratic_nms(dets, delta)
-        if [id(d) for d in fast] != [id(d) for d in slow]:
+        fast = nms(global_set(boxes, scores, [f"p{i}" for i in range(len(scores))]), NmsConfig(delta=delta))
+        slow = quadratic_nms(boxes, scores, delta)
+        if fast.patch_ids.tolist() != [f"p{i}" for i in slow]:
             mismatches += 1
     assert mismatches == 0
     _report(2, "NMS equals quadratic reference on 100 seeds x 1000 boxes")
@@ -234,28 +226,25 @@ def test_acceptance_06_trend_reproduction(fixture_and_search):
     )
 
 
-_RefDet = namedtuple("_RefDet", "box score")
-
-
 def _reference_cell(fixture, m, delta, u=0.3):
     """Independent pipeline: scalar boundary filter + globalization, the
     candidate-major quadratic NMS, and scalar counting."""
     gt = fixture.gt
-    merged = []
-    for patch_id in sorted(fixture.per_patch):
+    merged_boxes, merged_scores = [], []
+    for patch_id in sorted(fixture.rows):
         row0, col0, df = fixture.patch_index[patch_id]
-        for d in fixture.per_patch[patch_id]:
-            px1, py1, px2, py2 = d.box
+        for (px1, py1, px2, py2), score in fixture.rows[patch_id]:
             if min(px1, py1, fixture.ps_r - px2, fixture.ps_r - py2) <= m:
                 continue
             x1 = gt.x_min + (col0 + px1 * df) * gt.resolution
             x2 = gt.x_min + (col0 + px2 * df) * gt.resolution
             y2 = gt.y_max - (row0 + py1 * df) * gt.resolution
             y1 = gt.y_max - (row0 + py2 * df) * gt.resolution
-            merged.append(_RefDet((x1, y1, x2, y2), d.score))
-    survivors = merged if delta is None else quadratic_nms(merged, delta)
+            merged_boxes.append((x1, y1, x2, y2))
+            merged_scores.append(score)
+    kept = range(len(merged_boxes)) if delta is None else quadratic_nms(merged_boxes, merged_scores, delta)
     tp, fp, fn, fn_raw = brute_force_counts(
-        [d.box for d in survivors], [tuple(t) for t in fixture.truth_boxes], u
+        [merged_boxes[i] for i in kept], [tuple(t) for t in fixture.truth_boxes], u
     )
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
@@ -345,10 +334,7 @@ def test_acceptance_10_cross_verify_partition():
 
     catalog_a = np.array(a_only + both)
     catalog_b = np.array(both + b_only)
-    dets = [
-        GlobalDetection(box=b, score=0.9, patch_id="p", pixel_box=(0, 0, 1, 1))
-        for b in a_only + both + b_only + neither
-    ]
+    dets = global_set(a_only + both + b_only + neither)
     report = cross_verify(dets, catalog_a, catalog_b, EvalConfig(u=0.3))
     assert report.counts == (3, 3, 4)
     assert report.known == (0, 1, 2)

@@ -5,27 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from craterpipe.catalog import (
-    Catalog,
-    CatalogCrater,
-    combine,
-    filter_by_region,
-    filter_by_size,
-    load_catalog,
-    save_catalog,
-    to_boxes,
-)
+from craterpipe.catalog import Catalog, combine, filter_by_region, filter_by_size, load_catalog, to_boxes
 from craterpipe.errors import CatalogError
 
 from conftest import LUNAR_RADIUS, write_catalog_csv
 
 
 def cat_of(diams, name="t", lon0=0.0, lat0=0.0):
-    craters = tuple(
-        CatalogCrater(id=f"c{i}", lon=lon0 + i * 0.1, lat=lat0, diam_km=d)
-        for i, d in enumerate(diams)
-    )
-    return Catalog(name=name, craters=craters)
+    n = len(diams)
+    return Catalog(name, [f"c{i}" for i in range(n)], [lon0 + i * 0.1 for i in range(n)], [lat0] * n, diams)
+
+
+def one_crater(lon, lat, diam_km):
+    return Catalog("t", ["a"], [lon], [lat], [diam_km])
 
 
 def test_load_empty_file_with_header(tmp_path):
@@ -38,8 +30,7 @@ def test_load_single_row(tmp_path):
     path = write_catalog_csv(tmp_path, "one.csv", [["a1", 10, -5, 7.2]])
     cat = load_catalog(path)
     assert len(cat) == 1
-    c = cat.craters[0]
-    assert (c.id, c.lon, c.lat, c.diam_km) == ("a1", 10.0, -5.0, 7.2)
+    assert (cat.ids[0], cat.lon[0], cat.lat[0], cat.diam_km[0]) == ("a1", 10.0, -5.0, 7.2)
 
 
 def test_load_rejects_invalid_rows_with_count(tmp_path):
@@ -49,6 +40,15 @@ def test_load_rejects_invalid_rows_with_count(tmp_path):
     cat = load_catalog(path)
     assert len(cat) == 1
     assert cat.n_rejected == 2
+
+
+def test_load_rejects_a_radius_that_overflows(tmp_path, gt100):
+    """A finite diameter whose radius in meters overflows would project to
+    an infinite box, so the row is rejected and counted."""
+    path = write_catalog_csv(tmp_path, "huge.csv", [["a", 0, 0, 5.0], ["b", 1, 1, 1e306], ["c", 2, 2, 3.0]])
+    cat = load_catalog(path)
+    assert cat.ids.tolist() == ["a", "c"] and cat.n_rejected == 1
+    assert np.isfinite(to_boxes(cat, gt100)).all()
 
 
 def test_load_missing_columns(tmp_path):
@@ -72,17 +72,15 @@ def test_load_named_schema(tmp_path):
         "CRATER_ID,LAT_CIRC_IMG,LON_CIRC_IMG,DIAM_CIRC_IMG\n00-1-1,10.5,40.0,3.3\n"
     )
     cat = load_catalog(path, schema="robbins")
-    assert cat.craters[0].id == "00-1-1"
-    assert cat.craters[0].diam_km == 3.3
+    assert cat.ids[0] == "00-1-1"
+    assert cat.diam_km[0] == 3.3
 
 
 def test_save_round_trip(tmp_path):
     cat = cat_of([5.0, 12.0])
-    path = tmp_path / "out.csv"
-    save_catalog(cat, path)
+    path = write_catalog_csv(tmp_path, "out.csv", zip(cat.ids, cat.lon, cat.lat, cat.diam_km))
     loaded = load_catalog(path)
-    assert [c.diam_km for c in loaded.craters] == [5.0, 12.0]
-    assert (tmp_path / "out.csv.provenance.json").exists()
+    assert loaded.ids.tolist() == cat.ids.tolist() and loaded.diam_km.tolist() == [5.0, 12.0]
 
 
 def test_combine_disjoint_ranges():
@@ -90,13 +88,13 @@ def test_combine_disjoint_ranges():
     b = cat_of([5.0, 7.0, 10.0, 19.0, 25.0], name="small")  # 4 in [5, 20)
     out = combine([(a, 20.0, None), (b, 5.0, 20.0)])
     assert len(out) == 7
-    assert all(":" in c.id for c in out.craters)
+    assert all(":" in i for i in out.ids)
 
 
 def test_combine_single_part_identity():
     a = cat_of([1.0, 2.0, 3.0])
     out = combine([(a, 0.0, None)])
-    assert [c.diam_km for c in out.craters] == [1.0, 2.0, 3.0]
+    assert out.diam_km.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_combine_with_empty_part():
@@ -118,13 +116,13 @@ def test_combine_order_independent_multiset():
     b = cat_of([5.0, 7.0], name="b")
     one = combine([(a, 20.0, None), (b, 5.0, 20.0)])
     two = combine([(b, 5.0, 20.0), (a, 20.0, None)])
-    assert sorted(c.id for c in one.craters) == sorted(c.id for c in two.craters)
+    assert sorted(one.ids) == sorted(two.ids)
 
 
 def test_filter_by_size_half_open():
     cat = cat_of([4.9, 5.0, 19.99, 20.0])
     out = filter_by_size(cat, 5.0, 20.0)
-    assert [c.diam_km for c in out.craters] == [5.0, 19.99]
+    assert out.diam_km.tolist() == [5.0, 19.99]
     assert len(filter_by_size(cat, 20.0)) == 1
 
 
@@ -132,7 +130,7 @@ def test_filter_by_size_nested_equals_tighter():
     cat = cat_of(list(np.linspace(1, 30, 25)))
     once = filter_by_size(filter_by_size(cat, 2.0, 25.0), 5.0, 20.0)
     direct = filter_by_size(cat, 5.0, 20.0)
-    assert [c.id for c in once.craters] == [c.id for c in direct.craters]
+    assert once.ids.tolist() == direct.ids.tolist()
 
 
 def test_filter_by_size_empty_window():
@@ -147,13 +145,13 @@ def test_filter_by_region_identity_and_empty():
 
 
 def test_filter_by_region_boundary_inclusion():
-    cat = Catalog("t", (CatalogCrater("a", 60.0, 0.0, 5.0),))
+    cat = one_crater(60.0, 0.0, 5.0)
     assert len(filter_by_region(cat, 60.0, 180.0, -60.0, 60.0)) == 1
     assert len(filter_by_region(cat, -180.0, 60.0, -60.0, 60.0)) == 0
 
 
 def test_to_boxes_unit_case(gt100):
-    cat = Catalog("t", (CatalogCrater("a", 0.0, 0.0, 2.0),))
+    cat = one_crater(0.0, 0.0, 2.0)
     boxes = to_boxes(cat, gt100)
     assert boxes.shape == (1, 4)
     assert boxes[0].tolist() == [-1000.0, -1000.0, 1000.0, 1000.0]
@@ -162,12 +160,12 @@ def test_to_boxes_unit_case(gt100):
 def test_to_boxes_preserves_order(gt100):
     cat = cat_of([2.0, 4.0])
     boxes = to_boxes(cat, gt100)
-    assert len(boxes) == len(cat.craters) == 2
+    assert len(boxes) == len(cat) == 2
     assert boxes[1, 2] - boxes[1, 0] == pytest.approx(4000.0)
 
 
 def test_to_boxes_projection_substitution(gt100):
-    cat = Catalog("t", (CatalogCrater("a", 90.0, 0.0, 20.0),))
+    cat = one_crater(90.0, 0.0, 20.0)
     boxes = to_boxes(cat, gt100)
     cx = (boxes[0, 0] + boxes[0, 2]) / 2.0
     assert cx == pytest.approx(LUNAR_RADIUS * math.pi / 2.0, rel=1e-12)
@@ -176,4 +174,4 @@ def test_to_boxes_projection_substitution(gt100):
 
 def test_duplicate_ids_rejected():
     with pytest.raises(CatalogError, match="duplicate"):
-        Catalog("t", (CatalogCrater("a", 0, 0, 1.0), CatalogCrater("a", 1, 0, 2.0)))
+        Catalog("t", ["a", "a"], [0, 1], [0, 0], [1.0, 2.0])

@@ -723,9 +723,7 @@ def test_out_naming_a_regular_file_exits_two(tmp_path, capsys):
     assert "error: " in err and "File exists" in err and "taken" in err, err
 
 
-def test_production_commands_build_no_global_detection(tmp_path, monkeypatch):
-    from craterpipe import postprocess
-
+def test_production_commands_classify_every_detection(tmp_path):
     noise = {"center_jitter_px": 1.5, "radius_jitter_frac": 0.1, "false_positive_rate": 2.0, "miss_rate": 0.1}
     config = write_scene(
         tmp_path,
@@ -733,28 +731,17 @@ def test_production_commands_build_no_global_detection(tmp_path, monkeypatch):
         noise=noise,
         extra_config={"verify_catalog": {"path": "truth.csv", "schema": "generic"}},
     )
-
-    def refuse(self):
-        raise AssertionError("a GlobalDetection was built")
-
-    monkeypatch.setattr(postprocess.GlobalDetection, "__post_init__", refuse)
     for command in ("run", "gridsearch", "crossmatch"):
         assert main([command, "--config", str(config)]) == 0, command
     with open(tmp_path / "out" / "crossmatch.csv") as fh:
         assert len(list(csv.DictReader(fh))) > 12  # the false positives are classified too
 
 
-def test_oracle_commands_build_no_detection(tmp_path, monkeypatch):
-    from craterpipe import detector
-
+def test_oracle_commands_write_every_survivor(tmp_path):
     noise = {"center_jitter_px": 1.5, "radius_jitter_frac": 0.1, "false_positive_rate": 2.0, "miss_rate": 0.1}
     config = write_scene(tmp_path, plant_craters(12), noise=noise)
-    built = []
-    real = detector.Detection.__post_init__
-    monkeypatch.setattr(detector.Detection, "__post_init__", lambda self: built.append(self) or real(self))
     for command in ("run", "gridsearch"):
         assert main([command, "--config", str(config)]) == 0, command
-    assert built == []
     assert len((tmp_path / "out" / "detections_global.csv").read_text().splitlines()) > 12
 
 

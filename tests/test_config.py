@@ -120,7 +120,7 @@ def test_manifest_lists_all_outputs_with_matching_digests(tmp_path):
     f1.write_text("alpha")
     f2 = out_dir / "b.txt"
     f2.write_text("beta")
-    inputs = [tmp_path / "truth.csv"]
+    inputs = config_mod.file_digests([tmp_path / "truth.csv"])
     write_manifest(out_dir, cfg, {"total": 0.5}, inputs, [f1, f2])
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"a.txt", "b.txt"}
@@ -135,10 +135,9 @@ def test_manifest_takes_input_digests_already_computed(tmp_path):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     inputs = [tmp_path / "truth.csv", tmp_path / "config.json"]
-    write_manifest(out_dir, cfg, {}, inputs, [])
-    from_paths = (out_dir / "manifest.json").read_text()
     write_manifest(out_dir, cfg, {}, config_mod.file_digests(inputs), [])
-    assert (out_dir / "manifest.json").read_text() == from_paths
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert list(manifest["inputs"].items()) == [(str(p), sha256_file(p)) for p in inputs]
 
 
 CHUNK = config_mod._HASH_CHUNK

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from craterpipe.catalog import Catalog, CatalogCrater
+from craterpipe.catalog import Catalog
 from craterpipe.detector import (
-    Detection,
     DetectorInterface,
     NoiseConfig,
     SyntheticDetector,
@@ -18,8 +17,8 @@ from craterpipe.geo import GeoTransform, meter_to_lonlat
 from craterpipe.raster import FusedPatch, PatchPlacement, PatchSpec, patch_placements, tile
 from craterpipe.runner import detect_patches
 
-from conftest import LUNAR_RADIUS, make_grid
-from reference import synthetic_detect_scalar
+from conftest import LUNAR_RADIUS, make_grid, patch_columns
+from reference import row_invariant_error, synthetic_detect_scalar
 
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
@@ -33,41 +32,42 @@ def blank_patch(patch_id="r000000_c000000", row0=0, col0=0, spec=SPEC):
 
 def catalog_at_meters(centers_radii):
     """Build a catalog whose projected boxes sit at the given meter geometry."""
-    craters = []
-    for i, (x_m, y_m, r_m) in enumerate(centers_radii):
-        lon, lat = meter_to_lonlat(x_m, y_m, GT)
-        craters.append(CatalogCrater(id=f"p{i}", lon=lon, lat=lat, diam_km=2.0 * r_m / 1000.0))
-    return Catalog(name="planted", craters=tuple(craters))
+    x_m, y_m, r_m = np.array(centers_radii, dtype=np.float64).reshape(-1, 3).T
+    lon, lat = meter_to_lonlat(x_m, y_m, GT)
+    return Catalog("planted", [f"p{i}" for i in range(len(r_m))], lon, lat, 2.0 * r_m / 1000.0)
+
+
+EMPTY = Catalog("empty", (), (), (), ())
 
 
 def test_no_truth_no_noise_gives_empty():
-    det = SyntheticDetector(Catalog("empty", ()), GT, NoiseConfig())
-    assert det.detect(blank_patch()) == []
+    boxes, scores = SyntheticDetector(EMPTY, GT, NoiseConfig()).detect(blank_patch())
+    assert boxes.shape == (0, 4) and scores.shape == (0,)
 
 
 def test_zero_noise_exact_projection():
     # crater of radius 5 km centered 25.6 km into the patch
     truth = catalog_at_meters([(25_600.0, -25_600.0, 5_000.0)])
-    out = SyntheticDetector(truth, GT, NoiseConfig()).detect(blank_patch())
-    assert len(out) == 1
-    x1, y1, x2, y2 = out[0].box
+    boxes, scores = SyntheticDetector(truth, GT, NoiseConfig()).detect(blank_patch())
+    assert len(scores) == 1
+    x1, y1, x2, y2 = boxes[0]
     # center at pixel 128, radius 25 resized pixels
     assert abs(x1 - 103.0) < 0.5 and abs(x2 - 153.0) < 0.5
     assert abs(y1 - 103.0) < 0.5 and abs(y2 - 153.0) < 0.5
-    assert 0.7 <= out[0].score <= 1.0
+    assert 0.7 <= scores[0] <= 1.0
 
 
 def test_miss_rate_one_gives_empty():
     truth = catalog_at_meters([(25_600.0, -25_600.0, 5_000.0)])
-    out = SyntheticDetector(truth, GT, NoiseConfig(miss_rate=1.0)).detect(blank_patch())
-    assert out == []
+    boxes, scores = SyntheticDetector(truth, GT, NoiseConfig(miss_rate=1.0)).detect(blank_patch())
+    assert len(boxes) == len(scores) == 0
 
 
 def test_crater_on_patch_edge_is_clipped_to_distance_zero():
     truth = catalog_at_meters([(0.0, -25_600.0, 5_000.0)])  # centered on the left edge
-    out = SyntheticDetector(truth, GT, NoiseConfig()).detect(blank_patch())
-    assert len(out) == 1
-    assert out[0].box[0] == 0.0  # touches the boundary
+    boxes, _ = SyntheticDetector(truth, GT, NoiseConfig()).detect(blank_patch())
+    assert len(boxes) == 1
+    assert boxes[0, 0] == 0.0  # touches the boundary
 
 
 def test_crater_spanning_two_patches_detected_in_both():
@@ -76,9 +76,8 @@ def test_crater_spanning_two_patches_detected_in_both():
     p_left = blank_patch("r000000_c000000", 0, 0)
     p_right = blank_patch("r000000_c000512", 0, 512)
     det = SyntheticDetector(truth, GT, NoiseConfig())
-    d_left = det.detect(p_left)
-    d_right = det.detect(p_right)
-    assert len(d_left) == 1 and len(d_right) == 1
+    (left, _), (right, _) = det.detect(p_left), det.detect(p_right)
+    assert len(left) == 1 and len(right) == 1
 
 
 def test_determinism_and_order_independence():
@@ -89,17 +88,17 @@ def test_determinism_and_order_independence():
     patches = [blank_patch(f"r000000_c{c:06d}", 0, c) for c in (0, 512, 1024)]
     first = [det.detect(p) for p in patches]
     second = [det.detect(p) for p in reversed(patches)][::-1]
-    assert first == second
+    assert [(b.tobytes(), s.tobytes()) for b, s in first] == [(b.tobytes(), s.tobytes()) for b, s in second]
 
 
 def test_false_positive_poisson_statistics():
     noise_seedless = dict(false_positive_rate=2.0, fp_radius_px=(10.0, 40.0))
     totals = []
     for seed in range(40):
-        det = SyntheticDetector(Catalog("none", ()), GT, NoiseConfig(seed=seed, **noise_seedless))
+        det = SyntheticDetector(EMPTY, GT, NoiseConfig(seed=seed, **noise_seedless))
         count = 0
         for c in range(100):
-            count += len(det.detect(blank_patch(f"r000000_c{c:06d}", 0, c)))
+            count += len(det.detect(blank_patch(f"r000000_c{c:06d}", 0, c))[1])
         totals.append(count)
     mean = np.mean(totals)
     # per-seed totals are Poisson(200); the mean of 40 draws has sigma 2.236
@@ -112,9 +111,8 @@ def test_clipping_never_exceeds_patch():
     )
     noise = NoiseConfig(center_jitter_px=30.0, radius_jitter_frac=0.5,
                         false_positive_rate=3.0, seed=7)
-    out = SyntheticDetector(truth, GT, noise).detect(blank_patch())
-    for d in out:
-        x1, y1, x2, y2 = d.box
+    boxes, _ = SyntheticDetector(truth, GT, noise).detect(blank_patch())
+    for x1, y1, x2, y2 in boxes:
         assert 0.0 <= x1 < x2 <= 512.0
         assert 0.0 <= y1 < y2 <= 512.0
 
@@ -125,7 +123,7 @@ def test_channel_capability_mismatch():
 
         def detect(self, patch):
             self.check_channels(patch)
-            return []
+            return np.zeros((0, 4)), np.zeros(0)
 
     det = PickyDetector()
     with pytest.raises(DetectionError, match="distinct"):
@@ -147,14 +145,14 @@ def test_fused_patch_and_placement_give_identical_detections():
     assert [(p.patch_id, p.row0, p.col0, p.spec, p.delta_f) for p in patches] == [
         (p.patch_id, p.row0, p.col0, p.spec, p.delta_f) for p in placements
     ]
-    found = [det.detect(p) for p in placements]
-    assert sum(map(len, found)) > len(placements)
-    assert [det.detect(p) for p in patches] == found
+    found = [(b.tobytes(), s.tobytes()) for b, s in map(det.detect, placements)]
+    assert sum(len(det.detect(p)[1]) for p in placements) > len(placements)
+    assert [(b.tobytes(), s.tobytes()) for b, s in map(det.detect, patches)] == found
 
 
 # A 64 -> 32 patch at mosaic pixel (64, 32): boxes are drawn on the integer
 # pixel lattice around it, so box edges land exactly on the window edges.
-_WINDOW = PatchPlacement("r000064_c000032", 64, 32, PatchSpec(64, 32), 2.0)
+_WINDOW = PatchPlacement("r000064_c000032", 64, 32, PatchSpec(64, 32))
 _lattice = st.integers(min_value=-20, max_value=140)
 _box = st.tuples(_lattice, _lattice, st.integers(1, 30), st.integers(1, 30))
 
@@ -175,9 +173,10 @@ def test_mask_candidate_search_equals_scalar_loop(boxes, miss, jitter, radius_ji
     ).reshape(-1, 4)
     noise = NoiseConfig(center_jitter_px=jitter, radius_jitter_frac=radius_jitter,
                         false_positive_rate=fp_rate, miss_rate=miss, seed=seed, fp_radius_px=(1.0, 8.0))
-    det = SyntheticDetector(Catalog("none", ()), GT, noise)
+    det = SyntheticDetector(EMPTY, GT, noise)
     det.truth_boxes = truth_boxes
-    got = [(d.patch_id, d.box, d.score) for d in det.detect(_WINDOW)]
+    boxes, scores = det.detect(_WINDOW)
+    got = [(_WINDOW.patch_id, tuple(b), s) for b, s in zip(boxes.tolist(), scores.tolist())]
     assert got == synthetic_detect_scalar(truth_boxes, GT, noise, _WINDOW)
 
 
@@ -221,8 +220,10 @@ def test_detect_patches_gives_equal_columns_for_any_worker_count():
 
 def test_a_detector_returning_a_list_still_drives_the_pipeline():
     class ListDetector(DetectorInterface):
+        """Returns its boxes and scores as plain lists."""
+
         def detect(self, patch):
-            return [Detection(patch.patch_id, (1.0, 2.0, 3.0, 4.0), 0.5)] if patch.col0 == 0 else []
+            return ([[1.0, 2.0, 3.0, 4.0]], [0.5]) if patch.col0 == 0 else ([], [])
 
     patches = patch_placements(128, 64, PatchSpec(64, 32, 0.5))
     cols = detect_patches(patches, ListDetector(), 2)
@@ -230,11 +231,37 @@ def test_a_detector_returning_a_list_still_drives_the_pipeline():
     assert cols.boxes.tolist() == [[1.0, 2.0, 3.0, 4.0]] and cols.scores.tolist() == [0.5]
 
 
+class ColumnsDetector(DetectorInterface):
+    """Returns the rows per_patch holds for each patch."""
+
+    def __init__(self, per_patch):
+        self.per_patch = per_patch
+
+    def detect(self, patch):
+        rows = self.per_patch[patch.patch_id]
+        return self.per_patch.boxes[rows], self.per_patch.scores[rows]
+
+
 def test_detection_invariants():
-    with pytest.raises(DetectionError):
-        Detection("p", (10.0, 0.0, 5.0, 20.0), 0.5)  # x1 > x2
-    with pytest.raises(DetectionError):
-        Detection("p", (0.0, 0.0, 5.0, 5.0), 1.5)  # bad score
+    """A detector row breaking an invariant fails detect_patches, naming its
+    patch; the first bad row in sorted patch order wins."""
+    patches = patch_placements(128, 64, PatchSpec(64, 32, 0.5))
+    pid = patches[1].patch_id
+    good = ((1.0, 2.0, 3.0, 4.0), 0.5)
+    for bad in [((10.0, 0.0, 5.0, 20.0), 0.5), ((0.0, 0.0, 5.0, 5.0), 1.5), ((0.0, np.nan, 5.0, 5.0), 0.5)]:
+        rows = {p.patch_id: [good] for p in patches}
+        rows[pid], rows[patches[2].patch_id] = [good, bad], [bad]
+        for workers in (1, 2):
+            with pytest.raises(DetectionError) as err:
+                detect_patches(patches, ColumnsDetector(patch_columns(rows)), workers)
+            assert str(err.value) == f"patch {pid}: {row_invariant_error(pid, *bad)}"
+
+    class MismatchedDetector(DetectorInterface):
+        def detect(self, patch):
+            return [[1.0, 2.0, 3.0, 4.0]], [0.5, 0.5]
+
+    with pytest.raises(DetectionError, match="1 boxes but 2 scores"):
+        detect_patches(patches, MismatchedDetector(), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +271,8 @@ def test_detection_invariants():
 def test_load_detections_empty_file(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("")
-    assert load_detections(path) == {}
+    loaded = load_detections(path)
+    assert len(loaded) == 0 and loaded.boxes.shape == (0, 4)
 
 
 def test_load_detections_groups_by_patch(tmp_path):
@@ -278,13 +306,10 @@ def test_load_detections_score_floor_and_ps_r(tmp_path):
 
 
 def test_save_load_round_trip(tmp_path):
-    per_patch = {
-        "pB": [Detection("pB", (1.5, 2.5, 3.5, 4.5), 0.25)],
-        "pA": [Detection("pA", (0.0, 0.0, 10.0, 10.0), 1.0)],
-    }
+    per_patch = patch_columns({"pB": [((1.5, 2.5, 3.5, 4.5), 0.25)], "pA": [((0.0, 0.0, 10.0, 10.0), 1.0)]})
     path = tmp_path / "d.csv"
     save_detections(per_patch, path)
+    assert path.read_text() == "pA,0.0,0.0,10.0,10.0,1.0\npB,1.5,2.5,3.5,4.5,0.25\n"  # sorted patch order
     loaded = load_detections(path)
-    assert loaded["pA"] == per_patch["pA"]
-    assert loaded["pB"] == per_patch["pB"]
-    assert list(loaded) == ["pA", "pB"]  # written in sorted patch order
+    assert list(loaded) == ["pA", "pB"]
+    assert loaded.boxes.tolist() == per_patch.boxes.tolist() and loaded.scores.tolist() == [1.0, 0.25]

@@ -15,16 +15,12 @@ from craterpipe.evaluate import (
     size_gate,
 )
 from craterpipe.geo import GeoTransform
-from craterpipe.postprocess import GlobalDetection
 
-from conftest import LUNAR_RADIUS
+from conftest import LUNAR_RADIUS, global_set, patch_columns
 from reference import brute_force_metrics, iou_matrix, rasterized_iou
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
-
-
-def gdet(box, score=0.9):
-    return GlobalDetection(box=box, score=score, patch_id="p", pixel_box=(0, 0, 1, 1))
+NO_DETECTIONS = patch_columns({})
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +101,7 @@ def test_metrics_empty_denominators_flagged():
 
 def test_match_and_count_no_detections():
     truth = np.array([[0.0, 0.0, 10.0, 10.0]])
-    r = match_and_count([], truth, EvalConfig(u=0.3))
+    r = match_and_count(global_set([]), truth, EvalConfig(u=0.3))
     assert (r.tp, r.fp, r.fn) == (0, 0, 1)
     assert not r.precision_defined
     assert r.recall == 0.0
@@ -113,7 +109,7 @@ def test_match_and_count_no_detections():
 
 def test_match_and_count_exact_match():
     truth = np.array([[0.0, 0.0, 10.0, 10.0]])
-    r = match_and_count([gdet((0.0, 0.0, 10.0, 10.0))], truth, EvalConfig(u=0.3))
+    r = match_and_count(global_set([(0.0, 0.0, 10.0, 10.0)]), truth, EvalConfig(u=0.3))
     assert r.precision == r.recall == r.f1 == 1.0
 
 
@@ -125,16 +121,16 @@ def test_match_and_count_agrees_with_brute_force():
         s = rng.uniform(50, 200)
         truth.append((x, y, x + s, y + s))
     truth = np.array(truth)
-    dets = []
+    boxes = []
     for tb in truth[:14]:  # some matched, some shifted off
         shift = rng.uniform(0, 80)
-        dets.append(gdet((tb[0] + shift, tb[1], tb[2] + shift, tb[3])))
+        boxes.append((tb[0] + shift, tb[1], tb[2] + shift, tb[3]))
     for _ in range(6):
         x, y = rng.uniform(3000, 4000, size=2)
-        dets.append(gdet((x, y, x + 100, y + 100)))
+        boxes.append((x, y, x + 100, y + 100))
     cfg = EvalConfig(u=0.3)
-    r = match_and_count(dets, truth, cfg)
-    tp, fp, fn, p, rec, f1 = brute_force_metrics([d.box for d in dets], truth, 0.3)
+    r = match_and_count(global_set(boxes), truth, cfg)
+    tp, fp, fn, p, rec, f1 = brute_force_metrics(boxes, truth, 0.3)
     assert (r.tp, r.fp, r.fn) == (tp, fp, fn)
     assert r.precision == pytest.approx(p, abs=1e-12)
     assert r.recall == pytest.approx(rec, abs=1e-12)
@@ -143,7 +139,7 @@ def test_match_and_count_agrees_with_brute_force():
 
 def test_fn_clamped_and_raw_kept():
     truth = np.array([[0.0, 0.0, 10.0, 10.0]])
-    dets = [gdet((0.0, 0.0, 10.0, 10.0)), gdet((0.5, 0.0, 10.5, 10.0))]
+    dets = global_set([(0.0, 0.0, 10.0, 10.0), (0.5, 0.0, 10.5, 10.0)])
     r = match_and_count(dets, truth, EvalConfig(u=0.3))
     assert r.tp == 2
     assert r.fn == 0
@@ -152,7 +148,7 @@ def test_fn_clamped_and_raw_kept():
 
 
 def test_u_zero_counts_every_detection_as_tp():
-    dets = [gdet((0.0, 0.0, 10.0, 10.0)), gdet((500.0, 500.0, 510.0, 510.0))]
+    dets = global_set([(0.0, 0.0, 10.0, 10.0), (500.0, 500.0, 510.0, 510.0)])
     truth = np.array([[0.0, 0.0, 10.0, 10.0]])
     r = match_and_count(dets, truth, EvalConfig(u=0.0))
     assert (r.tp, r.fp, r.fn, r.fn_raw) == (2, 0, 0, -1)
@@ -168,30 +164,32 @@ def test_u_zero_counts_every_detection_as_tp():
 # size gate
 
 
+def gated_boxes(boxes, cfg):
+    return size_gate(global_set(boxes), cfg).boxes.tolist()
+
+
 def test_size_gate_floor():
     cfg = EvalConfig(u=0.3, size_floor_km=5.0)
-    small = gdet((0.0, 0.0, 4000.0, 4000.0))
-    exact = gdet((10_000.0, 0.0, 15_000.0, 5_000.0))
-    out = size_gate([small, exact], cfg)
-    assert out == [exact]
+    small = [0.0, 0.0, 4000.0, 4000.0]
+    exact = [10_000.0, 0.0, 15_000.0, 5_000.0]
+    assert gated_boxes([small, exact], cfg) == [exact]
 
 
 def test_size_gate_identity_without_bounds():
-    dets = [gdet((0.0, 0.0, 1.0, 1.0))]
-    assert size_gate(dets, EvalConfig(u=0.3)) == dets
+    assert gated_boxes([[0.0, 0.0, 1.0, 1.0]], EvalConfig(u=0.3)) == [[0.0, 0.0, 1.0, 1.0]]
 
 
 def test_size_gate_ceiling_half_open():
     cfg = EvalConfig(u=0.3, size_floor_km=5.0, size_ceiling_km=20.0)
-    at_ceiling = gdet((0.0, 0.0, 20_000.0, 20_000.0))
-    under = gdet((0.0, 0.0, 19_999.0, 19_999.0))
-    assert size_gate([at_ceiling, under], cfg) == [under]
+    at_ceiling = [0.0, 0.0, 20_000.0, 20_000.0]
+    under = [0.0, 0.0, 19_999.0, 19_999.0]
+    assert gated_boxes([at_ceiling, under], cfg) == [under]
 
 
 def test_size_gate_uses_mean_side():
     cfg = EvalConfig(u=0.3, size_floor_km=5.0)
-    mixed = gdet((0.0, 0.0, 4000.0, 6000.0))  # mean side 5 km, kept
-    assert size_gate([mixed], cfg) == [mixed]
+    mixed = [0.0, 0.0, 4000.0, 6000.0]  # mean side 5 km, kept
+    assert gated_boxes([mixed], cfg) == [mixed]
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +198,7 @@ def test_size_gate_uses_mean_side():
 
 def test_localization_exact_matches():
     truth = np.array([[0.0, 0.0, 10.0, 10.0], [100.0, 100.0, 110.0, 110.0]])
-    dets = [gdet(tuple(t)) for t in truth]
-    rep = localization_stats(dets, truth, EvalConfig(u=0.3))
+    rep = localization_stats(global_set(truth), truth, EvalConfig(u=0.3))
     assert rep.mean_iou_pct == 100.0
     assert rep.std_iou_pct == 0.0
     assert rep.n_matched == 2
@@ -210,16 +207,16 @@ def test_localization_exact_matches():
 def test_localization_two_point_statistics():
     truth = np.array([[0.0, 0.0, 12.0, 12.0]])
     # one exact detection and one at IOU exactly 0.5 against the same truth
-    exact = gdet((0.0, 0.0, 12.0, 12.0))
-    half = gdet((4.0, 0.0, 16.0, 12.0))
-    rep = localization_stats([exact, half], truth, EvalConfig(u=0.3))
+    exact = (0.0, 0.0, 12.0, 12.0)
+    half = (4.0, 0.0, 16.0, 12.0)
+    rep = localization_stats(global_set([exact, half]), truth, EvalConfig(u=0.3))
     assert rep.mean_iou_pct == pytest.approx(75.0, abs=1e-9)
     assert rep.std_iou_pct == pytest.approx(25.0, abs=1e-9)
 
 
 def test_localization_no_matches_flagged():
     truth = np.array([[0.0, 0.0, 10.0, 10.0]])
-    rep = localization_stats([gdet((500.0, 500.0, 510.0, 510.0))], truth, EvalConfig(u=0.3))
+    rep = localization_stats(global_set([(500.0, 500.0, 510.0, 510.0)]), truth, EvalConfig(u=0.3))
     assert rep.n_matched == 0
     assert rep.mean_iou_pct is None and rep.std_iou_pct is None
 
@@ -229,9 +226,7 @@ def test_localization_no_matches_flagged():
 
 
 def test_grid_search_single_cell():
-    from craterpipe.detector import Detection
-
-    per_patch = {"p": [Detection("p", (100.0, 100.0, 150.0, 150.0), 0.9)]}
+    per_patch = patch_columns({"p": [((100.0, 100.0, 150.0, 150.0), 0.9)]})
     index = {"p": (0, 0, 1.0)}
     truth = np.array([[10_000.0, -15_000.0, 15_000.0, -10_000.0]])
     res = grid_search(per_patch, index, GT, truth, 512, [5], [0.3], EvalConfig(u=0.3))
@@ -241,13 +236,13 @@ def test_grid_search_single_cell():
 
 def test_grid_search_empty_sets_error():
     with pytest.raises(EvalError, match="non-empty"):
-        grid_search({}, {}, GT, np.zeros((0, 4)), 512, [], [0.1], EvalConfig())
+        grid_search(NO_DETECTIONS, {}, GT, np.zeros((0, 4)), 512, [], [0.1], EvalConfig())
     with pytest.raises(EvalError, match="non-empty"):
-        grid_search({}, {}, GT, np.zeros((0, 4)), 512, [0], [], EvalConfig())
+        grid_search(NO_DETECTIONS, {}, GT, np.zeros((0, 4)), 512, [0], [], EvalConfig())
 
 
 def test_grid_search_cell_count():
-    res = grid_search({}, {}, GT, np.zeros((0, 4)), 512, [0, 1], [0.1, 0.2, 0.3], EvalConfig())
+    res = grid_search(NO_DETECTIONS, {}, GT, np.zeros((0, 4)), 512, [0, 1], [0.1, 0.2, 0.3], EvalConfig())
     assert len(res.cells) == 2 * (3 + 1)
 
 
@@ -262,12 +257,12 @@ def _boxes(*centers, side=10.0):
 def test_cross_verify_classes():
     a_boxes = _boxes((0, 0), (100, 100))
     b_boxes = _boxes((100, 100), (200, 200))
-    dets = [
-        gdet(tuple(_boxes((0, 0))[0])),      # in A only -> known
-        gdet(tuple(_boxes((100, 100))[0])),  # in both -> known (A precedence)
-        gdet(tuple(_boxes((200, 200))[0])),  # in B only -> confirmed new
-        gdet(tuple(_boxes((500, 500))[0])),  # in neither -> unverified
-    ]
+    dets = global_set(_boxes(
+        (0, 0),      # in A only -> known
+        (100, 100),  # in both -> known (A precedence)
+        (200, 200),  # in B only -> confirmed new
+        (500, 500),  # in neither -> unverified
+    ))
     rep = cross_verify(dets, a_boxes, b_boxes, EvalConfig(u=0.3))
     assert rep.known == (0, 1)
     assert rep.confirmed_new == (2,)
@@ -278,10 +273,7 @@ def test_cross_verify_partition():
     rng = np.random.default_rng(31)
     a_boxes = _boxes(*[(x, 0) for x in range(0, 200, 20)])
     b_boxes = _boxes(*[(x, 100) for x in range(0, 200, 20)])
-    dets = [
-        gdet((x, y, x + 10.0, y + 10.0))
-        for x, y in rng.uniform(-20, 220, size=(50, 2))
-    ]
+    dets = global_set([(x, y, x + 10.0, y + 10.0) for x, y in rng.uniform(-20, 220, size=(50, 2))])
     rep = cross_verify(dets, a_boxes, b_boxes, EvalConfig(u=0.3))
     combined = sorted(rep.known + rep.confirmed_new + rep.unverified)
     assert combined == list(range(len(dets)))

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craterpipe.evaluate import EvalConfig, match_and_count
-from craterpipe.postprocess import DetectionSet, GlobalDetection, NmsConfig, nms, overlap_pairs
+from craterpipe.postprocess import DetectionSet, NmsConfig, nms, overlap_pairs
 
+from conftest import global_set
 from reference import iou_matrix, quadratic_nms
 
 ORIGINS = st.sampled_from([0.0, 1e-2, 3.5, 1e3, -5e6, 1e7])
@@ -185,14 +186,9 @@ DELTAS = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), st.floats(0.0, 1.
 @given(st.one_of(lattice_boxes(), heavy_tailed_boxes()), st.data(), DELTAS)
 def test_nms_matches_quadratic_reference_with_ties(boxes, data, delta):
     scores = data.draw(st.lists(SCORES, min_size=len(boxes), max_size=len(boxes)))
-    dets = [
-        GlobalDetection(tuple(box), score, f"p{i}", (0, 0, 1, 1))
-        for i, (box, score) in enumerate(zip(boxes.tolist(), scores))
-    ]
-    expected = [id(d) for d in quadratic_nms(dets, delta)]
-    assert [id(d) for d in nms(dets, NmsConfig(delta=delta))] == expected
-    columnar = nms(DetectionSet.of(dets), NmsConfig(delta=delta))
-    assert list(columnar.patch_ids) == [d.patch_id for d in quadratic_nms(dets, delta)]
+    dets = global_set(boxes, scores, [f"p{i}" for i in range(len(scores))])
+    expected = [f"p{i}" for i in quadratic_nms(boxes, scores, delta)]
+    assert nms(dets, NmsConfig(delta=delta)).patch_ids.tolist() == expected
 
 
 # ---------------------------------------------------------------------------

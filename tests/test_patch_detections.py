@@ -1,18 +1,20 @@
 """Raw per-patch detections as columns: the mapping detect_patches and
 load_detections return, and the pipeline that runs on it."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from craterpipe import detector as detector_mod
-from craterpipe.detector import Detection, PatchDetections, load_detections, save_detections
+from craterpipe.detector import DetectorInterface, PatchDetections, load_detections, save_detections
 from craterpipe.errors import DetectionError
 from craterpipe.geo import GeoTransform
 from craterpipe.postprocess import BoundaryFilterConfig, DetectionSet, NmsConfig, run_pipeline
+from craterpipe.raster import PatchPlacement, PatchSpec
+from craterpipe.runner import detect_patches
 
-from conftest import LUNAR_RADIUS
-from reference import scalar_pipeline
+from conftest import LUNAR_RADIUS, patch_columns
+from reference import group_by_patch, scalar_pipeline
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
 # a transform whose products round, so the order of operations shows in the bits
@@ -30,27 +32,30 @@ _score = st.sampled_from([0.25, 0.5, 0.5, 0.75, 1.0])
 
 @st.composite
 def per_patch_detections(draw):
-    """A patch id -> detections dict in unsorted insertion order, some
-    patches without rows."""
+    """A patch id -> [(box, score), ...] dict in unsorted insertion order,
+    some patches without rows."""
     ids = draw(st.permutations(PATCH_IDS))[: draw(st.integers(0, len(PATCH_IDS)))]
     out = {}
     for patch_id in ids:
         rows = draw(st.lists(st.tuples(_corner, _corner, _side, _side, _score), max_size=12))
-        out[patch_id] = [
-            Detection(patch_id, (x, y, min(x + w, PS_R), min(y + h, PS_R)), s) for x, y, w, h, s in rows
-        ]
+        out[patch_id] = [((x, y, min(x + w, PS_R), min(y + h, PS_R)), s) for x, y, w, h, s in rows]
     return out
 
 
 def interleaved_columns(per_patch, data):
     """The same rows built as columns from one flat list whose patches are
     interleaved at random, each patch's rows kept in their order."""
-    queues = {p: list(dets) for p, dets in per_patch.items()}
-    owners = [p for p, dets in per_patch.items() for _ in dets]
-    flat = [queues[p].pop(0) for p in data.draw(st.permutations(owners))]
-    return PatchDetections(
-        [d.patch_id for d in flat], [d.box for d in flat], [d.score for d in flat], keys=per_patch
-    )
+    queues = {p: list(rows) for p, rows in per_patch.items()}
+    owners = data.draw(st.permutations([p for p, rows in per_patch.items() for _ in rows]))
+    flat = [queues[p].pop(0) for p in owners]
+    return PatchDetections(owners, [box for box, _ in flat], [score for _, score in flat], keys=per_patch)
+
+
+def assert_same_columns(got: PatchDetections, want: PatchDetections):
+    assert got.patches == want.patches
+    assert got.patch_ids.tolist() == want.patch_ids.tolist()
+    assert got.boxes.tobytes() == want.boxes.tobytes()
+    assert got.scores.tobytes() == want.scores.tobytes()
 
 
 def assert_same_set(got: DetectionSet, want: DetectionSet):
@@ -70,48 +75,69 @@ def assert_same_set(got: DetectionSet, want: DetectionSet):
 )
 def test_pipeline_on_columns_equals_pipeline_on_lists(per_patch, data, m, delta, gt):
     columns = interleaved_columns(per_patch, data)
-    assert columns == per_patch
+    assert_same_columns(columns, patch_columns(per_patch))
     assert list(columns) == sorted(per_patch)
     bcfg = BoundaryFilterConfig(m)
     ncfg = NmsConfig(delta=delta or 0.0, enabled=delta is not None)
     got = run_pipeline(columns, PATCH_INDEX, gt, PS_R, bcfg, ncfg)
-    assert_same_set(got, run_pipeline(per_patch, PATCH_INDEX, gt, PS_R, bcfg, ncfg))
-    # the scalar reference, one detection at a time in sorted patch order
-    assert_same_set(got, DetectionSet.of(scalar_pipeline(per_patch, PATCH_INDEX, gt, PS_R, m, delta)))
+    # the scalar reference on the lists of rows, one detection at a time in sorted patch order
+    want = scalar_pipeline(per_patch, PATCH_INDEX, gt, PS_R, m, delta)
+    assert_same_set(got, DetectionSet(*zip(*want)) if want else DetectionSet([], [], [], []))
 
 
 @settings(max_examples=60, deadline=None)
 @given(per_patch_detections(), st.data())
 def test_save_detections_writes_the_same_bytes_from_both_forms(tmp_path_factory, per_patch, data):
+    """Columns built from rows grouped by patch and from rows interleaved
+    write the same records, which read back as the same columns."""
     tmp = tmp_path_factory.mktemp("save")
-    save_detections(per_patch, tmp / "lists.csv")
-    save_detections(interleaved_columns(per_patch, data), tmp / "columns.csv")
-    assert (tmp / "lists.csv").read_bytes() == (tmp / "columns.csv").read_bytes()
-    assert load_detections(tmp / "columns.csv") == {p: d for p, d in per_patch.items() if d}
+    save_detections(patch_columns(per_patch), tmp / "grouped.csv")
+    save_detections(interleaved_columns(per_patch, data), tmp / "interleaved.csv")
+    assert (tmp / "grouped.csv").read_bytes() == (tmp / "interleaved.csv").read_bytes()
+    back = load_detections(tmp / "interleaved.csv")
+    assert_same_columns(back, patch_columns({p: rows for p, rows in per_patch.items() if rows}))
 
 
-def test_values_have_a_len_that_builds_no_detection(monkeypatch):
-    columns = PatchDetections.of({"b": [Detection("b", (0, 0, 1, 1), 0.5)] * 3, "a": [], "c": []})
-
-    def refuse(self):
-        raise AssertionError("a Detection was built")
-
-    monkeypatch.setattr(detector_mod.Detection, "__post_init__", refuse)
-    assert [len(v) for v in columns.values()] == [0, 3, 0]
+def test_values_have_a_len_that_builds_no_detection():
+    """A lookup gives the range of the patch's row indices into the columns,
+    so its len is the patch's row count and reads no row."""
+    columns = patch_columns({"b": [((1.5, 2.0, 3.0, 4.0), 0.25), ((0, 0, 9, 9), 1.0)] * 2, "a": [], "c": []})
+    assert [len(v) for v in columns.values()] == [0, 4, 0]
     assert list(columns) == list(columns.keys()) == list(dict(columns)) == ["a", "b", "c"]
+    rows = columns["b"]
+    assert columns.boxes[rows][1].tolist() == [0.0, 0.0, 9.0, 9.0] and columns.scores[rows][2] == 0.25
 
 
-def test_of_rejects_a_detection_listed_under_another_patch():
-    with pytest.raises(DetectionError, match="detection of patch 'q' listed under patch 'p'"):
-        PatchDetections.of({"p": [Detection("q", (0, 0, 1, 1), 0.5)]})
+# ---------------------------------------------------------------------------
+# detect_patches: a detector's (boxes, scores) per patch, grouped and checked
 
 
-def test_rows_read_back_as_detections():
-    dets = [Detection("p", (1.5, 2.0, 3.0, 4.0), 0.25), Detection("p", (0.0, 0.0, 9.0, 9.0), 1.0)]
-    rows = PatchDetections.of({"p": dets})["p"]
-    assert len(rows) == 2
-    assert rows[1] == dets[1]
-    assert list(rows) == dets and rows == dets
+class StubDetector(DetectorInterface):
+    """Returns the (boxes, scores) it was given for each patch id."""
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+
+    def detect(self, patch):
+        return self.outputs[patch.patch_id]
+
+
+_outputs = st.lists(st.tuples(_corner, _corner, _side, _side, _score), max_size=6).map(
+    lambda rows: (np.array([(x, y, x + w, y + h) for x, y, w, h, _ in rows], dtype=np.float64).reshape(-1, 4),
+                  np.array([s for *_, s in rows], dtype=np.float64))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.permutations(PATCH_IDS), st.lists(_outputs, min_size=len(PATCH_IDS), max_size=len(PATCH_IDS)))
+def test_detect_patches_groups_like_the_scalar_reference(patch_ids, outputs):
+    patches = [PatchPlacement(p, int(p[1:7]), int(p[9:]), PatchSpec(128, 64)) for p in patch_ids]
+    detector = StubDetector(dict(zip(patch_ids, outputs)))
+    want = group_by_patch(patch_ids, outputs)
+    for workers in (1, 2):
+        got = detect_patches(patches, detector, workers)
+        assert got.patches == tuple(sorted(patch_ids))  # patches without rows included
+        assert list(zip(got.patch_ids.tolist(), map(tuple, got.boxes.tolist()), got.scores.tolist())) == want
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +183,7 @@ def test_score_floor_drops_after_checking(tmp_path):
     path.write_text("pB,1.0,2.0,11.0,12.0,0.2\npA,1.0,2.0,11.0,12.0,0.9\npB,3.0,4.0,13.0,14.0,0.5\n")
     loaded = load_detections(path, score_floor=0.5)
     assert list(loaded) == ["pA", "pB"]
-    assert loaded["pB"] == [Detection("pB", (3.0, 4.0, 13.0, 14.0), 0.5)]
+    assert loaded.boxes[loaded["pB"]].tolist() == [[3.0, 4.0, 13.0, 14.0]]
     assert loaded.scores.tolist() == [0.9, 0.5]
     path.write_text("pA,1.0,2.0,11.0,12.0,0.9\npB,9.0,2.0,3.0,12.0,0.2\n")  # bad and below the floor
     with pytest.raises(DetectionError, match=":2: degenerate box"):
@@ -165,11 +191,12 @@ def test_score_floor_drops_after_checking(tmp_path):
 
 
 def test_unknown_patch_error_names_the_first_row():
-    a, z = Detection("a", (1, 1, 9, 9), 0.5), Detection("z", (1, 1, 9, 9), 0.5)
-    known = Detection(PATCH_IDS[0], (1, 1, 9, 9), 0.5)
+    row = ((1, 1, 9, 9), 0.5)
+    unknown = patch_columns({"z": [row], "a": [row]})
     with pytest.raises(DetectionError, match="unknown patch id 'a'"):  # rows merge in sorted patch order
-        run_pipeline({"z": [z], "a": [a]}, PATCH_INDEX, GT, PS_R, BoundaryFilterConfig(0), NmsConfig(0.3))
+        run_pipeline(unknown, PATCH_INDEX, GT, PS_R, BoundaryFilterConfig(0), NmsConfig(0.3))
     # a patch whose rows the boundary filter dropped is never looked up
-    edge = Detection("a", (0, 0, 9, 9), 0.5)
-    out = run_pipeline({"a": [edge], PATCH_IDS[0]: [known]}, PATCH_INDEX, GT, PS_R, BoundaryFilterConfig(0), NmsConfig(0.3))
+    edge = ((0, 0, 9, 9), 0.5)
+    per_patch = patch_columns({"a": [edge], PATCH_IDS[0]: [row]})
+    out = run_pipeline(per_patch, PATCH_INDEX, GT, PS_R, BoundaryFilterConfig(0), NmsConfig(0.3))
     assert out.patch_ids.tolist() == [PATCH_IDS[0]]
