@@ -6,7 +6,7 @@ detections are boundary-filtered, globalized to map coordinates and
 deduplicated, and the result is scored against ground-truth catalogs.
 """
 
-from .catalog import Catalog, combine, filter_by_region, filter_by_size, load_catalog, to_boxes
+from .catalog import Catalog, filter_by_region, filter_by_size, load_catalog, to_boxes
 from .detector import DetectorInterface, NoiseConfig, PatchDetections, SyntheticDetector, load_detections
 from .errors import PipelineError
 from .evaluate import (
@@ -17,19 +17,12 @@ from .evaluate import (
     MetricsReport,
     cross_verify,
     grid_search,
-    iou,
     localization_stats,
     match_and_count,
     size_gate,
 )
 from .geo import GeoTransform, lonlat_to_meter, meter_to_lonlat, meter_to_pixel_xy, pixel_to_meter_xy
-from .postprocess import (
-    BoundaryFilterConfig,
-    DetectionSet,
-    NmsConfig,
-    nms,
-    run_pipeline,
-)
+from .postprocess import DetectionSet, nms, run_pipeline
 from .raster import (
     FusedPatch,
     PatchSpec,

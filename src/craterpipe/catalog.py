@@ -1,4 +1,4 @@
-"""Ground-truth crater catalogs: loading, combining, filtering, geometrizing.
+"""Ground-truth crater catalogs: loading, filtering, geometrizing.
 
 Catalogs are comma-separated text with a header row. Column names differ
 between the common catalog families, so the loader takes a schema: either a
@@ -10,15 +10,14 @@ and abort the load once their fraction exceeds a tolerance.
 
 A catalog is held as columns, and only as columns: the loader converts whole
 columns (see textcols), filters are masks and to_boxes projects them at
-once. Nothing here mutates.
+once. A box that overflows there needs the geotransform to be seen, so the
+runner drops such rows after to_boxes. Nothing here mutates.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-import warnings
-from itertools import combinations, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "SCHEMAS",
     "Catalog",
     "load_catalog",
-    "combine",
     "filter_by_size",
     "filter_by_region",
     "to_boxes",
@@ -171,28 +169,6 @@ def filter_by_region(cat: Catalog, lon_min: float, lon_max: float, lat_min: floa
         )
     keep = (lon_min <= cat.lon) & (cat.lon < lon_max) & (lat_min <= cat.lat) & (cat.lat < lat_max)
     return cat._select(keep, f"{cat.source} | region lon[{lon_min},{lon_max}) lat[{lat_min},{lat_max})")
-
-
-def combine(parts: list[tuple[Catalog, float, float | None]]) -> Catalog:
-    """Union catalogs, each restricted to its [dmin, dmax) diameter range.
-
-    Ids are namespaced by source catalog name so the union stays unique.
-    Overlapping size ranges are legal but suspicious, so they warn.
-    """
-    if not parts:
-        raise CatalogError("combine needs at least one part")
-
-    for (lo_i, hi_i), (lo_j, hi_j) in combinations([(dmin, dmax) for _, dmin, dmax in parts], 2):
-        if max(lo_i, lo_j) < min(math.inf if hi_i is None else hi_i, math.inf if hi_j is None else hi_j):
-            warnings.warn(f"combine: size ranges [{lo_i}, {hi_i}) and [{lo_j}, {hi_j}) overlap", stacklevel=2)
-
-    kept = [filter_by_size(cat, dmin, dmax) for cat, dmin, dmax in parts]
-    return Catalog(
-        "+".join(cat.name for cat, _, _ in parts),
-        [f"{cat.name}:{i}" for cat in kept for i in cat.ids.tolist()],
-        *(np.concatenate([getattr(cat, col) for cat in kept]) for col in ("lon", "lat", "diam_km")),
-        source="; ".join(f"{cat.name}[{dmin},{dmax})" for cat, dmin, dmax in parts),
-    )
 
 
 def to_boxes(cat: Catalog, gt: GeoTransform) -> np.ndarray:

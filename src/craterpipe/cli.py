@@ -87,13 +87,12 @@ def cmd_run(config_path, seed, workers, out, m, delta, no_nms, u, size_floor_km)
         u=u,
         size_floor_km=size_floor_km,
     )
-    result = runner.run_full(cfg)
-    r = result.metrics
+    r, _ = runner.run_full(cfg)
     click.echo(
         f"kept {r.n_detections} detections against {r.n_truth} truth craters: "
         f"P={r.precision:.4f} R={r.recall:.4f} F1={r.f1:.4f}"
     )
-    click.echo(f"outputs in {result.out_dir}")
+    click.echo(f"outputs in {cfg.out_path}")
 
 
 @cli.command("detect")

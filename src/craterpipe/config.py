@@ -19,7 +19,6 @@ from .detector import NoiseConfig
 from .errors import ConfigError
 from .evaluate import EvalConfig
 from .geo import GeoTransform
-from .postprocess import BoundaryFilterConfig, NmsConfig
 
 __all__ = [
     "BandConfig",
@@ -49,7 +48,7 @@ class BandConfig:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    kind: str  # "synthetic" | "external"
+    kind: str = "synthetic"  # "synthetic" | "external"
     noise: NoiseConfig | None = None
     path: str | None = None
     score_floor: float | None = None
@@ -82,7 +81,7 @@ class PipelineConfig:
     slope_path: str | None = None
     single_band_path: str | None = None
     bands: tuple[BandConfig, ...] = ()
-    detector: DetectorConfig = field(default_factory=lambda: DetectorConfig(kind="synthetic", noise=NoiseConfig()))
+    detector: DetectorConfig = field(default_factory=lambda: DetectorConfig(noise=NoiseConfig()))
     truth_catalog: CatalogConfig | None = None
     verify_catalog: CatalogConfig | None = None
     geotransform: GeoTransform | None = None
@@ -103,12 +102,6 @@ class PipelineConfig:
     def out_path(self) -> Path:
         return self.resolve(self.out_dir)
 
-    def boundary_cfg(self) -> BoundaryFilterConfig:
-        return BoundaryFilterConfig(self.boundary_m)
-
-    def nms_cfg(self) -> NmsConfig:
-        return NmsConfig(delta=self.nms_delta, enabled=self.nms_enabled)
-
     def validate(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
@@ -128,15 +121,21 @@ class PipelineConfig:
                 raise ConfigError(f"size bands {n1!r} and {n2!r} overlap")
         if self.single_band_path is None and (self.intensity_path is None or self.elevation_path is None):
             raise ConfigError("need intensity and elevation rasters, or a single_band raster")
+        for m in (self.boundary_m, *self.grid.m_set):
+            if not (isinstance(m, int) and m >= 0):
+                raise ConfigError(f"m must be a non-negative integer, got {m!r}")
+        for delta in (self.nms_delta, *self.grid.delta_set):
+            if not 0.0 <= delta <= 1.0:
+                raise ConfigError(f"delta must be in [0, 1], got {delta}")
 
 
 def _noise_from(d: dict, seed: int) -> NoiseConfig:
-    fp_range = d.get("fp_radius_px", (12.5, 50.0))
+    fp_range = d.get("fp_radius_px", NoiseConfig.fp_radius_px)
     return NoiseConfig(
-        center_jitter_px=float(d.get("center_jitter_px", 0.0)),
-        radius_jitter_frac=float(d.get("radius_jitter_frac", 0.0)),
-        false_positive_rate=float(d.get("false_positive_rate", 0.0)),
-        miss_rate=float(d.get("miss_rate", 0.0)),
+        center_jitter_px=float(d.get("center_jitter_px", NoiseConfig.center_jitter_px)),
+        radius_jitter_frac=float(d.get("radius_jitter_frac", NoiseConfig.radius_jitter_frac)),
+        false_positive_rate=float(d.get("false_positive_rate", NoiseConfig.false_positive_rate)),
+        miss_rate=float(d.get("miss_rate", NoiseConfig.miss_rate)),
         seed=seed,
         fp_radius_px=(float(fp_range[0]), float(fp_range[1])),
     )
@@ -163,7 +162,7 @@ def _catalog_from(d: dict | None) -> CatalogConfig | None:
     region = d.get("region")
     return CatalogConfig(
         path=d["path"],
-        schema=d.get("schema", "generic"),
+        schema=d.get("schema", CatalogConfig.schema),
         region=tuple(float(v) for v in region) if region else None,
         dmin_km=_opt_float(d, "dmin_km"),
         dmax_km=_opt_float(d, "dmax_km"),
@@ -193,12 +192,12 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
     """The config a parsed JSON object describes; paths stay relative to base_dir."""
-    seed = _int(raw.get("seed", 0), "seed")
+    seed = _int(raw.get("seed", PipelineConfig.seed), "seed")
     rasters = raw.get("rasters", {})
 
-    det_raw = raw.get("detector", {"kind": "synthetic"})
+    det_raw = raw.get("detector", {})
     detector = DetectorConfig(
-        kind=det_raw.get("kind", "synthetic"),
+        kind=det_raw.get("kind", DetectorConfig.kind),
         noise=_noise_from(det_raw.get("noise", {}), seed),
         path=det_raw.get("path"),
         score_floor=_opt_float(det_raw, "score_floor"),
@@ -209,8 +208,8 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
             name=b.get("name", f"band{i}"),
             ps_a=_int(b["ps_a"], "ps_a"),
             ps_r=_int(b["ps_r"], "ps_r"),
-            overlap=float(b.get("overlap", 0.5)),
-            dmin_km=float(b.get("dmin_km", 0.0)),
+            overlap=float(b.get("overlap", BandConfig.overlap)),
+            dmin_km=float(b.get("dmin_km", BandConfig.dmin_km)),
             dmax_km=_opt_float(b, "dmax_km"),
         )
         for i, b in enumerate(raw.get("bands", []))
@@ -234,9 +233,9 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
 
     return PipelineConfig(
         seed=seed,
-        workers=_int(raw.get("workers", 1), "workers"),
-        out_dir=raw.get("out_dir", "out"),
-        scale_mode=raw.get("scale_mode", "patch"),
+        workers=_int(raw.get("workers", PipelineConfig.workers), "workers"),
+        out_dir=raw.get("out_dir", PipelineConfig.out_dir),
+        scale_mode=raw.get("scale_mode", PipelineConfig.scale_mode),
         intensity_path=rasters.get("intensity"),
         elevation_path=rasters.get("elevation"),
         slope_path=rasters.get("slope"),
@@ -246,18 +245,18 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
         truth_catalog=_catalog_from(raw.get("truth_catalog")),
         verify_catalog=_catalog_from(raw.get("verify_catalog")),
         geotransform=geotransform,
-        boundary_m=_int(raw.get("boundary_m", 10), "boundary_m"),
-        nms_delta=float(nms_raw.get("delta", 0.2)),
-        nms_enabled=bool(nms_raw.get("enabled", True)),
+        boundary_m=_int(raw.get("boundary_m", PipelineConfig.boundary_m), "boundary_m"),
+        nms_delta=float(nms_raw.get("delta", PipelineConfig.nms_delta)),
+        nms_enabled=bool(nms_raw.get("enabled", PipelineConfig.nms_enabled)),
         eval=EvalConfig(
-            u=float(eval_raw.get("u", 0.3)),
+            u=float(eval_raw.get("u", EvalConfig.u)),
             size_floor_km=_opt_float(eval_raw, "size_floor_km"),
             size_ceiling_km=_opt_float(eval_raw, "size_ceiling_km"),
         ),
         grid=GridConfig(
-            m_set=tuple(_int(v, "grid.m_set") for v in grid_raw.get("m_set", (0, 1, 5, 10))),
-            delta_set=tuple(float(v) for v in grid_raw.get("delta_set", (0.1, 0.2, 0.3, 0.4, 0.5))),
-            include_no_nms=bool(grid_raw.get("include_no_nms", True)),
+            m_set=tuple(_int(v, "grid.m_set") for v in grid_raw.get("m_set", GridConfig.m_set)),
+            delta_set=tuple(float(v) for v in grid_raw.get("delta_set", GridConfig.delta_set)),
+            include_no_nms=bool(grid_raw.get("include_no_nms", GridConfig.include_no_nms)),
         ),
         base_dir=str(base_dir),
     )

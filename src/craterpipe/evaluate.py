@@ -1,4 +1,4 @@
-"""Catalog-based evaluation: IOU metrics, size gating, grid search,
+"""Catalog-based evaluation: counting metrics, size gating, grid search,
 localization statistics and cross-catalog verification of new detections.
 
 Counting is set-level: a detection is a true positive when its best IOU
@@ -11,9 +11,12 @@ alongside the clamped value so the effect stays visible.
 Detections arrive as a postprocess.DetectionSet, raw per-patch detections
 for grid search as a detector.PatchDetections, and truth as an (M, 4) box
 array. Each detection's best IOU comes from the sparse
-postprocess.overlap_pairs, never from a dense N x M matrix.
+postprocess.overlap_pairs, never from a dense N x M matrix; there is no
+other box-overlap primitive.
 
-Everything here is pure; grid-search cells are independent.
+Everything here is pure; grid-search cells are independent. A cell makes
+the post-processing call run makes, postprocess.run_pipeline with its own
+(m, delta), delta None for the no-NMS column.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .detector import PatchDetections
 from .errors import EvalError
 from .geo import GeoTransform
-from .postprocess import BoundaryFilterConfig, DetectionSet, NmsConfig, overlap_pairs, run_pipeline
+from .postprocess import DetectionSet, overlap_pairs, run_pipeline
 
 __all__ = [
     "EvalConfig",
@@ -37,7 +40,6 @@ __all__ = [
     "GridCell",
     "GridSearchResult",
     "CrossVerifyReport",
-    "iou",
     "metrics_from_counts",
     "match_and_count",
     "size_gate",
@@ -125,22 +127,6 @@ class CrossVerifyReport:
     @property
     def counts(self) -> tuple[int, int, int]:
         return len(self.known), len(self.confirmed_new), len(self.unverified)
-
-
-def iou(a: Sequence[float], b: Sequence[float]) -> float:
-    """Intersection over union of two axis-aligned boxes; 0 when disjoint."""
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    if area_a <= 0 or area_b <= 0:
-        raise EvalError(f"degenerate box in IOU: {a if area_a <= 0 else b}")
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (area_a + area_b - inter)
 
 
 def metrics_from_counts(
@@ -236,8 +222,8 @@ def grid_search(
 ) -> GridSearchResult:
     """Joint sweep of the boundary threshold and the NMS threshold.
 
-    Every (m, delta) cell, plus an NMS-disabled column per m when
-    include_no_nms is set, runs the full post-processing pipeline on
+    Every (m, delta) cell, plus an NMS-disabled column (delta None) per m
+    when include_no_nms is set, runs the full post-processing pipeline on
     per_patch and is scored against the truth. The
     best cell maximizes F1; ties prefer larger m, then smaller delta, with
     the disabled column ranked after any real delta.
@@ -250,10 +236,8 @@ def grid_search(
     deltas: list[float | None] = list(delta_set) + ([None] if include_no_nms else [])
     cells = []
     for m in m_set:
-        bcfg = BoundaryFilterConfig(int(m))
         for delta in deltas:
-            ncfg = NmsConfig(delta=delta if delta is not None else 0.0, enabled=delta is not None)
-            survivors = run_pipeline(per_patch, patch_index, gt, ps_r, bcfg, ncfg)
+            survivors = run_pipeline(per_patch, patch_index, gt, ps_r, int(m), delta)
             gated = size_gate(survivors, cfg)
             cells.append(GridCell(m=int(m), delta=delta, report=match_and_count(gated, truth_boxes, cfg)))
 
@@ -289,8 +273,8 @@ def cross_verify(
 # report files
 
 
-def write_metrics(report: MetricsReport, path: str | Path, extra: dict | None = None) -> None:
-    """One CSV record of the counting result, plus any extra fields."""
+def write_metrics(report: MetricsReport, path: str | Path, extra: dict) -> None:
+    """One CSV record of the counting result, then the extra fields."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fields = {
@@ -307,9 +291,8 @@ def write_metrics(report: MetricsReport, path: str | Path, extra: dict | None = 
         "precision_defined": report.precision_defined,
         "recall_defined": report.recall_defined,
         "f1_defined": report.f1_defined,
+        **extra,
     }
-    if extra:
-        fields.update(extra)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(fields))

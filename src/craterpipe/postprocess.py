@@ -5,7 +5,9 @@ Overlapping tiling means one crater can be detected in several patches and
 partially at patch edges. The fix happens in a fixed order: drop boxes
 hugging their patch boundary, map the rest to mosaic meters, then greedily
 deduplicate by IOU. NMS is a single sequential pass because its greedy
-order is part of the semantics.
+order is part of the semantics. The two thresholds are plain values, the
+boundary distance m and the NMS IOU delta, with delta None for no NMS;
+config.PipelineConfig.validate checks them where they enter the program.
 
 A detection set is held as columns. run_pipeline takes a
 detector.PatchDetections (pixel boxes, scores and patch ids, grouped in
@@ -24,7 +26,6 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,6 @@ from .geo import GeoTransform, meter_to_lonlat, pixel_to_meter_xy
 from .textcols import csv_text, parse_records, raise_first, write_csv
 
 __all__ = [
-    "BoundaryFilterConfig",
-    "NmsConfig",
     "DetectionSet",
     "overlap_pairs",
     "nms",
@@ -45,29 +44,6 @@ __all__ = [
     "load_global_detections",
     "write_catalog_export",
 ]
-
-
-@dataclass(frozen=True)
-class BoundaryFilterConfig:
-    """Distance threshold (resized pixels) for dropping boundary boxes."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and self.m >= 0):
-            raise PipelineError(f"m must be a non-negative integer, got {self.m!r}")
-
-
-@dataclass(frozen=True)
-class NmsConfig:
-    """IOU threshold for suppression; enabled=False passes input through."""
-
-    delta: float
-    enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.delta <= 1.0:
-            raise PipelineError(f"delta must be in [0, 1], got {self.delta}")
 
 
 _GLOBAL_HEADER = ["x1_m", "y1_m", "x2_m", "y2_m", "score", "patch_id", "px1", "py1", "px2", "py2"]
@@ -301,17 +277,17 @@ def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray
     return order[~suppressed]
 
 
-def nms(dets: DetectionSet, cfg: NmsConfig) -> DetectionSet:
+def nms(dets: DetectionSet, delta: float | None) -> DetectionSet:
     """Greedy highest-score-first suppression at IOU >= delta.
 
     Score ties break deterministically by smaller x1, then smaller y1, then
     input order, so results do not depend on how the input was assembled.
-    Survivors are returned in selection (score-descending) order. Disabled
-    NMS returns the input unchanged.
+    Survivors are returned in selection (score-descending) order. delta
+    None means no NMS and returns the input unchanged.
     """
-    if not cfg.enabled:
+    if delta is None:
         return dets
-    return dets.take(_nms_keep(dets.boxes, dets.scores, cfg.delta))
+    return dets.take(_nms_keep(dets.boxes, dets.scores, delta))
 
 
 def run_pipeline(
@@ -319,20 +295,23 @@ def run_pipeline(
     patch_index: Mapping[str, tuple[int, int, float]],
     gt: GeoTransform,
     ps_r: int,
-    bcfg: BoundaryFilterConfig,
-    ncfg: NmsConfig,
+    m: int,
+    delta: float | None,
 ) -> DetectionSet:
     """Boundary filter per patch, then globalize, then NMS, in that order.
 
-    The rows of per_patch are merged in sorted patch id order, so the merged
-    set (and therefore NMS tie-breaking) never depends on the order the
-    patches were detected in. Every stage works on the columns.
+    A box is kept when all four of its edges lie more than m resized pixels
+    inside its patch of side ps_r; NMS suppresses at IOU >= delta, and delta
+    None skips it. The rows of per_patch are merged in sorted patch id
+    order, so the merged set (and therefore NMS tie-breaking) never depends
+    on the order the patches were detected in. Every stage works on the
+    columns.
     """
-    keep = np.flatnonzero(_inside(per_patch.boxes, ps_r, bcfg.m))
+    keep = np.flatnonzero(_inside(per_patch.boxes, ps_r, m))
     merged = _globalize(
         per_patch.patches, per_patch.codes[keep], per_patch.boxes[keep], per_patch.scores[keep], patch_index, gt
     )
-    return nms(merged, ncfg)
+    return nms(merged, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +355,9 @@ def load_global_detections(path: str | Path) -> DetectionSet:
     return DetectionSet(boxes, scores, ids, pixel_boxes)
 
 
-def write_catalog_export(
-    dets: DetectionSet, gt: GeoTransform, path: str | Path, provenance: dict | None = None
-) -> None:
-    """Export detections in catalog form (lon, lat, diam_km).
+def write_catalog_export(dets: DetectionSet, gt: GeoTransform, path: str | Path, provenance: dict) -> None:
+    """Export detections in catalog form (lon, lat, diam_km), with a
+    provenance.json beside it holding the detection count and provenance.
 
     The box center inverts through the projection; the diameter is the mean
     box side in kilometers, matching how detections are size-gated.
@@ -391,7 +369,5 @@ def write_catalog_export(
     diam_km = ((x2 - x1) + (y2 - y1)) / 2.0 / 1000.0
     ids = [f"det#{i}" for i in range(len(diam_km))]
     write_csv(path, ["id", "lon", "lat", "diam_km"], [ids, lon, lat, diam_km])
-    side = {"n_detections": len(dets)}
-    if provenance:
-        side.update(provenance)
+    side = {"n_detections": len(dets), **provenance}
     Path(str(path) + ".provenance.json").write_text(json.dumps(side, indent=2) + "\n")

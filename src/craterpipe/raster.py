@@ -249,12 +249,12 @@ def read_header(path: str | Path) -> dict:
             "nodata": nodata, "geotransform": gt}
 
 
-def load_raster(path: str | Path, header: dict | None = None) -> RasterGrid:
+def load_raster(path: str | Path) -> RasterGrid:
     """Map a raw payload read-only, plus its header sidecar, into a RasterGrid."""
     path = Path(path)
     if not path.exists():
         raise RasterError(f"raster payload not found: {path}")
-    hdr = header if header is not None else read_header(path)
+    hdr = read_header(path)
     if not path.is_file():
         raise RasterError(f"{path}: raster payload is not a regular file")
     dtype, shape = np.dtype(_DTYPES[hdr["dtype"]]), (hdr["height"], hdr["width"])

@@ -4,7 +4,10 @@ A run goes: load and validate the rasters, place the patch windows per size
 band, detect per patch on a thread pool, boundary-filter, globalize,
 deduplicate, union the bands, gate by size, count against the truth catalog,
 and write reports plus a manifest. Merging is always over sorted patch ids,
-so results are identical for any worker count.
+so results are identical for any worker count. Post-processing gets the
+configured (m, delta), delta None when NMS is disabled, as a grid cell does.
+A catalog comes with its boxes (_load_truth): a row whose box overflows is
+dropped and counted there, so neither the oracle nor the counting sees it.
 
 Pixels are built only where something reads them: tile with image export
 resamples elevation onto the intensity grid, derives slope when not supplied
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,6 @@ from .errors import ConfigError, DetectionError, RasterError
 from .evaluate import (
     EvalConfig,
     GridSearchResult,
-    LocalizationReport,
     MetricsReport,
     cross_verify,
     grid_search,
@@ -78,7 +79,6 @@ from .raster import (
 from .textcols import csv_text, write_csv
 
 __all__ = [
-    "RunResult",
     "load_stack",
     "detect_patches",
     "run_full",
@@ -87,16 +87,6 @@ __all__ = [
     "run_gridsearch",
     "run_crossmatch",
 ]
-
-
-@dataclass
-class RunResult:
-    detections: DetectionSet
-    metrics: MetricsReport
-    localization: LocalizationReport
-    gt: GeoTransform
-    out_dir: Path
-    written: list[Path]
 
 
 def _input_paths(cfg: PipelineConfig) -> list[Path]:
@@ -208,13 +198,29 @@ def detect_patches(patches: list[PatchPlacement], detector: DetectorInterface, w
     return cols
 
 
-def _load_truth(cfg: PipelineConfig, cat_cfg: CatalogConfig) -> catalog_mod.Catalog:
+def _load_truth(
+    cfg: PipelineConfig, cat_cfg: CatalogConfig, gt: GeoTransform
+) -> tuple[catalog_mod.Catalog, np.ndarray]:
+    """The catalog cat_cfg names, filtered as it says, and its boxes on gt.
+
+    A row whose box or box area overflows to a value that is not finite (a
+    finite but huge longitude or diameter) could match no detection, so it
+    is dropped and counted in n_rejected, as the loader's own rejects are.
+    """
     cat = catalog_mod.load_catalog(cfg.resolve(cat_cfg.path), schema=cat_cfg.schema)
     if cat_cfg.region is not None:
         cat = catalog_mod.filter_by_region(cat, *cat_cfg.region)
     if cat_cfg.dmin_km is not None or cat_cfg.dmax_km is not None:
         cat = catalog_mod.filter_by_size(cat, cat_cfg.dmin_km or 0.0, cat_cfg.dmax_km)
-    return cat
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = catalog_mod.to_boxes(cat, gt)
+        area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    ok = np.isfinite(boxes).all(axis=1) & np.isfinite(area)
+    if ok.all():
+        return cat, boxes
+    n_rejected = cat.n_rejected + int((~ok).sum())
+    kept = catalog_mod.Catalog(cat.name, cat.ids[ok], cat.lon[ok], cat.lat[ok], cat.diam_km[ok], cat.source, n_rejected)
+    return kept, boxes[ok]
 
 
 def _band_detections(
@@ -253,7 +259,8 @@ def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[Detecti
     info: dict[str, dict] = {}
     for band in cfg.bands:
         n_patches, patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
-        survivors = run_pipeline(per_patch, patch_index, gt, band.ps_r, cfg.boundary_cfg(), cfg.nms_cfg())
+        delta = cfg.nms_delta if cfg.nms_enabled else None
+        survivors = run_pipeline(per_patch, patch_index, gt, band.ps_r, cfg.boundary_m, delta)
         all_survivors.append(survivors)
         info[band.name] = {
             "n_patches": n_patches,
@@ -263,8 +270,11 @@ def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[Detecti
     return DetectionSet.concat(all_survivors), info
 
 
-def run_full(cfg: PipelineConfig) -> RunResult:
+def run_full(cfg: PipelineConfig) -> tuple[MetricsReport, list[Path]]:
     """The complete run: detection through metrics, with files written.
+
+    Returns the metrics and the files written to cfg.out_path, all but the
+    manifest.
 
     The input digests for the manifest are taken on one background thread
     from the start: hashing the rasters is the longest read of a run, and
@@ -279,23 +289,22 @@ def run_full(cfg: PipelineConfig) -> RunResult:
     t_total = time.perf_counter()
     with ThreadPoolExecutor(max_workers=1) as hasher:
         digests = hasher.submit(file_digests, _input_paths(cfg))
-        result = _run_stages(cfg, out_dir, timings)
+        metrics, written = _run_stages(cfg, out_dir, timings)
         t0 = time.perf_counter()
         inputs = digests.result()
         timings["inputs_digest_wait"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_total
-    write_manifest(out_dir, cfg, timings, inputs, result.written)
-    return result
+    write_manifest(out_dir, cfg, timings, inputs, written)
+    return metrics, written
 
 
-def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -> RunResult:
+def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -> tuple[MetricsReport, list[Path]]:
     """Load, detect, post-process, evaluate and write every output of run
     but the manifest, recording stage times in timings."""
     t0 = time.perf_counter()
     stack = load_stack(cfg, pixels=False)
     gt = stack[4]
-    truth = _load_truth(cfg, cfg.truth_catalog)
-    truth_boxes = catalog_mod.to_boxes(truth, gt)
+    truth, truth_boxes = _load_truth(cfg, cfg.truth_catalog, gt)
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -334,9 +343,7 @@ def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -
     summary_path = out_dir / "summary.txt"
     summary_path.write_text(_summary_text(cfg, metrics, loc, band_info))
     written.append(summary_path)
-    return RunResult(
-        detections=survivors, metrics=metrics, localization=loc, gt=gt, out_dir=out_dir, written=written
-    )
+    return metrics, written
 
 
 def _summary_text(cfg, metrics, loc, band_info) -> str:
@@ -398,7 +405,7 @@ def run_detect_dump(cfg: PipelineConfig) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     stack = load_stack(cfg, pixels=False)
     gt = stack[4]
-    truth = _load_truth(cfg, cfg.truth_catalog)
+    truth, _ = _load_truth(cfg, cfg.truth_catalog, gt)
     paths = []
     for band in cfg.bands:
         _, _, per_patch = _band_detections(cfg, band, stack, truth, gt)
@@ -419,8 +426,7 @@ def run_gridsearch(cfg: PipelineConfig) -> tuple[GridSearchResult, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     stack = load_stack(cfg, pixels=False)
     gt = stack[4]
-    truth = _load_truth(cfg, cfg.truth_catalog)
-    truth_boxes = catalog_mod.to_boxes(truth, gt)
+    truth, truth_boxes = _load_truth(cfg, cfg.truth_catalog, gt)
     band = cfg.bands[0]
     _, patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
 
@@ -461,8 +467,8 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
     dets = load_global_detections(det_path)
     gated = size_gate(dets, cfg.eval)
 
-    boxes_a = catalog_mod.to_boxes(_load_truth(cfg, cfg.truth_catalog), gt)
-    boxes_b = catalog_mod.to_boxes(_load_truth(cfg, cfg.verify_catalog), gt)
+    _, boxes_a = _load_truth(cfg, cfg.truth_catalog, gt)
+    _, boxes_b = _load_truth(cfg, cfg.verify_catalog, gt)
     report = cross_verify(gated, boxes_a, boxes_b, cfg.eval)
 
     path = out_dir / "crossmatch.csv"

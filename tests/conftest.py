@@ -6,7 +6,7 @@ import pytest
 
 from craterpipe.detector import PatchDetections
 from craterpipe.geo import GeoTransform
-from craterpipe.postprocess import DetectionSet
+from craterpipe.postprocess import DetectionSet, overlap_pairs
 from craterpipe.raster import RasterGrid, save_raster
 
 LUNAR_RADIUS = 1_737_400.0
@@ -56,6 +56,12 @@ def patch_columns(rows_by_patch):
     ids = [p for p, rows in rows_by_patch.items() for _ in rows]
     flat = [row for rows in rows_by_patch.values() for row in rows]
     return PatchDetections(ids, [box for box, _ in flat], [score for _, score in flat], keys=rows_by_patch)
+
+
+def pair_iou(a, b):
+    """The IOU overlap_pairs gives the boxes a and b; 0 when they form no pair."""
+    _, _, v = overlap_pairs([a], [b])
+    return float(v[0]) if v.size else 0.0
 
 
 def global_set(boxes, scores=0.9, patch_ids="p"):

@@ -35,6 +35,7 @@ from craterpipe.detector import PatchDetections
 from craterpipe.geo import GeoTransform
 
 from conftest import patch_columns
+from reference import iou
 
 LUNAR_RADIUS = 1_737_400.0
 
@@ -81,16 +82,6 @@ class GridFixture:
     n_boxes_total: int
     n_tp_boxes: int
     n_clones: int
-
-
-def _iou(a, b):
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    return inter / union
 
 
 def _square(cx, cy, side):
@@ -166,7 +157,7 @@ def build_grid_fixture() -> GridFixture:
         truth_boxes.append(truth)
 
         det_box = _square(cx + d1 * SIDE_M, cy, SIDE_M)
-        assert _iou(det_box, truth) >= 0.305, (tier, _iou(det_box, truth))
+        assert iou(det_box, truth) >= 0.305, (tier, iou(det_box, truth))
         covering = _covering_patches(det_box, margin_m)
         assert len(covering) >= 2, (i, covering)
         emit(det_box, 0.95, covering[:1], f"s{i}")
@@ -179,9 +170,9 @@ def build_grid_fixture() -> GridFixture:
             _square(cx + d1 * SIDE_M, cy - orth * SIDE_M, SIDE_M),
         ]
         for j, clone in enumerate(clones):
-            q = _iou(clone, det_box)
+            q = iou(clone, det_box)
             assert lo + 0.005 < q < hi - 0.005 or (hi == 1.0 and q > lo + 0.005), (tier, j, q)
-            assert _iou(clone, truth) <= 0.295, (tier, j, _iou(clone, truth))
+            assert iou(clone, truth) <= 0.295, (tier, j, iou(clone, truth))
             emit(clone, 0.5, covering[:1], f"s{i}")
             n_clones += 1
 
@@ -200,7 +191,7 @@ def build_grid_fixture() -> GridFixture:
             n_tp_boxes += 2
 
     # the two pair detections overlap each other at IOU 0.15 exactly
-    assert abs(_iou(truth_boxes[-1], truth_boxes[-2]) - PAIR_IOU) < 1e-9
+    assert abs(iou(truth_boxes[-1], truth_boxes[-2]) - PAIR_IOU) < 1e-9
 
     # boundary-hugging false positives in the four corner patches
     fp_size = 40.0
@@ -225,7 +216,7 @@ def build_grid_fixture() -> GridFixture:
             box_a, group_a = global_boxes[a]
             box_b, group_b = global_boxes[b]
             if group_a != group_b:
-                assert _iou(box_a, box_b) == 0.0, (group_a, group_b)
+                assert iou(box_a, box_b) == 0.0, (group_a, group_b)
 
     return GridFixture(
         per_patch=patch_columns(rows),

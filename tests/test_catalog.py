@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from craterpipe.catalog import Catalog, combine, filter_by_region, filter_by_size, load_catalog, to_boxes
+from craterpipe.catalog import Catalog, filter_by_region, filter_by_size, load_catalog, to_boxes
 from craterpipe.errors import CatalogError
 
 from conftest import LUNAR_RADIUS, write_catalog_csv
@@ -81,42 +81,6 @@ def test_save_round_trip(tmp_path):
     path = write_catalog_csv(tmp_path, "out.csv", zip(cat.ids, cat.lon, cat.lat, cat.diam_km))
     loaded = load_catalog(path)
     assert loaded.ids.tolist() == cat.ids.tolist() and loaded.diam_km.tolist() == [5.0, 12.0]
-
-
-def test_combine_disjoint_ranges():
-    a = cat_of([25.0, 30.0, 40.0, 3.0], name="big")  # 3 craters >= 20
-    b = cat_of([5.0, 7.0, 10.0, 19.0, 25.0], name="small")  # 4 in [5, 20)
-    out = combine([(a, 20.0, None), (b, 5.0, 20.0)])
-    assert len(out) == 7
-    assert all(":" in i for i in out.ids)
-
-
-def test_combine_single_part_identity():
-    a = cat_of([1.0, 2.0, 3.0])
-    out = combine([(a, 0.0, None)])
-    assert out.diam_km.tolist() == [1.0, 2.0, 3.0]
-
-
-def test_combine_with_empty_part():
-    a = cat_of([5.0, 6.0], name="a")
-    b = cat_of([5.0, 6.0], name="b")
-    out = combine([(a, 0.0, 100.0), (b, 100.0, 200.0)])
-    assert len(out) == 2
-
-
-def test_combine_warns_on_overlapping_ranges():
-    a = cat_of([5.0], name="a")
-    b = cat_of([6.0], name="b")
-    with pytest.warns(UserWarning, match="overlap"):
-        combine([(a, 0.0, 10.0), (b, 5.0, 20.0)])
-
-
-def test_combine_order_independent_multiset():
-    a = cat_of([25.0, 30.0], name="a")
-    b = cat_of([5.0, 7.0], name="b")
-    one = combine([(a, 20.0, None), (b, 5.0, 20.0)])
-    two = combine([(b, 5.0, 20.0), (a, 20.0, None)])
-    assert sorted(one.ids) == sorted(two.ids)
 
 
 def test_filter_by_size_half_open():

@@ -14,7 +14,7 @@ from craterpipe.cli import main
 from craterpipe.config import load_config, sha256_file
 from craterpipe.geo import GeoTransform
 from craterpipe.raster import RasterGrid, load_raster, save_raster
-from craterpipe.runner import _input_paths
+from craterpipe.runner import _input_paths, _load_truth
 
 from conftest import planar_dem
 from reference import brute_force_metrics
@@ -639,6 +639,32 @@ def test_run_rejects_truth_rows_that_are_not_finite(tmp_path, row):
     assert read_metrics(tmp_path / "dirty") == read_metrics(tmp_path / "clean")
 
 
+def test_truth_rows_whose_boxes_overflow_are_dropped(tmp_path):
+    """A finite but huge longitude projects to an infinite box corner, and a
+    finite but huge diameter to a box whose area overflows. Neither box can
+    match a detection, so both rows are dropped and counted after
+    projection: run and crossmatch write what they write without them."""
+    config = write_scene(
+        tmp_path, plant_craters(6), extra_config={"verify_catalog": {"path": "verify.csv", "schema": "generic"}}
+    )
+    catalogs = [tmp_path / "truth.csv", tmp_path / "verify.csv"]
+    catalogs[1].write_text(catalogs[0].read_text())
+    for out in ("clean", "dirty"):
+        if out == "dirty":
+            for path in catalogs:
+                with open(path, "a") as fh:
+                    fh.write("huge_lon,1e306,-0.1,4.0\nhuge_diam,0.1,-0.1,1e305\n")
+        for command in ("run", "crossmatch"):
+            assert main([command, "--config", str(config), "--out", out]) == 0, (command, out)
+    clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+    assert read_metrics(dirty) == read_metrics(clean)
+    assert (dirty / "crossmatch.csv").read_bytes() == (clean / "crossmatch.csv").read_bytes()
+    cfg = load_config(config)
+    for cat_cfg in (cfg.truth_catalog, cfg.verify_catalog):
+        cat, boxes = _load_truth(cfg, cat_cfg, GT)
+        assert (len(cat), len(boxes), cat.n_rejected) == (6, 6, 2)
+
+
 def test_headerless_global_detections_are_rejected(tmp_path, capsys):
     config = write_scene(
         tmp_path, plant_craters(6), extra_config={"verify_catalog": {"path": "truth.csv", "schema": "generic"}}
@@ -765,3 +791,30 @@ def test_config_non_integral_number_names_file_and_key(tmp_path, capsys, key, va
     config.write_text(json.dumps(cfg))
     err = _config_error(config, capsys)
     assert f"{config}: malformed value ({key} must be an integer, got {value!r})" in err, err
+
+
+@pytest.mark.parametrize(
+    "command, args, setting, message",
+    [
+        ("run", ["--m", "-1"], {}, "m must be a non-negative integer, got -1"),
+        ("run", ["--delta", "1.5"], {}, "delta must be in [0, 1], got 1.5"),
+        ("gridsearch", [], {"grid": {"m_set": [0, -1]}}, "m must be a non-negative integer, got -1"),
+        ("gridsearch", [], {"grid": {"delta_set": [0.2, 1.5]}}, "delta must be in [0, 1], got 1.5"),
+        # each command also rejects the thresholds only the other one reads
+        ("gridsearch", [], {"nms": {"delta": 1.5}}, "delta must be in [0, 1], got 1.5"),
+        ("run", [], {"grid": {"m_set": [0, -1]}}, "m must be a non-negative integer, got -1"),
+    ],
+    ids=["run-m", "run-delta", "gridsearch-m_set", "gridsearch-delta_set", "gridsearch-nms.delta", "run-m_set"],
+)
+def test_out_of_range_thresholds_exit_two(tmp_path, capsys, command, args, setting, message):
+    """The boundary distance m and the NMS IOU delta are checked where they
+    enter, from the config file or a flag, whichever command reads them."""
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    for section, values in setting.items():
+        cfg[section].update(values)
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([command, "--config", str(config), *args]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err, err

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from craterpipe import config as config_mod
-from craterpipe.config import apply_overrides, load_config, sha256_file, write_manifest
+from craterpipe.config import BandConfig, PipelineConfig, apply_overrides, load_config, sha256_file, write_manifest
 from craterpipe.errors import ConfigError
 
 from scene import plant_craters, write_scene
@@ -59,6 +60,17 @@ def test_config_requires_bands_and_rasters(tmp_path):
     p.write_text(json.dumps({"bands": [{"ps_a": 256, "ps_r": 128}]}))
     with pytest.raises(ConfigError, match="intensity and elevation"):
         load_config(p)
+
+
+def test_unset_fields_take_the_class_defaults(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"rasters": {"single_band": "b.bin"}, "bands": [{"ps_a": 256, "ps_r": 128}]}))
+    cfg = load_config(p)
+    default = PipelineConfig()
+    for f in fields(PipelineConfig):
+        if f.name not in ("single_band_path", "bands", "base_dir"):
+            assert getattr(cfg, f.name) == getattr(default, f.name), f.name
+    assert cfg.bands == (BandConfig("band0", 256, 128),)
 
 
 def test_config_rejects_overlapping_bands(tmp_path):

@@ -8,7 +8,6 @@ from craterpipe.evaluate import (
     EvalConfig,
     cross_verify,
     grid_search,
-    iou,
     localization_stats,
     match_and_count,
     metrics_from_counts,
@@ -16,32 +15,27 @@ from craterpipe.evaluate import (
 )
 from craterpipe.geo import GeoTransform
 
-from conftest import LUNAR_RADIUS, global_set, patch_columns
-from reference import brute_force_metrics, iou_matrix, rasterized_iou
+from conftest import LUNAR_RADIUS, global_set, pair_iou, patch_columns
+from reference import brute_force_metrics, iou, iou_matrix, rasterized_iou
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
 NO_DETECTIONS = patch_columns({})
 
 
 # ---------------------------------------------------------------------------
-# iou
+# iou: the IOU of a pair as overlap_pairs gives it
 
 
 def test_iou_identical_boxes():
-    assert iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
+    assert pair_iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
 
 
 def test_iou_disjoint_boxes():
-    assert iou((0, 0, 10, 10), (20, 20, 30, 30)) == 0.0
+    assert pair_iou((0, 0, 10, 10), (20, 20, 30, 30)) == 0.0
 
 
 def test_iou_hand_case_exact():
-    assert iou((0, 0, 10, 10), (5, 5, 15, 15)) == 1.0 / 7.0
-
-
-def test_iou_degenerate_box_errors():
-    with pytest.raises(EvalError, match="degenerate"):
-        iou((0, 0, 0, 10), (0, 0, 10, 10))
+    assert pair_iou((0, 0, 10, 10), (5, 5, 15, 15)) == 1.0 / 7.0
 
 
 def test_iou_symmetric_and_bounded():
@@ -51,8 +45,8 @@ def test_iou_symmetric_and_bounded():
         b = rng.uniform(0, 50, size=2)
         box_a = (a[0], a[1], a[0] + rng.uniform(1, 30), a[1] + rng.uniform(1, 30))
         box_b = (b[0], b[1], b[0] + rng.uniform(1, 30), b[1] + rng.uniform(1, 30))
-        v = iou(box_a, box_b)
-        assert v == iou(box_b, box_a)
+        v = pair_iou(box_a, box_b)
+        assert v == pair_iou(box_b, box_a)
         assert 0.0 <= v <= 1.0
 
 
@@ -64,7 +58,7 @@ def test_iou_against_rasterization_sample():
         dx, dy = rng.uniform(-0.3, 0.3, size=2) * side
         a = (x, y, x + side, y + side)
         b = (x + dx, y + dy, x + dx + side, y + dy + side)
-        analytic = iou(a, b)
+        analytic = pair_iou(a, b)
         estimate = rasterized_iou(a, b, cells=800)
         assert abs(analytic - estimate) <= 0.02 * max(estimate, 1e-9)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craterpipe.evaluate import EvalConfig, match_and_count
-from craterpipe.postprocess import DetectionSet, NmsConfig, nms, overlap_pairs
+from craterpipe.postprocess import DetectionSet, nms, overlap_pairs
 
 from conftest import global_set
 from reference import iou_matrix, quadratic_nms
@@ -188,7 +188,7 @@ def test_nms_matches_quadratic_reference_with_ties(boxes, data, delta):
     scores = data.draw(st.lists(SCORES, min_size=len(boxes), max_size=len(boxes)))
     dets = global_set(boxes, scores, [f"p{i}" for i in range(len(scores))])
     expected = [f"p{i}" for i in quadratic_nms(boxes, scores, delta)]
-    assert nms(dets, NmsConfig(delta=delta)).patch_ids.tolist() == expected
+    assert nms(dets, delta).patch_ids.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_scoring_and_nms_memory_bounded_on_50k_by_20k():
 
     for bound_mb, run in (
         (40, lambda: match_and_count(dets, truth, EvalConfig(u=0.3))),
-        (55, lambda: nms(dets, NmsConfig(delta=0.3))),
+        (55, lambda: nms(dets, 0.3)),
     ):
         tracemalloc.start()
         try:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from craterpipe.detector import DetectorInterface, PatchDetections, load_detections, save_detections
 from craterpipe.errors import DetectionError
 from craterpipe.geo import GeoTransform
-from craterpipe.postprocess import BoundaryFilterConfig, DetectionSet, NmsConfig, run_pipeline
+from craterpipe.postprocess import DetectionSet, run_pipeline
 from craterpipe.raster import PatchPlacement, PatchSpec
 from craterpipe.runner import detect_patches
 
@@ -77,9 +77,7 @@ def test_pipeline_on_columns_equals_pipeline_on_lists(per_patch, data, m, delta,
     columns = interleaved_columns(per_patch, data)
     assert_same_columns(columns, patch_columns(per_patch))
     assert list(columns) == sorted(per_patch)
-    bcfg = BoundaryFilterConfig(m)
-    ncfg = NmsConfig(delta=delta or 0.0, enabled=delta is not None)
-    got = run_pipeline(columns, PATCH_INDEX, gt, PS_R, bcfg, ncfg)
+    got = run_pipeline(columns, PATCH_INDEX, gt, PS_R, m, delta)
     # the scalar reference on the lists of rows, one detection at a time in sorted patch order
     want = scalar_pipeline(per_patch, PATCH_INDEX, gt, PS_R, m, delta)
     assert_same_set(got, DetectionSet(*zip(*want)) if want else DetectionSet([], [], [], []))
@@ -194,9 +192,9 @@ def test_unknown_patch_error_names_the_first_row():
     row = ((1, 1, 9, 9), 0.5)
     unknown = patch_columns({"z": [row], "a": [row]})
     with pytest.raises(DetectionError, match="unknown patch id 'a'"):  # rows merge in sorted patch order
-        run_pipeline(unknown, PATCH_INDEX, GT, PS_R, BoundaryFilterConfig(0), NmsConfig(0.3))
+        run_pipeline(unknown, PATCH_INDEX, GT, PS_R, 0, 0.3)
     # a patch whose rows the boundary filter dropped is never looked up
     edge = ((0, 0, 9, 9), 0.5)
     per_patch = patch_columns({"a": [edge], PATCH_IDS[0]: [row]})
-    out = run_pipeline(per_patch, PATCH_INDEX, GT, PS_R, BoundaryFilterConfig(0), NmsConfig(0.3))
+    out = run_pipeline(per_patch, PATCH_INDEX, GT, PS_R, 0, 0.3)
     assert out.patch_ids.tolist() == [PATCH_IDS[0]]

@@ -11,9 +11,7 @@ import pytest
 from craterpipe.errors import DetectionError
 from craterpipe.geo import GeoTransform
 from craterpipe.postprocess import (
-    BoundaryFilterConfig,
     DetectionSet,
-    NmsConfig,
     load_global_detections,
     nms,
     run_pipeline,
@@ -24,13 +22,12 @@ from conftest import LUNAR_RADIUS, global_set, patch_columns
 from reference import quadratic_nms
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
-NO_NMS = NmsConfig(0.2, enabled=False)
 
 
 def boundary_filter(boxes, ps_r, m):
     """The pixel boxes that pass the boundary filter of run_pipeline, in order."""
     per_patch = patch_columns({"p": [(box, 0.9) for box in boxes]})
-    out = run_pipeline(per_patch, {"p": (0, 0, 1.0)}, GT, ps_r, BoundaryFilterConfig(m), NO_NMS)
+    out = run_pipeline(per_patch, {"p": (0, 0, 1.0)}, GT, ps_r, m, None)
     return [tuple(box) for box in out.pixel_boxes.tolist()]
 
 
@@ -39,7 +36,7 @@ def globalize(boxes, patch_index, gt=GT, patch_id="p", scores=None):
     on a patch side the boxes stay well inside, NMS disabled."""
     scores = [0.9] * len(boxes) if scores is None else scores
     per_patch = patch_columns({patch_id: list(zip(boxes, scores))})
-    return run_pipeline(per_patch, patch_index, gt, 10_000, BoundaryFilterConfig(0), NO_NMS)
+    return run_pipeline(per_patch, patch_index, gt, 10_000, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +74,6 @@ def test_boundary_filter_monotone_in_m():
         if prev is not None:
             assert kept <= prev
         prev = kept
-
-
-def test_boundary_config_validation():
-    with pytest.raises(Exception):
-        BoundaryFilterConfig(-1)
-    with pytest.raises(Exception):
-        BoundaryFilterConfig(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -130,25 +120,25 @@ def test_globalize_unknown_patch_id():
 
 
 def test_nms_identical_boxes_keep_highest_score():
-    out = nms(global_set([(0, 0, 10, 10)] * 2, [0.8, 0.9], ["b", "a"]), NmsConfig(delta=0.2))
+    out = nms(global_set([(0, 0, 10, 10)] * 2, [0.8, 0.9], ["b", "a"]), 0.2)
     assert out.patch_ids.tolist() == ["a"] and out.scores.tolist() == [0.9]
 
 
 def test_nms_disjoint_boxes_both_survive():
     dets = global_set([(0, 0, 10, 10), (100, 100, 110, 110)], [0.9, 0.1], ["a", "b"])
-    assert set(nms(dets, NmsConfig(delta=0.01)).patch_ids) == {"a", "b"}
+    assert set(nms(dets, 0.01).patch_ids) == {"a", "b"}
 
 
 def test_nms_chain_suppression():
     # B overlaps A at 1/3, C overlaps B at 1/3, C is disjoint from A
     boxes = [(0.0, 0.0, 10.0, 10.0), (5.0, 0.0, 15.0, 10.0), (10.0, 0.0, 20.0, 10.0)]
-    out = nms(global_set(boxes, [0.9, 0.8, 0.7], ["a", "b", "c"]), NmsConfig(delta=0.3))
+    out = nms(global_set(boxes, [0.9, 0.8, 0.7], ["a", "b", "c"]), 0.3)
     assert out.patch_ids.tolist() == ["a", "c"]
 
 
 def test_nms_disabled_passthrough():
     dets = global_set([(0, 0, 10, 10)] * 2, [0.9, 0.8])
-    assert nms(dets, NmsConfig(delta=0.2, enabled=False)) is dets
+    assert nms(dets, None) is dets
 
 
 def test_nms_idempotent():
@@ -160,15 +150,14 @@ def test_nms_idempotent():
         s = rng.uniform(5, 60)
         boxes.append((x, y, x + s, y + s))
         scores.append(float(rng.uniform(0, 1)))
-    cfg = NmsConfig(delta=0.3)
-    once = nms(global_set(boxes, scores), cfg)
-    twice = nms(once, cfg)
+    once = nms(global_set(boxes, scores), 0.3)
+    twice = nms(once, 0.3)
     assert once.boxes.tobytes() == twice.boxes.tobytes() and once.scores.tobytes() == twice.scores.tobytes()
 
 
 def test_nms_tie_break_on_equal_scores():
     dets = global_set([(4.0, 0.0, 14.0, 10.0), (0.0, 0.0, 10.0, 10.0)], 0.5, ["right", "left"])
-    out = nms(dets, NmsConfig(delta=0.3))
+    out = nms(dets, 0.3)
     assert out.patch_ids.tolist() == ["left"]  # smaller x1 wins the tie, then suppresses the other
 
 
@@ -182,7 +171,7 @@ def test_nms_survivors_duplicate_free_at_delta():
             s = rng.uniform(10, 80)
             boxes.append((x, y, x + s, y + s))
             scores.append(float(rng.uniform(0, 1)))
-        boxes = nms(global_set(boxes, scores), NmsConfig(delta=delta)).boxes
+        boxes = nms(global_set(boxes, scores), delta).boxes
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
                 iw = min(boxes[i, 2], boxes[j, 2]) - max(boxes[i, 0], boxes[j, 0])
@@ -205,22 +194,22 @@ def test_nms_matches_quadratic_reference_sample():
             s = rng.uniform(5, 80)
             boxes.append((x, y, x + s, y + s))
             scores.append(round(float(rng.uniform(0, 1)), 2))  # ties likely
-        cfg = NmsConfig(delta=float(rng.choice([0.1, 0.3, 0.5])))
-        fast = nms(global_set(boxes, scores, [str(i) for i in range(len(boxes))]), cfg)
-        assert fast.patch_ids.tolist() == [str(i) for i in quadratic_nms(boxes, scores, cfg.delta)]
+        delta = float(rng.choice([0.1, 0.3, 0.5]))
+        fast = nms(global_set(boxes, scores, [str(i) for i in range(len(boxes))]), delta)
+        assert fast.patch_ids.tolist() == [str(i) for i in quadratic_nms(boxes, scores, delta)]
 
 
 def test_nms_delta_zero_keeps_only_top_ranked():
     # IOU >= 0 also holds for disjoint pairs, so the first box suppresses all
     boxes = [(0.0, 0.0, 10.0, 10.0), (100.0, 100.0, 110.0, 110.0), (-50.0, 0.0, -40.0, 10.0)]
-    out = nms(global_set(boxes, [0.5, 0.9, 0.9], ["a", "b", "c"]), NmsConfig(delta=0.0))
+    out = nms(global_set(boxes, [0.5, 0.9, 0.9], ["a", "b", "c"]), 0.0)
     assert out.patch_ids.tolist() == ["c"]  # tie on score: smaller x1 wins
 
 
 def test_nms_delta_one_drops_only_exact_duplicates():
     boxes = [(50.0, 50.0, 60.0, 60.0), (0.0, 0.0, 10.0, 10.5), (0.0, 0.0, 10.0, 10.0), (0.0, 0.0, 10.0, 10.0)]
     dets = global_set(boxes, [0.6, 0.7, 0.8, 0.9], ["far", "near", "dup", "a"])
-    out = nms(dets, NmsConfig(delta=1.0))
+    out = nms(dets, 1.0)
     assert out.patch_ids.tolist() == ["a", "near", "far"]
 
 
@@ -229,7 +218,7 @@ def test_nms_delta_one_drops_only_exact_duplicates():
 
 
 def test_run_pipeline_empty():
-    out = run_pipeline(patch_columns({}), {}, GT, 512, BoundaryFilterConfig(10), NmsConfig(0.2))
+    out = run_pipeline(patch_columns({}), {}, GT, 512, 10, 0.2)
     assert len(out) == 0
 
 
@@ -239,7 +228,7 @@ def test_run_pipeline_order_boundary_then_globalize_then_nms():
     interior = ((300.0, 100.0, 350.0, 150.0), 0.8)
     same_global_in_pb = ((44.0, 100.0, 94.0, 150.0), 0.9)
     per_patch = patch_columns({"pa": [interior], "pb": [same_global_in_pb]})
-    out = run_pipeline(per_patch, index, GT, 512, BoundaryFilterConfig(10), NmsConfig(0.2))
+    out = run_pipeline(per_patch, index, GT, 512, 10, 0.2)
     assert len(out) == 1
     assert out.scores[0] == 0.9  # duplicate collapsed, higher score kept
 
@@ -250,7 +239,7 @@ def test_run_pipeline_without_nms_keeps_duplicates():
         "pa": [((300.0, 100.0, 350.0, 150.0), 0.8)],
         "pb": [((44.0, 100.0, 94.0, 150.0), 0.9)],
     })
-    out = run_pipeline(per_patch, index, GT, 512, BoundaryFilterConfig(10), NmsConfig(0.2, enabled=False))
+    out = run_pipeline(per_patch, index, GT, 512, 10, None)
     assert len(out) == 2
 
 
