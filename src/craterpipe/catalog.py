@@ -53,11 +53,12 @@ SCHEMAS: dict[str, dict[str, str]] = {
 class Catalog:
     """A crater catalog as columns: ids, an (N,) object array of str, and lon,
     lat (degrees) and diam_km, (N,) float64 arrays. Ids are unique and
-    columns read-only.
+    columns read-only. n_rejected counts the rows dropped on the way in; a
+    filter keeps it and the name.
     """
 
-    def __init__(self, name: str, ids, lon, lat, diam_km, source: str = "", n_rejected: int = 0) -> None:
-        self.name, self.source, self.n_rejected = name, source, n_rejected
+    def __init__(self, name: str, ids, lon, lat, diam_km, n_rejected: int = 0) -> None:
+        self.name, self.n_rejected = name, n_rejected
         self.ids = np.array(ids, dtype=object).reshape(-1)
         self.lon, self.lat, self.diam_km = (np.array(v, dtype=np.float64).reshape(-1) for v in (lon, lat, diam_km))
         for col in (self.ids, self.lon, self.lat, self.diam_km):
@@ -68,10 +69,8 @@ class Catalog:
     def __len__(self) -> int:
         return self.ids.size
 
-    def _select(self, keep: np.ndarray, source: str) -> Catalog:
-        return Catalog(
-            self.name, self.ids[keep], self.lon[keep], self.lat[keep], self.diam_km[keep], source, self.n_rejected
-        )
+    def _select(self, keep: np.ndarray) -> Catalog:
+        return Catalog(self.name, self.ids[keep], self.lon[keep], self.lat[keep], self.diam_km[keep], self.n_rejected)
 
 
 def _resolve_schema(schema: str | dict[str, str]) -> dict[str, str]:
@@ -112,7 +111,7 @@ def load_catalog(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            return Catalog(cat_name, (), (), (), (), str(path))
+            return Catalog(cat_name, (), (), (), ())
         index = {col: i for i, col in enumerate(header)}
         missing = [mapping[k] for k in ("lon", "lat", "diam_km") if mapping[k] not in index]
         if missing:
@@ -143,7 +142,7 @@ def load_catalog(
             f"(tolerance {max_malformed_fraction})"
         )
     lon, lat, diam = np.concatenate(values).T
-    return Catalog(cat_name, ids, lon, lat, diam, str(path), n_rows - len(ids))
+    return Catalog(cat_name, ids, lon, lat, diam, n_rows - len(ids))
 
 
 def filter_by_size(cat: Catalog, dmin_km: float, dmax_km: float | None = None) -> Catalog:
@@ -157,8 +156,7 @@ def filter_by_size(cat: Catalog, dmin_km: float, dmax_km: float | None = None) -
     keep = cat.diam_km >= dmin_km
     if dmax_km is not None:
         keep &= cat.diam_km < dmax_km
-    hi = "inf" if dmax_km is None else repr(dmax_km)
-    return cat._select(keep, f"{cat.source} | size [{dmin_km!r}, {hi}) km")
+    return cat._select(keep)
 
 
 def filter_by_region(cat: Catalog, lon_min: float, lon_max: float, lat_min: float, lat_max: float) -> Catalog:
@@ -168,7 +166,7 @@ def filter_by_region(cat: Catalog, lon_min: float, lon_max: float, lat_min: floa
             f"empty or inverted region bounds: lon [{lon_min}, {lon_max}), lat [{lat_min}, {lat_max})"
         )
     keep = (lon_min <= cat.lon) & (cat.lon < lon_max) & (lat_min <= cat.lat) & (cat.lat < lat_max)
-    return cat._select(keep, f"{cat.source} | region lon[{lon_min},{lon_max}) lat[{lat_min},{lat_max})")
+    return cat._select(keep)
 
 
 def to_boxes(cat: Catalog, gt: GeoTransform) -> np.ndarray:

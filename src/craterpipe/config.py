@@ -49,7 +49,7 @@ class BandConfig:
 @dataclass(frozen=True)
 class DetectorConfig:
     kind: str = "synthetic"  # "synthetic" | "external"
-    noise: NoiseConfig | None = None
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
     path: str | None = None
     score_floor: float | None = None
 
@@ -81,7 +81,7 @@ class PipelineConfig:
     slope_path: str | None = None
     single_band_path: str | None = None
     bands: tuple[BandConfig, ...] = ()
-    detector: DetectorConfig = field(default_factory=lambda: DetectorConfig(noise=NoiseConfig()))
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
     truth_catalog: CatalogConfig | None = None
     verify_catalog: CatalogConfig | None = None
     geotransform: GeoTransform | None = None
@@ -130,14 +130,14 @@ class PipelineConfig:
 
 
 def _noise_from(d: dict, seed: int) -> NoiseConfig:
-    fp_range = d.get("fp_radius_px", NoiseConfig.fp_radius_px)
+    lo, hi = map(float, d.get("fp_radius_px", NoiseConfig.fp_radius_px))
     return NoiseConfig(
         center_jitter_px=float(d.get("center_jitter_px", NoiseConfig.center_jitter_px)),
         radius_jitter_frac=float(d.get("radius_jitter_frac", NoiseConfig.radius_jitter_frac)),
         false_positive_rate=float(d.get("false_positive_rate", NoiseConfig.false_positive_rate)),
         miss_rate=float(d.get("miss_rate", NoiseConfig.miss_rate)),
         seed=seed,
-        fp_radius_px=(float(fp_range[0]), float(fp_range[1])),
+        fp_radius_px=(lo, hi),
     )
 
 
@@ -154,12 +154,21 @@ def _int(value, key: str) -> int:
     return int(value)
 
 
+def _bool(value, key: str) -> bool:
+    """value, which must be a JSON boolean: bool("false") would read True."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _catalog_from(d: dict | None) -> CatalogConfig | None:
     if d is None:
         return None
     if "path" not in d:
         raise ConfigError("catalog config needs a 'path'")
     region = d.get("region")
+    if region and len(region) != 4:
+        raise ValueError(f"region must hold 4 numbers (lon_min, lon_max, lat_min, lat_max), got {region!r}")
     return CatalogConfig(
         path=d["path"],
         schema=d.get("schema", CatalogConfig.schema),
@@ -247,7 +256,7 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
         geotransform=geotransform,
         boundary_m=_int(raw.get("boundary_m", PipelineConfig.boundary_m), "boundary_m"),
         nms_delta=float(nms_raw.get("delta", PipelineConfig.nms_delta)),
-        nms_enabled=bool(nms_raw.get("enabled", PipelineConfig.nms_enabled)),
+        nms_enabled=_bool(nms_raw.get("enabled", PipelineConfig.nms_enabled), "nms.enabled"),
         eval=EvalConfig(
             u=float(eval_raw.get("u", EvalConfig.u)),
             size_floor_km=_opt_float(eval_raw, "size_floor_km"),
@@ -256,7 +265,7 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
         grid=GridConfig(
             m_set=tuple(_int(v, "grid.m_set") for v in grid_raw.get("m_set", GridConfig.m_set)),
             delta_set=tuple(float(v) for v in grid_raw.get("delta_set", GridConfig.delta_set)),
-            include_no_nms=bool(grid_raw.get("include_no_nms", GridConfig.include_no_nms)),
+            include_no_nms=_bool(grid_raw.get("include_no_nms", GridConfig.include_no_nms), "grid.include_no_nms"),
         ),
         base_dir=str(base_dir),
     )
@@ -276,9 +285,7 @@ def apply_overrides(
     """Return a config with individual fields replaced by CLI flags."""
     new = cfg
     if seed is not None:
-        new = replace(new, seed=seed)
-        if new.detector.noise is not None:
-            new = replace(new, detector=replace(new.detector, noise=replace(new.detector.noise, seed=seed)))
+        new = replace(new, seed=seed, detector=replace(new.detector, noise=replace(new.detector.noise, seed=seed)))
     if workers is not None:
         new = replace(new, workers=workers)
     if m is not None:

@@ -21,7 +21,6 @@ the post-processing call run makes, postprocess.run_pipeline with its own
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -32,6 +31,7 @@ from .detector import PatchDetections
 from .errors import EvalError
 from .geo import GeoTransform
 from .postprocess import DetectionSet, overlap_pairs, run_pipeline
+from .textcols import csv_text, write_csv
 
 __all__ = [
     "EvalConfig",
@@ -293,23 +293,19 @@ def write_metrics(report: MetricsReport, path: str | Path, extra: dict) -> None:
         "f1_defined": report.f1_defined,
         **extra,
     }
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(fields))
-        writer.writerow([str(v) for v in fields.values()])
+    write_csv(path, csv_text(list(fields)), [[v] for v in csv_text(map(str, fields.values()))])
 
 
 def write_gridsearch(result: GridSearchResult, path: str | Path) -> None:
     """One line per grid cell: m, delta, TP, FP, FN, P, R, F1."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "delta", "tp", "fp", "fn", "precision", "recall", "f1"])
-        for cell in result.cells:
-            r = cell.report
-            delta = "none" if cell.delta is None else repr(cell.delta)
-            writer.writerow([cell.m, delta, r.tp, r.fp, r.fn, repr(r.precision), repr(r.recall), repr(r.f1)])
+    rows = []
+    for cell in result.cells:
+        r = cell.report
+        delta = "none" if cell.delta is None else repr(cell.delta)
+        rows.append([str(cell.m), delta, *map(str, (r.tp, r.fp, r.fn)), *map(repr, (r.precision, r.recall, r.f1))])
+    write_csv(path, ["m", "delta", "tp", "fp", "fn", "precision", "recall", "f1"], list(zip(*rows)))
     best_delta = "none" if result.best_delta is None else repr(result.best_delta)
     Path(str(path) + ".best.txt").write_text(
         f"best_m = {result.best_m}\nbest_delta = {best_delta}\n"

@@ -106,26 +106,20 @@ def _input_paths(cfg: PipelineConfig) -> list[Path]:
     return [p for p in paths if p.exists()]
 
 
-_Grid = RasterGrid | GridExtent
+def load_stack(cfg: PipelineConfig, pixels: bool = True) -> list[RasterGrid | GridExtent]:
+    """Load the raster inputs: [single_band], or [intensity, elevation, slope].
 
-
-def load_stack(
-    cfg: PipelineConfig, pixels: bool = True
-) -> tuple[_Grid | None, _Grid | None, _Grid | None, RasterGrid | None, GeoTransform]:
-    """Load the raster inputs and return (intensity, elevation, slope,
-    single_band, geotransform).
-
-    Elevation is resampled onto the intensity resolution when they differ;
-    slope is derived from elevation when not supplied. In single-band mode
-    only that raster is loaded. With pixels, an elevation holding NaN cells
-    that its nodata sentinel does not mark is rejected. With pixels=False a
-    resampled elevation and a derived slope come back as the GridExtent they
-    would have: the stack passes the same checks in the same order, and no
-    values are built.
+    The stack's geotransform is stack[0].geotransform. Elevation is
+    resampled onto the intensity resolution when they differ; slope is
+    derived from elevation when not supplied. In single-band mode only that
+    raster is loaded. With pixels, an elevation holding NaN cells that its
+    nodata sentinel does not mark is rejected. With pixels=False a resampled
+    elevation and a derived slope come back as the GridExtent they would
+    have: the stack passes the same checks in the same order, and no values
+    are built.
     """
     if cfg.single_band_path is not None:
-        band = load_raster(cfg.resolve(cfg.single_band_path))
-        return None, None, None, band, band.geotransform
+        return [load_raster(cfg.resolve(cfg.single_band_path))]
 
     intensity = load_raster(cfg.resolve(cfg.intensity_path))
     elevation = load_raster(cfg.resolve(cfg.elevation_path))
@@ -144,7 +138,7 @@ def load_stack(
                 f"{name} grid {grid.width}x{grid.height} does not match "
                 f"intensity {intensity.width}x{intensity.height}"
             )
-    return intensity, elevation, slope, None, intensity.geotransform
+    return [intensity, elevation, slope]
 
 
 def _band_spec(band) -> PatchSpec:
@@ -153,20 +147,16 @@ def _band_spec(band) -> PatchSpec:
 
 def _band_patches(cfg: PipelineConfig, band, stack) -> list[FusedPatch]:
     """The band's fused pixel patches, from a stack loaded with pixels."""
-    intensity, elevation, slope, single, _ = stack
     spec = _band_spec(band)
-    if single is not None:
-        return replicate_single_band(single, spec, scale_mode=cfg.scale_mode)
-    return tile(intensity, elevation, slope, spec, scale_mode=cfg.scale_mode)
+    if len(stack) == 1:
+        return replicate_single_band(stack[0], spec, scale_mode=cfg.scale_mode)
+    return tile(*stack, spec, scale_mode=cfg.scale_mode)
 
 
 def _band_placements(band, stack) -> list[PatchPlacement]:
     """The band's patch windows, after the checks tile would make."""
-    intensity, elevation, slope, single, _ = stack
-    spec = _band_spec(band)
-    grids = [single] if single is not None else [intensity, elevation, slope]
-    check_co_registered(grids)
-    return patch_placements(grids[0].width, grids[0].height, spec)
+    check_co_registered(stack)
+    return patch_placements(stack[0].width, stack[0].height, _band_spec(band))
 
 
 def detect_patches(patches: list[PatchPlacement], detector: DetectorInterface, workers: int) -> PatchDetections:
@@ -219,26 +209,23 @@ def _load_truth(
     if ok.all():
         return cat, boxes
     n_rejected = cat.n_rejected + int((~ok).sum())
-    kept = catalog_mod.Catalog(cat.name, cat.ids[ok], cat.lon[ok], cat.lat[ok], cat.diam_km[ok], cat.source, n_rejected)
+    kept = catalog_mod.Catalog(cat.name, cat.ids[ok], cat.lon[ok], cat.lat[ok], cat.diam_km[ok], n_rejected)
     return kept, boxes[ok]
 
 
 def _band_detections(
     cfg: PipelineConfig, band, stack, truth: catalog_mod.Catalog, gt: GeoTransform
-) -> tuple[int, dict[str, tuple[int, int, float]], PatchDetections]:
+) -> tuple[dict[str, tuple[int, int, float]], PatchDetections]:
     """Place one band's patches and produce its raw detections.
 
-    Returns the patch count, the patch index (patch id -> row0, col0,
-    delta_f) and the detections keyed by patch id. An external file maps
-    onto exactly one band's grid and may name no patch outside it; the
-    synthetic oracle sees the truth craters inside the band's size range.
+    Returns the patch index (patch id -> row0, col0, delta_f), one entry per
+    patch, and the detections keyed by patch id. An external file maps onto
+    the one band's grid and may name no patch outside it; the synthetic
+    oracle sees the truth craters inside the band's size range.
     """
-    external = cfg.detector.kind == "external"
-    if external and len(cfg.bands) != 1:
-        raise ConfigError("an external detections file maps onto exactly one band's patch grid")
     patches = _band_placements(band, stack)
     patch_index = {p.patch_id: (p.row0, p.col0, p.delta_f) for p in patches}
-    if external:
+    if cfg.detector.kind == "external":
         per_patch = load_detections(
             cfg.resolve(cfg.detector.path), score_floor=cfg.detector.score_floor, ps_r=band.ps_r
         )
@@ -249,7 +236,7 @@ def _band_detections(
         band_truth = catalog_mod.filter_by_size(truth, band.dmin_km, band.dmax_km)
         detector = SyntheticDetector(band_truth, gt, cfg.detector.noise)
         per_patch = detect_patches(patches, detector, cfg.workers)
-    return len(patches), patch_index, per_patch
+    return patch_index, per_patch
 
 
 def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[DetectionSet, dict]:
@@ -258,12 +245,12 @@ def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[Detecti
     all_survivors: list[DetectionSet] = []
     info: dict[str, dict] = {}
     for band in cfg.bands:
-        n_patches, patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
+        patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
         delta = cfg.nms_delta if cfg.nms_enabled else None
         survivors = run_pipeline(per_patch, patch_index, gt, band.ps_r, cfg.boundary_m, delta)
         all_survivors.append(survivors)
         info[band.name] = {
-            "n_patches": n_patches,
+            "n_patches": len(patch_index),
             "n_raw": len(per_patch.scores),
             "n_survivors": len(survivors),
         }
@@ -283,6 +270,8 @@ def run_full(cfg: PipelineConfig) -> tuple[MetricsReport, list[Path]]:
     """
     if cfg.truth_catalog is None:
         raise ConfigError("run needs a truth_catalog")
+    if cfg.detector.kind == "external" and len(cfg.bands) != 1:
+        raise ConfigError("an external detections file maps onto exactly one band's patch grid")
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
@@ -303,7 +292,7 @@ def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -
     but the manifest, recording stage times in timings."""
     t0 = time.perf_counter()
     stack = load_stack(cfg, pixels=False)
-    gt = stack[4]
+    gt = stack[0].geotransform
     truth, truth_boxes = _load_truth(cfg, cfg.truth_catalog, gt)
     timings["load"] = time.perf_counter() - t0
 
@@ -404,11 +393,11 @@ def run_detect_dump(cfg: PipelineConfig) -> list[Path]:
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     stack = load_stack(cfg, pixels=False)
-    gt = stack[4]
+    gt = stack[0].geotransform
     truth, _ = _load_truth(cfg, cfg.truth_catalog, gt)
     paths = []
     for band in cfg.bands:
-        _, _, per_patch = _band_detections(cfg, band, stack, truth, gt)
+        _, per_patch = _band_detections(cfg, band, stack, truth, gt)
         name = "detections_patch.csv" if len(cfg.bands) == 1 else f"detections_patch_{band.name}.csv"
         path = out_dir / name
         save_detections(per_patch, path)
@@ -425,10 +414,10 @@ def run_gridsearch(cfg: PipelineConfig) -> tuple[GridSearchResult, Path]:
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     stack = load_stack(cfg, pixels=False)
-    gt = stack[4]
+    gt = stack[0].geotransform
     truth, truth_boxes = _load_truth(cfg, cfg.truth_catalog, gt)
     band = cfg.bands[0]
-    _, patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
+    patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
 
     result = grid_search(
         per_patch,
@@ -457,7 +446,7 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
         gt = cfg.geotransform
     else:
         try:
-            gt = load_stack(cfg, pixels=False)[4]
+            gt = load_stack(cfg, pixels=False)[0].geotransform
         except (RasterError, ConfigError) as exc:
             raise ConfigError(
                 "crossmatch needs either a geotransform block in the config or loadable rasters"

@@ -138,6 +138,21 @@ def test_gridsearch_rejects_two_bands_before_loading_rasters(tmp_path, capsys):
     assert "raster payload not found" not in err
 
 
+def test_external_run_rejects_two_bands_before_loading_rasters(tmp_path, capsys):
+    two_bands = [
+        {"name": "fine", "ps_a": 128, "ps_r": 64, "overlap": 0.5, "dmin_km": 0.0, "dmax_km": 5.0},
+        {"name": "coarse", "ps_a": 256, "ps_r": 128, "overlap": 0.5, "dmin_km": 5.0, "dmax_km": None},
+    ]
+    detector = {"kind": "external", "path": "detections_patch.csv"}
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"bands": two_bands, "detector": detector})
+    (tmp_path / "intensity.bin").unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "an external detections file maps onto exactly one band's patch grid" in err, err
+    assert "raster payload not found" not in err
+
+
 def test_supplied_slope_holding_nan_without_sentinel_names_the_file(tmp_path, capsys):
     config = write_scene(tmp_path, plant_craters(2))
     values = np.full((512, 512), 10.0, dtype=np.float32)
@@ -791,6 +806,27 @@ def test_config_non_integral_number_names_file_and_key(tmp_path, capsys, key, va
     config.write_text(json.dumps(cfg))
     err = _config_error(config, capsys)
     assert f"{config}: malformed value ({key} must be an integer, got {value!r})" in err, err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("nms", "enabled", "false", "nms.enabled must be true or false, got 'false'"),
+        ("grid", "include_no_nms", "no", "grid.include_no_nms must be true or false, got 'no'"),
+        ("truth_catalog", "region", [0, 10, -5], "region must hold 4 numbers"),
+        ("detector", "noise", {"fp_radius_px": [5]}, "not enough values to unpack (expected 2, got 1)"),
+    ],
+    ids=["nms.enabled", "grid.include_no_nms", "region", "fp_radius_px"],
+)
+def test_config_value_of_the_wrong_kind_names_file_and_key(tmp_path, capsys, section, key, value, message):
+    """A boolean must be a JSON boolean (bool("false") is True), and a list
+    must have the length its reader unpacks."""
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    cfg[section][key] = value
+    config.write_text(json.dumps(cfg))
+    err = _config_error(config, capsys)
+    assert f"{config}: malformed value ({message}" in err, err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,8 @@
-"""Metrics, size gating, localization, grid search and cross-verification."""
+"""Metrics, size gating, localization, grid search, report files and
+cross-verification."""
+
+import csv
+import io
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from craterpipe.evaluate import (
     match_and_count,
     metrics_from_counts,
     size_gate,
+    write_metrics,
 )
 from craterpipe.geo import GeoTransform
 
@@ -238,6 +243,23 @@ def test_grid_search_empty_sets_error():
 def test_grid_search_cell_count():
     res = grid_search(NO_DETECTIONS, {}, GT, np.zeros((0, 4)), 512, [0, 1], [0.1, 0.2, 0.3], EvalConfig())
     assert len(res.cells) == 2 * (3 + 1)
+
+
+# ---------------------------------------------------------------------------
+# report files
+
+
+def test_write_metrics_writes_what_csv_writer_writes(tmp_path):
+    extra = {"note, quoted": 'a "b", c', "empty": "", "lines": "x\ny", "n": 7}
+    path = tmp_path / "metrics.csv"
+    write_metrics(metrics_from_counts(3, 1, 2, 0.3, 4, 5), path, extra=extra)
+    with open(path, newline="") as fh:
+        header, values = list(csv.reader(fh))
+    assert dict(zip(header, values))["f1"] == repr(2 * 0.75 * 0.6 / (0.75 + 0.6))
+    assert dict(zip(header[-4:], values[-4:])) == {k: str(v) for k, v in extra.items()}
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([header, values])
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------
