@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands wrap the runner stages; a JSON config file is the single source
-of truth and flags override individual fields. Exit codes: 0 success,
-1 usage error, 2 data or file error.
+of truth. Each override flag replaces one config key (_FLAG_KEYS), and is
+written over the file's value before the config is read and checked.
+Exit codes: 0 success, 1 usage error, 2 data or file error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Sequence
 
 import click
 
-from .config import apply_overrides, load_config
+from .config import load_config
 from .errors import PipelineError
 from .raster import check_nan_marked, compute_slope, load_raster, save_raster
 from . import runner
@@ -23,8 +24,33 @@ def cli() -> None:
     """Crater detection pipeline: tiling, post-processing and evaluation."""
 
 
-def _load(config_path: str, **overrides):
-    return apply_overrides(load_config(config_path), **overrides)
+# The config key each override flag replaces, by the flag's parameter name.
+_FLAG_KEYS = {
+    "seed": "seed",
+    "workers": "workers",
+    "out": "out_dir",
+    "m": "boundary_m",
+    "delta": "nms.delta",
+    "nms_enabled": "nms.enabled",
+    "u": "eval.u",
+    "size_floor_km": "eval.size_floor_km",
+}
+
+
+def _load(config_path: str, flags: dict):
+    """The config with each given flag written over the key it replaces; a flag not given is None."""
+    return load_config(config_path, {_FLAG_KEYS[k]: v for k, v in flags.items() if v is not None})
+
+
+_config_option = click.option("--config", "config_path", required=True, type=str, help="Pipeline config JSON.")
+_out_option = click.option("--out", type=str, help="Output directory (config key out_dir).")
+_seed_option = click.option("--seed", type=int, help="Seed of all randomness (config key seed).")
+_workers_option = click.option("--workers", type=int, help="Worker threads for detection (config key workers).")
+
+
+def _run_options(fn):
+    """The options run, detect and gridsearch share."""
+    return _config_option(_seed_option(_workers_option(_out_option(fn))))
 
 
 @cli.command("slope")
@@ -40,53 +66,29 @@ def cmd_slope(dem_path: str, out_path: str) -> None:
 
 
 @cli.command("tile")
-@click.option("--config", "config_path", required=True, type=str, help="Pipeline config JSON.")
-@click.option("--out", default=None, type=str, help="Output directory override.")
+@_config_option
+@_out_option
 @click.option("--export-images/--no-export-images", default=True, show_default=True,
               help="Also write each patch as a PPM image.")
-def cmd_tile(config_path: str, out: str | None, export_images: bool) -> None:
+def cmd_tile(config_path: str, export_images: bool, **flags) -> None:
     """Cut the configured rasters into patches and write the patch index."""
-    cfg = _load(config_path, out=out)
+    cfg = _load(config_path, flags)
     index_path, n = runner.run_tile(cfg, export_images=export_images)
     click.echo(f"wrote {n} patches, index at {index_path}")
 
 
-_run_options = [
-    click.option("--config", "config_path", required=True, type=str, help="Pipeline config JSON."),
-    click.option("--seed", default=None, type=int, help="Override the config seed."),
-    click.option("--workers", default=None, type=int, help="Worker threads for detection."),
-    click.option("--out", default=None, type=str, help="Output directory override."),
-]
-
-
-def _with_options(opts):
-    def wrap(fn):
-        for opt in reversed(opts):
-            fn = opt(fn)
-        return fn
-    return wrap
-
-
 @cli.command("run")
-@_with_options(_run_options)
-@click.option("--m", default=None, type=int, help="Boundary filter distance (pixels).")
-@click.option("--delta", default=None, type=float, help="NMS IOU threshold.")
-@click.option("--no-nms", is_flag=True, default=False, help="Disable NMS.")
-@click.option("--u", default=None, type=float, help="Matching IOU threshold.")
-@click.option("--size-floor-km", default=None, type=float, help="Ignore detections below this diameter.")
-def cmd_run(config_path, seed, workers, out, m, delta, no_nms, u, size_floor_km) -> None:
+@_run_options
+@click.option("--m", type=int, help="Boundary filter distance in pixels (config key boundary_m).")
+@click.option("--delta", type=float, help="NMS IOU threshold (config key nms.delta).")
+@click.option("--no-nms", "nms_enabled", flag_value=False, default=None,
+              help="Disable NMS (sets config key nms.enabled to false).")
+@click.option("--u", type=float, help="Matching IOU threshold (config key eval.u).")
+@click.option("--size-floor-km", type=float,
+              help="Ignore detections below this diameter in km (config key eval.size_floor_km).")
+def cmd_run(config_path, **flags) -> None:
     """Run the full pipeline and write detections, metrics and a manifest."""
-    cfg = _load(
-        config_path,
-        seed=seed,
-        workers=workers,
-        out=out,
-        m=m,
-        delta=delta,
-        no_nms=no_nms,
-        u=u,
-        size_floor_km=size_floor_km,
-    )
+    cfg = _load(config_path, flags)
     r, _ = runner.run_full(cfg)
     click.echo(
         f"kept {r.n_detections} detections against {r.n_truth} truth craters: "
@@ -96,33 +98,33 @@ def cmd_run(config_path, seed, workers, out, m, delta, no_nms, u, size_floor_km)
 
 
 @cli.command("detect")
-@_with_options(_run_options)
-def cmd_detect(config_path, seed, workers, out) -> None:
+@_run_options
+def cmd_detect(config_path, **flags) -> None:
     """Dump per-patch synthetic detections in the record wire format."""
-    cfg = _load(config_path, seed=seed, workers=workers, out=out)
+    cfg = _load(config_path, flags)
     paths = runner.run_detect_dump(cfg)
     for path in paths:
         click.echo(f"wrote patch detections to {path}")
 
 
 @cli.command("gridsearch")
-@_with_options(_run_options)
-def cmd_gridsearch(config_path, seed, workers, out) -> None:
+@_run_options
+def cmd_gridsearch(config_path, **flags) -> None:
     """Sweep the boundary and NMS thresholds; write the cell table."""
-    cfg = _load(config_path, seed=seed, workers=workers, out=out)
+    cfg = _load(config_path, flags)
     result, path = runner.run_gridsearch(cfg)
     best_delta = "no-nms" if result.best_delta is None else f"{result.best_delta}"
     click.echo(f"best cell: m={result.best_m} delta={best_delta}; table at {path}")
 
 
 @cli.command("crossmatch")
-@click.option("--config", "config_path", required=True, type=str, help="Pipeline config JSON.")
+@_config_option
 @click.option("--detections", default=None, type=str,
               help="Global detections CSV (default: <out_dir>/detections_global.csv).")
-@click.option("--out", default=None, type=str, help="Output directory override.")
-def cmd_crossmatch(config_path, detections, out) -> None:
+@_out_option
+def cmd_crossmatch(config_path, detections, **flags) -> None:
     """Classify detections as known, confirmed new, or unverified."""
-    cfg = _load(config_path, out=out)
+    cfg = _load(config_path, flags)
     report, path = runner.run_crossmatch(cfg, detections_path=detections)
     k, c, uv = report.counts
     click.echo(f"known={k} confirmed_new={c} unverified={uv}; detail at {path}")
@@ -143,9 +145,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except PipelineError as exc:
         click.echo(f"error: {exc}", err=True)
-        return 2
-    except FileNotFoundError as exc:
-        click.echo(f"error: missing file: {exc}", err=True)
         return 2
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -1,7 +1,9 @@
 """Pipeline configuration file and run manifest.
 
-The config file is JSON and is the single source of truth for a run; CLI
-flags override individual fields. One seed at the top drives all randomness.
+The config file is JSON and is the single source of truth for a run. CLI
+flags are written over the keys they replace before the one reader runs, so a
+flag passes the same checks as the file. One seed at the top drives all
+randomness. Text fields take JSON strings, and a JSON boolean is not a number.
 Referenced paths are resolved relative to the config file's directory and
 checked at run time, not load time, so configs can be written ahead of their
 inputs.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable, Mapping
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .detector import NoiseConfig
@@ -27,7 +29,6 @@ __all__ = [
     "GridConfig",
     "PipelineConfig",
     "load_config",
-    "apply_overrides",
     "write_manifest",
     "sha256_file",
     "file_digests",
@@ -130,28 +131,40 @@ class PipelineConfig:
 
 
 def _noise_from(d: dict, seed: int) -> NoiseConfig:
-    lo, hi = map(float, d.get("fp_radius_px", NoiseConfig.fp_radius_px))
+    lo, hi = (_float(v, "fp_radius_px") for v in d.get("fp_radius_px", NoiseConfig.fp_radius_px))
+    rates = ("center_jitter_px", "radius_jitter_frac", "false_positive_rate", "miss_rate")
     return NoiseConfig(
-        center_jitter_px=float(d.get("center_jitter_px", NoiseConfig.center_jitter_px)),
-        radius_jitter_frac=float(d.get("radius_jitter_frac", NoiseConfig.radius_jitter_frac)),
-        false_positive_rate=float(d.get("false_positive_rate", NoiseConfig.false_positive_rate)),
-        miss_rate=float(d.get("miss_rate", NoiseConfig.miss_rate)),
+        **{k: _float(d.get(k, getattr(NoiseConfig, k)), k) for k in rates},
         seed=seed,
         fp_radius_px=(lo, hi),
     )
 
 
+def _float(value, key: str) -> float:
+    """value as a float; a JSON boolean is not a number (float(True) is 1.0)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _opt_float(d: dict, key: str) -> float | None:
     """The float under key; None when the key is absent or null."""
     v = d.get(key)
-    return None if v is None else float(v)
+    return None if v is None else _float(v, key)
 
 
 def _int(value, key: str) -> int:
-    """value as an int; a number with a fractional part is rejected, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """value as an int; a boolean or a number with a fractional part is rejected, not truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _str(value, key: str, null: bool = True) -> str | None:
+    """value, which must be a JSON string, or null where null is allowed."""
+    if not (isinstance(value, str) or null and value is None):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def _bool(value, key: str) -> bool:
@@ -161,25 +174,27 @@ def _bool(value, key: str) -> bool:
     return value
 
 
-def _catalog_from(d: dict | None) -> CatalogConfig | None:
+def _catalog_from(d: dict | None, key: str) -> CatalogConfig | None:
     if d is None:
         return None
-    if "path" not in d:
-        raise ConfigError("catalog config needs a 'path'")
+    schema = d.get("schema", CatalogConfig.schema)
+    if not isinstance(schema, (str, dict)):
+        raise ValueError(f"{key}.schema must be a preset name or a column mapping, got {schema!r}")
     region = d.get("region")
     if region and len(region) != 4:
         raise ValueError(f"region must hold 4 numbers (lon_min, lon_max, lat_min, lat_max), got {region!r}")
     return CatalogConfig(
-        path=d["path"],
-        schema=d.get("schema", CatalogConfig.schema),
-        region=tuple(float(v) for v in region) if region else None,
+        path=_str(d["path"], f"{key}.path", null=False),
+        schema=schema,
+        region=tuple(_float(v, "region") for v in region) if region else None,
         dmin_km=_opt_float(d, "dmin_km"),
         dmax_km=_opt_float(d, "dmax_km"),
     )
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Parse and validate a JSON pipeline config."""
+def load_config(path: str | Path, overrides: Mapping[str, object] | None = None) -> PipelineConfig:
+    """Parse and validate a JSON pipeline config. overrides ({"nms.delta": 0.3})
+    replace the file's values before any check runs, so they pass the same checks."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -190,6 +205,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     try:
+        for key, value in (overrides or {}).items():
+            section, _, name = key.rpartition(".")
+            (raw.setdefault(section, {}) if section else raw)[name] = value
         cfg = _config_from(raw, path.parent)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
@@ -206,35 +224,27 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
 
     det_raw = raw.get("detector", {})
     detector = DetectorConfig(
-        kind=det_raw.get("kind", DetectorConfig.kind),
+        kind=_str(det_raw.get("kind", DetectorConfig.kind), "detector.kind"),
         noise=_noise_from(det_raw.get("noise", {}), seed),
-        path=det_raw.get("path"),
+        path=_str(det_raw.get("path"), "detector.path"),
         score_floor=_opt_float(det_raw, "score_floor"),
     )
 
     bands = tuple(
         BandConfig(
-            name=b.get("name", f"band{i}"),
+            name=_str(b.get("name", f"band{i}"), "bands.name"),
             ps_a=_int(b["ps_a"], "ps_a"),
             ps_r=_int(b["ps_r"], "ps_r"),
-            overlap=float(b.get("overlap", BandConfig.overlap)),
-            dmin_km=float(b.get("dmin_km", BandConfig.dmin_km)),
+            overlap=_float(b.get("overlap", BandConfig.overlap), "overlap"),
+            dmin_km=_float(b.get("dmin_km", BandConfig.dmin_km), "dmin_km"),
             dmax_km=_opt_float(b, "dmax_km"),
         )
         for i, b in enumerate(raw.get("bands", []))
     )
 
     gt_raw = raw.get("geotransform")
-    geotransform = (
-        GeoTransform(
-            x_min=float(gt_raw["x_min"]),
-            y_max=float(gt_raw["y_max"]),
-            resolution=float(gt_raw["resolution"]),
-            body_radius=float(gt_raw["body_radius"]),
-        )
-        if gt_raw
-        else None
-    )
+    gt_keys = ("x_min", "y_max", "resolution", "body_radius")
+    geotransform = GeoTransform(*(_float(gt_raw[k], k) for k in gt_keys)) if gt_raw else None
 
     nms_raw = raw.get("nms", {})
     eval_raw = raw.get("eval", {})
@@ -243,70 +253,32 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
     return PipelineConfig(
         seed=seed,
         workers=_int(raw.get("workers", PipelineConfig.workers), "workers"),
-        out_dir=raw.get("out_dir", PipelineConfig.out_dir),
-        scale_mode=raw.get("scale_mode", PipelineConfig.scale_mode),
-        intensity_path=rasters.get("intensity"),
-        elevation_path=rasters.get("elevation"),
-        slope_path=rasters.get("slope"),
-        single_band_path=rasters.get("single_band"),
+        out_dir=_str(raw.get("out_dir", PipelineConfig.out_dir), "out_dir", null=False),
+        scale_mode=_str(raw.get("scale_mode", PipelineConfig.scale_mode), "scale_mode"),
+        intensity_path=_str(rasters.get("intensity"), "rasters.intensity"),
+        elevation_path=_str(rasters.get("elevation"), "rasters.elevation"),
+        slope_path=_str(rasters.get("slope"), "rasters.slope"),
+        single_band_path=_str(rasters.get("single_band"), "rasters.single_band"),
         bands=bands,
         detector=detector,
-        truth_catalog=_catalog_from(raw.get("truth_catalog")),
-        verify_catalog=_catalog_from(raw.get("verify_catalog")),
+        truth_catalog=_catalog_from(raw.get("truth_catalog"), "truth_catalog"),
+        verify_catalog=_catalog_from(raw.get("verify_catalog"), "verify_catalog"),
         geotransform=geotransform,
         boundary_m=_int(raw.get("boundary_m", PipelineConfig.boundary_m), "boundary_m"),
-        nms_delta=float(nms_raw.get("delta", PipelineConfig.nms_delta)),
+        nms_delta=_float(nms_raw.get("delta", PipelineConfig.nms_delta), "nms.delta"),
         nms_enabled=_bool(nms_raw.get("enabled", PipelineConfig.nms_enabled), "nms.enabled"),
         eval=EvalConfig(
-            u=float(eval_raw.get("u", EvalConfig.u)),
+            u=_float(eval_raw.get("u", EvalConfig.u), "eval.u"),
             size_floor_km=_opt_float(eval_raw, "size_floor_km"),
             size_ceiling_km=_opt_float(eval_raw, "size_ceiling_km"),
         ),
         grid=GridConfig(
             m_set=tuple(_int(v, "grid.m_set") for v in grid_raw.get("m_set", GridConfig.m_set)),
-            delta_set=tuple(float(v) for v in grid_raw.get("delta_set", GridConfig.delta_set)),
+            delta_set=tuple(_float(v, "grid.delta_set") for v in grid_raw.get("delta_set", GridConfig.delta_set)),
             include_no_nms=_bool(grid_raw.get("include_no_nms", GridConfig.include_no_nms), "grid.include_no_nms"),
         ),
         base_dir=str(base_dir),
     )
-
-
-def apply_overrides(
-    cfg: PipelineConfig,
-    seed: int | None = None,
-    workers: int | None = None,
-    m: int | None = None,
-    delta: float | None = None,
-    no_nms: bool = False,
-    u: float | None = None,
-    size_floor_km: float | None = None,
-    out: str | None = None,
-) -> PipelineConfig:
-    """Return a config with individual fields replaced by CLI flags."""
-    new = cfg
-    if seed is not None:
-        new = replace(new, seed=seed, detector=replace(new.detector, noise=replace(new.detector.noise, seed=seed)))
-    if workers is not None:
-        new = replace(new, workers=workers)
-    if m is not None:
-        new = replace(new, boundary_m=m)
-    if delta is not None:
-        new = replace(new, nms_delta=delta)
-    if no_nms:
-        new = replace(new, nms_enabled=False)
-    if u is not None or size_floor_km is not None:
-        new = replace(
-            new,
-            eval=EvalConfig(
-                u=new.eval.u if u is None else u,
-                size_floor_km=new.eval.size_floor_km if size_floor_km is None else size_floor_km,
-                size_ceiling_km=new.eval.size_ceiling_km,
-            ),
-        )
-    if out is not None:
-        new = replace(new, out_dir=out)
-    new.validate()
-    return new
 
 
 # ---------------------------------------------------------------------------

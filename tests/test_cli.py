@@ -815,18 +815,61 @@ def test_config_non_integral_number_names_file_and_key(tmp_path, capsys, key, va
         ("grid", "include_no_nms", "no", "grid.include_no_nms must be true or false, got 'no'"),
         ("truth_catalog", "region", [0, 10, -5], "region must hold 4 numbers"),
         ("detector", "noise", {"fp_radius_px": [5]}, "not enough values to unpack (expected 2, got 1)"),
+        ("rasters", "intensity", 5, "rasters.intensity must be a string, got 5"),
+        (None, "out_dir", 5, "out_dir must be a string, got 5"),
+        (None, "detector", {"kind": "external", "path": 5}, "detector.path must be a string, got 5"),
+        (None, "bands", [{"name": ["x"], "ps_a": 256, "ps_r": 128}], "bands.name must be a string, got ['x']"),
+        ("truth_catalog", "path", 5, "truth_catalog.path must be a string, got 5"),
+        ("truth_catalog", "schema", 5, "truth_catalog.schema must be a preset name or a column mapping, got 5"),
+        (None, "workers", True, "workers must be an integer, got True"),
+        (None, "boundary_m", False, "boundary_m must be an integer, got False"),
+        (None, "seed", True, "seed must be an integer, got True"),
+        ("eval", "u", True, "eval.u must be a number, got True"),
+        ("nms", "delta", True, "nms.delta must be a number, got True"),
     ],
-    ids=["nms.enabled", "grid.include_no_nms", "region", "fp_radius_px"],
+    ids=[
+        "nms.enabled", "grid.include_no_nms", "region", "fp_radius_px", "rasters.intensity", "out_dir",
+        "detector.path", "bands.name", "truth_catalog.path", "truth_catalog.schema", "workers-bool",
+        "boundary_m-bool", "seed-bool", "eval.u-bool", "nms.delta-bool",
+    ],
 )
 def test_config_value_of_the_wrong_kind_names_file_and_key(tmp_path, capsys, section, key, value, message):
-    """A boolean must be a JSON boolean (bool("false") is True), and a list
-    must have the length its reader unpacks."""
+    """A boolean must be a JSON boolean (bool("false") is True), a list
+    must have the length its reader unpacks, a text field must be a string,
+    and a JSON boolean is not a number (True == 1)."""
     config = write_scene(tmp_path, plant_craters(2))
     cfg = json.loads(config.read_text())
-    cfg[section][key] = value
+    (cfg if section is None else cfg[section])[key] = value
     config.write_text(json.dumps(cfg))
     err = _config_error(config, capsys)
     assert f"{config}: malformed value ({message}" in err, err
+
+
+def test_every_override_flag_reaches_the_manifest_config(tmp_path):
+    """Each flag replaces the config key it names; falsy values count as given."""
+    config = write_scene(tmp_path, plant_craters(2))
+    args = ["--seed", "123", "--workers", "2", "--out", "elsewhere", "--m", "0", "--delta", "0.4",
+            "--no-nms", "--u", "0.5", "--size-floor-km", "5.0"]
+    assert main(["run", "--config", str(config), *args]) == 0
+    snapshot = json.loads((tmp_path / "elsewhere" / "manifest.json").read_text())["config"]
+    assert (snapshot["seed"], snapshot["detector"]["noise"]["seed"], snapshot["workers"]) == (123, 123, 2)
+    assert (snapshot["out_dir"], snapshot["boundary_m"]) == ("elsewhere", 0)
+    assert (snapshot["nms_delta"], snapshot["nms_enabled"]) == (0.4, False)
+    assert snapshot["eval"] == {"u": 0.5, "size_floor_km": 5.0, "size_ceiling_km": None}
+    # keys no flag names keep the file's values
+    assert snapshot["grid"]["m_set"] == [0, 1, 5, 10] and snapshot["bands"][0]["ps_a"] == 256
+
+
+def test_flag_replaces_an_invalid_file_value_before_the_checks(tmp_path):
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"boundary_m": -1})
+    assert main(["run", "--config", str(config), "--m", "5"]) == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["boundary_m"] == 5
+
+
+def test_flag_into_a_section_that_is_not_an_object_names_the_config(tmp_path, capsys):
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"nms": None})
+    err = _config_error(config, capsys, "--delta", "0.3")
+    assert f"{config}: malformed value (" in err, err
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from craterpipe import config as config_mod
-from craterpipe.config import BandConfig, PipelineConfig, apply_overrides, load_config, sha256_file, write_manifest
+from craterpipe.config import BandConfig, PipelineConfig, load_config, sha256_file, write_manifest
 from craterpipe.errors import ConfigError
 
 from scene import plant_craters, write_scene
@@ -103,25 +103,6 @@ def test_external_detector_needs_path(tmp_path):
     )
     with pytest.raises(ConfigError, match="detections path"):
         load_config(p)
-
-
-def test_apply_overrides(tmp_path):
-    cfg = load_config(write_scene(tmp_path, plant_craters(2)))
-    new = apply_overrides(
-        cfg, seed=123, workers=4, m=5, delta=0.4, u=0.5, size_floor_km=5.0, out="elsewhere"
-    )
-    assert new.seed == 123
-    assert new.detector.noise.seed == 123
-    assert new.workers == 4
-    assert new.boundary_m == 5
-    assert new.nms_delta == 0.4
-    assert new.eval.u == 0.5
-    assert new.eval.size_floor_km == 5.0
-    assert new.out_dir == "elsewhere"
-    # untouched fields survive
-    assert new.bands == cfg.bands
-    no_nms = apply_overrides(cfg, no_nms=True)
-    assert not no_nms.nms_enabled
 
 
 def test_manifest_lists_all_outputs_with_matching_digests(tmp_path):
