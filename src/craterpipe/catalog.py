@@ -17,14 +17,13 @@ runner drops such rows after to_boxes. Nothing here mutates.
 from __future__ import annotations
 
 import csv
-from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CatalogError
 from .geo import GeoTransform, lonlat_to_meter
-from .textcols import chunks, float_columns
+from .textcols import read_columns
 
 __all__ = [
     "SCHEMAS",
@@ -108,8 +107,7 @@ def load_catalog(
     cat_name = name if name is not None else path.stem
 
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             return Catalog(cat_name, (), (), (), ())
         index = {col: i for i, col in enumerate(header)}
@@ -118,11 +116,8 @@ def load_catalog(
             raise CatalogError(f"{path}: missing columns: {', '.join(missing)}")
         numeric = [index[mapping[k]] for k in ("lon", "lat", "diam_km")]
         id_at = index.get(mapping.get("id"))
-        ids, values, n_rows, n_malformed = [], [np.empty((0, 3))], 0, 0
-        for rows in chunks(filter(None, reader)):
-            # the header leads every column, so a column reaches the header's width
-            cols = list(zip_longest(header, *rows))
-            vals, malformed = float_columns([cols[i][1:] for i in numeric], len(rows))
+        ids, values, n_rows, n_malformed = [], [], 0, 0
+        for _, texts, vals, malformed in read_columns(fh, numeric, id_at):
             _, lat, diam = vals.T
             # a malformed value reads NaN, and a radius that overflows reads inf
             with np.errstate(over="ignore"):
@@ -131,10 +126,10 @@ def load_catalog(
             if id_at is None:
                 ids += [f"{cat_name}#{k}" for k in (keep + n_rows + 1).tolist()]
             else:
-                ids += [cols[id_at][k] for k in (keep + 1).tolist()]
+                ids += texts[keep].tolist()
             values.append(vals[keep])
-            n_rows += len(rows)
-            n_malformed += int(malformed.sum())
+            n_rows += len(vals)
+            n_malformed += len(malformed)
 
     if n_rows > 0 and n_malformed / n_rows > max_malformed_fraction:
         raise CatalogError(

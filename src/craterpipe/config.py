@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .detector import NoiseConfig
-from .errors import ConfigError
+from .errors import ConfigError, GeoError
 from .evaluate import EvalConfig
 from .geo import GeoTransform
 
@@ -232,7 +232,7 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
 
     bands = tuple(
         BandConfig(
-            name=_str(b.get("name", f"band{i}"), "bands.name"),
+            name=_str(b.get("name", f"band{i}"), "bands.name", null=False),
             ps_a=_int(b["ps_a"], "ps_a"),
             ps_r=_int(b["ps_r"], "ps_r"),
             overlap=_float(b.get("overlap", BandConfig.overlap), "overlap"),
@@ -244,7 +244,10 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
 
     gt_raw = raw.get("geotransform")
     gt_keys = ("x_min", "y_max", "resolution", "body_radius")
-    geotransform = GeoTransform(*(_float(gt_raw[k], k) for k in gt_keys)) if gt_raw else None
+    try:
+        geotransform = GeoTransform(*(_float(gt_raw[k], f"geotransform.{k}") for k in gt_keys)) if gt_raw else None
+    except GeoError as exc:  # its message starts with the field's name
+        raise ValueError(f"geotransform.{exc}") from exc
 
     nms_raw = raw.get("nms", {})
     eval_raw = raw.get("eval", {})

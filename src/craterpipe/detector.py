@@ -14,8 +14,8 @@ a real model.
 Past that seam raw detections are columns: PatchDetections holds every
 patch's rows in sorted patch id order, for postprocess.run_pipeline. It is
 what runner.detect_patches builds from the detector's arrays, and what
-load_detections builds from the record lines, split once, each numeric
-field converted as one column. Both check every row against the same
+load_detections builds from the record lines, read as columns by
+textcols.read_columns. Both check every row against the same
 invariants (invalid) and name the first bad row with row_error.
 
 Detection record wire format, one record per line, comma separated, no
@@ -39,8 +39,8 @@ import numpy as np
 from . import catalog as catalog_mod
 from .errors import DetectionError
 from .geo import GeoTransform, meter_to_pixel_xy, pixel_to_meter_xy
-from .raster import FusedPatch, PatchPlacement
-from .textcols import parse_records, raise_first, write_csv
+from .raster import PatchPlacement
+from .textcols import gather, raise_first, read_columns, write_csv
 
 __all__ = [
     "invalid",
@@ -146,23 +146,10 @@ class DetectorInterface(ABC):
     """Contract every detector implementation satisfies.
 
     detect must be deterministic given (patch, seed) and safe to call
-    concurrently on distinct patches. channel_layout declares what the
-    implementation accepts: "any", or "distinct" for detectors that need
-    three genuinely different channels. A detector that reads pixels takes
-    FusedPatches and calls check_channels; one that reads only placements
-    may also take PatchPlacements.
+    concurrently on distinct patches. A detector that reads pixels takes
+    FusedPatches; one that reads only placements may also take
+    PatchPlacements.
     """
-
-    channel_layout: str = "any"
-
-    def check_channels(self, patch: FusedPatch) -> None:
-        if self.channel_layout == "distinct":
-            c = patch.channels
-            if np.array_equal(c[0], c[1]) and np.array_equal(c[1], c[2]):
-                raise DetectionError(
-                    f"detector requires 3 distinct channels but patch {patch.patch_id} "
-                    "carries one replicated band"
-                )
 
     @abstractmethod
     def detect(self, patch: PatchPlacement) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +175,6 @@ class SyntheticDetector(DetectorInterface):
     exact ranges are arbitrary but fixed, since only the ordering matters
     downstream. It never reads channels.
     """
-
-    channel_layout = "any"
 
     def __init__(self, truth: catalog_mod.Catalog, gt: GeoTransform, noise: NoiseConfig):
         self.gt = gt
@@ -250,16 +235,15 @@ def load_detections(path: str | Path, score_floor: float | None = None, ps_r: in
     path = Path(path)
     if not path.exists():
         raise DetectionError(f"detections file not found: {path}")
-    lines = enumerate(map(str.strip, path.read_text().splitlines()), start=1)
-    numbered = ((n, s.split(",")) for n, s in lines if s and s[0] != "#")
-    linenos, ids, rows, parse_error = parse_records(numbered, 6, 0, path)
-    ids = list(map(str.strip, ids))
+    lines = path.read_text().splitlines()
+    linenos, ids, rows, bad = gather(read_columns(lines, range(1, 6), 0, width=6, records=True))
+    ids = [s.strip() for s in ids.tolist()]
     boxes, score = rows[:, :4], rows[:, 4]
     too_big = (boxes[:, 2] > ps_r) | (boxes[:, 3] > ps_r) if ps_r is not None else np.zeros(len(ids), dtype=bool)
-    raise_first(path, linenos, [
+    raise_first(path, linenos, bad, [
         (invalid(boxes, score), lambda r: row_error(ids[r], boxes[r], score[r])),
         (too_big, lambda r: f"box exceeds patch side {ps_r}"),
-    ], parse_error)
+    ])
     keep = np.flatnonzero(~(score < score_floor)) if score_floor is not None else np.arange(len(ids))
     return PatchDetections([ids[i] for i in keep.tolist()], boxes[keep], score[keep])
 

@@ -33,7 +33,7 @@ import numpy as np
 from .detector import PatchDetections, invalid, row_error
 from .errors import DetectionError, PipelineError
 from .geo import GeoTransform, meter_to_lonlat, pixel_to_meter_xy
-from .textcols import csv_text, parse_records, raise_first, write_csv
+from .textcols import csv_text, gather, raise_first, read_columns, write_csv
 
 __all__ = [
     "DetectionSet",
@@ -338,20 +338,18 @@ def load_global_detections(path: str | Path) -> DetectionSet:
     if not path.exists():
         raise DetectionError(f"global detections file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, _GLOBAL_HEADER)
+        header = next(csv.reader(fh), _GLOBAL_HEADER)
         if header != _GLOBAL_HEADER:
             raise DetectionError(f"{path}:1: expected the header row {','.join(_GLOBAL_HEADER)}")
-        numbered = ((n, row) for n, row in enumerate(reader, start=2) if row)
-        linenos, ids, rows, parse_error = parse_records(numbered, 10, 5, path)
+        linenos, ids, rows, bad = gather(read_columns(fh, [0, 1, 2, 3, 4, 6, 7, 8, 9], 5, width=10, first=2))
     boxes, scores, pixel_boxes = rows[:, :4], rows[:, 4], rows[:, 5:]
-    raise_first(path, linenos, [
+    raise_first(path, linenos, bad, [
         (~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])),
          lambda r: f"degenerate global box {tuple(boxes[r].tolist())}"),
         (~np.isfinite(boxes).all(axis=1), lambda r: f"non-finite global box {tuple(boxes[r].tolist())}"),
         (invalid(pixel_boxes, scores), lambda r: row_error(ids[r], pixel_boxes[r], scores[r])),
-        (np.array(ids, dtype=object) == "", lambda r: "empty patch id"),
-    ], parse_error)
+        (ids == "", lambda r: "empty patch id"),
+    ])
     return DetectionSet(boxes, scores, ids, pixel_boxes)
 
 

@@ -897,3 +897,20 @@ def test_out_of_range_thresholds_exit_two(tmp_path, capsys, command, args, setti
     assert main([command, "--config", str(config), *args]) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err, err
+
+
+@pytest.mark.parametrize("key, value", [("resolution", 0), ("body_radius", -1.5)])
+def test_config_geotransform_out_of_range_names_file_and_key(tmp_path, capsys, key, value):
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    cfg["geotransform"] = {"x_min": 0, "y_max": 0, "resolution": 100.0, "body_radius": 1_737_400.0, key: value}
+    config.write_text(json.dumps(cfg))
+    err = _config_error(config, capsys)
+    assert f"{config}: malformed value (geotransform.{key} must be positive, got {float(value)})" in err, err
+
+
+def test_config_band_name_null_names_file_and_key(tmp_path, capsys):
+    bands = [{"name": None, "ps_a": 256, "ps_r": 128}]
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"bands": bands})
+    err = _config_error(config, capsys)
+    assert f"{config}: malformed value (bands.name must be a string, got None)" in err, err

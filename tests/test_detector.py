@@ -117,21 +117,7 @@ def test_clipping_never_exceeds_patch():
         assert 0.0 <= y1 < y2 <= 512.0
 
 
-def test_channel_capability_mismatch():
-    class PickyDetector(DetectorInterface):
-        channel_layout = "distinct"
-
-        def detect(self, patch):
-            self.check_channels(patch)
-            return np.zeros((0, 4)), np.zeros(0)
-
-    det = PickyDetector()
-    with pytest.raises(DetectionError, match="distinct"):
-        det.detect(blank_patch())  # all-zero channels are replicated
-
-
 def test_fused_patch_and_placement_give_identical_detections():
-    assert SyntheticDetector.channel_layout == "any"  # it never reads channels
     n, spec = 96, PatchSpec(32, 16, 0.5)
     rng = np.random.default_rng(3)
     grids = [make_grid(rng.normal(size=(n, n)), band_kind=k) for k in ("intensity", "elevation")]

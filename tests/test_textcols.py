@@ -11,11 +11,13 @@ give, and what they write must read back bit for bit.
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from craterpipe import textcols
 from craterpipe.catalog import load_catalog
 from craterpipe.detector import load_detections
 from craterpipe.errors import CatalogError, DetectionError
@@ -263,3 +265,268 @@ def test_lonlat_to_meter_rejects_the_first_latitude_out_of_range():
         lonlat_to_meter(np.zeros(3), np.array([0.0, 91.5, -100.0]), GT)
     with pytest.raises(Exception, match="latitude out of range"):
         lonlat_to_meter(0.0, math.nan, GT)
+
+
+# ---------------------------------------------------------------------------
+# the loadtxt fast path: chunks it reads, chunks it hands to the row-by-row
+# path, and both in one file
+
+# mostly plain numbers, so most drawn files reach loadtxt; the odd ones are
+# float()-only spellings, spellings float() rejects, and values loadtxt reads
+# around characters float() does not strip
+FAST_NUMBER = st.one_of(
+    st.floats(-200.0, 200.0).map(repr),
+    st.floats(-200.0, 200.0).map(repr),
+    st.integers(-100, 100).map(str),
+    st.sampled_from(["1_0", "١٢", " 1.5", "2.5 ", "\xa03", "1.5\x1f", "\x1c2", "inf", "-nan", "Infinity",
+                     ".5", "5.", "1e500", "0x1p3", "nan(1)", "", "  ", "x", "1e", "1#"]),
+)
+
+
+@st.composite
+def plain_catalog_text(draw):
+    """Catalogs with rows short or long but holding every mapped column,
+    whitespace-only lines, # at the start or inside a row, and seldom a quote."""
+    header = draw(st.sampled_from([
+        ["id", "lon", "lat", "diam_km"],
+        ["lon", "lat", "diam_km", "extra", "more"],
+        ["lat", "id", "diam_km", "lon", "extra"],
+        ["id", "lon", "lat", "diam_km", "lon"],
+    ]))
+    held = max(i for i, name in enumerate(header) if name in ("lon", "lat", "diam_km")) + 1
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "space", "hash", "quoted"]))
+        if kind in ("blank", "space"):
+            lines.append("" if kind == "blank" else draw(st.sampled_from([" ", "\t", "\u3000"])))
+            continue
+        short = draw(st.booleans())
+        n = draw(st.integers(1, len(header) - 1) if short else st.integers(held, len(header) + 2))
+        fields = [draw(FAST_NUMBER) for _ in range(n)]
+        if "id" in header and header.index("id") < n:
+            fields[header.index("id")] = draw(st.sampled_from(["a", "b", "#c", "d#e", " f ", ""]))
+        if kind == "hash":
+            fields[0] = draw(st.sampled_from(["#", " #"])) + fields[0]
+        elif kind == "quoted":
+            fields[draw(st.integers(0, n - 1))] = quote(draw(st.sampled_from(["g,h", 'q"t', "n\nl", "3.5"])))
+        lines.append(",".join(fields))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def assert_catalog_matches_the_row_by_row_loader(path, tolerance):
+    mapping = {"id": "id", "lon": "lon", "lat": "lat", "diam_km": "diam_km"}
+    try:
+        expected = load_catalog_rows(path, mapping, "t", tolerance)
+    except CatalogError as exc:
+        with pytest.raises(CatalogError) as got:
+            load_catalog(path, schema=mapping, name="t", max_malformed_fraction=tolerance)
+        assert str(got.value) == str(exc)
+        return
+    cat = load_catalog(path, schema=mapping, name="t", max_malformed_fraction=tolerance)
+    rows, n_rejected = expected if expected is not None else ([], 0)
+    assert cat.ids.tolist() == [r[0] for r in rows]
+    for k, col in enumerate((cat.lon, cat.lat, cat.diam_km), start=1):
+        assert bits(col) == bits([r[k] for r in rows])
+    assert cat.n_rejected == n_rejected
+
+
+def assert_records_match_the_row_by_row_loader(path, score_floor=None, ps_r=None):
+    try:
+        expected = load_detection_rows(path, score_floor=score_floor, ps_r=ps_r)
+    except DetectionError as exc:
+        with pytest.raises(DetectionError) as got:
+            load_detections(path, score_floor=score_floor, ps_r=ps_r)
+        assert str(got.value) == str(exc)
+        return
+    got = load_detections(path, score_floor=score_floor, ps_r=ps_r)
+    expected = sorted(expected, key=lambda r: r[0])
+    assert got.patch_ids.tolist() == [r[0] for r in expected]
+    assert bits(got.boxes.reshape(-1)) == bits([v for r in expected for v in r[1]])
+    assert bits(got.scores) == bits([r[2] for r in expected])
+
+
+# chunks of 1-3 lines put fast and row-by-row chunks into one small file
+CHUNK = st.sampled_from([1, 2, 3, 4096])
+
+
+@SETTINGS
+@given(text=plain_catalog_text(), tolerance=st.sampled_from([0.0, 0.5, 1.0]), chunk=CHUNK)
+def test_plain_catalogs_in_any_chunking_match_the_row_by_row_loader(tmp_path_factory, text, tolerance, chunk):
+    path = tmp_path_factory.mktemp("cat") / "c.csv"
+    path.write_text(text, newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textcols, "_CHUNK", chunk)
+        assert_catalog_matches_the_row_by_row_loader(path, tolerance)
+
+
+@st.composite
+def plain_record_text(draw):
+    """Record files with whitespace-only lines, # at the start of a line or
+    inside a record, and odd fields."""
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["ok"] * 6 + ["odd", "blank", "comment", "hash"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "", "   ", "\t", "\u3000"])))
+            continue
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# a,b", "  #p0,1,2,3,4,0.5", "#"])))
+            continue
+        x1, y1 = draw(st.floats(0, 100)), draw(st.floats(0, 100))
+        w, h = draw(st.floats(0.5, 40)), draw(st.floats(0.5, 40))
+        patch = draw(st.sampled_from(["p0", "p1", " p2 ", "p#3"] if kind == "hash" else ["p0", "p1", " p2 "]))
+        fields = [patch, repr(x1), repr(y1), repr(x1 + w), repr(y1 + h), repr(draw(st.floats(0, 1)))]
+        if kind == "hash" and draw(st.booleans()):
+            fields[draw(st.integers(1, 5))] += "#"
+        if kind == "odd":
+            i = draw(st.integers(0, 6))
+            if i == 6:
+                fields = fields[: draw(st.integers(1, 5))] if draw(st.booleans()) else fields + ["1"]
+            else:
+                fields[i] = draw(FAST_NUMBER)
+        lines.append(",".join(fields))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@SETTINGS
+@given(text=plain_record_text(), score_floor=st.sampled_from([None, 0.5]), ps_r=st.sampled_from([None, 128]),
+       chunk=CHUNK)
+def test_plain_records_in_any_chunking_match_the_row_by_row_loader(tmp_path_factory, text, score_floor, ps_r, chunk):
+    path = tmp_path_factory.mktemp("rec") / "r.csv"
+    path.write_text(text, newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textcols, "_CHUNK", chunk)
+        assert_records_match_the_row_by_row_loader(path, score_floor, ps_r)
+
+
+@SETTINGS
+@given(dets=detection_sets(), chunk=CHUNK)
+def test_global_detections_round_trip_in_any_chunking(tmp_path_factory, dets, chunk):
+    """Ids holding quotes, commas and line breaks split a row over lines,
+    and with short chunks over chunks."""
+    path = tmp_path_factory.mktemp("g") / "d.csv"
+    write_global_detections(dets, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textcols, "_CHUNK", chunk)
+        back = load_global_detections(path)
+    assert back.patch_ids.tolist() == dets.patch_ids.tolist()
+    for a, b in ((back.boxes, dets.boxes), (back.scores, dets.scores), (back.pixel_boxes, dets.pixel_boxes)):
+        assert bits(a.reshape(-1)) == bits(b.reshape(-1))
+
+
+def count_row_by_row_chunks(monkeypatch):
+    """A list that gets the first row number of each chunk the row-by-row
+    path converts."""
+    calls, convert = [], textcols._convert
+    monkeypatch.setattr(textcols, "_convert", lambda *args: calls.append(args[1]) or convert(*args))
+    return calls
+
+
+def record_lines(n):
+    return [f"p{i % 7},{i % 50}.5,1.0,{i % 50 + 3}.25,9.0,0.{i % 10}" for i in range(n)]
+
+
+@pytest.mark.parametrize("line, fallback", [
+    ("# a comment", True),
+    ("  # an indented comment", True),
+    ('"p1",1.0,2.0,3.0,4.0,0.5', True),  # any quote sends its chunk row by row
+    ("p1,1_0,2.0,30.0,4.5,0.5", True),
+    ("p1,١,2.0,3.0,4.5,0.5", True),
+    ("p1,1.0,2.0,3.0,4.5,0.5\x1f", True),  # the line strips it, float() would not
+    ("   ", True),
+    ("p#1,1.0,2.0,3.0,4.5,0.5", False),  # a # inside a record is data
+    ("", False),
+])
+def test_one_odd_line_sends_only_its_chunk_row_by_row(tmp_path, monkeypatch, line, fallback):
+    lines = record_lines(12_000)
+    lines[5000] = line
+    lines[9000] = "p1,1.0,2.0,3.0,4.0,1.5"  # a bad score in the third chunk
+    path = tmp_path / "r.csv"
+    path.write_text("\n".join(lines) + "\n")
+    calls = count_row_by_row_chunks(monkeypatch)
+    with pytest.raises(DetectionError) as err:
+        load_detections(path)
+    assert str(err.value) == f"{path}:9001: score 1.5 outside [0, 1]"
+    assert calls == ([4097] if fallback else [])
+    lines[9000] = lines[9001]
+    path.write_text("\n".join(lines) + "\n")
+    assert_records_match_the_row_by_row_loader(path)
+
+
+def test_a_catalog_over_chunks_mixes_both_paths(tmp_path, monkeypatch):
+    lines = ["id,lon,lat,diam_km"] + [f"c{i},{i * 0.01!r},{(i % 180) - 89.5!r},1.5" for i in range(13_000)]
+    lines[3] = "c2,1.0"  # short: malformed
+    lines[5000] = '"c4999",1.0,2.0,3.0'
+    lines[9500] = "c9499,1_0,2.0,3.0"
+    lines[12_100] = "c12099,x,2.0,3.0"  # malformed
+    lines[12_500] = "c12499,1.0,2.0,3.0,extra,more"  # ragged, read by loadtxt
+    path = tmp_path / "c.csv"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    calls = count_row_by_row_chunks(monkeypatch)
+    assert_catalog_matches_the_row_by_row_loader(path, 0.001)
+    assert calls == [1, 4097, 8193]  # the last chunk takes the fast path
+
+
+def test_global_line_numbers_count_csv_rows_across_chunks(tmp_path, monkeypatch):
+    n = 10_000
+    dets = DetectionSet([(float(i), 0.0, i + 1.0, 1.0) for i in range(n)], [0.5] * n,
+                        ["a\nb" if i == 5000 else f"p{i}" for i in range(n)], [(0.0, 0.0, 1.0, 1.0)] * n)
+    path = tmp_path / "g.csv"
+    write_global_detections(dets, path)
+    lines = path.read_bytes().decode().splitlines(keepends=True)
+    bad_line = 9001  # physical line; the id over two lines makes it csv row 9000
+    lines[bad_line - 1] = lines[bad_line - 1].replace(",0.5,", ",1.5,")
+    path.write_text("".join(lines), newline="")
+    calls = count_row_by_row_chunks(monkeypatch)
+    with pytest.raises(DetectionError) as err:
+        load_global_detections(path)
+    assert str(err.value) == f"{path}:9000: score 1.5 outside [0, 1]"
+    assert calls == [4098]
+
+
+def test_clean_files_never_reach_the_row_by_row_path(tmp_path, monkeypatch):
+    """A clean file sliding back to the slow path would pass every other test."""
+    lines = record_lines(10_000)
+    lines[100] = ""
+    (tmp_path / "r.csv").write_text("\n".join(lines) + "\n")
+    dets = DetectionSet([(float(i), 0.0, i + 1.0, 1.0) for i in range(9000)], [0.5] * 9000,
+                        [f"p {i}" for i in range(9000)], [(0.0, 0.0, 1.0, 1.0)] * 9000)
+    write_global_detections(dets, tmp_path / "g.csv")
+    rows = ["id,lon,lat,diam_km"] + [f"c{i},{i * 0.01!r},{(i % 180) - 90.5!r},{i % 7}" for i in range(9000)]
+    (tmp_path / "c.csv").write_text("\n".join(rows[:50] + [""] + rows[50:]) + "\n")
+    expected = load_detections(tmp_path / "r.csv"), load_global_detections(tmp_path / "g.csv")
+    mapping = {"id": "id", "lon": "lon", "lat": "lat", "diam_km": "diam_km"}
+    catalog_rows, n_rejected = load_catalog_rows(tmp_path / "c.csv", mapping, "c")
+
+    def refuse(*args):
+        raise AssertionError("a clean chunk went the row-by-row way")
+
+    monkeypatch.setattr(textcols, "_convert", refuse)
+    got = load_detections(tmp_path / "r.csv")
+    assert bits(got.boxes.reshape(-1)) == bits(expected[0].boxes.reshape(-1))
+    assert got.patch_ids.tolist() == expected[0].patch_ids.tolist()
+    back = load_global_detections(tmp_path / "g.csv")
+    assert back.patch_ids.tolist() == dets.patch_ids.tolist() == expected[1].patch_ids.tolist()
+    cat = load_catalog(tmp_path / "c.csv")
+    assert cat.ids.tolist() == [r[0] for r in catalog_rows] and cat.n_rejected == n_rejected
+
+
+@pytest.mark.parametrize("blank", ["", "\n", "\n\n\n"], ids=["empty", "blank", "blanks"])
+def test_empty_and_header_only_files_load_without_a_warning(tmp_path, blank):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (tmp_path / "r.csv").write_text(blank + "  \n" * bool(blank))
+        assert len(load_detections(tmp_path / "r.csv")) == 0
+        (tmp_path / "g.csv").write_text(blank and "x1_m,y1_m,x2_m,y2_m,score,patch_id,px1,py1,px2,py2" + blank)
+        assert len(load_global_detections(tmp_path / "g.csv")) == 0
+        (tmp_path / "c.csv").write_text("id,lon,lat,diam_km" + blank)
+        assert len(load_catalog(tmp_path / "c.csv")) == 0
+
+
+def test_a_field_csv_reader_refuses_is_refused_whatever_the_chunk(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("id,lon,lat,diam_km\n" + "x" * (csv.field_size_limit() + 1) + ",1.0,2.0,3.0\n")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_catalog(path)
