@@ -40,7 +40,7 @@ from . import catalog as catalog_mod
 from .errors import DetectionError
 from .geo import GeoTransform, meter_to_pixel_xy, pixel_to_meter_xy
 from .raster import PatchPlacement
-from .textcols import gather, raise_first, read_columns, write_csv
+from .textcols import gather, raise_first, read_columns, text_lines, write_csv
 
 __all__ = [
     "invalid",
@@ -235,8 +235,8 @@ def load_detections(path: str | Path, score_floor: float | None = None, ps_r: in
     path = Path(path)
     if not path.exists():
         raise DetectionError(f"detections file not found: {path}")
-    lines = path.read_text().splitlines()
-    linenos, ids, rows, bad = gather(read_columns(lines, range(1, 6), 0, width=6, records=True))
+    with open(path) as fh:
+        linenos, ids, rows, bad = gather(read_columns(text_lines(fh), range(1, 6), 0, width=6, records=True))
     ids = [s.strip() for s in ids.tolist()]
     boxes, score = rows[:, :4], rows[:, 4]
     too_big = (boxes[:, 2] > ps_r) | (boxes[:, 3] > ps_r) if ps_r is not None else np.zeros(len(ids), dtype=bool)

@@ -38,7 +38,8 @@ class GeoTransform:
 
     x_min is the easting of the mosaic's left edge and y_max the northing of
     its top edge, both in meters. resolution is the pixel size in
-    meters/pixel and body_radius the radius of the projection sphere.
+    meters/pixel and body_radius the radius of the projection sphere. All
+    four are finite; resolution and body_radius are positive.
     """
 
     x_min: float
@@ -47,10 +48,12 @@ class GeoTransform:
     body_radius: float
 
     def __post_init__(self) -> None:
-        if not self.resolution > 0:  # NaN fails too
-            raise GeoError(f"resolution must be positive, got {self.resolution}")
-        if not self.body_radius > 0:
-            raise GeoError(f"body_radius must be positive, got {self.body_radius}")
+        for name in ("resolution", "body_radius"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise GeoError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("x_min", "y_max", "resolution", "body_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise GeoError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def pixel_to_meter_xy(

@@ -10,13 +10,14 @@ them, so inputs must not change while a grid is in use.
 Tiling cuts a mosaic into overlapping square windows, scales each window
 linearly to bytes, box-downsamples it to the detector input size and stamps
 it with the resize factor needed to map detections back to mosaic pixels.
-All grid types are immutable after construction; tiling emits independent
-patches and is safe to parallelize per patch.
+All grid types are immutable after construction (a grid built on first
+read swaps its builder for the values); tiling emits independent patches
+and is safe to parallelize per patch.
 
-Geometry and pixels are separate. A GridExtent is a grid's band, size and
-geotransform without values; resampled_extent and slope_extent give the
-extent that resample and compute_slope would return, with the same checks
-and errors, and check_co_registered is the check tile makes on its grids.
+resample and compute_slope make every check when they are called and
+return a grid whose values are built the first time something reads them,
+so a caller that needs only a grid's band, size and geotransform builds no
+values. check_co_registered is the check tile makes on its grids, and
 patch_placements gives patch_grid's windows as PatchPlacements, a
 FusedPatch's geometry without its channels, so consumers that never read
 pixels can work from placements alone.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .geo import GeoTransform
 __all__ = [
     "BAND_KINDS",
     "RasterGrid",
-    "GridExtent",
     "PatchSpec",
     "PatchPlacement",
     "FusedPatch",
@@ -45,9 +45,7 @@ __all__ = [
     "load_raster",
     "save_raster",
     "resample",
-    "resampled_extent",
     "compute_slope",
-    "slope_extent",
     "check_co_registered",
     "check_nan_marked",
     "tile",
@@ -71,34 +69,29 @@ _DTYPES = {
 _WINDOW_BYTES = 1 << 22
 
 
-class GridExtent(NamedTuple):
-    """A grid's band kind, size and placement, without its values."""
-
-    band_kind: str
-    width: int
-    height: int
-    geotransform: GeoTransform
-
-
 @dataclass(frozen=True)
 class RasterGrid:
     """A single-band georeferenced grid.
 
-    values is a (height, width) array; elevation is meters, slope degrees,
-    intensity unitless. Cells equal to the nodata sentinel are invalid (NaN
-    cells when the sentinel is NaN).
+    source is the (height, width) value array, or a function of no
+    arguments that builds it. values is the array: a built one is built the
+    first time values is read, checked as a given one is, and then kept.
+    Elevation is meters, slope degrees, intensity unitless. Cells equal to
+    the nodata sentinel are invalid (NaN cells when the sentinel is NaN).
     """
 
     width: int
     height: int
     band_kind: str
-    values: np.ndarray
+    source: np.ndarray | Callable[[], np.ndarray]
     geotransform: GeoTransform
     nodata: float | None = None
 
     def __post_init__(self) -> None:
         if self.band_kind not in BAND_KINDS:
             raise RasterError(f"unknown band kind {self.band_kind!r}, expected one of {BAND_KINDS}")
+        if callable(self.source):
+            return
         if self.values.shape != (self.height, self.width):
             raise RasterError(
                 f"value shape {self.values.shape} does not match "
@@ -110,6 +103,14 @@ class RasterGrid:
                 # NaN fails both tests, so a valid NaN cell is out of range
                 if (~((v >= 0.0) & (v <= 90.0)) & self.valid_mask(rows)).any():
                     raise RasterError("slope values must lie in [0, 90] degrees")
+
+    @property
+    def values(self) -> np.ndarray:
+        if callable(self.source):
+            built = RasterGrid(self.width, self.height, self.band_kind, self.source(), self.geotransform, self.nodata)
+            # drops the builder and what it holds, such as a mapped input
+            object.__setattr__(self, "source", built.source)
+        return self.source
 
     def valid_mask(self, rows: slice = slice(None)) -> np.ndarray:
         """Which cells of the given rows (all rows by default) are valid."""
@@ -268,7 +269,7 @@ def load_raster(path: str | Path) -> RasterGrid:
             width=hdr["width"],
             height=hdr["height"],
             band_kind=hdr["band"],
-            values=values,
+            source=values,
             geotransform=hdr["geotransform"],
             nodata=hdr["nodata"],
         )
@@ -317,31 +318,33 @@ def check_nan_marked(grid: RasterGrid, path: str | Path) -> None:
         )
 
 
-def resampled_extent(grid: RasterGrid, target_resolution: float) -> GridExtent:
-    """The extent resample(grid, target_resolution) returns, with its checks,
-    without building values. Sizes round up so the output covers the input."""
-    if target_resolution <= 0:
-        raise RasterError(f"target resolution must be positive, got {target_resolution}")
-    if not any(grid.valid_mask(rows).any() for rows in grid._row_windows()):
-        raise RasterError("cannot resample an all-nodata grid")
-    gt = grid.geotransform
-    return GridExtent(
-        band_kind=grid.band_kind,
-        width=math.ceil(grid.width * gt.resolution / target_resolution),
-        height=math.ceil(grid.height * gt.resolution / target_resolution),
-        geotransform=GeoTransform(gt.x_min, gt.y_max, target_resolution, gt.body_radius),
-    )
-
-
 def resample(grid: RasterGrid, target_resolution: float) -> RasterGrid:
     """Bilinearly resample a grid to a new resolution.
 
     The output extent covers the input extent (sizes round up), cell centers
     are aligned to the shared top-left corner and edges are replicated where
     a sample falls outside the input cell-center lattice. A cell is nodata
-    when any input cell contributing weight to it is nodata.
+    when any input cell contributing weight to it is nodata. The checks run
+    here, the all-nodata one over row windows; values are built on first
+    read.
     """
-    out_kind, out_w, out_h, out_gt = resampled_extent(grid, target_resolution)
+    if not target_resolution > 0:
+        raise RasterError(f"target resolution must be positive, got {target_resolution}")
+    if not any(grid.valid_mask(rows).any() for rows in grid._row_windows()):
+        raise RasterError("cannot resample an all-nodata grid")
+    gt = grid.geotransform
+    size = [n * gt.resolution / target_resolution for n in (grid.width, grid.height)]
+    if not all(map(math.isfinite, size)):
+        raise RasterError(f"cannot resample {grid.width}x{grid.height} cells of {gt.resolution} m to "
+                          f"{target_resolution} m: the resampled size is not finite")
+    width, height = map(math.ceil, size)
+    out_gt = GeoTransform(gt.x_min, gt.y_max, target_resolution, gt.body_radius)
+    return RasterGrid(width, height, grid.band_kind, lambda: _bilinear(grid, width, height, target_resolution),
+                      out_gt, grid.nodata)
+
+
+def _bilinear(grid: RasterGrid, out_w: int, out_h: int, target_resolution: float) -> np.ndarray:
+    """resample's values."""
     valid = grid.valid_mask()
     s_in = grid.geotransform.resolution
     s_out = target_resolution
@@ -385,20 +388,7 @@ def resample(grid: RasterGrid, target_resolution: float) -> RasterGrid:
             | (bad[np.ix_(r1, c1)] & (w11 > eps))
         )
         out[poisoned] = nodata
-
-    return RasterGrid(
-        width=out_w, height=out_h, band_kind=out_kind, values=out, geotransform=out_gt, nodata=nodata
-    )
-
-
-def slope_extent(dem: RasterGrid | GridExtent) -> GridExtent:
-    """The extent compute_slope(dem) returns, with its checks, from the
-    DEM's band kind and size alone."""
-    if dem.band_kind != "elevation":
-        raise RasterError(f"slope needs an elevation grid, got {dem.band_kind!r}")
-    if dem.width < 3 or dem.height < 3:
-        raise RasterError(f"grid too small for slope: {dem.width}x{dem.height}")
-    return GridExtent("slope", dem.width, dem.height, dem.geotransform)
+    return out
 
 
 def compute_slope(dem: RasterGrid) -> RasterGrid:
@@ -407,9 +397,18 @@ def compute_slope(dem: RasterGrid) -> RasterGrid:
     Uses the 3x3 finite-difference scheme with (1, 2, 1) weighting per
     column/row, gradients divided by 8 * resolution, slope =
     arctan(sqrt(gx^2 + gy^2)). Border cells see edge-replicated neighbors.
-    A cell is nodata when any cell of its 3x3 window is nodata.
+    A cell is nodata when any cell of its 3x3 window is nodata. The checks
+    on band kind and size run here; values are built on first read.
     """
-    slope_extent(dem)
+    if dem.band_kind != "elevation":
+        raise RasterError(f"slope needs an elevation grid, got {dem.band_kind!r}")
+    if dem.width < 3 or dem.height < 3:
+        raise RasterError(f"grid too small for slope: {dem.width}x{dem.height}")
+    return RasterGrid(dem.width, dem.height, "slope", lambda: _slope(dem), dem.geotransform, dem.nodata)
+
+
+def _slope(dem: RasterGrid) -> np.ndarray:
+    """compute_slope's values."""
     s = dem.geotransform.resolution
     z = np.pad(np.asarray(dem.values, dtype=np.float64), 1, mode="edge")
 
@@ -429,15 +428,7 @@ def compute_slope(dem: RasterGrid) -> RasterGrid:
             for dc in (0, 1, 2):
                 ok &= valid[dr : dr + slope.shape[0], dc : dc + slope.shape[1]]
         slope[~ok] = nodata
-
-    return RasterGrid(
-        width=dem.width,
-        height=dem.height,
-        band_kind="slope",
-        values=slope,
-        geotransform=dem.geotransform,
-        nodata=nodata,
-    )
+    return slope
 
 
 def _byte_scale(
@@ -519,7 +510,7 @@ def _box_weights(n: int, out: int) -> np.ndarray:
     return w / f
 
 
-def check_co_registered(grids: list[RasterGrid | GridExtent]) -> None:
+def check_co_registered(grids: list[RasterGrid]) -> None:
     """The check tile makes before cutting: every grid shares the first
     one's size and geotransform. Band kinds may differ."""
     first = grids[0]

@@ -9,13 +9,13 @@ configured (m, delta), delta None when NMS is disabled, as a grid cell does.
 A catalog comes with its boxes (_load_truth): a row whose box overflows is
 dropped and counted there, so neither the oracle nor the counting sees it.
 
-Pixels are built only where something reads them: tile with image export
-resamples elevation onto the intensity grid, derives slope when not supplied
-and cuts fused byte patches. run, detect, gridsearch, crossmatch and tile
-without images read no pixels, since the synthetic oracle and the external
-records need only each patch's placement. They validate the stack with the
-same checks and errors from the headers and the loaded grids, and pass
-PatchPlacements to the detector.
+Every command loads the raster stack through load_stack, which makes every
+check on it. Values are built only where something reads them: tile with
+image export reads the resampled elevation and the derived slope and cuts
+fused byte patches. run, detect, gridsearch, crossmatch and tile without
+images read no pixels, since the synthetic oracle and the external records
+need only each patch's placement, so they pass PatchPlacements to the
+detector.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ from .postprocess import (
     write_global_detections,
 )
 from .raster import (
-    FusedPatch,
-    GridExtent,
     PatchPlacement,
     PatchSpec,
     RasterGrid,
@@ -71,8 +69,6 @@ from .raster import (
     patch_placements,
     replicate_single_band,
     resample,
-    resampled_extent,
-    slope_extent,
     tile,
     write_patch_image,
 )
@@ -106,32 +102,24 @@ def _input_paths(cfg: PipelineConfig) -> list[Path]:
     return [p for p in paths if p.exists()]
 
 
-def load_stack(cfg: PipelineConfig, pixels: bool = True) -> list[RasterGrid | GridExtent]:
+def load_stack(cfg: PipelineConfig) -> list[RasterGrid]:
     """Load the raster inputs: [single_band], or [intensity, elevation, slope].
 
     The stack's geotransform is stack[0].geotransform. Elevation is
     resampled onto the intensity resolution when they differ; slope is
     derived from elevation when not supplied. In single-band mode only that
-    raster is loaded. With pixels, an elevation holding NaN cells that its
-    nodata sentinel does not mark is rejected. With pixels=False a resampled
-    elevation and a derived slope come back as the GridExtent they would
-    have: the stack passes the same checks in the same order, and no values
-    are built.
+    raster is loaded. Every check on the stack runs here, and a resampled
+    elevation or a derived slope builds its values when they are first read.
     """
     if cfg.single_band_path is not None:
         return [load_raster(cfg.resolve(cfg.single_band_path))]
 
     intensity = load_raster(cfg.resolve(cfg.intensity_path))
     elevation = load_raster(cfg.resolve(cfg.elevation_path))
-    if pixels:
-        check_nan_marked(elevation, cfg.resolve(cfg.elevation_path))
     res = intensity.geotransform.resolution
     if elevation.geotransform.resolution != res:
-        elevation = resample(elevation, res) if pixels else resampled_extent(elevation, res)
-    if cfg.slope_path is not None:
-        slope = load_raster(cfg.resolve(cfg.slope_path))
-    else:
-        slope = compute_slope(elevation) if pixels else slope_extent(elevation)
+        elevation = resample(elevation, res)
+    slope = load_raster(cfg.resolve(cfg.slope_path)) if cfg.slope_path is not None else compute_slope(elevation)
     for name, grid in (("elevation", elevation), ("slope", slope)):
         if grid.width != intensity.width or grid.height != intensity.height:
             raise RasterError(
@@ -143,14 +131,6 @@ def load_stack(cfg: PipelineConfig, pixels: bool = True) -> list[RasterGrid | Gr
 
 def _band_spec(band) -> PatchSpec:
     return PatchSpec(ps_a=band.ps_a, ps_r=band.ps_r, overlap_fraction=band.overlap)
-
-
-def _band_patches(cfg: PipelineConfig, band, stack) -> list[FusedPatch]:
-    """The band's fused pixel patches, from a stack loaded with pixels."""
-    spec = _band_spec(band)
-    if len(stack) == 1:
-        return replicate_single_band(stack[0], spec, scale_mode=cfg.scale_mode)
-    return tile(*stack, spec, scale_mode=cfg.scale_mode)
 
 
 def _band_placements(band, stack) -> list[PatchPlacement]:
@@ -291,7 +271,7 @@ def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -
     """Load, detect, post-process, evaluate and write every output of run
     but the manifest, recording stage times in timings."""
     t0 = time.perf_counter()
-    stack = load_stack(cfg, pixels=False)
+    stack = load_stack(cfg)
     gt = stack[0].geotransform
     truth, truth_boxes = _load_truth(cfg, cfg.truth_catalog, gt)
     timings["load"] = time.perf_counter() - t0
@@ -362,16 +342,26 @@ def _summary_text(cfg, metrics, loc, band_info) -> str:
 def run_tile(cfg: PipelineConfig, export_images: bool = True) -> tuple[Path, int]:
     """Write the patch index (and optionally patch images) for every band.
 
-    Only image export builds pixels."""
+    Only image export reads pixels. It first rejects an elevation holding
+    NaN cells that its nodata sentinel does not mark, after the checks of
+    load_stack."""
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
-    stack = load_stack(cfg, pixels=export_images)
+    stack = load_stack(cfg)
+    if export_images and len(stack) == 3:
+        check_nan_marked(stack[1], cfg.resolve(cfg.elevation_path))
     n_total = 0
     index_path = out_dir / "patch_index.csv"
     with open(index_path, "w", newline="") as fh:
         fh.write("patch_id,row0,col0,delta_f\n")
         for band in cfg.bands:
-            patches = _band_patches(cfg, band, stack) if export_images else _band_placements(band, stack)
+            spec = _band_spec(band)
+            if not export_images:
+                patches = _band_placements(band, stack)
+            elif len(stack) == 1:
+                patches = replicate_single_band(stack[0], spec, scale_mode=cfg.scale_mode)
+            else:
+                patches = tile(*stack, spec, scale_mode=cfg.scale_mode)
             n_total += len(patches)
             for p in patches:
                 fh.write(f"{p.patch_id},{p.row0},{p.col0},{p.delta_f!r}\n")
@@ -392,7 +382,7 @@ def run_detect_dump(cfg: PipelineConfig) -> list[Path]:
         raise ConfigError("detect needs a truth_catalog")
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
-    stack = load_stack(cfg, pixels=False)
+    stack = load_stack(cfg)
     gt = stack[0].geotransform
     truth, _ = _load_truth(cfg, cfg.truth_catalog, gt)
     paths = []
@@ -413,7 +403,7 @@ def run_gridsearch(cfg: PipelineConfig) -> tuple[GridSearchResult, Path]:
         raise ConfigError("gridsearch expects exactly one size band")
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
-    stack = load_stack(cfg, pixels=False)
+    stack = load_stack(cfg)
     gt = stack[0].geotransform
     truth, truth_boxes = _load_truth(cfg, cfg.truth_catalog, gt)
     band = cfg.bands[0]
@@ -446,7 +436,7 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
         gt = cfg.geotransform
     else:
         try:
-            gt = load_stack(cfg, pixels=False)[0].geotransform
+            gt = load_stack(cfg)[0].geotransform
         except (RasterError, ConfigError) as exc:
             raise ConfigError(
                 "crossmatch needs either a geotransform block in the config or loadable rasters"

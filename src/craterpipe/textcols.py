@@ -25,12 +25,26 @@ import numpy as np
 
 from .errors import DetectionError
 
-__all__ = ["read_columns", "gather", "raise_first", "csv_text", "write_csv"]
+__all__ = ["text_lines", "read_columns", "gather", "raise_first", "csv_text", "write_csv"]
 
 _CHUNK = 1 << 12
+_BLOCK = 1 << 16
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
 # A quote, or a separator loadtxt strips around a number and float() does not.
 _SLOW_CHARS = '"\x1c\x1d\x1e\x1f'
+
+
+def text_lines(fh, block: int = _BLOCK) -> Iterator[str]:
+    """The lines of fh.read().splitlines(), read block characters at a time,
+    for a text file opened with universal newlines (open's default)."""
+    rest = ""
+    while data := fh.read(block):
+        # after the sentinel "_", the last line is the one the block left open
+        *lines, rest = (rest + data + "_").splitlines()
+        rest = rest[:-1]
+        yield from lines
+    if rest:
+        yield rest
 
 
 def read_columns(

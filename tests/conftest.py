@@ -24,7 +24,7 @@ def make_grid(values, band_kind="elevation", resolution=100.0, nodata=None,
         width=values.shape[1],
         height=values.shape[0],
         band_kind=band_kind,
-        values=values,
+        source=values,
         geotransform=GeoTransform(x_min=x_min, y_max=y_max, resolution=resolution, body_radius=body_radius),
         nodata=nodata,
     )

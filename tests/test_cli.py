@@ -106,6 +106,27 @@ def test_cmd_tile_rejects_nan_the_sentinel_does_not_mark(tmp_path, capsys):
         assert main(command + ["--config", str(config)]) == 0, command
 
 
+def test_cmd_tile_checks_unmarked_nan_after_the_stack(tmp_path, capsys):
+    """tile checks the elevation for unmarked NaN where it first reads its
+    values, after every check of the stack: a DEM that also resamples to the
+    wrong size reports the size. Resampled to the right size, it reports the
+    NaN."""
+    config = write_scene(tmp_path, plant_craters(2))
+    for n, resolution, message in (
+        # 171 px at 300.7 m/px resample to ceil(514.197) = 515 px
+        (171, 300.7, "elevation grid 515x515 does not match intensity 512x512"),
+        (256, 200.0, f"{tmp_path / 'dem.bin'}: elevation holds NaN cells that its nodata sentinel (none) does not mark"),
+    ):
+        values = planar_dem(n, gx=0.5, resolution=resolution).values.copy()
+        values[7, 9] = np.nan
+        gt = GeoTransform(0.0, 0.0, resolution, 1_737_400.0)
+        save_raster(RasterGrid(n, n, "elevation", values, gt), tmp_path / "dem.bin", dtype="float32")
+        capsys.readouterr()
+        assert main(["tile", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert message in err, err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -732,6 +753,40 @@ def test_bad_header_geotransform_names_the_header(tmp_path, capsys, value):
     assert f"{hdr}: resolution must be positive, got {float(value)}" in err, err
 
 
+@pytest.mark.parametrize("key, value", [("x_min", "nan"), ("x_min", "inf"), ("y_max", "-inf"), ("body_radius", "inf")])
+@pytest.mark.parametrize("single_band", [True, False], ids=["single-band", "three-band"])
+def test_non_finite_header_geotransform_names_the_header(tmp_path, capsys, key, value, single_band):
+    """A NaN or infinite placement is refused at the header, not read as a
+    mosaic that no truth crater falls on, or as grids that do not match."""
+    config = write_scene(tmp_path, plant_craters(2))
+    if single_band:
+        cfg = json.loads(config.read_text())
+        cfg["rasters"] = {"single_band": "intensity.bin"}
+        config.write_text(json.dumps(cfg))
+    hdr = tmp_path / "intensity.hdr"
+    _edit_header(hdr, key, value)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{hdr}: {key} must be finite, got {float(value)}" in err, err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("inf", "{hdr}: resolution must be finite, got inf"),
+    ("1e308", "cannot resample 512x512 cells of 1e+308 m to 100.0 m: the resampled size is not finite"),
+])
+@pytest.mark.parametrize("command", [["run"], ["tile"], ["tile", "--no-export-images"]],
+                         ids=["run", "tile", "tile-without-images"])
+def test_dem_resolution_whose_resampled_size_overflows_exits_two(tmp_path, capsys, value, message, command):
+    config = write_scene(tmp_path, plant_craters(2))
+    hdr = tmp_path / "dem.hdr"
+    _edit_header(hdr, "resolution", value)
+    capsys.readouterr()
+    assert main(command + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert message.format(hdr=hdr) in err, err
+
+
 def _config_error(config, capsys, *args):
     capsys.readouterr()
     assert main(["run", "--config", str(config), *args]) == 2
@@ -907,6 +962,16 @@ def test_config_geotransform_out_of_range_names_file_and_key(tmp_path, capsys, k
     config.write_text(json.dumps(cfg))
     err = _config_error(config, capsys)
     assert f"{config}: malformed value (geotransform.{key} must be positive, got {float(value)})" in err, err
+
+
+@pytest.mark.parametrize("key, value", [("x_min", math.nan), ("y_max", -math.inf), ("resolution", math.inf)])
+def test_config_geotransform_not_finite_names_file_and_key(tmp_path, capsys, key, value):
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    cfg["geotransform"] = {"x_min": 0, "y_max": 0, "resolution": 100.0, "body_radius": 1_737_400.0, key: value}
+    config.write_text(json.dumps(cfg))  # NaN and Infinity, as Python's json reads them
+    err = _config_error(config, capsys)
+    assert f"{config}: malformed value (geotransform.{key} must be finite, got {value})" in err, err
 
 
 def test_config_band_name_null_names_file_and_key(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Raster IO, resampling, slope, byte scaling and tiling tests."""
 
+import gc
+import json
 import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +19,17 @@ from hypothesis import given, strategies as st
 import craterpipe
 from craterpipe import raster
 from craterpipe.errors import RasterError
+from craterpipe.geo import GeoTransform
 from craterpipe.raster import (
     FusedPatch,
     PatchSpec,
+    RasterGrid,
     _byte_scale,
     compute_slope,
     load_raster,
     patch_grid,
     replicate_single_band,
     resample,
-    resampled_extent,
     save_raster,
     tile,
     write_patch_image,
@@ -331,7 +336,7 @@ def test_windowed_grid_checks_equal_the_whole_grid_checks(rows, cols, cells, nod
         assert slope_in_range(values, nodata)
         has_valid = grid.valid_mask().any()
         try:
-            resampled_extent(grid, 50.0)
+            resample(grid, 50.0)
         except RasterError as exc:
             assert str(exc) == "cannot resample an all-nodata grid"
             assert not has_valid
@@ -358,6 +363,93 @@ def test_loading_a_slope_holds_one_window_beyond_its_payload(tmp_path, nodata):
     out = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert int(out.stdout) <= path.stat().st_size + raster._WINDOW_BYTES
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("nodata", [None, -9999.0])
+def test_loading_a_stack_builds_no_resampled_or_slope_values(tmp_path, nodata):
+    """load_stack resamples a mapped DEM and derives its slope without
+    building values, so it holds at most one window: the all-nodata check
+    of a DEM that declares nodata stops at the first window holding a valid
+    cell. Measured in a fresh process."""
+    n = 2048
+    gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=50.0, body_radius=1_737_400.0)
+    dem = np.random.default_rng(3).random((n, n), dtype=np.float32) * np.float32(500.0)
+    write_raster(tmp_path, "dem.bin", RasterGrid(n, n, "elevation", dem, gt, nodata), dtype="float32")
+    intensity = make_grid(np.zeros((n // 2, n // 2)), band_kind="intensity", resolution=100.0)
+    write_raster(tmp_path, "intensity.bin", intensity, dtype="float32")
+    band = {"name": "b", "ps_a": 256, "ps_r": 128}
+    config = {"rasters": {"intensity": "intensity.bin", "elevation": "dem.bin"}, "bands": [band]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    script = (
+        "import resource, sys\n"
+        "from craterpipe.config import load_config\n"
+        "from craterpipe.runner import load_stack\n"
+        "cfg = load_config(sys.argv[1])\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "stack = load_stack(cfg)\n"
+        "print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))\n"
+    )
+    src = str(Path(craterpipe.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "config.json")], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout) <= raster._WINDOW_BYTES
+
+
+def test_built_values_are_built_once_on_first_read():
+    calls = []
+
+    def build():
+        calls.append(1)
+        return np.arange(6.0).reshape(2, 3)
+
+    grid = RasterGrid(3, 2, "elevation", build, make_grid(np.zeros((1, 1))).geotransform)
+    assert (grid.width, grid.height, grid.band_kind) == (3, 2, "elevation") and not calls
+    values = grid.values
+    assert isinstance(values, np.ndarray) and np.array_equal(values, np.arange(6.0).reshape(2, 3))
+    assert grid.values is values and grid.valid_mask().all() and grid.values is values
+    assert len(calls) == 1
+
+
+def test_built_values_are_checked_as_given_values_are():
+    gt = make_grid(np.zeros((1, 1))).geotransform
+    steep = RasterGrid(2, 2, "slope", lambda: np.full((2, 2), 120.0), gt)
+    with pytest.raises(RasterError, match=r"\[0, 90\]"):
+        steep.values
+    wrong_shape = RasterGrid(2, 2, "elevation", lambda: np.zeros((3, 2)), gt)
+    with pytest.raises(RasterError, match="does not match declared 2x2 grid"):
+        wrong_shape.values
+
+
+def test_resample_and_slope_build_once_on_first_read(monkeypatch):
+    calls = Counter()
+    for name in ("_bilinear", "_slope"):
+        def counted(*args, _fn=getattr(raster, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(raster, name, counted)
+    dem = make_grid(np.random.default_rng(4).normal(scale=50.0, size=(6, 7)))
+    slope = compute_slope(resample(dem, 40.0))
+    assert (slope.width, slope.height) == (18, 15) and not calls
+    values = slope.values
+    assert calls == {"_bilinear": 1, "_slope": 1}
+    assert slope.values is values and slope.valid_mask().all()
+    assert calls == {"_bilinear": 1, "_slope": 1}
+
+
+def test_resampled_grid_lets_go_of_its_input_once_built():
+    """A built grid drops its builder, so a mapped input is unmapped once
+    nothing else holds it."""
+    dem = make_grid(np.ones((4, 4)))
+    ref = weakref.ref(dem)
+    out = resample(dem, 50.0)
+    del dem
+    gc.collect()
+    assert ref() is not None
+    out.values
+    gc.collect()
+    assert ref() is None
 
 
 def test_slope_bounds_for_random_dems():

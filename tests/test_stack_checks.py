@@ -4,7 +4,7 @@ run, detect, gridsearch, crossmatch and tile --no-export-images validate the
 raster stack from its headers and the loaded grids, then work from patch
 placements. These tests pin what that validation must keep: every error a
 bad stack raises, with its message, its precedence and exit code 2, and
-that none of these commands resamples, derives slope or tiles.
+that none of these commands builds resampled or slope values or tiles.
 """
 
 import json
@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from craterpipe import runner
+from craterpipe import raster, runner
 from craterpipe.cli import main
 from craterpipe.geo import GeoTransform
 from craterpipe.raster import RasterGrid, save_raster
@@ -175,9 +175,9 @@ def test_resampled_size_rounds_up_as_resample_does(tmp_path, command):
     assert main(COMMANDS[command] + ["--config", str(config)]) == 0
 
 
-def _refuse(name):
+def _refuse(module, name):
     def refuse(*args, **kwargs):
-        raise AssertionError(f"runner.{name} builds pixels")
+        raise AssertionError(f"{module.__name__}.{name} builds pixels")
 
     return refuse
 
@@ -190,8 +190,8 @@ def test_commands_without_image_export_build_no_pixels(tmp_path, monkeypatch, de
         yy, xx = np.mgrid[0:n, 0:n].astype(np.float32)
         gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=dem_resolution, body_radius=LUNAR_RADIUS)
         save_raster(RasterGrid(n, n, "elevation", 100.0 * np.sin(xx / 20.0) + yy, gt), tmp_path / "dem.bin")
-    for name in ("resample", "compute_slope", "tile", "replicate_single_band"):
-        monkeypatch.setattr(runner, name, _refuse(name))
+    for module, name in ((raster, "_bilinear"), (raster, "_slope"), (runner, "tile"), (runner, "replicate_single_band")):
+        monkeypatch.setattr(module, name, _refuse(module, name))
     for command in ("run", "detect", "gridsearch", "crossmatch", "tile"):
         assert main(COMMANDS[command] + ["--config", str(config)]) == 0, command
     assert (tmp_path / "out" / "patch_index.csv").read_text().count("\n") == 1 + 9

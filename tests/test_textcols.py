@@ -11,6 +11,7 @@ give, and what they write must read back bit for bit.
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -530,3 +531,34 @@ def test_a_field_csv_reader_refuses_is_refused_whatever_the_chunk(tmp_path):
     path.write_text("id,lon,lat,diam_km\n" + "x" * (csv.field_size_limit() + 1) + ",1.0,2.0,3.0\n")
     with pytest.raises(csv.Error, match="field larger than field limit"):
         load_catalog(path)
+
+
+# every line break str.splitlines knows, \r\n included
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@SETTINGS
+@given(pieces=st.lists(st.one_of(st.sampled_from(LINE_BREAKS), st.text("ab,# é", max_size=3)), max_size=16),
+       block=st.integers(1, 5))
+def test_text_lines_are_the_lines_of_the_whole_text(pieces, block):
+    """Blocks of one to five characters put every line break, and the two
+    halves of a CR LF pair, at a block edge."""
+    data = "".join(pieces).encode("utf-8")
+    whole = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().splitlines()
+    assert list(textcols.text_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), block)) == whole
+
+
+def test_load_detections_holds_a_chunk_not_the_file(tmp_path):
+    """A 4 MB record file of mostly comment lines loads within a small part
+    of its size: the file is read a block at a time, not whole."""
+    comment = "# " + "x" * 98
+    lines = [f"p{i},1.0,2.0,3.0,4.0,0.5" if i % 100 == 0 else comment for i in range(40_000)]
+    path = tmp_path / "r.csv"
+    path.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        assert len(load_detections(path)) == 400
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2, peak
