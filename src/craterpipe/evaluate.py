@@ -14,9 +14,13 @@ array. Each detection's best IOU comes from the sparse
 postprocess.overlap_pairs, never from a dense N x M matrix; there is no
 other box-overlap primitive.
 
-Everything here is pure; grid-search cells are independent. A cell makes
-the post-processing call run makes, postprocess.run_pipeline with its own
-(m, delta), delta None for the no-NMS column.
+Everything here is pure; a grid-search cell's result depends on its own
+(m, delta) alone. A cell makes the post-processing call run makes,
+postprocess.run_pipeline with its own (m, delta), delta None for the
+no-NMS column. The cells share one truth match per raw detection: a
+survivor's rows entry names its raw row, whose global box and so best
+truth IOU are the same in every cell, so each raw row is matched the first
+time a cell counts it and looked up after that.
 """
 
 from __future__ import annotations
@@ -164,16 +168,20 @@ def _max_ious(dets: DetectionSet, truth_boxes: np.ndarray) -> np.ndarray:
     return best
 
 
+def _report(best: np.ndarray, n_truth: int, u: float) -> MetricsReport:
+    """Counts and scores at threshold u of the detections whose best truth
+    IOUs are best, against n_truth truth boxes."""
+    n, tp = best.shape[0], int((best >= u).sum())
+    return metrics_from_counts(tp, n - tp, max(0, n_truth - tp), u, n, n_truth, fn_raw=n_truth - tp)
+
+
 def match_and_count(
     dets: DetectionSet,
     truth_boxes: np.ndarray,
     cfg: EvalConfig,
 ) -> MetricsReport:
     """Count TP/FP/FN at threshold cfg.u. Apply size_gate first if needed."""
-    best = _max_ious(dets, truth_boxes)
-    n, m = best.shape[0], np.asarray(truth_boxes).reshape(-1, 4).shape[0]
-    tp = int((best >= cfg.u).sum())
-    return metrics_from_counts(tp, n - tp, max(0, m - tp), cfg.u, n, m, fn_raw=m - tp)
+    return _report(_max_ious(dets, truth_boxes), np.asarray(truth_boxes).reshape(-1, 4).shape[0], cfg.u)
 
 
 def size_gate(dets: DetectionSet, cfg: EvalConfig) -> DetectionSet:
@@ -224,9 +232,11 @@ def grid_search(
 
     Every (m, delta) cell, plus an NMS-disabled column (delta None) per m
     when include_no_nms is set, runs the full post-processing pipeline on
-    per_patch and is scored against the truth. The
-    best cell maximizes F1; ties prefer larger m, then smaller delta, with
-    the disabled column ranked after any real delta.
+    per_patch and is scored against the truth, as match_and_count scores
+    it. The cells share one truth match per raw row of per_patch, made by
+    the first cell that counts the row. The best cell maximizes F1; ties
+    prefer larger m, then smaller delta, with the disabled column ranked
+    after any real delta.
     """
     if not m_set:
         raise EvalError("grid search needs a non-empty m set")
@@ -234,12 +244,20 @@ def grid_search(
         raise EvalError("grid search needs a non-empty delta set")
 
     deltas: list[float | None] = list(delta_set) + ([None] if include_no_nms else [])
+    truth_boxes = np.asarray(truth_boxes, dtype=np.float64).reshape(-1, 4)
+    # best[r] is raw row r's best truth IOU once seen[r]; a mask, since an IOU can be NaN
+    best = np.zeros(per_patch.scores.shape[0])
+    seen = np.zeros(best.shape[0], dtype=bool)
     cells = []
     for m in m_set:
         for delta in deltas:
             survivors = run_pipeline(per_patch, patch_index, gt, ps_r, int(m), delta)
             gated = size_gate(survivors, cfg)
-            cells.append(GridCell(m=int(m), delta=delta, report=match_and_count(gated, truth_boxes, cfg)))
+            new = gated.take(np.flatnonzero(~seen[gated.rows]))
+            best[new.rows] = _max_ious(new, truth_boxes)
+            seen[new.rows] = True
+            report = _report(best[gated.rows], truth_boxes.shape[0], cfg.u)
+            cells.append(GridCell(m=int(m), delta=delta, report=report))
 
     def rank(cell: GridCell) -> tuple[float, int, float]:
         delta_key = cell.delta if cell.delta is not None else float("inf")

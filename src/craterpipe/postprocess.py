@@ -54,15 +54,19 @@ class DetectionSet:
     stages.
 
     boxes and pixel_boxes are (N, 4) float64 arrays, scores an (N,) float64
-    array and patch_ids an (N,) object array of str. take() selects rows and
-    stays columnar.
+    array and patch_ids an (N,) object array of str. rows is an (N,) intp
+    array, the row of the source each detection came from: run_pipeline's
+    rows index its per-patch input, and a set built without rows numbers
+    them 0..N-1. No file holds rows. take() selects rows and stays columnar.
     """
 
-    def __init__(self, boxes, scores, patch_ids, pixel_boxes) -> None:
+    def __init__(self, boxes, scores, patch_ids, pixel_boxes, rows=None) -> None:
         self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         self.scores = np.asarray(scores, dtype=np.float64).reshape(-1)
         self.patch_ids = np.asarray(patch_ids, dtype=object).reshape(-1)
         self.pixel_boxes = np.asarray(pixel_boxes, dtype=np.float64).reshape(-1, 4)
+        n = self.scores.shape[0]
+        self.rows = np.arange(n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp).reshape(-1)
 
     @classmethod
     def concat(cls, parts: Sequence[DetectionSet]) -> DetectionSet:
@@ -72,12 +76,15 @@ class DetectionSet:
             np.concatenate([p.scores for p in parts]),
             np.concatenate([p.patch_ids for p in parts]),
             np.concatenate([p.pixel_boxes for p in parts]),
+            np.concatenate([p.rows for p in parts]),
         )
 
     def take(self, idx) -> DetectionSet:
         """Rows idx, in that order."""
         idx = np.asarray(idx, dtype=np.intp)
-        return DetectionSet(self.boxes[idx], self.scores[idx], self.patch_ids[idx], self.pixel_boxes[idx])
+        return DetectionSet(
+            self.boxes[idx], self.scores[idx], self.patch_ids[idx], self.pixel_boxes[idx], self.rows[idx]
+        )
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -225,13 +232,15 @@ def _globalize(
     scores: np.ndarray,
     patch_index: Mapping[str, tuple[int, int, float]],
     gt: GeoTransform,
+    rows: np.ndarray,
 ) -> DetectionSet:
     """Map per-patch pixel boxes to mosaic meters, as columns.
 
     Row r lies in patch keys[codes[r]], and patch_index maps patch_id ->
     (row0, col0, delta_f); each patch is looked up once. Northing decreases
     with pixel row, so y corners swap; output boxes are re-normalized to
-    x1 < x2, y1 < y2. Count, order and scores are preserved.
+    x1 < x2, y1 < y2. Count, order and scores are preserved, and rows
+    becomes the set's rows column.
     """
     keys = np.asarray(keys, dtype=object).reshape(-1)
     unknown = np.array([k not in patch_index for k in keys], dtype=bool)[codes]
@@ -247,13 +256,14 @@ def _globalize(
     bad = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
     if bad.any():
         raise PipelineError(f"degenerate global box {tuple(boxes[bad.argmax()].tolist())}")
-    return DetectionSet(boxes, scores, keys[codes], pixel_boxes)
+    return DetectionSet(boxes, scores, keys[codes], pixel_boxes, rows)
 
 
 def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray:
     """Indices greedy NMS keeps, in selection order (see nms)."""
     n = scores.shape[0]
-    order = np.lexsort((np.arange(n), boxes[:, 1], boxes[:, 0], -scores))
+    # lexsort is stable, so full ties keep input order
+    order = np.lexsort((boxes[:, 1], boxes[:, 0], -scores))
     if delta <= 0.0:
         # IOU >= 0 holds for every pair, disjoint ones included
         return order[:1]
@@ -264,14 +274,21 @@ def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray
     ri, rj = rank[i[edge]], rank[j[edge]]
     # Each pair comes once; its edge runs from the earlier-ranked box.
     head, tail = np.minimum(ri, rj), np.maximum(ri, rj)
+    # A head no edge reaches is never suppressed, and what it suppresses is
+    # ranked after it, so all such heads act at once; the loop takes the rest.
+    reached = np.zeros(n, dtype=bool)
+    reached[tail] = True
+    free = ~reached[head]
+    suppressed = np.zeros(n, dtype=bool)
+    suppressed[tail[free]] = True
+    head, tail = head[~free], tail[~free]
     by_head = np.argsort(head, kind="stable")
     head, tail = head[by_head], tail[by_head]
-    heads, starts = np.unique(head, return_index=True)
+    starts = np.flatnonzero(np.diff(head, prepend=-1))
     ends = np.append(starts[1:], head.size)
     # Each box still standing suppresses its later-ranked neighbours, in rank
     # order; a box without later neighbours suppresses nothing.
-    suppressed = np.zeros(n, dtype=bool)
-    for h, lo, hi in zip(heads.tolist(), starts.tolist(), ends.tolist()):
+    for h, lo, hi in zip(head[starts].tolist(), starts.tolist(), ends.tolist()):
         if not suppressed[h]:
             suppressed[tail[lo:hi]] = True
     return order[~suppressed]
@@ -305,11 +322,11 @@ def run_pipeline(
     None skips it. The rows of per_patch are merged in sorted patch id
     order, so the merged set (and therefore NMS tie-breaking) never depends
     on the order the patches were detected in. Every stage works on the
-    columns.
+    columns, and each survivor's rows entry is its row in per_patch.
     """
     keep = np.flatnonzero(_inside(per_patch.boxes, ps_r, m))
     merged = _globalize(
-        per_patch.patches, per_patch.codes[keep], per_patch.boxes[keep], per_patch.scores[keep], patch_index, gt
+        per_patch.patches, per_patch.codes[keep], per_patch.boxes[keep], per_patch.scores[keep], patch_index, gt, keep
     )
     return nms(merged, delta)
 

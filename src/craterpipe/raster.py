@@ -112,8 +112,9 @@ class RasterGrid:
             object.__setattr__(self, "source", built.source)
         return self.source
 
-    def valid_mask(self, rows: slice = slice(None)) -> np.ndarray:
-        """Which cells of the given rows (all rows by default) are valid."""
+    def valid_mask(self, rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """Which cells of the given rows (a slice or row indices; all rows by
+        default) are valid."""
         values = self.values[rows]
         if self.nodata is None:
             return np.ones(values.shape, dtype=bool)
@@ -344,8 +345,10 @@ def resample(grid: RasterGrid, target_resolution: float) -> RasterGrid:
 
 
 def _bilinear(grid: RasterGrid, out_w: int, out_h: int, target_resolution: float) -> np.ndarray:
-    """resample's values."""
-    valid = grid.valid_mask()
+    """resample's values, built in blocks of output rows holding at most
+    _WINDOW_BYTES of float64 each (one row at least). A block gathers only
+    the input rows it reads and converts them to float64, so temporaries are
+    the size of a block, not of the grid."""
     s_in = grid.geotransform.resolution
     s_out = target_resolution
 
@@ -359,35 +362,32 @@ def _bilinear(grid: RasterGrid, out_w: int, out_h: int, target_resolution: float
 
     c0, c1, fx = axis_samples(out_w, grid.width)
     r0, r1, fy = axis_samples(out_h, grid.height)
-
-    v = np.asarray(grid.values, dtype=np.float64)
-    v00 = v[np.ix_(r0, c0)]
-    v01 = v[np.ix_(r0, c1)]
-    v10 = v[np.ix_(r1, c0)]
-    v11 = v[np.ix_(r1, c1)]
-
     wx1 = fx[np.newaxis, :]
-    wy1 = fy[:, np.newaxis]
-    out = (
-        (1.0 - wy1) * ((1.0 - wx1) * v00 + wx1 * v01)
-        + wy1 * ((1.0 - wx1) * v10 + wx1 * v11)
-    )
-
-    nodata = grid.nodata
-    if nodata is not None:
-        bad = ~valid
-        eps = 1e-12
-        w00 = (1.0 - wy1) * (1.0 - wx1)
-        w01 = (1.0 - wy1) * wx1
-        w10 = wy1 * (1.0 - wx1)
-        w11 = wy1 * wx1
-        poisoned = (
-            (bad[np.ix_(r0, c0)] & (w00 > eps))
-            | (bad[np.ix_(r0, c1)] & (w01 > eps))
-            | (bad[np.ix_(r1, c0)] & (w10 > eps))
-            | (bad[np.ix_(r1, c1)] & (w11 > eps))
+    out = np.empty((out_h, out_w))
+    step = max(1, _WINDOW_BYTES // (out_w * out.itemsize))
+    for lo in range(0, out_h, step):
+        rows = slice(lo, lo + step)
+        v0 = np.asarray(grid.values[r0[rows]], dtype=np.float64)
+        v1 = np.asarray(grid.values[r1[rows]], dtype=np.float64)
+        wy1 = fy[rows, np.newaxis]
+        out[rows] = (
+            (1.0 - wy1) * ((1.0 - wx1) * v0[:, c0] + wx1 * v0[:, c1])
+            + wy1 * ((1.0 - wx1) * v1[:, c0] + wx1 * v1[:, c1])
         )
-        out[poisoned] = nodata
+        if grid.nodata is not None:
+            bad0, bad1 = ~grid.valid_mask(r0[rows]), ~grid.valid_mask(r1[rows])
+            eps = 1e-12
+            w00 = (1.0 - wy1) * (1.0 - wx1)
+            w01 = (1.0 - wy1) * wx1
+            w10 = wy1 * (1.0 - wx1)
+            w11 = wy1 * wx1
+            poisoned = (
+                (bad0[:, c0] & (w00 > eps))
+                | (bad0[:, c1] & (w01 > eps))
+                | (bad1[:, c0] & (w10 > eps))
+                | (bad1[:, c1] & (w11 > eps))
+            )
+            out[rows][poisoned] = grid.nodata
     return out
 
 

@@ -148,6 +148,74 @@ def brute_force_metrics(det_boxes, truth_boxes, u):
     return tp, fp, fn, p, r, f1
 
 
+def grid_search_cells(per_patch, patch_index, gt, truth_boxes, ps_r, m_set, deltas, u,
+                      size_floor_km=None, size_ceiling_km=None):
+    """Every (m, delta) cell of a grid search, each on its own.
+
+    Each cell runs scalar_pipeline, keeps the boxes whose mean side in km
+    lies in [size_floor_km, size_ceiling_km), and counts them with
+    brute_force_counts. Returns one (m, delta, tp, fp, fn, fn_raw,
+    precision, recall, f1) tuple per cell, m-major, and the index of the
+    best cell: highest F1, then larger m, then smaller delta with None
+    after every number, then the earliest cell.
+    """
+    cells = []
+    for m in m_set:
+        for delta in deltas:
+            gated = []
+            for row in scalar_pipeline(per_patch, patch_index, gt, ps_r, m, delta):
+                x1, y1, x2, y2 = row.box
+                diam_km = ((x2 - x1) + (y2 - y1)) / 2.0 / 1000.0
+                if size_floor_km is not None and diam_km < size_floor_km:
+                    continue
+                if size_ceiling_km is not None and diam_km >= size_ceiling_km:
+                    continue
+                gated.append(row.box)
+            tp, fp, fn, fn_raw = brute_force_counts(gated, truth_boxes, u)
+            p = tp / (tp + fp) if tp + fp else 0.0
+            r = tp / (tp + fn) if tp + fn else 0.0
+            f1 = 2.0 * p * r / (p + r) if tp + fp and tp + fn and p + r else 0.0
+            cells.append((m, delta, tp, fp, fn, fn_raw, p, r, f1))
+
+    def worse(k):
+        m, delta, f1 = cells[k][0], cells[k][1], cells[k][8]
+        return (-f1, -m, math.inf if delta is None else delta, k)
+
+    return cells, min(range(len(cells)), key=worse)
+
+
+def bilinear_whole(grid, out_w, out_h, target_resolution):
+    """raster._bilinear's values built over the whole grid at once: four
+    full-size corner gathers in float64, then one expression."""
+    valid = grid.valid_mask()
+    s_in = grid.geotransform.resolution
+    s_out = target_resolution
+
+    def axis_samples(n_out, n_in):
+        pos = (np.arange(n_out) + 0.5) * s_out / s_in - 0.5
+        i0 = np.floor(pos).astype(np.int64)
+        frac = pos - i0
+        return np.clip(i0, 0, n_in - 1), np.clip(i0 + 1, 0, n_in - 1), frac
+
+    c0, c1, fx = axis_samples(out_w, grid.width)
+    r0, r1, fy = axis_samples(out_h, grid.height)
+    v = np.asarray(grid.values, dtype=np.float64)
+    v00, v01 = v[np.ix_(r0, c0)], v[np.ix_(r0, c1)]
+    v10, v11 = v[np.ix_(r1, c0)], v[np.ix_(r1, c1)]
+    wx1, wy1 = fx[np.newaxis, :], fy[:, np.newaxis]
+    out = (1.0 - wy1) * ((1.0 - wx1) * v00 + wx1 * v01) + wy1 * ((1.0 - wx1) * v10 + wx1 * v11)
+    if grid.nodata is not None:
+        bad, eps = ~valid, 1e-12
+        poisoned = (
+            (bad[np.ix_(r0, c0)] & ((1.0 - wy1) * (1.0 - wx1) > eps))
+            | (bad[np.ix_(r0, c1)] & ((1.0 - wy1) * wx1 > eps))
+            | (bad[np.ix_(r1, c0)] & (wy1 * (1.0 - wx1) > eps))
+            | (bad[np.ix_(r1, c1)] & (wy1 * wx1 > eps))
+        )
+        out[poisoned] = grid.nodata
+    return out
+
+
 def rasterized_iou(a, b, cells=800):
     """Estimate IOU by painting both boxes on a pixel grid and counting.
 

@@ -7,6 +7,8 @@ import io
 import numpy as np
 import pytest
 
+from craterpipe import evaluate
+from craterpipe.cli import main
 from craterpipe.errors import EvalError
 from craterpipe.evaluate import (
     EvalConfig,
@@ -19,9 +21,11 @@ from craterpipe.evaluate import (
     write_metrics,
 )
 from craterpipe.geo import GeoTransform
+from craterpipe.postprocess import run_pipeline
 
 from conftest import LUNAR_RADIUS, global_set, pair_iou, patch_columns
 from reference import brute_force_metrics, iou, iou_matrix, rasterized_iou
+from scene import plant_craters, write_scene
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
 NO_DETECTIONS = patch_columns({})
@@ -243,6 +247,52 @@ def test_grid_search_empty_sets_error():
 def test_grid_search_cell_count():
     res = grid_search(NO_DETECTIONS, {}, GT, np.zeros((0, 4)), 512, [0, 1], [0.1, 0.2, 0.3], EvalConfig())
     assert len(res.cells) == 2 * (3 + 1)
+
+
+def test_grid_search_matches_each_raw_row_once(tmp_path, monkeypatch):
+    """Across the 24 cells of one gridsearch, the rows reaching _max_ious
+    are the raw rows some cell keeps, each once."""
+    config = write_scene(tmp_path, plant_craters(6), noise={"false_positive_rate": 3.0, "center_jitter_px": 2.0})
+    raw, kept, matched = [], set(), []
+    real_pipeline, real_max_ious = evaluate.run_pipeline, evaluate._max_ious
+
+    def pipeline(per_patch, *args):
+        out = real_pipeline(per_patch, *args)
+        raw.append(per_patch.scores.shape[0])
+        kept.update(out.rows.tolist())
+        return out
+
+    def max_ious(dets, truth_boxes):
+        matched.extend(dets.rows.tolist())
+        return real_max_ious(dets, truth_boxes)
+
+    monkeypatch.setattr(evaluate, "run_pipeline", pipeline)
+    monkeypatch.setattr(evaluate, "_max_ious", max_ious)
+    assert main(["gridsearch", "--config", str(config)]) == 0
+    assert len(raw) == 24 and len(set(raw)) == 1
+    assert 0 < len(matched) == len(set(matched)) <= raw[0]
+    assert set(matched) == kept
+
+
+def test_grid_search_counts_a_nan_iou_as_match_and_count_does():
+    """A box whose area overflows has a NaN IOU against its own copy in the
+    truth. A NaN best IOU is never a TP, and its row is still matched once."""
+    gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=1e198, body_radius=LUNAR_RADIUS)
+    # 2e200 m sides, whose area overflows, and 1e18 m sides 1e-180 px inside the patch edge
+    per_patch = patch_columns({"p": [((100.0, 100.0, 300.0, 300.0), 0.9), ((1e-180, 1e-180, 2e-180, 2e-180), 0.8)]})
+    index, cfg = {"p": (0, 0, 1.0)}, EvalConfig(u=0.3)
+    truth = run_pipeline(per_patch, index, gt, 512, 0, None).boxes
+    matched = []
+    real = evaluate._max_ious
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(real(run_pipeline(per_patch, index, gt, 512, 1, None), truth)).all()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluate, "_max_ious", lambda dets, t: matched.append(len(dets)) or real(dets, t))
+            res = grid_search(per_patch, index, gt, truth, 512, [0, 1, 5], [0.3], cfg)
+        alone = [match_and_count(run_pipeline(per_patch, index, gt, 512, c.m, c.delta), truth, cfg) for c in res.cells]
+    assert sum(matched) == 2
+    assert [c.report for c in res.cells] == alone
+    assert [(c.m, c.report.tp, c.report.n_detections) for c in res.cells[::2]] == [(0, 1, 2), (1, 0, 1), (5, 0, 1)]
 
 
 # ---------------------------------------------------------------------------

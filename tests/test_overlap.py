@@ -191,6 +191,33 @@ def test_nms_matches_quadratic_reference_with_ties(boxes, data, delta):
     assert nms(dets, delta).patch_ids.tolist() == expected
 
 
+@st.composite
+def ranked_chains(draw):
+    """Chains of 10-unit boxes, each stepping 1 to 9 units right of the one
+    before and scoring no higher, so every box but a chain's first has an
+    earlier-ranked neighbour (equal scores rank by x1). The rows come
+    shuffled; a row's patch id is its input index."""
+    boxes, scores = [], []
+    for chain in range(draw(st.integers(1, 3))):
+        x, score = 0.0, 1.0
+        for _ in range(draw(st.integers(2, 25))):
+            boxes.append((x, 100.0 * chain, x + 10.0, 100.0 * chain + 10.0))
+            scores.append(score)
+            x += draw(st.integers(1, 9))
+            score -= draw(st.sampled_from([0.0, 0.01, 0.1]))
+    order = draw(st.permutations(range(len(boxes))))
+    return np.array(boxes)[order], [scores[k] for k in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranked_chains(), DELTAS)
+def test_nms_matches_quadratic_reference_on_ranked_chains(chains, delta):
+    boxes, scores = chains
+    dets = global_set(boxes, scores, [f"p{i}" for i in range(len(scores))])
+    expected = [f"p{i}" for i in quadratic_nms(boxes, scores, delta)]
+    assert nms(dets, delta).patch_ids.tolist() == expected
+
+
 # ---------------------------------------------------------------------------
 # memory is bounded by the inputs and the overlapping pairs, not N x M
 

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from craterpipe.detector import DetectorInterface, PatchDetections, load_detections, save_detections
 from craterpipe.errors import DetectionError
+from craterpipe.evaluate import EvalConfig, grid_search
 from craterpipe.geo import GeoTransform
 from craterpipe.postprocess import DetectionSet, run_pipeline
 from craterpipe.raster import PatchPlacement, PatchSpec
 from craterpipe.runner import detect_patches
 
 from conftest import LUNAR_RADIUS, patch_columns
-from reference import group_by_patch, scalar_pipeline
+from reference import grid_search_cells, group_by_patch, scalar_pipeline
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
 # a transform whose products round, so the order of operations shows in the bits
@@ -198,3 +199,65 @@ def test_unknown_patch_error_names_the_first_row():
     per_patch = patch_columns({"a": [edge], PATCH_IDS[0]: [row]})
     out = run_pipeline(per_patch, PATCH_INDEX, GT, PS_R, 0, 0.3)
     assert out.patch_ids.tolist() == [PATCH_IDS[0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(per_patch_detections(), st.sampled_from([-1, 0, 5]), st.sampled_from([None, 0.0, 0.3]))
+def test_pipeline_rows_name_the_raw_rows(per_patch, m, delta):
+    columns = patch_columns(per_patch)
+    out = run_pipeline(columns, PATCH_INDEX, GT, PS_R, m, delta)
+    assert out.rows.dtype == np.intp and np.unique(out.rows).size == len(out)
+    assert columns.boxes[out.rows].tobytes() == out.pixel_boxes.tobytes()
+    assert columns.scores[out.rows].tobytes() == out.scores.tobytes()
+    assert columns.patch_ids[out.rows].tolist() == out.patch_ids.tolist()
+
+
+# ---------------------------------------------------------------------------
+# grid search: every cell against the per-cell scalar reference
+
+_jitter = st.sampled_from([-200.0, 0.0, 200.0])
+
+
+@st.composite
+def truth_near(draw, per_patch, gt):
+    """Truth boxes, some copied from the globalized detections and moved by
+    a lattice step or not at all, so that IOUs of 1 and near the thresholds
+    are common; empty at times."""
+    raw = [row.box for row in scalar_pipeline(per_patch, PATCH_INDEX, gt, PS_R, -1, None)]
+    boxes = []
+    if raw:
+        for k, dx, dy, grow in draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), _jitter, _jitter,
+                                                       st.sampled_from([0.0, 200.0])), max_size=8)):
+            x1, y1, x2, y2 = raw[k]
+            boxes.append((x1 + dx, y1 + dy, x2 + dx + grow, y2 + dy + grow))
+    for i, j, w, h in draw(st.lists(st.tuples(_corner, _corner, _side, _side), max_size=3)):
+        boxes.append((200.0 * i, -200.0 * (j + h), 200.0 * (i + w), -200.0 * j))
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    per_patch_detections(),
+    st.data(),
+    st.lists(st.sampled_from([0, 1, 5, 20]), min_size=1, max_size=3),  # unsorted, repeated
+    st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), min_size=1, max_size=3),
+    st.booleans(),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.sampled_from([(None, None), (1.0, None), (None, 2.5), (0.5, 3.0)]),
+    st.sampled_from([GT, GT_INEXACT]),
+)
+def test_grid_search_equals_each_cell_run_on_its_own(per_patch, data, m_set, delta_set, no_nms, u, gate, gt):
+    """The cells share one truth match per raw row; each cell's counts and
+    scores, and the best cell, must equal those of the cell scored alone."""
+    truth = data.draw(truth_near(per_patch, gt))
+    floor, ceiling = gate
+    cfg = EvalConfig(u=u, size_floor_km=floor, size_ceiling_km=ceiling)
+    got = grid_search(patch_columns(per_patch), PATCH_INDEX, gt, truth, PS_R, m_set, delta_set, cfg, no_nms)
+    deltas = delta_set + ([None] if no_nms else [])
+    want, best = grid_search_cells(per_patch, PATCH_INDEX, gt, truth, PS_R, m_set, deltas, u, floor, ceiling)
+    reports = [c.report for c in got.cells]
+    assert [
+        (c.m, c.delta, r.tp, r.fp, r.fn, r.fn_raw, r.precision, r.recall, r.f1) for c, r in zip(got.cells, reports)
+    ] == want
+    assert all(r.n_detections == r.tp + r.fp and r.n_truth == truth.shape[0] for r in reports)
+    assert (got.best_m, got.best_delta) == want[best][:2]

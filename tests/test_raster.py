@@ -35,8 +35,8 @@ from craterpipe.raster import (
     write_patch_image,
 )
 
-from conftest import make_grid, planar_dem, write_raster
-from reference import slope_in_range
+from conftest import LUNAR_RADIUS, make_grid, planar_dem, write_raster
+from reference import bilinear_whole, slope_in_range
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +227,30 @@ def test_resample_propagates_nodata():
     assert (out.values == -9999.0).any()
     # corner far from the hole stays clean
     assert out.values[-1, -1] != -9999.0
+
+
+@pytest.mark.parametrize("dtype, nodata", [
+    ("float64", None), ("float64", -9999.0), ("float64", float("nan")), ("float32", float("nan")),
+    ("float32", 0.1),  # a sentinel float32 cannot hold: cells equal to float32(0.1) are nodata
+    ("int16", None), ("int16", -9999.0),
+])
+@pytest.mark.parametrize("target", [50.0, 30.0, 100.0, 170.0])
+def test_resample_in_row_blocks_equals_the_whole_grid_expression(monkeypatch, dtype, nodata, target):
+    """resample builds its values a few output rows at a time; every block
+    size gives the bits of the whole-grid expression, with nodata cells on
+    the input rows that block edges read."""
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-500.0, 500.0, (13, 11)).astype(dtype)
+    if nodata is not None:
+        values[[0, 2, 5, 6, 12], [0, 4, 10, 3, 7]] = nodata
+    grid = RasterGrid(11, 13, "elevation", values, GeoTransform(0.0, 0.0, 100.0, LUNAR_RADIUS), nodata)
+    out = resample(grid, target)
+    want = bilinear_whole(grid, out.width, out.height, target)
+    for block_rows in (None, 1, 2, 3, 7):
+        if block_rows is not None:
+            monkeypatch.setattr(raster, "_WINDOW_BYTES", block_rows * out.width * 8)
+        got = resample(grid, target).values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_resample_extent_covers_input():
