@@ -17,10 +17,11 @@ and is safe to parallelize per patch.
 resample and compute_slope make every check when they are called and
 return a grid whose values are built the first time something reads them,
 so a caller that needs only a grid's band, size and geotransform builds no
-values. check_co_registered is the check tile makes on its grids, and
-patch_placements gives patch_grid's windows as PatchPlacements, a
-FusedPatch's geometry without its channels, so consumers that never read
-pixels can work from placements alone.
+values; RasterGrid builds them in the row windows (_windows) that the
+whole-grid checks reduce over. check_co_registered is the check tile makes
+on its grids, and patch_placements gives patch_grid's windows as
+PatchPlacements, a FusedPatch's geometry without its channels, so
+consumers that never read pixels can work from placements alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -65,17 +66,26 @@ _DTYPES = {
     "float64": "<f8",
 }
 
-# Bytes of values per window of a whole-grid check (RasterGrid._row_windows).
+# Bytes of values per row window (_windows) of a build or a whole-grid check.
 _WINDOW_BYTES = 1 << 22
+
+
+def _windows(height: int, row_bytes: int) -> list[slice]:
+    """Row slices covering height rows of row_bytes each in order, at most
+    _WINDOW_BYTES (one row at least) per slice; the last stops at height.
+    Work over them holds temporaries the size of a window, not a grid."""
+    step = max(1, _WINDOW_BYTES // max(1, row_bytes))
+    return [slice(r, min(r + step, height)) for r in range(0, height, step)]
 
 
 @dataclass(frozen=True)
 class RasterGrid:
     """A single-band georeferenced grid.
 
-    source is the (height, width) value array, or a function of no
-    arguments that builds it. values is the array: a built one is built the
-    first time values is read, checked as a given one is, and then kept.
+    source is the (height, width) value array, or a builder: a function of
+    a row slice giving those rows' float64 values. values is the array: a
+    built one is built window by window the first time values is read,
+    checked as a given one is, and then kept.
     Elevation is meters, slope degrees, intensity unitless. Cells equal to
     the nodata sentinel are invalid (NaN cells when the sentinel is NaN).
     """
@@ -83,7 +93,7 @@ class RasterGrid:
     width: int
     height: int
     band_kind: str
-    source: np.ndarray | Callable[[], np.ndarray]
+    source: np.ndarray | Callable[[slice], np.ndarray]
     geotransform: GeoTransform
     nodata: float | None = None
 
@@ -92,13 +102,9 @@ class RasterGrid:
             raise RasterError(f"unknown band kind {self.band_kind!r}, expected one of {BAND_KINDS}")
         if callable(self.source):
             return
-        if self.values.shape != (self.height, self.width):
-            raise RasterError(
-                f"value shape {self.values.shape} does not match "
-                f"declared {self.height}x{self.width} grid"
-            )
+        _shaped(self.values, (self.height, self.width), self)
         if self.band_kind == "slope" and np.issubdtype(self.values.dtype, np.floating):
-            for rows in self._row_windows():
+            for rows in _windows(self.height, self.width * self.values.itemsize):
                 v = self.values[rows]
                 # NaN fails both tests, so a valid NaN cell is out of range
                 if (~((v >= 0.0) & (v <= 90.0)) & self.valid_mask(rows)).any():
@@ -107,7 +113,10 @@ class RasterGrid:
     @property
     def values(self) -> np.ndarray:
         if callable(self.source):
-            built = RasterGrid(self.width, self.height, self.band_kind, self.source(), self.geotransform, self.nodata)
+            out = np.empty((self.height, self.width))
+            for rows in _windows(self.height, self.width * out.itemsize):
+                out[rows] = _shaped(self.source(rows), out[rows].shape, self)  # a wrong shape may broadcast
+            built = RasterGrid(self.width, self.height, self.band_kind, out, self.geotransform, self.nodata)
             # drops the builder and what it holds, such as a mapped input
             object.__setattr__(self, "source", built.source)
         return self.source
@@ -122,13 +131,11 @@ class RasterGrid:
             return ~np.isnan(values)
         return values != self.nodata
 
-    def _row_windows(self) -> Iterator[slice]:
-        """Row slices that cover the grid in order, each holding at most
-        _WINDOW_BYTES of values (one row at least). A check that reduces
-        over these windows pages a mapped payload in once and holds
-        temporaries the size of one window, not of the grid."""
-        step = max(1, _WINDOW_BYTES // max(1, self.width * self.values.itemsize))
-        return (slice(r, r + step) for r in range(0, self.height, step))
+
+def _shaped(values: np.ndarray, shape: tuple, grid: RasterGrid) -> np.ndarray:
+    if values.shape != shape:
+        raise RasterError(f"value shape {values.shape} does not match declared {grid.height}x{grid.width} grid")
+    return values
 
 
 @dataclass(frozen=True)
@@ -331,7 +338,7 @@ def resample(grid: RasterGrid, target_resolution: float) -> RasterGrid:
     """
     if not target_resolution > 0:
         raise RasterError(f"target resolution must be positive, got {target_resolution}")
-    if not any(grid.valid_mask(rows).any() for rows in grid._row_windows()):
+    if not any(grid.valid_mask(r).any() for r in _windows(grid.height, grid.width * grid.values.itemsize)):
         raise RasterError("cannot resample an all-nodata grid")
     gt = grid.geotransform
     size = [n * gt.resolution / target_resolution for n in (grid.width, grid.height)]
@@ -340,54 +347,47 @@ def resample(grid: RasterGrid, target_resolution: float) -> RasterGrid:
                           f"{target_resolution} m: the resampled size is not finite")
     width, height = map(math.ceil, size)
     out_gt = GeoTransform(gt.x_min, gt.y_max, target_resolution, gt.body_radius)
-    return RasterGrid(width, height, grid.band_kind, lambda: _bilinear(grid, width, height, target_resolution),
+    return RasterGrid(width, height, grid.band_kind, lambda rows: _bilinear(grid, width, target_resolution, rows),
                       out_gt, grid.nodata)
 
 
-def _bilinear(grid: RasterGrid, out_w: int, out_h: int, target_resolution: float) -> np.ndarray:
-    """resample's values, built in blocks of output rows holding at most
-    _WINDOW_BYTES of float64 each (one row at least). A block gathers only
-    the input rows it reads and converts them to float64, so temporaries are
-    the size of a block, not of the grid."""
+def _bilinear(grid: RasterGrid, out_w: int, target_resolution: float, rows: slice) -> np.ndarray:
+    """resample's values for the output rows in rows. They gather only the
+    input rows they read and convert those to float64."""
     s_in = grid.geotransform.resolution
     s_out = target_resolution
 
-    def axis_samples(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        pos = (np.arange(n_out) + 0.5) * s_out / s_in - 0.5
+    def axis_samples(out: np.ndarray, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pos = (out + 0.5) * s_out / s_in - 0.5
         i0 = np.floor(pos).astype(np.int64)
         frac = pos - i0
         lo = np.clip(i0, 0, n_in - 1)
         hi = np.clip(i0 + 1, 0, n_in - 1)
         return lo, hi, frac
 
-    c0, c1, fx = axis_samples(out_w, grid.width)
-    r0, r1, fy = axis_samples(out_h, grid.height)
-    wx1 = fx[np.newaxis, :]
-    out = np.empty((out_h, out_w))
-    step = max(1, _WINDOW_BYTES // (out_w * out.itemsize))
-    for lo in range(0, out_h, step):
-        rows = slice(lo, lo + step)
-        v0 = np.asarray(grid.values[r0[rows]], dtype=np.float64)
-        v1 = np.asarray(grid.values[r1[rows]], dtype=np.float64)
-        wy1 = fy[rows, np.newaxis]
-        out[rows] = (
-            (1.0 - wy1) * ((1.0 - wx1) * v0[:, c0] + wx1 * v0[:, c1])
-            + wy1 * ((1.0 - wx1) * v1[:, c0] + wx1 * v1[:, c1])
+    c0, c1, fx = axis_samples(np.arange(out_w), grid.width)
+    r0, r1, fy = axis_samples(np.arange(rows.start, rows.stop), grid.height)
+    wx1, wy1 = fx[np.newaxis, :], fy[:, np.newaxis]
+    v0 = np.asarray(grid.values[r0], dtype=np.float64)
+    v1 = np.asarray(grid.values[r1], dtype=np.float64)
+    out = (
+        (1.0 - wy1) * ((1.0 - wx1) * v0[:, c0] + wx1 * v0[:, c1])
+        + wy1 * ((1.0 - wx1) * v1[:, c0] + wx1 * v1[:, c1])
+    )
+    if grid.nodata is not None:
+        bad0, bad1 = ~grid.valid_mask(r0), ~grid.valid_mask(r1)
+        eps = 1e-12
+        w00 = (1.0 - wy1) * (1.0 - wx1)
+        w01 = (1.0 - wy1) * wx1
+        w10 = wy1 * (1.0 - wx1)
+        w11 = wy1 * wx1
+        poisoned = (
+            (bad0[:, c0] & (w00 > eps))
+            | (bad0[:, c1] & (w01 > eps))
+            | (bad1[:, c0] & (w10 > eps))
+            | (bad1[:, c1] & (w11 > eps))
         )
-        if grid.nodata is not None:
-            bad0, bad1 = ~grid.valid_mask(r0[rows]), ~grid.valid_mask(r1[rows])
-            eps = 1e-12
-            w00 = (1.0 - wy1) * (1.0 - wx1)
-            w01 = (1.0 - wy1) * wx1
-            w10 = wy1 * (1.0 - wx1)
-            w11 = wy1 * wx1
-            poisoned = (
-                (bad0[:, c0] & (w00 > eps))
-                | (bad0[:, c1] & (w01 > eps))
-                | (bad1[:, c0] & (w10 > eps))
-                | (bad1[:, c1] & (w11 > eps))
-            )
-            out[rows][poisoned] = grid.nodata
+        out[poisoned] = grid.nodata
     return out
 
 
@@ -404,13 +404,15 @@ def compute_slope(dem: RasterGrid) -> RasterGrid:
         raise RasterError(f"slope needs an elevation grid, got {dem.band_kind!r}")
     if dem.width < 3 or dem.height < 3:
         raise RasterError(f"grid too small for slope: {dem.width}x{dem.height}")
-    return RasterGrid(dem.width, dem.height, "slope", lambda: _slope(dem), dem.geotransform, dem.nodata)
+    return RasterGrid(dem.width, dem.height, "slope", lambda rows: _slope(dem, rows), dem.geotransform, dem.nodata)
 
 
-def _slope(dem: RasterGrid) -> np.ndarray:
-    """compute_slope's values."""
+def _slope(dem: RasterGrid, rows: slice) -> np.ndarray:
+    """compute_slope's values for rows, from rows start - 1 to stop; past a
+    border the border row is read again, as edge padding does."""
     s = dem.geotransform.resolution
-    z = np.pad(np.asarray(dem.values, dtype=np.float64), 1, mode="edge")
+    halo = np.clip(np.arange(rows.start - 1, rows.stop + 1), 0, dem.height - 1)
+    z = np.pad(np.asarray(dem.values[halo], dtype=np.float64), ((0, 0), (1, 1)), mode="edge")
 
     nw, n, ne = z[:-2, :-2], z[:-2, 1:-1], z[:-2, 2:]
     w_, e_ = z[1:-1, :-2], z[1:-1, 2:]
@@ -422,7 +424,7 @@ def _slope(dem: RasterGrid) -> np.ndarray:
 
     nodata = dem.nodata
     if nodata is not None:
-        valid = np.pad(dem.valid_mask(), 1, mode="edge")
+        valid = np.pad(dem.valid_mask(halo), ((0, 0), (1, 1)), mode="edge")
         ok = np.ones(slope.shape, dtype=bool)
         for dr in (0, 1, 2):
             for dc in (0, 1, 2):
@@ -522,11 +524,12 @@ def check_co_registered(grids: list[RasterGrid]) -> None:
 
 
 def _mosaic_range(grid: RasterGrid) -> tuple[float, float] | None:
-    valid = grid.valid_mask()
-    if not valid.any():
-        return None
-    v = np.asarray(grid.values, dtype=np.float64)[valid]
-    return float(v.min()), float(v.max())
+    """The min and max of grid's valid cells, window by window; None if none."""
+    lo, hi = np.inf, -np.inf
+    for rows in _windows(grid.height, grid.width * grid.values.itemsize):
+        v = np.asarray(grid.values[rows], dtype=np.float64)[grid.valid_mask(rows)]
+        lo, hi = np.min(v, initial=lo), np.max(v, initial=hi)
+    return None if lo > hi else (float(lo), float(hi))
 
 
 def tile(

@@ -10,12 +10,12 @@ A catalog comes with its boxes (_load_truth): a row whose box overflows is
 dropped and counted there, so neither the oracle nor the counting sees it.
 
 Every command loads the raster stack through load_stack, which makes every
-check on it. Values are built only where something reads them: tile with
-image export reads the resampled elevation and the derived slope and cuts
-fused byte patches. run, detect, gridsearch, crossmatch and tile without
-images read no pixels, since the synthetic oracle and the external records
-need only each patch's placement, so they pass PatchPlacements to the
-detector.
+check on it, co-registration included. Values are built only where
+something reads them: tile with image export reads the resampled elevation
+and the derived slope and cuts fused byte patches. run, detect, gridsearch,
+crossmatch and tile without images read no pixels, since the synthetic
+oracle and the external records need only each patch's placement, so they
+pass PatchPlacements to the detector.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ def load_stack(cfg: PipelineConfig) -> list[RasterGrid]:
     The stack's geotransform is stack[0].geotransform. Elevation is
     resampled onto the intensity resolution when they differ; slope is
     derived from elevation when not supplied. In single-band mode only that
-    raster is loaded. Every check on the stack runs here, and a resampled
-    elevation or a derived slope builds its values when they are first read.
+    raster is loaded. Every check on the stack runs here, co-registration
+    last; a resampled elevation or a derived slope builds values on first read.
     """
     if cfg.single_band_path is not None:
         return [load_raster(cfg.resolve(cfg.single_band_path))]
@@ -126,17 +126,12 @@ def load_stack(cfg: PipelineConfig) -> list[RasterGrid]:
                 f"{name} grid {grid.width}x{grid.height} does not match "
                 f"intensity {intensity.width}x{intensity.height}"
             )
+    check_co_registered([intensity, elevation, slope])
     return [intensity, elevation, slope]
 
 
 def _band_spec(band) -> PatchSpec:
     return PatchSpec(ps_a=band.ps_a, ps_r=band.ps_r, overlap_fraction=band.overlap)
-
-
-def _band_placements(band, stack) -> list[PatchPlacement]:
-    """The band's patch windows, after the checks tile would make."""
-    check_co_registered(stack)
-    return patch_placements(stack[0].width, stack[0].height, _band_spec(band))
 
 
 def detect_patches(patches: list[PatchPlacement], detector: DetectorInterface, workers: int) -> PatchDetections:
@@ -203,7 +198,7 @@ def _band_detections(
     the one band's grid and may name no patch outside it; the synthetic
     oracle sees the truth craters inside the band's size range.
     """
-    patches = _band_placements(band, stack)
+    patches = patch_placements(stack[0].width, stack[0].height, _band_spec(band))
     patch_index = {p.patch_id: (p.row0, p.col0, p.delta_f) for p in patches}
     if cfg.detector.kind == "external":
         per_patch = load_detections(
@@ -310,15 +305,16 @@ def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -
     written.append(metrics_path)
 
     summary_path = out_dir / "summary.txt"
-    summary_path.write_text(_summary_text(cfg, metrics, loc, band_info))
+    summary_path.write_text(_summary_text(cfg, metrics, loc, band_info, truth.n_rejected))
     written.append(summary_path)
     return metrics, written
 
 
-def _summary_text(cfg, metrics, loc, band_info) -> str:
+def _summary_text(cfg, metrics, loc, band_info, n_rejected) -> str:
     lines = [
         f"detections kept: {metrics.n_detections} (of which TP {metrics.tp}, FP {metrics.fp})",
         f"truth craters:   {metrics.n_truth} (FN {metrics.fn}, raw {metrics.fn_raw})",
+        f"truth catalog rows rejected: {n_rejected}",
         f"precision = {metrics.precision:.6f}{'' if metrics.precision_defined else ' (undefined: no detections)'}",
         f"recall    = {metrics.recall:.6f}{'' if metrics.recall_defined else ' (undefined: no truth)'}",
         f"f1        = {metrics.f1:.6f}{'' if metrics.f1_defined else ' (undefined)'}",
@@ -342,14 +338,17 @@ def _summary_text(cfg, metrics, loc, band_info) -> str:
 def run_tile(cfg: PipelineConfig, export_images: bool = True) -> tuple[Path, int]:
     """Write the patch index (and optionally patch images) for every band.
 
-    Only image export reads pixels. It first rejects an elevation holding
-    NaN cells that its nodata sentinel does not mark, after the checks of
-    load_stack."""
+    Only image export reads pixels. After the checks of load_stack it names
+    each raster read from a file holding NaN cells that its nodata sentinel
+    does not mark (a resampled elevation on its resampled cells)."""
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     stack = load_stack(cfg)
-    if export_images and len(stack) == 3:
-        check_nan_marked(stack[1], cfg.resolve(cfg.elevation_path))
+    if export_images:
+        paths = [cfg.single_band_path] if len(stack) == 1 else [cfg.intensity_path, cfg.elevation_path, cfg.slope_path]
+        for grid, path in zip(stack, paths):
+            if path is not None:
+                check_nan_marked(grid, cfg.resolve(path))
     n_total = 0
     index_path = out_dir / "patch_index.csv"
     with open(index_path, "w", newline="") as fh:
@@ -357,7 +356,7 @@ def run_tile(cfg: PipelineConfig, export_images: bool = True) -> tuple[Path, int
         for band in cfg.bands:
             spec = _band_spec(band)
             if not export_images:
-                patches = _band_placements(band, stack)
+                patches = patch_placements(stack[0].width, stack[0].height, spec)
             elif len(stack) == 1:
                 patches = replicate_single_band(stack[0], spec, scale_mode=cfg.scale_mode)
             else:
@@ -446,8 +445,8 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
     dets = load_global_detections(det_path)
     gated = size_gate(dets, cfg.eval)
 
-    _, boxes_a = _load_truth(cfg, cfg.truth_catalog, gt)
-    _, boxes_b = _load_truth(cfg, cfg.verify_catalog, gt)
+    cat_a, boxes_a = _load_truth(cfg, cfg.truth_catalog, gt)
+    cat_b, boxes_b = _load_truth(cfg, cfg.verify_catalog, gt)
     report = cross_verify(gated, boxes_a, boxes_b, cfg.eval)
 
     path = out_dir / "crossmatch.csv"
@@ -464,5 +463,7 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
         f"unverified (in neither):           {uv}\n"
         f"total detections classified:       {k + c + uv}\n"
         f"iou threshold u = {report.u}\n"
+        f"truth catalog rows rejected:       {cat_a.n_rejected}\n"
+        f"verify catalog rows rejected:      {cat_b.n_rejected}\n"
     )
     return report, path

@@ -216,6 +216,28 @@ def bilinear_whole(grid, out_w, out_h, target_resolution):
     return out
 
 
+def slope_whole(dem):
+    """raster._slope's values built over the whole grid at once: the
+    elevation edge-padded by one cell in float64, then the 3x3 stencil and
+    the 3x3 nodata window on full-size arrays."""
+    s = dem.geotransform.resolution
+    z = np.pad(np.asarray(dem.values, dtype=np.float64), 1, mode="edge")
+    nw, n, ne = z[:-2, :-2], z[:-2, 1:-1], z[:-2, 2:]
+    w_, e_ = z[1:-1, :-2], z[1:-1, 2:]
+    sw, s_, se = z[2:, :-2], z[2:, 1:-1], z[2:, 2:]
+    gx = ((ne + 2.0 * e_ + se) - (nw + 2.0 * w_ + sw)) / (8.0 * s)
+    gy = ((sw + 2.0 * s_ + se) - (nw + 2.0 * n + ne)) / (8.0 * s)
+    slope = np.degrees(np.arctan(np.hypot(gx, gy)))
+    if dem.nodata is not None:
+        valid = np.pad(dem.valid_mask(), 1, mode="edge")
+        ok = np.ones(slope.shape, dtype=bool)
+        for dr in (0, 1, 2):
+            for dc in (0, 1, 2):
+                ok &= valid[dr : dr + slope.shape[0], dc : dc + slope.shape[1]]
+        slope[~ok] = dem.nodata
+    return slope
+
+
 def rasterized_iou(a, b, cells=800):
     """Estimate IOU by painting both boxes on a pixel grid and counting.
 

@@ -127,6 +127,43 @@ def test_cmd_tile_checks_unmarked_nan_after_the_stack(tmp_path, capsys):
         assert message in err, err
 
 
+def _nan_block(path, band, n):
+    """A raster with a 10x10 block of NaN cells and no nodata sentinel."""
+    values = np.random.default_rng(1).random((n, n), dtype=np.float32)
+    values[100:110, 100:110] = np.nan
+    save_raster(RasterGrid(n, n, band, values, GT), path, dtype="float32")
+
+
+@pytest.mark.parametrize("scale_mode", ["patch", "mosaic"])
+def test_cmd_tile_rejects_unmarked_nan_in_a_single_band(tmp_path, capsys, scale_mode):
+    """Byte scaling would turn the NaN cells into zero bytes: the patch
+    holding them, or in mosaic mode every patch, since the range is NaN."""
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"scale_mode": scale_mode})
+    _nan_block(tmp_path / "band.bin", "intensity", 256)
+    cfg = json.loads(config.read_text())
+    cfg["rasters"] = {"single_band": "band.bin"}
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["tile", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    want = f"{tmp_path / 'band.bin'}: intensity holds NaN cells that its nodata sentinel (none) does not mark (100 of 65536)"
+    assert want in err, err
+    assert main(["tile", "--no-export-images", "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("nan_in", [("intensity",), ("intensity", "dem")], ids=["intensity", "intensity-and-dem"])
+def test_cmd_tile_rejects_unmarked_nan_in_the_intensity_first(tmp_path, capsys, nan_in):
+    """The intensity is checked as the elevation is, and before it."""
+    config = write_scene(tmp_path, plant_craters(2))
+    for name in nan_in:
+        _nan_block(tmp_path / f"{name}.bin", "intensity" if name == "intensity" else "elevation", 512)
+    capsys.readouterr()
+    assert main(["tile", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    want = f"{tmp_path / 'intensity.bin'}: intensity holds NaN cells that its nodata sentinel (none) does not mark"
+    assert want in err and "dem.bin" not in err, err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -699,6 +736,11 @@ def test_truth_rows_whose_boxes_overflow_are_dropped(tmp_path):
     for cat_cfg in (cfg.truth_catalog, cfg.verify_catalog):
         cat, boxes = _load_truth(cfg, cat_cfg, GT)
         assert (len(cat), len(boxes), cat.n_rejected) == (6, 6, 2)
+    for out, n in ((clean, 0), (dirty, 2)):
+        assert f"truth catalog rows rejected: {n}\n" in (out / "summary.txt").read_text()
+        lines = (out / "crossmatch_summary.txt").read_text().splitlines()
+        rejected = {line.split()[0]: int(line.split(":")[1]) for line in lines if "rows rejected" in line}
+        assert rejected == {"truth": n, "verify": n}, lines
 
 
 def test_headerless_global_detections_are_rejected(tmp_path, capsys):

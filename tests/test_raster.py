@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import craterpipe
 from craterpipe import raster
@@ -36,7 +36,7 @@ from craterpipe.raster import (
 )
 
 from conftest import LUNAR_RADIUS, make_grid, planar_dem, write_raster
-from reference import bilinear_whole, slope_in_range
+from reference import bilinear_whole, slope_in_range, slope_whole
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,36 @@ def test_resample_in_row_blocks_equals_the_whole_grid_expression(monkeypatch, dt
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@given(
+    shape=st.tuples(st.integers(3, 17), st.integers(3, 9)),
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from(["float64", "float32", "int16"]),
+    nodata=st.sampled_from([None, -9999.0, float("nan")]),
+    window_rows=st.sampled_from([None, 1, 2, 3, 7]),
+    data=st.data(),
+)
+def test_slope_in_row_windows_equals_the_whole_grid_expression(shape, seed, dtype, nodata, window_rows, data):
+    """compute_slope builds its values a window of rows at a time, reading
+    one row beyond each window edge; every window size gives the bits of
+    the whole-grid expression, with nodata cells on window-edge rows."""
+    assume(not (dtype == "int16" and nodata is not None and math.isnan(nodata)))
+    rows, cols = shape
+    values = np.random.default_rng(seed).uniform(-500.0, 500.0, shape).astype(dtype)
+    if nodata is not None:
+        step = window_rows or rows
+        edges = sorted({r for r in range(rows) if r % step in (0, step - 1)} | {rows - 1})
+        cells = data.draw(st.lists(st.tuples(st.sampled_from(edges), st.integers(0, cols - 1)), max_size=4))
+        for r, c in cells:
+            values[r, c] = nodata
+    dem = RasterGrid(cols, rows, "elevation", values, GeoTransform(0.0, 0.0, 100.0, LUNAR_RADIUS), nodata)
+    want = slope_whole(dem)
+    with pytest.MonkeyPatch.context() as mp:
+        if window_rows is not None:
+            mp.setattr(raster, "_WINDOW_BYTES", window_rows * cols * 8)
+        got = compute_slope(dem).values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_resample_extent_covers_input():
     grid = make_grid(np.ones((5, 7)))
     out = resample(grid, 30.0)
@@ -420,12 +450,42 @@ def test_loading_a_stack_builds_no_resampled_or_slope_values(tmp_path, nodata):
     assert int(out.stdout) <= raster._WINDOW_BYTES
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("nodata", [None, -9999.0])
+def test_deriving_a_slope_holds_its_output_and_a_few_windows(tmp_path, nodata):
+    """The slope of a mapped DEM at the intensity's resolution is built a
+    window of rows at a time: reading it holds the float64 output, the
+    payload and a few windows of temporaries, not whole-grid ones. Measured
+    in a fresh process."""
+    n = 2048
+    gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
+    dem = np.random.default_rng(3).random((n, n), dtype=np.float32) * np.float32(500.0)
+    payload = write_raster(tmp_path, "dem.bin", RasterGrid(n, n, "elevation", dem, gt, nodata), dtype="float32")
+    write_raster(tmp_path, "intensity.bin", RasterGrid(n, n, "intensity", np.zeros((n, n)), gt), dtype="float32")
+    band = {"name": "b", "ps_a": 256, "ps_r": 128}
+    config = {"rasters": {"intensity": "intensity.bin", "elevation": "dem.bin"}, "bands": [band]}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    script = (
+        "import resource, sys\n"
+        "from craterpipe.config import load_config\n"
+        "from craterpipe.runner import load_stack\n"
+        "cfg = load_config(sys.argv[1])\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "load_stack(cfg)[2].values\n"
+        "print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))\n"
+    )
+    src = str(Path(craterpipe.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "config.json")], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout) <= n * n * 8 + payload.stat().st_size + 12 * raster._WINDOW_BYTES
+
+
 def test_built_values_are_built_once_on_first_read():
     calls = []
 
-    def build():
+    def build(rows):
         calls.append(1)
-        return np.arange(6.0).reshape(2, 3)
+        return np.arange(6.0).reshape(2, 3)[rows]
 
     grid = RasterGrid(3, 2, "elevation", build, make_grid(np.zeros((1, 1))).geotransform)
     assert (grid.width, grid.height, grid.band_kind) == (3, 2, "elevation") and not calls
@@ -437,12 +497,44 @@ def test_built_values_are_built_once_on_first_read():
 
 def test_built_values_are_checked_as_given_values_are():
     gt = make_grid(np.zeros((1, 1))).geotransform
-    steep = RasterGrid(2, 2, "slope", lambda: np.full((2, 2), 120.0), gt)
+    steep = RasterGrid(2, 2, "slope", lambda rows: np.full((2, 2), 120.0), gt)
     with pytest.raises(RasterError, match=r"\[0, 90\]"):
         steep.values
-    wrong_shape = RasterGrid(2, 2, "elevation", lambda: np.zeros((3, 2)), gt)
+    wrong_shape = RasterGrid(2, 2, "elevation", lambda rows: np.zeros((3, 2)), gt)
     with pytest.raises(RasterError, match="does not match declared 2x2 grid"):
         wrong_shape.values
+
+
+@pytest.mark.parametrize("block", [np.zeros((1, 3)), np.zeros(3), np.zeros((2, 4))], ids=["one-row", "flat", "wide"])
+def test_a_built_block_of_the_wrong_shape_is_refused(monkeypatch, block):
+    """A block that is not (rows of its window, width) would broadcast over
+    its window or fail in NumPy; it fails naming the declared grid."""
+    monkeypatch.setattr(raster, "_WINDOW_BYTES", 2 * 3 * 8)
+    grid = RasterGrid(3, 4, "elevation", lambda rows: block, make_grid(np.zeros((1, 1))).geotransform)
+    with pytest.raises(RasterError, match=rf"^value shape {re.escape(str(block.shape))} does not match declared 4x3 grid$"):
+        grid.values
+
+
+@given(
+    rows=st.lists(st.lists(st.sampled_from([0.0, -2.5, 7.25, 1e300, -9999.0]), min_size=3, max_size=3), min_size=1,
+                  max_size=9),
+    nodata=st.sampled_from([None, -9999.0, float("nan")]),
+    blank_rows=st.sets(st.integers(0, 8)),
+    window_rows=st.sampled_from([None, 1, 2, 3]),
+)
+def test_mosaic_range_over_windows_equals_the_whole_grid_range(rows, nodata, blank_rows, window_rows):
+    """The mosaic scale range reduces window by window, windows holding only
+    nodata included; it is None for a grid with no valid cell."""
+    values = np.array(rows)
+    if nodata is not None:
+        values[[r for r in blank_rows if r < len(values)]] = nodata
+    grid = make_grid(values, nodata=nodata)
+    valid = grid.valid_mask()
+    want = (float(values[valid].min()), float(values[valid].max())) if valid.any() else None
+    with pytest.MonkeyPatch.context() as mp:
+        if window_rows is not None:
+            mp.setattr(raster, "_WINDOW_BYTES", window_rows * 3 * 8)
+        assert raster._mosaic_range(grid) == want
 
 
 def test_resample_and_slope_build_once_on_first_read(monkeypatch):

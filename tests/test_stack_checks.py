@@ -14,6 +14,8 @@ import pytest
 
 from craterpipe import raster, runner
 from craterpipe.cli import main
+from craterpipe.config import load_config
+from craterpipe.errors import RasterError
 from craterpipe.geo import GeoTransform
 from craterpipe.raster import RasterGrid, save_raster
 
@@ -114,7 +116,7 @@ def slope_range_before_elevation_size(tmp_path, config):
     slope_out_of_range(tmp_path, config)
 
 
-def truth_catalog_before_co_registration(tmp_path, config):
+def co_registration_before_truth_catalog(tmp_path, config):
     not_co_registered(tmp_path, config)
     (tmp_path / "truth.csv").unlink()
 
@@ -131,14 +133,14 @@ CASES = [
     (all_nodata_resample, "cannot resample an all-nodata grid", False, None),
     (resampled_size_mismatch, "elevation grid 515x515 does not match intensity 512x512", False, None),
     (supplied_slope_size_mismatch, "slope grid 256x256 does not match intensity 512x512", False, None),
-    (not_co_registered, "intensity, elevation and slope grids must share size and geotransform", True, None),
+    (not_co_registered, "intensity, elevation and slope grids must share size and geotransform", False, None),
     (mosaic_smaller_than_patch, "mosaic 200x200 is smaller than the patch side 256", True, None),
     (slope_range_before_elevation_size, "slope values must lie in [0, 90] degrees", False, None),
     (
-        truth_catalog_before_co_registration,
-        "catalog file not found",
-        True,
+        co_registration_before_truth_catalog,
         "intensity, elevation and slope grids must share size and geotransform",
+        False,
+        None,
     ),
 ]
 
@@ -165,6 +167,21 @@ def test_bad_stack_exits_two_with_its_message(tmp_path, capsys, case, command, m
     assert main(COMMANDS[command] + ["--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert message in err, err
+
+
+@pytest.mark.parametrize("case, message, from_tiling", [c[:3] for c in CASES], ids=[c[0].__name__ for c in CASES])
+def test_load_stack_raises_every_error_but_tiling_ones(tmp_path, case, message, from_tiling):
+    """Every check on the stack that tiling does not make runs in
+    load_stack; a stack that only tiling rejects loads."""
+    config = _scene(tmp_path)
+    case(tmp_path, config)
+    cfg = load_config(config)
+    if from_tiling:
+        assert len(runner.load_stack(cfg)) == 3
+    else:
+        with pytest.raises(RasterError) as excinfo:
+            runner.load_stack(cfg)
+        assert message in str(excinfo.value)
 
 
 @pytest.mark.parametrize("command", ["run", "detect", "gridsearch", "tile"])
