@@ -143,10 +143,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except PipelineError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except OSError as exc:
+    except (PipelineError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     return 0

@@ -3,7 +3,7 @@
 The config file is JSON and is the single source of truth for a run. CLI
 flags are written over the keys they replace before the one reader runs, so a
 flag passes the same checks as the file. One seed at the top drives all
-randomness. Text fields take JSON strings, and a JSON boolean is not a number.
+randomness. Text fields take JSON strings, numbers finite JSON numbers.
 Referenced paths are resolved relative to the config file's directory and
 checked at run time, not load time, so configs can be written ahead of their
 inputs.
@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .detector import NoiseConfig
-from .errors import ConfigError, GeoError
+from .errors import ConfigError, DetectionError, EvalError, GeoError
 from .evaluate import EvalConfig
 from .geo import GeoTransform
 
@@ -141,10 +142,12 @@ def _noise_from(d: dict, seed: int) -> NoiseConfig:
 
 
 def _float(value, key: str) -> float:
-    """value as a float; a JSON boolean is not a number (float(True) is 1.0)."""
+    """value as a finite float (json reads NaN, Infinity and 1e999); a JSON boolean is not a number."""
     if isinstance(value, bool):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"{key} must be finite, got {number}")
+    return number
 
 
 def _opt_float(d: dict, key: str) -> float | None:
@@ -211,7 +214,7 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
         cfg = _config_from(raw, path.parent)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, DetectionError, EvalError) as exc:
         raise ConfigError(f"{path}: malformed value ({exc})") from exc
     cfg.validate()
     return cfg

@@ -66,6 +66,9 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.u <= 1.0:
             raise EvalError(f"u must be in [0, 1], got {self.u}")
+        lo, hi = self.size_floor_km, self.size_ceiling_km
+        if lo is not None and hi is not None and not lo < hi:
+            raise EvalError(f"size_floor_km ({lo}) must be below size_ceiling_km ({hi})")
 
 
 @dataclass(frozen=True)
@@ -185,13 +188,9 @@ def match_and_count(
 
 
 def size_gate(dets: DetectionSet, cfg: EvalConfig) -> DetectionSet:
-    """Drop detections outside [size_floor_km, size_ceiling_km).
-
-    The equivalent diameter of a box is the mean of its width and height in
-    kilometers. With no bounds configured every detection is kept.
-    """
-    boxes = dets.boxes
-    diam_km = ((boxes[:, 2] - boxes[:, 0]) + (boxes[:, 3] - boxes[:, 1])) / 2.0 / 1000.0
+    """Drop detections whose equivalent diameter (DetectionSet.diam_km) lies
+    outside [size_floor_km, size_ceiling_km); with no bounds, keep every one."""
+    diam_km = dets.diam_km()
     keep = np.ones(diam_km.shape[0], dtype=bool)
     if cfg.size_floor_km is not None:
         keep &= diam_km >= cfg.size_floor_km

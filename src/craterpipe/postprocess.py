@@ -89,6 +89,10 @@ class DetectionSet:
     def __len__(self) -> int:
         return self.scores.shape[0]
 
+    def diam_km(self) -> np.ndarray:
+        """Each box's equivalent diameter in km: the mean of its width and height."""
+        return ((self.boxes[:, 2] - self.boxes[:, 0]) + (self.boxes[:, 3] - self.boxes[:, 1])) / 2.0 / 1000.0
+
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """starts[q], starts[q] + 1, ..., starts[q] + counts[q] - 1 for every q, concatenated."""
@@ -381,7 +385,7 @@ def write_catalog_export(dets: DetectionSet, gt: GeoTransform, path: str | Path,
     path.parent.mkdir(parents=True, exist_ok=True)
     x1, y1, x2, y2 = dets.boxes.T
     lon, lat = meter_to_lonlat((x1 + x2) / 2.0, (y1 + y2) / 2.0, gt)
-    diam_km = ((x2 - x1) + (y2 - y1)) / 2.0 / 1000.0
+    diam_km = dets.diam_km()
     ids = [f"det#{i}" for i in range(len(diam_km))]
     write_csv(path, ["id", "lon", "lat", "diam_km"], [ids, lon, lat, diam_km])
     side = {"n_detections": len(dets), **provenance}

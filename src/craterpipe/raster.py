@@ -7,9 +7,10 @@ the geotransform. See read_header for the exact keys. load_raster maps the
 payload read-only and reads no value: pages are read when something reads
 them, so inputs must not change while a grid is in use.
 
-Tiling cuts a mosaic into overlapping square windows, scales each window
-linearly to bytes, box-downsamples it to the detector input size and stamps
-it with the resize factor needed to map detections back to mosaic pixels.
+Tiling cuts each distinct grid once into overlapping square windows, scales
+each window linearly to bytes, box-downsamples it to the detector input size
+and stamps it with the resize factor needed to map detections back to mosaic
+pixels.
 All grid types are immutable after construction (a grid built on first
 read swaps its builder for the values); tiling emits independent patches
 and is safe to parallelize per patch.
@@ -121,10 +122,10 @@ class RasterGrid:
             object.__setattr__(self, "source", built.source)
         return self.source
 
-    def valid_mask(self, rows: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """Which cells of the given rows (a slice or row indices; all rows by
-        default) are valid."""
-        values = self.values[rows]
+    def valid_mask(self, index: slice | np.ndarray | tuple = slice(None)) -> np.ndarray:
+        """Which cells of values[index] are valid, for any index of values (row
+        slice, row indices, a window of rows and columns); all by default."""
+        values = self.values[index]
         if self.nodata is None:
             return np.ones(values.shape, dtype=bool)
         if math.isnan(self.nodata):
@@ -545,27 +546,26 @@ def tile(
     bytes, box-downsampled to ps_r x ps_r and stamped with the resize factor.
     scale_mode "patch" computes the linear scale per window (maximizes local
     contrast); "mosaic" uses the global min/max instead. Nodata cells map to
-    byte 0 before downsampling.
+    byte 0 before downsampling. A grid given for several channels is cut,
+    scaled and averaged once per window and fills each of them.
     """
     grids = [intensity, elevation, slope]
     check_co_registered(grids)
     if scale_mode not in ("patch", "mosaic"):
         raise RasterError(f"unknown scale_mode {scale_mode!r}")
 
-    masks = [g.valid_mask() for g in grids]
-    mosaic_ranges = [_mosaic_range(g) for g in grids] if scale_mode == "mosaic" else None
+    distinct = list({id(g): g for g in grids}.values())  # by identity: one grid may fill several channels
+    fills = [[k for k, g in enumerate(grids) if g is grid] for grid in distinct]
+    ranges = [_mosaic_range(grid) if scale_mode == "mosaic" else None for grid in distinct]
 
     patches = []
     for p in patch_placements(intensity.width, intensity.height, spec):
-        r0, c0 = p.row0, p.col0
+        window = np.s_[p.row0 : p.row0 + spec.ps_a, p.col0 : p.col0 + spec.ps_a]
         channels = np.empty((3, spec.ps_r, spec.ps_r), dtype=np.uint8)
-        for k, grid in enumerate(grids):
-            win = grid.values[r0 : r0 + spec.ps_a, c0 : c0 + spec.ps_a]
-            ok = masks[k][r0 : r0 + spec.ps_a, c0 : c0 + spec.ps_a]
-            bounds = mosaic_ranges[k] if scale_mode == "mosaic" else None
-            byte = _byte_scale(win, ok, bounds=bounds)
-            channels[k] = np.rint(_area_average(byte, spec.ps_r)).astype(np.uint8)
-        patches.append(FusedPatch(p.patch_id, r0, c0, spec, channels))
+        for grid, ks, bounds in zip(distinct, fills, ranges):
+            byte = _byte_scale(grid.values[window], grid.valid_mask(window), bounds=bounds)
+            channels[ks] = np.rint(_area_average(byte, spec.ps_r)).astype(np.uint8)
+        patches.append(FusedPatch(p.patch_id, p.row0, p.col0, spec, channels))
     return patches
 
 
@@ -574,8 +574,8 @@ def replicate_single_band(
 ) -> list[FusedPatch]:
     """Tile a single band into all three channels.
 
-    Single-input inference is realized by replication: the one available
-    band is scaled and copied into each channel position before tiling.
+    Single-input inference is realized by replication: tile scales each
+    window of the one band once and copies its bytes into every channel.
     """
     return tile(grid, grid, grid, spec, scale_mode=scale_mode)
 

@@ -281,15 +281,11 @@ def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -
     loc = localization_stats(gated, truth_boxes, cfg.eval)
     timings["evaluate"] = time.perf_counter() - t0
 
-    written = []
     det_path = out_dir / "detections_global.csv"
     write_global_detections(survivors, det_path)
-    written.append(det_path)
 
     cat_path = out_dir / "detections_catalog.csv"
     write_catalog_export(survivors, gt, cat_path, provenance={"seed": cfg.seed})
-    written.append(cat_path)
-    written.append(Path(str(cat_path) + ".provenance.json"))
 
     metrics_path = out_dir / "metrics.csv"
     write_metrics(
@@ -302,12 +298,10 @@ def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -
             "loc_n_matched": loc.n_matched,
         },
     )
-    written.append(metrics_path)
 
     summary_path = out_dir / "summary.txt"
     summary_path.write_text(_summary_text(cfg, metrics, loc, band_info, truth.n_rejected))
-    written.append(summary_path)
-    return metrics, written
+    return metrics, [det_path, cat_path, Path(str(cat_path) + ".provenance.json"), metrics_path, summary_path]
 
 
 def _summary_text(cfg, metrics, loc, band_info, n_rejected) -> str:

@@ -420,3 +420,29 @@ def slope_in_range(values, nodata):
         valid = values != nodata
     v = values[valid]
     return v.size == 0 or bool(v.min() >= 0.0 and v.max() <= 90.0)
+
+
+def tile_reference(intensity, elevation, slope, spec, scale_mode="patch"):
+    """raster.tile as a per-patch, per-channel loop: every channel cuts,
+    scales and averages its own grid, reading whole-grid valid masks and, in
+    mosaic mode, a whole-grid min and max per channel, even when one grid
+    fills several channels."""
+    from craterpipe.raster import FusedPatch, _area_average, _byte_scale, patch_placements
+
+    grids = [intensity, elevation, slope]
+    masks = [g.valid_mask() for g in grids]
+    ranges = []
+    for grid, mask in zip(grids, masks):
+        v = np.asarray(grid.values, dtype=np.float64)[mask]
+        ranges.append((float(v.min()), float(v.max())) if scale_mode == "mosaic" and v.size else None)
+    patches = []
+    for p in patch_placements(intensity.width, intensity.height, spec):
+        r0, c0 = p.row0, p.col0
+        channels = np.empty((3, spec.ps_r, spec.ps_r), dtype=np.uint8)
+        for k, grid in enumerate(grids):
+            win = grid.values[r0 : r0 + spec.ps_a, c0 : c0 + spec.ps_a]
+            ok = masks[k][r0 : r0 + spec.ps_a, c0 : c0 + spec.ps_a]
+            byte = _byte_scale(win, ok, bounds=ranges[k])
+            channels[k] = np.rint(_area_average(byte, spec.ps_r)).astype(np.uint8)
+        patches.append(FusedPatch(p.patch_id, r0, c0, spec, channels))
+    return patches

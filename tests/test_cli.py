@@ -1016,6 +1016,66 @@ def test_config_geotransform_not_finite_names_file_and_key(tmp_path, capsys, key
     assert f"{config}: malformed value (geotransform.{key} must be finite, got {value})" in err, err
 
 
+def _set_config_path(cfg, path, value):
+    """Set the config key at a dotted path; a number indexes a list."""
+    *outer, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    for k in outer:
+        cfg = cfg.setdefault(k, {}) if isinstance(cfg, dict) else cfg[k]
+    cfg[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("eval.size_floor_km", math.nan, "size_floor_km must be finite, got nan"),
+        ("eval.size_ceiling_km", math.nan, "size_ceiling_km must be finite, got nan"),
+        ("eval.u", math.nan, "eval.u must be finite, got nan"),
+        ("bands.0.dmin_km", math.nan, "dmin_km must be finite, got nan"),
+        ("bands.0.overlap", -math.inf, "overlap must be finite, got -inf"),
+        ("truth_catalog.dmin_km", math.nan, "dmin_km must be finite, got nan"),
+        ("truth_catalog.region", [0.0, math.nan, -5.0, 5.0], "region must be finite, got nan"),
+        ("detector.noise.center_jitter_px", math.nan, "center_jitter_px must be finite, got nan"),
+        ("detector.noise.false_positive_rate", math.nan, "false_positive_rate must be finite, got nan"),
+        ("detector.noise.false_positive_rate", math.inf, "false_positive_rate must be finite, got inf"),
+        ("detector.score_floor", math.nan, "score_floor must be finite, got nan"),
+        ("nms.delta", math.inf, "nms.delta must be finite, got inf"),
+        ("grid.delta_set", [0.2, math.nan], "grid.delta_set must be finite, got nan"),
+        ("eval.size_floor_km", "1e999", "size_floor_km must be finite, got inf"),
+    ],
+)
+def test_config_number_not_finite_names_file_and_key(tmp_path, capsys, path, value, message):
+    """Python's json reads NaN, Infinity and an overflowing literal such as
+    1e999; each must fail naming the file, not gate out every detection or
+    drop every crater."""
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    _set_config_path(cfg, path, "OVERFLOW" if value == "1e999" else value)
+    config.write_text(json.dumps(cfg).replace('"OVERFLOW"', "1e999"))  # NaN and Infinity, as Python's json reads them
+    err = _config_error(config, capsys)
+    assert f"{config}: malformed value ({message})" in err, err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("eval", {"u": 2}, "u must be in [0, 1], got 2.0"),
+        ("eval", {"size_floor_km": 5, "size_ceiling_km": 5}, "size_floor_km (5.0) must be below size_ceiling_km (5.0)"),
+        ("eval", {"size_floor_km": 6.5, "size_ceiling_km": 2}, "size_floor_km (6.5) must be below size_ceiling_km (2.0)"),
+        ("detector.noise.miss_rate", 1.5, "miss_rate must be in [0, 1], got 1.5"),
+        ("detector.noise.center_jitter_px", -1, "noise rates must be non-negative"),
+    ],
+    ids=["u", "floor-equals-ceiling", "floor-above-ceiling", "miss_rate", "negative-rate"],
+)
+def test_config_section_out_of_range_names_file(tmp_path, capsys, path, value, message):
+    """An error raised while the eval and noise sections are built names the config."""
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    _set_config_path(cfg, path, value)
+    config.write_text(json.dumps(cfg))
+    err = _config_error(config, capsys)
+    assert f"error: {config}: malformed value ({message})" in err, err
+
+
 def test_config_band_name_null_names_file_and_key(tmp_path, capsys):
     bands = [{"name": None, "ps_a": 256, "ps_r": 128}]
     config = write_scene(tmp_path, plant_craters(2), extra_config={"bands": bands})

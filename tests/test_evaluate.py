@@ -195,6 +195,18 @@ def test_size_gate_uses_mean_side():
     assert gated_boxes([mixed], cfg) == [mixed]
 
 
+def test_equivalent_diameter_is_the_mean_side_in_km():
+    dets = global_set([[0.0, 0.0, 4000.0, 6000.0], [-1500.0, 250.0, 500.0, 1250.0]])
+    assert dets.diam_km().tolist() == [5.0, 1.5]
+
+
+@pytest.mark.parametrize("floor, ceiling", [(5.0, 5.0), (6.0, 2.0), (float("nan"), 2.0)])
+def test_eval_config_rejects_a_floor_not_below_the_ceiling(floor, ceiling):
+    """Such a gate keeps no detection at all."""
+    with pytest.raises(EvalError, match="must be below size_ceiling_km"):
+        EvalConfig(size_floor_km=floor, size_ceiling_km=ceiling)
+
+
 # ---------------------------------------------------------------------------
 # localization
 

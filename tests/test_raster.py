@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import craterpipe
 from craterpipe import raster
@@ -36,7 +36,7 @@ from craterpipe.raster import (
 )
 
 from conftest import LUNAR_RADIUS, make_grid, planar_dem, write_raster
-from reference import bilinear_whole, slope_in_range, slope_whole
+from reference import bilinear_whole, slope_in_range, slope_whole, tile_reference
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +748,78 @@ def test_mosaic_scale_mode_uses_global_range():
     assert np.all(right_patch.channels[0] == 255)
     left_local = [p for p in per_patch if p.col0 == 0][0]
     assert np.all(left_local.channels[0] == 0)
+
+
+def _tile_stack(data, nodata, stack):
+    """Grids of one size for tile: the same grid three times ("replicated"),
+    three distinct grids of the same values ("copies"), a grid given for the
+    first and last channel ("shared") or three grids of different values."""
+    height, width = data.draw(st.integers(12, 30)), data.draw(st.integers(12, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    level = data.draw(st.sampled_from(["random", "flat", "two-level"]))
+    dead = data.draw(st.sampled_from([0.0, 0.2, 1.0])) if nodata is not None else 0.0
+
+    def grid():
+        values = {"random": lambda: rng.uniform(-500.0, 500.0, (height, width)),
+                  "flat": lambda: np.full((height, width), 7.0),
+                  "two-level": lambda: rng.integers(0, 2, (height, width)) * 40.0}[level]()
+        values[rng.random((height, width)) < dead] = nodata
+        return values
+
+    g = make_grid(grid(), band_kind="intensity", nodata=nodata)
+    if stack == "replicated":
+        return g, g, g
+    if stack == "copies":
+        return g, make_grid(g.values.copy(), nodata=nodata), make_grid(g.values.copy(), nodata=nodata)
+    if stack == "shared":
+        return g, make_grid(grid(), nodata=nodata), g
+    return g, make_grid(grid(), nodata=nodata), make_grid(grid(), nodata=nodata)
+
+
+@pytest.mark.parametrize("stack", ["replicated", "copies", "shared", "distinct"])
+@pytest.mark.parametrize("sides", [(12, 6), (12, 5)], ids=["divides", "ragged"])
+@pytest.mark.parametrize("scale_mode", ["patch", "mosaic"])
+@pytest.mark.parametrize("nodata", [None, -9999.0, math.nan], ids=["none", "sentinel", "nan"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_tile_matches_the_per_channel_reference(nodata, scale_mode, sides, stack, data):
+    """tile cuts each distinct grid once per window; every patch must equal
+    the per-channel loop's, whichever grids repeat."""
+    grids = _tile_stack(data, nodata, stack)
+    spec = PatchSpec(*sides, 0.5)
+    got, want = tile(*grids, spec, scale_mode), tile_reference(*grids, spec, scale_mode)
+    assert [(p.patch_id, p.row0, p.col0) for p in got] == [(p.patch_id, p.row0, p.col0) for p in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.channels, w.channels), g.patch_id
+
+
+@pytest.mark.parametrize("distinct, calls", [(False, 1), (True, 3)], ids=["single-band", "three-bands"])
+def test_tile_takes_one_mosaic_range_per_distinct_grid(monkeypatch, distinct, calls):
+    seen = []
+    monkeypatch.setattr(raster, "_mosaic_range", lambda g: seen.append(g) or (0.0, 1.0))
+    grid = make_grid(np.arange(64 * 64, dtype=float).reshape(64, 64))
+    spec = PatchSpec(32, 16, 0.5)
+    if distinct:
+        tile(grid, make_grid(grid.values.copy()), make_grid(grid.values.copy()), spec, scale_mode="mosaic")
+    else:
+        replicate_single_band(grid, spec, scale_mode="mosaic")
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("scale_mode", ["patch", "mosaic"])
+def test_tile_builds_no_whole_grid_valid_mask(monkeypatch, scale_mode):
+    """Each window's valid cells are taken from the window, not cut from a
+    mask of the whole grid."""
+    indices = []
+    valid_mask = RasterGrid.valid_mask
+    monkeypatch.setattr(RasterGrid, "valid_mask", lambda g, *index: indices.append(index) or valid_mask(g, *index))
+    intensity, elevation, slope = three_band_stack(64)
+    slope.values  # built before tile, so its own range check is not counted
+    indices.clear()
+    tile(intensity, elevation, slope, PatchSpec(32, 16, 0.5), scale_mode=scale_mode)
+    assert indices and all(index and index[0] != slice(None) for index in indices)
+    windows = [index[0] for index in indices if isinstance(index[0], tuple)]
+    assert len(windows) == 9 * 3 and all(r.stop - r.start == c.stop - c.start == 32 for r, c in windows)
 
 
 def test_patch_spec_validation():
