@@ -29,8 +29,11 @@ __all__ = [
     "SCHEMAS",
     "Catalog",
     "load_catalog",
+    "resolve_schema",
     "filter_by_size",
     "filter_by_region",
+    "check_size_range",
+    "check_region",
     "to_boxes",
 ]
 
@@ -72,7 +75,7 @@ class Catalog:
         return Catalog(self.name, self.ids[keep], self.lon[keep], self.lat[keep], self.diam_km[keep], self.n_rejected)
 
 
-def _resolve_schema(schema: str | dict[str, str]) -> dict[str, str]:
+def resolve_schema(schema: str | dict[str, str]) -> dict[str, str]:
     if isinstance(schema, str):
         if schema not in SCHEMAS:
             raise CatalogError(f"unknown schema preset {schema!r}, expected one of {sorted(SCHEMAS)}")
@@ -103,7 +106,7 @@ def load_catalog(
     path = Path(path)
     if not path.exists():
         raise CatalogError(f"catalog file not found: {path}")
-    mapping = _resolve_schema(schema)
+    mapping = resolve_schema(schema)
     cat_name = name if name is not None else path.stem
 
     with open(path, newline="") as fh:
@@ -146,8 +149,7 @@ def filter_by_size(cat: Catalog, dmin_km: float, dmax_km: float | None = None) -
     Half-open on purpose: adjacent size bins partition without double
     counting.
     """
-    if dmax_km is not None and not dmin_km < dmax_km:
-        raise CatalogError(f"need dmin < dmax, got [{dmin_km}, {dmax_km})")
+    check_size_range(dmin_km, dmax_km)
     keep = cat.diam_km >= dmin_km
     if dmax_km is not None:
         keep &= cat.diam_km < dmax_km
@@ -156,12 +158,21 @@ def filter_by_size(cat: Catalog, dmin_km: float, dmax_km: float | None = None) -
 
 def filter_by_region(cat: Catalog, lon_min: float, lon_max: float, lat_min: float, lat_max: float) -> Catalog:
     """Craters with lon in [lon_min, lon_max) and lat in [lat_min, lat_max)."""
-    if lon_min >= lon_max or lat_min >= lat_max:
-        raise CatalogError(
-            f"empty or inverted region bounds: lon [{lon_min}, {lon_max}), lat [{lat_min}, {lat_max})"
-        )
+    check_region(lon_min, lon_max, lat_min, lat_max)
     keep = (lon_min <= cat.lon) & (cat.lon < lon_max) & (lat_min <= cat.lat) & (cat.lat < lat_max)
     return cat._select(keep)
+
+
+def check_size_range(dmin_km: float, dmax_km: float | None) -> None:
+    """Refuse an empty diameter range [dmin_km, dmax_km); dmax None means unbounded."""
+    if dmax_km is not None and not dmin_km < dmax_km:
+        raise CatalogError(f"need dmin < dmax, got [{dmin_km}, {dmax_km})")
+
+
+def check_region(lon_min: float, lon_max: float, lat_min: float, lat_max: float) -> None:
+    """Refuse region bounds that are empty or inverted."""
+    if not (lon_min < lon_max and lat_min < lat_max):
+        raise CatalogError(f"empty or inverted region bounds: lon [{lon_min}, {lon_max}), lat [{lat_min}, {lat_max})")
 
 
 def to_boxes(cat: Catalog, gt: GeoTransform) -> np.ndarray:

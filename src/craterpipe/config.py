@@ -3,10 +3,13 @@
 The config file is JSON and is the single source of truth for a run. CLI
 flags are written over the keys they replace before the one reader runs, so a
 flag passes the same checks as the file. One seed at the top drives all
-randomness. Text fields take JSON strings, numbers finite JSON numbers.
-Referenced paths are resolved relative to the config file's directory and
-checked at run time, not load time, so configs can be written ahead of their
-inputs.
+randomness. One table per section names each key and its reader: an absent
+key takes its dataclass's default, null is read where the key allows it, and
+a key no table names is refused. Errors name the key by its path, with list
+indices (bands.0.ps_a). Text fields take JSON strings, numbers finite JSON
+numbers. Referenced paths are resolved relative to the config file's
+directory and checked at run time, not load time, so configs can be written
+ahead of their inputs.
 """
 
 from __future__ import annotations
@@ -15,13 +18,15 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .catalog import check_region, check_size_range, resolve_schema
 from .detector import NoiseConfig
-from .errors import ConfigError, DetectionError, EvalError, GeoError
+from .errors import ConfigError, GeoError, PipelineError
 from .evaluate import EvalConfig
 from .geo import GeoTransform
+from .raster import PatchSpec
 
 __all__ = [
     "BandConfig",
@@ -47,6 +52,10 @@ class BandConfig:
     dmin_km: float = 0.0
     dmax_km: float | None = None
 
+    def __post_init__(self) -> None:
+        PatchSpec(self.ps_a, self.ps_r, self.overlap)
+        check_size_range(self.dmin_km, self.dmax_km)
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -63,6 +72,12 @@ class CatalogConfig:
     region: tuple[float, float, float, float] | None = None  # lon_min, lon_max, lat_min, lat_max
     dmin_km: float | None = None
     dmax_km: float | None = None
+
+    def __post_init__(self) -> None:
+        resolve_schema(self.schema)
+        if self.region is not None:
+            check_region(*self.region)
+        check_size_range(self.dmin_km or 0.0, self.dmax_km)
 
 
 @dataclass(frozen=True)
@@ -131,68 +146,118 @@ class PipelineConfig:
                 raise ConfigError(f"delta must be in [0, 1], got {delta}")
 
 
-def _noise_from(d: dict, seed: int) -> NoiseConfig:
-    lo, hi = (_float(v, "fp_radius_px") for v in d.get("fp_radius_px", NoiseConfig.fp_radius_px))
-    rates = ("center_jitter_px", "radius_jitter_frac", "false_positive_rate", "miss_rate")
-    return NoiseConfig(
-        **{k: _float(d.get(k, getattr(NoiseConfig, k)), k) for k in rates},
-        seed=seed,
-        fp_radius_px=(lo, hi),
-    )
-
-
 def _float(value, key: str) -> float:
-    """value as a finite float (json reads NaN, Infinity and 1e999); a JSON boolean is not a number."""
-    if isinstance(value, bool):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    if not math.isfinite(number := float(value)):
+    """value as a finite float (json reads NaN, Infinity and 1e999)."""
+    number = _number(value, key, float)
+    if not math.isfinite(number):
         raise ValueError(f"{key} must be finite, got {number}")
     return number
 
 
-def _opt_float(d: dict, key: str) -> float | None:
-    """The float under key; None when the key is absent or null."""
-    v = d.get(key)
-    return None if v is None else _float(v, key)
-
-
 def _int(value, key: str) -> int:
-    """value as an int; a boolean or a number with a fractional part is rejected, not truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return _number(value, key, int)
 
 
-def _str(value, key: str, null: bool = True) -> str | None:
-    """value, which must be a JSON string, or null where null is allowed."""
-    if not (isinstance(value, str) or null and value is None):
-        raise ValueError(f"{key} must be a string, got {value!r}")
+def _number(value, key: str, to: type):
+    """to(value), refused naming key if to cannot convert it; a JSON boolean is not a number,
+    and a number with a fractional part is refused as an int, not truncated."""
+    try:
+        if not (isinstance(value, bool) or to is int and isinstance(value, float) and not value.is_integer()):
+            return to(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{key} must be {'an integer' if to is int else 'a number'}, got {value!r}")
+
+
+def _typed(types, kind: str):
+    """A reader of a value JSON gives as one of types, taken as it is: bool("false") would read True."""
+
+    def read(value, key: str):
+        if not isinstance(value, types):
+            raise ValueError(f"{key} must be {kind}, got {value!r}")
+        return value
+
+    return read
+
+
+_str, _bool = _typed(str, "a string"), _typed(bool, "true or false")
+_schema = _typed((str, dict), "a preset name or a column mapping")
+
+
+def _list(value, key: str, n: int | None = None) -> list:
+    """value, which must be a JSON list, of n items when n is given."""
+    if not isinstance(value, list) or n is not None and len(value) != n:
+        raise ValueError(f"{key} must be a list{'' if n is None else f' of {n}'}, got {value!r}")
     return value
 
 
-def _bool(value, key: str) -> bool:
-    """value, which must be a JSON boolean: bool("false") would read True."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
+def _opt(read):
+    """A reader of null as None and of any other value with read."""
+    return lambda value, key: None if value is None else read(value, key)
 
 
-def _catalog_from(d: dict | None, key: str) -> CatalogConfig | None:
-    if d is None:
-        return None
-    schema = d.get("schema", CatalogConfig.schema)
-    if not isinstance(schema, (str, dict)):
-        raise ValueError(f"{key}.schema must be a preset name or a column mapping, got {schema!r}")
-    region = d.get("region")
-    if region and len(region) != 4:
-        raise ValueError(f"region must hold 4 numbers (lon_min, lon_max, lat_min, lat_max), got {region!r}")
-    return CatalogConfig(
-        path=_str(d["path"], f"{key}.path", null=False),
-        schema=schema,
-        region=tuple(_float(v, "region") for v in region) if region else None,
-        dmin_km=_opt_float(d, "dmin_km"),
-        dmax_km=_opt_float(d, "dmax_km"),
+def _each(read, n: int | None = None):
+    """A reader of a JSON list into a tuple, each item read with read and named by the list's key."""
+    return lambda value, key: tuple(read(v, key) for v in _list(value, key, n))
+
+
+def _section(readers: Mapping, cls=dict, required: Iterable[str] = ()):
+    """A reader of a JSON object into cls(**values); an absent key takes cls's default."""
+    return lambda value, key: cls(**_read(value, f"{key}.", readers, required))
+
+
+def _read(raw, where: str, readers: Mapping, required: Iterable[str] = ()) -> dict:
+    """raw's values by key, each read with its reader and named where + key in errors; a key
+    no reader names is refused."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where[:-1]} must be an object, got {raw!r}")
+    unknown = [key for key in raw if key not in readers]
+    if unknown:
+        raise ValueError(f"unknown key {where}{unknown[0]}")
+    for key in required:
+        if key not in raw:
+            raise KeyError(key)
+    return {key: readers[key](value, where + key) for key, value in raw.items()}
+
+
+def _bands(value, key: str) -> tuple[BandConfig, ...]:
+    """Each band is a section named by its index; a band without a name is named band<index>."""
+    return tuple(
+        BandConfig(**{"name": f"band{i}", **_read(band, f"{key}.{i}.", _BAND, ("ps_a", "ps_r"))})
+        for i, band in enumerate(_list(value, key))
     )
+
+
+def _geotransform(value, key: str) -> GeoTransform:
+    try:
+        return GeoTransform(**_read(value, f"{key}.", _GEOTRANSFORM, _GEOTRANSFORM))
+    except GeoError as exc:  # its message starts with the field's name
+        raise ValueError(f"{key}.{exc}") from exc
+
+
+# One table per config section: each JSON key and the reader of its value.
+_BAND = {"name": _str, "ps_a": _int, "ps_r": _int, "overlap": _float, "dmin_km": _float, "dmax_km": _opt(_float)}
+_NOISE = {
+    **dict.fromkeys(("center_jitter_px", "radius_jitter_frac", "false_positive_rate", "miss_rate"), _float),
+    "fp_radius_px": _each(_float, 2),
+}
+_DETECTOR = {"kind": _str, "noise": _section(_NOISE, NoiseConfig), "path": _opt(_str), "score_floor": _opt(_float)}
+_CATALOG = {
+    "path": _str, "schema": _schema, "region": _opt(_each(_float, 4)), "dmin_km": _opt(_float), "dmax_km": _opt(_float),
+}
+_GEOTRANSFORM = dict.fromkeys(("x_min", "y_max", "resolution", "body_radius"), _float)
+_CONFIG = {
+    "seed": _int, "workers": _int, "out_dir": _str, "scale_mode": _str, "boundary_m": _int,
+    "rasters": _section(dict.fromkeys(("intensity", "elevation", "slope", "single_band"), _opt(_str))),
+    "bands": _bands,
+    "detector": _section(_DETECTOR, DetectorConfig),
+    "truth_catalog": _opt(_section(_CATALOG, CatalogConfig, ("path",))),
+    "verify_catalog": _opt(_section(_CATALOG, CatalogConfig, ("path",))),
+    "geotransform": _opt(_geotransform),
+    "nms": _section({"delta": _float, "enabled": _bool}),
+    "eval": _section({"u": _float, "size_floor_km": _opt(_float), "size_ceiling_km": _opt(_float)}, EvalConfig),
+    "grid": _section({"m_set": _each(_int), "delta_set": _each(_float), "include_no_nms": _bool}, GridConfig),
+}
 
 
 def load_config(path: str | Path, overrides: Mapping[str, object] | None = None) -> PipelineConfig:
@@ -212,79 +277,24 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
             section, _, name = key.rpartition(".")
             (raw.setdefault(section, {}) if section else raw)[name] = value
         cfg = _config_from(raw, path.parent)
+        cfg.validate()
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError, DetectionError, EvalError) as exc:
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError, PipelineError) as exc:
         raise ConfigError(f"{path}: malformed value ({exc})") from exc
-    cfg.validate()
     return cfg
 
 
 def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
-    """The config a parsed JSON object describes; paths stay relative to base_dir."""
-    seed = _int(raw.get("seed", PipelineConfig.seed), "seed")
-    rasters = raw.get("rasters", {})
-
-    det_raw = raw.get("detector", {})
-    detector = DetectorConfig(
-        kind=_str(det_raw.get("kind", DetectorConfig.kind), "detector.kind"),
-        noise=_noise_from(det_raw.get("noise", {}), seed),
-        path=_str(det_raw.get("path"), "detector.path"),
-        score_floor=_opt_float(det_raw, "score_floor"),
-    )
-
-    bands = tuple(
-        BandConfig(
-            name=_str(b.get("name", f"band{i}"), "bands.name", null=False),
-            ps_a=_int(b["ps_a"], "ps_a"),
-            ps_r=_int(b["ps_r"], "ps_r"),
-            overlap=_float(b.get("overlap", BandConfig.overlap), "overlap"),
-            dmin_km=_float(b.get("dmin_km", BandConfig.dmin_km), "dmin_km"),
-            dmax_km=_opt_float(b, "dmax_km"),
-        )
-        for i, b in enumerate(raw.get("bands", []))
-    )
-
-    gt_raw = raw.get("geotransform")
-    gt_keys = ("x_min", "y_max", "resolution", "body_radius")
-    try:
-        geotransform = GeoTransform(*(_float(gt_raw[k], f"geotransform.{k}") for k in gt_keys)) if gt_raw else None
-    except GeoError as exc:  # its message starts with the field's name
-        raise ValueError(f"geotransform.{exc}") from exc
-
-    nms_raw = raw.get("nms", {})
-    eval_raw = raw.get("eval", {})
-    grid_raw = raw.get("grid", {})
-
-    return PipelineConfig(
-        seed=seed,
-        workers=_int(raw.get("workers", PipelineConfig.workers), "workers"),
-        out_dir=_str(raw.get("out_dir", PipelineConfig.out_dir), "out_dir", null=False),
-        scale_mode=_str(raw.get("scale_mode", PipelineConfig.scale_mode), "scale_mode"),
-        intensity_path=_str(rasters.get("intensity"), "rasters.intensity"),
-        elevation_path=_str(rasters.get("elevation"), "rasters.elevation"),
-        slope_path=_str(rasters.get("slope"), "rasters.slope"),
-        single_band_path=_str(rasters.get("single_band"), "rasters.single_band"),
-        bands=bands,
-        detector=detector,
-        truth_catalog=_catalog_from(raw.get("truth_catalog"), "truth_catalog"),
-        verify_catalog=_catalog_from(raw.get("verify_catalog"), "verify_catalog"),
-        geotransform=geotransform,
-        boundary_m=_int(raw.get("boundary_m", PipelineConfig.boundary_m), "boundary_m"),
-        nms_delta=_float(nms_raw.get("delta", PipelineConfig.nms_delta), "nms.delta"),
-        nms_enabled=_bool(nms_raw.get("enabled", PipelineConfig.nms_enabled), "nms.enabled"),
-        eval=EvalConfig(
-            u=_float(eval_raw.get("u", EvalConfig.u), "eval.u"),
-            size_floor_km=_opt_float(eval_raw, "size_floor_km"),
-            size_ceiling_km=_opt_float(eval_raw, "size_ceiling_km"),
-        ),
-        grid=GridConfig(
-            m_set=tuple(_int(v, "grid.m_set") for v in grid_raw.get("m_set", GridConfig.m_set)),
-            delta_set=tuple(_float(v, "grid.delta_set") for v in grid_raw.get("delta_set", GridConfig.delta_set)),
-            include_no_nms=_bool(grid_raw.get("include_no_nms", GridConfig.include_no_nms), "grid.include_no_nms"),
-        ),
-        base_dir=str(base_dir),
-    )
+    """The config a parsed JSON object describes; paths stay relative to base_dir. The rasters
+    section fills the *_path fields, nms the nms_* fields; the top-level seed seeds the noise."""
+    values = _read(raw, "", _CONFIG)
+    values.update({f"{k}_path": v for k, v in values.pop("rasters", {}).items()})
+    values.update({f"nms_{k}": v for k, v in values.pop("nms", {}).items()})
+    cfg = PipelineConfig(**values, base_dir=str(base_dir))
+    return replace(cfg, detector=replace(cfg.detector, noise=replace(cfg.detector.noise, seed=cfg.seed)))
 
 
 # ---------------------------------------------------------------------------

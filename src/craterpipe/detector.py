@@ -133,7 +133,7 @@ class NoiseConfig:
     fp_radius_px: tuple[float, float] = (12.5, 50.0)
 
     def __post_init__(self) -> None:
-        if min(self.center_jitter_px, self.radius_jitter_frac, self.false_positive_rate) < 0:
+        if not all(r >= 0 for r in (self.center_jitter_px, self.radius_jitter_frac, self.false_positive_rate)):
             raise DetectionError("noise rates must be non-negative")
         if not 0.0 <= self.miss_rate <= 1.0:
             raise DetectionError(f"miss_rate must be in [0, 1], got {self.miss_rate}")

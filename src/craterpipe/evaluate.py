@@ -67,7 +67,7 @@ class EvalConfig:
         if not 0.0 <= self.u <= 1.0:
             raise EvalError(f"u must be in [0, 1], got {self.u}")
         lo, hi = self.size_floor_km, self.size_ceiling_km
-        if lo is not None and hi is not None and not lo < hi:
+        if not (-np.inf if lo is None else lo) < (np.inf if hi is None else hi):  # NaN fails too
             raise EvalError(f"size_floor_km ({lo}) must be below size_ceiling_km ({hi})")
 
 

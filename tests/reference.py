@@ -446,3 +446,132 @@ def tile_reference(intensity, elevation, slope, spec, scale_mode="patch"):
             channels[k] = np.rint(_area_average(byte, spec.ps_r)).astype(np.uint8)
         patches.append(FusedPatch(p.patch_id, r0, c0, spec, channels))
     return patches
+
+
+def config_from_reference(raw, base_dir):
+    """config._config_from as it read a config before its key tables: each
+    key read field by field with its own default and error label. The oracle
+    of the table reader; it raises KeyError, AttributeError, TypeError,
+    ValueError or a PipelineError for a config it refuses, and leaves
+    validate() to the caller. Unknown keys are ignored."""
+    from craterpipe.config import BandConfig, CatalogConfig, DetectorConfig, GridConfig, PipelineConfig
+    from craterpipe.detector import NoiseConfig
+    from craterpipe.errors import GeoError
+    from craterpipe.evaluate import EvalConfig
+    from craterpipe.geo import GeoTransform
+
+    def _float(value, key):
+        if isinstance(value, bool):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        if not math.isfinite(number := float(value)):
+            raise ValueError(f"{key} must be finite, got {number}")
+        return number
+
+    def _opt_float(d, key):
+        v = d.get(key)
+        return None if v is None else _float(v, key)
+
+    def _int(value, key):
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+
+    def _str(value, key, null=True):
+        if not (isinstance(value, str) or null and value is None):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        return value
+
+    def _bool(value, key):
+        if not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false, got {value!r}")
+        return value
+
+    def _noise_from(d, seed):
+        lo, hi = (_float(v, "fp_radius_px") for v in d.get("fp_radius_px", NoiseConfig.fp_radius_px))
+        rates = ("center_jitter_px", "radius_jitter_frac", "false_positive_rate", "miss_rate")
+        return NoiseConfig(
+            **{k: _float(d.get(k, getattr(NoiseConfig, k)), k) for k in rates},
+            seed=seed,
+            fp_radius_px=(lo, hi),
+        )
+
+    def _catalog_from(d, key):
+        if d is None:
+            return None
+        schema = d.get("schema", CatalogConfig.schema)
+        if not isinstance(schema, (str, dict)):
+            raise ValueError(f"{key}.schema must be a preset name or a column mapping, got {schema!r}")
+        region = d.get("region")
+        if region and len(region) != 4:
+            raise ValueError(f"region must hold 4 numbers (lon_min, lon_max, lat_min, lat_max), got {region!r}")
+        return CatalogConfig(
+            path=_str(d["path"], f"{key}.path", null=False),
+            schema=schema,
+            region=tuple(_float(v, "region") for v in region) if region else None,
+            dmin_km=_opt_float(d, "dmin_km"),
+            dmax_km=_opt_float(d, "dmax_km"),
+        )
+
+    seed = _int(raw.get("seed", PipelineConfig.seed), "seed")
+    rasters = raw.get("rasters", {})
+
+    det_raw = raw.get("detector", {})
+    detector = DetectorConfig(
+        kind=_str(det_raw.get("kind", DetectorConfig.kind), "detector.kind"),
+        noise=_noise_from(det_raw.get("noise", {}), seed),
+        path=_str(det_raw.get("path"), "detector.path"),
+        score_floor=_opt_float(det_raw, "score_floor"),
+    )
+
+    bands = tuple(
+        BandConfig(
+            name=_str(b.get("name", f"band{i}"), "bands.name", null=False),
+            ps_a=_int(b["ps_a"], "ps_a"),
+            ps_r=_int(b["ps_r"], "ps_r"),
+            overlap=_float(b.get("overlap", BandConfig.overlap), "overlap"),
+            dmin_km=_float(b.get("dmin_km", BandConfig.dmin_km), "dmin_km"),
+            dmax_km=_opt_float(b, "dmax_km"),
+        )
+        for i, b in enumerate(raw.get("bands", []))
+    )
+
+    gt_raw = raw.get("geotransform")
+    gt_keys = ("x_min", "y_max", "resolution", "body_radius")
+    try:
+        geotransform = GeoTransform(*(_float(gt_raw[k], f"geotransform.{k}") for k in gt_keys)) if gt_raw else None
+    except GeoError as exc:
+        raise ValueError(f"geotransform.{exc}") from exc
+
+    nms_raw = raw.get("nms", {})
+    eval_raw = raw.get("eval", {})
+    grid_raw = raw.get("grid", {})
+
+    return PipelineConfig(
+        seed=seed,
+        workers=_int(raw.get("workers", PipelineConfig.workers), "workers"),
+        out_dir=_str(raw.get("out_dir", PipelineConfig.out_dir), "out_dir", null=False),
+        scale_mode=_str(raw.get("scale_mode", PipelineConfig.scale_mode), "scale_mode"),
+        intensity_path=_str(rasters.get("intensity"), "rasters.intensity"),
+        elevation_path=_str(rasters.get("elevation"), "rasters.elevation"),
+        slope_path=_str(rasters.get("slope"), "rasters.slope"),
+        single_band_path=_str(rasters.get("single_band"), "rasters.single_band"),
+        bands=bands,
+        detector=detector,
+        truth_catalog=_catalog_from(raw.get("truth_catalog"), "truth_catalog"),
+        verify_catalog=_catalog_from(raw.get("verify_catalog"), "verify_catalog"),
+        geotransform=geotransform,
+        boundary_m=_int(raw.get("boundary_m", PipelineConfig.boundary_m), "boundary_m"),
+        nms_delta=_float(nms_raw.get("delta", PipelineConfig.nms_delta), "nms.delta"),
+        nms_enabled=_bool(nms_raw.get("enabled", PipelineConfig.nms_enabled), "nms.enabled"),
+        eval=EvalConfig(
+            u=_float(eval_raw.get("u", EvalConfig.u), "eval.u"),
+            size_floor_km=_opt_float(eval_raw, "size_floor_km"),
+            size_ceiling_km=_opt_float(eval_raw, "size_ceiling_km"),
+        ),
+        grid=GridConfig(
+            m_set=tuple(_int(v, "grid.m_set") for v in grid_raw.get("m_set", GridConfig.m_set)),
+            delta_set=tuple(_float(v, "grid.delta_set") for v in grid_raw.get("delta_set", GridConfig.delta_set)),
+            include_no_nms=_bool(grid_raw.get("include_no_nms", GridConfig.include_no_nms), "grid.include_no_nms"),
+        ),
+        base_dir=str(base_dir),
+    )

@@ -851,7 +851,7 @@ def test_config_json_array_exits_two(tmp_path, capsys):
 def test_config_non_numeric_workers_exits_two(tmp_path, capsys):
     config = write_scene(tmp_path, plant_craters(2), extra_config={"workers": "two"})
     err = _config_error(config, capsys)
-    assert f"{config}: malformed value (invalid literal for int() with base 10: 'two')" in err, err
+    assert f"{config}: malformed value (workers must be an integer, got 'two')" in err, err
 
 
 def test_out_naming_a_regular_file_exits_two(tmp_path, capsys):
@@ -902,7 +902,8 @@ def test_config_non_integral_number_names_file_and_key(tmp_path, capsys, key, va
     _set_config_number(cfg, key, value)
     config.write_text(json.dumps(cfg))
     err = _config_error(config, capsys)
-    assert f"{config}: malformed value ({key} must be an integer, got {value!r})" in err, err
+    name = f"bands.0.{key}" if key in ("ps_a", "ps_r") else key
+    assert f"{config}: malformed value ({name} must be an integer, got {value!r})" in err, err
 
 
 @pytest.mark.parametrize(
@@ -910,12 +911,12 @@ def test_config_non_integral_number_names_file_and_key(tmp_path, capsys, key, va
     [
         ("nms", "enabled", "false", "nms.enabled must be true or false, got 'false'"),
         ("grid", "include_no_nms", "no", "grid.include_no_nms must be true or false, got 'no'"),
-        ("truth_catalog", "region", [0, 10, -5], "region must hold 4 numbers"),
-        ("detector", "noise", {"fp_radius_px": [5]}, "not enough values to unpack (expected 2, got 1)"),
+        ("truth_catalog", "region", [0, 10, -5], "truth_catalog.region must be a list of 4, got [0, 10, -5]"),
+        ("detector", "noise", {"fp_radius_px": [5]}, "detector.noise.fp_radius_px must be a list of 2, got [5]"),
         ("rasters", "intensity", 5, "rasters.intensity must be a string, got 5"),
         (None, "out_dir", 5, "out_dir must be a string, got 5"),
         (None, "detector", {"kind": "external", "path": 5}, "detector.path must be a string, got 5"),
-        (None, "bands", [{"name": ["x"], "ps_a": 256, "ps_r": 128}], "bands.name must be a string, got ['x']"),
+        (None, "bands", [{"name": ["x"], "ps_a": 256, "ps_r": 128}], "bands.0.name must be a string, got ['x']"),
         ("truth_catalog", "path", 5, "truth_catalog.path must be a string, got 5"),
         ("truth_catalog", "schema", 5, "truth_catalog.schema must be a preset name or a column mapping, got 5"),
         (None, "workers", True, "workers must be an integer, got True"),
@@ -993,7 +994,7 @@ def test_out_of_range_thresholds_exit_two(tmp_path, capsys, command, args, setti
     capsys.readouterr()
     assert main([command, "--config", str(config), *args]) == 2
     err = capsys.readouterr().err
-    assert f"error: {message}" in err, err
+    assert f"error: {config}: {message}" in err, err
 
 
 @pytest.mark.parametrize("key, value", [("resolution", 0), ("body_radius", -1.5)])
@@ -1045,14 +1046,15 @@ def _set_config_path(cfg, path, value):
 )
 def test_config_number_not_finite_names_file_and_key(tmp_path, capsys, path, value, message):
     """Python's json reads NaN, Infinity and an overflowing literal such as
-    1e999; each must fail naming the file, not gate out every detection or
-    drop every crater."""
+    1e999; each must fail naming the file and the key by its full path, not
+    gate out every detection or drop every crater."""
     config = write_scene(tmp_path, plant_craters(2))
     cfg = json.loads(config.read_text())
     _set_config_path(cfg, path, "OVERFLOW" if value == "1e999" else value)
     config.write_text(json.dumps(cfg).replace('"OVERFLOW"', "1e999"))  # NaN and Infinity, as Python's json reads them
     err = _config_error(config, capsys)
-    assert f"{config}: malformed value ({message})" in err, err
+    _, _, rest = message.partition(" ")  # message names the key bare; the error names its path
+    assert f"{config}: malformed value ({path} {rest})" in err, err
 
 
 @pytest.mark.parametrize(
@@ -1080,4 +1082,49 @@ def test_config_band_name_null_names_file_and_key(tmp_path, capsys):
     bands = [{"name": None, "ps_a": 256, "ps_r": 128}]
     config = write_scene(tmp_path, plant_craters(2), extra_config={"bands": bands})
     err = _config_error(config, capsys)
-    assert f"{config}: malformed value (bands.name must be a string, got None)" in err, err
+    assert f"{config}: malformed value (bands.0.name must be a string, got None)" in err, err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [("boundry_m", 3), ("nms.delat", 0.9), ("bands.0.dmaxkm", 20.0), ("detector.noise.seed", 4)],
+)
+def test_config_unknown_key_names_file_and_key(tmp_path, capsys, path, value):
+    """A misspelt key would otherwise run with the default it meant to replace;
+    the noise seed is not a key, since the top-level seed drives all randomness."""
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    _set_config_path(cfg, path, value)
+    config.write_text(json.dumps(cfg))
+    err = _config_error(config, capsys)
+    assert f"error: {config}: malformed value (unknown key {path})" in err, err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("bands.0", {"dmin_km": 5, "dmax_km": 2}, "malformed value (need dmin < dmax, got [5.0, 2.0))"),
+        ("truth_catalog", {"dmin_km": 5, "dmax_km": 5}, "malformed value (need dmin < dmax, got [5.0, 5.0))"),
+        ("truth_catalog", {"region": [10, 0, -5, 5]}, "malformed value (empty or inverted region bounds: lon [10.0, "),
+        ("truth_catalog", {"schema": "nope"}, "malformed value (unknown schema preset 'nope'"),
+        ("bands.0", {"ps_a": 128, "ps_r": 256}, "malformed value (ps_r (256) must not exceed ps_a (128))"),
+        ("bands.0", {"ps_a": 255}, "malformed value (ps_a * (1 - overlap) must be a positive integer stride"),
+        ("", {"boundary_m": -1}, "m must be a non-negative integer, got -1"),
+    ],
+    ids=["band-range", "catalog-range", "inverted-region", "schema-preset", "ps_r-above-ps_a", "stride", "validate"],
+)
+@pytest.mark.parametrize("command", [["run"], ["tile", "--no-export-images"]], ids=["run", "tile"])
+def test_config_refusal_names_the_file(tmp_path, capsys, path, value, message, command):
+    """Each check on a config section runs as the config loads, so every
+    command refuses the config, naming it, before reading any input."""
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    section = cfg
+    for k in filter(None, path.split(".")):
+        section = section[int(k) if k.isdigit() else k]
+    section.update(value)
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([*command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: {message}" in err, err

@@ -1,16 +1,23 @@
 """Config parsing, overrides and manifest digests."""
 
+import copy
 import hashlib
 import json
+import math
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from craterpipe import config as config_mod
 from craterpipe.config import BandConfig, PipelineConfig, load_config, sha256_file, write_manifest
-from craterpipe.errors import ConfigError
+from craterpipe.detector import NoiseConfig
+from craterpipe.errors import ConfigError, PipelineError
+from craterpipe.evaluate import EvalConfig
 
+from reference import config_from_reference
 from scene import plant_craters, write_scene
 
 
@@ -155,3 +162,162 @@ def test_integral_floats_load_as_the_integers(tmp_path):
     cfg = load_config(path)
     assert cfg == as_ints
     assert all(type(v) is int for v in (cfg.seed, cfg.workers, cfg.boundary_m, cfg.bands[0].ps_a, *cfg.grid.m_set))
+
+
+@pytest.mark.parametrize(
+    "cls, key",
+    [
+        (NoiseConfig, "center_jitter_px"),
+        (NoiseConfig, "radius_jitter_frac"),
+        (NoiseConfig, "false_positive_rate"),
+        (EvalConfig, "size_floor_km"),
+        (EvalConfig, "size_ceiling_km"),
+    ],
+)
+def test_section_built_directly_refuses_nan(cls, key):
+    """NaN fails every comparison, so each range check must be written to fail on it."""
+    with pytest.raises(PipelineError, match="non-negative|must be below"):
+        cls(**{key: math.nan})
+
+
+# Each key of a config, and each band, draws one of these kinds: absent, null,
+# a valid value, or a value of the wrong kind. A spec maps each key to
+# (valid, wrong): valid is a strategy, a nested spec (a section) or a one-item
+# list holding a spec (a list of sections); wrong lists values of another
+# JSON kind.
+FAULTS = ("absent", "null", "wrong")
+KINDS = (*FAULTS, "valid")
+ABSENT = object()
+NUMBER, TEXT, FLAG = ["x", True, [1.0], {"a": 1}], [5, True, ["x"]], ["false", 1]
+LIST, OBJECT = ["x", 5, True, {"a": 1}, [1.0, 2.0, 3.0]], ["x", 5, [1]]  # a list may also be of another length
+
+
+def _values(*values):
+    return st.sampled_from(values)
+
+
+CATALOG = {
+    "path": (_values("truth.csv"), TEXT),
+    "schema": (_values("generic", "robbins", {"lon": "a", "lat": "b", "diam_km": "c"}), TEXT),
+    "region": (_values([0, 10, -5, 5], [-10.0, 0.0, -5.0, 5.0]), LIST),
+    "dmin_km": (_values(0.0, 1.0), NUMBER),
+    "dmax_km": (_values(20.0), NUMBER),
+}
+SPEC = {
+    "seed": (_values(0, 9, 9.0), NUMBER),
+    "workers": (_values(1, 2), NUMBER),
+    "out_dir": (_values("out"), TEXT),
+    "scale_mode": (_values("patch", "mosaic"), TEXT),
+    "rasters": ({k: (_values(f"{k}.bin"), TEXT) for k in ("intensity", "elevation", "slope", "single_band")}, OBJECT),
+    "bands": ([{
+        "name": (_values("b"), TEXT),
+        "ps_a": (_values(256, 200), NUMBER),
+        "ps_r": (_values(128, 100), NUMBER),
+        "overlap": (_values(0.5, 0.25), NUMBER),
+        "dmin_km": (_values(0.0, 1.0), NUMBER),
+        "dmax_km": (_values(20.0, 60.0), NUMBER),
+    }], OBJECT),
+    "detector": ({
+        "kind": (_values("synthetic", "external"), TEXT),
+        "noise": ({
+            **{k: (_values(0.0, 0.5), NUMBER) for k in ("center_jitter_px", "radius_jitter_frac", "miss_rate")},
+            "false_positive_rate": (_values(0.0, 2.0), NUMBER),
+            "fp_radius_px": (_values([12.5, 50.0], [5, 10]), LIST),
+        }, OBJECT),
+        "path": (_values("dets.csv"), TEXT),
+        "score_floor": (_values(0.5), NUMBER),
+    }, OBJECT),
+    "truth_catalog": (CATALOG, OBJECT),
+    "verify_catalog": (CATALOG, OBJECT),
+    "geotransform": ({
+        "x_min": (_values(0.0), NUMBER),
+        "y_max": (_values(0.0), NUMBER),
+        "resolution": (_values(100.0, 50.0), NUMBER),
+        "body_radius": (_values(1_737_400.0), NUMBER),
+    }, OBJECT),
+    "boundary_m": (_values(10, 0), NUMBER),
+    "nms": ({"delta": (_values(0.2, 0.5), NUMBER), "enabled": (st.booleans(), FLAG)}, OBJECT),
+    "eval": ({
+        "u": (_values(0.3, 1), NUMBER),
+        "size_floor_km": (_values(1.0), NUMBER),
+        "size_ceiling_km": (_values(10.0, 2.5), NUMBER),
+    }, OBJECT),
+    "grid": ({
+        "m_set": (_values([0, 1], [5.0]), LIST),
+        "delta_set": (_values([0.1, 0.2]), LIST),
+        "include_no_nms": (st.booleans(), FLAG),
+    }, OBJECT),
+}
+
+
+def _paths(spec, where=""):
+    """Every key path of a spec; a list of sections contributes its first item."""
+    for key, (valid, _) in spec.items():
+        yield where + key
+        if isinstance(valid, list):
+            yield f"{where}{key}.0"
+            valid = valid[0]
+            key += ".0"
+        if isinstance(valid, dict):
+            yield from _paths(valid, f"{where}{key}.")
+
+
+PATHS = tuple(_paths(SPEC))
+
+
+@st.composite
+def raw_configs(draw, target=None):
+    """A JSON config. With no target every key draws its kind; otherwise the
+    key at path target draws a kind other than valid and every other key is
+    valid, so that a single fault meets a config that would otherwise load."""
+
+    def one(valid, wrong, path):
+        if target is None:
+            kind = draw(st.sampled_from(KINDS))
+        else:
+            kind = draw(st.sampled_from(FAULTS)) if path == target else "valid"
+        if kind == "wrong":
+            return draw(st.sampled_from(wrong))
+        if kind != "valid":
+            return ABSENT if kind == "absent" else None
+        if isinstance(valid, dict):
+            return fill(valid, f"{path}.")
+        if isinstance(valid, list):
+            n = 1 if target else draw(st.integers(1, 2))  # two bands of one spec may overlap
+            items = [one(valid[0], OBJECT, f"{path}.{i}") for i in range(n)]
+            return [item for item in items if item is not ABSENT]
+        return draw(valid)
+
+    def fill(spec, where=""):
+        items = ((key, one(valid, wrong, where + key)) for key, (valid, wrong) in spec.items())
+        return {key: v for key, v in items if v is not ABSENT}
+
+    return fill(SPEC)
+
+
+def _reads_as_the_reference(tmp_path, raw):
+    """Every config the field-by-field reference reads, the tables read to an
+    equal config; every config it refuses, they refuse naming the file."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    try:
+        expected = config_from_reference(copy.deepcopy(raw), tmp_path)
+        expected.validate()
+    except (KeyError, AttributeError, TypeError, ValueError, PipelineError):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
+            load_config(path)
+    else:
+        assert load_config(path) == expected
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=raw_configs())
+def test_key_tables_read_as_the_reference_reader(tmp_path, raw):
+    _reads_as_the_reference(tmp_path, raw)
+
+
+@pytest.mark.parametrize("target", PATHS)
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_faulty_key_reads_as_the_reference_reader(tmp_path, target, data):
+    _reads_as_the_reference(tmp_path, data.draw(raw_configs(target)))
