@@ -130,6 +130,10 @@ class PipelineConfig:
             raise ConfigError("external detector needs a detections path")
         if not self.bands:
             raise ConfigError("at least one size band is required")
+        names = [b.name for b in self.bands]  # a band's name keys its outputs
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ConfigError(f"bands.{k}.name {name!r} repeats bands.{names.index(name)}.name")
         spans = sorted(
             (b.dmin_km, float("inf") if b.dmax_km is None else b.dmax_km, b.name) for b in self.bands
         )
@@ -159,12 +163,12 @@ def _int(value, key: str) -> int:
 
 
 def _number(value, key: str, to: type):
-    """to(value), refused naming key if to cannot convert it; a JSON boolean is not a number,
-    and a number with a fractional part is refused as an int, not truncated."""
+    """to(value), refused naming key if to cannot convert it; a JSON boolean or string is not a
+    number, and a number with a fractional part is refused as an int, not truncated."""
     try:
-        if not (isinstance(value, bool) or to is int and isinstance(value, float) and not value.is_integer()):
+        if not (isinstance(value, (bool, str)) or to is int and isinstance(value, float) and not value.is_integer()):
             return to(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float() of an integer past the float range
         pass
     raise ValueError(f"{key} must be {'an integer' if to is int else 'a number'}, got {value!r}")
 
@@ -268,7 +272,7 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, text that is not UTF-8, or an integer past int()'s digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")

@@ -10,9 +10,9 @@ alongside the clamped value so the effect stays visible.
 
 Detections arrive as a postprocess.DetectionSet, raw per-patch detections
 for grid search as a detector.PatchDetections, and truth as an (M, 4) box
-array. Each detection's best IOU comes from the sparse
-postprocess.overlap_pairs, never from a dense N x M matrix; there is no
-other box-overlap primitive.
+array. Each detection's best IOU comes from the pairs at IOU >= u (or NaN)
+of the sparse postprocess.overlap_pairs, never from a dense N x M matrix;
+there is no other box-overlap primitive.
 
 Everything here is pure; a grid-search cell's result depends on its own
 (m, delta) alone. A cell makes the post-processing call run makes,
@@ -163,10 +163,10 @@ def metrics_from_counts(
     )
 
 
-def _max_ious(dets: DetectionSet, truth_boxes: np.ndarray) -> np.ndarray:
-    """Each detection's best IOU against the truth boxes; 0 where none overlaps."""
+def _max_ious(dets: DetectionSet, truth_boxes: np.ndarray, u: float) -> np.ndarray:
+    """Each detection's best IOU against the truth boxes where that is >= u or NaN, else 0."""
     best = np.zeros(len(dets))
-    i, _, v = overlap_pairs(dets.boxes, truth_boxes)
+    i, _, v = overlap_pairs(dets.boxes, truth_boxes, min_iou=u)
     np.maximum.at(best, i, v)
     return best
 
@@ -184,7 +184,7 @@ def match_and_count(
     cfg: EvalConfig,
 ) -> MetricsReport:
     """Count TP/FP/FN at threshold cfg.u. Apply size_gate first if needed."""
-    return _report(_max_ious(dets, truth_boxes), np.asarray(truth_boxes).reshape(-1, 4).shape[0], cfg.u)
+    return _report(_max_ious(dets, truth_boxes, cfg.u), np.asarray(truth_boxes).reshape(-1, 4).shape[0], cfg.u)
 
 
 def size_gate(dets: DetectionSet, cfg: EvalConfig) -> DetectionSet:
@@ -205,7 +205,7 @@ def localization_stats(
     cfg: EvalConfig,
 ) -> LocalizationReport:
     """Mean/std percentage IOU over detections counted as true positives."""
-    best = _max_ious(dets, truth_boxes)
+    best = _max_ious(dets, truth_boxes, cfg.u)
     matched = best[best >= cfg.u] * 100.0
     if matched.size == 0:
         return LocalizationReport(mean_iou_pct=None, std_iou_pct=None, n_matched=0)
@@ -253,7 +253,7 @@ def grid_search(
             survivors = run_pipeline(per_patch, patch_index, gt, ps_r, int(m), delta)
             gated = size_gate(survivors, cfg)
             new = gated.take(np.flatnonzero(~seen[gated.rows]))
-            best[new.rows] = _max_ious(new, truth_boxes)
+            best[new.rows] = _max_ious(new, truth_boxes, cfg.u)
             seen[new.rows] = True
             report = _report(best[gated.rows], truth_boxes.shape[0], cfg.u)
             cells.append(GridCell(m=int(m), delta=delta, report=report))
@@ -274,8 +274,8 @@ def cross_verify(
 ) -> CrossVerifyReport:
     """Classify detections as known (in A), confirmed new (only in B), or
     unverified (in neither), matching at IOU >= u."""
-    best_a = _max_ious(dets, catalog_a_boxes)
-    best_b = _max_ious(dets, catalog_b_boxes)
+    best_a = _max_ious(dets, catalog_a_boxes, cfg.u)
+    best_b = _max_ious(dets, catalog_b_boxes, cfg.u)
     known = best_a >= cfg.u
     confirmed = ~known & (best_b >= cfg.u)
     return CrossVerifyReport(

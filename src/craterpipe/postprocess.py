@@ -16,16 +16,16 @@ boxes, globalization looks each patch up once and maps whole columns, and
 the result is a DetectionSet, as is what nms returns and what
 load_global_detections reads back.
 
-overlap_pairs(a, b) finds the overlapping pairs of two box sets by a strip
-sweep; NMS uses its self-join form overlap_pairs(b), which gives each
-overlapping pair of distinct boxes once, as i < j.
+overlap_pairs(a, b, min_iou) finds the pairs of two box sets at IOU >= min_iou
+by a strip sweep, a block of candidates at a time; NMS uses its self-join
+form overlap_pairs(b, delta), which gives each such pair once, as i < j.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +94,9 @@ class DetectionSet:
         return ((self.boxes[:, 2] - self.boxes[:, 0]) + (self.boxes[:, 3] - self.boxes[:, 1])) / 2.0 / 1000.0
 
 
+_BLOCK = 1 << 12  # candidates that overlap_pairs makes and filters at a time
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """starts[q], starts[q] + 1, ..., starts[q] + counts[q] - 1 for every q, concatenated."""
     ends = np.cumsum(counts)
@@ -101,11 +104,12 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + counts, counts)
 
 
-def _candidates(boxes: np.ndarray, n_a: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _candidates(boxes: np.ndarray, n_a: int | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Row pairs (i, j) that include every pair of boxes intersecting with
-    positive area, plus some that do not, each pair once. Rows below n_a are
-    a's and the rest b's, and i is an a-row and j a b-row; n_a None joins
-    every row with every other."""
+    positive area, plus some that do not, each pair once in either
+    orientation, made in blocks of at most _BLOCK pairs as the iterator
+    returned is read. Rows below n_a are a's and the rest b's, and each pair
+    joins an a-row and a b-row; n_a None joins every row with every other."""
     n, y1, y2 = boxes.shape[0], boxes[:, 1], boxes[:, 3]
     e_max = int(np.frexp(np.abs(boxes[:, 1::2]).max())[1])
 
@@ -149,31 +153,38 @@ def _candidates(boxes: np.ndarray, n_a: int | None) -> tuple[np.ndarray, np.ndar
 
     parts = [(0, n)] if n_a is None else [(0, n_a), (n_a, n)]
     sides = [(replicas(lo, hi, False), replicas(lo, hi, True)) for lo, hi in parts]
-    del xs, x1_rank, first_strip, n_further  # only the replicas and span reach the joins
+    del quarter, xs, x1_rank, first_strip, n_further  # only the replicas and span reach the joins
 
-    def join(p, q, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each p replica with the q replicas from start on in its strip whose x1 is below its x2."""
-        (p_box, p_key), (q_box, q_key) = p, q
-        count = np.maximum(np.searchsorted(q_key, p_key + span[p_box]) - start, 0)
-        return np.repeat(p_box, count), q_box[_ranges(start, count)]
-
-    def cross(p, q) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The p, q pairs in one strip that overlap in x: q.x1 in [p.x1, p.x2),
-        searched from each p, and p.x1 in (q.x1, q.x2), from each q."""
-        j, i = join(q, p, np.searchsorted(p[1], q[1], side="right"))
-        return [join(p, q, np.searchsorted(q[1], p[1])), (i, j)]
-
+    # In a join (p, q, side) each p replica meets the run of q replicas from
+    # start on in its strip whose x1 is below its x2. Two joins find the p, q
+    # pairs that overlap in x: q.x1 in [p.x1, p.x2) from each p, runs starting
+    # at side left, and p.x1 in (q.x1, q.x2) from each q, at side right. Side
+    # None is a forward sweep: each box meets the later boxes of its first strip.
     if n_a is None:
         [(first, further)] = sides
-        # a forward sweep: each box meets the later boxes of its first strip
-        pairs = [join(first, first, np.arange(1, n + 1))] + cross(first, further)
+        joins = [(first, first, None), (first, further, "left"), (further, first, "right")]
     else:
         (a_first, a_further), (b_first, b_further) = sides
-        pairs = cross(a_first, b_first) + cross(a_first, b_further) + cross(a_further, b_first)
-    return np.concatenate([i for i, _ in pairs]), np.concatenate([j for _, j in pairs])
+        crossed = ((a_first, b_first), (a_first, b_further), (a_further, b_first))
+        joins = [join for p, q in crossed for join in ((p, q, "left"), (q, p, "right"))]
+
+    def blocks():
+        """The candidates of the joins, cut into blocks, a long run across several."""
+        for (p_box, p_key), (q_box, q_key), side in joins:
+            start = np.arange(1, p_box.size + 1) if side is None else np.searchsorted(q_key, p_key, side=side)
+            count = np.maximum(np.searchsorted(q_key, p_key + span[p_box]) - start, 0)
+            ends = np.cumsum(count)
+            offsets = ends - count
+            for lo in range(0, int(ends[-1]) if ends.size else 0, _BLOCK):
+                r = slice(np.searchsorted(ends, lo, side="right"), np.searchsorted(offsets, lo + _BLOCK))
+                begin = np.maximum(offsets[r], lo)  # where each run's part in this block begins
+                size = np.minimum(ends[r], lo + _BLOCK) - begin
+                yield np.repeat(p_box[r], size), q_box[_ranges(start[r] + begin - offsets[r], size)]
+
+    return blocks()
 
 
-def overlap_pairs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def overlap_pairs(a, b=None, min_iou: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs of boxes a[i], b[j] that intersect with positive area, and their IOU.
 
     a is (N, 4) and b (M, 4), rows (x1, y1, x2, y2). Returns index arrays i
@@ -188,16 +199,18 @@ def overlap_pairs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     strict upper triangle of iou_matrix(a, a). The IOU of a pair does not
     depend on its orientation, since +, min and max commute.
 
-    A row holding a NaN or an infinite coordinate forms no pair.
+    A row holding a NaN or an infinite coordinate forms no pair. Only pairs
+    whose IOU is not below min_iou are returned: a NaN IOU, which an
+    overflowing area gives, is never below it, and min_iou 0 keeps every pair.
 
     Strip sweep: each box is put in the horizontal strips it meets, and a
     pair is looked for only in the strip holding the lower edge of its
     intersection, by binary search on x1. Strips are as tall as the mean box
     with heights capped at 64 times the median, or taller where that would
-    put more than 3 (N + M) boxes in strips. Time and memory grow with N + M
-    and the candidates: the pairs, plus the boxes of one strip that overlap
-    in x but not in y, which are few while strips are about as tall as most
-    boxes.
+    put more than 3 (N + M) boxes in strips. Time grows with N + M and the
+    candidates: the pairs, plus the boxes of one strip that overlap in x but
+    not in y, which are few while strips are about as tall as most boxes.
+    Memory grows with N + M, the pairs kept and one block of candidates.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
     boxes = a if b is None else np.concatenate([a, np.asarray(b, dtype=np.float64).reshape(-1, 4)])
@@ -205,19 +218,22 @@ def overlap_pairs(a, b=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, n_a = int(finite.sum()), None if b is None else int(finite[:a.shape[0]].sum())
     if n < finite.size:
         boxes = boxes[finite]
-    if n < 2 or n_a in (0, n):
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    i, j = _candidates(boxes, n_a)
-    iw = np.minimum(boxes[i, 2], boxes[j, 2]) - np.maximum(boxes[i, 0], boxes[j, 0])
-    ih = np.minimum(boxes[i, 3], boxes[j, 3]) - np.maximum(boxes[i, 1], boxes[j, 1])
-    hit = (iw > 0.0) & (ih > 0.0)
-    inter = iw[hit] * ih[hit]
-    del iw, ih  # before i and j are filtered, so fewer candidate-length arrays live at once
-    i, j = i[hit], j[hit]
-    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    iou = inter / (area[i] + area[j] - inter)
-    if n_a is None:
-        i, j = np.minimum(i, j), np.maximum(i, j)
+    kept = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    if n >= 2 and n_a not in (0, n):
+        blocks = _candidates(boxes, n_a)  # its set-up, the peak of a sparse join, runs first
+        area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+        for i, j in blocks:
+            bi, bj = boxes.take(i, axis=0), boxes.take(j, axis=0)
+            iw = np.minimum(bi[:, 2], bj[:, 2]) - np.maximum(bi[:, 0], bj[:, 0])
+            ih = np.minimum(bi[:, 3], bj[:, 3]) - np.maximum(bi[:, 1], bj[:, 1])
+            hit = (iw > 0.0) & (ih > 0.0)
+            inter = iw[hit] * ih[hit]
+            i, j = i[hit], j[hit]
+            iou = inter / (area[i] + area[j] - inter)
+            keep = ~(iou < min_iou)  # a NaN IOU is kept
+            kept.append((i[keep], j[keep], iou[keep]))
+    i, j, iou = (np.concatenate(column) for column in zip(*kept))
+    i, j = np.minimum(i, j), np.maximum(i, j)  # an a-row is below every b-row
     if n < finite.size:
         rows = np.flatnonzero(finite)
         i, j = rows[i], rows[j]
@@ -273,8 +289,8 @@ def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray
         return order[:1]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    i, j, v = overlap_pairs(boxes)
-    edge = v >= delta
+    i, j, v = overlap_pairs(boxes, min_iou=delta)
+    edge = v >= delta  # not a NaN IOU
     ri, rj = rank[i[edge]], rank[j[edge]]
     # Each pair comes once; its edge runs from the earlier-ranked box.
     head, tail = np.minimum(ri, rj), np.maximum(ri, rj)

@@ -453,7 +453,8 @@ def config_from_reference(raw, base_dir):
     key read field by field with its own default and error label. The oracle
     of the table reader; it raises KeyError, AttributeError, TypeError,
     ValueError or a PipelineError for a config it refuses, and leaves
-    validate() to the caller. Unknown keys are ignored."""
+    validate() to the caller. Unknown keys are ignored, and a number given
+    as a JSON string is refused."""
     from craterpipe.config import BandConfig, CatalogConfig, DetectorConfig, GridConfig, PipelineConfig
     from craterpipe.detector import NoiseConfig
     from craterpipe.errors import GeoError
@@ -461,7 +462,7 @@ def config_from_reference(raw, base_dir):
     from craterpipe.geo import GeoTransform
 
     def _float(value, key):
-        if isinstance(value, bool):
+        if isinstance(value, (bool, str)):
             raise ValueError(f"{key} must be a number, got {value!r}")
         if not math.isfinite(number := float(value)):
             raise ValueError(f"{key} must be finite, got {number}")
@@ -472,7 +473,7 @@ def config_from_reference(raw, base_dir):
         return None if v is None else _float(v, key)
 
     def _int(value, key):
-        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")
         return int(value)
 

@@ -1128,3 +1128,56 @@ def test_config_refusal_names_the_file(tmp_path, capsys, path, value, message, c
     assert main([*command, "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert f"error: {config}: {message}" in err, err
+
+
+@pytest.mark.parametrize("names", [("b", "b"), (None, "band0")], ids=["named", "default-name"])
+@pytest.mark.parametrize("command", [["run"], ["tile", "--no-export-images"]], ids=["run", "tile"])
+def test_config_repeated_band_name_exits_two(tmp_path, capsys, names, command):
+    """A band's name keys its line in summary.txt and its patches/<name>/
+    folder, so a second band of the same name would overwrite the first's.
+    A band without a name is named band<index>."""
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    bands = [{"ps_a": 256, "ps_r": 128, "dmin_km": 0.0, "dmax_km": 5.0}, {"ps_a": 256, "ps_r": 128, "dmin_km": 5.0}]
+    cfg["bands"] = [{**band, **({} if name is None else {"name": name})} for band, name in zip(bands, names)]
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([*command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: bands.1.name {names[1]!r} repeats bands.0.name" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("eval.size_ceiling_km", "7.5", "eval.size_ceiling_km must be a number, got '7.5'"),
+        ("workers", "2", "workers must be an integer, got '2'"),
+        ("bands.0.ps_a", "256", "bands.0.ps_a must be an integer, got '256'"),
+        ("grid.delta_set", [0.1, "0.2"], "grid.delta_set must be a number, got '0.2'"),
+    ],
+    ids=["float", "int", "band-int", "list-item"],
+)
+def test_config_number_given_as_a_string_exits_two(tmp_path, capsys, path, value, message):
+    """Numbers take JSON numbers: a string that spells one is refused, not read."""
+    config = write_scene(tmp_path, plant_craters(2))
+    cfg = json.loads(config.read_text())
+    _set_config_path(cfg, path, value)
+    config.write_text(json.dumps(cfg))
+    err = _config_error(config, capsys)
+    assert f"error: {config}: malformed value ({message})" in err, err
+
+
+@pytest.mark.parametrize(
+    "digits, message",
+    [(401, "malformed value (eval.u must be a number, got 1000"), (5001, "invalid JSON (Exceeds the limit (4300 digits)")],
+    ids=["past-float", "past-digit-limit"],
+)
+def test_config_huge_integer_exits_two(tmp_path, capsys, digits, message):
+    """A JSON integer has no size limit. float() of one past the float range
+    raises OverflowError, and json reads none past Python's int digit limit;
+    each is refused naming the file, not a traceback."""
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"eval": {"u": "HUGE"}})
+    config.write_text(config.read_text().replace('"HUGE"', "1" + "0" * (digits - 1)))
+    err = _config_error(config, capsys)
+    assert f"{config}: {message}" in err, err

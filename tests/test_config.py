@@ -38,7 +38,7 @@ def test_explicit_null_optional_floats_parse_as_none(tmp_path):
     raw = json.loads(path.read_text())
     raw["detector"]["score_floor"] = None
     raw["truth_catalog"].update(dmin_km=None, dmax_km=None)
-    raw["eval"].update(size_floor_km=None, size_ceiling_km="7.5")
+    raw["eval"].update(size_floor_km=None, size_ceiling_km=7.5)
     path.write_text(json.dumps(raw))
     cfg = load_config(path)
     assert raw["bands"][0]["dmax_km"] is None and cfg.bands[0].dmax_km is None
@@ -188,7 +188,7 @@ def test_section_built_directly_refuses_nan(cls, key):
 FAULTS = ("absent", "null", "wrong")
 KINDS = (*FAULTS, "valid")
 ABSENT = object()
-NUMBER, TEXT, FLAG = ["x", True, [1.0], {"a": 1}], [5, True, ["x"]], ["false", 1]
+NUMBER, TEXT, FLAG = ["x", "7", True, [1.0], {"a": 1}], [5, True, ["x"]], ["false", 1]
 LIST, OBJECT = ["x", 5, True, {"a": 1}, [1.0, 2.0, 3.0]], ["x", 5, [1]]  # a list may also be of another length
 
 

@@ -163,6 +163,34 @@ def test_u_zero_counts_every_detection_as_tp():
     assert loc.n_matched == 2 and loc.mean_iou_pct == 50.0
 
 
+BIG = (0.0, 0.0, 2e200, 2e200)  # its area overflows, so its IOU with its own copy is NaN
+
+
+def test_u_zero_counts_a_nan_iou_as_no_match_and_no_overlap_as_a_match():
+    dets = global_set([BIG, (-50.0, -50.0, -40.0, -40.0)])
+    truth, cfg = np.array([BIG]), EvalConfig(u=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = match_and_count(dets, truth, cfg)
+        rep = cross_verify(dets, truth, truth, cfg)
+        loc = localization_stats(dets, truth, cfg)
+    assert (r.tp, r.fp, r.fn, r.fn_raw) == (1, 1, 0, 0)
+    assert (rep.known, rep.confirmed_new, rep.unverified) == ((1,), (), (0,))
+    assert (loc.n_matched, loc.mean_iou_pct) == (1, 0.0)
+
+
+def test_u_one_matches_only_exact_copies():
+    box = (0.0, 0.0, 10.0, 10.0)
+    dets = global_set([box, (0.0, 0.0, 10.0, 10.0 + 1e-9), (1.0, 1.0, 9.0, 9.0), BIG, box])
+    truth, cfg = np.array([box, BIG]), EvalConfig(u=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = match_and_count(dets, truth, cfg)
+        rep = cross_verify(dets, truth[1:], truth[:1], cfg)
+        loc = localization_stats(dets, truth, cfg)
+    assert (r.tp, r.fp, r.fn, r.fn_raw) == (2, 3, 0, 0)
+    assert (rep.known, rep.confirmed_new, rep.unverified) == ((), (0, 4), (1, 2, 3))
+    assert (loc.n_matched, loc.mean_iou_pct, loc.std_iou_pct) == (2, 100.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # size gate
 
@@ -274,9 +302,9 @@ def test_grid_search_matches_each_raw_row_once(tmp_path, monkeypatch):
         kept.update(out.rows.tolist())
         return out
 
-    def max_ious(dets, truth_boxes):
+    def max_ious(dets, truth_boxes, u):
         matched.extend(dets.rows.tolist())
-        return real_max_ious(dets, truth_boxes)
+        return real_max_ious(dets, truth_boxes, u)
 
     monkeypatch.setattr(evaluate, "run_pipeline", pipeline)
     monkeypatch.setattr(evaluate, "_max_ious", max_ious)
@@ -297,9 +325,9 @@ def test_grid_search_counts_a_nan_iou_as_match_and_count_does():
     matched = []
     real = evaluate._max_ious
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(real(run_pipeline(per_patch, index, gt, 512, 1, None), truth)).all()
+        assert np.isnan(real(run_pipeline(per_patch, index, gt, 512, 1, None), truth, cfg.u)).all()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluate, "_max_ious", lambda dets, t: matched.append(len(dets)) or real(dets, t))
+            mp.setattr(evaluate, "_max_ious", lambda dets, t, u: matched.append(len(dets)) or real(dets, t, u))
             res = grid_search(per_patch, index, gt, truth, 512, [0, 1, 5], [0.3], cfg)
         alone = [match_and_count(run_pipeline(per_patch, index, gt, 512, c.m, c.delta), truth, cfg) for c in res.cells]
     assert sum(matched) == 2

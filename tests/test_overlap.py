@@ -4,9 +4,11 @@ on it against the quadratic reference."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from craterpipe import postprocess
 from craterpipe.evaluate import EvalConfig, match_and_count
 from craterpipe.postprocess import DetectionSet, nms, overlap_pairs
 
@@ -178,6 +180,73 @@ def test_rows_with_a_non_finite_coordinate_form_no_pair(a, b):
     assert scattered.tobytes() == dense.tobytes()
 
 
+def pair_set(i, j, v):
+    """Pairs as a set of (i, j, the bits of the IOU), so NaN IOUs compare equal."""
+    return set(zip(i.tolist(), j.tolist(), v.view(np.uint64).tolist()))
+
+
+MIN_IOUS = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def dense_pairs(a, b, min_iou, upper=False):
+    """The pairs of the dense reference: finite rows that intersect with
+    positive area, with their iou_matrix IOU, where that is not below
+    min_iou; with upper, only the pairs i < j."""
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    v = iou_matrix(a, b)
+    pair = (iw > 0.0) & (ih > 0.0) & ~(v < min_iou)
+    pair &= np.isfinite(a).all(axis=1)[:, None] & np.isfinite(b).all(axis=1)[None, :]
+    if upper:
+        pair = np.triu(pair, 1)
+    i, j = np.nonzero(pair)
+    return pair_set(i, j, v[i, j])
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_non_finite(ANY_BOXES), with_non_finite(ANY_BOXES), st.sampled_from([1.0, 1e150, 1e200]), MIN_IOUS)
+def test_min_iou_keeps_the_pairs_not_below_it(a, b, scale, min_iou):
+    """The pairs at min_iou are the unfiltered pairs, the dense reference's,
+    whose IOU is not below it. Scaled by 1e150 or 1e200, some or all box
+    areas overflow, and the NaN IOU of an overlapping pair of such boxes is
+    kept."""
+    a, b = a * scale, b * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert pair_set(*overlap_pairs(a, b, min_iou=min_iou)) == dense_pairs(a, b, min_iou)
+        assert pair_set(*overlap_pairs(a, min_iou=min_iou)) == dense_pairs(a, a, min_iou, upper=True)
+
+
+def test_min_iou_keeps_a_pair_exactly_at_it():
+    boxes = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 5.0], [0.0, 0.0, 10.0, 20.0]])
+    at = {m: sorted(zip(*(c.tolist() for c in overlap_pairs(boxes, min_iou=m)))) for m in (0.25, 0.5, 1.0)}
+    assert at[1.0] == [(0, 1, 1.0)]
+    assert at[0.5] == [(0, 1, 1.0), (0, 2, 0.5), (0, 3, 0.5), (1, 2, 0.5), (1, 3, 0.5)]
+    assert at[0.25] == sorted(at[0.5] + [(2, 3, 0.25)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ANY_BOXES, ANY_BOXES, st.integers(1, 5))
+def test_blocks_of_a_few_candidates_give_the_same_pairs(a, b, block):
+    """With a budget of a few candidates a block every join is cut into
+    many blocks; the scatter still equals the dense matrix bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(postprocess, "_BLOCK", block)
+        assert_scatter_equals_dense(a, b)
+        assert_self_join_equals_upper_triangle(np.vstack([a, b]))
+
+
+def test_a_run_of_candidates_longer_than_a_block_is_cut_across_blocks(monkeypatch):
+    """A wide box ahead of 40 small ones in its strip meets all of them, one
+    run of 40 candidates: with 3 a block, its run fills several blocks alone."""
+    monkeypatch.setattr(postprocess, "_BLOCK", 3)
+    small = np.array([[1.0 + k, 0.0, 1.5 + k, 1.0] for k in range(40)])
+    boxes = np.vstack([[0.0, 0.0, 100.0, 1.0], small])
+    assert sum(bool(np.all(i == 0)) for i, _ in postprocess._candidates(boxes, None)) >= 2
+    assert_self_join_equals_upper_triangle(boxes)
+    assert_scatter_equals_dense(boxes[:1], small)
+    assert_scatter_equals_dense(small, boxes[:1])
+
+
 SCORES = st.sampled_from([0.1, 0.5, 0.5, 0.9])  # forced score ties
 DELTAS = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0))
 
@@ -231,8 +300,10 @@ def _crater_boxes(rng, n, extent_m=2.0e6):
 def test_scoring_and_nms_memory_bounded_on_50k_by_20k():
     """50,000 detections (40,000 jittered copies of truth craters plus 10,000
     false ones) against 20,000 truth craters of 1-20 km on a 2,000 km square.
-    A dense IOU matrix would take 8 GB. Measured peaks were 20 MB (matching)
-    and 27 MB (NMS); the bounds allow 2x that."""
+    A dense IOU matrix would take 8 GB. Matching peaked at 20 MB when its
+    bound was set and now peaks at 9.9 MB. NMS, which keeps only the pairs at
+    IOU >= delta, peaked at 6.7 MB (8.6 MB when it kept every pair), and its
+    bound allows about 2x that."""
     rng = np.random.default_rng(50)
     truth = _crater_boxes(rng, 20_000)
     copies = truth[rng.integers(0, truth.shape[0], 40_000)]
@@ -243,7 +314,7 @@ def test_scoring_and_nms_memory_bounded_on_50k_by_20k():
 
     for bound_mb, run in (
         (40, lambda: match_and_count(dets, truth, EvalConfig(u=0.3))),
-        (55, lambda: nms(dets, 0.3)),
+        (14, lambda: nms(dets, 0.3)),
     ):
         tracemalloc.start()
         try:
@@ -261,6 +332,19 @@ def _peak_mb(run) -> float:
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def test_memory_follows_the_pairs_kept_not_the_candidates():
+    """10,000 boxes of side 10 on a unit lattice: each meets 360 others, 1.6M
+    pairs in all, but only 117,210 pairs reach IOU 0.5. Keeping every pair
+    peaked at 164 MB (NMS at 0.5 too, when it did); at 0.5 the join peaked at
+    8.0 MB and NMS at 9.4 MB. The bound allows about 2x that."""
+    x, y = np.meshgrid(np.arange(100.0), np.arange(100.0))
+    boxes = np.hstack([np.stack([x.ravel(), y.ravel()], axis=1)] * 2) + [0.0, 0.0, 10.0, 10.0]
+    dets = DetectionSet(boxes, np.random.default_rng(3).uniform(0, 1, 10_000), ["p"] * 10_000, np.zeros_like(boxes))
+    assert overlap_pairs(boxes, min_iou=0.5)[0].size == 117_210
+    assert _peak_mb(lambda: overlap_pairs(boxes, min_iou=0.5)) < 20.0
+    assert _peak_mb(lambda: nms(dets, 0.5)) < 20.0
 
 
 def test_one_tall_box_among_short_ones_stays_linear():

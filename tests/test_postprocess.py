@@ -213,6 +213,16 @@ def test_nms_delta_one_drops_only_exact_duplicates():
     assert out.patch_ids.tolist() == ["a", "near", "far"]
 
 
+@pytest.mark.parametrize("delta", [0.2, 1.0])
+def test_nms_keeps_both_boxes_of_a_nan_iou_pair(delta):
+    """Two copies of a box whose area overflows have a NaN IOU, which is no
+    IOU >= delta, so neither suppresses the other."""
+    big = (0.0, 0.0, 2e200, 2e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = nms(global_set([big, big, (0.0, 0.0, 1.0, 1.0)], [0.9, 0.8, 0.7], ["a", "b", "c"]), delta)
+    assert out.patch_ids.tolist() == ["a", "b", "c"]
+
+
 # ---------------------------------------------------------------------------
 # pipeline composition
 
