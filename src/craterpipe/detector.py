@@ -195,12 +195,14 @@ class SyntheticDetector(DetectorInterface):
         bx1, by1, bx2, by2 = b[hit].T
 
         # One draw per candidate keeps the stream stable across configs: the
-        # miss test, three standard normals, the score. NumPy's normal(0, s)
-        # is 0 + s * z and its uniform(lo, hi) is lo + (hi - lo) * u, so the
-        # columns below equal the scalar draws bit for bit.
+        # miss test, three standard normals (standard_normal(3) gives three
+        # scalar calls' values), the score. normal(0, s) is 0 + s * z and
+        # uniform(lo, hi) lo + (hi - lo) * u: the columns are the scalar bits.
         random, normal = rng.random, rng.standard_normal
-        draws = np.array([(random(), normal(), normal(), normal(), random()) for _ in range(bx1.size)])
-        u_miss, zx, zy, zr, u_score = draws.reshape(-1, 5).T
+        draws = np.empty((bx1.size, 5))
+        for row in draws:
+            row[0], row[1:4], row[4] = random(), normal(3), random()
+        u_miss, zx, zy, zr, u_score = draws.T
         px1, py1 = meter_to_pixel_xy(bx1, by2, gt, row0, col0, df)
         px2, py2 = meter_to_pixel_xy(bx2, by1, gt, row0, col0, df)
         cx = (px1 + px2) / 2.0 + (0.0 + noise.center_jitter_px * zx)

@@ -17,10 +17,12 @@ there is no other box-overlap primitive.
 Everything here is pure; a grid-search cell's result depends on its own
 (m, delta) alone. A cell makes the post-processing call run makes,
 postprocess.run_pipeline with its own (m, delta), delta None for the
-no-NMS column. The cells share one truth match per raw detection: a
-survivor's rows entry names its raw row, whose global box and so best
-truth IOU are the same in every cell, so each raw row is matched the first
-time a cell counts it and looked up after that.
+no-NMS column; the cells of one m pass it the one NMS graph of their
+merged set, ranked and self-joined at the smallest positive delta. All
+cells share one truth match per raw detection: a survivor's rows entry
+names its raw row, whose global box and so best truth IOU are the same in
+every cell, so each raw row is matched the first time a cell counts it
+and looked up after that.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .detector import PatchDetections
 from .errors import EvalError
 from .geo import GeoTransform
-from .postprocess import DetectionSet, overlap_pairs, run_pipeline
+from .postprocess import DetectionSet, filter_and_globalize, overlap_pairs, ranked_edges, run_pipeline
 from .textcols import csv_text, write_csv
 
 __all__ = [
@@ -232,7 +234,8 @@ def grid_search(
     Every (m, delta) cell, plus an NMS-disabled column (delta None) per m
     when include_no_nms is set, runs the full post-processing pipeline on
     per_patch and is scored against the truth, as match_and_count scores
-    it. The cells share one truth match per raw row of per_patch, made by
+    it. The cells of one m share one ranked self-join of their merged set,
+    and all cells share one truth match per raw row of per_patch, made by
     the first cell that counts the row. The best cell maximizes F1; ties
     prefer larger m, then smaller delta, with the disabled column ranked
     after any real delta.
@@ -247,10 +250,12 @@ def grid_search(
     # best[r] is raw row r's best truth IOU once seen[r]; a mask, since an IOU can be NaN
     best = np.zeros(per_patch.scores.shape[0])
     seen = np.zeros(best.shape[0], dtype=bool)
+    d0 = min((d for d in delta_set if d > 0.0), default=None)  # delta 0 keeps the top box, joining nothing
     cells = []
     for m in m_set:
+        edges = ranked_edges(filter_and_globalize(per_patch, patch_index, gt, ps_r, int(m)), d0) if d0 else None
         for delta in deltas:
-            survivors = run_pipeline(per_patch, patch_index, gt, ps_r, int(m), delta)
+            survivors = run_pipeline(per_patch, patch_index, gt, ps_r, int(m), delta, edges)
             gated = size_gate(survivors, cfg)
             new = gated.take(np.flatnonzero(~seen[gated.rows]))
             best[new.rows] = _max_ious(new, truth_boxes, cfg.u)

@@ -17,14 +17,17 @@ the result is a DetectionSet, as is what nms returns and what
 load_global_detections reads back.
 
 overlap_pairs(a, b, min_iou) finds the pairs of two box sets at IOU >= min_iou
-by a strip sweep, a block of candidates at a time; NMS uses its self-join
-form overlap_pairs(b, delta), which gives each such pair once, as i < j.
+by a strip sweep, a block of candidates at a time. NMS ranks a set and
+self-joins it once (ranked_edges), then makes a greedy pass over the edges
+at IOU >= delta; the cells of a grid search that share a merged set share
+those edges.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
 
@@ -38,6 +41,8 @@ from .textcols import csv_text, gather, raise_first, read_columns, write_csv
 __all__ = [
     "DetectionSet",
     "overlap_pairs",
+    "filter_and_globalize",
+    "ranked_edges",
     "nms",
     "run_pipeline",
     "write_global_detections",
@@ -240,29 +245,25 @@ def overlap_pairs(a, b=None, min_iou: float = 0.0) -> tuple[np.ndarray, np.ndarr
     return (i, j, iou) if n_a is None else (i, j - a.shape[0], iou)
 
 
-def _inside(pixel_boxes: np.ndarray, ps_r: int, m: int) -> np.ndarray:
-    x1, y1, x2, y2 = pixel_boxes.T
-    return np.minimum(np.minimum(x1, y1), np.minimum(ps_r - x2, ps_r - y2)) > m
-
-
-def _globalize(
-    keys: Sequence[str],
-    codes: np.ndarray,
-    pixel_boxes: np.ndarray,
-    scores: np.ndarray,
+def filter_and_globalize(
+    per_patch: PatchDetections,
     patch_index: Mapping[str, tuple[int, int, float]],
     gt: GeoTransform,
-    rows: np.ndarray,
+    ps_r: int,
+    m: int,
 ) -> DetectionSet:
-    """Map per-patch pixel boxes to mosaic meters, as columns.
+    """The boundary filter per patch, then globalization: the merged set
+    run_pipeline hands to NMS, each survivor's rows entry its row in per_patch.
 
-    Row r lies in patch keys[codes[r]], and patch_index maps patch_id ->
-    (row0, col0, delta_f); each patch is looked up once. Northing decreases
-    with pixel row, so y corners swap; output boxes are re-normalized to
-    x1 < x2, y1 < y2. Count, order and scores are preserved, and rows
-    becomes the set's rows column.
+    A box is kept when all four of its edges lie more than m resized pixels
+    inside its patch of side ps_r. patch_index maps patch_id -> (row0, col0,
+    delta_f), each patch looked up once. Northing decreases with pixel row,
+    so y corners swap; boxes are re-normalized to x1 < x2, y1 < y2.
     """
-    keys = np.asarray(keys, dtype=object).reshape(-1)
+    x1, y1, x2, y2 = per_patch.boxes.T
+    rows = np.flatnonzero(np.minimum(np.minimum(x1, y1), np.minimum(ps_r - x2, ps_r - y2)) > m)
+    keys = np.asarray(per_patch.patches, dtype=object).reshape(-1)
+    codes, pixel_boxes = per_patch.codes[rows], per_patch.boxes[rows]
     unknown = np.array([k not in patch_index for k in keys], dtype=bool)[codes]
     if unknown.any():
         raise DetectionError(f"unknown patch id {keys[codes[unknown.argmax()]]!r} in detections")
@@ -276,24 +277,43 @@ def _globalize(
     bad = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
     if bad.any():
         raise PipelineError(f"degenerate global box {tuple(boxes[bad.argmax()].tolist())}")
-    return DetectionSet(boxes, scores, keys[codes], pixel_boxes, rows)
+    return DetectionSet(boxes, per_patch.scores[rows], keys[codes], pixel_boxes, rows)
 
 
-def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray:
-    """Indices greedy NMS keeps, in selection order (see nms)."""
-    n = scores.shape[0]
-    # lexsort is stable, so full ties keep input order
-    order = np.lexsort((boxes[:, 1], boxes[:, 0], -scores))
-    if delta <= 0.0:
-        # IOU >= 0 holds for every pair, disjoint ones included
-        return order[:1]
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    i, j, v = overlap_pairs(boxes, min_iou=delta)
-    edge = v >= delta  # not a NaN IOU
-    ri, rj = rank[i[edge]], rank[j[edge]]
+def _rank(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """np.lexsort((y1, x1, -scores)): rows by score descending, then x1, y1
+    and row, from one sort by score and a lexsort of the tied runs alone."""
+    order = np.argsort(-scores)
+    s = scores[order]
+    tied = np.zeros(s.size + 1, dtype=bool)
+    tied[1:-1] = s[1:] == s[:-1]  # tied[k]: position k is tied with k - 1
+    if tied.any():
+        pos = np.flatnonzero(tied[:-1] | tied[1:])  # the positions in a run of equal scores
+        sub = order[pos]
+        order[pos] = sub[np.lexsort((sub, boxes[sub, 1], boxes[sub, 0], -s[pos]))]
+    return order
+
+
+RankedEdges = namedtuple("RankedEdges", "order head tail iou min_iou")
+
+
+def ranked_edges(dets: DetectionSet, min_iou: float) -> RankedEdges:
+    """The NMS graph of dets, which nms at any delta >= min_iou can share:
+    its rank order, and its pairs at IOU >= min_iou (or NaN) from one
+    self-join, as rank pairs head < tail with their IOUs."""
+    order = _rank(dets.boxes, dets.scores)
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    i, j, iou = overlap_pairs(dets.boxes, min_iou=min_iou)
     # Each pair comes once; its edge runs from the earlier-ranked box.
-    head, tail = np.minimum(ri, rj), np.maximum(ri, rj)
+    return RankedEdges(order, np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j]), iou, min_iou)
+
+
+def _greedy(edges: RankedEdges, delta: float) -> np.ndarray:
+    """Indices greedy NMS at delta > 0 keeps, in selection order (see nms)."""
+    n = edges.order.size
+    edge = edges.iou >= delta  # not a NaN IOU
+    head, tail = edges.head[edge], edges.tail[edge]
     # A head no edge reaches is never suppressed, and what it suppresses is
     # ranked after it, so all such heads act at once; the loop takes the rest.
     reached = np.zeros(n, dtype=bool)
@@ -311,20 +331,28 @@ def _nms_keep(boxes: np.ndarray, scores: np.ndarray, delta: float) -> np.ndarray
     for h, lo, hi in zip(head[starts].tolist(), starts.tolist(), ends.tolist()):
         if not suppressed[h]:
             suppressed[tail[lo:hi]] = True
-    return order[~suppressed]
+    return edges.order[~suppressed]
 
 
-def nms(dets: DetectionSet, delta: float | None) -> DetectionSet:
+def nms(dets: DetectionSet, delta: float | None, edges: RankedEdges | None = None) -> DetectionSet:
     """Greedy highest-score-first suppression at IOU >= delta.
 
     Score ties break deterministically by smaller x1, then smaller y1, then
     input order, so results do not depend on how the input was assembled.
     Survivors are returned in selection (score-descending) order. delta
-    None means no NMS and returns the input unchanged.
+    None means no NMS and returns the input unchanged. edges, made by
+    ranked_edges(dets, d0) with d0 <= delta, spares the self-join; without
+    them nms makes its own at delta.
     """
     if delta is None:
         return dets
-    return dets.take(_nms_keep(dets.boxes, dets.scores, delta))
+    if edges is not None and (edges.order.size != len(dets) or 0.0 < delta < edges.min_iou):
+        raise PipelineError(f"edges of {edges.order.size} boxes at IOU >= {edges.min_iou} "
+                            f"cannot serve NMS of {len(dets)} boxes at {delta}")
+    if delta <= 0.0:
+        # IOU >= 0 holds for every pair, disjoint ones included
+        return dets.take((_rank(dets.boxes, dets.scores) if edges is None else edges.order)[:1])
+    return dets.take(_greedy(ranked_edges(dets, delta) if edges is None else edges, delta))
 
 
 def run_pipeline(
@@ -334,21 +362,16 @@ def run_pipeline(
     ps_r: int,
     m: int,
     delta: float | None,
+    edges: RankedEdges | None = None,
 ) -> DetectionSet:
-    """Boundary filter per patch, then globalize, then NMS, in that order.
+    """Boundary filter per patch, then globalize, then NMS, in that order:
+    nms(filter_and_globalize(per_patch, patch_index, gt, ps_r, m), delta, edges).
 
-    A box is kept when all four of its edges lie more than m resized pixels
-    inside its patch of side ps_r; NMS suppresses at IOU >= delta, and delta
-    None skips it. The rows of per_patch are merged in sorted patch id
-    order, so the merged set (and therefore NMS tie-breaking) never depends
-    on the order the patches were detected in. Every stage works on the
-    columns, and each survivor's rows entry is its row in per_patch.
+    The rows of per_patch are merged in sorted patch id order, so the merged
+    set (and therefore NMS tie-breaking) never depends on the order the
+    patches were detected in. Each survivor's rows entry is its row in per_patch.
     """
-    keep = np.flatnonzero(_inside(per_patch.boxes, ps_r, m))
-    merged = _globalize(
-        per_patch.patches, per_patch.codes[keep], per_patch.boxes[keep], per_patch.scores[keep], patch_index, gt, keep
-    )
-    return nms(merged, delta)
+    return nms(filter_and_globalize(per_patch, patch_index, gt, ps_r, m), delta, edges)
 
 
 # ---------------------------------------------------------------------------

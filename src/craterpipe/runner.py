@@ -346,9 +346,9 @@ def run_tile(cfg: PipelineConfig, export_images: bool = True) -> tuple[Path, int
     n_total = 0
     index_path = out_dir / "patch_index.csv"
     with open(index_path, "w", newline="") as fh:
-        fh.write("patch_id,row0,col0,delta_f\n")
+        fh.write("band,patch_id,row0,col0,delta_f\n")
         for band in cfg.bands:
-            spec = _band_spec(band)
+            spec, name = _band_spec(band), csv_text([band.name])[0]
             if not export_images:
                 patches = patch_placements(stack[0].width, stack[0].height, spec)
             elif len(stack) == 1:
@@ -357,7 +357,7 @@ def run_tile(cfg: PipelineConfig, export_images: bool = True) -> tuple[Path, int
                 patches = tile(*stack, spec, scale_mode=cfg.scale_mode)
             n_total += len(patches)
             for p in patches:
-                fh.write(f"{p.patch_id},{p.row0},{p.col0},{p.delta_f!r}\n")
+                fh.write(f"{name},{p.patch_id},{p.row0},{p.col0},{p.delta_f!r}\n")
                 if export_images:
                     write_patch_image(p, out_dir / "patches" / band.name / f"{p.patch_id}.ppm")
     return index_path, n_total

@@ -254,6 +254,26 @@ def test_cmd_tile_writes_index_and_images(tmp_path):
     assert ppm.exists()
 
 
+def test_cmd_tile_index_tells_bands_apart(tmp_path):
+    """Two bands of one window size write the same patch ids; the band
+    column keeps every row's (band, patch_id) distinct, and each image sits
+    under its band's directory. A band name holding a comma is quoted."""
+    config = write_scene(tmp_path, plant_craters(3))
+    cfg = json.loads(config.read_text())
+    band = cfg["bands"][0]
+    cfg["bands"] = [{**band, "dmax_km": 5.0}, {**band, "name": "c,1", "dmin_km": 5.0}]
+    config.write_text(json.dumps(cfg))
+    assert main(["tile", "--config", str(config)]) == 0
+    with open(tmp_path / "out" / "patch_index.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["band", "patch_id", "row0", "col0", "delta_f"]
+    assert len(rows) == 18 and len({r["patch_id"] for r in rows}) == 9
+    assert len({(r["band"], r["patch_id"]) for r in rows}) == 18
+    assert {r["band"] for r in rows} == {"b", "c,1"}
+    for r in rows:
+        assert (tmp_path / "out" / "patches" / r["band"] / f"{r['patch_id']}.ppm").exists()
+
+
 def test_cmd_tile_no_images(tmp_path):
     config = write_scene(tmp_path, plant_craters(3))
     assert main(["tile", "--config", str(config), "--no-export-images"]) == 0

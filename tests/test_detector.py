@@ -166,9 +166,20 @@ def test_mask_candidate_search_equals_scalar_loop(boxes, miss, jitter, radius_ji
     assert got == synthetic_detect_scalar(truth_boxes, GT, noise, _WINDOW)
 
 
-# SyntheticDetector.detect draws each candidate with rng.random() and
-# rng.standard_normal() and applies NumPy's own formulas to whole columns.
-# These pin the identities it relies on, values and generator state alike.
+# SyntheticDetector.detect draws each candidate with rng.random(),
+# rng.standard_normal(3) and rng.random(), and applies NumPy's own formulas to
+# whole columns. These pin the identities it relies on, values and generator
+# state alike.
+
+
+def test_standard_normal_of_three_is_three_scalar_draws():
+    """A candidate's draws, as detect makes them and as five scalar calls."""
+    scalar, rewritten = np.random.default_rng(2024), np.random.default_rng(2024)
+    want = [(scalar.random(), scalar.standard_normal(), scalar.standard_normal(), scalar.standard_normal(),
+             scalar.random()) for _ in range(5_000)]
+    got = [(rewritten.random(), *rewritten.standard_normal(3), rewritten.random()) for _ in range(5_000)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert rewritten.bit_generator.state == scalar.bit_generator.state
 
 
 @pytest.mark.parametrize("lo, hi", [(0.7, 1.0), (0.3, 0.9), (12.5, 50.0), (1.0, 8.0), (0.0, 512.0)])

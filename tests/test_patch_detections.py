@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from craterpipe import postprocess
 from craterpipe.detector import DetectorInterface, PatchDetections, load_detections, save_detections
-from craterpipe.errors import DetectionError
+from craterpipe.errors import DetectionError, PipelineError
 from craterpipe.evaluate import EvalConfig, grid_search
 from craterpipe.geo import GeoTransform
 from craterpipe.postprocess import DetectionSet, run_pipeline
@@ -261,3 +262,62 @@ def test_grid_search_equals_each_cell_run_on_its_own(per_patch, data, m_set, del
     ] == want
     assert all(r.n_detections == r.tp + r.fp and r.n_truth == truth.shape[0] for r in reports)
     assert (got.best_m, got.best_delta) == want[best][:2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    per_patch_detections(),
+    st.lists(st.sampled_from([0, 1, 5, 20]), min_size=1, max_size=4),  # unsorted, repeated
+    st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_grid_search_self_joins_once_per_m(per_patch, m_set, delta_set, no_nms):
+    """The cells of one m share one ranked self-join, made at the smallest
+    positive delta; a delta set of zeros needs none."""
+    joins = []
+    real = postprocess.overlap_pairs
+
+    def counted(a, b=None, min_iou=0.0):
+        if b is None:
+            joins.append(min_iou)
+        return real(a, b, min_iou)
+
+    truth = np.zeros((0, 4))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(postprocess, "overlap_pairs", counted)
+        grid_search(patch_columns(per_patch), PATCH_INDEX, GT, truth, PS_R, m_set, delta_set, EvalConfig(), no_nms)
+    positive = [d for d in delta_set if d > 0.0]
+    assert joins == ([min(positive)] * len(m_set) if positive else [])
+
+
+def _first_cell_error(per_patch, patch_index, m_set, deltas):
+    """The message of the first cell whose run_pipeline raises, run on its own; None if none does."""
+    for m in m_set:
+        for delta in deltas:
+            try:
+                run_pipeline(per_patch, patch_index, GT, PS_R, m, delta)
+            except PipelineError as exc:
+                return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("m_set", [[0, 5], [20, 0], [20, 5], [5, 1, 0]])
+@pytest.mark.parametrize("bad", ["unknown patch", "degenerate box"])
+def test_grid_search_fails_as_its_first_failing_cell(m_set, bad):
+    """A bad patch whose one row survives only m = 0 fails the sweep at the
+    first m = 0 cell, with that cell's message, and no sweep without one."""
+    inside, near_edge = ((20, 20, 30, 30), 0.5), ((1, 1, 9, 9), 0.9)
+    if bad == "unknown patch":
+        rows, index = {PATCH_IDS[0]: [inside], "zz": [near_edge]}, PATCH_INDEX
+    else:  # a resize factor of 0 maps every box of the patch to a point
+        rows, index = {PATCH_IDS[0]: [inside], PATCH_IDS[1]: [near_edge]}, {**PATCH_INDEX, PATCH_IDS[1]: (0, 64, 0.0)}
+    per_patch, deltas = patch_columns(rows), [0.0, 0.3]
+    want = _first_cell_error(per_patch, index, m_set, deltas + [None])
+    if 0 not in m_set:
+        assert want is None
+        grid_search(per_patch, index, GT, np.zeros((0, 4)), PS_R, m_set, deltas, EvalConfig())
+        return
+    assert want.startswith(bad.split()[0])
+    with pytest.raises(PipelineError) as err:
+        grid_search(per_patch, index, GT, np.zeros((0, 4)), PS_R, m_set, deltas, EvalConfig())
+    assert str(err.value) == want

@@ -7,13 +7,17 @@ input order.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from craterpipe.errors import DetectionError
+from craterpipe.errors import DetectionError, PipelineError
 from craterpipe.geo import GeoTransform
 from craterpipe.postprocess import (
     DetectionSet,
+    _rank,
     load_global_detections,
     nms,
+    ranked_edges,
     run_pipeline,
     write_global_detections,
 )
@@ -221,6 +225,67 @@ def test_nms_keeps_both_boxes_of_a_nan_iou_pair(delta):
     with np.errstate(over="ignore", invalid="ignore"):
         out = nms(global_set([big, big, (0.0, 0.0, 1.0, 1.0)], [0.9, 0.8, 0.7], ["a", "b", "c"]), delta)
     assert out.patch_ids.tolist() == ["a", "b", "c"]
+
+
+# ---------------------------------------------------------------------------
+# ranking and shared edges
+
+_lattice = st.sampled_from([-1.0, 0.0, 2.0, 4.0, 5.0])
+_side = st.sampled_from([2.0, 4.0, 6.0])
+_box = st.tuples(_lattice, _lattice, _side, _side).map(lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3]))
+_tied_score = st.sampled_from([0.0, -0.0, 0.5, 0.5, 0.9, 1.0])
+HUGE = (0.0, 0.0, 2e200, 2e200)  # its area overflows, so its IOU with a copy is NaN
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_box, _tied_score | st.floats(0.0, 1.0)), max_size=40), st.booleans())
+@example([], False)
+@example([((0.0, 0.0, 2.0, 2.0), 0.5)], False)
+@example([((0.0, 0.0, 2.0, 2.0), 0.0), ((-1.0, 0.0, 1.0, 2.0), -0.0), ((-1.0, 0.0, 1.0, 2.0), 0.0)], False)
+def test_rank_is_the_lexsort_of_score_x1_y1(rows, all_equal):
+    """One sort by score and a lexsort of the tied runs give the full
+    lexsort's order, whatever the ties: all scores equal (0.0 beside -0.0),
+    repeated boxes, no rows or one."""
+    boxes = np.array([box for box, _ in rows], dtype=np.float64).reshape(-1, 4)
+    scores = np.array([score for _, score in rows], dtype=np.float64)
+    if all_equal:
+        scores = np.where(np.arange(scores.size) % 2 == 0, 0.0, -0.0)
+    want = np.lexsort((boxes[:, 1], boxes[:, 0], -scores))
+    assert _rank(boxes, scores).tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_box | st.just(HUGE), _tied_score), max_size=30),
+    st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]),
+    st.data(),
+)
+def test_nms_on_shared_edges_equals_nms_alone(rows, delta, data):
+    """Edges ranked at any d0 <= delta give the survivors nms makes on its
+    own, and both those of the quadratic reference."""
+    d0 = data.draw(st.sampled_from([d for d in (0.0, 0.05, 0.1, 0.3, 0.5, 1.0) if d <= delta]))
+    boxes, scores = [box for box, _ in rows], [score for _, score in rows]
+    dets = global_set(boxes, scores, [str(k) for k in range(len(rows))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared = nms(dets, delta, ranked_edges(dets, d0))
+        alone = nms(dets, delta)
+    assert shared.patch_ids.tolist() == alone.patch_ids.tolist()
+    if HUGE not in boxes:  # the reference lets a NaN IOU suppress, which nms does not
+        assert alone.patch_ids.tolist() == [str(k) for k in quadratic_nms(boxes, scores, delta)]
+
+
+def test_edges_of_another_set_raise():
+    dets = global_set([(0.0, 0.0, 2.0, 2.0), (0.0, 0.0, 2.0, 2.0), (9.0, 9.0, 11.0, 11.0)], [0.9, 0.8, 0.7])
+    with pytest.raises(PipelineError, match="edges of 2 boxes at IOU >= 0.1 cannot serve NMS of 3 boxes"):
+        nms(dets, 0.3, ranked_edges(dets.take([0, 2]), 0.1))
+    with pytest.raises(PipelineError, match="edges of 3 boxes at IOU >= 0.5 cannot serve NMS of 3 boxes at 0.3"):
+        nms(dets, 0.3, ranked_edges(dets, 0.5))
+    index = {"p": (0, 0, 1.0)}
+    per_patch = patch_columns({"p": [((1.0, 1.0, 3.0, 3.0), 0.9)]})
+    with pytest.raises(PipelineError, match="edges of 3 boxes"):
+        run_pipeline(per_patch, index, GT, 512, 0, 0.3, ranked_edges(dets, 0.1))
+    # delta 0 reads only the rank order, which edges made at any threshold hold
+    assert nms(dets, 0.0, ranked_edges(dets, 0.5)).scores.tolist() == [0.9]
 
 
 # ---------------------------------------------------------------------------
