@@ -65,8 +65,10 @@ class Catalog:
         self.lon, self.lat, self.diam_km = (np.array(v, dtype=np.float64).reshape(-1) for v in (lon, lat, diam_km))
         for col in (self.ids, self.lon, self.lat, self.diam_km):
             col.flags.writeable = False
-        if len(set(self.ids.tolist())) != self.ids.size:
-            raise CatalogError(f"catalog {name!r} has duplicate crater ids")
+        ids, seen = self.ids.tolist(), set()
+        if len(set(ids)) != len(ids):
+            repeat = next(i for i in ids if i in seen or seen.add(i))
+            raise CatalogError(f"catalog {name!r} has duplicate crater id {repeat!r}")
 
     def __len__(self) -> int:
         return self.ids.size
@@ -140,7 +142,10 @@ def load_catalog(
             f"(tolerance {max_malformed_fraction})"
         )
     lon, lat, diam = np.concatenate(values).T
-    return Catalog(cat_name, ids, lon, lat, diam, n_rows - len(ids))
+    try:
+        return Catalog(cat_name, ids, lon, lat, diam, n_rows - len(ids))
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from None
 
 
 def filter_by_size(cat: Catalog, dmin_km: float, dmax_km: float | None = None) -> Catalog:

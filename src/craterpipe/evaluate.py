@@ -18,16 +18,16 @@ Everything here is pure; a grid-search cell's result depends on its own
 (m, delta) alone. A cell makes the post-processing call run makes,
 postprocess.run_pipeline with its own (m, delta), delta None for the
 no-NMS column; the cells of one m pass it the one NMS graph of their
-merged set, ranked and self-joined at the smallest positive delta. All
-cells share one truth match per raw detection: a survivor's rows entry
-names its raw row, whose global box and so best truth IOU are the same in
-every cell, so each raw row is matched the first time a cell counts it
-and looked up after that.
+merged set, ranked and self-joined at the smallest positive delta. A raw
+row's global box, and so its size gate and best truth IOU, depend on that
+row alone, and every row a cell keeps is alive at the smallest m, so both
+are settled once for the rows alive there and each cell is counted from
+the raw rows (DetectionSet.rows) it keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -75,13 +75,14 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Counts and scores at one threshold.
+    """Counts and scores at one threshold, in metrics.csv's column order.
 
     fn is clamped at zero (the raw value can go negative when several
     detections match one truth box); fn_raw preserves it. When a denominator
     is zero the score is reported as 0.0 with its *_defined flag False.
     """
 
+    u: float
     tp: int
     fp: int
     fn: int
@@ -89,7 +90,6 @@ class MetricsReport:
     precision: float
     recall: float
     f1: float
-    u: float
     n_detections: int
     n_truth: int
     precision_defined: bool = True
@@ -149,6 +149,7 @@ def metrics_from_counts(
     f_def = p_def and r_def and (precision + recall) > 0
     f1 = 2.0 * precision * recall / (precision + recall) if f_def else 0.0
     return MetricsReport(
+        u=u,
         tp=tp,
         fp=fp,
         fn=fn,
@@ -156,7 +157,6 @@ def metrics_from_counts(
         precision=precision,
         recall=recall,
         f1=f1,
-        u=u,
         n_detections=n_detections,
         n_truth=n_truth,
         precision_defined=p_def,
@@ -234,11 +234,11 @@ def grid_search(
     Every (m, delta) cell, plus an NMS-disabled column (delta None) per m
     when include_no_nms is set, runs the full post-processing pipeline on
     per_patch and is scored against the truth, as match_and_count scores
-    it. The cells of one m share one ranked self-join of their merged set,
-    and all cells share one truth match per raw row of per_patch, made by
-    the first cell that counts the row. The best cell maximizes F1; ties
-    prefer larger m, then smaller delta, with the disabled column ranked
-    after any real delta.
+    it. The cells of one m share one ranked self-join of their merged set.
+    Each raw row's size gate and best truth IOU are settled once, over the
+    rows alive at the smallest m, and each cell counts the gated rows it
+    keeps. The best cell maximizes F1; ties prefer larger m, then smaller
+    delta, with the disabled column ranked after any real delta.
     """
     if not m_set:
         raise EvalError("grid search needs a non-empty m set")
@@ -247,20 +247,19 @@ def grid_search(
 
     deltas: list[float | None] = list(delta_set) + ([None] if include_no_nms else [])
     truth_boxes = np.asarray(truth_boxes, dtype=np.float64).reshape(-1, 4)
-    # best[r] is raw row r's best truth IOU once seen[r]; a mask, since an IOU can be NaN
-    best = np.zeros(per_patch.scores.shape[0])
-    seen = np.zeros(best.shape[0], dtype=bool)
+    # every row a cell keeps is alive at the smallest m: gate and match each such row once
+    alive = size_gate(filter_and_globalize(per_patch, patch_index, gt, ps_r, int(min(m_set))), cfg)
+    gated = np.zeros(per_patch.scores.shape[0], dtype=bool)
+    gated[alive.rows] = True
+    iou = np.zeros(gated.shape[0])
+    iou[alive.rows] = _max_ious(alive, truth_boxes, cfg.u)
     d0 = min((d for d in delta_set if d > 0.0), default=None)  # delta 0 keeps the top box, joining nothing
     cells = []
     for m in m_set:
         edges = ranked_edges(filter_and_globalize(per_patch, patch_index, gt, ps_r, int(m)), d0) if d0 else None
         for delta in deltas:
-            survivors = run_pipeline(per_patch, patch_index, gt, ps_r, int(m), delta, edges)
-            gated = size_gate(survivors, cfg)
-            new = gated.take(np.flatnonzero(~seen[gated.rows]))
-            best[new.rows] = _max_ious(new, truth_boxes, cfg.u)
-            seen[new.rows] = True
-            report = _report(best[gated.rows], truth_boxes.shape[0], cfg.u)
+            rows = run_pipeline(per_patch, patch_index, gt, ps_r, int(m), delta, edges).rows
+            report = _report(iou[rows[gated[rows]]], truth_boxes.shape[0], cfg.u)
             cells.append(GridCell(m=int(m), delta=delta, report=report))
 
     def rank(cell: GridCell) -> tuple[float, int, float]:
@@ -296,25 +295,10 @@ def cross_verify(
 
 
 def write_metrics(report: MetricsReport, path: str | Path, extra: dict) -> None:
-    """One CSV record of the counting result, then the extra fields."""
+    """One CSV record of the report's fields, then the extra fields."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fields = {
-        "u": repr(report.u),
-        "tp": report.tp,
-        "fp": report.fp,
-        "fn": report.fn,
-        "fn_raw": report.fn_raw,
-        "precision": repr(report.precision),
-        "recall": repr(report.recall),
-        "f1": repr(report.f1),
-        "n_detections": report.n_detections,
-        "n_truth": report.n_truth,
-        "precision_defined": report.precision_defined,
-        "recall_defined": report.recall_defined,
-        "f1_defined": report.f1_defined,
-        **extra,
-    }
+    fields = {**asdict(report), **extra}
     write_csv(path, csv_text(list(fields)), [[v] for v in csv_text(map(str, fields.values()))])
 
 

@@ -493,8 +493,6 @@ def patch_placements(width: int, height: int, spec: PatchSpec) -> list[PatchPlac
 def _area_average(window: np.ndarray, out_side: int) -> np.ndarray:
     """Box-filter downsample of a square array to out_side x out_side."""
     n = window.shape[0]
-    if n == out_side:
-        return np.asarray(window, dtype=np.float64)
     if n % out_side == 0:
         f = n // out_side
         return window.reshape(out_side, f, out_side, f).mean(axis=(1, 3))
@@ -503,14 +501,10 @@ def _area_average(window: np.ndarray, out_side: int) -> np.ndarray:
 
 
 def _box_weights(n: int, out: int) -> np.ndarray:
+    """(out, n) weights: row j averages input cells over [j * f, (j + 1) * f), f = n / out."""
     f = n / out
-    w = np.zeros((out, n))
-    for j in range(out):
-        lo = j * f
-        hi = lo + f
-        for i in range(int(math.floor(lo)), min(int(math.ceil(hi)), n)):
-            w[j, i] = min(hi, i + 1.0) - max(lo, float(i))
-    return w / f
+    lo, i = np.arange(out)[:, None] * f, np.arange(n, dtype=np.float64)
+    return np.maximum(np.minimum(lo + f, i + 1.0) - np.maximum(lo, i), 0.0) / f
 
 
 def check_co_registered(grids: list[RasterGrid]) -> None:

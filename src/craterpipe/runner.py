@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -142,11 +143,8 @@ def detect_patches(patches: list[PatchPlacement], detector: DetectorInterface, w
     row, in sorted patch id order, that breaks the detection invariants
     fails the run with its patch named.
     """
-    if workers <= 1:
-        results = [detector.detect(p) for p in patches]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(detector.detect, patches))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(detector.detect, patches))
     ids = [p.patch_id for p in patches]
     boxes = [np.asarray(b, dtype=np.float64).reshape(-1, 4) for b, _ in results]
     scores = [np.asarray(s, dtype=np.float64).reshape(-1) for _, s in results]
@@ -293,9 +291,7 @@ def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -
         metrics_path,
         extra={
             "n_gated_out": len(survivors) - len(gated),
-            "loc_mean_iou_pct": "" if loc.mean_iou_pct is None else repr(loc.mean_iou_pct),
-            "loc_std_iou_pct": "" if loc.std_iou_pct is None else repr(loc.std_iou_pct),
-            "loc_n_matched": loc.n_matched,
+            **{f"loc_{k}": "" if v is None else v for k, v in asdict(loc).items()},
         },
     )
 

@@ -358,8 +358,11 @@ def load_catalog_rows(path, mapping, cat_name, max_malformed_fraction=0.0):
             f"{path}: {n_malformed} of {n_rows} rows are malformed "
             f"(tolerance {max_malformed_fraction})"
         )
-    if len({r[0] for r in rows}) != len(rows):
-        raise CatalogError(f"catalog {cat_name!r} has duplicate crater ids")
+    seen = set()
+    for cid, *_ in rows:
+        if cid in seen:
+            raise CatalogError(f"{path}: catalog {cat_name!r} has duplicate crater id {cid!r}")
+        seen.add(cid)
     return rows, n_rejected
 
 
@@ -422,12 +425,39 @@ def slope_in_range(values, nodata):
     return v.size == 0 or bool(v.min() >= 0.0 and v.max() <= 90.0)
 
 
+def box_weights(n, out):
+    """raster._box_weights as a loop: row j of the (out, n) weights spreads
+    [j * f, (j + 1) * f), f = n / out, over the input cells it covers."""
+    f = n / out
+    w = np.zeros((out, n))
+    for j in range(out):
+        lo = j * f
+        hi = lo + f
+        for i in range(int(math.floor(lo)), min(int(math.ceil(hi)), n)):
+            w[j, i] = min(hi, i + 1.0) - max(lo, float(i))
+    return w / f
+
+
+def area_average(window, out_side):
+    """raster._area_average with one branch per case: the window itself when
+    no downsampling is needed, block means for an integer factor, else the
+    loop's box weights."""
+    n = window.shape[0]
+    if n == out_side:
+        return np.asarray(window, dtype=np.float64)
+    if n % out_side == 0:
+        f = n // out_side
+        return window.reshape(out_side, f, out_side, f).mean(axis=(1, 3))
+    w = box_weights(n, out_side)
+    return w @ np.asarray(window, dtype=np.float64) @ w.T
+
+
 def tile_reference(intensity, elevation, slope, spec, scale_mode="patch"):
     """raster.tile as a per-patch, per-channel loop: every channel cuts,
     scales and averages its own grid, reading whole-grid valid masks and, in
     mosaic mode, a whole-grid min and max per channel, even when one grid
     fills several channels."""
-    from craterpipe.raster import FusedPatch, _area_average, _byte_scale, patch_placements
+    from craterpipe.raster import FusedPatch, _byte_scale, patch_placements
 
     grids = [intensity, elevation, slope]
     masks = [g.valid_mask() for g in grids]
@@ -443,7 +473,7 @@ def tile_reference(intensity, elevation, slope, spec, scale_mode="patch"):
             win = grid.values[r0 : r0 + spec.ps_a, c0 : c0 + spec.ps_a]
             ok = masks[k][r0 : r0 + spec.ps_a, c0 : c0 + spec.ps_a]
             byte = _byte_scale(win, ok, bounds=ranges[k])
-            channels[k] = np.rint(_area_average(byte, spec.ps_r)).astype(np.uint8)
+            channels[k] = np.rint(area_average(byte, spec.ps_r)).astype(np.uint8)
         patches.append(FusedPatch(p.patch_id, r0, c0, spec, channels))
     return patches
 

@@ -137,5 +137,5 @@ def test_to_boxes_projection_substitution(gt100):
 
 
 def test_duplicate_ids_rejected():
-    with pytest.raises(CatalogError, match="duplicate"):
-        Catalog("t", ["a", "a"], [0, 1], [0, 0], [1.0, 2.0])
+    with pytest.raises(CatalogError, match="^catalog 't' has duplicate crater id 'b'$"):
+        Catalog("t", ["a", "b", "c", "b", "a"], [0, 1, 2, 3, 4], [0] * 5, [1.0] * 5)

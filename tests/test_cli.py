@@ -13,11 +13,11 @@ from craterpipe.catalog import load_catalog
 from craterpipe.cli import main
 from craterpipe.config import load_config, sha256_file
 from craterpipe.geo import GeoTransform
-from craterpipe.raster import RasterGrid, load_raster, save_raster
+from craterpipe.raster import PatchSpec, RasterGrid, load_raster, save_raster
 from craterpipe.runner import _input_paths, _load_truth
 
 from conftest import planar_dem
-from reference import brute_force_metrics
+from reference import brute_force_metrics, tile_reference
 from scene import RESOLUTION, plant_craters, write_scene
 
 
@@ -211,6 +211,47 @@ def test_external_run_rejects_two_bands_before_loading_rasters(tmp_path, capsys)
     assert "raster payload not found" not in err
 
 
+@pytest.mark.parametrize(
+    "command, config_edit, message",
+    [
+        ("run", {"truth_catalog": None}, "run needs a truth_catalog"),
+        ("detect", {"detector": {"kind": "external", "path": "detections_patch.csv"}},
+         "the detect command only supports the synthetic detector"),
+        ("detect", {"truth_catalog": None}, "detect needs a truth_catalog"),
+        ("gridsearch", {"truth_catalog": None}, "gridsearch needs a truth_catalog"),
+        ("crossmatch", {"verify_catalog": None}, "crossmatch needs both truth_catalog and verify_catalog"),
+    ],
+    ids=["run-no-truth", "detect-external", "detect-no-truth", "gridsearch-no-truth", "crossmatch-no-verify"],
+)
+def test_command_without_its_inputs_exits_two(tmp_path, capsys, command, config_edit, message):
+    config = write_scene(tmp_path, plant_craters(2), extra_config=config_edit)
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_zero_workers_exit_two(tmp_path, capsys):
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"workers": 0})
+    err = _config_error(config, capsys)
+    assert "workers must be >= 1, got 0" in err, err
+
+
+@pytest.mark.parametrize("catalog, command", [("truth", "run"), ("verify", "crossmatch")])
+def test_duplicate_catalog_id_names_the_file_and_the_id(tmp_path, capsys, catalog, command):
+    config = write_scene(
+        tmp_path, plant_craters(3), extra_config={"verify_catalog": {"path": "verify.csv", "schema": "generic"}}
+    )
+    (tmp_path / "verify.csv").write_text((tmp_path / "truth.csv").read_text())
+    assert main(["run", "--config", str(config)]) == 0
+    path = tmp_path / f"{catalog}.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines, lines[1]]) + "\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: catalog {catalog!r} has duplicate crater id 'cr0'\n", err
+
+
 def test_supplied_slope_holding_nan_without_sentinel_names_the_file(tmp_path, capsys):
     config = write_scene(tmp_path, plant_craters(2))
     values = np.full((512, 512), 10.0, dtype=np.float32)
@@ -272,6 +313,23 @@ def test_cmd_tile_index_tells_bands_apart(tmp_path):
     assert {r["band"] for r in rows} == {"b", "c,1"}
     for r in rows:
         assert (tmp_path / "out" / "patches" / r["band"] / f"{r['patch_id']}.ppm").exists()
+
+
+@pytest.mark.parametrize("scale_mode", ["patch", "mosaic"])
+def test_cmd_tile_single_band_images_equal_the_reference(tmp_path, scale_mode):
+    """A single band fills all three channels of every exported patch."""
+    config = write_scene(tmp_path, plant_craters(2), extra_config={"scale_mode": scale_mode})
+    cfg = json.loads(config.read_text())
+    cfg["rasters"] = {"single_band": "dem.bin"}
+    config.write_text(json.dumps(cfg))
+    assert main(["tile", "--config", str(config)]) == 0
+    band = load_raster(tmp_path / "dem.bin")
+    want = tile_reference(band, band, band, PatchSpec(256, 128, 0.5), scale_mode)
+    assert len(want) == 9
+    for p in want:
+        rgb = np.ascontiguousarray(np.moveaxis(p.channels, 0, 2)).tobytes()
+        ppm = (tmp_path / "out" / "patches" / "b" / f"{p.patch_id}.ppm").read_bytes()
+        assert ppm == b"P6\n128 128\n255\n" + rgb, p.patch_id
 
 
 def test_cmd_tile_no_images(tmp_path):
@@ -396,6 +454,28 @@ def test_cmd_run_seed_changes_noisy_output(tmp_path):
     a = (tmp_path / "s1" / "detections_global.csv").read_bytes()
     b = (tmp_path / "s2" / "detections_global.csv").read_bytes()
     assert a != b
+
+
+@pytest.mark.parametrize(
+    "catalog_edit",
+    [{"region": [0.0, 0.85, -1.0, 0.0]}, {"dmin_km": 4.0, "dmax_km": 5.5}, {"dmin_km": 4.5}],
+    ids=["region", "size-range", "size-floor"],
+)
+def test_cmd_run_filters_the_truth_catalog_as_configured(tmp_path, catalog_edit):
+    """n_truth counts the truth rows inside truth_catalog's region and
+    [dmin_km, dmax_km), counted here by hand from the catalog file."""
+    config = write_scene(tmp_path, plant_craters(8))
+    cfg = json.loads(config.read_text())
+    cfg["truth_catalog"].update(catalog_edit)
+    config.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(config)]) == 0
+    with open(tmp_path / "truth.csv", newline="") as fh:
+        rows = [{k: float(v) for k, v in r.items() if k != "id"} for r in csv.DictReader(fh)]
+    lon0, lon1, lat0, lat1 = catalog_edit.get("region", (-math.inf, math.inf, -math.inf, math.inf))
+    dmin, dmax = catalog_edit.get("dmin_km", 0.0), catalog_edit.get("dmax_km", math.inf)
+    want = sum(lon0 <= r["lon"] < lon1 and lat0 <= r["lat"] < lat1 and dmin <= r["diam_km"] < dmax for r in rows)
+    assert 0 < want < len(rows)
+    assert read_metrics(tmp_path / "out")["n_truth"] == str(want)
 
 
 def test_cmd_run_single_band_mode(tmp_path):

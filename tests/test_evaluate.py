@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from craterpipe import evaluate
-from craterpipe.cli import main
 from craterpipe.errors import EvalError
 from craterpipe.evaluate import (
     EvalConfig,
@@ -21,11 +20,10 @@ from craterpipe.evaluate import (
     write_metrics,
 )
 from craterpipe.geo import GeoTransform
-from craterpipe.postprocess import run_pipeline
+from craterpipe.postprocess import filter_and_globalize, run_pipeline
 
 from conftest import LUNAR_RADIUS, global_set, pair_iou, patch_columns
 from reference import brute_force_metrics, iou, iou_matrix, rasterized_iou
-from scene import plant_craters, write_scene
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
 NO_DETECTIONS = patch_columns({})
@@ -289,29 +287,26 @@ def test_grid_search_cell_count():
     assert len(res.cells) == 2 * (3 + 1)
 
 
-def test_grid_search_matches_each_raw_row_once(tmp_path, monkeypatch):
-    """Across the 24 cells of one gridsearch, the rows reaching _max_ious
-    are the raw rows some cell keeps, each once."""
-    config = write_scene(tmp_path, plant_craters(6), noise={"false_positive_rate": 3.0, "center_jitter_px": 2.0})
-    raw, kept, matched = [], set(), []
-    real_pipeline, real_max_ious = evaluate.run_pipeline, evaluate._max_ious
-
-    def pipeline(per_patch, *args):
-        out = real_pipeline(per_patch, *args)
-        raw.append(per_patch.scores.shape[0])
-        kept.update(out.rows.tolist())
-        return out
-
-    def max_ious(dets, truth_boxes, u):
-        matched.extend(dets.rows.tolist())
-        return real_max_ious(dets, truth_boxes, u)
-
-    monkeypatch.setattr(evaluate, "run_pipeline", pipeline)
-    monkeypatch.setattr(evaluate, "_max_ious", max_ious)
-    assert main(["gridsearch", "--config", str(config)]) == 0
-    assert len(raw) == 24 and len(set(raw)) == 1
-    assert 0 < len(matched) == len(set(matched)) <= raw[0]
-    assert set(matched) == kept
+def test_grid_search_gates_and_matches_the_rows_alive_at_the_smallest_m_once(grid_fixture, monkeypatch):
+    """A sweep size-gates once and matches once against the truth, both over
+    the rows alive at the smallest m, and counts each cell from those rows."""
+    f, cfg = grid_fixture, EvalConfig(u=0.3, size_floor_km=9.0)
+    args = (f.per_patch, f.patch_index, f.gt, f.ps_r)
+    alive = filter_and_globalize(*args, 0)
+    gated = size_gate(alive, cfg)
+    assert 0 < len(gated) < len(alive)
+    gates, matched = [], []
+    real_gate, real_max_ious = evaluate.size_gate, evaluate._max_ious
+    monkeypatch.setattr(evaluate, "size_gate", lambda dets, c: gates.append(dets.rows.tolist()) or real_gate(dets, c))
+    monkeypatch.setattr(
+        evaluate, "_max_ious", lambda dets, t, u: matched.append(dets.rows.tolist()) or real_max_ious(dets, t, u)
+    )
+    res = grid_search(f.per_patch, f.patch_index, f.gt, f.truth_boxes, f.ps_r, [5, 0, 10], [0.2, 0.4], cfg, False)
+    assert gates == [alive.rows.tolist()] and matched == [gated.rows.tolist()]
+    monkeypatch.undo()
+    alone = [match_and_count(size_gate(run_pipeline(*args, c.m, c.delta), cfg), f.truth_boxes, cfg) for c in res.cells]
+    assert [(c.m, c.delta) for c in res.cells] == [(m, d) for m in (5, 0, 10) for d in (0.2, 0.4)]
+    assert [c.report for c in res.cells] == alone
 
 
 def test_grid_search_counts_a_nan_iou_as_match_and_count_does():

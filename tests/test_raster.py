@@ -24,6 +24,7 @@ from craterpipe.raster import (
     FusedPatch,
     PatchSpec,
     RasterGrid,
+    _box_weights,
     _byte_scale,
     compute_slope,
     load_raster,
@@ -36,7 +37,7 @@ from craterpipe.raster import (
 )
 
 from conftest import LUNAR_RADIUS, make_grid, planar_dem, write_raster
-from reference import bilinear_whole, slope_in_range, slope_whole, tile_reference
+from reference import bilinear_whole, box_weights, slope_in_range, slope_whole, tile_reference
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +778,7 @@ def _tile_stack(data, nodata, stack):
 
 
 @pytest.mark.parametrize("stack", ["replicated", "copies", "shared", "distinct"])
-@pytest.mark.parametrize("sides", [(12, 6), (12, 5)], ids=["divides", "ragged"])
+@pytest.mark.parametrize("sides", [(12, 12), (12, 6), (12, 5)], ids=["same", "divides", "ragged"])
 @pytest.mark.parametrize("scale_mode", ["patch", "mosaic"])
 @pytest.mark.parametrize("nodata", [None, -9999.0, math.nan], ids=["none", "sentinel", "nan"])
 @settings(max_examples=8, deadline=None)
@@ -791,6 +792,13 @@ def test_tile_matches_the_per_channel_reference(nodata, scale_mode, sides, stack
     assert [(p.patch_id, p.row0, p.col0) for p in got] == [(p.patch_id, p.row0, p.col0) for p in want]
     for g, w in zip(got, want):
         assert np.array_equal(g.channels, w.channels), g.patch_id
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 299), data=st.data())
+def test_box_weights_equal_the_loop(n, data):
+    out = data.draw(st.integers(1, n))
+    assert _box_weights(n, out).tobytes() == box_weights(n, out).tobytes()
 
 
 @pytest.mark.parametrize("distinct, calls", [(False, 1), (True, 3)], ids=["single-band", "three-bands"])
