@@ -5,13 +5,14 @@ between the common catalog families, so the loader takes a schema: either a
 preset name from SCHEMAS or an explicit column mapping. Rows that parse but
 violate the crater invariants (a value that is not finite, a radius in
 meters that is not finite, non-positive diameter, latitude out of range)
-are rejected and counted; rows that do not parse at all count as malformed
-and abort the load once their fraction exceeds a tolerance.
+are rejected and counted; the first row that does not parse at all fails
+the load as path:line, as it does in the detection files.
 
-A catalog is held as columns, and only as columns: the loader converts whole
-columns (see textcols), filters are masks and to_boxes projects them at
-once. A box that overflows there needs the geotransform to be seen, so the
-runner drops such rows after to_boxes. Nothing here mutates.
+A catalog is held as columns, and only as columns: the loader reads the
+file as whole columns by one textcols.read_columns call, the invariants
+and filters are masks and to_boxes projects them at once. A box that
+overflows there needs the geotransform to be seen, so the runner drops such
+rows after to_boxes. Nothing here mutates.
 """
 
 from __future__ import annotations
@@ -88,21 +89,16 @@ def resolve_schema(schema: str | dict[str, str]) -> dict[str, str]:
     return schema
 
 
-def load_catalog(
-    path: str | Path,
-    schema: str | dict[str, str] = "generic",
-    name: str | None = None,
-    max_malformed_fraction: float = 0.0,
-) -> Catalog:
-    """Read a delimited-text catalog, chunks of rows as columns.
+def load_catalog(path: str | Path, schema: str | dict[str, str] = "generic", name: str | None = None) -> Catalog:
+    """Read a delimited-text catalog as whole columns.
 
     Rows failing the crater invariants (a value that is not finite, a
     diameter <= 0 or so large that its radius in meters, diam_km * 500, is
     not finite, a latitude outside [-90, 90]) are dropped and counted in
-    n_rejected. Malformed rows (a mapped field missing or non-numeric) are
-    also dropped, but if their fraction of all data rows exceeds
-    max_malformed_fraction the load fails. Fields read as with csv.DictReader:
-    blank rows are skipped, also when numbering rows for synthesized ids, a
+    n_rejected. The first malformed row (a mapped field missing or
+    non-numeric) fails the load, named by its row number (the header is row
+    1) and what is wrong with it. Fields read as with csv.DictReader: blank
+    rows are skipped, also when numbering rows for synthesized ids, a
     missing field reads None and a repeated column name its last column.
     """
     path = Path(path)
@@ -121,29 +117,20 @@ def load_catalog(
             raise CatalogError(f"{path}: missing columns: {', '.join(missing)}")
         numeric = [index[mapping[k]] for k in ("lon", "lat", "diam_km")]
         id_at = index.get(mapping.get("id"))
-        ids, values, n_rows, n_malformed = [], [], 0, 0
-        for _, texts, vals, malformed in read_columns(fh, numeric, id_at):
-            _, lat, diam = vals.T
-            # a malformed value reads NaN, and a radius that overflows reads inf
-            with np.errstate(over="ignore"):
-                valid = np.isfinite(vals).all(axis=1) & np.isfinite(diam * 500.0)
-            keep = np.flatnonzero(valid & (diam > 0) & (lat >= -90.0) & (lat <= 90.0))
-            if id_at is None:
-                ids += [f"{cat_name}#{k}" for k in (keep + n_rows + 1).tolist()]
-            else:
-                ids += texts[keep].tolist()
-            values.append(vals[keep])
-            n_rows += len(vals)
-            n_malformed += len(malformed)
-
-    if n_rows > 0 and n_malformed / n_rows > max_malformed_fraction:
-        raise CatalogError(
-            f"{path}: {n_malformed} of {n_rows} rows are malformed "
-            f"(tolerance {max_malformed_fraction})"
-        )
-    lon, lat, diam = np.concatenate(values).T
+        _, texts, vals, bad = read_columns(fh, numeric, id_at, first=2)
+    if bad:
+        line = min(bad)
+        raise CatalogError(f"{path}:{line}: {bad[line]}")
+    _, lat, diam = vals.T
+    # a radius that overflows reads inf
+    with np.errstate(over="ignore"):
+        valid = np.isfinite(vals).all(axis=1) & np.isfinite(diam * 500.0)
+    keep = valid & (diam > 0) & (lat >= -90.0) & (lat <= 90.0)
+    if not keep.all():
+        texts, vals = texts[keep], vals[keep]
+    ids = texts if id_at is not None else [f"{cat_name}#{k}" for k in (np.flatnonzero(keep) + 1).tolist()]
     try:
-        return Catalog(cat_name, ids, lon, lat, diam, n_rows - len(ids))
+        return Catalog(cat_name, ids, *vals.T, len(keep) - len(vals))
     except CatalogError as exc:
         raise CatalogError(f"{path}: {exc}") from None
 

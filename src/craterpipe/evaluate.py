@@ -234,9 +234,9 @@ def grid_search(
     Every (m, delta) cell, plus an NMS-disabled column (delta None) per m
     when include_no_nms is set, runs the full post-processing pipeline on
     per_patch and is scored against the truth, as match_and_count scores
-    it. The cells of one m share one ranked self-join of their merged set.
-    Each raw row's size gate and best truth IOU are settled once, over the
-    rows alive at the smallest m, and each cell counts the gated rows it
+    it. The cells of one m share one ranked self-join of their merged set,
+    and the set merged at the smallest m also settles each raw row's size
+    gate and best truth IOU, once; each cell counts the gated rows it
     keeps. The best cell maximizes F1; ties prefer larger m, then smaller
     delta, with the disabled column ranked after any real delta.
     """
@@ -248,19 +248,23 @@ def grid_search(
     deltas: list[float | None] = list(delta_set) + ([None] if include_no_nms else [])
     truth_boxes = np.asarray(truth_boxes, dtype=np.float64).reshape(-1, 4)
     # every row a cell keeps is alive at the smallest m: gate and match each such row once
-    alive = size_gate(filter_and_globalize(per_patch, patch_index, gt, ps_r, int(min(m_set))), cfg)
+    m0 = int(min(m_set))
+    merged0 = filter_and_globalize(per_patch, patch_index, gt, ps_r, m0)
+    alive = size_gate(merged0, cfg)
     gated = np.zeros(per_patch.scores.shape[0], dtype=bool)
     gated[alive.rows] = True
     iou = np.zeros(gated.shape[0])
     iou[alive.rows] = _max_ious(alive, truth_boxes, cfg.u)
     d0 = min((d for d in delta_set if d > 0.0), default=None)  # delta 0 keeps the top box, joining nothing
-    cells = []
-    for m in m_set:
-        edges = ranked_edges(filter_and_globalize(per_patch, patch_index, gt, ps_r, int(m)), d0) if d0 else None
+    cells, edges = [], None
+    for k, m in enumerate(map(int, m_set)):
+        if d0:
+            edges = ranked_edges(merged0 if m == m0 else filter_and_globalize(per_patch, patch_index, gt, ps_r, m), d0)
+        merged0 = merged0 if m0 in m_set[k + 1:] else None  # held only while a later m needs it
         for delta in deltas:
-            rows = run_pipeline(per_patch, patch_index, gt, ps_r, int(m), delta, edges).rows
+            rows = run_pipeline(per_patch, patch_index, gt, ps_r, m, delta, edges).rows
             report = _report(iou[rows[gated[rows]]], truth_boxes.shape[0], cfg.u)
-            cells.append(GridCell(m=int(m), delta=delta, report=report))
+            cells.append(GridCell(m=m, delta=delta, report=report))
 
     def rank(cell: GridCell) -> tuple[float, int, float]:
         delta_key = cell.delta if cell.delta is not None else float("inf")

@@ -36,7 +36,7 @@ import numpy as np
 from .detector import PatchDetections, invalid, row_error
 from .errors import DetectionError, PipelineError
 from .geo import GeoTransform, meter_to_lonlat, pixel_to_meter_xy
-from .textcols import csv_text, gather, raise_first, read_columns, write_csv
+from .textcols import csv_text, raise_first, read_columns, write_csv
 
 __all__ = [
     "DetectionSet",
@@ -401,7 +401,7 @@ def load_global_detections(path: str | Path) -> DetectionSet:
         header = next(csv.reader(fh), _GLOBAL_HEADER)
         if header != _GLOBAL_HEADER:
             raise DetectionError(f"{path}:1: expected the header row {','.join(_GLOBAL_HEADER)}")
-        linenos, ids, rows, bad = gather(read_columns(fh, [0, 1, 2, 3, 4, 6, 7, 8, 9], 5, width=10, first=2))
+        linenos, ids, rows, bad = read_columns(fh, [0, 1, 2, 3, 4, 6, 7, 8, 9], 5, width=10, first=2)
     boxes, scores, pixel_boxes = rows[:, :4], rows[:, 4], rows[:, 5:]
     raise_first(path, linenos, bad, [
         (~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])),

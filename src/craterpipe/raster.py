@@ -215,24 +215,27 @@ def read_header(path: str | Path) -> dict:
     """Parse the text sidecar of a raster payload.
 
     Required keys: width, height, dtype, band, x_min, y_max, resolution,
-    body_radius. Optional: nodata. One ``key = value`` pair per line; blank
-    lines and ``#`` comments are ignored.
+    body_radius. Optional: nodata. One ``key = value`` pair per line; a
+    ``#`` starts a comment anywhere on a line, and blank lines are ignored.
+    A key not listed here, or given twice, fails naming its line.
     """
     hdr_path = _header_path(path)
     if not hdr_path.exists():
         raise RasterError(f"raster header not found: {hdr_path}")
+    keys = ("width", "height", "dtype", "band", "x_min", "y_max", "resolution", "body_radius", "nodata")
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(hdr_path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise RasterError(f"{hdr_path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key, _, value = (s.strip() for s in line.partition("="))
+        if key not in keys or key in fields:
+            raise RasterError(f"{hdr_path}:{lineno}: {'repeated' if key in fields else 'unknown'} key {key!r}")
+        fields[key] = value
 
-    required = ("width", "height", "dtype", "band", "x_min", "y_max", "resolution", "body_radius")
-    missing = [k for k in required if k not in fields]
+    missing = [k for k in keys if k not in fields and k != "nodata"]
     if missing:
         raise RasterError(f"{hdr_path}: missing header keys: {', '.join(missing)}")
     if fields["dtype"] not in _DTYPES:

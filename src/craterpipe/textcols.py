@@ -1,16 +1,17 @@
 """Text tables as whole columns, for the catalog and detection files.
 
-Rows are read and written in chunks, so memory is bounded by a chunk.
 read_columns is the one reader of the three text inputs: catalogs,
-detection records and global detections. It parses each chunk by one
+detection records and global detections. One call reads a whole file and
+returns its columns; inside, it parses _CHUNK lines at a time by one
 np.loadtxt call, whose C parser converts a number with the function float()
 calls, so values match float() bit for bit. A chunk holding what loadtxt
 refuses, or what it would read otherwise than the row-by-row tokenizers
 (csv.reader, or str.split for records) and float(), goes through those
-instead; they alone decide which rows do not parse. A column formats by one
-repr of its list, so spellings and digits do not change. Detection loaders
-name the first row failing to parse or failing a check as path:line, through
-raise_first.
+instead; they alone decide which rows do not parse. Every loader fails on
+the first row that does not parse, naming it as path:line; the detection
+loaders do so through raise_first, which also takes their row checks.
+Rows are written a chunk at a time, and a column formats by one repr of its
+list, so spellings and digits do not change.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DetectionError
 
-__all__ = ["text_lines", "read_columns", "gather", "raise_first", "csv_text", "write_csv"]
+__all__ = ["text_lines", "read_columns", "raise_first", "csv_text", "write_csv"]
 
 _CHUNK = 1 << 12
 _BLOCK = 1 << 16
@@ -50,21 +51,21 @@ def text_lines(fh, block: int = _BLOCK) -> Iterator[str]:
 def read_columns(
     lines: Iterable[str], numeric: Sequence[int], text: int | None = None,
     width: int | None = None, first: int = 1, records: bool = False,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]]:
-    """Fields of comma-separated rows as columns, _CHUNK lines at a time.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
+    """Fields of comma-separated rows as whole columns, parsed _CHUNK lines
+    at a time.
 
     Rows are csv.reader's over lines, numbered from first, and blank rows are
     skipped but numbered; a quoted field may span lines. With records, a row
     is a line stripped and split at commas, numbered by line, and blank
     lines and lines starting with # are skipped.
 
-    Yields, for each chunk and at least once: the rows' numbers; field text
-    of each row as an (n,) object array (None where a row is short, and all
-    None when text is None); fields numeric as an (n, len(numeric)) float64
-    array; and bad, the number of each row that does not parse mapped to
-    what is wrong with it. A row does not parse when it lacks a numeric
-    field or holds one float() rejects, or, with width, has another field
-    count; its values read NaN.
+    Returns the rows' numbers; field text of each row as an (n,) object
+    array (None where a row is short, and all None when text is None);
+    fields numeric as an (n, len(numeric)) float64 array; and bad, the
+    number of each row that does not parse mapped to what is wrong with it.
+    A row does not parse when it lacks a numeric field or holds one float()
+    rejects, or, with width, has another field count; its values read NaN.
     """
     if width is None:
         usecols, text_at = ([] if text is None else [text]) + list(numeric), 0
@@ -76,21 +77,23 @@ def read_columns(
         kinds[text_at] = object
     dtype = np.dtype([(f"f{i}", k) for i, k in enumerate(kinds)])
     it = iter(lines)
-    chunk = list(islice(it, _CHUNK))
-    while True:
+    chunk, parts = list(islice(it, _CHUNK)), []
+    while chunk or not parts:  # an empty file makes one empty part
         fast = _loadtxt(chunk, dtype, usecols)
         if fast is not None:
             index, parsed = fast
-            texts = parsed[f"f{text_at}"] if text is not None else np.full(len(parsed), None)
-            yield first + index, texts, np.column_stack([parsed[f"f{i}"] for i in num_at]), {}
+            # a copy: a view of the field would keep every parsed field of the chunk alive
+            texts = parsed[f"f{text_at}"].copy() if text is not None else np.full(len(parsed), None)
+            parts.append((first + index, texts, np.column_stack([parsed[f"f{i}"] for i in num_at]), {}))
             first += len(chunk)
         else:
             numbered, n_rows = _split_records(chunk) if records else _csv_rows(chunk, it)
-            yield _convert(numbered, first, numeric, text, width)
+            parts.append(_convert(numbered, first, numeric, text, width))
             first += n_rows
         chunk = list(islice(it, _CHUNK))
-        if not chunk:
-            return
+    numbers, texts, values, bads = zip(*parts)
+    bad = {n: why for b in bads for n, why in b.items()}
+    return np.concatenate(numbers), np.concatenate(texts), np.concatenate(values), bad
 
 
 def _loadtxt(chunk: list[str], dtype: np.dtype, usecols) -> tuple[np.ndarray, np.ndarray] | None:
@@ -165,15 +168,6 @@ def _float_columns(columns, n: int) -> tuple[np.ndarray, dict[int, str]]:
                     values[i, k] = np.nan
                     why.setdefault(i, f"non-numeric field ({exc})")
     return values, why
-
-
-def gather(chunks: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, str]]:
-    """The chunks read_columns yields as one chunk."""
-    numbers, texts, values, bads = zip(*chunks)
-    bad = {}
-    for b in bads:
-        bad.update(b)
-    return np.concatenate(numbers), np.concatenate(texts), np.concatenate(values), bad
 
 
 def raise_first(path: Path, numbers: np.ndarray, bad: dict[int, str], checks) -> None:

@@ -314,50 +314,51 @@ def synthetic_detect_scalar(truth_boxes, gt, noise, patch):
     return out
 
 
-def load_catalog_rows(path, mapping, cat_name, max_malformed_fraction=0.0):
-    """The row-by-row catalog loader: one csv.DictReader row at a time.
+def load_catalog_rows(path, mapping, cat_name):
+    """The row-by-row catalog loader: one csv row at a time, each read as
+    csv.DictReader reads it.
 
     Returns ([(id, lon, lat, diam_km), ...], n_rejected), or None for a file
     without a header row, and raises CatalogError as catalog.load_catalog
-    does, duplicate ids included.
+    does: for the first malformed row, by its row number (the header is row
+    1, and blank rows count), then for a duplicate id.
     """
     import csv
+    from itertools import zip_longest
 
     from craterpipe.errors import CatalogError
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        fieldnames = next(reader, None)
+        if fieldnames is None:
             return None
         missing = [col for col in (mapping["lon"], mapping["lat"], mapping["diam_km"])
-                   if col not in reader.fieldnames]
+                   if col not in fieldnames]
         if missing:
             raise CatalogError(f"{path}: missing columns: {', '.join(missing)}")
         id_col = mapping.get("id")
-        if id_col is not None and id_col not in reader.fieldnames:
+        if id_col is not None and id_col not in fieldnames:
             id_col = None
-        rows, n_rows, n_malformed, n_rejected = [], 0, 0, 0
-        for rownum, row in enumerate(reader, start=1):
+        rows, n_rows, n_rejected = [], 0, 0
+        for rownum, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
             n_rows += 1
+            # DictReader's dict: a short row's missing fields read None, a repeated name its last column
+            row = dict(zip_longest(fieldnames, fields[:len(fieldnames)]))
             try:
                 lon = float(row[mapping["lon"]])
                 lat = float(row[mapping["lat"]])
                 diam = float(row[mapping["diam_km"]])
-            except (TypeError, ValueError, KeyError):
-                n_malformed += 1
-                n_rejected += 1
-                continue
+            except (TypeError, ValueError) as exc:
+                raise CatalogError(f"{path}:{rownum}: non-numeric field ({exc})") from None
             radius_finite = math.isfinite(diam * 500.0)
             if not (diam > 0 and -90.0 <= lat <= 90.0 and math.isfinite(lon) and radius_finite):
                 n_rejected += 1
                 continue
-            cid = row[id_col] if id_col is not None else f"{cat_name}#{rownum}"
+            cid = row[id_col] if id_col is not None else f"{cat_name}#{n_rows}"
             rows.append((cid, lon, lat, diam))
-    if n_rows > 0 and n_malformed / n_rows > max_malformed_fraction:
-        raise CatalogError(
-            f"{path}: {n_malformed} of {n_rows} rows are malformed "
-            f"(tolerance {max_malformed_fraction})"
-        )
     seen = set()
     for cid, *_ in rows:
         if cid in seen:

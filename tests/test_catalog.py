@@ -26,6 +26,13 @@ def test_load_empty_file_with_header(tmp_path):
     assert len(cat) == 0
 
 
+def test_load_zero_byte_file(tmp_path):
+    path = tmp_path / "zero.csv"
+    path.write_bytes(b"")
+    cat = load_catalog(path)
+    assert (len(cat), cat.n_rejected, cat.name) == (0, 0, "zero")
+
+
 def test_load_single_row(tmp_path):
     path = write_catalog_csv(tmp_path, "one.csv", [["a1", 10, -5, 7.2]])
     cat = load_catalog(path)
@@ -60,10 +67,9 @@ def test_load_missing_columns(tmp_path):
 
 def test_load_malformed_above_tolerance(tmp_path):
     path = write_catalog_csv(tmp_path, "mal.csv", [["a", "x", 0, 5.0], ["b", 0, 0, 5.0]])
-    with pytest.raises(CatalogError, match="malformed"):
+    with pytest.raises(CatalogError) as err:
         load_catalog(path)
-    cat = load_catalog(path, max_malformed_fraction=0.5)
-    assert len(cat) == 1 and cat.n_rejected == 1
+    assert str(err.value) == f"{path}:2: non-numeric field (could not convert string to float: 'x')"
 
 
 def test_load_named_schema(tmp_path):

@@ -174,6 +174,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "crossmatch" in capsys.readouterr().out
+
+
 def test_data_error_exits_two(tmp_path, capsys):
     config = write_scene(tmp_path, plant_craters(2))
     (tmp_path / "intensity.bin").unlink()
@@ -250,6 +255,40 @@ def test_duplicate_catalog_id_names_the_file_and_the_id(tmp_path, capsys, catalo
     assert main([command, "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}: catalog {catalog!r} has duplicate crater id 'cr0'\n", err
+
+
+@pytest.mark.parametrize("catalog, command", [("truth", "run"), ("verify", "crossmatch")])
+def test_malformed_catalog_row_names_the_file_and_line(tmp_path, capsys, catalog, command):
+    config = write_scene(
+        tmp_path, plant_craters(3), extra_config={"verify_catalog": {"path": "verify.csv", "schema": "generic"}}
+    )
+    (tmp_path / "verify.csv").write_text((tmp_path / "truth.csv").read_text())
+    assert main(["run", "--config", str(config)]) == 0
+    path = tmp_path / f"{catalog}.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines[:2], "", "zz,1.0,x2,3.0", *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:4: non-numeric field (could not convert string to float: 'x2')\n", err
+
+
+@pytest.mark.parametrize(
+    "command, config_edit, message",
+    [
+        (["run"], {"truth_catalog": {"path": "gone.csv"}}, "catalog file not found: {path}"),
+        (["run"], {"detector": {"kind": "external", "path": "gone.csv"}}, "detections file not found: {path}"),
+        (["crossmatch", "--detections", "{path}"], {"verify_catalog": {"path": "truth.csv"}},
+         "global detections file not found: {path}"),
+    ],
+    ids=["truth-catalog", "external-records", "crossmatch-detections"],
+)
+def test_missing_input_file_names_its_path(tmp_path, capsys, command, config_edit, message):
+    config = write_scene(tmp_path, plant_craters(2), extra_config=config_edit)
+    path = tmp_path / "gone.csv"
+    capsys.readouterr()
+    assert main([arg.format(path=path) for arg in command] + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
 def test_supplied_slope_holding_nan_without_sentinel_names_the_file(tmp_path, capsys):
@@ -330,6 +369,22 @@ def test_cmd_tile_single_band_images_equal_the_reference(tmp_path, scale_mode):
         rgb = np.ascontiguousarray(np.moveaxis(p.channels, 0, 2)).tobytes()
         ppm = (tmp_path / "out" / "patches" / "b" / f"{p.patch_id}.ppm").read_bytes()
         assert ppm == b"P6\n128 128\n255\n" + rgb, p.patch_id
+
+
+def test_cmd_tile_exports_an_integer_single_band(tmp_path):
+    """An integer raster holds no NaN, so the unmarked-NaN check passes it."""
+    config = write_scene(tmp_path, plant_craters(2))
+    values = np.asarray(load_raster(tmp_path / "intensity.bin").values)
+    save_raster(RasterGrid(512, 512, "intensity", values, GT), tmp_path / "int16.bin", dtype="int16")
+    cfg = json.loads(config.read_text())
+    cfg["rasters"] = {"single_band": "int16.bin"}
+    config.write_text(json.dumps(cfg))
+    assert main(["tile", "--config", str(config)]) == 0
+    band = load_raster(tmp_path / "int16.bin")
+    assert band.values.dtype == np.int16
+    for p in tile_reference(band, band, band, PatchSpec(256, 128, 0.5), "patch"):
+        rgb = np.ascontiguousarray(np.moveaxis(p.channels, 0, 2)).tobytes()
+        assert (tmp_path / "out" / "patches" / "b" / f"{p.patch_id}.ppm").read_bytes() == b"P6\n128 128\n255\n" + rgb
 
 
 def test_cmd_tile_no_images(tmp_path):
@@ -863,6 +918,33 @@ def _edit_header(path, key, value):
     path.write_text("\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines) + "\n")
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("delete", "raster header not found: {hdr}"),
+        ("append width 512", "{hdr}:{n}: expected 'key = value', got 'width 512'"),
+        ("append nodatta = -9999", "{hdr}:{n}: unknown key 'nodatta'"),
+        ("append width = 512", "{hdr}:{n}: repeated key 'width'"),
+        ("dtype float16", "{hdr}: unknown dtype 'float16'"),
+    ],
+    ids=["missing", "no-equals", "unknown-key", "repeated-key", "unknown-dtype"],
+)
+def test_raster_header_refusal_names_the_header(tmp_path, capsys, edit, message):
+    config = write_scene(tmp_path, plant_craters(2))
+    hdr = tmp_path / "intensity.hdr"
+    lines = hdr.read_text().splitlines()
+    action, _, arg = edit.partition(" ")
+    if action == "delete":
+        hdr.unlink()
+    elif action == "append":
+        hdr.write_text("\n".join([*lines, arg]) + "\n")
+    else:
+        _edit_header(hdr, action, arg)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(hdr=hdr, n=len(lines) + 1)}\n"
+
+
 def test_bad_header_value_names_the_header_and_key(tmp_path, capsys):
     config = write_scene(tmp_path, plant_craters(2))
     hdr = tmp_path / "intensity.hdr"
@@ -1207,11 +1289,15 @@ def test_config_unknown_key_names_file_and_key(tmp_path, capsys, path, value):
         ("truth_catalog", {"dmin_km": 5, "dmax_km": 5}, "malformed value (need dmin < dmax, got [5.0, 5.0))"),
         ("truth_catalog", {"region": [10, 0, -5, 5]}, "malformed value (empty or inverted region bounds: lon [10.0, "),
         ("truth_catalog", {"schema": "nope"}, "malformed value (unknown schema preset 'nope'"),
+        ("truth_catalog", {"schema": {"lat": "lat", "diam_km": "diam_km"}},
+         "malformed value (schema mapping is missing the 'lon' column)"),
+        ("detector.noise", {"fp_radius_px": [5, 1]}, "malformed value (bad fp_radius_px range (5.0, 1.0))"),
         ("bands.0", {"ps_a": 128, "ps_r": 256}, "malformed value (ps_r (256) must not exceed ps_a (128))"),
         ("bands.0", {"ps_a": 255}, "malformed value (ps_a * (1 - overlap) must be a positive integer stride"),
         ("", {"boundary_m": -1}, "m must be a non-negative integer, got -1"),
     ],
-    ids=["band-range", "catalog-range", "inverted-region", "schema-preset", "ps_r-above-ps_a", "stride", "validate"],
+    ids=["band-range", "catalog-range", "inverted-region", "schema-preset", "schema-without-lon", "fp-radius",
+         "ps_r-above-ps_a", "stride", "validate"],
 )
 @pytest.mark.parametrize("command", [["run"], ["tile", "--no-export-images"]], ids=["run", "tile"])
 def test_config_refusal_names_the_file(tmp_path, capsys, path, value, message, command):

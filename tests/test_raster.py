@@ -101,6 +101,44 @@ def test_load_unknown_band(tmp_path):
         load_raster(path)
 
 
+def test_header_comment_may_follow_a_value(tmp_path):
+    grid = make_grid([[0.0, 1.0], [2.0, 3.0]])
+    path = write_raster(tmp_path, "g.bin", grid)
+    hdr = path.with_suffix(".hdr")
+    hdr.write_text("# a whole-line comment\n" + hdr.read_text().replace("\n", "   # nodata = 1\n"))
+    loaded = load_raster(path)
+    assert loaded.nodata is None and np.array_equal(loaded.values, grid.values)
+
+
+@pytest.mark.parametrize("line, message", [("nodatta = -9999", "unknown key 'nodatta'"),
+                                           ("width = 2", "repeated key 'width'")])
+def test_header_refuses_an_unknown_or_repeated_key(tmp_path, line, message):
+    """A misspelt nodata would read every sentinel cell as terrain, and a
+    repeated key would silently take its last value."""
+    path = write_raster(tmp_path, "g.bin", make_grid([[0.0, 1.0], [2.0, 3.0]]))
+    hdr = path.with_suffix(".hdr")
+    lines = hdr.read_text().splitlines()
+    hdr.write_text("\n".join([*lines, line]) + "\n")
+    with pytest.raises(RasterError, match=f"^{re.escape(str(hdr))}:{len(lines) + 1}: {message}$"):
+        load_raster(path)
+
+
+SPEC = PatchSpec(ps_a=4, ps_r=2, overlap_fraction=0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_grid([[0.0]], band_kind="thermal"), "unknown band kind 'thermal'"),
+    (lambda: FusedPatch("p", 0, 0, SPEC, np.zeros((3, 4, 4), dtype=np.uint8)), r"channels shape \(3, 4, 4\)"),
+    (lambda: FusedPatch("p", 0, 0, SPEC, np.zeros((3, 2, 2))), "patch channels must be uint8"),
+    (lambda: save_raster(make_grid([[0.0]]), "never.bin", dtype="float16"), "unknown dtype 'float16'"),
+    (lambda: resample(planar_dem(4), 0.0), "target resolution must be positive, got 0.0"),
+    (lambda: tile(*[planar_dem(4)] * 3, SPEC, scale_mode="global"), "unknown scale_mode 'global'"),
+], ids=["band-kind", "patch-shape", "patch-dtype", "save-dtype", "resolution", "scale-mode"])
+def test_direct_calls_refuse_bad_arguments(call, message):
+    with pytest.raises(RasterError, match=message):
+        call()
+
+
 def test_load_integer_dtypes_round_trip(tmp_path):
     grid = make_grid([[0.0, 255.0], [12.0, 7.0]], band_kind="intensity")
     for dtype in ("uint8", "int16", "int32", "float32"):

@@ -75,19 +75,19 @@ def catalog_text(draw):
 
 
 @SETTINGS
-@given(text=catalog_text(), tolerance=st.sampled_from([0.0, 0.5, 1.0]))
-def test_load_catalog_matches_the_row_by_row_loader(tmp_path_factory, text, tolerance):
+@given(text=catalog_text())
+def test_load_catalog_matches_the_row_by_row_loader(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("cat") / "c.csv"
     path.write_text(text, newline="")
     mapping = {"id": "id", "lon": "lon", "lat": "lat", "diam_km": "diam_km"}
     try:
-        expected = load_catalog_rows(path, mapping, "t", tolerance)
+        expected = load_catalog_rows(path, mapping, "t")
     except CatalogError as exc:
         with pytest.raises(CatalogError) as got:
-            load_catalog(path, schema=mapping, name="t", max_malformed_fraction=tolerance)
+            load_catalog(path, schema=mapping, name="t")
         assert str(got.value) == str(exc)
         return
-    cat = load_catalog(path, schema=mapping, name="t", max_malformed_fraction=tolerance)
+    cat = load_catalog(path, schema=mapping, name="t")
     rows, n_rejected = expected if expected is not None else ([], 0)
     assert cat.ids.tolist() == [r[0] for r in rows]
     for k, col in enumerate((cat.lon, cat.lat, cat.diam_km), start=1):
@@ -96,15 +96,15 @@ def test_load_catalog_matches_the_row_by_row_loader(tmp_path_factory, text, tole
 
 
 def test_load_catalog_reads_chunks_like_one_pass(tmp_path):
-    # more rows than one chunk, a malformed row and a blank line in each
+    # more rows than one chunk, a rejected row and a blank line in each
     lines = ["id,lon,lat,diam_km"]
     for i in range(10_000):
-        lines.append("" if i % 4999 == 7 else f"c{i},{i * 0.01!r},{(i % 180) - 90.5!r},{'x' if i % 5001 == 3 else 1.5}")
+        lines.append("" if i % 4999 == 7 else f"c{i},{i * 0.01!r},{(i % 180) - 90.5!r},1.5")
     path = tmp_path / "big.csv"
     path.write_text("\n".join(lines) + "\n")
     mapping = {"lon": "lon", "lat": "lat", "diam_km": "diam_km"}
-    rows, n_rejected = load_catalog_rows(path, mapping, "big", 0.01)
-    cat = load_catalog(path, schema=mapping, max_malformed_fraction=0.01)
+    rows, n_rejected = load_catalog_rows(path, mapping, "big")
+    cat = load_catalog(path, schema=mapping)
     assert cat.ids.tolist() == [r[0] for r in rows] and cat.n_rejected == n_rejected
     assert bits(cat.lat) == bits([r[2] for r in rows])
 
@@ -315,16 +315,16 @@ def plain_catalog_text(draw):
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
-def assert_catalog_matches_the_row_by_row_loader(path, tolerance):
+def assert_catalog_matches_the_row_by_row_loader(path):
     mapping = {"id": "id", "lon": "lon", "lat": "lat", "diam_km": "diam_km"}
     try:
-        expected = load_catalog_rows(path, mapping, "t", tolerance)
+        expected = load_catalog_rows(path, mapping, "t")
     except CatalogError as exc:
         with pytest.raises(CatalogError) as got:
-            load_catalog(path, schema=mapping, name="t", max_malformed_fraction=tolerance)
+            load_catalog(path, schema=mapping, name="t")
         assert str(got.value) == str(exc)
         return
-    cat = load_catalog(path, schema=mapping, name="t", max_malformed_fraction=tolerance)
+    cat = load_catalog(path, schema=mapping, name="t")
     rows, n_rejected = expected if expected is not None else ([], 0)
     assert cat.ids.tolist() == [r[0] for r in rows]
     for k, col in enumerate((cat.lon, cat.lat, cat.diam_km), start=1):
@@ -352,13 +352,13 @@ CHUNK = st.sampled_from([1, 2, 3, 4096])
 
 
 @SETTINGS
-@given(text=plain_catalog_text(), tolerance=st.sampled_from([0.0, 0.5, 1.0]), chunk=CHUNK)
-def test_plain_catalogs_in_any_chunking_match_the_row_by_row_loader(tmp_path_factory, text, tolerance, chunk):
+@given(text=plain_catalog_text(), chunk=CHUNK)
+def test_plain_catalogs_in_any_chunking_match_the_row_by_row_loader(tmp_path_factory, text, chunk):
     path = tmp_path_factory.mktemp("cat") / "c.csv"
     path.write_text(text, newline="")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(textcols, "_CHUNK", chunk)
-        assert_catalog_matches_the_row_by_row_loader(path, tolerance)
+        assert_catalog_matches_the_row_by_row_loader(path)
 
 
 @st.composite
@@ -466,8 +466,8 @@ def test_a_catalog_over_chunks_mixes_both_paths(tmp_path, monkeypatch):
     path = tmp_path / "c.csv"
     path.write_text("\r\n".join(lines) + "\r\n")
     calls = count_row_by_row_chunks(monkeypatch)
-    assert_catalog_matches_the_row_by_row_loader(path, 0.001)
-    assert calls == [1, 4097, 8193]  # the last chunk takes the fast path
+    assert_catalog_matches_the_row_by_row_loader(path)
+    assert calls == [2, 4098, 8194]  # the last chunk takes the fast path
 
 
 def test_global_line_numbers_count_csv_rows_across_chunks(tmp_path, monkeypatch):
