@@ -6,7 +6,7 @@ detections are boundary-filtered, globalized to map coordinates and
 deduplicated, and the result is scored against ground-truth catalogs.
 """
 
-from .catalog import Catalog, filter_by_region, filter_by_size, load_catalog, to_boxes
+from .catalog import Catalog, in_size_range, load_catalog, select, to_boxes
 from .detector import DetectorInterface, NoiseConfig, PatchDetections, SyntheticDetector, load_detections
 from .errors import PipelineError
 from .evaluate import (

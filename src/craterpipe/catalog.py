@@ -1,4 +1,4 @@
-"""Ground-truth crater catalogs: loading, filtering, geometrizing.
+"""Ground-truth crater catalogs: loading, selecting truth rows, geometrizing.
 
 Catalogs are comma-separated text with a header row. Column names differ
 between the common catalog families, so the loader takes a schema: either a
@@ -6,13 +6,14 @@ preset name from SCHEMAS or an explicit column mapping. Rows that parse but
 violate the crater invariants (a value that is not finite, a radius in
 meters that is not finite, non-positive diameter, latitude out of range)
 are rejected and counted; the first row that does not parse at all fails
-the load as path:line, as it does in the detection files.
+the load as path:line, as it does in the detection files, and after it a
+repeated crater id.
 
 A catalog is held as columns, and only as columns: the loader reads the
-file as whole columns by one textcols.read_columns call, the invariants
-and filters are masks and to_boxes projects them at once. A box that
-overflows there needs the geotransform to be seen, so the runner drops such
-rows after to_boxes. Nothing here mutates.
+file as whole columns by one textcols.read_columns call, and select alone
+chooses the truth rows, by a mask of region and size range, one to_boxes
+projection and a finite box and box area, which only the geotransform
+shows. Nothing here mutates.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ __all__ = [
     "Catalog",
     "load_catalog",
     "resolve_schema",
-    "filter_by_size",
-    "filter_by_region",
+    "in_size_range",
+    "select",
     "check_size_range",
     "check_region",
     "to_boxes",
@@ -55,27 +56,26 @@ SCHEMAS: dict[str, dict[str, str]] = {
 
 class Catalog:
     """A crater catalog as columns: ids, an (N,) object array of str, and lon,
-    lat (degrees) and diam_km, (N,) float64 arrays. Ids are unique and
-    columns read-only. n_rejected counts the rows dropped on the way in; a
-    filter keeps it and the name.
+    lat (degrees) and diam_km, (N,) float64 arrays. Each column is a
+    read-only view of what it was given, not a copy. Ids are unique, which
+    load_catalog checks once; nothing here checks them again. n_rejected
+    counts the rows dropped on the way in; take keeps it and the name.
     """
 
     def __init__(self, name: str, ids, lon, lat, diam_km, n_rejected: int = 0) -> None:
         self.name, self.n_rejected = name, n_rejected
-        self.ids = np.array(ids, dtype=object).reshape(-1)
-        self.lon, self.lat, self.diam_km = (np.array(v, dtype=np.float64).reshape(-1) for v in (lon, lat, diam_km))
+        self.ids = np.asarray(ids, dtype=object).reshape(-1)
+        self.lon, self.lat, self.diam_km = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (lon, lat, diam_km))
         for col in (self.ids, self.lon, self.lat, self.diam_km):
             col.flags.writeable = False
-        ids, seen = self.ids.tolist(), set()
-        if len(set(ids)) != len(ids):
-            repeat = next(i for i in ids if i in seen or seen.add(i))
-            raise CatalogError(f"catalog {name!r} has duplicate crater id {repeat!r}")
 
     def __len__(self) -> int:
         return self.ids.size
 
-    def _select(self, keep: np.ndarray) -> Catalog:
-        return Catalog(self.name, self.ids[keep], self.lon[keep], self.lat[keep], self.diam_km[keep], self.n_rejected)
+    def take(self, keep: np.ndarray, n_dropped: int = 0) -> Catalog:
+        """The rows keep selects, in order, with n_dropped more rows rejected."""
+        cols = (self.ids[keep], self.lon[keep], self.lat[keep], self.diam_km[keep])
+        return Catalog(self.name, *cols, self.n_rejected + n_dropped)
 
 
 def resolve_schema(schema: str | dict[str, str]) -> dict[str, str]:
@@ -97,9 +97,11 @@ def load_catalog(path: str | Path, schema: str | dict[str, str] = "generic", nam
     not finite, a latitude outside [-90, 90]) are dropped and counted in
     n_rejected. The first malformed row (a mapped field missing or
     non-numeric) fails the load, named by its row number (the header is row
-    1) and what is wrong with it. Fields read as with csv.DictReader: blank
-    rows are skipped, also when numbering rows for synthesized ids, a
-    missing field reads None and a repeated column name its last column.
+    1) and what is wrong with it; then an id that repeats one of a kept row
+    does, named by the id. Synthesized ids, name#k, are unique and go
+    unchecked. Fields read as with csv.DictReader: blank rows are skipped,
+    also when numbering rows for synthesized ids, a missing field reads None
+    and a repeated column name its last column.
     """
     path = Path(path)
     if not path.exists():
@@ -128,31 +130,48 @@ def load_catalog(path: str | Path, schema: str | dict[str, str] = "generic", nam
     keep = valid & (diam > 0) & (lat >= -90.0) & (lat <= 90.0)
     if not keep.all():
         texts, vals = texts[keep], vals[keep]
-    ids = texts if id_at is not None else [f"{cat_name}#{k}" for k in (np.flatnonzero(keep) + 1).tolist()]
-    try:
-        return Catalog(cat_name, ids, *vals.T, len(keep) - len(vals))
-    except CatalogError as exc:
-        raise CatalogError(f"{path}: {exc}") from None
+    if id_at is None:
+        texts = [f"{cat_name}#{k}" for k in (np.flatnonzero(keep) + 1).tolist()]
+    else:
+        _check_unique_ids(texts.tolist(), path, cat_name)
+    return Catalog(cat_name, texts, *vals.T, len(keep) - len(vals))
 
 
-def filter_by_size(cat: Catalog, dmin_km: float, dmax_km: float | None = None) -> Catalog:
-    """Craters with dmin <= diameter < dmax (dmax None means unbounded).
-
-    Half-open on purpose: adjacent size bins partition without double
-    counting.
-    """
-    check_size_range(dmin_km, dmax_km)
-    keep = cat.diam_km >= dmin_km
-    if dmax_km is not None:
-        keep &= cat.diam_km < dmax_km
-    return cat._select(keep)
+def _check_unique_ids(ids: list, path: Path, name: str) -> None:
+    if len(set(ids)) != len(ids):
+        seen = set()
+        repeat = next(i for i in ids if i in seen or seen.add(i))
+        raise CatalogError(f"{path}: catalog {name!r} has duplicate crater id {repeat!r}")
 
 
-def filter_by_region(cat: Catalog, lon_min: float, lon_max: float, lat_min: float, lat_max: float) -> Catalog:
-    """Craters with lon in [lon_min, lon_max) and lat in [lat_min, lat_max)."""
-    check_region(lon_min, lon_max, lat_min, lat_max)
-    keep = (lon_min <= cat.lon) & (cat.lon < lon_max) & (lat_min <= cat.lat) & (cat.lat < lat_max)
-    return cat._select(keep)
+def in_size_range(diam_km: np.ndarray, dmin_km: float | None, dmax_km: float | None) -> np.ndarray:
+    """The mask of dmin_km <= diam_km < dmax_km, a None bound unbounded. Half-open
+    on purpose: adjacent size bins partition without double counting."""
+    keep = np.ones(diam_km.shape, dtype=bool) if dmin_km is None else diam_km >= dmin_km
+    return keep if dmax_km is None else keep & (diam_km < dmax_km)
+
+
+def select(
+    cat: Catalog, gt: GeoTransform, region: tuple | None, dmin_km: float | None, dmax_km: float | None
+) -> tuple[Catalog, np.ndarray]:
+    """The rows of cat in region ((lon_min, lon_max, lat_min, lat_max) as
+    half-open ranges, None for all) and in_size_range, as config checked
+    them, and their boxes on gt. A row whose box or box area overflows (a
+    finite but huge longitude or diameter) matches no detection, so it is
+    dropped and counted in n_rejected, as the loader's own rejects are."""
+    window = in_size_range(cat.diam_km, dmin_km, dmax_km)
+    if region is not None:
+        lon_min, lon_max, lat_min, lat_max = region
+        window &= (lon_min <= cat.lon) & (cat.lon < lon_max) & (lat_min <= cat.lat) & (cat.lat < lat_max)
+    if not window.all():
+        cat = cat.take(window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = to_boxes(cat, gt)
+        # a box corner that is not finite makes the area not finite too
+        ok = np.isfinite((boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1]))
+    if ok.all():
+        return cat, boxes
+    return cat.take(ok, int((~ok).sum())), boxes[ok]
 
 
 def check_size_range(dmin_km: float, dmax_km: float | None) -> None:

@@ -135,8 +135,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cli.main(args=list(argv) if argv is not None else None,
                  prog_name="craterpipe", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 1

@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .catalog import in_size_range
 from .detector import PatchDetections
 from .errors import EvalError
 from .geo import GeoTransform
@@ -191,13 +192,9 @@ def match_and_count(
 
 def size_gate(dets: DetectionSet, cfg: EvalConfig) -> DetectionSet:
     """Drop detections whose equivalent diameter (DetectionSet.diam_km) lies
-    outside [size_floor_km, size_ceiling_km); with no bounds, keep every one."""
-    diam_km = dets.diam_km()
-    keep = np.ones(diam_km.shape[0], dtype=bool)
-    if cfg.size_floor_km is not None:
-        keep &= diam_km >= cfg.size_floor_km
-    if cfg.size_ceiling_km is not None:
-        keep &= diam_km < cfg.size_ceiling_km
+    outside [size_floor_km, size_ceiling_km), the window catalog.in_size_range
+    gives truth rows; with no bounds, keep every one."""
+    keep = in_size_range(dets.diam_km(), cfg.size_floor_km, cfg.size_ceiling_km)
     return dets.take(np.flatnonzero(keep))
 
 

@@ -6,8 +6,9 @@ deduplicate, union the bands, gate by size, count against the truth catalog,
 and write reports plus a manifest. Merging is always over sorted patch ids,
 so results are identical for any worker count. Post-processing gets the
 configured (m, delta), delta None when NMS is disabled, as a grid cell does.
-A catalog comes with its boxes (_load_truth): a row whose box overflows is
-dropped and counted there, so neither the oracle nor the counting sees it.
+A catalog comes with its boxes: _load_truth is load_catalog, then
+catalog.select, so neither the oracle nor the counting sees a row that
+select drops, an overflowing box's row included.
 
 Every command loads the raster stack through load_stack, which makes every
 check on it, co-registration included. Values are built only where
@@ -164,26 +165,10 @@ def detect_patches(patches: list[PatchPlacement], detector: DetectorInterface, w
 def _load_truth(
     cfg: PipelineConfig, cat_cfg: CatalogConfig, gt: GeoTransform
 ) -> tuple[catalog_mod.Catalog, np.ndarray]:
-    """The catalog cat_cfg names, filtered as it says, and its boxes on gt.
-
-    A row whose box or box area overflows to a value that is not finite (a
-    finite but huge longitude or diameter) could match no detection, so it
-    is dropped and counted in n_rejected, as the loader's own rejects are.
-    """
+    """The truth rows of the catalog cat_cfg names and their boxes on gt,
+    as catalog_mod.select chooses them."""
     cat = catalog_mod.load_catalog(cfg.resolve(cat_cfg.path), schema=cat_cfg.schema)
-    if cat_cfg.region is not None:
-        cat = catalog_mod.filter_by_region(cat, *cat_cfg.region)
-    if cat_cfg.dmin_km is not None or cat_cfg.dmax_km is not None:
-        cat = catalog_mod.filter_by_size(cat, cat_cfg.dmin_km or 0.0, cat_cfg.dmax_km)
-    with np.errstate(over="ignore", invalid="ignore"):
-        boxes = catalog_mod.to_boxes(cat, gt)
-        area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    ok = np.isfinite(boxes).all(axis=1) & np.isfinite(area)
-    if ok.all():
-        return cat, boxes
-    n_rejected = cat.n_rejected + int((~ok).sum())
-    kept = catalog_mod.Catalog(cat.name, cat.ids[ok], cat.lon[ok], cat.lat[ok], cat.diam_km[ok], n_rejected)
-    return kept, boxes[ok]
+    return catalog_mod.select(cat, gt, cat_cfg.region, cat_cfg.dmin_km, cat_cfg.dmax_km)
 
 
 def _band_detections(
@@ -206,7 +191,7 @@ def _band_detections(
         if unknown:
             raise ConfigError(f"external detections reference unknown patch ids: {sorted(unknown)[:5]}")
     else:
-        band_truth = catalog_mod.filter_by_size(truth, band.dmin_km, band.dmax_km)
+        band_truth = truth.take(catalog_mod.in_size_range(truth.diam_km, band.dmin_km, band.dmax_km))
         detector = SyntheticDetector(band_truth, gt, cfg.detector.noise)
         per_patch = detect_patches(patches, detector, cfg.workers)
     return patch_index, per_patch

@@ -367,6 +367,37 @@ def load_catalog_rows(path, mapping, cat_name):
     return rows, n_rejected
 
 
+def select_rows(rows, gt, region, dmin_km, dmax_km):
+    """The row-by-row truth selection, one (id, lon, lat, diam_km) row at a
+    time: a row is kept when its lon is in [lon_min, lon_max) and its lat in
+    [lat_min, lat_max) of region (None for all), its diameter in
+    [dmin_km, dmax_km) (a None bound unbounded), and its box
+    (x - r, y - r, x + r, y + r) and that box's area are finite floats.
+
+    Returns (kept rows, their boxes, n_overflowed): a row inside region and
+    the size range whose box or area is not finite is counted, not kept.
+    """
+    from craterpipe.geo import lonlat_to_meter
+
+    kept, boxes, n_overflowed = [], [], 0
+    for cid, lon, lat, diam in rows:
+        if region is not None:
+            lon_min, lon_max, lat_min, lat_max = region
+            if not (lon_min <= lon < lon_max and lat_min <= lat < lat_max):
+                continue
+        if (dmin_km is not None and not dmin_km <= diam) or (dmax_km is not None and not diam < dmax_km):
+            continue
+        x, y = lonlat_to_meter(float(lon), float(lat), gt)
+        r = float(diam) * 500.0
+        box = (x - r, y - r, x + r, y + r)
+        if not all(math.isfinite(v) for v in (*box, (box[2] - box[0]) * (box[3] - box[1]))):
+            n_overflowed += 1
+            continue
+        kept.append((cid, lon, lat, diam))
+        boxes.append(box)
+    return kept, boxes, n_overflowed
+
+
 def load_detection_rows(path, score_floor=None, ps_r=None):
     """The row-by-row detection record loader.
 

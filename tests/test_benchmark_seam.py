@@ -76,6 +76,28 @@ def test_traced_counters_take_the_length_of_detection_sets(tmp_path, monkeypatch
     assert counts["evaluate.iou_cells"] > 0
 
 
+def test_traced_catalog_wrappers_see_each_load_and_projection(tmp_path, monkeypatch):
+    """catalog.select projects through the module attribute to_boxes, so the
+    wrapped catalog.load_catalog and catalog.to_boxes see every catalog load
+    and every projection: one per truth selection and one per oracle band."""
+    calls = Counter()
+
+    def counted(real, span):
+        return lambda *a, **k: calls.update([span]) or real(*a, **k)
+
+    for module, attr, span, _ in _tracing().targets():
+        if span.startswith("catalog."):
+            monkeypatch.setattr(module, attr, counted(getattr(module, attr), span))
+    config = write_scene(
+        tmp_path, plant_craters(6), extra_config={"verify_catalog": {"path": "truth.csv", "schema": "generic"}}
+    )
+    expected = {"run": (1, 2), "gridsearch": (1, 2), "crossmatch": (2, 2)}
+    for command, (loads, projections) in expected.items():
+        calls.clear()
+        assert main([command, "--config", str(config)]) == 0, command
+        assert calls == {"catalog.load": loads, "catalog.to_boxes": projections}, command
+
+
 def test_traced_counts_equal_the_raw_detections(tmp_path, monkeypatch):
     """The counters sum len() over the values of the per-patch mapping that
     detect_patches and load_detections return and run_pipeline takes; each

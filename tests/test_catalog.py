@@ -1,14 +1,28 @@
-"""Catalog loading, combining, filtering and box projection tests."""
+"""Catalog loading, truth-row selection and box projection tests."""
 
 import math
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from craterpipe.catalog import Catalog, filter_by_region, filter_by_size, load_catalog, to_boxes
+from craterpipe.catalog import Catalog, in_size_range, load_catalog, select, to_boxes
+from craterpipe.config import CatalogConfig
 from craterpipe.errors import CatalogError
+from craterpipe.geo import GeoTransform
+from craterpipe.runner import _load_truth
 
 from conftest import LUNAR_RADIUS, write_catalog_csv
+from reference import select_rows
+
+GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
 def cat_of(diams, name="t", lon0=0.0, lat0=0.0):
@@ -89,35 +103,36 @@ def test_save_round_trip(tmp_path):
     assert loaded.ids.tolist() == cat.ids.tolist() and loaded.diam_km.tolist() == [5.0, 12.0]
 
 
-def test_filter_by_size_half_open():
+def test_in_size_range_half_open():
     cat = cat_of([4.9, 5.0, 19.99, 20.0])
-    out = filter_by_size(cat, 5.0, 20.0)
+    out = cat.take(in_size_range(cat.diam_km, 5.0, 20.0))
     assert out.diam_km.tolist() == [5.0, 19.99]
-    assert len(filter_by_size(cat, 20.0)) == 1
+    assert in_size_range(cat.diam_km, 20.0, None).sum() == 1
 
 
-def test_filter_by_size_nested_equals_tighter():
+def test_in_size_range_nested_equals_tighter():
     cat = cat_of(list(np.linspace(1, 30, 25)))
-    once = filter_by_size(filter_by_size(cat, 2.0, 25.0), 5.0, 20.0)
-    direct = filter_by_size(cat, 5.0, 20.0)
+    outer = cat.take(in_size_range(cat.diam_km, 2.0, 25.0))
+    once = outer.take(in_size_range(outer.diam_km, 5.0, 20.0))
+    direct = cat.take(in_size_range(cat.diam_km, 5.0, 20.0))
     assert once.ids.tolist() == direct.ids.tolist()
 
 
-def test_filter_by_size_empty_window():
+def test_in_size_range_empty_window():
     cat = cat_of([5.0, 10.0])
-    assert len(filter_by_size(cat, 6.0, 6.0001)) == 0
+    assert not in_size_range(cat.diam_km, 6.0, 6.0001).any()
 
 
-def test_filter_by_region_identity_and_empty():
+def test_region_identity_and_empty(gt100):
     cat = cat_of([5.0, 6.0, 7.0])
-    assert len(filter_by_region(cat, -180, 180, -90, 90)) == 3
-    assert len(filter_by_region(cat, 100, 120, 0, 10)) == 0
+    assert len(select(cat, gt100, (-180, 180, -90, 90), None, None)[0]) == 3
+    assert len(select(cat, gt100, (100, 120, 0, 10), None, None)[0]) == 0
 
 
-def test_filter_by_region_boundary_inclusion():
+def test_region_boundary_inclusion(gt100):
     cat = one_crater(60.0, 0.0, 5.0)
-    assert len(filter_by_region(cat, 60.0, 180.0, -60.0, 60.0)) == 1
-    assert len(filter_by_region(cat, -180.0, 60.0, -60.0, 60.0)) == 0
+    assert len(select(cat, gt100, (60.0, 180.0, -60.0, 60.0), None, None)[0]) == 1
+    assert len(select(cat, gt100, (-180.0, 60.0, -60.0, 60.0), None, None)[0]) == 0
 
 
 def test_to_boxes_unit_case(gt100):
@@ -142,6 +157,66 @@ def test_to_boxes_projection_substitution(gt100):
     assert (boxes[0, 2] - boxes[0, 0]) / 2.0 == pytest.approx(10_000.0)
 
 
-def test_duplicate_ids_rejected():
-    with pytest.raises(CatalogError, match="^catalog 't' has duplicate crater id 'b'$"):
-        Catalog("t", ["a", "b", "c", "b", "a"], [0, 1, 2, 3, 4], [0] * 5, [1.0] * 5)
+def test_duplicate_ids_rejected(tmp_path):
+    path = write_catalog_csv(tmp_path, "t.csv", [[cid, i, 0, 1.0] for i, cid in enumerate(["a", "b", "c", "b", "a"])])
+    with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: catalog 't' has duplicate crater id 'b'$"):
+        load_catalog(path)
+
+
+def test_catalog_columns_are_read_only_views_of_what_it_is_given():
+    lon = np.array([1.0, 2.0])
+    cat = Catalog("t", ["a", "b"], lon, [0.0, 0.0], [1.0, 2.0])
+    assert np.shares_memory(cat.lon, lon)
+    assert lon.flags.writeable and not cat.lon.flags.writeable
+
+
+# rows and windows on one another's edges, and longitudes and diameters whose boxes overflow
+EDGE_LONS = [-10.0, 0.0, 5.0, 10.0]
+EDGE_LATS = [-90.0, -5.0, 0.0, 5.0, 90.0]
+EDGE_DIAMS = [1.0, 5.0, 20.0]
+
+
+@st.composite
+def truth_window(draw):
+    """(rows, region, dmin_km, dmax_km) as a catalog file and its config hold them."""
+    rows = [
+        (
+            f"c{i}",
+            draw(st.sampled_from(EDGE_LONS + [1e306, -1e306]) | st.floats(-180.0, 360.0)),
+            draw(st.sampled_from(EDGE_LATS) | st.floats(-90.0, 90.0)),
+            draw(st.sampled_from(EDGE_DIAMS + [1e305]) | st.floats(0.01, 100.0)),
+        )
+        for i in range(draw(st.integers(0, 12)))
+    ]
+    bounds = st.lists(st.sampled_from(EDGE_LONS), min_size=2, max_size=2, unique=True).map(sorted)
+    lat_bounds = st.lists(st.sampled_from(EDGE_LATS), min_size=2, max_size=2, unique=True).map(sorted)
+    region = draw(st.none() | st.tuples(bounds, lat_bounds).map(lambda b: (*b[0], *b[1])))
+    dmin, dmax = draw(st.lists(st.sampled_from(EDGE_DIAMS), min_size=2, max_size=2, unique=True).map(sorted))
+    return rows, region, draw(st.sampled_from([None, dmin])), draw(st.sampled_from([None, dmax]))
+
+
+def assert_chosen_as_the_oracle(cat, boxes, window, n_rejected):
+    rows, region, dmin_km, dmax_km = window
+    kept, want_boxes, n_overflowed = select_rows(rows, GT, region, dmin_km, dmax_km)
+    assert cat.ids.tolist() == [r[0] for r in kept]
+    for k, col in enumerate((cat.lon, cat.lat, cat.diam_km), start=1):
+        assert bits(col) == bits([r[k] for r in kept])
+    assert bits(boxes) == bits(np.array(want_boxes).reshape(-1, 4))
+    assert cat.n_rejected == n_rejected + n_overflowed
+
+
+@settings(max_examples=150, deadline=None)
+@given(window=truth_window())
+def test_truth_rows_match_the_row_by_row_oracle(window):
+    rows, region, dmin_km, dmax_km = window
+    cat = Catalog("t", *([r[k] for r in rows] for k in range(4)), n_rejected=3)
+    assert_chosen_as_the_oracle(*select(cat, GT, region, dmin_km, dmax_km), window, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=truth_window())
+def test_load_truth_matches_the_row_by_row_oracle(tmp_path_factory, window):
+    rows, region, dmin_km, dmax_km = window
+    path = write_catalog_csv(tmp_path_factory.mktemp("truth"), "truth.csv", rows)
+    cat_cfg = CatalogConfig(str(path), region=region, dmin_km=dmin_km, dmax_km=dmax_km)
+    assert_chosen_as_the_oracle(*_load_truth(SimpleNamespace(resolve=Path), cat_cfg, GT), window, 0)

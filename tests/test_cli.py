@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from craterpipe import config as config_mod
+from craterpipe import catalog as catalog_mod, config as config_mod
 from craterpipe.catalog import load_catalog
 from craterpipe.cli import main
 from craterpipe.config import load_config, sha256_file
@@ -571,6 +571,24 @@ def test_cmd_run_two_band_union(tmp_path):
     assert m["n_detections"] == "8"
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "band fine:" in summary and "band coarse:" in summary
+
+
+def test_two_band_run_checks_the_truth_ids_once(tmp_path, monkeypatch):
+    """The ids of a catalog file are checked for repeats once, as it loads:
+    selecting its region and size range, and each band's oracle truth,
+    check none."""
+    checked = []
+    real = catalog_mod._check_unique_ids
+    monkeypatch.setattr(catalog_mod, "_check_unique_ids", lambda ids, *a: checked.append(len(ids)) or real(ids, *a))
+    bands = [
+        {"name": "fine", "ps_a": 128, "ps_r": 64, "overlap": 0.5, "dmin_km": 0.0, "dmax_km": 4.5},
+        {"name": "coarse", "ps_a": 256, "ps_r": 128, "overlap": 0.5, "dmin_km": 4.5, "dmax_km": None},
+    ]
+    truth = {"path": "truth.csv", "region": [0.0, 1.48, -1.2, 0.0], "dmin_km": 3.5, "dmax_km": 5.62}
+    config = write_scene(tmp_path, plant_craters(8), extra_config={"bands": bands, "truth_catalog": truth})
+    assert main(["run", "--config", str(config)]) == 0
+    assert checked == [8]
+    assert 0 < int(read_metrics(tmp_path / "out")["n_truth"]) < 8
 
 
 def test_cmd_run_mismatched_grids_exits_two(tmp_path, capsys):
