@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CatalogError
 from .geo import GeoTransform, lonlat_to_meter
-from .textcols import read_columns
+from .textcols import open_text, read_columns
 
 __all__ = [
     "SCHEMAS",
@@ -109,7 +109,7 @@ def load_catalog(path: str | Path, schema: str | dict[str, str] = "generic", nam
     mapping = resolve_schema(schema)
     cat_name = name if name is not None else path.stem
 
-    with open(path, newline="") as fh:
+    with open_text(path, CatalogError, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             return Catalog(cat_name, (), (), (), ())

@@ -27,6 +27,7 @@ from .errors import ConfigError, GeoError, PipelineError
 from .evaluate import EvalConfig
 from .geo import GeoTransform
 from .raster import PatchSpec
+from .textcols import open_text
 
 __all__ = [
     "BandConfig",
@@ -271,8 +272,9 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
-    except ValueError as exc:  # bad JSON, text that is not UTF-8, or an integer past int()'s digit limit
+        with open_text(path, ConfigError) as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # bad JSON, or an integer past int()'s digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")

@@ -4,7 +4,7 @@ The neural detector is a seam: anything that maps a patch to scored boxes
 can drive the pipeline. A detector's detect(patch) returns two arrays, the
 (N, 4) pixel boxes of that patch and their (N,) scores, as Mask R-CNN gives
 them per image. Two implementations live here. The synthetic oracle
-detector projects a truth catalog into each patch and emits configurable
+detector maps catalog.select's truth boxes into each patch and emits
 noisy detections; it exists so the post-processing and evaluation stages
 can be exercised and accepted without a trained model. It reads only a
 patch's placement (id, offset, spec), so it takes a PatchPlacement or a
@@ -36,11 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog as catalog_mod
 from .errors import DetectionError
 from .geo import GeoTransform, meter_to_pixel_xy, pixel_to_meter_xy
 from .raster import PatchPlacement
-from .textcols import raise_first, read_columns, text_lines, write_csv
+from .textcols import open_text, raise_first, read_columns, text_lines, write_csv
 
 __all__ = [
     "invalid",
@@ -165,21 +164,19 @@ def _patch_rng(seed: int, patch_id: str) -> np.random.Generator:
 
 
 class SyntheticDetector(DetectorInterface):
-    """Oracle detector driven by a truth catalog and a noise model.
+    """Oracle detector driven by truth boxes and a noise model.
 
-    For every truth crater whose projected box intersects the patch window,
-    a detection is emitted with probability 1 - miss_rate at the pixel-frame
-    projection of the truth box, center jittered, radius scaled, clipped to
-    the patch. Poisson-many spurious boxes are added uniformly over the
-    patch. True detections score in [0.7, 1.0), spurious in [0.3, 0.9); the
-    exact ranges are arbitrary but fixed, since only the ordering matters
-    downstream. It never reads channels.
+    truth_boxes holds catalog.select's (N, 4) float64 boxes in meters on gt.
+    For every one that intersects the patch window, a detection is emitted
+    with probability 1 - miss_rate at its pixel-frame projection, center
+    jittered, radius scaled, clipped to the patch. Poisson-many spurious
+    boxes are added uniformly over the patch. True detections score in
+    [0.7, 1.0), spurious in [0.3, 0.9); the exact ranges are arbitrary but
+    fixed, since only the ordering matters downstream. It never reads channels.
     """
 
-    def __init__(self, truth: catalog_mod.Catalog, gt: GeoTransform, noise: NoiseConfig):
-        self.gt = gt
-        self.noise = noise
-        self.truth_boxes = catalog_mod.to_boxes(truth, gt)
+    def __init__(self, truth_boxes: np.ndarray, gt: GeoTransform, noise: NoiseConfig):
+        self.truth_boxes, self.gt, self.noise = truth_boxes, gt, noise
 
     def detect(self, patch: PatchPlacement) -> tuple[np.ndarray, np.ndarray]:
         gt, noise, row0, col0, df = self.gt, self.noise, patch.row0, patch.col0, patch.delta_f
@@ -237,7 +234,7 @@ def load_detections(path: str | Path, score_floor: float | None = None, ps_r: in
     path = Path(path)
     if not path.exists():
         raise DetectionError(f"detections file not found: {path}")
-    with open(path) as fh:
+    with open_text(path, DetectionError) as fh:
         linenos, ids, rows, bad = read_columns(text_lines(fh), range(1, 6), 0, width=6, records=True)
     ids = [s.strip() for s in ids.tolist()]
     boxes, score = rows[:, :4], rows[:, 4]

@@ -36,7 +36,7 @@ import numpy as np
 from .detector import PatchDetections, invalid, row_error
 from .errors import DetectionError, PipelineError
 from .geo import GeoTransform, meter_to_lonlat, pixel_to_meter_xy
-from .textcols import csv_text, raise_first, read_columns, write_csv
+from .textcols import csv_text, open_text, raise_first, read_columns, write_csv
 
 __all__ = [
     "DetectionSet",
@@ -397,7 +397,7 @@ def load_global_detections(path: str | Path) -> DetectionSet:
     path = Path(path)
     if not path.exists():
         raise DetectionError(f"global detections file not found: {path}")
-    with open(path, newline="") as fh:
+    with open_text(path, DetectionError, newline="") as fh:
         header = next(csv.reader(fh), _GLOBAL_HEADER)
         if header != _GLOBAL_HEADER:
             raise DetectionError(f"{path}:1: expected the header row {','.join(_GLOBAL_HEADER)}")

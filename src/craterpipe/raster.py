@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import GeoError, RasterError
 from .geo import GeoTransform
+from .textcols import open_text
 
 __all__ = [
     "BAND_KINDS",
@@ -224,7 +225,9 @@ def read_header(path: str | Path) -> dict:
         raise RasterError(f"raster header not found: {hdr_path}")
     keys = ("width", "height", "dtype", "band", "x_min", "y_max", "resolution", "body_radius", "nodata")
     fields: dict[str, str] = {}
-    for lineno, raw in enumerate(hdr_path.read_text().splitlines(), start=1):
+    with open_text(hdr_path, RasterError) as fh:
+        text = fh.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
@@ -512,12 +515,13 @@ def _box_weights(n: int, out: int) -> np.ndarray:
 
 def check_co_registered(grids: list[RasterGrid]) -> None:
     """The check tile makes before cutting: every grid shares the first
-    one's size and geotransform. Band kinds may differ."""
+    one's size, the first that does not named by its place in the stack
+    (intensity, elevation, slope), then its geotransform. Band kinds may differ."""
     first = grids[0]
-    if not all(
-        g.width == first.width and g.height == first.height and g.geotransform == first.geotransform
-        for g in grids[1:]
-    ):
+    for name, g in zip(("elevation", "slope"), grids[1:]):
+        if (g.width, g.height) != (first.width, first.height):
+            raise RasterError(f"{name} grid {g.width}x{g.height} does not match intensity {first.width}x{first.height}")
+    if any(g.geotransform != first.geotransform for g in grids[1:]):
         raise RasterError("intensity, elevation and slope grids must share size and geotransform")
 
 

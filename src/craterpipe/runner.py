@@ -109,9 +109,10 @@ def load_stack(cfg: PipelineConfig) -> list[RasterGrid]:
 
     The stack's geotransform is stack[0].geotransform. Elevation is
     resampled onto the intensity resolution when they differ; slope is
-    derived from elevation when not supplied. In single-band mode only that
-    raster is loaded. Every check on the stack runs here, co-registration
-    last; a resampled elevation or a derived slope builds values on first read.
+    derived from elevation when not supplied, and a supplied one must
+    declare band = slope. In single-band mode only that raster is loaded.
+    Every check on the stack runs here, check_co_registered last; a
+    resampled elevation or a derived slope builds values on first read.
     """
     if cfg.single_band_path is not None:
         return [load_raster(cfg.resolve(cfg.single_band_path))]
@@ -122,12 +123,8 @@ def load_stack(cfg: PipelineConfig) -> list[RasterGrid]:
     if elevation.geotransform.resolution != res:
         elevation = resample(elevation, res)
     slope = load_raster(cfg.resolve(cfg.slope_path)) if cfg.slope_path is not None else compute_slope(elevation)
-    for name, grid in (("elevation", elevation), ("slope", slope)):
-        if grid.width != intensity.width or grid.height != intensity.height:
-            raise RasterError(
-                f"{name} grid {grid.width}x{grid.height} does not match "
-                f"intensity {intensity.width}x{intensity.height}"
-            )
+    if slope.band_kind != "slope":  # a derived slope always is one
+        raise RasterError(f"{cfg.resolve(cfg.slope_path)}: slope raster declares band = {slope.band_kind}, not slope")
     check_co_registered([intensity, elevation, slope])
     return [intensity, elevation, slope]
 
@@ -172,14 +169,14 @@ def _load_truth(
 
 
 def _band_detections(
-    cfg: PipelineConfig, band, stack, truth: catalog_mod.Catalog, gt: GeoTransform
+    cfg: PipelineConfig, band, stack, truth: catalog_mod.Catalog, boxes: np.ndarray
 ) -> tuple[dict[str, tuple[int, int, float]], PatchDetections]:
     """Place one band's patches and produce its raw detections.
 
     Returns the patch index (patch id -> row0, col0, delta_f), one entry per
     patch, and the detections keyed by patch id. An external file maps onto
     the one band's grid and may name no patch outside it; the synthetic
-    oracle sees the truth craters inside the band's size range.
+    oracle sees the truth boxes of the craters in the band's size range.
     """
     patches = patch_placements(stack[0].width, stack[0].height, _band_spec(band))
     patch_index = {p.patch_id: (p.row0, p.col0, p.delta_f) for p in patches}
@@ -191,21 +188,21 @@ def _band_detections(
         if unknown:
             raise ConfigError(f"external detections reference unknown patch ids: {sorted(unknown)[:5]}")
     else:
-        band_truth = truth.take(catalog_mod.in_size_range(truth.diam_km, band.dmin_km, band.dmax_km))
-        detector = SyntheticDetector(band_truth, gt, cfg.detector.noise)
+        in_band = catalog_mod.in_size_range(truth.diam_km, band.dmin_km, band.dmax_km)
+        detector = SyntheticDetector(boxes[in_band], stack[0].geotransform, cfg.detector.noise)
         per_patch = detect_patches(patches, detector, cfg.workers)
     return patch_index, per_patch
 
 
-def _per_band_detections(cfg: PipelineConfig, stack, truth, gt) -> tuple[DetectionSet, dict]:
+def _per_band_detections(cfg: PipelineConfig, stack, truth, boxes) -> tuple[DetectionSet, dict]:
     """Detect and post-process every band; return the union plus per-band
     context for reporting."""
     all_survivors: list[DetectionSet] = []
     info: dict[str, dict] = {}
     for band in cfg.bands:
-        patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
+        patch_index, per_patch = _band_detections(cfg, band, stack, truth, boxes)
         delta = cfg.nms_delta if cfg.nms_enabled else None
-        survivors = run_pipeline(per_patch, patch_index, gt, band.ps_r, cfg.boundary_m, delta)
+        survivors = run_pipeline(per_patch, patch_index, stack[0].geotransform, band.ps_r, cfg.boundary_m, delta)
         all_survivors.append(survivors)
         info[band.name] = {
             "n_patches": len(patch_index),
@@ -255,7 +252,7 @@ def _run_stages(cfg: PipelineConfig, out_dir: Path, timings: dict[str, float]) -
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    survivors, band_info = _per_band_detections(cfg, stack, truth, gt)
+    survivors, band_info = _per_band_detections(cfg, stack, truth, truth_boxes)
     timings["detect_and_postprocess"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -357,11 +354,10 @@ def run_detect_dump(cfg: PipelineConfig) -> list[Path]:
     out_dir = cfg.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     stack = load_stack(cfg)
-    gt = stack[0].geotransform
-    truth, _ = _load_truth(cfg, cfg.truth_catalog, gt)
+    truth, boxes = _load_truth(cfg, cfg.truth_catalog, stack[0].geotransform)
     paths = []
     for band in cfg.bands:
-        _, per_patch = _band_detections(cfg, band, stack, truth, gt)
+        _, per_patch = _band_detections(cfg, band, stack, truth, boxes)
         name = "detections_patch.csv" if len(cfg.bands) == 1 else f"detections_patch_{band.name}.csv"
         path = out_dir / name
         save_detections(per_patch, path)
@@ -381,7 +377,7 @@ def run_gridsearch(cfg: PipelineConfig) -> tuple[GridSearchResult, Path]:
     gt = stack[0].geotransform
     truth, truth_boxes = _load_truth(cfg, cfg.truth_catalog, gt)
     band = cfg.bands[0]
-    patch_index, per_patch = _band_detections(cfg, band, stack, truth, gt)
+    patch_index, per_patch = _band_detections(cfg, band, stack, truth, truth_boxes)
 
     result = grid_search(
         per_patch,

@@ -1,5 +1,7 @@
 """Text tables as whole columns, for the catalog and detection files.
 
+open_text opens every text input (these files, raster headers, the config)
+as UTF-8 with an optional byte order mark, naming the file a bad byte is in.
 read_columns is the one reader of the three text inputs: catalogs,
 detection records and global detections. One call reads a whole file and
 returns its columns; inside, it parses _CHUNK lines at a time by one
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import re
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from itertools import chain, islice, zip_longest
 from pathlib import Path
 
@@ -26,13 +29,24 @@ import numpy as np
 
 from .errors import DetectionError
 
-__all__ = ["text_lines", "read_columns", "raise_first", "csv_text", "write_csv"]
+__all__ = ["open_text", "text_lines", "read_columns", "raise_first", "csv_text", "write_csv"]
 
 _CHUNK = 1 << 12
 _BLOCK = 1 << 16
 _CSV_QUOTED = re.compile(r'[,"\r\n]')
 # A quote, or a separator loadtxt strips around a number and float() does not.
 _SLOW_CHARS = '"\x1c\x1d\x1e\x1f'
+
+
+@contextmanager
+def open_text(path: Path, error: type[Exception], newline: str | None = None) -> Iterator:
+    """path opened to read as UTF-8 text, a byte order mark skipped; a byte
+    that does not decode, wherever reading meets it, raises error naming path."""
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def text_lines(fh, block: int = _BLOCK) -> Iterator[str]:

@@ -74,10 +74,11 @@ def test_acceptance_01_end_to_end_oracle():
     assert len(patches) == 49
     patch_index = {p.patch_id: (p.row0, p.col0, p.delta_f) for p in patches}
 
-    detector = SyntheticDetector(truth, gt, NoiseConfig(seed=1))
+    boxes = to_boxes(truth, gt)
+    detector = SyntheticDetector(boxes, gt, NoiseConfig(seed=1))
     per_patch = detect_patches(patches, detector, workers=1)
     survivors = run_pipeline(per_patch, patch_index, gt, 512, 10, 0.2)
-    metrics = match_and_count(survivors, to_boxes(truth, gt), EvalConfig(u=0.3))
+    metrics = match_and_count(survivors, boxes, EvalConfig(u=0.3))
 
     elapsed = time.perf_counter() - t_start
     assert metrics.tp == 200

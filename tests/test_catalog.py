@@ -96,6 +96,27 @@ def test_load_named_schema(tmp_path):
     assert cat.diam_km[0] == 3.3
 
 
+@pytest.mark.parametrize(
+    "schema, header",
+    [("robbins", "CRATER_ID,LAT_CIRC_IMG,LON_CIRC_IMG,DIAM_CIRC_IMG"), ("head", "Lon,Lat,Diam_km")],
+)
+def test_catalog_with_a_byte_order_mark_loads_as_without(tmp_path, schema, header):
+    rows = ["00-1-1,10.5,40.0,3.3", "00-1-2,11.5,41.0,4.4"] if schema == "robbins" else ["40.0,10.5,3.3"]
+    (tmp_path / "plain").mkdir(), (tmp_path / "marked").mkdir()
+    plain, marked = tmp_path / "plain" / "cat.csv", tmp_path / "marked" / "cat.csv"
+    plain.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    marked.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want, got = load_catalog(plain, schema=schema), load_catalog(marked, schema=schema)
+    for col in ("ids", "lon", "lat", "diam_km"):
+        assert getattr(got, col).tolist() == getattr(want, col).tolist(), col
+    if schema == "robbins":
+        assert got.ids.tolist() == ["00-1-1", "00-1-2"]
+        marked.write_text("\n".join([header, rows[0], rows[0]]) + "\n", encoding="utf-8-sig")
+        with pytest.raises(CatalogError, match="duplicate crater id '00-1-1'"):
+            load_catalog(marked, schema=schema)
+
+
 def test_save_round_trip(tmp_path):
     cat = cat_of([5.0, 12.0])
     path = write_catalog_csv(tmp_path, "out.csv", zip(cat.ids, cat.lon, cat.lat, cat.diam_km))
@@ -211,6 +232,21 @@ def test_truth_rows_match_the_row_by_row_oracle(window):
     rows, region, dmin_km, dmax_km = window
     cat = Catalog("t", *([r[k] for r in rows] for k in range(4)), n_rejected=3)
     assert_chosen_as_the_oracle(*select(cat, GT, region, dmin_km, dmax_km), window, 3)
+
+
+_BAND_BOUND = st.none() | st.sampled_from(EDGE_DIAMS) | st.floats(0.01, 100.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(window=truth_window(), band=st.tuples(_BAND_BOUND, _BAND_BOUND))
+def test_band_mask_of_the_selected_boxes_is_the_band_projected_again(window, band):
+    """An oracle band's truth boxes are the boxes select gave, masked by the
+    band's size range: bit for bit the band's rows projected on their own."""
+    rows, region, dmin_km, dmax_km = window
+    cat = Catalog("t", *([r[k] for r in rows] for k in range(4)))
+    truth, boxes = select(cat, GT, region, dmin_km, dmax_km)
+    mask = in_size_range(truth.diam_km, *band)
+    assert bits(boxes[mask]) == bits(to_boxes(truth.take(mask), GT))
 
 
 @settings(max_examples=60, deadline=None)

@@ -273,6 +273,54 @@ def test_malformed_catalog_row_names_the_file_and_line(tmp_path, capsys, catalog
     assert err == f"error: {path}:4: non-numeric field (could not convert string to float: 'x2')\n", err
 
 
+def test_truth_catalog_with_a_byte_order_mark_keeps_its_ids(tmp_path, capsys):
+    """A byte order mark does not hide the id column: a repeated id is still refused."""
+    config = write_scene(tmp_path, plant_craters(3))
+    path = tmp_path / "truth.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([*lines, lines[1]]) + "\n", encoding="utf-8-sig")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: catalog 'truth' has duplicate crater id 'cr0'\n"
+
+
+def _external_records(tmp_path, config):
+    path = tmp_path / "records.csv"
+    path.write_text("r000000_c000000,1.0,1.0,9.0,9.0,0.9\n")
+    cfg = json.loads(config.read_text())
+    cfg["detector"] = {"kind": "external", "path": "records.csv"}
+    config.write_text(json.dumps(cfg))
+    return path, ["run"]
+
+
+def _global_detections(tmp_path, config):
+    assert main(["run", "--config", str(config)]) == 0
+    return tmp_path / "out" / "detections_global.csv", ["crossmatch"]
+
+
+# each text reader: the file it reads in a scene and the command that reads it
+TEXT_INPUTS = {
+    "truth-catalog": lambda tmp_path, config: (tmp_path / "truth.csv", ["run"]),
+    "external-records": _external_records,
+    "global-detections": _global_detections,
+    "raster-header": lambda tmp_path, config: (tmp_path / "intensity.hdr", ["run"]),
+    "config": lambda tmp_path, config: (config, ["run"]),
+}
+
+
+@pytest.mark.parametrize("reader", TEXT_INPUTS)
+def test_text_input_that_is_not_utf8_names_the_file(tmp_path, capsys, reader):
+    config = write_scene(
+        tmp_path, plant_craters(2), extra_config={"verify_catalog": {"path": "truth.csv", "schema": "generic"}}
+    )
+    path, command = TEXT_INPUTS[reader](tmp_path, config)
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    assert main(command + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff"), err
+
+
 @pytest.mark.parametrize(
     "command, config_edit, message",
     [
@@ -589,6 +637,22 @@ def test_two_band_run_checks_the_truth_ids_once(tmp_path, monkeypatch):
     assert main(["run", "--config", str(config)]) == 0
     assert checked == [8]
     assert 0 < int(read_metrics(tmp_path / "out")["n_truth"]) < 8
+
+
+def test_two_band_run_projects_the_truth_once(tmp_path, monkeypatch):
+    """select projects the truth rows; each band's oracle takes its share of
+    those boxes, so the catalog is projected once however many bands run."""
+    projected = []
+    real = catalog_mod.to_boxes
+    monkeypatch.setattr(catalog_mod, "to_boxes", lambda cat, gt: projected.append(len(cat)) or real(cat, gt))
+    bands = [
+        {"name": "fine", "ps_a": 128, "ps_r": 64, "overlap": 0.5, "dmin_km": 0.0, "dmax_km": 4.5},
+        {"name": "coarse", "ps_a": 256, "ps_r": 128, "overlap": 0.5, "dmin_km": 4.5, "dmax_km": None},
+    ]
+    config = write_scene(tmp_path, plant_craters(8), extra_config={"bands": bands})
+    assert main(["run", "--config", str(config)]) == 0
+    assert projected == [8]
+    assert read_metrics(tmp_path / "out")["tp"] == "8"
 
 
 def test_cmd_run_mismatched_grids_exits_two(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Synthetic oracle detector and detection-record file tests."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from craterpipe.catalog import Catalog
+from craterpipe import detector as detector_mod
 from craterpipe.detector import (
     DetectorInterface,
     NoiseConfig,
@@ -13,7 +16,7 @@ from craterpipe.detector import (
     save_detections,
 )
 from craterpipe.errors import DetectionError
-from craterpipe.geo import GeoTransform, meter_to_lonlat
+from craterpipe.geo import GeoTransform
 from craterpipe.raster import FusedPatch, PatchPlacement, PatchSpec, patch_placements, tile
 from craterpipe.runner import detect_patches
 
@@ -30,14 +33,22 @@ def blank_patch(patch_id="r000000_c000000", row0=0, col0=0, spec=SPEC):
     return FusedPatch(patch_id=patch_id, row0=row0, col0=col0, spec=spec, channels=channels)
 
 
-def catalog_at_meters(centers_radii):
-    """Build a catalog whose projected boxes sit at the given meter geometry."""
+def planted(centers_radii):
+    """Truth boxes in meters around the given (x, y, radius) circles."""
     x_m, y_m, r_m = np.array(centers_radii, dtype=np.float64).reshape(-1, 3).T
-    lon, lat = meter_to_lonlat(x_m, y_m, GT)
-    return Catalog("planted", [f"p{i}" for i in range(len(r_m))], lon, lat, 2.0 * r_m / 1000.0)
+    return np.stack([x_m - r_m, y_m - r_m, x_m + r_m, y_m + r_m], axis=1)
 
 
-EMPTY = Catalog("empty", (), (), (), ())
+EMPTY = np.empty((0, 4))
+
+
+def test_detector_imports_nothing_from_catalog():
+    """The oracle takes the boxes catalog.select projected, so it has no
+    use for the catalog module."""
+    tree = ast.parse(inspect.getsource(detector_mod))
+    nodes = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    names = [getattr(n, "module", None) or "" for n in nodes] + [a.name for n in nodes for a in n.names]
+    assert "textcols" in names and not [name for name in names if "catalog" in name.split(".")], names
 
 
 def test_no_truth_no_noise_gives_empty():
@@ -47,7 +58,7 @@ def test_no_truth_no_noise_gives_empty():
 
 def test_zero_noise_exact_projection():
     # crater of radius 5 km centered 25.6 km into the patch
-    truth = catalog_at_meters([(25_600.0, -25_600.0, 5_000.0)])
+    truth = planted([(25_600.0, -25_600.0, 5_000.0)])
     boxes, scores = SyntheticDetector(truth, GT, NoiseConfig()).detect(blank_patch())
     assert len(scores) == 1
     x1, y1, x2, y2 = boxes[0]
@@ -58,13 +69,13 @@ def test_zero_noise_exact_projection():
 
 
 def test_miss_rate_one_gives_empty():
-    truth = catalog_at_meters([(25_600.0, -25_600.0, 5_000.0)])
+    truth = planted([(25_600.0, -25_600.0, 5_000.0)])
     boxes, scores = SyntheticDetector(truth, GT, NoiseConfig(miss_rate=1.0)).detect(blank_patch())
     assert len(boxes) == len(scores) == 0
 
 
 def test_crater_on_patch_edge_is_clipped_to_distance_zero():
-    truth = catalog_at_meters([(0.0, -25_600.0, 5_000.0)])  # centered on the left edge
+    truth = planted([(0.0, -25_600.0, 5_000.0)])  # centered on the left edge
     boxes, _ = SyntheticDetector(truth, GT, NoiseConfig()).detect(blank_patch())
     assert len(boxes) == 1
     assert boxes[0, 0] == 0.0  # touches the boundary
@@ -72,7 +83,7 @@ def test_crater_on_patch_edge_is_clipped_to_distance_zero():
 
 def test_crater_spanning_two_patches_detected_in_both():
     # center inside the overlap zone of two horizontally adjacent patches
-    truth = catalog_at_meters([(76_800.0, -25_600.0, 5_000.0)])
+    truth = planted([(76_800.0, -25_600.0, 5_000.0)])
     p_left = blank_patch("r000000_c000000", 0, 0)
     p_right = blank_patch("r000000_c000512", 0, 512)
     det = SyntheticDetector(truth, GT, NoiseConfig())
@@ -81,7 +92,7 @@ def test_crater_spanning_two_patches_detected_in_both():
 
 
 def test_determinism_and_order_independence():
-    truth = catalog_at_meters([(25_600.0, -25_600.0, 5_000.0), (60_000.0, -60_000.0, 4_000.0)])
+    truth = planted([(25_600.0, -25_600.0, 5_000.0), (60_000.0, -60_000.0, 4_000.0)])
     noise = NoiseConfig(center_jitter_px=2.0, radius_jitter_frac=0.1,
                         false_positive_rate=1.5, miss_rate=0.2, seed=42)
     det = SyntheticDetector(truth, GT, noise)
@@ -106,7 +117,7 @@ def test_false_positive_poisson_statistics():
 
 
 def test_clipping_never_exceeds_patch():
-    truth = catalog_at_meters(
+    truth = planted(
         [(x * 1000.0, -y * 1000.0, 8_000.0) for x in range(0, 110, 20) for y in range(0, 110, 20)]
     )
     noise = NoiseConfig(center_jitter_px=30.0, radius_jitter_frac=0.5,
@@ -122,7 +133,7 @@ def test_fused_patch_and_placement_give_identical_detections():
     rng = np.random.default_rng(3)
     grids = [make_grid(rng.normal(size=(n, n)), band_kind=k) for k in ("intensity", "elevation")]
     grids.append(make_grid(rng.uniform(0.0, 90.0, size=(n, n)), band_kind="slope"))
-    truth = catalog_at_meters([(x * 100.0, -y * 100.0, 600.0) for x in range(4, 96, 9) for y in range(2, 96, 11)])
+    truth = planted([(x * 100.0, -y * 100.0, 600.0) for x in range(4, 96, 9) for y in range(2, 96, 11)])
     noise = NoiseConfig(center_jitter_px=1.5, radius_jitter_frac=0.1,
                         false_positive_rate=1.0, miss_rate=0.2, seed=11, fp_radius_px=(2.0, 6.0))
     det = SyntheticDetector(truth, GT, noise)
@@ -159,8 +170,7 @@ def test_mask_candidate_search_equals_scalar_loop(boxes, miss, jitter, radius_ji
     ).reshape(-1, 4)
     noise = NoiseConfig(center_jitter_px=jitter, radius_jitter_frac=radius_jitter,
                         false_positive_rate=fp_rate, miss_rate=miss, seed=seed, fp_radius_px=(1.0, 8.0))
-    det = SyntheticDetector(EMPTY, GT, noise)
-    det.truth_boxes = truth_boxes
+    det = SyntheticDetector(truth_boxes, GT, noise)
     boxes, scores = det.detect(_WINDOW)
     got = [(_WINDOW.patch_id, tuple(b), s) for b, s in zip(boxes.tolist(), scores.tolist())]
     assert got == synthetic_detect_scalar(truth_boxes, GT, noise, _WINDOW)
@@ -202,7 +212,7 @@ def test_normal_is_zero_plus_scale_times_standard_normal(s):
 
 
 def test_detect_patches_gives_equal_columns_for_any_worker_count():
-    truth = catalog_at_meters([(x * 100.0, -y * 100.0, 900.0) for x in range(5, 400, 17) for y in range(3, 400, 13)])
+    truth = planted([(x * 100.0, -y * 100.0, 900.0) for x in range(5, 400, 17) for y in range(3, 400, 13)])
     noise = NoiseConfig(center_jitter_px=1.5, radius_jitter_frac=0.1,
                         false_positive_rate=2.0, miss_rate=0.1, seed=5, fp_radius_px=(2.0, 9.0))
     det = SyntheticDetector(truth, GT, noise)

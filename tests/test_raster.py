@@ -717,7 +717,7 @@ def test_tile_coverage_and_overlap_properties():
 def test_tile_rejects_mismatched_grids():
     intensity, elevation, slope = three_band_stack(64)
     small = make_grid(np.ones((32, 32)), band_kind="intensity")
-    with pytest.raises(RasterError, match="share size"):
+    with pytest.raises(RasterError, match="^elevation grid 64x64 does not match intensity 32x32$"):
         tile(small, elevation, slope, PatchSpec(64, 32, 0.5))
 
 

@@ -80,6 +80,12 @@ def slope_out_of_range(tmp_path, config):
     _edit_config(config, slope="slope.bin")
 
 
+def slope_declared_as_elevation(tmp_path, config):
+    # 500 "degrees": the range check only runs on a grid that declares band = slope
+    _save(tmp_path, "slope.bin", _grid(MOSAIC_PX, band="elevation", value=500.0))
+    _edit_config(config, slope="slope.bin")
+
+
 def slope_from_non_elevation(tmp_path, config):
     _save(tmp_path, "dem.bin", _grid(MOSAIC_PX, band="intensity"))
 
@@ -128,6 +134,7 @@ CASES = [
     (short_payload, "payload holds 262143 values, header declares 262144", False, None),
     (bad_header, "missing header keys", False, None),
     (slope_out_of_range, "slope values must lie in [0, 90] degrees", False, None),
+    (slope_declared_as_elevation, "slope.bin: slope raster declares band = elevation, not slope", False, None),
     (slope_from_non_elevation, "slope needs an elevation grid, got 'intensity'", False, None),
     (grid_too_small_for_slope, "grid too small for slope: 2x2", False, None),
     (all_nodata_resample, "cannot resample an all-nodata grid", False, None),
