@@ -104,12 +104,9 @@ def load_catalog(path: str | Path, schema: str | dict[str, str] = "generic", nam
     and a repeated column name its last column.
     """
     path = Path(path)
-    if not path.exists():
-        raise CatalogError(f"catalog file not found: {path}")
-    mapping = resolve_schema(schema)
     cat_name = name if name is not None else path.stem
-
-    with open_text(path, CatalogError, newline="") as fh:
+    with open_text(path, CatalogError, "catalog file", newline="") as fh:
+        mapping = resolve_schema(schema)
         header = next(csv.reader(fh), None)
         if header is None:
             return Catalog(cat_name, (), (), (), ())

@@ -131,8 +131,10 @@ class PipelineConfig:
             raise ConfigError("external detector needs a detections path")
         if not self.bands:
             raise ConfigError("at least one size band is required")
-        names = [b.name for b in self.bands]  # a band's name keys its outputs
+        names = [b.name for b in self.bands]  # a band's name keys its outputs, and its folder
         for k, name in enumerate(names):
+            if name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ConfigError(f"bands.{k}.name {name!r} is not one plain folder name")
             if name in names[:k]:
                 raise ConfigError(f"bands.{k}.name {name!r} repeats bands.{names.index(name)}.name")
         spans = sorted(
@@ -141,6 +143,10 @@ class PipelineConfig:
         for (lo1, hi1, n1), (lo2, hi2, n2) in zip(spans, spans[1:]):
             if lo2 < hi1:
                 raise ConfigError(f"size bands {n1!r} and {n2!r} overlap")
+        three_band = [f"rasters.{k}" for k in ("intensity", "elevation", "slope")
+                      if getattr(self, f"{k}_path") is not None]
+        if self.single_band_path is not None and three_band:
+            raise ConfigError(f"rasters.single_band is set together with {', '.join(three_band)}")
         if self.single_band_path is None and (self.intensity_path is None or self.elevation_path is None):
             raise ConfigError("need intensity and elevation rasters, or a single_band raster")
         for m in (self.boundary_m, *self.grid.m_set):
@@ -269,10 +275,8 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
     """Parse and validate a JSON pipeline config. overrides ({"nms.delta": 0.3})
     replace the file's values before any check runs, so they pass the same checks."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        with open_text(path, ConfigError) as fh:
+        with open_text(path, ConfigError, "config file") as fh:
             raw = json.load(fh)
     except ValueError as exc:  # bad JSON, or an integer past int()'s digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc

@@ -232,9 +232,7 @@ def load_detections(path: str | Path, score_floor: float | None = None, ps_r: in
     beyond it are rejected too.
     """
     path = Path(path)
-    if not path.exists():
-        raise DetectionError(f"detections file not found: {path}")
-    with open_text(path, DetectionError) as fh:
+    with open_text(path, DetectionError, "detections file") as fh:
         linenos, ids, rows, bad = read_columns(text_lines(fh), range(1, 6), 0, width=6, records=True)
     ids = [s.strip() for s in ids.tolist()]
     boxes, score = rows[:, :4], rows[:, 4]
@@ -249,6 +247,4 @@ def load_detections(path: str | Path, score_floor: float | None = None, ps_r: in
 
 def save_detections(per_patch: PatchDetections, path: str | Path) -> None:
     """Write detections in the record wire format, patches in sorted order."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(path, [], [per_patch.patch_ids, *per_patch.boxes.T, per_patch.scores], eol="\n")

@@ -297,16 +297,12 @@ def cross_verify(
 
 def write_metrics(report: MetricsReport, path: str | Path, extra: dict) -> None:
     """One CSV record of the report's fields, then the extra fields."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     fields = {**asdict(report), **extra}
     write_csv(path, csv_text(list(fields)), [[v] for v in csv_text(map(str, fields.values()))])
 
 
 def write_gridsearch(result: GridSearchResult, path: str | Path) -> None:
     """One line per grid cell: m, delta, TP, FP, FN, P, R, F1."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for cell in result.cells:
         r = cell.report

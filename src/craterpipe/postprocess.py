@@ -380,8 +380,6 @@ def run_pipeline(
 
 def write_global_detections(dets: DetectionSet, path: str | Path) -> None:
     """CSV of globalized boxes: meters, score, then provenance columns."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     columns = [*dets.boxes.T, dets.scores, csv_text(dets.patch_ids.tolist()), *dets.pixel_boxes.T]
     write_csv(path, _GLOBAL_HEADER, columns)
 
@@ -395,9 +393,7 @@ def load_global_detections(path: str | Path) -> DetectionSet:
     detector.invalid marks, or an empty patch id, whichever comes first.
     """
     path = Path(path)
-    if not path.exists():
-        raise DetectionError(f"global detections file not found: {path}")
-    with open_text(path, DetectionError, newline="") as fh:
+    with open_text(path, DetectionError, "global detections file", newline="") as fh:
         header = next(csv.reader(fh), _GLOBAL_HEADER)
         if header != _GLOBAL_HEADER:
             raise DetectionError(f"{path}:1: expected the header row {','.join(_GLOBAL_HEADER)}")
@@ -420,8 +416,6 @@ def write_catalog_export(dets: DetectionSet, gt: GeoTransform, path: str | Path,
     The box center inverts through the projection; the diameter is the mean
     box side in kilometers, matching how detections are size-gated.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     x1, y1, x2, y2 = dets.boxes.T
     lon, lat = meter_to_lonlat((x1 + x2) / 2.0, (y1 + y2) / 2.0, gt)
     diam_km = dets.diam_km()

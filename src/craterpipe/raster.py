@@ -221,11 +221,9 @@ def read_header(path: str | Path) -> dict:
     A key not listed here, or given twice, fails naming its line.
     """
     hdr_path = _header_path(path)
-    if not hdr_path.exists():
-        raise RasterError(f"raster header not found: {hdr_path}")
     keys = ("width", "height", "dtype", "band", "x_min", "y_max", "resolution", "body_radius", "nodata")
     fields: dict[str, str] = {}
-    with open_text(hdr_path, RasterError) as fh:
+    with open_text(hdr_path, RasterError, "raster header") as fh:
         text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()

@@ -87,44 +87,50 @@ __all__ = [
 ]
 
 
+def _stack_files(cfg: PipelineConfig) -> list[tuple[str | None, Path | None]]:
+    """(role, file) of each raster of the stack, in stack order: the single
+    band, whose role is None since it may declare any band, or intensity,
+    elevation and slope, the slope's file None when it is derived."""
+    if cfg.single_band_path is not None:
+        return [(None, cfg.resolve(cfg.single_band_path))]
+    paths = (cfg.intensity_path, cfg.elevation_path, cfg.slope_path)
+    return [(role, cfg.resolve(p)) for role, p in zip(("intensity", "elevation", "slope"), paths)]
+
+
 def _input_paths(cfg: PipelineConfig) -> list[Path]:
-    paths = []
-    for p in (cfg.intensity_path, cfg.elevation_path, cfg.slope_path, cfg.single_band_path):
-        rp = cfg.resolve(p)
-        if rp is not None:
-            paths.append(rp)
-            hdr = rp.with_suffix(".hdr")
-            if hdr.exists():
-                paths.append(hdr)
-    for cat in (cfg.truth_catalog, cfg.verify_catalog):
-        if cat is not None:
-            paths.append(cfg.resolve(cat.path))
-    if cfg.detector.kind == "external" and cfg.detector.path:
+    """The files run reads: each raster file and its header, the truth catalog, the external records."""
+    paths = [f for _, path in _stack_files(cfg) if path is not None for f in (path, path.with_suffix(".hdr"))]
+    paths.append(cfg.resolve(cfg.truth_catalog.path))
+    if cfg.detector.kind == "external":
         paths.append(cfg.resolve(cfg.detector.path))
-    return [p for p in paths if p.exists()]
+    return paths
 
 
 def load_stack(cfg: PipelineConfig) -> list[RasterGrid]:
     """Load the raster inputs: [single_band], or [intensity, elevation, slope].
 
-    The stack's geotransform is stack[0].geotransform. Elevation is
-    resampled onto the intensity resolution when they differ; slope is
-    derived from elevation when not supplied, and a supplied one must
-    declare band = slope. In single-band mode only that raster is loaded.
-    Every check on the stack runs here, check_co_registered last; a
-    resampled elevation or a derived slope builds values on first read.
+    The stack's geotransform is stack[0].geotransform. Every raster loaded
+    from a file must declare its role's band; a single band may declare any.
+    Elevation is resampled onto the intensity resolution when they differ;
+    slope is derived from elevation when not supplied. Every check on the
+    stack runs here, check_co_registered last; a resampled elevation or a
+    derived slope builds values on first read.
     """
-    if cfg.single_band_path is not None:
-        return [load_raster(cfg.resolve(cfg.single_band_path))]
+    stack = []
+    for role, path in _stack_files(cfg):
+        grid = None if path is None else load_raster(path)
+        if role is not None and grid is not None and grid.band_kind != role:
+            raise RasterError(f"{path}: {role} raster declares band = {grid.band_kind}, not {role}")
+        stack.append(grid)
+    if len(stack) == 1:
+        return stack
 
-    intensity = load_raster(cfg.resolve(cfg.intensity_path))
-    elevation = load_raster(cfg.resolve(cfg.elevation_path))
+    intensity, elevation, slope = stack
     res = intensity.geotransform.resolution
     if elevation.geotransform.resolution != res:
         elevation = resample(elevation, res)
-    slope = load_raster(cfg.resolve(cfg.slope_path)) if cfg.slope_path is not None else compute_slope(elevation)
-    if slope.band_kind != "slope":  # a derived slope always is one
-        raise RasterError(f"{cfg.resolve(cfg.slope_path)}: slope raster declares band = {slope.band_kind}, not slope")
+    if slope is None:
+        slope = compute_slope(elevation)
     check_co_registered([intensity, elevation, slope])
     return [intensity, elevation, slope]
 
@@ -228,7 +234,6 @@ def run_full(cfg: PipelineConfig) -> tuple[MetricsReport, list[Path]]:
     if cfg.detector.kind == "external" and len(cfg.bands) != 1:
         raise ConfigError("an external detections file maps onto exactly one band's patch grid")
     out_dir = cfg.out_path
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     t_total = time.perf_counter()
     with ThreadPoolExecutor(max_workers=1) as hasher:
@@ -317,10 +322,9 @@ def run_tile(cfg: PipelineConfig, export_images: bool = True) -> tuple[Path, int
     out_dir.mkdir(parents=True, exist_ok=True)
     stack = load_stack(cfg)
     if export_images:
-        paths = [cfg.single_band_path] if len(stack) == 1 else [cfg.intensity_path, cfg.elevation_path, cfg.slope_path]
-        for grid, path in zip(stack, paths):
+        for (_, path), grid in zip(_stack_files(cfg), stack):
             if path is not None:
-                check_nan_marked(grid, cfg.resolve(path))
+                check_nan_marked(grid, path)
     n_total = 0
     index_path = out_dir / "patch_index.csv"
     with open(index_path, "w", newline="") as fh:
@@ -351,15 +355,13 @@ def run_detect_dump(cfg: PipelineConfig) -> list[Path]:
         raise ConfigError("the detect command only supports the synthetic detector")
     if cfg.truth_catalog is None:
         raise ConfigError("detect needs a truth_catalog")
-    out_dir = cfg.out_path
-    out_dir.mkdir(parents=True, exist_ok=True)
     stack = load_stack(cfg)
     truth, boxes = _load_truth(cfg, cfg.truth_catalog, stack[0].geotransform)
     paths = []
     for band in cfg.bands:
         _, per_patch = _band_detections(cfg, band, stack, truth, boxes)
         name = "detections_patch.csv" if len(cfg.bands) == 1 else f"detections_patch_{band.name}.csv"
-        path = out_dir / name
+        path = cfg.out_path / name
         save_detections(per_patch, path)
         paths.append(path)
     return paths
@@ -371,8 +373,6 @@ def run_gridsearch(cfg: PipelineConfig) -> tuple[GridSearchResult, Path]:
         raise ConfigError("gridsearch needs a truth_catalog")
     if len(cfg.bands) != 1:
         raise ConfigError("gridsearch expects exactly one size band")
-    out_dir = cfg.out_path
-    out_dir.mkdir(parents=True, exist_ok=True)
     stack = load_stack(cfg)
     gt = stack[0].geotransform
     truth, truth_boxes = _load_truth(cfg, cfg.truth_catalog, gt)
@@ -390,7 +390,7 @@ def run_gridsearch(cfg: PipelineConfig) -> tuple[GridSearchResult, Path]:
         cfg.eval,
         include_no_nms=cfg.grid.include_no_nms,
     )
-    path = out_dir / "gridsearch.csv"
+    path = cfg.out_path / "gridsearch.csv"
     write_gridsearch(result, path)
     return result, path
 
@@ -399,9 +399,6 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
     """Classify a detections file against the truth and verify catalogs."""
     if cfg.truth_catalog is None or cfg.verify_catalog is None:
         raise ConfigError("crossmatch needs both truth_catalog and verify_catalog")
-    out_dir = cfg.out_path
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if cfg.geotransform is not None:
         gt = cfg.geotransform
     else:
@@ -420,13 +417,13 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
     cat_b, boxes_b = _load_truth(cfg, cfg.verify_catalog, gt)
     report = cross_verify(gated, boxes_a, boxes_b, cfg.eval)
 
-    path = out_dir / "crossmatch.csv"
+    path = cfg.out_path / "crossmatch.csv"
     classes = {"known": report.known, "confirmed_new": report.confirmed_new, "unverified": report.unverified}
     order = [i for indices in classes.values() for i in indices]
     labels = [cls for cls, indices in classes.items() for _ in indices]
     columns = [labels, list(map(str, order)), csv_text(gated.patch_ids[order].tolist()), gated.scores[order]]
     write_csv(path, ["class", "detection_index", "patch_id", "score"], columns, eol="\n")
-    summary = out_dir / "crossmatch_summary.txt"
+    summary = cfg.out_path / "crossmatch_summary.txt"
     k, c, uv = report.counts
     summary.write_text(
         f"known (in primary catalog):        {k}\n"

@@ -1,7 +1,8 @@
 """Text tables as whole columns, for the catalog and detection files.
 
 open_text opens every text input (these files, raster headers, the config)
-as UTF-8 with an optional byte order mark, naming the file a bad byte is in.
+as UTF-8 with an optional byte order mark, naming a missing file and the
+file a bad byte is in.
 read_columns is the one reader of the three text inputs: catalogs,
 detection records and global detections. One call reads a whole file and
 returns its columns; inside, it parses _CHUNK lines at a time by one
@@ -39,11 +40,16 @@ _SLOW_CHARS = '"\x1c\x1d\x1e\x1f'
 
 
 @contextmanager
-def open_text(path: Path, error: type[Exception], newline: str | None = None) -> Iterator:
-    """path opened to read as UTF-8 text, a byte order mark skipped; a byte
+def open_text(path: Path, error: type[Exception], what: str, newline: str | None = None) -> Iterator:
+    """path opened to read as UTF-8 text, a byte order mark skipped; a path the
+    open does not find raises error("<what> not found: <path>"), and a byte
     that does not decode, wherever reading meets it, raises error naming path."""
     try:
-        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        fh = open(path, encoding="utf-8-sig", newline=newline)
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    try:
+        with fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc})") from None
@@ -209,7 +215,9 @@ def write_csv(path: Path, header: list[str], columns, eol: str = "\r\n") -> None
     """An optional header, then the rows of columns, each line ended by eol
     (csv.writer's by default), a chunk of rows at a time. A float64 array
     column is written as the repr of each value, from one repr of the chunk's
-    list; any other column holds text and is written as it is."""
+    list; any other column holds text and is written as it is. The parent
+    directory is made when missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(",".join(header) + eol)

@@ -79,6 +79,13 @@ def test_load_missing_columns(tmp_path):
         load_catalog(path)
 
 
+def test_a_missing_catalog_is_named_before_a_bad_schema(tmp_path):
+    path = tmp_path / "gone.csv"
+    with pytest.raises(CatalogError) as err:
+        load_catalog(path, schema="no-such-preset")
+    assert str(err.value) == f"catalog file not found: {path}"
+
+
 def test_load_malformed_above_tolerance(tmp_path):
     path = write_catalog_csv(tmp_path, "mal.csv", [["a", "x", 0, 5.0], ["b", 0, 0, 5.0]])
     with pytest.raises(CatalogError) as err:

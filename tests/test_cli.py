@@ -402,6 +402,22 @@ def test_cmd_tile_index_tells_bands_apart(tmp_path):
         assert (tmp_path / "out" / "patches" / r["band"] / f"{r['patch_id']}.ppm").exists()
 
 
+@pytest.mark.parametrize("name", ["..", "../escape", "a/b", "./b"])
+def test_cmd_tile_refuses_a_band_name_that_is_not_one_folder(tmp_path, capsys, name):
+    """A band's name is its folder under patches/, so a name that climbs out
+    of it, nests, or spells another band's folder is refused before anything
+    is written."""
+    config = write_scene(tmp_path, plant_craters(3))
+    cfg = json.loads(config.read_text())
+    band = cfg["bands"][0]
+    cfg["bands"] = [{**band, "dmax_km": 5.0}, {**band, "name": name, "dmin_km": 5.0}]
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["tile", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: bands.1.name {name!r} is not one plain folder name\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "escape").exists()
+
+
 @pytest.mark.parametrize("scale_mode", ["patch", "mosaic"])
 def test_cmd_tile_single_band_images_equal_the_reference(tmp_path, scale_mode):
     """A single band fills all three channels of every exported patch."""
@@ -590,6 +606,33 @@ def test_cmd_run_single_band_mode(tmp_path):
     assert main(["run", "--config", str(config)]) == 0
     m = read_metrics(tmp_path / "out")
     assert m["precision"] == "1.0" and m["recall"] == "1.0"
+
+
+@pytest.mark.parametrize("command", ["run", "tile"])
+def test_single_band_set_with_three_band_rasters_exits_two(tmp_path, capsys, command):
+    """single_band is set instead of the three-band rasters: with both, the
+    config is refused, even where the three-band files are missing."""
+    config = write_scene(tmp_path, plant_craters(4))
+    cfg = json.loads(config.read_text())
+    cfg["rasters"] = {"single_band": "dem.bin", "elevation": "gone.bin"}
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: rasters.single_band is set together with rasters.elevation\n"
+
+
+@pytest.mark.parametrize("present", [True, False], ids=["present", "missing"])
+def test_run_manifest_digests_no_verify_catalog(tmp_path, present):
+    """run never reads the verify catalog, so its manifest digests only the
+    rasters, their headers and the truth catalog, whether or not the verify
+    catalog exists."""
+    config = write_scene(tmp_path, plant_craters(4), extra_config={"verify_catalog": {"path": "verify.csv"}})
+    if present:
+        (tmp_path / "verify.csv").write_text((tmp_path / "truth.csv").read_text())
+    assert main(["run", "--config", str(config)]) == 0
+    inputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["inputs"]
+    names = ["intensity.bin", "intensity.hdr", "dem.bin", "dem.hdr", "truth.csv"]
+    assert list(inputs) == [str(tmp_path / name) for name in names]
 
 
 def test_cmd_run_two_band_union(tmp_path):

@@ -80,6 +80,35 @@ def test_unset_fields_take_the_class_defaults(tmp_path):
     assert cfg.bands == (BandConfig("band0", 256, 128),)
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../escape", "./b", "a\\b", "b/"])
+def test_a_band_name_must_be_one_plain_folder_name(tmp_path, name):
+    p = tmp_path / "c.json"
+    band = {"ps_a": 256, "ps_r": 128}
+    bands = [{**band, "name": "ok", "dmax_km": 5.0}, {**band, "name": name, "dmin_km": 5.0}]
+    p.write_text(json.dumps({"rasters": {"single_band": "b.bin"}, "bands": bands}))
+    with pytest.raises(ConfigError) as err:
+        load_config(p)
+    assert str(err.value) == f"{p}: bands.1.name {name!r} is not one plain folder name"
+
+
+def test_a_band_name_may_hold_dots_and_spaces(tmp_path):
+    p = tmp_path / "c.json"
+    band = {"name": "..b c.", "ps_a": 256, "ps_r": 128}
+    p.write_text(json.dumps({"rasters": {"single_band": "b.bin"}, "bands": [band]}))
+    assert load_config(p).bands[0].name == "..b c."
+
+
+@pytest.mark.parametrize("three", [["intensity"], ["elevation", "slope"], ["intensity", "elevation", "slope"]])
+def test_single_band_is_set_instead_of_the_three_band_rasters(tmp_path, three):
+    p = tmp_path / "c.json"
+    rasters = {"single_band": "b.bin", **{k: f"{k}.bin" for k in three}}
+    p.write_text(json.dumps({"rasters": rasters, "bands": [{"ps_a": 256, "ps_r": 128}]}))
+    with pytest.raises(ConfigError) as err:
+        load_config(p)
+    keys = ", ".join(f"rasters.{k}" for k in three)
+    assert str(err.value) == f"{p}: rasters.single_band is set together with {keys}"
+
+
 def test_config_rejects_overlapping_bands(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(
@@ -292,7 +321,13 @@ def raw_configs(draw, target=None):
         items = ((key, one(valid, wrong, where + key)) for key, (valid, wrong) in spec.items())
         return {key: v for key, v in items if v is not ABSENT}
 
-    return fill(SPEC)
+    raw = fill(SPEC)
+    if target is not None and isinstance(raw.get("rasters"), dict):
+        # a config sets one stack mode, the target's
+        single = target == "rasters.single_band"
+        for key in ("intensity", "elevation", "slope") if single else ("single_band",):
+            raw["rasters"].pop(key, None)
+    return raw
 
 
 def _reads_as_the_reference(tmp_path, raw):

@@ -135,7 +135,7 @@ CASES = [
     (bad_header, "missing header keys", False, None),
     (slope_out_of_range, "slope values must lie in [0, 90] degrees", False, None),
     (slope_declared_as_elevation, "slope.bin: slope raster declares band = elevation, not slope", False, None),
-    (slope_from_non_elevation, "slope needs an elevation grid, got 'intensity'", False, None),
+    (slope_from_non_elevation, "dem.bin: elevation raster declares band = intensity, not elevation", False, None),
     (grid_too_small_for_slope, "grid too small for slope: 2x2", False, None),
     (all_nodata_resample, "cannot resample an all-nodata grid", False, None),
     (resampled_size_mismatch, "elevation grid 515x515 does not match intensity 512x512", False, None),
@@ -222,3 +222,65 @@ def test_commands_without_image_export_build_no_pixels(tmp_path, monkeypatch, de
     # image export is the one consumer that reads pixels
     with pytest.raises(AssertionError, match="builds pixels"):
         main(["tile", "--config", str(config)])
+
+
+STACK_FILES = {"intensity": "intensity.bin", "elevation": "dem.bin", "slope": "slope.bin"}
+
+
+@pytest.mark.parametrize("declared", raster.BAND_KINDS)
+@pytest.mark.parametrize("role", list(STACK_FILES))
+def test_every_stack_raster_declares_its_role(tmp_path, capsys, role, declared):
+    config = _scene(tmp_path)
+    path = tmp_path / STACK_FILES[role]
+    _save(tmp_path, path.name, _grid(MOSAIC_PX, band=declared))
+    if role == "slope":
+        _edit_config(config, slope=path.name)
+    capsys.readouterr()
+    rc = main(["run", "--config", str(config)])
+    err = capsys.readouterr().err
+    if declared == role:
+        assert rc == 0, err
+    else:
+        assert (rc, err) == (2, f"error: {path}: {role} raster declares band = {declared}, not {role}\n")
+
+
+@pytest.mark.parametrize("declared", raster.BAND_KINDS)
+def test_a_single_band_may_declare_any_band(tmp_path, declared):
+    config = _scene(tmp_path)
+    _save(tmp_path, "band.bin", _grid(MOSAIC_PX, band=declared))
+    cfg = json.loads(config.read_text())
+    cfg["rasters"] = {"single_band": "band.bin"}
+    config.write_text(json.dumps(cfg))
+    assert [grid.band_kind for grid in runner.load_stack(load_config(config))] == [declared]
+    assert main(["run", "--config", str(config)]) == 0
+
+
+def _declare(hdr, band):
+    text = hdr.read_text()
+    assert "band = " in text
+    hdr.write_text("\n".join(f"band = {band}" if s.startswith("band =") else s for s in text.splitlines()) + "\n")
+
+
+def intensity_declared_as_elevation(tmp_path, config):
+    _declare(tmp_path / "intensity.hdr", "elevation")
+    return tmp_path / "intensity.bin", "intensity", "elevation"
+
+
+def dem_declared_as_intensity_beside_a_slope(tmp_path, config):
+    _save(tmp_path, "slope.bin", _grid(MOSAIC_PX, band="slope", value=10.0))
+    _edit_config(config, slope="slope.bin")
+    _declare(tmp_path / "dem.hdr", "intensity")
+    return tmp_path / "dem.bin", "elevation", "intensity"
+
+
+@pytest.mark.parametrize("command", [["run"], ["tile"], ["tile", "--no-export-images"]], ids=" ".join)
+@pytest.mark.parametrize("case", [intensity_declared_as_elevation, dem_declared_as_intensity_beside_a_slope])
+def test_a_raster_declaring_another_band_fails_every_command(tmp_path, capsys, case, command):
+    """A header that declares another band than the raster's role in the
+    stack fails, also where no check reads that band's values."""
+    config = _scene(tmp_path)
+    path, role, declared = case(tmp_path, config)
+    capsys.readouterr()
+    assert main(command + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {role} raster declares band = {declared}, not {role}\n"
+    assert not list((tmp_path / "out").glob("**/*.ppm"))

@@ -231,6 +231,12 @@ def test_write_csv_matches_csv_writer_and_repr(tmp_path_factory, rows):
     assert path.read_bytes() == expected.getvalue().encode()
 
 
+def test_write_csv_makes_its_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "t.csv"
+    write_csv(path, ["v"], [np.array([0.5])], eol="\n")
+    assert path.read_text() == "v\n0.5\n"
+
+
 def test_save_catalog_matches_csv_writer_across_chunks(tmp_path):
     """A catalog's columns, written by write_csv over several chunks, give
     the bytes csv.writer gives."""
