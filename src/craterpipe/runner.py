@@ -41,7 +41,6 @@ from .detector import (
 )
 from .errors import ConfigError, DetectionError, RasterError
 from .evaluate import (
-    EvalConfig,
     GridSearchResult,
     MetricsReport,
     cross_verify,
@@ -317,39 +316,38 @@ def run_tile(cfg: PipelineConfig, export_images: bool = True) -> tuple[Path, int
 
     Only image export reads pixels. After the checks of load_stack it names
     each raster read from a file holding NaN cells that its nodata sentinel
-    does not mark (a resampled elevation on its resampled cells)."""
-    out_dir = cfg.out_path
-    out_dir.mkdir(parents=True, exist_ok=True)
+    does not mark (a resampled elevation on its resampled cells), and every
+    band is placed before a patch is cut. Nothing is written before those
+    checks pass: the first patch image, or else the index, written once at
+    the end, makes the output directory."""
     stack = load_stack(cfg)
     if export_images:
         for (_, path), grid in zip(_stack_files(cfg), stack):
             if path is not None:
                 check_nan_marked(grid, path)
-    n_total = 0
-    index_path = out_dir / "patch_index.csv"
-    with open(index_path, "w", newline="") as fh:
-        fh.write("band,patch_id,row0,col0,delta_f\n")
-        for band in cfg.bands:
-            spec, name = _band_spec(band), csv_text([band.name])[0]
-            if not export_images:
-                patches = patch_placements(stack[0].width, stack[0].height, spec)
-            elif len(stack) == 1:
-                patches = replicate_single_band(stack[0], spec, scale_mode=cfg.scale_mode)
-            else:
-                patches = tile(*stack, spec, scale_mode=cfg.scale_mode)
-            n_total += len(patches)
-            for p in patches:
-                fh.write(f"{name},{p.patch_id},{p.row0},{p.col0},{p.delta_f!r}\n")
-                if export_images:
-                    write_patch_image(p, out_dir / "patches" / band.name / f"{p.patch_id}.ppm")
-    return index_path, n_total
+    placed = [patch_placements(stack[0].width, stack[0].height, _band_spec(band)) for band in cfg.bands]
+    rows = []
+    for band, patches in zip(cfg.bands, placed):
+        if export_images and len(stack) == 1:
+            patches = replicate_single_band(stack[0], _band_spec(band), scale_mode=cfg.scale_mode)
+        elif export_images:
+            patches = tile(*stack, _band_spec(band), scale_mode=cfg.scale_mode)
+        for p in patches:
+            rows.append((band.name, p.patch_id, str(p.row0), str(p.col0), p.delta_f))
+            if export_images:
+                write_patch_image(p, cfg.out_path / "patches" / band.name / f"{p.patch_id}.ppm")
+    names, ids, row0, col0, delta_f = zip(*rows)
+    index_path = cfg.out_path / "patch_index.csv"
+    columns = [csv_text(names), ids, row0, col0, np.array(delta_f, dtype=np.float64)]
+    write_csv(index_path, ["band", "patch_id", "row0", "col0", "delta_f"], columns, eol="\n")
+    return index_path, len(rows)
 
 
 def run_detect_dump(cfg: PipelineConfig) -> list[Path]:
     """Synthetic-only dump of per-patch detections in the wire format.
 
     Patch ids are only unique within one band's tiling, so multi-band
-    configs get one file per band.
+    configs get one file per band, written once every band is detected.
     """
     if cfg.detector.kind != "synthetic":
         raise ConfigError("the detect command only supports the synthetic detector")
@@ -357,9 +355,9 @@ def run_detect_dump(cfg: PipelineConfig) -> list[Path]:
         raise ConfigError("detect needs a truth_catalog")
     stack = load_stack(cfg)
     truth, boxes = _load_truth(cfg, cfg.truth_catalog, stack[0].geotransform)
+    dumps = [_band_detections(cfg, band, stack, truth, boxes)[1] for band in cfg.bands]
     paths = []
-    for band in cfg.bands:
-        _, per_patch = _band_detections(cfg, band, stack, truth, boxes)
+    for band, per_patch in zip(cfg.bands, dumps):
         name = "detections_patch.csv" if len(cfg.bands) == 1 else f"detections_patch_{band.name}.csv"
         path = cfg.out_path / name
         save_detections(per_patch, path)
@@ -399,15 +397,7 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
     """Classify a detections file against the truth and verify catalogs."""
     if cfg.truth_catalog is None or cfg.verify_catalog is None:
         raise ConfigError("crossmatch needs both truth_catalog and verify_catalog")
-    if cfg.geotransform is not None:
-        gt = cfg.geotransform
-    else:
-        try:
-            gt = load_stack(cfg)[0].geotransform
-        except (RasterError, ConfigError) as exc:
-            raise ConfigError(
-                "crossmatch needs either a geotransform block in the config or loadable rasters"
-            ) from exc
+    gt = cfg.geotransform if cfg.geotransform is not None else load_stack(cfg)[0].geotransform
 
     det_path = Path(detections_path) if detections_path else cfg.out_path / "detections_global.csv"
     dets = load_global_detections(det_path)

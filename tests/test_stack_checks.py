@@ -1,10 +1,12 @@
-"""The raster-stack contract of the commands that never read pixels.
+"""The raster-stack contract of every command that loads the stack.
 
 run, detect, gridsearch, crossmatch and tile --no-export-images validate the
 raster stack from its headers and the loaded grids, then work from patch
-placements. These tests pin what that validation must keep: every error a
-bad stack raises, with its message, its precedence and exit code 2, and
-that none of these commands builds resampled or slope values or tiles.
+placements; tile with image export makes the same checks before it reads
+pixels. These tests pin what that validation must keep: every error a bad
+stack raises, with its message, its precedence and exit code 2, that a
+failing command writes nothing, and that none of the commands but tile with
+image export builds resampled or slope values or tiles.
 """
 
 import json
@@ -28,8 +30,8 @@ COMMANDS = {
     "gridsearch": ["gridsearch"],
     "tile": ["tile", "--no-export-images"],
     "crossmatch": ["crossmatch"],
+    "tile-images": ["tile"],
 }
-CROSSMATCH_STACK_ERROR = "crossmatch needs either a geotransform block in the config or loadable rasters"
 
 
 def _scene(tmp_path):
@@ -155,14 +157,9 @@ CASES = [
 def _params():
     for case, message, from_tiling, tile_message in CASES:
         for command in COMMANDS:
-            if command == "crossmatch":
-                if from_tiling:
-                    continue  # crossmatch never tiles
-                message_here = CROSSMATCH_STACK_ERROR
-            elif command == "tile" and tile_message is not None:
-                message_here = tile_message
-            else:
-                message_here = message
+            if command == "crossmatch" and from_tiling:
+                continue  # crossmatch never tiles
+            message_here = tile_message if command.startswith("tile") and tile_message is not None else message
             yield pytest.param(case, command, message_here, id=f"{case.__name__}-{command}")
 
 
@@ -174,6 +171,7 @@ def test_bad_stack_exits_two_with_its_message(tmp_path, capsys, case, command, m
     assert main(COMMANDS[command] + ["--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert message in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case, message, from_tiling", [c[:3] for c in CASES], ids=[c[0].__name__ for c in CASES])
@@ -273,7 +271,7 @@ def dem_declared_as_intensity_beside_a_slope(tmp_path, config):
     return tmp_path / "dem.bin", "elevation", "intensity"
 
 
-@pytest.mark.parametrize("command", [["run"], ["tile"], ["tile", "--no-export-images"]], ids=" ".join)
+@pytest.mark.parametrize("command", [["run"], ["tile"], ["tile", "--no-export-images"], ["crossmatch"]], ids=" ".join)
 @pytest.mark.parametrize("case", [intensity_declared_as_elevation, dem_declared_as_intensity_beside_a_slope])
 def test_a_raster_declaring_another_band_fails_every_command(tmp_path, capsys, case, command):
     """A header that declares another band than the raster's role in the
@@ -284,3 +282,18 @@ def test_a_raster_declaring_another_band_fails_every_command(tmp_path, capsys, c
     assert main(command + ["--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {role} raster declares band = {declared}, not {role}\n"
     assert not list((tmp_path / "out").glob("**/*.ppm"))
+
+
+@pytest.mark.parametrize("command", [["tile"], ["tile", "--no-export-images"], ["detect"]], ids=" ".join)
+def test_a_later_band_wider_than_the_mosaic_fails_before_any_write(tmp_path, capsys, command):
+    """A band wider than the mosaic fails the command before a file of an
+    earlier band is written."""
+    config = _scene(tmp_path)
+    cfg = json.loads(config.read_text())
+    cfg["bands"][0]["dmax_km"] = 50.0
+    cfg["bands"].append({"name": "wide", "ps_a": 1024, "ps_r": 256, "overlap": 0.5, "dmin_km": 50.0})
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(command + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: mosaic {MOSAIC_PX}x{MOSAIC_PX} is smaller than the patch side 1024\n"
+    assert not (tmp_path / "out").exists()
