@@ -11,12 +11,15 @@ patch's placement (id, offset, spec), so it takes a PatchPlacement or a
 FusedPatch alike. The external path ingests detection records produced by
 a real model.
 
-Past that seam raw detections are columns: PatchDetections holds every
-patch's rows in sorted patch id order, for postprocess.run_pipeline. It is
+Past that seam raw detections are columns: PatchDetections holds a band's
+patch table, its PatchPlacements in sorted patch id order, and every row
+with its integer code into that table, for postprocess.run_pipeline. It is
 what runner.detect_patches builds from the detector's arrays, and what
 load_detections builds from the record lines, read as columns by
 textcols.read_columns. Both check every row against the same
-invariants (invalid) and name the first bad row with row_error.
+invariants (invalid) and name the first bad row with row_error;
+load_detections also names the first record whose patch id is not in the
+table, whatever its score.
 
 Detection record wire format, one record per line, comma separated, no
 header (blank lines and lines starting with ``#`` are ignored):
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import zlib
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,28 +80,29 @@ def row_error(patch_id: str, box, score) -> str:
 
 
 class PatchDetections(Mapping):
-    """Raw per-patch detections held as columns: patch id -> that patch's rows.
+    """Raw detections of a band's patches held as columns: patch id -> that patch's rows.
 
-    boxes is an (N, 4) float64 array of pixel boxes, scores an (N,) float64
-    array and patch_ids an (N,) object array of str. patches holds the
-    mapping's keys in sorted order, patches without rows included. Rows are
-    grouped in that order, keeping each patch's own row order, and codes
-    gives each row's index into patches. Looking up a patch gives the range
-    of its row indices into the columns.
+    placements is the band's patch table in sorted patch id order and patches
+    its ids, patches without rows included. boxes is an (N, 4) float64 array
+    of pixel boxes, scores an (N,) float64 array, codes an (N,) intp array of
+    each row's index into placements, and patch_ids an (N,) object array of
+    str. Rows are grouped in table order, keeping each patch's own row order.
+    Looking up a patch gives the range of its row indices into the columns.
     """
 
-    def __init__(self, patch_ids, boxes, scores, keys: Iterable[str] = ()) -> None:
-        """Rows in any order, grouped here; keys adds patches without rows."""
-        patch_ids = list(patch_ids)
-        self.patches = tuple(sorted(set(patch_ids).union(keys)))
-        index = {k: i for i, k in enumerate(self.patches)}
-        codes = np.fromiter((index[p] for p in patch_ids), dtype=np.intp, count=len(patch_ids))
+    def __init__(self, placements: Sequence[PatchPlacement], codes, boxes, scores) -> None:
+        """Placements in any order and rows in any order, each row's code its
+        index into placements as given; both are sorted here."""
+        by_id = sorted(range(len(placements)), key=lambda k: placements[k].patch_id)
+        self.placements = tuple(placements[k] for k in by_id)
+        self.patches = tuple(p.patch_id for p in self.placements)
+        codes = np.argsort(by_id)[np.asarray(codes, dtype=np.intp).reshape(-1)]
         order = np.argsort(codes, kind="stable")
         self.codes = codes[order]
         self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[order]
         self.scores = np.asarray(scores, dtype=np.float64).reshape(-1)[order]
         self.patch_ids = np.array(self.patches, dtype=object)[self.codes]
-        self._index = index
+        self._index = {k: i for i, k in enumerate(self.patches)}
         self._bounds = np.searchsorted(self.codes, np.arange(len(self.patches) + 1)).tolist()
 
     def __getitem__(self, key: str) -> range:
@@ -222,27 +226,32 @@ class SyntheticDetector(DetectorInterface):
         return boxes[kept], score[kept]
 
 
-def load_detections(path: str | Path, score_floor: float | None = None, ps_r: int | None = None) -> PatchDetections:
-    """Read a detection record file, grouped by patch id.
+def load_detections(
+    path: str | Path, placements: Sequence[PatchPlacement], score_floor: float | None = None
+) -> PatchDetections:
+    """Read a detection record file onto a band's patch table, grouped by patch id.
 
-    Records are invariant-checked; the first bad record fails the load with
-    its line number, whether it breaks an invariant or does not parse.
-    score_floor optionally drops records scoring below it, for model outputs
-    that were not thresholded upstream. When ps_r is given, coordinates
-    beyond it are rejected too.
+    placements is the band's non-empty patch table, all on one spec. Every
+    record is checked, in this order, against the invariants, the patch side
+    ps_r of that spec and the table's ids; the first bad record fails the
+    load with its line number, whether it breaks a check or does not parse.
+    score_floor optionally drops records scoring below it, once all are
+    checked, for model outputs that were not thresholded upstream.
     """
     path = Path(path)
     with open_text(path, DetectionError, "detections file") as fh:
         linenos, ids, rows, bad = read_columns(text_lines(fh), range(1, 6), 0, width=6, records=True)
     ids = [s.strip() for s in ids.tolist()]
-    boxes, score = rows[:, :4], rows[:, 4]
-    too_big = (boxes[:, 2] > ps_r) | (boxes[:, 3] > ps_r) if ps_r is not None else np.zeros(len(ids), dtype=bool)
+    code_of = {p.patch_id: k for k, p in enumerate(placements)}
+    codes = np.fromiter((code_of.get(s, -1) for s in ids), dtype=np.intp, count=len(ids))
+    boxes, score, ps_r = rows[:, :4], rows[:, 4], placements[0].spec.ps_r
     raise_first(path, linenos, bad, [
         (invalid(boxes, score), lambda r: row_error(ids[r], boxes[r], score[r])),
-        (too_big, lambda r: f"box exceeds patch side {ps_r}"),
+        ((boxes[:, 2] > ps_r) | (boxes[:, 3] > ps_r), lambda r: f"box exceeds patch side {ps_r}"),
+        (codes < 0, lambda r: f"unknown patch id {ids[r]!r}"),
     ])
-    keep = np.flatnonzero(~(score < score_floor)) if score_floor is not None else np.arange(len(ids))
-    return PatchDetections([ids[i] for i in keep.tolist()], boxes[keep], score[keep])
+    keep = ~(score < score_floor) if score_floor is not None else slice(None)
+    return PatchDetections(placements, codes[keep], boxes[keep], score[keep])
 
 
 def save_detections(per_patch: PatchDetections, path: str | Path) -> None:

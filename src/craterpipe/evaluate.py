@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -217,7 +217,6 @@ def localization_stats(
 
 def grid_search(
     per_patch: PatchDetections,
-    patch_index: Mapping[str, tuple[int, int, float]],
     gt: GeoTransform,
     truth_boxes: np.ndarray,
     ps_r: int,
@@ -246,7 +245,7 @@ def grid_search(
     truth_boxes = np.asarray(truth_boxes, dtype=np.float64).reshape(-1, 4)
     # every row a cell keeps is alive at the smallest m: gate and match each such row once
     m0 = int(min(m_set))
-    merged0 = filter_and_globalize(per_patch, patch_index, gt, ps_r, m0)
+    merged0 = filter_and_globalize(per_patch, gt, ps_r, m0)
     alive = size_gate(merged0, cfg)
     gated = np.zeros(per_patch.scores.shape[0], dtype=bool)
     gated[alive.rows] = True
@@ -256,10 +255,10 @@ def grid_search(
     cells, edges = [], None
     for k, m in enumerate(map(int, m_set)):
         if d0:
-            edges = ranked_edges(merged0 if m == m0 else filter_and_globalize(per_patch, patch_index, gt, ps_r, m), d0)
+            edges = ranked_edges(merged0 if m == m0 else filter_and_globalize(per_patch, gt, ps_r, m), d0)
         merged0 = merged0 if m0 in m_set[k + 1:] else None  # held only while a later m needs it
         for delta in deltas:
-            rows = run_pipeline(per_patch, patch_index, gt, ps_r, m, delta, edges).rows
+            rows = run_pipeline(per_patch, gt, ps_r, m, delta, edges).rows
             report = _report(iou[rows[gated[rows]]], truth_boxes.shape[0], cfg.u)
             cells.append(GridCell(m=m, delta=delta, report=report))
 

@@ -10,9 +10,10 @@ boundary distance m and the NMS IOU delta, with delta None for no NMS;
 config.PipelineConfig.validate checks them where they enter the program.
 
 A detection set is held as columns. run_pipeline takes a
-detector.PatchDetections (pixel boxes, scores and patch ids, grouped in
-sorted patch id order). The boundary filter is one mask over the pixel
-boxes, globalization looks each patch up once and maps whole columns, and
+detector.PatchDetections (a band's patch table, and pixel boxes, scores and
+codes into that table, grouped in sorted patch id order). The boundary
+filter is one mask over the pixel boxes, globalization reads each
+survivor's offsets from the table by its code and maps whole columns, and
 the result is a DetectionSet, as is what nms returns and what
 load_global_detections reads back.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import namedtuple
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -245,31 +246,21 @@ def overlap_pairs(a, b=None, min_iou: float = 0.0) -> tuple[np.ndarray, np.ndarr
     return (i, j, iou) if n_a is None else (i, j - a.shape[0], iou)
 
 
-def filter_and_globalize(
-    per_patch: PatchDetections,
-    patch_index: Mapping[str, tuple[int, int, float]],
-    gt: GeoTransform,
-    ps_r: int,
-    m: int,
-) -> DetectionSet:
+def filter_and_globalize(per_patch: PatchDetections, gt: GeoTransform, ps_r: int, m: int) -> DetectionSet:
     """The boundary filter per patch, then globalization: the merged set
     run_pipeline hands to NMS, each survivor's rows entry its row in per_patch.
 
     A box is kept when all four of its edges lie more than m resized pixels
-    inside its patch of side ps_r. patch_index maps patch_id -> (row0, col0,
-    delta_f), each patch looked up once. Northing decreases with pixel row,
-    so y corners swap; boxes are re-normalized to x1 < x2, y1 < y2.
+    inside its patch of side ps_r. Each survivor maps through the row0, col0
+    and delta_f of its placement in per_patch.placements. Northing decreases
+    with pixel row, so y corners swap; boxes are re-normalized to x1 < x2,
+    y1 < y2.
     """
     x1, y1, x2, y2 = per_patch.boxes.T
     rows = np.flatnonzero(np.minimum(np.minimum(x1, y1), np.minimum(ps_r - x2, ps_r - y2)) > m)
-    keys = np.asarray(per_patch.patches, dtype=object).reshape(-1)
-    codes, pixel_boxes = per_patch.codes[rows], per_patch.boxes[rows]
-    unknown = np.array([k not in patch_index for k in keys], dtype=bool)[codes]
-    if unknown.any():
-        raise DetectionError(f"unknown patch id {keys[codes[unknown.argmax()]]!r} in detections")
-    # a patch whose rows were all dropped may be missing from the index
-    offsets = np.array([patch_index.get(k, (0, 0, 1.0)) for k in keys], dtype=np.float64).reshape(-1, 3)
-    row0, col0, delta_f = offsets[codes].T
+    offsets = np.array([(p.row0, p.col0, p.delta_f) for p in per_patch.placements], dtype=np.float64)
+    row0, col0, delta_f = offsets.reshape(-1, 3)[per_patch.codes[rows]].T
+    pixel_boxes = per_patch.boxes[rows]
     px1, py1, px2, py2 = pixel_boxes.T
     x1, y_top = pixel_to_meter_xy(px1, py1, gt, row0, col0, delta_f)
     x2, y_bot = pixel_to_meter_xy(px2, py2, gt, row0, col0, delta_f)
@@ -277,7 +268,7 @@ def filter_and_globalize(
     bad = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
     if bad.any():
         raise PipelineError(f"degenerate global box {tuple(boxes[bad.argmax()].tolist())}")
-    return DetectionSet(boxes, per_patch.scores[rows], keys[codes], pixel_boxes, rows)
+    return DetectionSet(boxes, per_patch.scores[rows], per_patch.patch_ids[rows], pixel_boxes, rows)
 
 
 def _rank(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -356,22 +347,17 @@ def nms(dets: DetectionSet, delta: float | None, edges: RankedEdges | None = Non
 
 
 def run_pipeline(
-    per_patch: PatchDetections,
-    patch_index: Mapping[str, tuple[int, int, float]],
-    gt: GeoTransform,
-    ps_r: int,
-    m: int,
-    delta: float | None,
+    per_patch: PatchDetections, gt: GeoTransform, ps_r: int, m: int, delta: float | None,
     edges: RankedEdges | None = None,
 ) -> DetectionSet:
     """Boundary filter per patch, then globalize, then NMS, in that order:
-    nms(filter_and_globalize(per_patch, patch_index, gt, ps_r, m), delta, edges).
+    nms(filter_and_globalize(per_patch, gt, ps_r, m), delta, edges).
 
     The rows of per_patch are merged in sorted patch id order, so the merged
     set (and therefore NMS tie-breaking) never depends on the order the
     patches were detected in. Each survivor's rows entry is its row in per_patch.
     """
-    return nms(filter_and_globalize(per_patch, patch_index, gt, ps_r, m), delta, edges)
+    return nms(filter_and_globalize(per_patch, gt, ps_r, m), delta, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ deduplicate, union the bands, gate by size, count against the truth catalog,
 and write reports plus a manifest. Merging is always over sorted patch ids,
 so results are identical for any worker count. Post-processing gets the
 configured (m, delta), delta None when NMS is disabled, as a grid cell does.
+A band's patch placements are its one patch table: the raw detections
+carry each row's code into it, and post-processing reads each row's offsets
+from it; an external record naming no patch of the table fails the load at
+its line.
 A catalog comes with its boxes: _load_truth is load_catalog, then
 catalog.select, so neither the oracle nor the counting sees a row that
 select drops, an overflowing box's row included.
@@ -141,22 +145,21 @@ def _band_spec(band) -> PatchSpec:
 def detect_patches(patches: list[PatchPlacement], detector: DetectorInterface, workers: int) -> PatchDetections:
     """Run the detector over patches on a thread pool.
 
-    Each patch's (boxes, scores) arrays are merged by patch id into one set
-    of columns, so completion order is irrelevant to the output. The first
-    row, in sorted patch id order, that breaks the detection invariants
-    fails the run with its patch named.
+    Each patch's (boxes, scores) arrays become its rows of one set of columns
+    on the patches' table, grouped in sorted patch id order, so completion
+    order is irrelevant to the output. The first row, in that order, that
+    breaks the detection invariants fails the run with its patch named.
     """
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(detector.detect, patches))
-    ids = [p.patch_id for p in patches]
     boxes = [np.asarray(b, dtype=np.float64).reshape(-1, 4) for b, _ in results]
     scores = [np.asarray(s, dtype=np.float64).reshape(-1) for _, s in results]
-    for patch_id, b, s in zip(ids, boxes, scores):
+    for patch, b, s in zip(patches, boxes, scores):
         if len(b) != len(s):
-            raise DetectionError(f"patch {patch_id}: {len(b)} boxes but {len(s)} scores")
-    rows = np.repeat(np.array(ids, dtype=object), list(map(len, scores)))
+            raise DetectionError(f"patch {patch.patch_id}: {len(b)} boxes but {len(s)} scores")
+    codes = np.repeat(np.arange(len(patches)), list(map(len, scores)))
     boxes, scores = np.concatenate([np.empty((0, 4)), *boxes]), np.concatenate([np.empty(0), *scores])
-    cols = PatchDetections(rows, boxes, scores, keys=ids)
+    cols = PatchDetections(patches, codes, boxes, scores)
     bad = np.flatnonzero(invalid(cols.boxes, cols.scores))
     if bad.size:
         r, patch_id = bad[0], cols.patch_ids[bad[0]]
@@ -175,28 +178,18 @@ def _load_truth(
 
 def _band_detections(
     cfg: PipelineConfig, band, stack, truth: catalog_mod.Catalog, boxes: np.ndarray
-) -> tuple[dict[str, tuple[int, int, float]], PatchDetections]:
-    """Place one band's patches and produce its raw detections.
+) -> PatchDetections:
+    """Place one band's patches and produce its raw detections on them.
 
-    Returns the patch index (patch id -> row0, col0, delta_f), one entry per
-    patch, and the detections keyed by patch id. An external file maps onto
-    the one band's grid and may name no patch outside it; the synthetic
-    oracle sees the truth boxes of the craters in the band's size range.
+    An external file maps onto the one band's grid; the synthetic oracle
+    sees the truth boxes of the craters in the band's size range.
     """
     patches = patch_placements(stack[0].width, stack[0].height, _band_spec(band))
-    patch_index = {p.patch_id: (p.row0, p.col0, p.delta_f) for p in patches}
     if cfg.detector.kind == "external":
-        per_patch = load_detections(
-            cfg.resolve(cfg.detector.path), score_floor=cfg.detector.score_floor, ps_r=band.ps_r
-        )
-        unknown = set(per_patch) - set(patch_index)
-        if unknown:
-            raise ConfigError(f"external detections reference unknown patch ids: {sorted(unknown)[:5]}")
-    else:
-        in_band = catalog_mod.in_size_range(truth.diam_km, band.dmin_km, band.dmax_km)
-        detector = SyntheticDetector(boxes[in_band], stack[0].geotransform, cfg.detector.noise)
-        per_patch = detect_patches(patches, detector, cfg.workers)
-    return patch_index, per_patch
+        return load_detections(cfg.resolve(cfg.detector.path), patches, score_floor=cfg.detector.score_floor)
+    in_band = catalog_mod.in_size_range(truth.diam_km, band.dmin_km, band.dmax_km)
+    detector = SyntheticDetector(boxes[in_band], stack[0].geotransform, cfg.detector.noise)
+    return detect_patches(patches, detector, cfg.workers)
 
 
 def _per_band_detections(cfg: PipelineConfig, stack, truth, boxes) -> tuple[DetectionSet, dict]:
@@ -205,12 +198,12 @@ def _per_band_detections(cfg: PipelineConfig, stack, truth, boxes) -> tuple[Dete
     all_survivors: list[DetectionSet] = []
     info: dict[str, dict] = {}
     for band in cfg.bands:
-        patch_index, per_patch = _band_detections(cfg, band, stack, truth, boxes)
+        per_patch = _band_detections(cfg, band, stack, truth, boxes)
         delta = cfg.nms_delta if cfg.nms_enabled else None
-        survivors = run_pipeline(per_patch, patch_index, stack[0].geotransform, band.ps_r, cfg.boundary_m, delta)
+        survivors = run_pipeline(per_patch, stack[0].geotransform, band.ps_r, cfg.boundary_m, delta)
         all_survivors.append(survivors)
         info[band.name] = {
-            "n_patches": len(patch_index),
+            "n_patches": len(per_patch),
             "n_raw": len(per_patch.scores),
             "n_survivors": len(survivors),
         }
@@ -355,7 +348,7 @@ def run_detect_dump(cfg: PipelineConfig) -> list[Path]:
         raise ConfigError("detect needs a truth_catalog")
     stack = load_stack(cfg)
     truth, boxes = _load_truth(cfg, cfg.truth_catalog, stack[0].geotransform)
-    dumps = [_band_detections(cfg, band, stack, truth, boxes)[1] for band in cfg.bands]
+    dumps = [_band_detections(cfg, band, stack, truth, boxes) for band in cfg.bands]
     paths = []
     for band, per_patch in zip(cfg.bands, dumps):
         name = "detections_patch.csv" if len(cfg.bands) == 1 else f"detections_patch_{band.name}.csv"
@@ -375,11 +368,10 @@ def run_gridsearch(cfg: PipelineConfig) -> tuple[GridSearchResult, Path]:
     gt = stack[0].geotransform
     truth, truth_boxes = _load_truth(cfg, cfg.truth_catalog, gt)
     band = cfg.bands[0]
-    patch_index, per_patch = _band_detections(cfg, band, stack, truth, truth_boxes)
+    per_patch = _band_detections(cfg, band, stack, truth, truth_boxes)
 
     result = grid_search(
         per_patch,
-        patch_index,
         gt,
         truth_boxes,
         band.ps_r,

@@ -7,7 +7,7 @@ import pytest
 from craterpipe.detector import PatchDetections
 from craterpipe.geo import GeoTransform
 from craterpipe.postprocess import DetectionSet, overlap_pairs
-from craterpipe.raster import RasterGrid, save_raster
+from craterpipe.raster import PatchPlacement, PatchSpec, RasterGrid, save_raster
 
 LUNAR_RADIUS = 1_737_400.0
 
@@ -50,12 +50,31 @@ def write_catalog_csv(tmp_path, name, rows, header="id,lon,lat,diam_km"):
     return path
 
 
-def patch_columns(rows_by_patch):
-    """The PatchDetections of a patch id -> [(box, score), ...] dict; every
-    key is a patch, with rows or without."""
-    ids = [p for p, rows in rows_by_patch.items() for _ in rows]
-    flat = [row for rows in rows_by_patch.values() for row in rows]
-    return PatchDetections(ids, [box for box, _ in flat], [score for _, score in flat], keys=rows_by_patch)
+def placed(patch_index, ps_r=512):
+    """The PatchPlacements of a patch id -> (row0, col0, delta_f) dict, each
+    on an unoverlapped spec of resized side ps_r."""
+    return [
+        PatchPlacement(p, r0, c0, PatchSpec(round(df * ps_r), ps_r, 0.0)) for p, (r0, c0, df) in patch_index.items()
+    ]
+
+
+def on_origin(patch_ids, ps_r=512):
+    """PatchPlacements of patch_ids, every one at the mosaic origin with resize factor 1."""
+    return placed(dict.fromkeys(patch_ids, (0, 0, 1.0)), ps_r)
+
+
+def index_of(placements):
+    """The patch id -> (row0, col0, delta_f) dict of placements."""
+    return {p.patch_id: (p.row0, p.col0, p.delta_f) for p in placements}
+
+
+def patch_columns(rows_by_patch, placements):
+    """The PatchDetections on placements of a patch id -> [(box, score), ...]
+    dict, every key of which is a placement's id."""
+    code = {p.patch_id: k for k, p in enumerate(placements)}
+    flat = [(code[p], box, score) for p, rows in rows_by_patch.items() for box, score in rows]
+    codes, boxes, scores = zip(*flat) if flat else ((), (), ())
+    return PatchDetections(placements, codes, boxes, scores)
 
 
 def pair_iou(a, b):

@@ -33,8 +33,9 @@ import numpy as np
 
 from craterpipe.detector import PatchDetections
 from craterpipe.geo import GeoTransform
+from craterpipe.raster import PatchSpec, patch_placements
 
-from conftest import patch_columns
+from conftest import index_of, patch_columns
 from reference import iou
 
 LUNAR_RADIUS = 1_737_400.0
@@ -74,7 +75,7 @@ BOUNDARY_DISTANCES = (0.0, 0.5, 3.0, 8.0)  # resized pixels from the left edge
 class GridFixture:
     per_patch: PatchDetections
     rows: dict  # patch id -> [(pixel box, score), ...], the rows of per_patch
-    patch_index: dict
+    patch_index: dict  # patch id -> (row0, col0, delta_f) of per_patch's placements
     gt: GeoTransform
     truth_boxes: np.ndarray
     ps_r: int
@@ -118,11 +119,9 @@ def _to_pixel_box(box_m, row0, col0):
 
 def build_grid_fixture() -> GridFixture:
     gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=S, body_radius=LUNAR_RADIUS)
-    patch_index = {
-        f"r{r0:06d}_c{c0:06d}": (r0, c0, DELTA_F)
-        for r0 in (0, 512, 1024)
-        for c0 in (0, 512, 1024)
-    }
+    placements = patch_placements(MOSAIC, MOSAIC, PatchSpec(PS_A, PS_R, 0.5))
+    patch_index = index_of(placements)
+    assert sorted(v[:2] for v in patch_index.values()) == [(r0, c0) for r0 in (0, 512, 1024) for c0 in (0, 512, 1024)]
     pid = {v[:2]: k for k, v in patch_index.items()}
     rows: dict[str, list[tuple]] = {k: [] for k in patch_index}
 
@@ -219,7 +218,7 @@ def build_grid_fixture() -> GridFixture:
                 assert iou(box_a, box_b) == 0.0, (group_a, group_b)
 
     return GridFixture(
-        per_patch=patch_columns(rows),
+        per_patch=patch_columns(rows, placements),
         rows=rows,
         patch_index=patch_index,
         gt=gt,

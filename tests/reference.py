@@ -398,14 +398,15 @@ def select_rows(rows, gt, region, dmin_km, dmax_km):
     return kept, boxes, n_overflowed
 
 
-def load_detection_rows(path, score_floor=None, ps_r=None):
+def load_detection_rows(path, patch_ids, ps_r, score_floor=None):
     """The row-by-row detection record loader.
 
     Parses line by line up to the first line with a wrong field count or a
     non-numeric value, then checks the parsed records in order; the first
-    record failing the detection invariants or the ps_r bound is reported
-    ahead of the parse error. Returns [(patch_id, box, score), ...] in file
-    order, records scoring below score_floor dropped.
+    record failing the detection invariants, the ps_r bound or naming a
+    patch id not in patch_ids is reported ahead of the parse error. Returns
+    [(patch_id, box, score), ...] in file order, records scoring below
+    score_floor dropped.
     """
     from craterpipe.errors import DetectionError
 
@@ -431,8 +432,10 @@ def load_detection_rows(path, score_floor=None, ps_r=None):
         error = row_invariant_error(patch_id, box, score)
         if error is not None:
             raise DetectionError(f"{path}:{lineno}: {error}")
-        if ps_r is not None and (box[2] > ps_r or box[3] > ps_r):
+        if box[2] > ps_r or box[3] > ps_r:
             raise DetectionError(f"{path}:{lineno}: box exceeds patch side {ps_r}")
+        if patch_id not in patch_ids:
+            raise DetectionError(f"{path}:{lineno}: unknown patch id {patch_id!r}")
         if score_floor is None or not score < score_floor:
             out.append((patch_id, box, score))
     if parse_error is not None:

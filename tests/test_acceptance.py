@@ -72,12 +72,10 @@ def test_acceptance_01_end_to_end_oracle():
 
     patches = tile(intensity, elevation, slope, PatchSpec(1024, 512, 0.5))
     assert len(patches) == 49
-    patch_index = {p.patch_id: (p.row0, p.col0, p.delta_f) for p in patches}
-
     boxes = to_boxes(truth, gt)
     detector = SyntheticDetector(boxes, gt, NoiseConfig(seed=1))
     per_patch = detect_patches(patches, detector, workers=1)
-    survivors = run_pipeline(per_patch, patch_index, gt, 512, 10, 0.2)
+    survivors = run_pipeline(per_patch, gt, 512, 10, 0.2)
     metrics = match_and_count(survivors, boxes, EvalConfig(u=0.3))
 
     elapsed = time.perf_counter() - t_start
@@ -197,7 +195,6 @@ def fixture_and_search():
     f = build_grid_fixture()
     result = grid_search(
         f.per_patch,
-        f.patch_index,
         f.gt,
         f.truth_boxes,
         f.ps_r,

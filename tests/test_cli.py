@@ -876,19 +876,23 @@ def test_cmd_crossmatch_without_rasters_uses_config_geotransform(tmp_path):
 # errors name their source
 
 
-def test_unknown_patch_ids_rejected_by_run_and_gridsearch(tmp_path, capsys):
+@pytest.mark.parametrize("score", ["0.9", "0.1"], ids=["above-floor", "below-floor"])
+def test_unknown_patch_ids_rejected_by_run_and_gridsearch(tmp_path, capsys, score):
+    """A record naming no patch of the grid fails at its line, whether or not
+    its score clears the floor, and nothing is written."""
     config = write_scene(tmp_path, plant_craters(4))
     # an edge-hugging box, which the boundary filter would drop unseen
-    (tmp_path / "external.csv").write_text("not_a_patch,0,0,20,20,0.9\n")
+    records = tmp_path / "records.csv"
+    records.write_text(f"r000000_c000000,1,1,20,20,0.9\nnot_a_patch,0,0,20,20,{score}\n")
     cfg = json.loads(config.read_text())
-    cfg["detector"] = {"kind": "external", "path": "external.csv"}
+    cfg["detector"] = {"kind": "external", "path": "records.csv", "score_floor": 0.5}
     config.write_text(json.dumps(cfg))
     capsys.readouterr()
     for command in ("run", "gridsearch"):
         assert main([command, "--config", str(config)]) == 2, command
         err = capsys.readouterr().err
-        assert "external detections reference unknown patch ids" in err, (command, err)
-        assert "not_a_patch" in err, (command, err)
+        assert f"{records}:2: unknown patch id 'not_a_patch'" in err, (command, err)
+        assert not (tmp_path / "out").exists(), command
 
 
 def test_cmd_crossmatch_degenerate_global_box_names_file_and_line(tmp_path, capsys):
@@ -969,7 +973,7 @@ def test_crossmatch_rejects_an_infinite_corner(tmp_path, capsys, record, message
 
 def test_run_rejects_a_record_with_an_infinite_corner(tmp_path, capsys):
     records = tmp_path / "records.csv"
-    records.write_text("p,1.0,2.0,11.0,12.0,0.9\np,1.0,2.0,3.0,inf,0.9\n")
+    records.write_text("r000000_c000000,1.0,2.0,11.0,12.0,0.9\nr000000_c000000,1.0,2.0,3.0,inf,0.9\n")
     detector = {"kind": "external", "path": str(records)}
     config = write_scene(tmp_path, plant_craters(2), extra_config={"detector": detector})
     capsys.readouterr()

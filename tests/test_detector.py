@@ -20,7 +20,7 @@ from craterpipe.geo import GeoTransform
 from craterpipe.raster import FusedPatch, PatchPlacement, PatchSpec, patch_placements, tile
 from craterpipe.runner import detect_patches
 
-from conftest import LUNAR_RADIUS, make_grid, patch_columns
+from conftest import LUNAR_RADIUS, make_grid, on_origin, patch_columns
 from reference import row_invariant_error, synthetic_detect_scalar
 
 
@@ -260,7 +260,7 @@ def test_detection_invariants():
         rows[pid], rows[patches[2].patch_id] = [good, bad], [bad]
         for workers in (1, 2):
             with pytest.raises(DetectionError) as err:
-                detect_patches(patches, ColumnsDetector(patch_columns(rows)), workers)
+                detect_patches(patches, ColumnsDetector(patch_columns(rows, patches)), workers)
             assert str(err.value) == f"patch {pid}: {row_invariant_error(pid, *bad)}"
 
     class MismatchedDetector(DetectorInterface):
@@ -278,8 +278,8 @@ def test_detection_invariants():
 def test_load_detections_empty_file(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("")
-    loaded = load_detections(path)
-    assert len(loaded) == 0 and loaded.boxes.shape == (0, 4)
+    loaded = load_detections(path, on_origin(["pA"]))
+    assert len(loaded["pA"]) == 0 and loaded.boxes.shape == (0, 4)
 
 
 def test_load_detections_groups_by_patch(tmp_path):
@@ -289,7 +289,7 @@ def test_load_detections_groups_by_patch(tmp_path):
         "pA,3.0,4.0,13.0,14.0,0.8\n"
         "pB,5.0,6.0,15.0,16.0,0.7\n"
     )
-    grouped = load_detections(path)
+    grouped = load_detections(path, on_origin(["pB", "pA"]))
     assert sorted(grouped) == ["pA", "pB"]
     assert len(grouped["pA"]) == 2
 
@@ -298,25 +298,26 @@ def test_load_detections_rejects_bad_box_with_line(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("pA,1.0,2.0,11.0,12.0,0.9\npA,9.0,2.0,3.0,12.0,0.9\n")
     with pytest.raises(DetectionError, match=":2:"):
-        load_detections(path)
+        load_detections(path, on_origin(["pA"]))
 
 
 def test_load_detections_score_floor_and_ps_r(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("pA,1.0,2.0,11.0,12.0,0.9\npA,3.0,4.0,13.0,14.0,0.2\n")
-    grouped = load_detections(path, score_floor=0.5)
+    grouped = load_detections(path, on_origin(["pA"]), score_floor=0.5)
     assert len(grouped["pA"]) == 1
     path2 = tmp_path / "d2.csv"
     path2.write_text("pA,1.0,2.0,600.0,12.0,0.9\n")
-    with pytest.raises(DetectionError, match="exceeds patch side"):
-        load_detections(path2, ps_r=512)
+    with pytest.raises(DetectionError, match="exceeds patch side 512"):
+        load_detections(path2, on_origin(["pA"], 512))
 
 
 def test_save_load_round_trip(tmp_path):
-    per_patch = patch_columns({"pB": [((1.5, 2.5, 3.5, 4.5), 0.25)], "pA": [((0.0, 0.0, 10.0, 10.0), 1.0)]})
+    placements = on_origin(["pB", "pA"])
+    per_patch = patch_columns({"pB": [((1.5, 2.5, 3.5, 4.5), 0.25)], "pA": [((0.0, 0.0, 10.0, 10.0), 1.0)]}, placements)
     path = tmp_path / "d.csv"
     save_detections(per_patch, path)
     assert path.read_text() == "pA,0.0,0.0,10.0,10.0,1.0\npB,1.5,2.5,3.5,4.5,0.25\n"  # sorted patch order
-    loaded = load_detections(path)
+    loaded = load_detections(path, placements)
     assert list(loaded) == ["pA", "pB"]
     assert loaded.boxes.tolist() == per_patch.boxes.tolist() and loaded.scores.tolist() == [1.0, 0.25]

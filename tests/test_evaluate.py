@@ -22,11 +22,11 @@ from craterpipe.evaluate import (
 from craterpipe.geo import GeoTransform
 from craterpipe.postprocess import filter_and_globalize, run_pipeline
 
-from conftest import LUNAR_RADIUS, global_set, pair_iou, patch_columns
+from conftest import LUNAR_RADIUS, global_set, on_origin, pair_iou, patch_columns
 from reference import brute_force_metrics, iou, iou_matrix, rasterized_iou
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
-NO_DETECTIONS = patch_columns({})
+NO_DETECTIONS = patch_columns({}, [])
 
 
 # ---------------------------------------------------------------------------
@@ -267,23 +267,22 @@ def test_localization_no_matches_flagged():
 
 
 def test_grid_search_single_cell():
-    per_patch = patch_columns({"p": [((100.0, 100.0, 150.0, 150.0), 0.9)]})
-    index = {"p": (0, 0, 1.0)}
+    per_patch = patch_columns({"p": [((100.0, 100.0, 150.0, 150.0), 0.9)]}, on_origin(["p"]))
     truth = np.array([[10_000.0, -15_000.0, 15_000.0, -10_000.0]])
-    res = grid_search(per_patch, index, GT, truth, 512, [5], [0.3], EvalConfig(u=0.3))
+    res = grid_search(per_patch, GT, truth, 512, [5], [0.3], EvalConfig(u=0.3))
     assert (res.best_m, res.best_delta) == (5, 0.3)
     assert len(res.cells) == 2  # the one delta plus the no-NMS column
 
 
 def test_grid_search_empty_sets_error():
     with pytest.raises(EvalError, match="non-empty"):
-        grid_search(NO_DETECTIONS, {}, GT, np.zeros((0, 4)), 512, [], [0.1], EvalConfig())
+        grid_search(NO_DETECTIONS, GT, np.zeros((0, 4)), 512, [], [0.1], EvalConfig())
     with pytest.raises(EvalError, match="non-empty"):
-        grid_search(NO_DETECTIONS, {}, GT, np.zeros((0, 4)), 512, [0], [], EvalConfig())
+        grid_search(NO_DETECTIONS, GT, np.zeros((0, 4)), 512, [0], [], EvalConfig())
 
 
 def test_grid_search_cell_count():
-    res = grid_search(NO_DETECTIONS, {}, GT, np.zeros((0, 4)), 512, [0, 1], [0.1, 0.2, 0.3], EvalConfig())
+    res = grid_search(NO_DETECTIONS, GT, np.zeros((0, 4)), 512, [0, 1], [0.1, 0.2, 0.3], EvalConfig())
     assert len(res.cells) == 2 * (3 + 1)
 
 
@@ -291,7 +290,7 @@ def test_grid_search_gates_and_matches_the_rows_alive_at_the_smallest_m_once(gri
     """A sweep size-gates once and matches once against the truth, both over
     the rows alive at the smallest m, and counts each cell from those rows."""
     f, cfg = grid_fixture, EvalConfig(u=0.3, size_floor_km=9.0)
-    args = (f.per_patch, f.patch_index, f.gt, f.ps_r)
+    args = (f.per_patch, f.gt, f.ps_r)
     alive = filter_and_globalize(*args, 0)
     gated = size_gate(alive, cfg)
     assert 0 < len(gated) < len(alive)
@@ -301,7 +300,7 @@ def test_grid_search_gates_and_matches_the_rows_alive_at_the_smallest_m_once(gri
     monkeypatch.setattr(
         evaluate, "_max_ious", lambda dets, t, u: matched.append(dets.rows.tolist()) or real_max_ious(dets, t, u)
     )
-    res = grid_search(f.per_patch, f.patch_index, f.gt, f.truth_boxes, f.ps_r, [5, 0, 10], [0.2, 0.4], cfg, False)
+    res = grid_search(f.per_patch, f.gt, f.truth_boxes, f.ps_r, [5, 0, 10], [0.2, 0.4], cfg, False)
     assert gates == [alive.rows.tolist()] and matched == [gated.rows.tolist()]
     monkeypatch.undo()
     alone = [match_and_count(size_gate(run_pipeline(*args, c.m, c.delta), cfg), f.truth_boxes, cfg) for c in res.cells]
@@ -316,7 +315,7 @@ def test_grid_search_globalizes_the_smallest_m_once(grid_fixture, monkeypatch, m
     and no m needs one when no delta is positive."""
     f, merged, real = grid_fixture, [], evaluate.filter_and_globalize
     monkeypatch.setattr(evaluate, "filter_and_globalize", lambda *args: merged.append(args[-1]) or real(*args))
-    grid_search(f.per_patch, f.patch_index, f.gt, f.truth_boxes, f.ps_r, m_set, delta_set, EvalConfig(u=0.3))
+    grid_search(f.per_patch, f.gt, f.truth_boxes, f.ps_r, m_set, delta_set, EvalConfig(u=0.3))
     others = [m for m in m_set if m != min(m_set)] if max(delta_set) > 0 else []
     assert merged == [min(m_set), *others]
 
@@ -326,17 +325,17 @@ def test_grid_search_counts_a_nan_iou_as_match_and_count_does():
     truth. A NaN best IOU is never a TP, and its row is still matched once."""
     gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=1e198, body_radius=LUNAR_RADIUS)
     # 2e200 m sides, whose area overflows, and 1e18 m sides 1e-180 px inside the patch edge
-    per_patch = patch_columns({"p": [((100.0, 100.0, 300.0, 300.0), 0.9), ((1e-180, 1e-180, 2e-180, 2e-180), 0.8)]})
-    index, cfg = {"p": (0, 0, 1.0)}, EvalConfig(u=0.3)
-    truth = run_pipeline(per_patch, index, gt, 512, 0, None).boxes
+    rows = {"p": [((100.0, 100.0, 300.0, 300.0), 0.9), ((1e-180, 1e-180, 2e-180, 2e-180), 0.8)]}
+    per_patch, cfg = patch_columns(rows, on_origin(["p"])), EvalConfig(u=0.3)
+    truth = run_pipeline(per_patch, gt, 512, 0, None).boxes
     matched = []
     real = evaluate._max_ious
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(real(run_pipeline(per_patch, index, gt, 512, 1, None), truth, cfg.u)).all()
+        assert np.isnan(real(run_pipeline(per_patch, gt, 512, 1, None), truth, cfg.u)).all()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluate, "_max_ious", lambda dets, t, u: matched.append(len(dets)) or real(dets, t, u))
-            res = grid_search(per_patch, index, gt, truth, 512, [0, 1, 5], [0.3], cfg)
-        alone = [match_and_count(run_pipeline(per_patch, index, gt, 512, c.m, c.delta), truth, cfg) for c in res.cells]
+            res = grid_search(per_patch, gt, truth, 512, [0, 1, 5], [0.3], cfg)
+        alone = [match_and_count(run_pipeline(per_patch, gt, 512, c.m, c.delta), truth, cfg) for c in res.cells]
     assert sum(matched) == 2
     assert [c.report for c in res.cells] == alone
     assert [(c.m, c.report.tp, c.report.n_detections) for c in res.cells[::2]] == [(0, 1, 2), (1, 0, 1), (5, 0, 1)]
@@ -406,7 +405,7 @@ def grid_fixture():
 def test_recall_monotone_precision_antitone_in_delta(grid_fixture):
     f = grid_fixture
     res = grid_search(
-        f.per_patch, f.patch_index, f.gt, f.truth_boxes, f.ps_r,
+        f.per_patch, f.gt, f.truth_boxes, f.ps_r,
         [10], [0.1, 0.2, 0.3, 0.4, 0.5], EvalConfig(u=0.3), include_no_nms=False,
     )
     by_delta = sorted((c.delta, c.report) for c in res.cells)

@@ -15,7 +15,7 @@ from craterpipe.postprocess import DetectionSet, run_pipeline
 from craterpipe.raster import PatchPlacement, PatchSpec
 from craterpipe.runner import detect_patches
 
-from conftest import LUNAR_RADIUS, patch_columns
+from conftest import LUNAR_RADIUS, index_of, on_origin, patch_columns
 from reference import grid_search_cells, group_by_patch, scalar_pipeline
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
@@ -23,7 +23,8 @@ GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADI
 GT_INEXACT = GeoTransform(x_min=-1234.567, y_max=89.1, resolution=0.7, body_radius=LUNAR_RADIUS)
 PS_R = 64
 PATCH_IDS = ["r000000_c000000", "r000000_c000064", "r000064_c000000", "r000064_c000064", "r000128_c000000"]
-PATCH_INDEX = {p: (int(p[1:7]), int(p[9:]), 2.0) for p in PATCH_IDS}
+PLACEMENTS = [PatchPlacement(p, int(p[1:7]), int(p[9:]), PatchSpec(128, PS_R)) for p in PATCH_IDS]
+PATCH_INDEX = index_of(PLACEMENTS)  # the scalar reference's form of the table
 
 # pixel boxes on a coarse lattice so that boxes of neighbouring patches
 # coincide after globalization and score ties are common
@@ -45,16 +46,20 @@ def per_patch_detections(draw):
 
 
 def interleaved_columns(per_patch, data):
-    """The same rows built as columns from one flat list whose patches are
-    interleaved at random, each patch's rows kept in their order."""
+    """The same rows built as columns on the table in random order, from one
+    flat list whose patches are interleaved at random, each patch's rows kept
+    in their order."""
+    placements = data.draw(st.permutations(PLACEMENTS))
     queues = {p: list(rows) for p, rows in per_patch.items()}
     owners = data.draw(st.permutations([p for p, rows in per_patch.items() for _ in rows]))
     flat = [queues[p].pop(0) for p in owners]
-    return PatchDetections(owners, [box for box, _ in flat], [score for _, score in flat], keys=per_patch)
+    codes = [[q.patch_id for q in placements].index(p) for p in owners]
+    return PatchDetections(placements, codes, [box for box, _ in flat], [score for _, score in flat])
 
 
 def assert_same_columns(got: PatchDetections, want: PatchDetections):
-    assert got.patches == want.patches
+    assert got.placements == want.placements and got.patches == want.patches
+    assert got.codes.tobytes() == want.codes.tobytes()
     assert got.patch_ids.tolist() == want.patch_ids.tolist()
     assert got.boxes.tobytes() == want.boxes.tobytes()
     assert got.scores.tobytes() == want.scores.tobytes()
@@ -77,9 +82,9 @@ def assert_same_set(got: DetectionSet, want: DetectionSet):
 )
 def test_pipeline_on_columns_equals_pipeline_on_lists(per_patch, data, m, delta, gt):
     columns = interleaved_columns(per_patch, data)
-    assert_same_columns(columns, patch_columns(per_patch))
-    assert list(columns) == sorted(per_patch)
-    got = run_pipeline(columns, PATCH_INDEX, gt, PS_R, m, delta)
+    assert_same_columns(columns, patch_columns(per_patch, PLACEMENTS))
+    assert list(columns) == PATCH_IDS
+    got = run_pipeline(columns, gt, PS_R, m, delta)
     # the scalar reference on the lists of rows, one detection at a time in sorted patch order
     want = scalar_pipeline(per_patch, PATCH_INDEX, gt, PS_R, m, delta)
     assert_same_set(got, DetectionSet(*zip(*want)) if want else DetectionSet([], [], [], []))
@@ -91,17 +96,18 @@ def test_save_detections_writes_the_same_bytes_from_both_forms(tmp_path_factory,
     """Columns built from rows grouped by patch and from rows interleaved
     write the same records, which read back as the same columns."""
     tmp = tmp_path_factory.mktemp("save")
-    save_detections(patch_columns(per_patch), tmp / "grouped.csv")
+    save_detections(patch_columns(per_patch, PLACEMENTS), tmp / "grouped.csv")
     save_detections(interleaved_columns(per_patch, data), tmp / "interleaved.csv")
     assert (tmp / "grouped.csv").read_bytes() == (tmp / "interleaved.csv").read_bytes()
-    back = load_detections(tmp / "interleaved.csv")
-    assert_same_columns(back, patch_columns({p: rows for p, rows in per_patch.items() if rows}))
+    back = load_detections(tmp / "interleaved.csv", PLACEMENTS)
+    assert_same_columns(back, patch_columns(per_patch, PLACEMENTS))
 
 
 def test_values_have_a_len_that_builds_no_detection():
     """A lookup gives the range of the patch's row indices into the columns,
     so its len is the patch's row count and reads no row."""
-    columns = patch_columns({"b": [((1.5, 2.0, 3.0, 4.0), 0.25), ((0, 0, 9, 9), 1.0)] * 2, "a": [], "c": []})
+    rows = {"b": [((1.5, 2.0, 3.0, 4.0), 0.25), ((0, 0, 9, 9), 1.0)] * 2}
+    columns = patch_columns(rows, on_origin(["c", "b", "a"]))
     assert [len(v) for v in columns.values()] == [0, 4, 0]
     assert list(columns) == list(columns.keys()) == list(dict(columns)) == ["a", "b", "c"]
     rows = columns["b"]
@@ -130,14 +136,21 @@ _outputs = st.lists(st.tuples(_corner, _corner, _side, _side, _score), max_size=
 
 @settings(max_examples=80, deadline=None)
 @given(st.permutations(PATCH_IDS), st.lists(_outputs, min_size=len(PATCH_IDS), max_size=len(PATCH_IDS)))
-def test_detect_patches_groups_like_the_scalar_reference(patch_ids, outputs):
-    patches = [PatchPlacement(p, int(p[1:7]), int(p[9:]), PatchSpec(128, 64)) for p in patch_ids]
+def test_detect_patches_groups_like_the_scalar_reference(tmp_path_factory, patch_ids, outputs):
+    """The rows come grouped in sorted patch id order, each row's code naming
+    its placement, and the record file they save to loads back onto the same
+    table as the same columns."""
+    patches = [PatchPlacement(p, int(p[1:7]), int(p[9:]), PatchSpec(128, 128)) for p in patch_ids]
     detector = StubDetector(dict(zip(patch_ids, outputs)))
     want = group_by_patch(patch_ids, outputs)
     for workers in (1, 2):
         got = detect_patches(patches, detector, workers)
         assert got.patches == tuple(sorted(patch_ids))  # patches without rows included
         assert list(zip(got.patch_ids.tolist(), map(tuple, got.boxes.tolist()), got.scores.tolist())) == want
+        assert [got.placements[k].patch_id for k in got.codes.tolist()] == got.patch_ids.tolist()
+    path = tmp_path_factory.mktemp("dump") / "d.csv"
+    save_detections(got, path)
+    assert_same_columns(load_detections(path, patches), got)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +169,7 @@ BAD_RECORDS = [
     ("pA,1.0,2.0,3.0,12.0,nan", "score nan outside [0, 1]"),
     ("pA,1.0,2.0,600.0,12.0,0.9", "box exceeds patch side 512"),
     ("pA,1.0,2.0,3.0,inf,0.9", "non-finite coordinates in box (1.0, 2.0, 3.0, inf)"),
+    ("pZ,1.0,2.0,11.0,12.0,0.2", "unknown patch id 'pZ'"),  # below the floor too
 ]
 
 
@@ -164,49 +178,37 @@ def test_bad_record_names_its_line(tmp_path, record, message):
     path = tmp_path / "d.csv"
     path.write_text(f"# model output\n{GOOD}\n\n{record}\n{GOOD}\n")
     with pytest.raises(DetectionError) as err:
-        load_detections(path, score_floor=0.5, ps_r=512)
+        load_detections(path, on_origin(["pA"]), score_floor=0.5)
     assert str(err.value) == f"{path}:4: {message}"
 
 
-@pytest.mark.parametrize("first, second", [(0, 3), (3, 0), (6, 8), (8, 6), (2, 4)])
+@pytest.mark.parametrize("first, second", [(0, 3), (3, 0), (6, 8), (8, 6), (2, 4), (10, 2), (9, 10)])
 def test_the_first_bad_record_wins(tmp_path, first, second):
     (rec_a, msg_a), (rec_b, _) = BAD_RECORDS[first], BAD_RECORDS[second]
     path = tmp_path / "d.csv"
     path.write_text(f"{GOOD}\n{rec_a}\n{GOOD}\n{rec_b}\n")
     with pytest.raises(DetectionError) as err:
-        load_detections(path, ps_r=512)
+        load_detections(path, on_origin(["pA"]))
     assert str(err.value) == f"{path}:2: {msg_a}"
 
 
 def test_score_floor_drops_after_checking(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("pB,1.0,2.0,11.0,12.0,0.2\npA,1.0,2.0,11.0,12.0,0.9\npB,3.0,4.0,13.0,14.0,0.5\n")
-    loaded = load_detections(path, score_floor=0.5)
+    loaded = load_detections(path, on_origin(["pB", "pA"]), score_floor=0.5)
     assert list(loaded) == ["pA", "pB"]
     assert loaded.boxes[loaded["pB"]].tolist() == [[3.0, 4.0, 13.0, 14.0]]
     assert loaded.scores.tolist() == [0.9, 0.5]
     path.write_text("pA,1.0,2.0,11.0,12.0,0.9\npB,9.0,2.0,3.0,12.0,0.2\n")  # bad and below the floor
     with pytest.raises(DetectionError, match=":2: degenerate box"):
-        load_detections(path, score_floor=0.5)
-
-
-def test_unknown_patch_error_names_the_first_row():
-    row = ((1, 1, 9, 9), 0.5)
-    unknown = patch_columns({"z": [row], "a": [row]})
-    with pytest.raises(DetectionError, match="unknown patch id 'a'"):  # rows merge in sorted patch order
-        run_pipeline(unknown, PATCH_INDEX, GT, PS_R, 0, 0.3)
-    # a patch whose rows the boundary filter dropped is never looked up
-    edge = ((0, 0, 9, 9), 0.5)
-    per_patch = patch_columns({"a": [edge], PATCH_IDS[0]: [row]})
-    out = run_pipeline(per_patch, PATCH_INDEX, GT, PS_R, 0, 0.3)
-    assert out.patch_ids.tolist() == [PATCH_IDS[0]]
+        load_detections(path, on_origin(["pA", "pB"]), score_floor=0.5)
 
 
 @settings(max_examples=60, deadline=None)
 @given(per_patch_detections(), st.sampled_from([-1, 0, 5]), st.sampled_from([None, 0.0, 0.3]))
 def test_pipeline_rows_name_the_raw_rows(per_patch, m, delta):
-    columns = patch_columns(per_patch)
-    out = run_pipeline(columns, PATCH_INDEX, GT, PS_R, m, delta)
+    columns = patch_columns(per_patch, PLACEMENTS)
+    out = run_pipeline(columns, GT, PS_R, m, delta)
     assert out.rows.dtype == np.intp and np.unique(out.rows).size == len(out)
     assert columns.boxes[out.rows].tobytes() == out.pixel_boxes.tobytes()
     assert columns.scores[out.rows].tobytes() == out.scores.tobytes()
@@ -253,7 +255,7 @@ def test_grid_search_equals_each_cell_run_on_its_own(per_patch, data, m_set, del
     truth = data.draw(truth_near(per_patch, gt))
     floor, ceiling = gate
     cfg = EvalConfig(u=u, size_floor_km=floor, size_ceiling_km=ceiling)
-    got = grid_search(patch_columns(per_patch), PATCH_INDEX, gt, truth, PS_R, m_set, delta_set, cfg, no_nms)
+    got = grid_search(patch_columns(per_patch, PLACEMENTS), gt, truth, PS_R, m_set, delta_set, cfg, no_nms)
     deltas = delta_set + ([None] if no_nms else [])
     want, best = grid_search_cells(per_patch, PATCH_INDEX, gt, truth, PS_R, m_set, deltas, u, floor, ceiling)
     reports = [c.report for c in got.cells]
@@ -285,39 +287,37 @@ def test_grid_search_self_joins_once_per_m(per_patch, m_set, delta_set, no_nms):
     truth = np.zeros((0, 4))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(postprocess, "overlap_pairs", counted)
-        grid_search(patch_columns(per_patch), PATCH_INDEX, GT, truth, PS_R, m_set, delta_set, EvalConfig(), no_nms)
+        grid_search(patch_columns(per_patch, PLACEMENTS), GT, truth, PS_R, m_set, delta_set, EvalConfig(), no_nms)
     positive = [d for d in delta_set if d > 0.0]
     assert joins == ([min(positive)] * len(m_set) if positive else [])
 
 
-def _first_cell_error(per_patch, patch_index, m_set, deltas):
+def _first_cell_error(per_patch, gt, m_set, deltas):
     """The message of the first cell whose run_pipeline raises, run on its own; None if none does."""
     for m in m_set:
         for delta in deltas:
             try:
-                run_pipeline(per_patch, patch_index, GT, PS_R, m, delta)
+                run_pipeline(per_patch, gt, PS_R, m, delta)
             except PipelineError as exc:
                 return str(exc)
     return None
 
 
 @pytest.mark.parametrize("m_set", [[0, 5], [20, 0], [20, 5], [5, 1, 0]])
-@pytest.mark.parametrize("bad", ["unknown patch", "degenerate box"])
-def test_grid_search_fails_as_its_first_failing_cell(m_set, bad):
-    """A bad patch whose one row survives only m = 0 fails the sweep at the
-    first m = 0 cell, with that cell's message, and no sweep without one."""
+def test_grid_search_fails_as_its_first_failing_cell(m_set):
+    """A patch whose one row survives only m = 0 and collapses there fails the
+    sweep at the first m = 0 cell, with that cell's message, and no sweep
+    without one."""
     inside, near_edge = ((20, 20, 30, 30), 0.5), ((1, 1, 9, 9), 0.9)
-    if bad == "unknown patch":
-        rows, index = {PATCH_IDS[0]: [inside], "zz": [near_edge]}, PATCH_INDEX
-    else:  # a resize factor of 0 maps every box of the patch to a point
-        rows, index = {PATCH_IDS[0]: [inside], PATCH_IDS[1]: [near_edge]}, {**PATCH_INDEX, PATCH_IDS[1]: (0, 64, 0.0)}
-    per_patch, deltas = patch_columns(rows), [0.0, 0.3]
-    want = _first_cell_error(per_patch, index, m_set, deltas + [None])
+    # eastings near 2**65 are 8192 m apart, so the near-edge row's x corners meet
+    gt = GeoTransform(x_min=2.0**65, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
+    per_patch, deltas = patch_columns({PATCH_IDS[0]: [inside], PATCH_IDS[1]: [near_edge]}, PLACEMENTS), [0.0, 0.3]
+    want = _first_cell_error(per_patch, gt, m_set, deltas + [None])
     if 0 not in m_set:
         assert want is None
-        grid_search(per_patch, index, GT, np.zeros((0, 4)), PS_R, m_set, deltas, EvalConfig())
+        grid_search(per_patch, gt, np.zeros((0, 4)), PS_R, m_set, deltas, EvalConfig())
         return
-    assert want.startswith(bad.split()[0])
+    assert want.startswith("degenerate global box")
     with pytest.raises(PipelineError) as err:
-        grid_search(per_patch, index, GT, np.zeros((0, 4)), PS_R, m_set, deltas, EvalConfig())
+        grid_search(per_patch, gt, np.zeros((0, 4)), PS_R, m_set, deltas, EvalConfig())
     assert str(err.value) == want

@@ -22,7 +22,7 @@ from craterpipe.postprocess import (
     write_global_detections,
 )
 
-from conftest import LUNAR_RADIUS, global_set, patch_columns
+from conftest import LUNAR_RADIUS, global_set, on_origin, patch_columns, placed
 from reference import quadratic_nms
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
@@ -30,8 +30,8 @@ GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADI
 
 def boundary_filter(boxes, ps_r, m):
     """The pixel boxes that pass the boundary filter of run_pipeline, in order."""
-    per_patch = patch_columns({"p": [(box, 0.9) for box in boxes]})
-    out = run_pipeline(per_patch, {"p": (0, 0, 1.0)}, GT, ps_r, m, None)
+    per_patch = patch_columns({"p": [(box, 0.9) for box in boxes]}, on_origin(["p"], ps_r))
+    out = run_pipeline(per_patch, GT, ps_r, m, None)
     return [tuple(box) for box in out.pixel_boxes.tolist()]
 
 
@@ -39,8 +39,8 @@ def globalize(boxes, patch_index, gt=GT, patch_id="p", scores=None):
     """Globalized rows of pixel boxes of one patch: boundary filter at m = 0
     on a patch side the boxes stay well inside, NMS disabled."""
     scores = [0.9] * len(boxes) if scores is None else scores
-    per_patch = patch_columns({patch_id: list(zip(boxes, scores))})
-    return run_pipeline(per_patch, patch_index, gt, 10_000, 0, None)
+    per_patch = patch_columns({patch_id: list(zip(boxes, scores))}, placed(patch_index, 10_000))
+    return run_pipeline(per_patch, gt, 10_000, 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +112,6 @@ def test_globalize_preserves_count_and_scores():
     out = globalize([(i, i, i + 5.0, i + 5.0) for i in range(1, 9)], {"p": (0, 0, 1.0)}, scores=scores)
     assert len(out) == len(scores)
     assert out.scores.tolist() == scores
-
-
-def test_globalize_unknown_patch_id():
-    with pytest.raises(DetectionError, match="unknown patch id"):
-        globalize([(1, 1, 2, 2)], {"p": (0, 0, 1.0)}, patch_id="mystery")
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +275,9 @@ def test_edges_of_another_set_raise():
         nms(dets, 0.3, ranked_edges(dets.take([0, 2]), 0.1))
     with pytest.raises(PipelineError, match="edges of 3 boxes at IOU >= 0.5 cannot serve NMS of 3 boxes at 0.3"):
         nms(dets, 0.3, ranked_edges(dets, 0.5))
-    index = {"p": (0, 0, 1.0)}
-    per_patch = patch_columns({"p": [((1.0, 1.0, 3.0, 3.0), 0.9)]})
+    per_patch = patch_columns({"p": [((1.0, 1.0, 3.0, 3.0), 0.9)]}, on_origin(["p"]))
     with pytest.raises(PipelineError, match="edges of 3 boxes"):
-        run_pipeline(per_patch, index, GT, 512, 0, 0.3, ranked_edges(dets, 0.1))
+        run_pipeline(per_patch, GT, 512, 0, 0.3, ranked_edges(dets, 0.1))
     # delta 0 reads only the rank order, which edges made at any threshold hold
     assert nms(dets, 0.0, ranked_edges(dets, 0.5)).scores.tolist() == [0.9]
 
@@ -293,28 +287,27 @@ def test_edges_of_another_set_raise():
 
 
 def test_run_pipeline_empty():
-    out = run_pipeline(patch_columns({}), {}, GT, 512, 10, 0.2)
+    out = run_pipeline(patch_columns({}, []), GT, 512, 10, 0.2)
     assert len(out) == 0
 
 
 def test_run_pipeline_order_boundary_then_globalize_then_nms():
     # a boundary-hugging duplicate must be removed before NMS can see it
-    index = {"pa": (0, 0, 1.0), "pb": (0, 256, 1.0)}
+    placements = placed({"pa": (0, 0, 1.0), "pb": (0, 256, 1.0)})
     interior = ((300.0, 100.0, 350.0, 150.0), 0.8)
     same_global_in_pb = ((44.0, 100.0, 94.0, 150.0), 0.9)
-    per_patch = patch_columns({"pa": [interior], "pb": [same_global_in_pb]})
-    out = run_pipeline(per_patch, index, GT, 512, 10, 0.2)
+    per_patch = patch_columns({"pa": [interior], "pb": [same_global_in_pb]}, placements)
+    out = run_pipeline(per_patch, GT, 512, 10, 0.2)
     assert len(out) == 1
     assert out.scores[0] == 0.9  # duplicate collapsed, higher score kept
 
 
 def test_run_pipeline_without_nms_keeps_duplicates():
-    index = {"pa": (0, 0, 1.0), "pb": (0, 256, 1.0)}
     per_patch = patch_columns({
         "pa": [((300.0, 100.0, 350.0, 150.0), 0.8)],
         "pb": [((44.0, 100.0, 94.0, 150.0), 0.9)],
-    })
-    out = run_pipeline(per_patch, index, GT, 512, 10, None)
+    }, placed({"pa": (0, 0, 1.0), "pb": (0, 256, 1.0)}))
+    out = run_pipeline(per_patch, GT, 512, 10, None)
     assert len(out) == 2
 
 

@@ -26,6 +26,7 @@ from craterpipe.geo import GeoTransform, lonlat_to_meter, meter_to_lonlat
 from craterpipe.postprocess import DetectionSet, load_global_detections, write_global_detections
 from craterpipe.textcols import csv_text, write_csv
 
+from conftest import on_origin
 from reference import load_catalog_rows, load_detection_rows
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -109,7 +110,9 @@ def test_load_catalog_reads_chunks_like_one_pass(tmp_path):
     assert bits(cat.lat) == bits([r[2] for r in rows])
 
 
-PATCH = st.sampled_from(["p0", "p1", " p2 ", "", 'q"t'])
+# the patch ids of the table records load onto: a quoted id is read as it stands
+RECORD_IDS = ["p0", "p1", "p2", "p3", "p4", "p5", "p6", "p#1", "p#3", '"p1"', 'q"t']
+PATCH = st.sampled_from(["p0", "p1", " p2 ", 'q"t'] * 4 + ["", "p9"])  # "" and p9 are unknown
 
 
 @st.composite
@@ -138,22 +141,11 @@ def record_text(draw):
 
 
 @SETTINGS
-@given(text=record_text(), score_floor=st.sampled_from([None, 0.5]), ps_r=st.sampled_from([None, 128]))
+@given(text=record_text(), score_floor=st.sampled_from([None, 0.5]), ps_r=st.sampled_from([128, 4096]))
 def test_load_detections_matches_the_row_by_row_loader(tmp_path_factory, text, score_floor, ps_r):
     path = tmp_path_factory.mktemp("rec") / "r.csv"
     path.write_text(text, newline="")
-    try:
-        expected = load_detection_rows(path, score_floor=score_floor, ps_r=ps_r)
-    except DetectionError as exc:
-        with pytest.raises(DetectionError) as got:
-            load_detections(path, score_floor=score_floor, ps_r=ps_r)
-        assert str(got.value) == str(exc)
-        return
-    got = load_detections(path, score_floor=score_floor, ps_r=ps_r)
-    expected = sorted(expected, key=lambda r: r[0])  # grouped by patch id, file order within
-    assert got.patch_ids.tolist() == [r[0] for r in expected]
-    assert bits(got.boxes.reshape(-1)) == bits([v for r in expected for v in r[1]])
-    assert bits(got.scores) == bits([r[2] for r in expected])
+    assert_records_match_the_row_by_row_loader(path, score_floor, ps_r)
 
 
 @pytest.mark.parametrize("faults", [
@@ -162,25 +154,16 @@ def test_load_detections_matches_the_row_by_row_loader(tmp_path_factory, text, s
     {6000: "p1,1.0,2.0,3.0"},  # a short line in the second chunk
     {9000: "p1,5.0,2.0,3.0,4.0,0.5", 9500: "p1,1.0"},  # a bad record, then a short line
     {2000: "p1,1.0,2.0,3.0,4.0,1.5", 4200: "p1,1.0"},  # a bad record ahead of a later parse error
+    {3000: "p9,1.0,2.0,3.0,4.0,0.1", 7000: "p1,1.0"},  # an unknown id ahead of a later parse error
 ])
 def test_load_detections_across_chunks_matches_the_row_by_row_loader(tmp_path, faults):
-    lines = [f"p{i % 7},{i % 50}.5,1.0,{i % 50 + 3}.25,9.0,0.{i % 10}" for i in range(10_000)]
+    lines = record_lines(10_000)
     lines[100], lines[5000] = "", "# comment"
     for i, line in faults.items():
         lines[i] = line
     path = tmp_path / "r.csv"
     path.write_text("\n".join(lines) + "\n")
-    try:
-        expected = load_detection_rows(path)
-    except DetectionError as exc:
-        with pytest.raises(DetectionError) as got:
-            load_detections(path)
-        assert str(got.value) == str(exc)
-        return
-    got = load_detections(path)
-    expected = sorted(expected, key=lambda r: r[0])
-    assert got.patch_ids.tolist() == [r[0] for r in expected]
-    assert bits(got.boxes.reshape(-1)) == bits([v for r in expected for v in r[1]])
+    assert_records_match_the_row_by_row_loader(path)
 
 
 IDS = st.text(alphabet=st.sampled_from('ab ,"\r\n#x0'), min_size=1, max_size=6)
@@ -338,16 +321,17 @@ def assert_catalog_matches_the_row_by_row_loader(path):
     assert cat.n_rejected == n_rejected
 
 
-def assert_records_match_the_row_by_row_loader(path, score_floor=None, ps_r=None):
+def assert_records_match_the_row_by_row_loader(path, score_floor=None, ps_r=512):
+    placements = on_origin(RECORD_IDS, ps_r)
     try:
-        expected = load_detection_rows(path, score_floor=score_floor, ps_r=ps_r)
+        expected = load_detection_rows(path, RECORD_IDS, ps_r, score_floor)
     except DetectionError as exc:
         with pytest.raises(DetectionError) as got:
-            load_detections(path, score_floor=score_floor, ps_r=ps_r)
+            load_detections(path, placements, score_floor)
         assert str(got.value) == str(exc)
         return
-    got = load_detections(path, score_floor=score_floor, ps_r=ps_r)
-    expected = sorted(expected, key=lambda r: r[0])
+    got = load_detections(path, placements, score_floor)
+    expected = sorted(expected, key=lambda r: r[0])  # grouped by patch id, file order within
     assert got.patch_ids.tolist() == [r[0] for r in expected]
     assert bits(got.boxes.reshape(-1)) == bits([v for r in expected for v in r[1]])
     assert bits(got.scores) == bits([r[2] for r in expected])
@@ -382,7 +366,8 @@ def plain_record_text(draw):
             continue
         x1, y1 = draw(st.floats(0, 100)), draw(st.floats(0, 100))
         w, h = draw(st.floats(0.5, 40)), draw(st.floats(0.5, 40))
-        patch = draw(st.sampled_from(["p0", "p1", " p2 ", "p#3"] if kind == "hash" else ["p0", "p1", " p2 "]))
+        ids = ["p0", "p1", " p2 ", "p#3"] if kind == "hash" else ["p0", "p1", " p2 "] * 3 + ["p9"]  # p9 is unknown
+        patch = draw(st.sampled_from(ids))
         fields = [patch, repr(x1), repr(y1), repr(x1 + w), repr(y1 + h), repr(draw(st.floats(0, 1)))]
         if kind == "hash" and draw(st.booleans()):
             fields[draw(st.integers(1, 5))] += "#"
@@ -398,7 +383,7 @@ def plain_record_text(draw):
 
 
 @SETTINGS
-@given(text=plain_record_text(), score_floor=st.sampled_from([None, 0.5]), ps_r=st.sampled_from([None, 128]),
+@given(text=plain_record_text(), score_floor=st.sampled_from([None, 0.5]), ps_r=st.sampled_from([128, 4096]),
        chunk=CHUNK)
 def test_plain_records_in_any_chunking_match_the_row_by_row_loader(tmp_path_factory, text, score_floor, ps_r, chunk):
     path = tmp_path_factory.mktemp("rec") / "r.csv"
@@ -454,7 +439,7 @@ def test_one_odd_line_sends_only_its_chunk_row_by_row(tmp_path, monkeypatch, lin
     path.write_text("\n".join(lines) + "\n")
     calls = count_row_by_row_chunks(monkeypatch)
     with pytest.raises(DetectionError) as err:
-        load_detections(path)
+        load_detections(path, on_origin(RECORD_IDS))
     assert str(err.value) == f"{path}:9001: score 1.5 outside [0, 1]"
     assert calls == ([4097] if fallback else [])
     lines[9000] = lines[9001]
@@ -503,7 +488,8 @@ def test_clean_files_never_reach_the_row_by_row_path(tmp_path, monkeypatch):
     write_global_detections(dets, tmp_path / "g.csv")
     rows = ["id,lon,lat,diam_km"] + [f"c{i},{i * 0.01!r},{(i % 180) - 90.5!r},{i % 7}" for i in range(9000)]
     (tmp_path / "c.csv").write_text("\n".join(rows[:50] + [""] + rows[50:]) + "\n")
-    expected = load_detections(tmp_path / "r.csv"), load_global_detections(tmp_path / "g.csv")
+    placements = on_origin(RECORD_IDS)
+    expected = load_detections(tmp_path / "r.csv", placements), load_global_detections(tmp_path / "g.csv")
     mapping = {"id": "id", "lon": "lon", "lat": "lat", "diam_km": "diam_km"}
     catalog_rows, n_rejected = load_catalog_rows(tmp_path / "c.csv", mapping, "c")
 
@@ -511,7 +497,7 @@ def test_clean_files_never_reach_the_row_by_row_path(tmp_path, monkeypatch):
         raise AssertionError("a clean chunk went the row-by-row way")
 
     monkeypatch.setattr(textcols, "_convert", refuse)
-    got = load_detections(tmp_path / "r.csv")
+    got = load_detections(tmp_path / "r.csv", placements)
     assert bits(got.boxes.reshape(-1)) == bits(expected[0].boxes.reshape(-1))
     assert got.patch_ids.tolist() == expected[0].patch_ids.tolist()
     back = load_global_detections(tmp_path / "g.csv")
@@ -525,7 +511,7 @@ def test_empty_and_header_only_files_load_without_a_warning(tmp_path, blank):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         (tmp_path / "r.csv").write_text(blank + "  \n" * bool(blank))
-        assert len(load_detections(tmp_path / "r.csv")) == 0
+        assert load_detections(tmp_path / "r.csv", on_origin(["p0"])).scores.size == 0
         (tmp_path / "g.csv").write_text(blank and "x1_m,y1_m,x2_m,y2_m,score,patch_id,px1,py1,px2,py2" + blank)
         assert len(load_global_detections(tmp_path / "g.csv")) == 0
         (tmp_path / "c.csv").write_text("id,lon,lat,diam_km" + blank)
@@ -561,9 +547,10 @@ def test_load_detections_holds_a_chunk_not_the_file(tmp_path):
     lines = [f"p{i},1.0,2.0,3.0,4.0,0.5" if i % 100 == 0 else comment for i in range(40_000)]
     path = tmp_path / "r.csv"
     path.write_text("\n".join(lines) + "\n")
+    placements = on_origin([f"p{i}" for i in range(0, 40_000, 100)])
     tracemalloc.start()
     try:
-        assert len(load_detections(path)) == 400
+        assert load_detections(path, placements).scores.size == 400
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
