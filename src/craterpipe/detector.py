@@ -177,6 +177,9 @@ class SyntheticDetector(DetectorInterface):
     boxes are added uniformly over the patch. True detections score in
     [0.7, 1.0), spurious in [0.3, 0.9); the exact ranges are arbitrary but
     fixed, since only the ordering matters downstream. It never reads channels.
+    Its noise is drawn one candidate at a time in a fixed order, the miss
+    test, three normals and the score, so each patch's stream is fixed; the
+    rest is column arithmetic with the scalar draws' bits.
     """
 
     def __init__(self, truth_boxes: np.ndarray, gt: GeoTransform, noise: NoiseConfig):
@@ -196,14 +199,18 @@ class SyntheticDetector(DetectorInterface):
         bx1, by1, bx2, by2 = b[hit].T
 
         # One draw per candidate keeps the stream stable across configs: the
-        # miss test, three standard normals (standard_normal(3) gives three
-        # scalar calls' values), the score. normal(0, s) is 0 + s * z and
+        # miss test, three standard normals (standard_normal(out=row) gives
+        # three scalar calls' values), the score. normal(0, s) is 0 + s * z and
         # uniform(lo, hi) lo + (hi - lo) * u: the columns are the scalar bits.
         random, normal = rng.random, rng.standard_normal
-        draws = np.empty((bx1.size, 5))
-        for row in draws:
-            row[0], row[1:4], row[4] = random(), normal(3), random()
-        u_miss, zx, zy, zr, u_score = draws.T
+        normals, uniforms = np.empty((bx1.size, 3)), []
+        draw = uniforms.append
+        for row in normals:
+            draw(random())
+            normal(out=row)
+            draw(random())
+        zx, zy, zr = normals.T
+        u_miss, u_score = np.array(uniforms).reshape(-1, 2).T
         px1, py1 = meter_to_pixel_xy(bx1, by2, gt, row0, col0, df)
         px2, py2 = meter_to_pixel_xy(bx2, by1, gt, row0, col0, df)
         cx = (px1 + px2) / 2.0 + (0.0 + noise.center_jitter_px * zx)

@@ -17,12 +17,14 @@ there is no other box-overlap primitive.
 Everything here is pure; a grid-search cell's result depends on its own
 (m, delta) alone. A cell makes the post-processing call run makes,
 postprocess.run_pipeline with its own (m, delta), delta None for the
-no-NMS column; the cells of one m pass it the one NMS graph of their
-merged set, ranked and self-joined at the smallest positive delta. A raw
-row's global box, and so its size gate and best truth IOU, depend on that
-row alone, and every row a cell keeps is alive at the smallest m, so both
-are settled once for the rows alive there and each cell is counted from
-the raw rows (DetectionSet.rows) it keeps.
+no-NMS column. A sweep merges once, at the smallest m, and ranks and
+self-joins that set once, at the smallest positive delta; the cells of
+each m pass run_pipeline that graph restricted to the rows alive at m
+(postprocess.restrict), so no cell merges or joins again. A raw row's
+global box, and so its size gate and best truth IOU, depend on that row
+alone, and every row a cell keeps is alive at the smallest m, so both are
+settled once for the rows alive there and each cell is counted from the
+raw rows (DetectionSet.rows) it keeps.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .catalog import in_size_range
 from .detector import PatchDetections
 from .errors import EvalError
 from .geo import GeoTransform
-from .postprocess import DetectionSet, filter_and_globalize, overlap_pairs, ranked_edges, run_pipeline
+from .postprocess import (DetectionSet, edge_distance, filter_and_globalize, overlap_pairs, ranked_edges, restrict,
+                          run_pipeline)
 from .textcols import csv_text, write_csv
 
 __all__ = [
@@ -230,11 +233,12 @@ def grid_search(
     Every (m, delta) cell, plus an NMS-disabled column (delta None) per m
     when include_no_nms is set, runs the full post-processing pipeline on
     per_patch and is scored against the truth, as match_and_count scores
-    it. The cells of one m share one ranked self-join of their merged set,
-    and the set merged at the smallest m also settles each raw row's size
-    gate and best truth IOU, once; each cell counts the gated rows it
-    keeps. The best cell maximizes F1; ties prefer larger m, then smaller
-    delta, with the disabled column ranked after any real delta.
+    it. The set merged at the smallest m settles each raw row's size gate
+    and best truth IOU, once, and is ranked and self-joined once; each m's
+    cells share that graph restricted to the rows alive at m, and each cell
+    counts the gated rows it keeps. The best cell maximizes F1; ties prefer
+    larger m, then smaller delta, with the disabled column ranked after any
+    real delta.
     """
     if not m_set:
         raise EvalError("grid search needs a non-empty m set")
@@ -251,12 +255,13 @@ def grid_search(
     gated[alive.rows] = True
     iou = np.zeros(gated.shape[0])
     iou[alive.rows] = _max_ious(alive, truth_boxes, cfg.u)
+    # one self-join; each m's graph is the part of it alive at m
     d0 = min((d for d in delta_set if d > 0.0), default=None)  # delta 0 keeps the top box, joining nothing
-    cells, edges = [], None
-    for k, m in enumerate(map(int, m_set)):
-        if d0:
-            edges = ranked_edges(merged0 if m == m0 else filter_and_globalize(per_patch, gt, ps_r, m), d0)
-        merged0 = merged0 if m0 in m_set[k + 1:] else None  # held only while a later m needs it
+    graph = ranked_edges(merged0, d0) if d0 else None
+    distance = edge_distance(merged0.pixel_boxes, ps_r)
+    cells = []
+    for m in map(int, m_set):
+        edges = None if graph is None else restrict(graph, distance > m)
         for delta in deltas:
             rows = run_pipeline(per_patch, gt, ps_r, m, delta, edges).rows
             report = _report(iou[rows[gated[rows]]], truth_boxes.shape[0], cfg.u)

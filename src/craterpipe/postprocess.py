@@ -19,9 +19,10 @@ load_global_detections reads back.
 
 overlap_pairs(a, b, min_iou) finds the pairs of two box sets at IOU >= min_iou
 by a strip sweep, a block of candidates at a time. NMS ranks a set and
-self-joins it once (ranked_edges), then makes a greedy pass over the edges
-at IOU >= delta; the cells of a grid search that share a merged set share
-those edges.
+self-joins it once (ranked_edges, a RankedEdges that holds the set), then
+makes a greedy pass over the edges at IOU >= delta. A grid search makes one
+such graph, at its smallest m, and restrict gives each larger m the part
+alive there (edge_distance above m) without a second merge or join.
 """
 
 from __future__ import annotations
@@ -42,8 +43,11 @@ from .textcols import csv_text, open_text, raise_first, read_columns, write_csv
 __all__ = [
     "DetectionSet",
     "overlap_pairs",
+    "edge_distance",
     "filter_and_globalize",
+    "RankedEdges",
     "ranked_edges",
+    "restrict",
     "nms",
     "run_pipeline",
     "write_global_detections",
@@ -246,18 +250,25 @@ def overlap_pairs(a, b=None, min_iou: float = 0.0) -> tuple[np.ndarray, np.ndarr
     return (i, j, iou) if n_a is None else (i, j - a.shape[0], iou)
 
 
+def edge_distance(pixel_boxes: np.ndarray, ps_r: int) -> np.ndarray:
+    """Each (N, 4) pixel box's distance to its patch boundary, in resized
+    pixels on a patch of side ps_r: min(x1, y1, ps_r - x2, ps_r - y2). The
+    boundary filter at m keeps the boxes whose distance is above m."""
+    x1, y1, x2, y2 = pixel_boxes.T
+    return np.minimum(np.minimum(x1, y1), np.minimum(ps_r - x2, ps_r - y2))
+
+
 def filter_and_globalize(per_patch: PatchDetections, gt: GeoTransform, ps_r: int, m: int) -> DetectionSet:
     """The boundary filter per patch, then globalization: the merged set
     run_pipeline hands to NMS, each survivor's rows entry its row in per_patch.
 
     A box is kept when all four of its edges lie more than m resized pixels
-    inside its patch of side ps_r. Each survivor maps through the row0, col0
-    and delta_f of its placement in per_patch.placements. Northing decreases
-    with pixel row, so y corners swap; boxes are re-normalized to x1 < x2,
-    y1 < y2.
+    inside its patch of side ps_r (edge_distance above m). Each survivor
+    maps through the row0, col0 and delta_f of its placement in
+    per_patch.placements. Northing decreases with pixel row, so y corners
+    swap; boxes are re-normalized to x1 < x2, y1 < y2.
     """
-    x1, y1, x2, y2 = per_patch.boxes.T
-    rows = np.flatnonzero(np.minimum(np.minimum(x1, y1), np.minimum(ps_r - x2, ps_r - y2)) > m)
+    rows = np.flatnonzero(edge_distance(per_patch.boxes, ps_r) > m)
     offsets = np.array([(p.row0, p.col0, p.delta_f) for p in per_patch.placements], dtype=np.float64)
     row0, col0, delta_f = offsets.reshape(-1, 3)[per_patch.codes[rows]].T
     pixel_boxes = per_patch.boxes[rows]
@@ -285,19 +296,36 @@ def _rank(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return order
 
 
-RankedEdges = namedtuple("RankedEdges", "order head tail iou min_iou")
+RankedEdges = namedtuple("RankedEdges", "dets order head tail iou min_iou")
+RankedEdges.__doc__ = """The NMS graph of the set dets: its rank order (row
+indices of dets, best first), and its pairs at IOU >= min_iou (or NaN) as
+rank pairs head < tail with their IOUs."""
 
 
 def ranked_edges(dets: DetectionSet, min_iou: float) -> RankedEdges:
-    """The NMS graph of dets, which nms at any delta >= min_iou can share:
-    its rank order, and its pairs at IOU >= min_iou (or NaN) from one
-    self-join, as rank pairs head < tail with their IOUs."""
+    """The NMS graph of dets, which nms at any delta >= min_iou can share,
+    from one self-join."""
     order = _rank(dets.boxes, dets.scores)
     rank = np.empty(order.size, dtype=np.intp)
     rank[order] = np.arange(order.size)
     i, j, iou = overlap_pairs(dets.boxes, min_iou=min_iou)
     # Each pair comes once; its edge runs from the earlier-ranked box.
-    return RankedEdges(order, np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j]), iou, min_iou)
+    return RankedEdges(dets, order, np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j]), iou, min_iou)
+
+
+def restrict(edges: RankedEdges, keep: np.ndarray) -> RankedEdges:
+    """The graph of edges.dets.take(flatnonzero(keep)), keep a boolean mask
+    over its rows, without a second self-join: the edges with both ends kept,
+    ranks and rows renumbered. It equals ranked_edges of that subset, up to
+    the order of the edges: a pair's IOU depends on its two boxes alone, and
+    a subset keeps its rank order, since ties break by x1, y1, then row."""
+    keep = np.asarray(keep, dtype=bool)
+    alive = keep[edges.order]  # by rank
+    rank = np.cumsum(alive) - 1  # each kept rank's rank among the kept
+    both = alive[edges.head] & alive[edges.tail]
+    order = (np.cumsum(keep) - 1)[edges.order[alive]]
+    return RankedEdges(edges.dets.take(np.flatnonzero(keep)), order, rank[edges.head[both]],
+                       rank[edges.tail[both]], edges.iou[both], edges.min_iou)
 
 
 def _greedy(edges: RankedEdges, delta: float) -> np.ndarray:
@@ -351,13 +379,25 @@ def run_pipeline(
     edges: RankedEdges | None = None,
 ) -> DetectionSet:
     """Boundary filter per patch, then globalize, then NMS, in that order:
-    nms(filter_and_globalize(per_patch, gt, ps_r, m), delta, edges).
+    nms(filter_and_globalize(per_patch, gt, ps_r, m), delta).
 
     The rows of per_patch are merged in sorted patch id order, so the merged
     set (and therefore NMS tie-breaking) never depends on the order the
     patches were detected in. Each survivor's rows entry is its row in per_patch.
+
+    edges, a graph whose dets is that merged set (ranked_edges of it, or
+    restrict of a graph merged at a smaller m), spares the merge and the
+    self-join: edges.dets must hold the rows of per_patch the boundary filter
+    keeps at m, with their pixel boxes, or the call fails.
     """
-    return nms(filter_and_globalize(per_patch, gt, ps_r, m), delta, edges)
+    if edges is None:
+        return nms(filter_and_globalize(per_patch, gt, ps_r, m), delta)
+    rows = np.flatnonzero(edge_distance(per_patch.boxes, ps_r) > m)
+    dets = edges.dets
+    if not (np.array_equal(dets.rows, rows) and np.array_equal(dets.pixel_boxes, per_patch.boxes[rows])):
+        raise PipelineError(f"edges of {len(dets)} boxes at IOU >= {edges.min_iou} "
+                            f"cannot serve NMS of {rows.size} boxes at {delta}")
+    return nms(dets, delta, edges)
 
 
 # ---------------------------------------------------------------------------

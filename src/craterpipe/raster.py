@@ -296,7 +296,7 @@ def save_raster(grid: RasterGrid, path: str | Path, dtype: str = "float32") -> N
         raise RasterError(f"unknown dtype {dtype!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(np.ascontiguousarray(grid.values, dtype=_DTYPES[dtype]).tobytes())
+    np.ascontiguousarray(grid.values, dtype=_DTYPES[dtype]).tofile(path)
     gt = grid.geotransform
     lines = [
         f"width = {grid.width}",

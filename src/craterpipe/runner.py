@@ -143,15 +143,19 @@ def _band_spec(band) -> PatchSpec:
 
 
 def detect_patches(patches: list[PatchPlacement], detector: DetectorInterface, workers: int) -> PatchDetections:
-    """Run the detector over patches on a thread pool.
+    """Run the detector over patches, in the calling thread for one worker
+    and on a thread pool of that many for more.
 
     Each patch's (boxes, scores) arrays become its rows of one set of columns
     on the patches' table, grouped in sorted patch id order, so completion
     order is irrelevant to the output. The first row, in that order, that
     breaks the detection invariants fails the run with its patch named.
     """
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(detector.detect, patches))
+    if workers == 1:
+        results = list(map(detector.detect, patches))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(detector.detect, patches))
     boxes = [np.asarray(b, dtype=np.float64).reshape(-1, 4) for b, _ in results]
     scores = [np.asarray(s, dtype=np.float64).reshape(-1) for _, s in results]
     for patch, b, s in zip(patches, boxes, scores):

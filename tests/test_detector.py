@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from craterpipe import detector as detector_mod
+from craterpipe import runner
 from craterpipe.detector import (
     DetectorInterface,
     NoiseConfig,
@@ -177,19 +178,27 @@ def test_mask_candidate_search_equals_scalar_loop(boxes, miss, jitter, radius_ji
 
 
 # SyntheticDetector.detect draws each candidate with rng.random(),
-# rng.standard_normal(3) and rng.random(), and applies NumPy's own formulas to
-# whole columns. These pin the identities it relies on, values and generator
-# state alike.
+# rng.standard_normal(out=row) into a row of three and rng.random(), and
+# applies NumPy's own formulas to whole columns. These pin the identities it
+# relies on, values and generator state alike.
 
 
 def test_standard_normal_of_three_is_three_scalar_draws():
     """A candidate's draws, as detect makes them and as five scalar calls."""
-    scalar, rewritten = np.random.default_rng(2024), np.random.default_rng(2024)
+    scalar, rewritten, into = (np.random.default_rng(2024) for _ in range(3))
     want = [(scalar.random(), scalar.standard_normal(), scalar.standard_normal(), scalar.standard_normal(),
              scalar.random()) for _ in range(5_000)]
     got = [(rewritten.random(), *rewritten.standard_normal(3), rewritten.random()) for _ in range(5_000)]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert rewritten.bit_generator.state == scalar.bit_generator.state
+    normals, uniforms = np.empty((5_000, 3)), []
+    for row in normals:
+        uniforms.append(into.random())
+        into.standard_normal(out=row)
+        uniforms.append(into.random())
+    u_miss, u_score = np.array(uniforms).reshape(-1, 2).T
+    assert np.column_stack([u_miss, normals, u_score]).tobytes() == np.array(want).tobytes()
+    assert into.bit_generator.state == scalar.bit_generator.state
 
 
 @pytest.mark.parametrize("lo, hi", [(0.7, 1.0), (0.3, 0.9), (12.5, 50.0), (1.0, 8.0), (0.0, 512.0)])
@@ -211,13 +220,17 @@ def test_normal_is_zero_plus_scale_times_standard_normal(s):
     assert rewritten.bit_generator.state == scalar.bit_generator.state
 
 
-def test_detect_patches_gives_equal_columns_for_any_worker_count():
+def test_detect_patches_gives_equal_columns_for_any_worker_count(monkeypatch):
+    """One worker detects in the calling thread, with no pool; two use a pool."""
     truth = planted([(x * 100.0, -y * 100.0, 900.0) for x in range(5, 400, 17) for y in range(3, 400, 13)])
     noise = NoiseConfig(center_jitter_px=1.5, radius_jitter_frac=0.1,
                         false_positive_rate=2.0, miss_rate=0.1, seed=5, fp_radius_px=(2.0, 9.0))
     det = SyntheticDetector(truth, GT, noise)
     patches = patch_placements(400, 400, PatchSpec(64, 32, 0.5))
-    one, two = (detect_patches(patches, det, workers) for workers in (1, 2))
+    with monkeypatch.context() as no_pool:
+        no_pool.setattr(runner, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("one worker made a pool"))
+        one = detect_patches(patches, det, 1)
+    two = detect_patches(patches, det, 2)
     assert one.patches == two.patches == tuple(sorted(p.patch_id for p in patches))
     assert len(one.scores) > len(patches)
     assert one.patch_ids.tolist() == two.patch_ids.tolist()

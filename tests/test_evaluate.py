@@ -310,14 +310,12 @@ def test_grid_search_gates_and_matches_the_rows_alive_at_the_smallest_m_once(gri
 
 @pytest.mark.parametrize("m_set, delta_set", [([5, 0, 10], [0.2, 0.4]), ([0, 5, 0, 5], [0.2]), ([5, 0, 10], [0.0])])
 def test_grid_search_globalizes_the_smallest_m_once(grid_fixture, monkeypatch, m_set, delta_set):
-    """The set merged at the smallest m gives both the per-row facts and that
-    m's self-join. Each other m is merged once more for its own self-join,
-    and no m needs one when no delta is positive."""
+    """The set merged at the smallest m gives the per-row facts and the one
+    self-join; every other m restricts that set, so nothing is merged again."""
     f, merged, real = grid_fixture, [], evaluate.filter_and_globalize
     monkeypatch.setattr(evaluate, "filter_and_globalize", lambda *args: merged.append(args[-1]) or real(*args))
     grid_search(f.per_patch, f.gt, f.truth_boxes, f.ps_r, m_set, delta_set, EvalConfig(u=0.3))
-    others = [m for m in m_set if m != min(m_set)] if max(delta_set) > 0 else []
-    assert merged == [min(m_set), *others]
+    assert merged == [min(m_set)]
 
 
 def test_grid_search_counts_a_nan_iou_as_match_and_count_does():

@@ -273,9 +273,9 @@ def test_grid_search_equals_each_cell_run_on_its_own(per_patch, data, m_set, del
     st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), min_size=1, max_size=3),
     st.booleans(),
 )
-def test_grid_search_self_joins_once_per_m(per_patch, m_set, delta_set, no_nms):
-    """The cells of one m share one ranked self-join, made at the smallest
-    positive delta; a delta set of zeros needs none."""
+def test_grid_search_self_joins_once(per_patch, m_set, delta_set, no_nms):
+    """Every cell shares one ranked self-join, made at the smallest positive
+    delta and restricted to each m; a delta set of zeros needs none."""
     joins = []
     real = postprocess.overlap_pairs
 
@@ -289,7 +289,7 @@ def test_grid_search_self_joins_once_per_m(per_patch, m_set, delta_set, no_nms):
         patch.setattr(postprocess, "overlap_pairs", counted)
         grid_search(patch_columns(per_patch, PLACEMENTS), GT, truth, PS_R, m_set, delta_set, EvalConfig(), no_nms)
     positive = [d for d in delta_set if d > 0.0]
-    assert joins == ([min(positive)] * len(m_set) if positive else [])
+    assert joins == ([min(positive)] if positive else [])
 
 
 def _first_cell_error(per_patch, gt, m_set, deltas):

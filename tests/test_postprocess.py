@@ -15,9 +15,12 @@ from craterpipe.geo import GeoTransform
 from craterpipe.postprocess import (
     DetectionSet,
     _rank,
+    edge_distance,
+    filter_and_globalize,
     load_global_detections,
     nms,
     ranked_edges,
+    restrict,
     run_pipeline,
     write_global_detections,
 )
@@ -269,6 +272,37 @@ def test_nms_on_shared_edges_equals_nms_alone(rows, delta, data):
         assert alone.patch_ids.tolist() == [str(k) for k in quadratic_nms(boxes, scores, delta)]
 
 
+def _edge_set(edges):
+    """A graph's edges as a set of (head, tail, IOU bits), NaN IOUs included."""
+    return set(zip(edges.head.tolist(), edges.tail.tolist(), edges.iou.view(np.int64).tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_box | st.just(HUGE), _tied_score, st.booleans()), max_size=30),
+    st.sampled_from(["drawn", "all", "none"]),
+    st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.05, 0.2, 1.0]),
+)
+@example([((0.0, 0.0, 2.0, 2.0), 0.5, True), ((0.0, 0.0, 2.0, 2.0), 0.5, False),
+          ((0.0, 0.0, 2.0, 2.0), 0.5, True)], "drawn", 0.1, 0.0)
+def test_restricted_edges_are_the_edges_of_the_subset(rows, masks, d0, above):
+    """restrict of a set's graph is the graph of the kept rows, whatever the
+    ties and duplicates: the same rank order, the same edges and IOUs, and
+    the same survivors of nms at any delta >= d0."""
+    boxes, scores = [box for box, _, _ in rows], [score for _, score, _ in rows]
+    dets = global_set(boxes, scores, [str(k) for k in range(len(rows))])
+    keep = np.array([k for _, _, k in rows], dtype=bool) if masks == "drawn" else np.full(len(rows), masks == "all")
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = restrict(ranked_edges(dets, d0), keep), ranked_edges(dets.take(np.flatnonzero(keep)), d0)
+        assert got.dets.patch_ids.tolist() == want.dets.patch_ids.tolist()
+        assert got.dets.boxes.tobytes() == want.dets.boxes.tobytes()
+        assert got.order.tolist() == want.order.tolist()
+        assert _edge_set(got) == _edge_set(want) and got.min_iou == want.min_iou
+        delta = min(d0 + above, 1.0)
+        assert nms(got.dets, delta, got).patch_ids.tolist() == nms(want.dets, delta).patch_ids.tolist()
+
+
 def test_edges_of_another_set_raise():
     dets = global_set([(0.0, 0.0, 2.0, 2.0), (0.0, 0.0, 2.0, 2.0), (9.0, 9.0, 11.0, 11.0)], [0.9, 0.8, 0.7])
     with pytest.raises(PipelineError, match="edges of 2 boxes at IOU >= 0.1 cannot serve NMS of 3 boxes"):
@@ -280,6 +314,18 @@ def test_edges_of_another_set_raise():
         run_pipeline(per_patch, GT, 512, 0, 0.3, ranked_edges(dets, 0.1))
     # delta 0 reads only the rank order, which edges made at any threshold hold
     assert nms(dets, 0.0, ranked_edges(dets, 0.5)).scores.tolist() == [0.9]
+    # the graph merged at m = 0 serves m = 5 only once restricted to the rows alive there
+    rows = {"p": [((1.0, 1.0, 30.0, 30.0), 0.9), ((10.0, 10.0, 40.0, 40.0), 0.8), ((100.0, 100.0, 130.0, 130.0), 0.7)]}
+    per_patch = patch_columns(rows, on_origin(["p"]))
+    graph = ranked_edges(filter_and_globalize(per_patch, GT, 512, 0), 0.1)
+    with pytest.raises(PipelineError, match="edges of 3 boxes at IOU >= 0.1 cannot serve NMS of 2 boxes at 0.3"):
+        run_pipeline(per_patch, GT, 512, 5, 0.3, graph)
+    alive = restrict(graph, edge_distance(graph.dets.pixel_boxes, 512) > 5)
+    assert run_pipeline(per_patch, GT, 512, 5, 0.3, alive).rows.tolist() == [1, 2]
+    # the same rows with other pixel boxes are another set
+    moved = patch_columns({"p": [(tuple(c + 1.0 for c in box), score) for box, score in rows["p"]]}, on_origin(["p"]))
+    with pytest.raises(PipelineError, match="edges of 3 boxes at IOU >= 0.1 cannot serve NMS of 3 boxes at 0.3"):
+        run_pipeline(moved, GT, 512, 0, 0.3, graph)
 
 
 # ---------------------------------------------------------------------------
