@@ -38,7 +38,6 @@ __all__ = [
     "load_config",
     "write_manifest",
     "sha256_file",
-    "file_digests",
 ]
 
 
@@ -312,8 +311,7 @@ def _config_from(raw: dict, base_dir: Path) -> PipelineConfig:
 
 
 # Hashing reads through one reused buffer: a fresh bytes object per chunk
-# costs an allocation, and larger chunks mean fewer interpreter-lock handoffs
-# while sha256 runs on a background thread (hashlib releases the lock).
+# costs an allocation.
 _HASH_CHUNK = 1 << 20
 
 
@@ -327,24 +325,19 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def file_digests(paths: Iterable[str | Path]) -> dict[str, str]:
-    """The SHA-256 of each file, keyed by its path as given, in order."""
-    return {str(p): sha256_file(p) for p in paths}
-
-
 def write_manifest(
     out_dir: str | Path,
     cfg: PipelineConfig,
     timings_s: dict[str, float],
-    inputs: Mapping[str, str],
+    inputs: list[str | Path],
     outputs: list[str | Path],
 ) -> Path:
     """Record the config snapshot, stage timings and file digests.
 
-    Inputs and outputs are digested so identical re-runs are verifiable.
-    inputs holds the input digests already taken (path -> hex digest, as
-    file_digests returns). The manifest lists every output file except
-    itself.
+    Inputs and outputs are digested, in the order given, so identical
+    re-runs are verifiable: inputs are keyed by their path as given,
+    outputs by their path relative to out_dir. The manifest lists every
+    output file except itself.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -352,7 +345,7 @@ def write_manifest(
     manifest = {
         "config": snapshot,
         "timings_s": {k: round(v, 6) for k, v in timings_s.items()},
-        "inputs": dict(inputs),
+        "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": {str(Path(p).relative_to(out_dir)): sha256_file(p) for p in outputs},
     }
     path = out_dir / "manifest.json"

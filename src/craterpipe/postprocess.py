@@ -359,13 +359,14 @@ def nms(dets: DetectionSet, delta: float | None, edges: RankedEdges | None = Non
     Score ties break deterministically by smaller x1, then smaller y1, then
     input order, so results do not depend on how the input was assembled.
     Survivors are returned in selection (score-descending) order. delta
-    None means no NMS and returns the input unchanged. edges, made by
-    ranked_edges(dets, d0) with d0 <= delta, spares the self-join; without
-    them nms makes its own at delta.
+    None means no NMS and returns the input unchanged. edges, a graph at
+    min_iou <= delta whose dets is this very object, as ranked_edges(dets,
+    d0) and restrict return it, spares the self-join; without them nms
+    makes its own at delta.
     """
     if delta is None:
         return dets
-    if edges is not None and (edges.order.size != len(dets) or 0.0 < delta < edges.min_iou):
+    if edges is not None and (edges.dets is not dets or 0.0 < delta < edges.min_iou):
         raise PipelineError(f"edges of {edges.order.size} boxes at IOU >= {edges.min_iou} "
                             f"cannot serve NMS of {len(dets)} boxes at {delta}")
     if delta <= 0.0:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as catalog_mod
-from .config import CatalogConfig, PipelineConfig, file_digests, write_manifest
+from .config import CatalogConfig, PipelineConfig, write_manifest
 from .detector import (
     DetectorInterface,
     PatchDetections,
@@ -101,8 +101,11 @@ def _stack_files(cfg: PipelineConfig) -> list[tuple[str | None, Path | None]]:
 
 
 def _input_paths(cfg: PipelineConfig) -> list[Path]:
-    """The files run reads: each raster file and its header, the truth catalog, the external records."""
-    paths = [f for _, path in _stack_files(cfg) if path is not None for f in (path, path.with_suffix(".hdr"))]
+    """The files run's outputs depend on: each raster's header, the truth
+    catalog, the external records. A payload's bytes decide no output: its
+    header fixes its length, which load_raster checks, and the checks that
+    read its values only pass or fail the run."""
+    paths = [path.with_suffix(".hdr") for _, path in _stack_files(cfg) if path is not None]
     paths.append(cfg.resolve(cfg.truth_catalog.path))
     if cfg.detector.kind == "external":
         paths.append(cfg.resolve(cfg.detector.path))
@@ -219,11 +222,6 @@ def run_full(cfg: PipelineConfig) -> tuple[MetricsReport, list[Path]]:
 
     Returns the metrics and the files written to cfg.out_path, all but the
     manifest.
-
-    The input digests for the manifest are taken on one background thread
-    from the start: hashing the rasters is the longest read of a run, and
-    sha256 releases the interpreter lock, so it overlaps the pipeline. An
-    error of the pipeline takes precedence over one of the hashing.
     """
     if cfg.truth_catalog is None:
         raise ConfigError("run needs a truth_catalog")
@@ -232,14 +230,9 @@ def run_full(cfg: PipelineConfig) -> tuple[MetricsReport, list[Path]]:
     out_dir = cfg.out_path
     timings: dict[str, float] = {}
     t_total = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=1) as hasher:
-        digests = hasher.submit(file_digests, _input_paths(cfg))
-        metrics, written = _run_stages(cfg, out_dir, timings)
-        t0 = time.perf_counter()
-        inputs = digests.result()
-        timings["inputs_digest_wait"] = time.perf_counter() - t0
+    metrics, written = _run_stages(cfg, out_dir, timings)
     timings["total"] = time.perf_counter() - t_total
-    write_manifest(out_dir, cfg, timings, inputs, written)
+    write_manifest(out_dir, cfg, timings, _input_paths(cfg), written)
     return metrics, written
 
 

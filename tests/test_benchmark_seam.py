@@ -146,12 +146,12 @@ def test_synthetic_detector_keeps_what_the_tracer_reads(tmp_path, monkeypatch):
 
 def test_traced_manifest_hashes_every_input_and_output(tmp_path, monkeypatch):
     """_count_manifest sums the sizes of write_manifest's inputs and outputs
-    arguments, so the digests run passes must iterate as the input paths."""
+    arguments, so run must pass it the input paths."""
     counts = Counter()
     _count_calls(monkeypatch, counts)
     config = write_scene(tmp_path, plant_craters(6))
     assert main(["run", "--config", str(config)]) == 0
     inputs = _input_paths(load_config(config))
     outputs = [p for p in (tmp_path / "out").iterdir() if p.name != "manifest.json"]
-    assert len(inputs) == 5 and len(outputs) == 5
+    assert len(inputs) == 3 and len(outputs) == 5
     assert counts["io.bytes_hashed"] == sum(p.stat().st_size for p in inputs + outputs)

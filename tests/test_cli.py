@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from craterpipe import catalog as catalog_mod, config as config_mod
+from craterpipe import catalog as catalog_mod, config as config_mod, runner
 from craterpipe.catalog import load_catalog
 from craterpipe.cli import main
 from craterpipe.config import load_config, sha256_file
@@ -493,9 +493,27 @@ def test_cmd_run_manifest_inputs_in_input_order(tmp_path):
     assert main(["run", "--config", str(config)]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     paths = _input_paths(load_config(config))
-    assert len(paths) == 5  # two payloads, their headers and the truth catalog
+    assert len(paths) == 3  # the two rasters' headers and the truth catalog
     assert list(manifest["inputs"].items()) == [(str(p), sha256_file(p)) for p in paths]
-    assert 0.0 <= manifest["timings_s"]["inputs_digest_wait"] <= manifest["timings_s"]["total"]
+    assert "inputs_digest_wait" not in manifest["timings_s"]
+
+
+def test_run_outputs_and_manifest_inputs_ignore_payload_values(tmp_path):
+    """No output of run depends on a raster payload's values, so its manifest
+    digests none: other bytes of the same length give the same outputs and
+    the same input digests."""
+    config = write_scene(tmp_path, plant_craters(4))
+    names = ("detections_global.csv", "detections_catalog.csv", "metrics.csv", "summary.txt")
+    assert main(["run", "--config", str(config), "--out", "before"]) == 0
+    intensity = tmp_path / "intensity.bin"
+    other = np.random.default_rng(3).random(intensity.stat().st_size // 4, dtype=np.float32)
+    assert other.tobytes() != intensity.read_bytes()
+    intensity.write_bytes(other.tobytes())
+    assert main(["run", "--config", str(config), "--out", "after"]) == 0
+    for name in names:
+        assert (tmp_path / "before" / name).read_bytes() == (tmp_path / "after" / name).read_bytes(), name
+    before, after = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("before", "after"))
+    assert after["inputs"] == before["inputs"]
 
 
 def _unreadable(path):
@@ -559,7 +577,9 @@ def test_cmd_run_deterministic_across_workers(tmp_path):
     noise = {"center_jitter_px": 1.0, "radius_jitter_frac": 0.05,
              "false_positive_rate": 0.7, "miss_rate": 0.1, "fp_radius_px": [8.0, 25.0]}
     config = write_scene(tmp_path, plant_craters(8), noise=noise)
-    assert main(["run", "--config", str(config), "--workers", "1", "--out", "w1"]) == 0
+    with pytest.MonkeyPatch.context() as no_pool:  # one worker runs in the calling thread, with no thread started
+        no_pool.setattr(runner, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("a run with one worker made a pool"))
+        assert main(["run", "--config", str(config), "--workers", "1", "--out", "w1"]) == 0
     assert main(["run", "--config", str(config), "--workers", "8", "--out", "w8"]) == 0
     for name in ("detections_global.csv", "detections_catalog.csv", "metrics.csv", "summary.txt"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w8" / name).read_bytes()
@@ -624,14 +644,14 @@ def test_single_band_set_with_three_band_rasters_exits_two(tmp_path, capsys, com
 @pytest.mark.parametrize("present", [True, False], ids=["present", "missing"])
 def test_run_manifest_digests_no_verify_catalog(tmp_path, present):
     """run never reads the verify catalog, so its manifest digests only the
-    rasters, their headers and the truth catalog, whether or not the verify
+    rasters' headers and the truth catalog, whether or not the verify
     catalog exists."""
     config = write_scene(tmp_path, plant_craters(4), extra_config={"verify_catalog": {"path": "verify.csv"}})
     if present:
         (tmp_path / "verify.csv").write_text((tmp_path / "truth.csv").read_text())
     assert main(["run", "--config", str(config)]) == 0
     inputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["inputs"]
-    names = ["intensity.bin", "intensity.hdr", "dem.bin", "dem.hdr", "truth.csv"]
+    names = ["intensity.hdr", "dem.hdr", "truth.csv"]
     assert list(inputs) == [str(tmp_path / name) for name in names]
 
 

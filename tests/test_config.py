@@ -149,8 +149,7 @@ def test_manifest_lists_all_outputs_with_matching_digests(tmp_path):
     f1.write_text("alpha")
     f2 = out_dir / "b.txt"
     f2.write_text("beta")
-    inputs = config_mod.file_digests([tmp_path / "truth.csv"])
-    write_manifest(out_dir, cfg, {"total": 0.5}, inputs, [f1, f2])
+    write_manifest(out_dir, cfg, {"total": 0.5}, [tmp_path / "truth.csv"], [f1, f2])
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"a.txt", "b.txt"}
     for rel, digest in manifest["outputs"].items():
@@ -159,12 +158,12 @@ def test_manifest_lists_all_outputs_with_matching_digests(tmp_path):
     assert manifest["config"]["seed"] == 9
 
 
-def test_manifest_takes_input_digests_already_computed(tmp_path):
+def test_manifest_digests_inputs_in_order(tmp_path):
     cfg = load_config(write_scene(tmp_path, plant_craters(2)))
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     inputs = [tmp_path / "truth.csv", tmp_path / "config.json"]
-    write_manifest(out_dir, cfg, {}, config_mod.file_digests(inputs), [])
+    write_manifest(out_dir, cfg, {}, inputs, [])
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert list(manifest["inputs"].items()) == [(str(p), sha256_file(p)) for p in inputs]
 

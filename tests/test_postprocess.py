@@ -307,6 +307,11 @@ def test_edges_of_another_set_raise():
     dets = global_set([(0.0, 0.0, 2.0, 2.0), (0.0, 0.0, 2.0, 2.0), (9.0, 9.0, 11.0, 11.0)], [0.9, 0.8, 0.7])
     with pytest.raises(PipelineError, match="edges of 2 boxes at IOU >= 0.1 cannot serve NMS of 3 boxes"):
         nms(dets, 0.3, ranked_edges(dets.take([0, 2]), 0.1))
+    # a graph of as many boxes, but of other ones, cannot serve either
+    a = global_set([(0.0, 0.0, 2.0, 2.0)] * 2, [0.9, 0.8])
+    b = global_set([(0.0, 0.0, 2.0, 2.0), (9.0, 9.0, 11.0, 11.0)], [0.9, 0.8])
+    with pytest.raises(PipelineError, match="edges of 2 boxes at IOU >= 0.1 cannot serve NMS of 2 boxes at 0.3"):
+        nms(b, 0.3, ranked_edges(a, 0.1))
     with pytest.raises(PipelineError, match="edges of 3 boxes at IOU >= 0.5 cannot serve NMS of 3 boxes at 0.3"):
         nms(dets, 0.3, ranked_edges(dets, 0.5))
     per_patch = patch_columns({"p": [((1.0, 1.0, 3.0, 3.0), 0.9)]}, on_origin(["p"]))
