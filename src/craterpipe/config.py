@@ -25,7 +25,7 @@ from .catalog import check_region, check_size_range, resolve_schema
 from .detector import NoiseConfig
 from .errors import ConfigError, GeoError, PipelineError
 from .evaluate import EvalConfig
-from .geo import GeoTransform
+from .geo import GeoTransform, meter_to_lonlat
 from .raster import PatchSpec
 from .textcols import open_text
 
@@ -240,9 +240,13 @@ def _bands(value, key: str) -> tuple[BandConfig, ...]:
 
 def _geotransform(value, key: str) -> GeoTransform:
     try:
-        return GeoTransform(**_read(value, f"{key}.", _GEOTRANSFORM, _GEOTRANSFORM))
+        gt = GeoTransform(**_read(value, f"{key}.", _GEOTRANSFORM, _GEOTRANSFORM))
     except GeoError as exc:  # its message starts with the field's name
         raise ValueError(f"{key}.{exc}") from exc
+    _, lat = meter_to_lonlat(0.0, gt.y_max - gt.resolution / 2, gt)
+    if not abs(lat) <= 90.0:
+        raise ValueError(f"{key}.y_max = {gt.y_max!r} puts the top row centre at latitude {lat:.2f}, past a pole")
+    return gt
 
 
 # One table per config section: each JSON key and the reader of its value.

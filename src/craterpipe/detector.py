@@ -13,13 +13,14 @@ a real model.
 
 Past that seam raw detections are columns: PatchDetections holds a band's
 patch table, its PatchPlacements in sorted patch id order, and every row
-with its integer code into that table, for postprocess.run_pipeline. It is
+with its integer code into that table, for postprocess.run_pipeline; a
+code is decoded to its id only where a file or a message prints it. It is
 what runner.detect_patches builds from the detector's arrays, and what
 load_detections builds from the record lines, read as columns by
-textcols.read_columns. Both check every row against the same
-invariants (invalid) and name the first bad row with row_error;
-load_detections also names the first record whose patch id is not in the
-table, whatever its score.
+textcols.read_columns. Both check every row against the same invariants
+(invalid) and name the first bad row with row_error; load_detections also
+names the first record whose patch id is not in the table, whatever its
+score.
 
 Detection record wire format, one record per line, comma separated, no
 header (blank lines and lines starting with ``#`` are ignored):
@@ -84,10 +85,10 @@ class PatchDetections(Mapping):
 
     placements is the band's patch table in sorted patch id order and patches
     its ids, patches without rows included. boxes is an (N, 4) float64 array
-    of pixel boxes, scores an (N,) float64 array, codes an (N,) intp array of
-    each row's index into placements, and patch_ids an (N,) object array of
-    str. Rows are grouped in table order, keeping each patch's own row order.
-    Looking up a patch gives the range of its row indices into the columns.
+    of pixel boxes, scores an (N,) float64 array and codes an (N,) intp array
+    of each row's index into placements, so its id is patches[codes[i]]. Rows
+    are grouped in table order, keeping each patch's own row order. Looking
+    up a patch gives the range of its row indices into the columns.
     """
 
     def __init__(self, placements: Sequence[PatchPlacement], codes, boxes, scores) -> None:
@@ -101,7 +102,6 @@ class PatchDetections(Mapping):
         self.codes = codes[order]
         self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[order]
         self.scores = np.asarray(scores, dtype=np.float64).reshape(-1)[order]
-        self.patch_ids = np.array(self.patches, dtype=object)[self.codes]
         self._index = {k: i for i, k in enumerate(self.patches)}
         self._bounds = np.searchsorted(self.codes, np.arange(len(self.patches) + 1)).tolist()
 
@@ -263,4 +263,5 @@ def load_detections(
 
 def save_detections(per_patch: PatchDetections, path: str | Path) -> None:
     """Write detections in the record wire format, patches in sorted order."""
-    write_csv(path, [], [per_patch.patch_ids, *per_patch.boxes.T, per_patch.scores], eol="\n")
+    ids = np.array(per_patch.patches, dtype=object)[per_patch.codes]
+    write_csv(path, [], [ids, *per_patch.boxes.T, per_patch.scores], eol="\n")

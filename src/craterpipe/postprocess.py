@@ -14,8 +14,8 @@ detector.PatchDetections (a band's patch table, and pixel boxes, scores and
 codes into that table, grouped in sorted patch id order). The boundary
 filter is one mask over the pixel boxes, globalization reads each
 survivor's offsets from the table by its code and maps whole columns, and
-the result is a DetectionSet, as is what nms returns and what
-load_global_detections reads back.
+the result is a DetectionSet of those codes, as are what nms returns and
+what load_global_detections reads back; only the writers decode them.
 
 overlap_pairs(a, b, min_iou) finds the pairs of two box sets at IOU >= min_iou
 by a strip sweep, a block of candidates at a time. NMS ranks a set and
@@ -64,27 +64,31 @@ class DetectionSet:
     stages.
 
     boxes and pixel_boxes are (N, 4) float64 arrays, scores an (N,) float64
-    array and patch_ids an (N,) object array of str. rows is an (N,) intp
-    array, the row of the source each detection came from: run_pipeline's
-    rows index its per-patch input, and a set built without rows numbers
-    them 0..N-1. No file holds rows. take() selects rows and stays columnar.
+    array, and codes an (N,) intp array of each row's index into patches, a
+    tuple of ids that may repeat (one band's table after another's). rows is
+    an (N,) intp array, the row of the source each detection came from:
+    run_pipeline's rows index its per-patch input, and a set built without
+    rows numbers them 0..N-1. No file holds rows or codes. take() selects
+    rows and keeps the table; patch_ids decodes every row on each read.
     """
 
-    def __init__(self, boxes, scores, patch_ids, pixel_boxes, rows=None) -> None:
+    def __init__(self, boxes, scores, codes, patches, pixel_boxes, rows=None) -> None:
         self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         self.scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-        self.patch_ids = np.asarray(patch_ids, dtype=object).reshape(-1)
+        self.codes, self.patches = np.asarray(codes, dtype=np.intp).reshape(-1), tuple(patches)
         self.pixel_boxes = np.asarray(pixel_boxes, dtype=np.float64).reshape(-1, 4)
         n = self.scores.shape[0]
         self.rows = np.arange(n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp).reshape(-1)
 
     @classmethod
     def concat(cls, parts: Sequence[DetectionSet]) -> DetectionSet:
-        """The rows of a non-empty list of sets, in order."""
+        """The rows of a non-empty list of sets, in order, on their tables joined."""
+        offsets = np.cumsum([0] + [len(p.patches) for p in parts])
         return cls(
             np.concatenate([p.boxes for p in parts]),
             np.concatenate([p.scores for p in parts]),
-            np.concatenate([p.patch_ids for p in parts]),
+            np.concatenate([p.codes + k for p, k in zip(parts, offsets)]),
+            sum((p.patches for p in parts), ()),
             np.concatenate([p.pixel_boxes for p in parts]),
             np.concatenate([p.rows for p in parts]),
         )
@@ -92,9 +96,12 @@ class DetectionSet:
     def take(self, idx) -> DetectionSet:
         """Rows idx, in that order."""
         idx = np.asarray(idx, dtype=np.intp)
-        return DetectionSet(
-            self.boxes[idx], self.scores[idx], self.patch_ids[idx], self.pixel_boxes[idx], self.rows[idx]
-        )
+        return DetectionSet(self.boxes[idx], self.scores[idx], self.codes[idx], self.patches,
+                            self.pixel_boxes[idx], self.rows[idx])
+
+    @property
+    def patch_ids(self) -> np.ndarray:
+        return np.array(self.patches, dtype=object)[self.codes]
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -279,7 +286,7 @@ def filter_and_globalize(per_patch: PatchDetections, gt: GeoTransform, ps_r: int
     bad = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
     if bad.any():
         raise PipelineError(f"degenerate global box {tuple(boxes[bad.argmax()].tolist())}")
-    return DetectionSet(boxes, per_patch.scores[rows], per_patch.patch_ids[rows], pixel_boxes, rows)
+    return DetectionSet(boxes, per_patch.scores[rows], per_patch.codes[rows], per_patch.patches, pixel_boxes, rows)
 
 
 def _rank(boxes: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -407,7 +414,8 @@ def run_pipeline(
 
 def write_global_detections(dets: DetectionSet, path: str | Path) -> None:
     """CSV of globalized boxes: meters, score, then provenance columns."""
-    columns = [*dets.boxes.T, dets.scores, csv_text(dets.patch_ids.tolist()), *dets.pixel_boxes.T]
+    ids = np.array(csv_text(dets.patches), dtype=object)[dets.codes]
+    columns = [*dets.boxes.T, dets.scores, ids, *dets.pixel_boxes.T]
     write_csv(path, _GLOBAL_HEADER, columns)
 
 
@@ -433,7 +441,9 @@ def load_global_detections(path: str | Path) -> DetectionSet:
         (invalid(pixel_boxes, scores), lambda r: row_error(ids[r], pixel_boxes[r], scores[r])),
         (ids == "", lambda r: "empty patch id"),
     ])
-    return DetectionSet(boxes, scores, ids, pixel_boxes)
+    code_of: dict[str, int] = {}  # the table of ids, in first-seen order
+    codes = np.fromiter((code_of.setdefault(s, len(code_of)) for s in ids.tolist()), dtype=np.intp, count=len(ids))
+    return DetectionSet(boxes, scores, codes, tuple(code_of), pixel_boxes)
 
 
 def write_catalog_export(dets: DetectionSet, gt: GeoTransform, path: str | Path, provenance: dict) -> None:

@@ -322,7 +322,8 @@ def check_nan_marked(grid: RasterGrid, path: str | Path) -> None:
     does not mark. Such cells turn every value derived from them into NaN."""
     if not np.issubdtype(grid.values.dtype, np.floating):
         return
-    stray = int(np.count_nonzero(np.isnan(grid.values) & grid.valid_mask()))
+    nan = np.isnan(grid.values)  # without a sentinel every cell is valid
+    stray = int(np.count_nonzero(nan if grid.nodata is None else nan & grid.valid_mask()))
     if stray:
         sentinel = "none" if grid.nodata is None else repr(grid.nodata)
         raise RasterError(
@@ -343,7 +344,9 @@ def resample(grid: RasterGrid, target_resolution: float) -> RasterGrid:
     """
     if not target_resolution > 0:
         raise RasterError(f"target resolution must be positive, got {target_resolution}")
-    if not any(grid.valid_mask(r).any() for r in _windows(grid.height, grid.width * grid.values.itemsize)):
+    # a grid without a sentinel has no nodata cell: it is all nodata only when it has no cell
+    if (grid.nodata is not None or not grid.width * grid.height) and not any(
+            grid.valid_mask(r).any() for r in _windows(grid.height, grid.width * grid.values.itemsize)):
         raise RasterError("cannot resample an all-nodata grid")
     gt = grid.geotransform
     size = [n * gt.resolution / target_resolution for n in (grid.width, grid.height)]

@@ -55,7 +55,7 @@ from .evaluate import (
     write_gridsearch,
     write_metrics,
 )
-from .geo import GeoTransform
+from .geo import GeoTransform, meter_to_lonlat
 from .postprocess import (
     DetectionSet,
     load_global_detections,
@@ -119,26 +119,32 @@ def load_stack(cfg: PipelineConfig) -> list[RasterGrid]:
     from a file must declare its role's band; a single band may declare any.
     Elevation is resampled onto the intensity resolution when they differ;
     slope is derived from elevation when not supplied. Every check on the
-    stack runs here, check_co_registered last; a resampled elevation or a
-    derived slope builds values on first read.
+    stack runs here, the extent last (the top and bottom row centres within
+    +-90 degrees latitude, else the first raster's header is named); a
+    resampled elevation or a derived slope builds values on first read.
     """
+    files = _stack_files(cfg)
     stack = []
-    for role, path in _stack_files(cfg):
+    for role, path in files:
         grid = None if path is None else load_raster(path)
         if role is not None and grid is not None and grid.band_kind != role:
             raise RasterError(f"{path}: {role} raster declares band = {grid.band_kind}, not {role}")
         stack.append(grid)
-    if len(stack) == 1:
-        return stack
-
-    intensity, elevation, slope = stack
-    res = intensity.geotransform.resolution
-    if elevation.geotransform.resolution != res:
-        elevation = resample(elevation, res)
-    if slope is None:
-        slope = compute_slope(elevation)
-    check_co_registered([intensity, elevation, slope])
-    return [intensity, elevation, slope]
+    if len(stack) == 3:
+        intensity, elevation, slope = stack
+        res = intensity.geotransform.resolution
+        if elevation.geotransform.resolution != res:
+            elevation = resample(elevation, res)
+        if slope is None:
+            slope = compute_slope(elevation)
+        stack = [intensity, elevation, slope]
+        check_co_registered(stack)
+    gt, height = stack[0].geotransform, stack[0].height  # centres, since a grid may overshoot a pole by < 1 cell
+    lats = [meter_to_lonlat(0.0, gt.y_max - gt.resolution * (row + 0.5), gt)[1] for row in (0, height - 1)]
+    if height and not all(abs(lat) <= 90.0 for lat in lats):
+        raise RasterError(f"{files[0][1].with_suffix('.hdr')}: a row centre lies at latitude {max(lats, key=abs):.2f}, "
+                          "past a pole")
+    return stack
 
 
 def _band_spec(band) -> PatchSpec:
@@ -169,7 +175,7 @@ def detect_patches(patches: list[PatchPlacement], detector: DetectorInterface, w
     cols = PatchDetections(patches, codes, boxes, scores)
     bad = np.flatnonzero(invalid(cols.boxes, cols.scores))
     if bad.size:
-        r, patch_id = bad[0], cols.patch_ids[bad[0]]
+        r, patch_id = bad[0], cols.patches[cols.codes[bad[0]]]
         raise DetectionError(f"patch {patch_id}: {row_error(patch_id, cols.boxes[r], cols.scores[r])}")
     return cols
 
@@ -400,7 +406,8 @@ def run_crossmatch(cfg: PipelineConfig, detections_path: str | Path | None = Non
     classes = {"known": report.known, "confirmed_new": report.confirmed_new, "unverified": report.unverified}
     order = [i for indices in classes.values() for i in indices]
     labels = [cls for cls, indices in classes.items() for _ in indices]
-    columns = [labels, list(map(str, order)), csv_text(gated.patch_ids[order].tolist()), gated.scores[order]]
+    ids = np.array(csv_text(gated.patches), dtype=object)[gated.codes[order]]
+    columns = [labels, list(map(str, order)), ids, gated.scores[order]]
     write_csv(path, ["class", "detection_index", "patch_id", "score"], columns, eol="\n")
     summary = cfg.out_path / "crossmatch_summary.txt"
     k, c, uv = report.counts

@@ -83,10 +83,23 @@ def pair_iou(a, b):
     return float(v[0]) if v.size else 0.0
 
 
+def detection_set(boxes, scores, patch_ids, pixel_boxes, rows=None):
+    """The DetectionSet of rows with these patch ids, its table the ids in
+    first-seen order."""
+    code_of = {}
+    codes = [code_of.setdefault(p, len(code_of)) for p in patch_ids]
+    return DetectionSet(boxes, scores, codes, tuple(code_of), pixel_boxes, rows)
+
+
+def ids_of(cols):
+    """Each row's patch id, decoded from the table of a PatchDetections or a DetectionSet."""
+    return [cols.patches[k] for k in cols.codes.tolist()]
+
+
 def global_set(boxes, scores=0.9, patch_ids="p"):
     """A DetectionSet of meter boxes, each with the pixel box (0, 0, 1, 1);
     a single score or patch id is given to every row."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     n = boxes.shape[0]
     ids = np.broadcast_to(np.array(patch_ids, dtype=object), n)
-    return DetectionSet(boxes, np.broadcast_to(scores, n), ids, np.tile([0.0, 0.0, 1.0, 1.0], (n, 1)))
+    return detection_set(boxes, np.broadcast_to(scores, n), ids, np.tile([0.0, 0.0, 1.0, 1.0], (n, 1)))

@@ -13,6 +13,7 @@ from craterpipe.catalog import load_catalog
 from craterpipe.cli import main
 from craterpipe.config import load_config, sha256_file
 from craterpipe.geo import GeoTransform
+from craterpipe.postprocess import run_pipeline
 from craterpipe.raster import PatchSpec, RasterGrid, load_raster, save_raster
 from craterpipe.runner import _input_paths, _load_truth
 
@@ -684,6 +685,37 @@ def test_cmd_run_two_band_union(tmp_path):
     assert "band fine:" in summary and "band coarse:" in summary
 
 
+def test_two_band_run_decodes_each_row_to_its_own_bands_patch_id(tmp_path):
+    """Both bands name a patch r000000_c000000 but their tables differ, so a
+    row decoded on the other band's table would print another id. The
+    reference decodes each band's kept rows one at a time."""
+    craters = [(x * 100.0, -y * 100.0, r) for x, y, r in
+               [(60, 70, 700.0), (200, 190, 1_500.0), (330, 100, 2_600.0), (420, 400, 3_500.0)]]
+    bands = [
+        {"name": "fine", "ps_a": 128, "ps_r": 64, "overlap": 0.5, "dmin_km": 0.0, "dmax_km": 4.0},
+        {"name": "coarse", "ps_a": 256, "ps_r": 128, "overlap": 0.5, "dmin_km": 4.0, "dmax_km": None},
+    ]
+    noise = {"center_jitter_px": 1.0, "false_positive_rate": 2.0}
+    config = write_scene(tmp_path, craters, noise=noise, extra_config={"bands": bands})
+    assert main(["run", "--config", str(config)]) == 0
+    cfg = load_config(config)
+    stack = runner.load_stack(cfg)
+    gt = stack[0].geotransform
+    truth, boxes = _load_truth(cfg, cfg.truth_catalog, gt)
+    want, tables, codes = [], [], []
+    for band in cfg.bands:
+        per_patch = runner._band_detections(cfg, band, stack, truth, boxes)
+        kept = run_pipeline(per_patch, gt, band.ps_r, cfg.boundary_m, cfg.nms_delta)
+        want += [per_patch.placements[per_patch.codes[r]].patch_id for r in kept.rows.tolist()]
+        tables.append(per_patch.patches)
+        codes.append(per_patch.codes[kept.rows].tolist())
+    with open(tmp_path / "out" / "detections_global.csv", newline="") as fh:
+        got = [row["patch_id"] for row in csv.DictReader(fh)]
+    assert got == want
+    assert all("r000000_c000000" in table and codes_of_band for table, codes_of_band in zip(tables, codes))
+    assert any(tables[0][k] != tables[1][k] for k in codes[1])  # the coarse rows' codes name other fine patches
+
+
 def test_two_band_run_checks_the_truth_ids_once(tmp_path, monkeypatch):
     """The ids of a catalog file are checked for repeats once, as it loads:
     selecting its region and size range, and each band's oracle truth,
@@ -890,6 +922,35 @@ def test_cmd_crossmatch_without_rasters_uses_config_geotransform(tmp_path):
     assert main(["crossmatch", "--config", str(config)]) == 0
     summary = (tmp_path / "out" / "crossmatch_summary.txt").read_text()
     assert "known (in primary catalog):        4" in summary
+
+
+def test_a_single_band_whose_rows_pass_the_south_pole_exits_two(tmp_path, capsys):
+    """64 rows of 100 km from the equator down reach -209 degrees at the bottom row centre."""
+    config = write_scene(tmp_path, plant_craters(4))
+    gt = GeoTransform(x_min=0.0, y_max=0.0, resolution=100_000.0, body_radius=1_737_400.0)
+    save_raster(RasterGrid(64, 64, "elevation", np.zeros((64, 64)), gt), tmp_path / "far.bin")
+    cfg = json.loads(config.read_text())
+    cfg["rasters"] = {"single_band": "far.bin"}
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config)]) == 2
+    hdr = tmp_path / "far.hdr"
+    assert capsys.readouterr().err == f"error: {hdr}: a row centre lies at latitude -209.41, past a pole\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_crossmatch_geotransform_past_the_north_pole_exits_two(tmp_path, capsys):
+    """A y_max of 9,000 km puts the top row centre near 297 degrees."""
+    config = write_scene(tmp_path, plant_craters(4))
+    cfg = json.loads(config.read_text())
+    cfg["geotransform"] = {"x_min": 0.0, "y_max": 9e6, "resolution": 100.0, "body_radius": 1_737_400.0}
+    cfg["verify_catalog"] = {"path": "truth.csv", "schema": "generic"}
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["crossmatch", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {config}: malformed value (geotransform.y_max = 9000000.0 puts the top row "
+                   "centre at latitude 296.80, past a pole)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Every module of craterpipe uses each name it imports, and every function
-reads each parameter it takes.
+"""Every module of craterpipe uses each name it imports, every function
+reads each parameter it takes, and every private module-level name is read.
 
 A name counts as used when the module reads it anywhere (an attribute
 access on it included) or lists it in __all__. The package's __init__.py
 only re-exports, so it is left out. A parameter counts as read when the
 function's body, nested functions included, reads its name; an abstract
-method, which has no body to read it, is exempt, and so is a lambda.
+method, which has no body to read it, is exempt, and so is a lambda. A
+private name (one underscore first, dunders aside) that a module defines at
+its top level, as a function, a class or a constant, counts as read when
+its module reads it or another module of the package imports it by name.
 """
 
 import ast
@@ -86,3 +89,56 @@ def test_unread_parameters_finds_parameters_never_read():
         "        self.f = 1\n"
     )
     assert unread_parameters(source) == ["f.b", "f.args", "f.c", "g.d", "i.f"]
+
+
+def private_names(source: str) -> list[str]:
+    """The private names a module defines at its top level, in source order."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """module.name for each private top-level name of the modules in sources,
+    a module name -> source dict, that its module never reads and no module
+    imports by name from it."""
+    imported = {
+        (node.module.rpartition(".")[2], alias.name)
+        for source in sources.values() for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module for alias in node.names
+    }
+    unread = []
+    for module, source in sources.items():
+        read = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{module}.{name}" for name in private_names(source)
+                   if name not in read and (module, name) not in imported]
+    return unread
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert sum(len(private_names(s)) for s in sources.values()) > 50
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_names_finds_names_never_read():
+    sources = {
+        "a": (
+            "import x\n"
+            "_LIMIT, _SPARE = 3, 4\n"
+            "_cache: dict = {}\n"
+            "__all__ = ['f']\n"
+            "def _helper(): return _LIMIT\n"
+            "def _lonely(): pass\n"
+            "class _Box: pass\n"
+            "def f(): _cache.clear()\n"
+            "x._LIMIT = 1\n"
+        ),
+        "b": "from .a import _Box\n_used_in_a = 1\n",
+    }
+    assert unread_private_names(sources) == ["a._SPARE", "a._helper", "a._lonely", "b._used_in_a"]

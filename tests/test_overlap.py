@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from craterpipe import postprocess
 from craterpipe.evaluate import EvalConfig, match_and_count
-from craterpipe.postprocess import DetectionSet, nms, overlap_pairs
+from craterpipe.postprocess import nms, overlap_pairs
 
-from conftest import global_set
+from conftest import detection_set, global_set
 from reference import iou_matrix, quadratic_nms
 
 ORIGINS = st.sampled_from([0.0, 1e-2, 3.5, 1e3, -5e6, 1e7])
@@ -310,7 +310,7 @@ def test_scoring_and_nms_memory_bounded_on_50k_by_20k():
     side = (copies[:, 2] - copies[:, 0])[:, None]
     jitter = rng.normal(0, 0.05, (copies.shape[0], 2)).repeat(2, axis=1) * side
     boxes = np.vstack([copies + jitter, _crater_boxes(rng, 10_000)])
-    dets = DetectionSet(boxes, rng.uniform(0, 1, boxes.shape[0]), ["p"] * boxes.shape[0], np.zeros_like(boxes))
+    dets = detection_set(boxes, rng.uniform(0, 1, boxes.shape[0]), ["p"] * boxes.shape[0], np.zeros_like(boxes))
 
     for bound_mb, run in (
         (40, lambda: match_and_count(dets, truth, EvalConfig(u=0.3))),
@@ -341,7 +341,7 @@ def test_memory_follows_the_pairs_kept_not_the_candidates():
     8.0 MB and NMS at 9.4 MB. The bound allows about 2x that."""
     x, y = np.meshgrid(np.arange(100.0), np.arange(100.0))
     boxes = np.hstack([np.stack([x.ravel(), y.ravel()], axis=1)] * 2) + [0.0, 0.0, 10.0, 10.0]
-    dets = DetectionSet(boxes, np.random.default_rng(3).uniform(0, 1, 10_000), ["p"] * 10_000, np.zeros_like(boxes))
+    dets = detection_set(boxes, np.random.default_rng(3).uniform(0, 1, 10_000), ["p"] * 10_000, np.zeros_like(boxes))
     assert overlap_pairs(boxes, min_iou=0.5)[0].size == 117_210
     assert _peak_mb(lambda: overlap_pairs(boxes, min_iou=0.5)) < 20.0
     assert _peak_mb(lambda: nms(dets, 0.5)) < 20.0

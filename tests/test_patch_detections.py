@@ -15,7 +15,7 @@ from craterpipe.postprocess import DetectionSet, run_pipeline
 from craterpipe.raster import PatchPlacement, PatchSpec
 from craterpipe.runner import detect_patches
 
-from conftest import LUNAR_RADIUS, index_of, on_origin, patch_columns
+from conftest import LUNAR_RADIUS, detection_set, ids_of, index_of, on_origin, patch_columns
 from reference import grid_search_cells, group_by_patch, scalar_pipeline
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
@@ -60,7 +60,7 @@ def interleaved_columns(per_patch, data):
 def assert_same_columns(got: PatchDetections, want: PatchDetections):
     assert got.placements == want.placements and got.patches == want.patches
     assert got.codes.tobytes() == want.codes.tobytes()
-    assert got.patch_ids.tolist() == want.patch_ids.tolist()
+    assert ids_of(got) == ids_of(want)
     assert got.boxes.tobytes() == want.boxes.tobytes()
     assert got.scores.tobytes() == want.scores.tobytes()
 
@@ -69,7 +69,7 @@ def assert_same_set(got: DetectionSet, want: DetectionSet):
     assert got.boxes.tobytes() == want.boxes.tobytes()
     assert got.scores.tobytes() == want.scores.tobytes()
     assert got.pixel_boxes.tobytes() == want.pixel_boxes.tobytes()
-    assert got.patch_ids.tolist() == want.patch_ids.tolist()
+    assert ids_of(got) == ids_of(want)
 
 
 @settings(max_examples=120, deadline=None)
@@ -87,7 +87,7 @@ def test_pipeline_on_columns_equals_pipeline_on_lists(per_patch, data, m, delta,
     got = run_pipeline(columns, gt, PS_R, m, delta)
     # the scalar reference on the lists of rows, one detection at a time in sorted patch order
     want = scalar_pipeline(per_patch, PATCH_INDEX, gt, PS_R, m, delta)
-    assert_same_set(got, DetectionSet(*zip(*want)) if want else DetectionSet([], [], [], []))
+    assert_same_set(got, detection_set(*zip(*want)) if want else detection_set([], [], [], []))
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,8 +146,8 @@ def test_detect_patches_groups_like_the_scalar_reference(tmp_path_factory, patch
     for workers in (1, 2):
         got = detect_patches(patches, detector, workers)
         assert got.patches == tuple(sorted(patch_ids))  # patches without rows included
-        assert list(zip(got.patch_ids.tolist(), map(tuple, got.boxes.tolist()), got.scores.tolist())) == want
-        assert [got.placements[k].patch_id for k in got.codes.tolist()] == got.patch_ids.tolist()
+        assert list(zip(ids_of(got), map(tuple, got.boxes.tolist()), got.scores.tolist())) == want
+        assert [got.placements[k].patch_id for k in got.codes.tolist()] == ids_of(got)
     path = tmp_path_factory.mktemp("dump") / "d.csv"
     save_detections(got, path)
     assert_same_columns(load_detections(path, patches), got)
@@ -212,7 +212,7 @@ def test_pipeline_rows_name_the_raw_rows(per_patch, m, delta):
     assert out.rows.dtype == np.intp and np.unique(out.rows).size == len(out)
     assert columns.boxes[out.rows].tobytes() == out.pixel_boxes.tobytes()
     assert columns.scores[out.rows].tobytes() == out.scores.tobytes()
-    assert columns.patch_ids[out.rows].tolist() == out.patch_ids.tolist()
+    assert [columns.patches[k] for k in columns.codes[out.rows].tolist()] == ids_of(out)
 
 
 # ---------------------------------------------------------------------------

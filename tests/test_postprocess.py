@@ -25,7 +25,7 @@ from craterpipe.postprocess import (
     write_global_detections,
 )
 
-from conftest import LUNAR_RADIUS, global_set, on_origin, patch_columns, placed
+from conftest import LUNAR_RADIUS, detection_set, global_set, ids_of, on_origin, patch_columns, placed
 from reference import quadratic_nms
 
 GT = GeoTransform(x_min=0.0, y_max=0.0, resolution=100.0, body_radius=LUNAR_RADIUS)
@@ -362,8 +362,37 @@ def test_run_pipeline_without_nms_keeps_duplicates():
     assert len(out) == 2
 
 
+@st.composite
+def coded_parts(draw):
+    """Per-row patch id lists, and a DetectionSet of each on its own table of
+    unique ids; tables share ids and may hold ids no row names, and a part
+    may have no rows or no table."""
+    parts, rows = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        table = draw(st.lists(st.sampled_from(["a", "b", "c", "r000000_c000000"]), unique=True, max_size=4))
+        codes = draw(st.lists(st.integers(0, len(table) - 1), max_size=6)) if table else []
+        n = len(codes)
+        start = sum(map(len, rows))
+        boxes = [(float(k), 0.0, k + 1.0, 1.0) for k in range(start, start + n)]
+        parts.append(DetectionSet(boxes, np.arange(start, start + n) / 100.0, codes, table, boxes))
+        rows.append([table[k] for k in codes])
+    return rows, parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_parts(), st.data())
+def test_concat_then_take_decodes_like_per_row_id_lists(coded, data):
+    rows, parts = coded
+    flat = [patch_id for ids in rows for patch_id in ids]
+    idx = data.draw(st.lists(st.integers(0, len(flat) - 1), max_size=12)) if flat else []
+    got = DetectionSet.concat(parts).take(idx)
+    assert ids_of(got) == got.patch_ids.tolist() == [flat[i] for i in idx]
+    assert got.scores.tolist() == [i / 100.0 for i in idx]
+    assert got.boxes[:, 0].tolist() == got.pixel_boxes[:, 0].tolist() == [float(i) for i in idx]
+
+
 def test_global_detection_file_round_trip(tmp_path):
-    dets = DetectionSet(
+    dets = detection_set(
         [(100.5, -200.25, 300.0, -50.0), (-10.0, 0.0, 10.0, 20.0)],
         [0.75, 0.5],
         ["pa", "pb"],

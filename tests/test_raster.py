@@ -26,6 +26,7 @@ from craterpipe.raster import (
     RasterGrid,
     _box_weights,
     _byte_scale,
+    check_nan_marked,
     compute_slope,
     load_raster,
     patch_grid,
@@ -121,6 +122,19 @@ def test_header_refuses_an_unknown_or_repeated_key(tmp_path, line, message):
     hdr.write_text("\n".join([*lines, line]) + "\n")
     with pytest.raises(RasterError, match=f"^{re.escape(str(hdr))}:{len(lines) + 1}: {message}$"):
         load_raster(path)
+
+
+def test_a_grid_without_a_sentinel_is_not_scanned_for_nodata(monkeypatch):
+    """Without a sentinel every cell is valid: resample skips its all-nodata
+    scan and check_nan_marked counts NaN cells alone. A grid of no cells
+    still has no valid cell."""
+    grid = make_grid([[1.0, np.nan, 2.0], [3.0, np.nan, 4.0]])
+    monkeypatch.setattr(RasterGrid, "valid_mask", lambda *a: pytest.fail("scanned for nodata"))
+    assert resample(grid, 50.0).height == 4
+    with pytest.raises(RasterError, match=r"sentinel \(none\) does not mark \(2 of 6\)"):
+        check_nan_marked(grid, "g.bin")
+    with pytest.raises(RasterError, match="^cannot resample an all-nodata grid$"):
+        resample(make_grid(np.zeros((0, 3))), 50.0)
 
 
 SPEC = PatchSpec(ps_a=4, ps_r=2, overlap_fraction=0.5)

@@ -10,6 +10,7 @@ image export builds resampled or slope values or tiles.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -119,6 +120,12 @@ def mosaic_smaller_than_patch(tmp_path, config):
     _save(tmp_path, "dem.bin", _grid(200))
 
 
+def rows_past_the_south_pole(tmp_path, config):
+    # 512 rows of 10 km from the equator down: the bottom row centre lies at -168.68 degrees
+    _save(tmp_path, "intensity.bin", _grid(MOSAIC_PX, band="intensity", resolution=10_000.0))
+    _save(tmp_path, "dem.bin", _grid(MOSAIC_PX, resolution=10_000.0))
+
+
 def slope_range_before_elevation_size(tmp_path, config):
     resampled_size_mismatch(tmp_path, config)
     slope_out_of_range(tmp_path, config)
@@ -144,6 +151,7 @@ CASES = [
     (supplied_slope_size_mismatch, "slope grid 256x256 does not match intensity 512x512", False, None),
     (not_co_registered, "intensity, elevation and slope grids must share size and geotransform", False, None),
     (mosaic_smaller_than_patch, "mosaic 200x200 is smaller than the patch side 256", True, None),
+    (rows_past_the_south_pole, "intensity.hdr: a row centre lies at latitude -168.68, past a pole", False, None),
     (slope_range_before_elevation_size, "slope values must lie in [0, 90] degrees", False, None),
     (
         co_registration_before_truth_catalog,
@@ -187,6 +195,32 @@ def test_load_stack_raises_every_error_but_tiling_ones(tmp_path, case, message, 
         with pytest.raises(RasterError) as excinfo:
             runner.load_stack(cfg)
         assert message in str(excinfo.value)
+
+
+WHOLE_BODY_CELL = math.pi * LUNAR_RADIUS / 18.2  # 19 rows overshoot the poles by 0.4 cells each
+
+
+@pytest.mark.parametrize("height, resolution, y_max, lat", [
+    (546, 10_000.0, 2_730_000.0, None),  # centred on the equator: the top row centre at 89.86 degrees
+    (547, 10_000.0, 2_735_000.0, "90.03"),
+    (64, 100_000.0, 0.0, "-209.41"),  # the bottom row
+    (19, WHOLE_BODY_CELL, 9.5 * WHOLE_BODY_CELL, None),  # edges past the poles, centres at +-89.01
+])
+def test_a_single_band_whose_row_centres_pass_a_pole_names_its_header(tmp_path, height, resolution, y_max, lat):
+    """Row centres, not edges, must lie within +-90 degrees: a whole-body
+    grid may overshoot a pole by less than one cell."""
+    config = _scene(tmp_path)
+    gt = GeoTransform(x_min=0.0, y_max=y_max, resolution=resolution, body_radius=LUNAR_RADIUS)
+    _save(tmp_path, "band.bin", RasterGrid(64, height, "intensity", np.zeros((height, 64), np.float32), gt))
+    cfg = json.loads(config.read_text())
+    cfg["rasters"] = {"single_band": "band.bin"}
+    config.write_text(json.dumps(cfg))
+    if lat is None:
+        assert runner.load_stack(load_config(config))[0].height == height
+        return
+    with pytest.raises(RasterError) as excinfo:
+        runner.load_stack(load_config(config))
+    assert str(excinfo.value) == f"{tmp_path / 'band.hdr'}: a row centre lies at latitude {lat}, past a pole"
 
 
 @pytest.mark.parametrize("command", ["run", "detect", "gridsearch", "tile"])

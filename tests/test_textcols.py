@@ -23,10 +23,10 @@ from craterpipe.catalog import load_catalog
 from craterpipe.detector import load_detections
 from craterpipe.errors import CatalogError, DetectionError
 from craterpipe.geo import GeoTransform, lonlat_to_meter, meter_to_lonlat
-from craterpipe.postprocess import DetectionSet, load_global_detections, write_global_detections
+from craterpipe.postprocess import load_global_detections, write_global_detections
 from craterpipe.textcols import csv_text, write_csv
 
-from conftest import on_origin
+from conftest import detection_set, ids_of, on_origin
 from reference import load_catalog_rows, load_detection_rows
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -180,7 +180,7 @@ def detection_sets(draw):
              for a, b in ((draw(st.floats(0, 100)), draw(st.floats(0, 100))) for _ in range(n))]
     scores = [draw(st.floats(0, 1)) for _ in range(n)]
     ids = [draw(IDS) for _ in range(n)]
-    return DetectionSet(boxes, scores, ids, pixel)
+    return detection_set(boxes, scores, ids, pixel)
 
 
 @SETTINGS
@@ -332,7 +332,7 @@ def assert_records_match_the_row_by_row_loader(path, score_floor=None, ps_r=512)
         return
     got = load_detections(path, placements, score_floor)
     expected = sorted(expected, key=lambda r: r[0])  # grouped by patch id, file order within
-    assert got.patch_ids.tolist() == [r[0] for r in expected]
+    assert ids_of(got) == [r[0] for r in expected]
     assert bits(got.boxes.reshape(-1)) == bits([v for r in expected for v in r[1]])
     assert bits(got.scores) == bits([r[2] for r in expected])
 
@@ -463,8 +463,8 @@ def test_a_catalog_over_chunks_mixes_both_paths(tmp_path, monkeypatch):
 
 def test_global_line_numbers_count_csv_rows_across_chunks(tmp_path, monkeypatch):
     n = 10_000
-    dets = DetectionSet([(float(i), 0.0, i + 1.0, 1.0) for i in range(n)], [0.5] * n,
-                        ["a\nb" if i == 5000 else f"p{i}" for i in range(n)], [(0.0, 0.0, 1.0, 1.0)] * n)
+    dets = detection_set([(float(i), 0.0, i + 1.0, 1.0) for i in range(n)], [0.5] * n,
+                         ["a\nb" if i == 5000 else f"p{i}" for i in range(n)], [(0.0, 0.0, 1.0, 1.0)] * n)
     path = tmp_path / "g.csv"
     write_global_detections(dets, path)
     lines = path.read_bytes().decode().splitlines(keepends=True)
@@ -483,8 +483,8 @@ def test_clean_files_never_reach_the_row_by_row_path(tmp_path, monkeypatch):
     lines = record_lines(10_000)
     lines[100] = ""
     (tmp_path / "r.csv").write_text("\n".join(lines) + "\n")
-    dets = DetectionSet([(float(i), 0.0, i + 1.0, 1.0) for i in range(9000)], [0.5] * 9000,
-                        [f"p {i}" for i in range(9000)], [(0.0, 0.0, 1.0, 1.0)] * 9000)
+    dets = detection_set([(float(i), 0.0, i + 1.0, 1.0) for i in range(9000)], [0.5] * 9000,
+                         [f"p {i}" for i in range(9000)], [(0.0, 0.0, 1.0, 1.0)] * 9000)
     write_global_detections(dets, tmp_path / "g.csv")
     rows = ["id,lon,lat,diam_km"] + [f"c{i},{i * 0.01!r},{(i % 180) - 90.5!r},{i % 7}" for i in range(9000)]
     (tmp_path / "c.csv").write_text("\n".join(rows[:50] + [""] + rows[50:]) + "\n")
@@ -499,7 +499,7 @@ def test_clean_files_never_reach_the_row_by_row_path(tmp_path, monkeypatch):
     monkeypatch.setattr(textcols, "_convert", refuse)
     got = load_detections(tmp_path / "r.csv", placements)
     assert bits(got.boxes.reshape(-1)) == bits(expected[0].boxes.reshape(-1))
-    assert got.patch_ids.tolist() == expected[0].patch_ids.tolist()
+    assert ids_of(got) == ids_of(expected[0])
     back = load_global_detections(tmp_path / "g.csv")
     assert back.patch_ids.tolist() == dets.patch_ids.tolist() == expected[1].patch_ids.tolist()
     cat = load_catalog(tmp_path / "c.csv")
